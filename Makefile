@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: all build test vet lint check apicheck apigen race chaos chaos-nodes \
+.PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
 	bench bench-all bench-recovery bench-policy bench-load benchdiff \
 	benchdiff-policy clean model model-long policy fuzz-smoke cover \
 	recovery-smoke load-smoke
@@ -42,12 +42,19 @@ apigen:
 	$(GO) run ./tools/apidump . > api/convgpu.txt
 
 # race runs the full suite under the race detector — the hot path
-# (pooled codec, coalesced writes, fast-path admit) is validated by
+# (pooled messages, coalesced writes, fast-path admit) is validated by
 # dedicated concurrency stress tests that only bite with -race on —
 # and then the full chaos sweep (see chaos below).
 race:
 	$(GO) test -race ./...
 	$(MAKE) chaos
+
+# flake reruns the short tests of the transport packages — the ones that
+# race real sockets against goroutine scheduling — many times under the
+# race detector in shuffled order, so an intermittent failure shows up
+# here instead of one run in four on main.
+flake:
+	$(GO) test -race -shuffle=on -count=20 -short ./internal/ipc/... ./internal/protocol/... ./internal/wrapper/...
 
 # chaos replays the full sweep of seeded fault schedules against the
 # daemon↔wrapper stack under the race detector — both the single-device

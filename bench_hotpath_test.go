@@ -3,10 +3,9 @@
 // path the paper's Fig. 4 overhead numbers hinge on, measured at three
 // altitudes so a regression is attributable to one layer:
 //
-//	BenchmarkHotPathCodec*        JSON encode/decode of the fixed
-//	                              alloc/response message shapes
-//	BenchmarkHotPathBinary*       the same shapes through the negotiated
-//	                              binary fast-path codec (0 allocs/op)
+//	BenchmarkHotPathBinary*       the fixed alloc/response message shapes
+//	                              through the binary data-path codec
+//	                              (0 allocs/op)
 //	BenchmarkHotPathCore*         scheduler admit/confirm/free with no
 //	                              transport (fast-path admit territory)
 //	BenchmarkHotPathRouted*       the same cycle through the multi-device
@@ -21,6 +20,7 @@ package convgpu_test
 import (
 	"context"
 	"fmt"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -31,9 +31,8 @@ import (
 	"convgpu/internal/multigpu"
 	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
+	"convgpu/internal/wrapper"
 )
-
-// --- codec ---
 
 func hotPathAllocMsg() *protocol.Message {
 	return &protocol.Message{
@@ -54,51 +53,7 @@ func hotPathRespMsg() *protocol.Message {
 	}
 }
 
-func BenchmarkHotPathCodecEncode(b *testing.B) {
-	m := hotPathAllocMsg()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := protocol.Encode(m); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkHotPathCodecDecode(b *testing.B) {
-	line, err := protocol.Encode(hotPathRespMsg())
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m, err := protocol.Decode(line)
-		if err != nil {
-			b.Fatal(err)
-		}
-		protocol.ReleaseMessage(m)
-	}
-}
-
-func BenchmarkHotPathCodecRoundTrip(b *testing.B) {
-	m := hotPathAllocMsg()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		line, err := protocol.Encode(m)
-		if err != nil {
-			b.Fatal(err)
-		}
-		d, err := protocol.Decode(line)
-		if err != nil {
-			b.Fatal(err)
-		}
-		protocol.ReleaseMessage(d)
-	}
-}
-
-// --- binary fast-path codec ---
+// --- binary data-path codec ---
 
 func BenchmarkHotPathBinaryEncode(b *testing.B) {
 	m := hotPathAllocMsg()
@@ -297,37 +252,37 @@ func BenchmarkHotPathRoutedAccept64Devices(b *testing.B) { benchRoutedAccept(b, 
 // --- end to end ---
 
 // hotPathRig is newBenchRig without device latency: what remains is pure
-// middleware cost (codec + transport + scheduler).
+// middleware cost (codec + transport + scheduler). Its wrapper connection
+// must be on binary frames, like every container's.
 func newHotPathRig(b *testing.B) *benchRig {
-	return newBenchRig(b, false)
-}
-
-// negotiateBinary flips the rig's wrapper connection to the binary
-// fast-path codec, failing the benchmark if the daemon does not speak
-// it.
-func negotiateBinary(b *testing.B, cli *ipc.Client) {
-	b.Helper()
-	ok, err := cli.NegotiateBinary(context.Background())
-	if err != nil || !ok {
-		b.Fatalf("binary negotiation failed: ok=%v err=%v", ok, err)
+	r := newBenchRig(b, false)
+	if !r.wrapCli.BinaryNegotiated() {
+		b.Fatal("the rig's wrapper connection did not negotiate binary")
 	}
+	return r
 }
 
 // benchRoundTrip1RTT measures a single request/response round trip over
 // the daemon's real UNIX socket — one meminfo query per iteration, the
-// purest transport + dispatch cost. The binary variant is the
-// sub-5µs/≤4-allocs budget row; the JSON variant is the fallback path's
-// price for comparison.
+// purest transport + dispatch cost. The binary variant is the rig's own
+// wrapper connection, the sub-5µs/≤4-allocs budget row; the JSON variant
+// is a second, un-negotiated connection to the same socket: the
+// control/debug format's price for comparison.
 func benchRoundTrip1RTT(b *testing.B, binary bool) {
 	r := newHotPathRig(b)
-	if binary {
-		negotiateBinary(b, r.wrapCli)
+	cli := r.wrapCli
+	if !binary {
+		var err error
+		if cli, err = ipc.Dial(filepath.Join(r.sockDir, wrapper.SocketFileName)); err != nil {
+			b.Fatal(err)
+		}
+		defer cli.Close()
 	}
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		resp, err := r.wrapCli.Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo, PID: 2})
+		resp, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo, PID: 2})
 		if err != nil || !resp.OK {
 			b.Fatalf("meminfo: %+v %v", resp, err)
 		}
@@ -347,7 +302,6 @@ func BenchmarkHotPathRoundTrip1RTTJSON(b *testing.B)   { benchRoundTrip1RTT(b, f
 func BenchmarkHotPathRoundTripPipelined(b *testing.B) {
 	const depth = 8
 	r := newHotPathRig(b)
-	negotiateBinary(b, r.wrapCli)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -380,7 +334,6 @@ func BenchmarkHotPathRoundTripPipelined(b *testing.B) {
 // three RTTs per iteration, on the negotiated binary codec.
 func BenchmarkHotPathRoundTrip(b *testing.B) {
 	r := newHotPathRig(b)
-	negotiateBinary(b, r.wrapCli)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -412,7 +365,6 @@ func BenchmarkHotPathRoundTrip(b *testing.B) {
 // pipelined sequence numbers exist for, on the binary codec.
 func BenchmarkHotPathRoundTripParallel(b *testing.B) {
 	r := newHotPathRig(b)
-	negotiateBinary(b, r.wrapCli)
 	ctx := context.Background()
 	var next int64
 	b.ReportAllocs()
@@ -452,7 +404,6 @@ func BenchmarkHotPathRoundTripParallel(b *testing.B) {
 // paper's intercepted cudaMalloc cost with hardware time subtracted.
 func BenchmarkHotPathWrappedMallocFree(b *testing.B) {
 	r := newHotPathRig(b)
-	negotiateBinary(b, r.wrapCli)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

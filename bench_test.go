@@ -44,6 +44,7 @@ type benchRig struct {
 	ctl     *ipc.Client
 	wrapCli *ipc.Client
 	dir     string
+	sockDir string // the registered container's socket directory
 
 	raw     *cuda.Runtime
 	wrapped *wrapper.Module
@@ -76,7 +77,8 @@ func newBenchRig(b *testing.B, withLatency bool) *benchRig {
 	if err != nil || !resp.OK {
 		b.Fatalf("register: %v %v", resp, err)
 	}
-	r.wrapCli, err = ipc.Dial(filepath.Join(resp.SocketDir, wrapper.SocketFileName))
+	r.sockDir = resp.SocketDir
+	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(r.sockDir, wrapper.SocketFileName))
 	if err != nil {
 		b.Fatal(err)
 	}

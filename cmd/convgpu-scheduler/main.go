@@ -46,9 +46,8 @@
 // /v1/sessions, /v1/nodes, /v1/wal and /v1/operations, plus the async
 // mutating verbs POST /v1/nodes/{n}/drain|revive|failover and POST
 // /v1/wal/compact|snapshot, which answer 202 with an operation to poll
-// at /v1/operations/{id}. Unversioned /metrics, /stats and /trace
-// redirect (301) to their /v1 homes; /debug/vars and /debug/pprof are
-// served in place. The same stats/trace/dump documents are always
+// at /v1/operations/{id}; /debug/vars and /debug/pprof are served
+// beside it. The same stats/trace/dump documents are always
 // available over the control socket itself (see cmd/convgpu-stats).
 package main
 
@@ -138,7 +137,7 @@ func main() {
 		status    = flag.Duration("status", 0, "print a scheduler snapshot at this interval (0 = off)")
 		rescue    = flag.Bool("fault-tolerant", false, "enable the rescue pass of the authors' prior fault-tolerance study")
 		lease     = flag.Duration("lease", 0, "reap containers silent for this long (0 = no leasing)")
-		httpAddr  = flag.String("http", "", "serve the versioned /v1 admin API (plus legacy /metrics, /stats, /trace redirects and /debug/*) on this address (e.g. :9090; empty = off)")
+		httpAddr  = flag.String("http", "", "serve the versioned /v1 admin API (plus /debug/*) on this address (e.g. :9090; empty = off)")
 		traceCap  = flag.Int("trace-capacity", 0, "event-trace ring capacity (0 = default, negative = disabled)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory; when set, admissions are durable and restart recovery replays the log (empty = session.json files)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always | none | a duration like 50ms (group commit)")

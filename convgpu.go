@@ -24,16 +24,13 @@
 //     bundle (counters, latency histograms, gauges, event trace) that
 //     the live daemon also answers over the control socket (Stats,
 //     Trace, Dump) and that MetricsHandler serves over HTTP;
-//   - Simulate/SimulateSweep: the discrete-event replay of the paper's
+//   - SimulateContext and Sweep: the discrete-event replay of the paper's
 //     scheduling experiments (Figures 7/8, Tables IV/V) in virtual time;
 //   - errors.Is-able sentinels (ErrRejected, ErrSuspendedTimeout,
 //     ErrDaemonUnavailable, ErrOverCapacity) matching failures wherever
 //     they surface, including across the daemon socket;
 //   - re-exports of the option types a caller needs (container types,
 //     algorithms, sizes).
-//
-// The previous entry points (Config, NewSystem, System) remain as thin
-// deprecated shims over New/Stack.
 //
 // The hardware and proprietary components of the paper's testbed
 // (Tesla K20m, CUDA 8, Docker, NVIDIA Docker) are faithful simulations;
@@ -175,100 +172,6 @@ const (
 // DefaultMemoryLimit is the 1 GiB fallback limit (paper §III-B).
 const DefaultMemoryLimit = nvdocker.DefaultMemoryLimit
 
-// Config assembles a System.
-//
-// Deprecated: use New with functional options (WithCapacity,
-// WithAlgorithm, ...), which cover these fields and the newer knobs
-// (leases, call timeouts, observability). Config remains as a shim.
-type Config struct {
-	// BaseDir hosts the scheduler's control socket and per-container
-	// directories. Default: a fresh temporary directory.
-	BaseDir string
-	// Capacity is the schedulable GPU memory. Default: the K20m's 5 GiB.
-	Capacity Size
-	// Algorithm is the redistribution algorithm name. Default FIFO.
-	Algorithm string
-	// AlgorithmSeed seeds the Random algorithm.
-	AlgorithmSeed int64
-	// GPU overrides the simulated device properties (default K20m).
-	GPU *gpu.Properties
-	// Latency enables the Figure 4 latency calibration on the device,
-	// making CUDA calls consume realistic time.
-	Latency bool
-	// CreateLatency models the container runtime's creation cost
-	// (Fig. 5 uses ~0.4 s).
-	CreateLatency time.Duration
-}
-
-// System is the assembled ConVGPU middleware stack.
-//
-// Deprecated: use Stack (built with New, started with Start). System is
-// a thin shim embedding *Stack; its Run/Create keep the old no-context
-// signatures and everything else is the Stack surface.
-type System struct {
-	*Stack
-}
-
-// options converts the legacy Config into the equivalent option list.
-func (cfg Config) options() []Option {
-	var opts []Option
-	if cfg.BaseDir != "" {
-		opts = append(opts, WithBaseDir(cfg.BaseDir))
-	}
-	if cfg.Capacity != 0 {
-		opts = append(opts, WithCapacity(cfg.Capacity))
-	}
-	if cfg.Algorithm != "" {
-		opts = append(opts, WithAlgorithm(cfg.Algorithm))
-	}
-	if cfg.AlgorithmSeed != 0 {
-		opts = append(opts, WithAlgorithmSeed(cfg.AlgorithmSeed))
-	}
-	if cfg.GPU != nil {
-		opts = append(opts, WithGPU(*cfg.GPU))
-	}
-	if cfg.Latency {
-		opts = append(opts, WithLatency())
-	}
-	if cfg.CreateLatency != 0 {
-		opts = append(opts, WithCreateLatency(cfg.CreateLatency))
-	}
-	return opts
-}
-
-// NewSystem builds and starts the full stack: simulated GPU, scheduler
-// core + daemon (real UNIX sockets), container engine, plugin, and the
-// customized nvidia-docker. Close releases everything.
-//
-// Deprecated: use New(opts...) followed by Start(ctx); NewSystem is
-// New + Start with a background context.
-func NewSystem(cfg Config) (*System, error) {
-	st, err := New(cfg.options()...)
-	if err != nil {
-		return nil, err
-	}
-	if err := st.Start(context.Background()); err != nil {
-		return nil, err
-	}
-	return &System{Stack: st}, nil
-}
-
-// Run launches a container through the customized nvidia-docker: the
-// full paper flow (limit resolution, registration, wrapper injection,
-// exit detection).
-//
-// Deprecated: use Stack.Run, which takes a context.
-func (s *System) Run(opts RunOptions) (*Container, error) {
-	return s.Stack.Run(context.Background(), opts)
-}
-
-// Create is Run without starting the container.
-//
-// Deprecated: use Stack.Create, which takes a context.
-func (s *System) Create(opts RunOptions) (*Container, error) {
-	return s.Stack.Create(context.Background(), opts)
-}
-
 // SampleProgram returns the paper's evaluation sample program for a
 // container type, with kernel time compressed by scale (1.0 = the
 // paper's 5–45 s).
@@ -331,14 +234,6 @@ func GenerateTrace(n int, spacing time.Duration, seed int64) []TraceEntry {
 // the given mean spacing (see the `poisson` experiment).
 func GeneratePoissonTrace(n int, meanSpacing time.Duration, seed int64) []TraceEntry {
 	return workload.GeneratePoissonTrace(n, meanSpacing, seed)
-}
-
-// Simulate replays one trace against the scheduler core in virtual time.
-//
-// Deprecated: use SimulateContext; Simulate runs with a background
-// context.
-func Simulate(trace []TraceEntry, cfg SimConfig) (SimResult, error) {
-	return sim.Run(trace, cfg)
 }
 
 // SimulateContext replays one trace against the scheduler core in

@@ -1,25 +1,13 @@
 package convgpu_test
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 
 	"convgpu"
 )
-
-func newSystem(t *testing.T, cfg convgpu.Config) *convgpu.System {
-	t.Helper()
-	if cfg.BaseDir == "" {
-		cfg.BaseDir = t.TempDir()
-	}
-	sys, err := convgpu.NewSystem(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { sys.Close() })
-	return sys
-}
 
 func TestParseSizeAndUnits(t *testing.T) {
 	s, err := convgpu.ParseSize("512MiB")
@@ -49,9 +37,9 @@ func TestContainerTypesTableIII(t *testing.T) {
 }
 
 func TestSystemRunQuickContainer(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{})
+	sys := newStack(t)
 	var sawTotal convgpu.Size
-	c, err := sys.Run(convgpu.RunOptions{
+	c, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "q1",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 512 * convgpu.MiB,
@@ -87,11 +75,11 @@ func TestSystemRunQuickContainer(t *testing.T) {
 }
 
 func TestSystemLabelAndDefaultLimits(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{})
+	sys := newStack(t)
 	check := func(img convgpu.Image, want convgpu.Size) {
 		t.Helper()
 		var total convgpu.Size
-		c, err := sys.Run(convgpu.RunOptions{
+		c, err := sys.Run(context.Background(), convgpu.RunOptions{
 			Image: img,
 			Program: func(p *convgpu.Proc) error {
 				_, tot, err := p.CUDA.MemGetInfo()
@@ -112,10 +100,10 @@ func TestSystemLabelAndDefaultLimits(t *testing.T) {
 }
 
 func TestSystemMultiTenantSuspension(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{Capacity: 1000 * convgpu.MiB})
+	sys := newStack(t, convgpu.WithCapacity(1000*convgpu.MiB))
 	release := make(chan struct{})
 	started := make(chan struct{})
-	big, err := sys.Run(convgpu.RunOptions{
+	big, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "big",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 700 * convgpu.MiB,
@@ -136,7 +124,7 @@ func TestSystemMultiTenantSuspension(t *testing.T) {
 
 	var mu sync.Mutex
 	var order []string
-	small, err := sys.Run(convgpu.RunOptions{
+	small, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "small",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 500 * convgpu.MiB,
@@ -194,9 +182,9 @@ func TestSystemMultiTenantSuspension(t *testing.T) {
 }
 
 func TestSystemSampleProgramThroughStack(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{})
+	sys := newStack(t)
 	ct := convgpu.ContainerTypes()[0] // nano
-	c, err := sys.Run(convgpu.RunOptions{
+	c, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Image:        convgpu.CUDAImage("sample", ""),
 		NvidiaMemory: ct.GPUMemory,
 		Program:      convgpu.SampleProgram(ct, 1e-9),
@@ -210,8 +198,8 @@ func TestSystemSampleProgramThroughStack(t *testing.T) {
 }
 
 func TestSystemMNISTThroughStack(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{})
-	c, err := sys.Run(convgpu.RunOptions{
+	sys := newStack(t)
+	c, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Image:        convgpu.CUDAImage("tf", ""),
 		NvidiaMemory: convgpu.GiB,
 		Program: convgpu.MNISTProgram(convgpu.MNISTConfig{
@@ -229,7 +217,7 @@ func TestSystemMNISTThroughStack(t *testing.T) {
 
 func TestSimulateFacade(t *testing.T) {
 	trace := convgpu.GenerateTrace(6, 5*time.Second, 1)
-	res, err := convgpu.Simulate(trace, convgpu.SimConfig{Algorithm: convgpu.BestFit})
+	res, err := convgpu.SimulateContext(context.Background(), trace, convgpu.SimConfig{Algorithm: convgpu.BestFit})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +237,7 @@ func TestDefaultSweepDimensions(t *testing.T) {
 }
 
 func TestBadAlgorithmConfig(t *testing.T) {
-	_, err := convgpu.NewSystem(convgpu.Config{BaseDir: t.TempDir(), Algorithm: "lru"})
+	_, err := convgpu.New(convgpu.WithBaseDir(t.TempDir()), convgpu.WithAlgorithm("lru"))
 	if err == nil {
 		t.Fatal("bad algorithm accepted")
 	}

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log"
@@ -24,6 +25,7 @@ func main() {
 	reps := flag.Int("reps", 4, "repetitions (fresh random trace each)")
 	seed := flag.Int64("seed", 2017, "base trace seed")
 	flag.Parse()
+	ctx := context.Background()
 
 	fmt.Printf("emulated cloud: %d containers, random Table III types, one every %v, 5 GiB GPU\n\n",
 		*n, 5*time.Second)
@@ -34,7 +36,7 @@ func main() {
 	for rep := 0; rep < *reps; rep++ {
 		trace := convgpu.GenerateTrace(*n, 5*time.Second, *seed+int64(rep))
 		for _, alg := range convgpu.Algorithms() {
-			res, err := convgpu.Simulate(trace, convgpu.SimConfig{Algorithm: alg, AlgSeed: *seed})
+			res, err := convgpu.SimulateContext(ctx, trace, convgpu.SimConfig{Algorithm: alg, AlgSeed: *seed})
 			if err != nil {
 				log.Fatal(err)
 			}
@@ -67,7 +69,7 @@ func main() {
 	// Show one run in detail: who waited, and for how long.
 	fmt.Printf("\nper-container detail (one %s run):\n", convgpu.BestFit)
 	trace := convgpu.GenerateTrace(*n, 5*time.Second, *seed)
-	res, err := convgpu.Simulate(trace, convgpu.SimConfig{Algorithm: convgpu.BestFit})
+	res, err := convgpu.SimulateContext(ctx, trace, convgpu.SimConfig{Algorithm: convgpu.BestFit})
 	if err != nil {
 		log.Fatal(err)
 	}

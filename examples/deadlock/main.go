@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -65,14 +66,18 @@ func withoutConVGPU() {
 // withConVGPU runs the same demands through the full middleware stack.
 func withConVGPU() {
 	fmt.Println("--- with ConVGPU ---")
-	sys, err := convgpu.NewSystem(convgpu.Config{Algorithm: convgpu.FIFO})
+	ctx := context.Background()
+	sys, err := convgpu.New(convgpu.WithAlgorithm(convgpu.FIFO))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	if err := sys.Start(ctx); err != nil {
+		log.Fatal(err)
+	}
 
 	job := func(i int) *convgpu.Container {
-		c, err := sys.Run(convgpu.RunOptions{
+		c, err := sys.Run(ctx, convgpu.RunOptions{
 			Name:         fmt.Sprintf("job-%d", i),
 			Image:        convgpu.CUDAImage("trainer", ""),
 			NvidiaMemory: want + 66*convgpu.MiB,

@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -19,16 +20,20 @@ import (
 )
 
 func main() {
-	sys, err := convgpu.NewSystem(convgpu.Config{})
+	ctx := context.Background()
+	sys, err := convgpu.New()
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	if err := sys.Start(ctx); err != nil {
+		log.Fatal(err)
+	}
 
 	const kernels = 8
 	const kernelTime = 100 * time.Millisecond
 
-	c, err := sys.Run(convgpu.RunOptions{
+	c, err := sys.Run(ctx, convgpu.RunOptions{
 		Name:         "hyperq-demo",
 		Image:        convgpu.CUDAImage("bench", ""),
 		NvidiaMemory: 1 * convgpu.GiB,

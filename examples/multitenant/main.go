@@ -11,6 +11,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"sync"
@@ -20,14 +21,15 @@ import (
 )
 
 func main() {
-	sys, err := convgpu.NewSystem(convgpu.Config{
-		Capacity:  1000 * convgpu.MiB,
-		Algorithm: convgpu.FIFO,
-	})
+	ctx := context.Background()
+	sys, err := convgpu.New(convgpu.WithCapacity(1000*convgpu.MiB), convgpu.WithAlgorithm(convgpu.FIFO))
 	if err != nil {
 		log.Fatal(err)
 	}
 	defer sys.Close()
+	if err := sys.Start(ctx); err != nil {
+		log.Fatal(err)
+	}
 
 	var mu sync.Mutex
 	logf := func(format string, args ...interface{}) {
@@ -56,7 +58,7 @@ func main() {
 
 	// holder runs a tenant that allocates its whole budget and waits.
 	holder := func(name string, alloc convgpu.Size, release chan struct{}) *convgpu.Container {
-		c, err := sys.Run(convgpu.RunOptions{
+		c, err := sys.Run(ctx, convgpu.RunOptions{
 			Name: name, Image: image, NvidiaMemory: alloc + 66*convgpu.MiB,
 			Program: func(p *convgpu.Proc) error {
 				ptr, err := p.CUDA.Malloc(alloc)
@@ -83,7 +85,7 @@ func main() {
 	// Fig. 3b/3c: C requests more than remains; it runs within its
 	// partial assignment, then suspends when it allocates beyond it.
 	cDone := make(chan error, 1)
-	c, err := sys.Run(convgpu.RunOptions{
+	c, err := sys.Run(ctx, convgpu.RunOptions{
 		Name: "C", Image: image, NvidiaMemory: 250 * convgpu.MiB,
 		Program: func(p *convgpu.Proc) error {
 			small, err := p.CUDA.Malloc(50 * convgpu.MiB)
@@ -110,7 +112,7 @@ func main() {
 
 	// Fig. 3c: D arrives with nothing assigned; suspends immediately.
 	dDone := make(chan error, 1)
-	d, err := sys.Run(convgpu.RunOptions{
+	d, err := sys.Run(ctx, convgpu.RunOptions{
 		Name: "D", Image: image, NvidiaMemory: 200 * convgpu.MiB,
 		Program: func(p *convgpu.Proc) error {
 			logf("D: asking for 100MiB with zero assignment — suspending...")
@@ -152,7 +154,7 @@ func main() {
 	status("final: everyone done")
 }
 
-func waitAllocated(sys *convgpu.System, n int) {
+func waitAllocated(sys *convgpu.Stack, n int) {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		count := 0
 		for _, info := range sys.Snapshot() {
@@ -168,7 +170,7 @@ func waitAllocated(sys *convgpu.System, n int) {
 	log.Fatal("timed out waiting for allocations")
 }
 
-func waitSuspended(sys *convgpu.System, n int) {
+func waitSuspended(sys *convgpu.Stack, n int) {
 	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
 		count := 0
 		for _, info := range sys.Snapshot() {

@@ -1,6 +1,7 @@
 package convgpu_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -48,8 +49,8 @@ func TestSimulateClusterFacade(t *testing.T) {
 }
 
 func TestSystemEventLog(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{})
-	c, err := sys.Run(convgpu.RunOptions{
+	sys := newStack(t)
+	c, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "ev1",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 256 * convgpu.MiB,
@@ -82,7 +83,7 @@ func TestSystemEventLog(t *testing.T) {
 
 func TestSimulateReportsUtilization(t *testing.T) {
 	trace := convgpu.GenerateTrace(12, 5*time.Second, 9)
-	res, err := convgpu.Simulate(trace, convgpu.SimConfig{Algorithm: convgpu.BestFit})
+	res, err := convgpu.SimulateContext(context.Background(), trace, convgpu.SimConfig{Algorithm: convgpu.BestFit})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package convgpu_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -18,7 +19,7 @@ import (
 // verifies that everything drains cleanly: scheduler invariants hold
 // throughout, the pool returns to capacity, and the device ends empty.
 func TestIntegrationConcurrentContainers(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{Capacity: 2 * convgpu.GiB})
+	sys := newStack(t, convgpu.WithCapacity(2*convgpu.GiB))
 	const waves = 3
 	const perWave = 8
 
@@ -29,7 +30,7 @@ func TestIntegrationConcurrentContainers(t *testing.T) {
 			seed := int64(wave*100 + i)
 			name := fmt.Sprintf("stress-%d-%d", wave, i)
 			limit := convgpu.Size(128+rand.New(rand.NewSource(seed)).Intn(512)) * convgpu.MiB
-			c, err := sys.Run(convgpu.RunOptions{
+			c, err := sys.Run(context.Background(), convgpu.RunOptions{
 				Name:         name,
 				Image:        convgpu.CUDAImage("stress", ""),
 				NvidiaMemory: limit,
@@ -99,7 +100,7 @@ func randomAllocProgram(seed int64, limit convgpu.Size) convgpu.Program {
 	}
 }
 
-func waitDrained(t *testing.T, sys *convgpu.System) {
+func waitDrained(t *testing.T, sys *convgpu.Stack) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -118,9 +119,9 @@ func waitDrained(t *testing.T, sys *convgpu.System) {
 // (docker stop) — including one blocked in a suspended allocation — and
 // verifies the close signal reclaims everything.
 func TestIntegrationStoppedContainerCleansUp(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{Capacity: 1000 * convgpu.MiB})
+	sys := newStack(t, convgpu.WithCapacity(1000*convgpu.MiB))
 	started := make(chan struct{})
-	holder, err := sys.Run(convgpu.RunOptions{
+	holder, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "holder",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 700 * convgpu.MiB,
@@ -139,7 +140,7 @@ func TestIntegrationStoppedContainerCleansUp(t *testing.T) {
 	<-started
 
 	// The waiter suspends on its allocation.
-	waiter, err := sys.Run(convgpu.RunOptions{
+	waiter, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "waiter",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 500 * convgpu.MiB,
@@ -185,9 +186,9 @@ func TestIntegrationStoppedContainerCleansUp(t *testing.T) {
 // itself blocked inside a suspended allocation: the close signal must
 // cancel the parked request so the program unblocks and exits.
 func TestIntegrationStopSuspendedContainer(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{Capacity: 1000 * convgpu.MiB})
+	sys := newStack(t, convgpu.WithCapacity(1000*convgpu.MiB))
 	blocked := make(chan struct{})
-	holder, err := sys.Run(convgpu.RunOptions{
+	holder, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "holder",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 700 * convgpu.MiB,
@@ -202,7 +203,7 @@ func TestIntegrationStopSuspendedContainer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	victim, err := sys.Run(convgpu.RunOptions{
+	victim, err := sys.Run(context.Background(), convgpu.RunOptions{
 		Name:         "victim",
 		Image:        convgpu.CUDAImage("app", ""),
 		NvidiaMemory: 500 * convgpu.MiB,
@@ -249,7 +250,7 @@ func TestIntegrationStopSuspendedContainer(t *testing.T) {
 // and closes while checking scheduler invariants from a second
 // goroutine the whole time.
 func TestIntegrationInvariantsUnderChurn(t *testing.T) {
-	sys := newSystem(t, convgpu.Config{Capacity: 2 * convgpu.GiB, Algorithm: convgpu.BestFit})
+	sys := newStack(t, convgpu.WithCapacity(2*convgpu.GiB), convgpu.WithAlgorithm(convgpu.BestFit))
 	stop := make(chan struct{})
 	violations := make(chan string, 1)
 	go func() {
@@ -279,7 +280,7 @@ func TestIntegrationInvariantsUnderChurn(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 4; j++ {
-				c, err := sys.Run(convgpu.RunOptions{
+				c, err := sys.Run(context.Background(), convgpu.RunOptions{
 					Name:         fmt.Sprintf("churn-%d-%d", i, j),
 					Image:        convgpu.CUDAImage("churn", ""),
 					NvidiaMemory: 300 * convgpu.MiB,

@@ -17,10 +17,8 @@
 // token bucket throttles abusive pollers with 429 before any handler
 // runs.
 //
-// The unversioned paths a pre-/v1 deployment scraped (/metrics,
-// /stats, /trace) answer 301 to their /v1 homes; /debug/vars and
-// /debug/pprof are served in place — redirecting pprof would break the
-// collecting tools.
+// /debug/vars and /debug/pprof are served unversioned, where the
+// collecting tools look for them.
 package admin
 
 import (
@@ -162,7 +160,7 @@ func (h *Handler) allow(r *http.Request) bool {
 	return true
 }
 
-// routes builds the /v1 route table plus the legacy aliases.
+// routes builds the /v1 route table plus the /debug endpoints.
 func (h *Handler) routes() *http.ServeMux {
 	mux := http.NewServeMux()
 
@@ -253,19 +251,6 @@ func (h *Handler) routes() *http.ServeMux {
 		})
 	})
 
-	// Legacy unversioned paths: permanent redirects carrying the query
-	// string, so existing scrape configs keep working while advertising
-	// the versioned home.
-	for _, p := range []string{"metrics", "stats", "trace"} {
-		target := "/v1/" + p
-		mux.HandleFunc("GET /"+p, func(w http.ResponseWriter, r *http.Request) {
-			t := target
-			if r.URL.RawQuery != "" {
-				t += "?" + r.URL.RawQuery
-			}
-			http.Redirect(w, r, t, http.StatusMovedPermanently)
-		})
-	}
 	// expvar's package-level Handler serves the default var set without
 	// Publishing anything new, so mounting it repeatedly (tests spin up
 	// many planes in one process) never panics on duplicate names.

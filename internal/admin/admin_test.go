@@ -96,29 +96,6 @@ func TestRequestIDMintedAndEchoed(t *testing.T) {
 	}
 }
 
-func TestLegacyRedirectsKeepQuery(t *testing.T) {
-	h := startPlane(t, false, 0, 0)
-	for path, want := range map[string]string{
-		"/metrics":         "/v1/metrics",
-		"/stats":           "/v1/stats",
-		"/trace?limit=5":   "/v1/trace?limit=5",
-		"/trace?after=9&x": "/v1/trace?after=9&x",
-	} {
-		rec := do(h, "GET", path, nil)
-		if rec.Code != http.StatusMovedPermanently {
-			t.Errorf("GET %s = %d, want 301", path, rec.Code)
-			continue
-		}
-		if got := rec.Header().Get("Location"); got != want {
-			t.Errorf("GET %s redirects to %q, want %q", path, got, want)
-		}
-	}
-	// The v1 homes answer 200 where the legacy paths redirect.
-	if rec := do(h, "GET", "/v1/metrics", nil); rec.Code != http.StatusOK {
-		t.Errorf("/v1/metrics = %d", rec.Code)
-	}
-}
-
 func TestSessionsPaging(t *testing.T) {
 	h := startPlane(t, false, 0, 0)
 	registerSessions(t, h, 5)

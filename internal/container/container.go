@@ -308,7 +308,7 @@ func (c *Container) newProc(ctx context.Context) (*Proc, func(), error) {
 		return nil, nil, err
 	}
 	if sock != "" {
-		cli, err := ipc.Dial(sock)
+		cli, err := ipc.DialNegotiated(ctx, sock)
 		if err != nil {
 			return nil, nil, fmt.Errorf("container: wrapper cannot reach scheduler: %w", err)
 		}

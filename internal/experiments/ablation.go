@@ -119,6 +119,9 @@ func AblationTransport(opt Options) (*Report, error) {
 			os.RemoveAll(dir)
 			return nil, nil, err
 		}
+		// Bare Dial on both transports: A2a compares the paper's wire,
+		// JSON lines, over UNIX and TCP; the negotiated data path is
+		// what fig4 measures.
 		cli, err := ipc.Dial(srv.Addr())
 		if err != nil {
 			srv.Close()
@@ -150,7 +153,6 @@ func AblationTransport(opt Options) (*Report, error) {
 		Title: "A2a: wrapped cudaMalloc+cudaFree cycle by scheduler transport (µs)",
 		Cols:  []string{"µs/cycle"},
 	}
-	us := func(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 	t.AddRow("in-process (no transport)", []float64{us(direct)})
 	t.AddRow("UNIX domain socket (paper's choice)", []float64{us(unix)})
 	t.AddRow("TCP loopback", []float64{us(tcp)})

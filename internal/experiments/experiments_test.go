@@ -3,6 +3,8 @@ package experiments
 import (
 	"strings"
 	"testing"
+
+	"convgpu/internal/bytesize"
 )
 
 // runQuick executes one experiment in quick mode and renders it.
@@ -98,6 +100,37 @@ func TestTable2(t *testing.T) {
 
 func TestTable3(t *testing.T) {
 	assertShapes(t, runQuick(t, "table3"))
+}
+
+// TestRigDataPathBinary: the measured path of Figure 4 runs the wrapper's
+// six frames per Malloc+Free as binary frames; the daemon sees JSON only
+// as the two connections' codec probes and their answers.
+func TestRigDataPathBinary(t *testing.T) {
+	r, err := newRig(false, bytesize.GiB)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	w := r.daemon.WireStats()
+	frames := func(binary bool) uint64 { return w.Frames(binary, false) + w.Frames(binary, true) }
+	bin0 := frames(true)
+	const cycles = 10
+	for i := 0; i < cycles; i++ {
+		ptr, err := r.Wrapped.Malloc(bytesize.MiB)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.Wrapped.Free(ptr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r.Wrapped.Flush() // the free reports are asynchronous
+	if got := frames(true) - bin0; got != 6*cycles {
+		t.Errorf("binary frames over %d cycles = %d, want %d", cycles, got, 6*cycles)
+	}
+	if w.Negotiations() != 2 || frames(false) != 4 {
+		t.Errorf("%d handshakes, %d JSON frames; want 2 and 4 (control + wrapper probes)", w.Negotiations(), frames(false))
+	}
 }
 
 func TestFig4Quick(t *testing.T) {

@@ -21,7 +21,7 @@ func init() {
 //   - allocation calls with ConVGPU pay a clear middleware premium —
 //     the UNIX-socket round trips dominate the difference. The paper
 //     measured ~2x on its C implementation; this implementation's
-//     pooled codec and coalesced socket writes cut the two round trips
+//     binary frames and coalesced socket writes cut the two round trips
 //     to a fraction of the device latency, so the asserted shape is
 //     "well above the without time", not the original factor;
 //   - the first cudaMallocPitch is ~2x the later ones (it fetches
@@ -199,7 +199,9 @@ func Fig4(opt Options) (*Report, error) {
 
 	// Assemble the report.
 	table := &metrics.Table{
-		Title: "Fig. 4: response time of the API call from the container (ms)",
+		// µs: the table renders one decimal, which in the paper's ms
+		// would round every row but cudaMallocManaged to 0.0 or 0.1.
+		Title: "Fig. 4: response time of the API call from the container (µs)",
 		Cols:  []string{"with ConVGPU", "without", "ratio"},
 	}
 	bar := &metrics.Bar{Title: "Fig. 4 (bars): with ConVGPU, ms", Unit: "ms"}
@@ -208,7 +210,7 @@ func Fig4(opt Options) (*Report, error) {
 		if rw.without > 0 {
 			ratio = float64(rw.with) / float64(rw.without)
 		}
-		table.AddRow(rw.name, []float64{ms(rw.with), ms(rw.without), ratio})
+		table.AddRow(rw.name, []float64{us(rw.with), us(rw.without), ratio})
 		bar.Add(rw.name, ms(rw.with))
 	}
 	rep := &Report{
@@ -270,6 +272,7 @@ func deferredFree(free func(cuda.DevPtr) error, p cuda.DevPtr) error {
 }
 
 func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond) }
+func us(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
 
 // median returns the middle sample (of a copy; the input is unsorted).
 func median(samples []time.Duration) time.Duration {

@@ -56,7 +56,7 @@ func Fig5(opt Options) (*Report, error) {
 		return nil, err
 	}
 	defer d.Close()
-	ctl, err := ipc.Dial(d.ControlSocket())
+	ctl, err := ipc.DialNegotiated(context.Background(), d.ControlSocket())
 	if err != nil {
 		return nil, err
 	}

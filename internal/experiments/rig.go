@@ -62,7 +62,7 @@ func newRig(withLatency bool, limit bytesize.Size) (*rig, error) {
 		r.Close()
 		return nil, err
 	}
-	r.ctl, err = ipc.Dial(r.daemon.ControlSocket())
+	r.ctl, err = ipc.DialNegotiated(context.Background(), r.daemon.ControlSocket())
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -78,7 +78,7 @@ func newRig(withLatency bool, limit bytesize.Size) (*rig, error) {
 		r.Close()
 		return nil, fmt.Errorf("experiments: register: %s", resp.Error)
 	}
-	r.wrapCli, err = ipc.Dial(filepath.Join(resp.SocketDir, wrapper.SocketFileName))
+	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(resp.SocketDir, wrapper.SocketFileName))
 	if err != nil {
 		r.Close()
 		return nil, err

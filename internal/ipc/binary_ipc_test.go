@@ -352,8 +352,7 @@ func TestPipelineBeyondRingDepth(t *testing.T) {
 }
 
 // TestReconnectorNegotiatesByDefault: every connection the Reconnector
-// publishes speaks binary unless DisableBinary or CONVGPU_WIRE_JSON
-// opts out.
+// publishes speaks binary unless CONVGPU_WIRE_JSON pins JSON.
 func TestReconnectorNegotiatesByDefault(t *testing.T) {
 	h := &echoHandler{}
 	srv, err := Listen(sockPath(t), h)
@@ -391,23 +390,36 @@ func TestReconnectorNegotiatesByDefault(t *testing.T) {
 	if r.InFlight() != 0 {
 		t.Errorf("InFlight = %d, want 0", r.InFlight())
 	}
+}
 
-	r2 := NewReconnector(ReconnectConfig{
-		Network: "unix", Addr: srv.Addr(),
-		Backoff: Backoff{Base: time.Millisecond}, Seed: 1,
-		DisableBinary: true,
-	})
-	defer r2.Close()
-	if c, err := r2.Connect(ctx); err != nil {
+// TestDialNegotiated: the one dial helper comes back on binary from a
+// server that echoes the probe. (The refused-probe downgrade is pinned
+// end to end by the wrapper's TestWrapperDowngradesToJSON.)
+func TestDialNegotiated(t *testing.T) {
+	srv, err := Listen(sockPath(t), &echoHandler{})
+	if err != nil {
 		t.Fatal(err)
-	} else if c.BinaryNegotiated() {
-		t.Fatal("DisableBinary connection negotiated binary anyway")
+	}
+	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	cli, err := DialNegotiated(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if !cli.BinaryNegotiated() {
+		t.Fatal("DialNegotiated left a current server on JSON")
+	}
+	if _, err := DialNegotiated(ctx, sockPath(t)); err == nil {
+		t.Fatal("DialNegotiated to a missing socket succeeded")
 	}
 }
 
-// TestReconnectorForceJSONEnv: CONVGPU_WIRE_JSON pins the whole
-// process to the JSON codec — the debug escape hatch.
-func TestReconnectorForceJSONEnv(t *testing.T) {
+// TestForceJSONEnv: CONVGPU_WIRE_JSON pins the whole process to the
+// JSON codec — the debug escape hatch — at both places a connection is
+// made.
+func TestForceJSONEnv(t *testing.T) {
 	t.Setenv("CONVGPU_WIRE_JSON", "1")
 	h := &echoHandler{}
 	srv, err := Listen(sockPath(t), h)
@@ -431,5 +443,13 @@ func TestReconnectorForceJSONEnv(t *testing.T) {
 	}
 	if resp, err := r.Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo, Size: 6}); err != nil || resp.Free != 6 {
 		t.Fatalf("forced-JSON call: %+v %v", resp, err)
+	}
+	cli, err := DialNegotiated(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if cli.BinaryNegotiated() {
+		t.Fatal("CONVGPU_WIRE_JSON did not pin DialNegotiated to JSON")
 	}
 }

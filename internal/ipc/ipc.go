@@ -4,18 +4,19 @@
 // host<->container IPC and TCP costs more; the scheduler creates one
 // socket per container inside a shared volume directory.
 //
-// Framing is newline-delimited JSON (package protocol) with an
-// optional binary fast path: a client that negotiates the binary codec
-// (Client.NegotiateBinary, a TypeCodec probe answered at this layer)
-// may send any message as a length-prefixed binary frame instead, and
-// the server answers each request in the codec it arrived in. The two
-// framings are distinguished per message by the first byte — a binary
-// frame starts with 0xBF (any byte >= 0x80 is treated as an attempted
-// binary frame and validated by the header checksum), a JSON line with
-// '{' — so the connection never holds codec state that could desync:
-// negotiation can only enable the client to send binary, never change
-// how either side reads. Responses too large for a binary frame fall
-// back to a JSON line per message.
+// Two framings share a connection (package protocol). Newline-delimited
+// JSON is the control and debug format, what a bare Dial speaks. The
+// binary codec carries the data path: a client that negotiates it
+// (DialNegotiated and the Reconnector do, with a TypeCodec probe
+// answered at this layer) sends each message as a length-prefixed binary
+// frame, and the server answers each request in the codec it arrived
+// in. The two framings are distinguished per message by the first byte
+// — a binary frame starts with 0xBF (any byte >= 0x80 is treated as an
+// attempted binary frame and validated by the header checksum), a JSON
+// line with '{' — so the connection never holds codec state that could
+// desync: negotiation can only enable the client to send binary, never
+// change how either side reads. Responses too large for a binary frame
+// fall back to a JSON line per message.
 //
 // A connection multiplexes concurrent requests: responses are matched
 // to requests by sequence number, so the scheduler can withhold the
@@ -28,12 +29,12 @@
 //
 // # Hot-path memory discipline
 //
-// The transport threads pooled protocol.Message objects and pooled line
+// The transport threads pooled protocol.Message objects and pooled frame
 // buffers through its read and write loops, so a steady-state request
-// cycle does near-zero heap allocation. That imposes ownership windows
-// (see Handler and DESIGN.md §"Hot path"): a request message is valid
-// only until Handle returns, and a response message passed to respond or
-// Send is consumed by the transport.
+// cycle on binary frames does near-zero heap allocation. That imposes
+// ownership windows (see Handler and DESIGN.md §"Hot path"): a request
+// message is valid only until Handle returns, and a response message
+// passed to respond or Send is consumed by the transport.
 //
 // # Write coalescing
 //
@@ -54,8 +55,11 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
+	"syscall"
+	"time"
 
 	"convgpu/internal/protocol"
 )
@@ -70,8 +74,24 @@ const MaxLine = 64 * 1024
 // ~100 coalesced lines in one read.
 const readBufSize = 16 * 1024
 
-// ErrClosed is returned for operations on a closed client or server.
+// ErrClosed is returned for operations on a closed client or server. It
+// is the one sentinel for peer death: whether the read loop saw the EOF
+// or a write hit the dead socket first, the error matches ErrClosed.
 var ErrClosed = errors.New("ipc: connection closed")
+
+// closedErr folds the errors that mean "the peer or this client is gone"
+// into ErrClosed, keeping the OS error in the text. Anything else (a
+// corrupt frame that condemned the connection) passes through.
+func closedErr(err error) error {
+	switch {
+	case err == io.EOF:
+		return ErrClosed
+	case errors.Is(err, io.ErrUnexpectedEOF), errors.Is(err, syscall.EPIPE),
+		errors.Is(err, syscall.ECONNRESET), errors.Is(err, net.ErrClosed):
+		return fmt.Errorf("%w: %v", ErrClosed, err)
+	}
+	return err
+}
 
 // Handler reacts to requests arriving on a server connection.
 //
@@ -248,9 +268,11 @@ func (c *ServerConn) send(m *protocol.Message, binary bool) error {
 	if !wroteBinary {
 		*buf = protocol.AppendEncode((*buf)[:0], m)
 	}
+	// Counted before the write: a peer that reads the counters after
+	// receiving this frame must find it there.
+	c.server.stats.Load().countFrame(wroteBinary, true)
 	err := c.w.write(*buf)
 	protocol.ReleaseBuffer(buf)
-	c.server.stats.Load().countFrame(wroteBinary, true)
 	return err
 }
 
@@ -524,9 +546,45 @@ func (c *Client) NegotiateBinary(ctx context.Context) (bool, error) {
 	return ok, nil
 }
 
-// Dial connects to the scheduler's UNIX socket at path.
+// Dial connects to the scheduler's UNIX socket at path. The connection
+// speaks JSON; DialNegotiated is the dial for anything that carries
+// allocation traffic.
 func Dial(path string) (*Client, error) {
 	return DialNet("unix", path)
+}
+
+// DialNegotiated is Dial followed by the codec offer every wrapper and
+// control channel makes: the connection comes back on binary frames
+// when the server echoes the probe and on JSON otherwise.
+func DialNegotiated(ctx context.Context, path string) (*Client, error) {
+	c, err := Dial(path)
+	if err != nil {
+		return nil, err
+	}
+	c.offerBinary(ctx, 0)
+	return c, nil
+}
+
+// defaultNegotiateTimeout bounds the codec handshake: negotiation must
+// never hang a connect, it just falls back to JSON.
+const defaultNegotiateTimeout = 2 * time.Second
+
+// offerBinary runs NegotiateBinary bounded by timeout (non-positive: the
+// default), so a lost or mangled handshake costs one timeout and a JSON
+// connection, never a hang. Errors are deliberately ignored: a
+// connection the handshake killed fails its first Call like any dead
+// connection. Setting the CONVGPU_WIRE_JSON environment variable skips
+// the offer — the debug pin for reading the wire with standard tools.
+func (c *Client) offerBinary(ctx context.Context, timeout time.Duration) {
+	if os.Getenv("CONVGPU_WIRE_JSON") != "" {
+		return
+	}
+	if timeout <= 0 {
+		timeout = defaultNegotiateTimeout
+	}
+	ctx, cancel := context.WithTimeout(ctx, timeout)
+	defer cancel()
+	_, _ = c.NegotiateBinary(ctx)
 }
 
 // DialNet is Dial over an arbitrary network ("unix", "tcp").
@@ -571,9 +629,7 @@ func (c *Client) readLoop() {
 		}
 		c.deliver(msg)
 	}
-	if err == io.EOF {
-		err = ErrClosed
-	}
+	err = closedErr(err)
 	// The transport is unusable once the read loop exits (a response
 	// could never be matched): poison the writer so late sends fail fast
 	// and close the socket so the peer's read loop ends too.
@@ -699,7 +755,7 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 	c.stats.Load().countFrame(wroteBinary, true)
 	if err != nil {
 		c.forget(seq, ch, ringSlot)
-		return nil, fmt.Errorf("ipc: write: %w", err)
+		return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 	}
 
 	select {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
-	"os"
 	"sync"
 	"time"
 
@@ -84,24 +83,10 @@ type ReconnectConfig struct {
 	// Reconnects, when set, is incremented each time a dial publishes a
 	// fresh connection after the first (i.e. true reconnects).
 	Reconnects CountObserver
-	// DisableBinary keeps every connection on the JSON codec instead of
-	// negotiating the binary fast path at attach time — the debug knob
-	// for reading the wire with standard tools. The CONVGPU_WIRE_JSON
-	// environment variable forces the same process-wide.
-	DisableBinary bool
 	// Wire, when set, counts frames by codec across every connection
 	// this Reconnector publishes (totals survive redials).
 	Wire *WireStats
 }
-
-// defaultNegotiateTimeout bounds the codec handshake when no
-// CallTimeout is configured: negotiation must never hang a connect, it
-// just falls back to JSON.
-const defaultNegotiateTimeout = 2 * time.Second
-
-// forceJSONEnv reports whether the CONVGPU_WIRE_JSON environment
-// variable disables binary negotiation process-wide.
-func forceJSONEnv() bool { return os.Getenv("CONVGPU_WIRE_JSON") != "" }
 
 // LatencyObserver receives call round-trip durations (obs.Histogram).
 type LatencyObserver interface{ Observe(time.Duration) }
@@ -186,20 +171,9 @@ func (r *Reconnector) Connect(ctx context.Context) (*Client, error) {
 		if err == nil {
 			c := NewClient(conn)
 			c.SetWireStats(r.cfg.Wire)
-			if !r.cfg.DisableBinary && !forceJSONEnv() {
-				// Offer the binary codec on the fresh connection, bounded
-				// so a lost or mangled handshake costs one timeout and a
-				// JSON connection, never a hang. Errors are deliberately
-				// ignored: a connection the handshake killed fails the
-				// OnReconnect replay (or the first Call) and redials.
-				nt := r.cfg.CallTimeout
-				if nt <= 0 {
-					nt = defaultNegotiateTimeout
-				}
-				nctx, cancel := context.WithTimeout(ctx, nt)
-				_, _ = c.NegotiateBinary(nctx)
-				cancel()
-			}
+			// A connection the handshake killed fails the OnReconnect
+			// replay (or the first Call) and redials.
+			c.offerBinary(ctx, r.cfg.CallTimeout)
 			if r.cfg.OnReconnect != nil {
 				if herr := r.cfg.OnReconnect(c); herr != nil {
 					c.Close()

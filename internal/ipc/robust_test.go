@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"net"
+	"os"
 	"strings"
+	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -163,6 +166,86 @@ func TestTruncatedFrameClient(t *testing.T) {
 	}
 	cli.Close()
 	ln.Close()
+}
+
+// deadPeerConn is a connection whose peer is gone but whose read side has
+// not noticed yet: reads block until Close, writes fail with errno.
+type deadPeerConn struct {
+	net.Conn // nil: only the methods below are reached
+	errno    syscall.Errno
+	closed   chan struct{}
+	once     sync.Once
+}
+
+func (c *deadPeerConn) Read([]byte) (int, error) {
+	<-c.closed
+	return 0, net.ErrClosed
+}
+
+func (c *deadPeerConn) Write([]byte) (int, error) {
+	return 0, &net.OpError{Op: "write", Net: "unix", Err: os.NewSyscallError("write", c.errno)}
+}
+
+func (c *deadPeerConn) Close() error {
+	c.once.Do(func() { close(c.closed) })
+	return nil
+}
+
+// TestPeerDeathOneSentinel pins the write-side half of peer death, the
+// one TestTruncatedFrameClient only reaches when the scheduler runs the
+// Call before the read loop: a write that hits the dead socket must
+// match ErrClosed like the read loop's EOF does, with the OS error kept
+// in the text, and so must every Call after it.
+func TestPeerDeathOneSentinel(t *testing.T) {
+	leak.Check(t)
+	for _, errno := range []syscall.Errno{syscall.EPIPE, syscall.ECONNRESET} {
+		cli := NewClient(&deadPeerConn{errno: errno, closed: make(chan struct{})})
+		_, err := cli.Call(context.Background(), &protocol.Message{Type: protocol.TypeMemInfo})
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("%v on write: Call err = %v, want ErrClosed", errno, err)
+		}
+		if err == nil || !strings.Contains(err.Error(), errno.Error()) {
+			t.Errorf("%v on write: OS error missing from %q", errno, err)
+		}
+		cli.Close()
+		if _, err := cli.Call(context.Background(), &protocol.Message{Type: protocol.TypeMemInfo}); !errors.Is(err, ErrClosed) {
+			t.Errorf("Call on a closed client = %v, want ErrClosed", err)
+		}
+	}
+}
+
+// TestReconnectorRedialsAfterWriteDetectedDeath: the Reconnector treats
+// a peer death the write noticed like one the read loop noticed — the
+// failed Call surfaces ErrClosed and the next Call redials.
+func TestReconnectorRedialsAfterWriteDetectedDeath(t *testing.T) {
+	leak.Check(t)
+	srv, err := Listen(sockPath(t), &echoHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	dials := 0
+	r := NewReconnector(ReconnectConfig{
+		Dial: func() (net.Conn, error) {
+			if dials++; dials == 1 {
+				return &deadPeerConn{errno: syscall.EPIPE, closed: make(chan struct{})}, nil
+			}
+			return net.Dial("unix", srv.Addr())
+		},
+		Backoff: Backoff{Base: time.Millisecond}, Seed: 1,
+	})
+	defer r.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
+	defer cancel()
+	if _, err := r.Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Call over the dead connection = %v, want ErrClosed", err)
+	}
+	if resp, err := r.Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo, Size: 3}); err != nil || resp.Free != 3 {
+		t.Fatalf("Call after redial: %+v %v", resp, err)
+	}
+	if r.Generation() != 2 {
+		t.Errorf("generation = %d, want 2", r.Generation())
+	}
 }
 
 // panicHandler panics on abort requests and serves everything else.

@@ -184,9 +184,10 @@ func TestWireSmoke(t *testing.T) {
 		MeanSpacing: 400 * time.Millisecond,
 		Mix:         []MixEntry{{ClassInference, 3}, {ClassStreaming, 1}},
 	}
+	o := obs.New(obs.Config{Algorithm: "fifo"})
 	sec, err := RunWireSweep(context.Background(), scn,
 		[]PolicyPair{{"fifo", "leastloaded"}}, []float64{1},
-		WireConfig{Config: Config{Devices: 2}, TimeScale: 0.1})
+		WireConfig{Config: Config{Devices: 2, Obs: o}, TimeScale: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,6 +204,28 @@ func TestWireSmoke(t *testing.T) {
 	// Real socket round trips cannot be instant.
 	if run.AdmitLatency.Max <= 0 {
 		t.Fatalf("wire admit waits all zero — not measuring the socket path")
+	}
+	// Every connection negotiated: alloc/confirm/free (six frames per
+	// admit) rode binary, and the daemon saw JSON only as codec probes.
+	var binary, json, negotiations int64
+	for _, p := range o.Registry().Snapshot() {
+		switch {
+		case p.Name == obs.MetricWireFrames && p.Labels["codec"] == "binary":
+			binary += p.Value
+		case p.Name == obs.MetricWireFrames && p.Labels["codec"] == "json":
+			json += p.Value
+		case p.Name == obs.MetricWireNegotiations:
+			negotiations += p.Value
+		}
+	}
+	if negotiations != 41 {
+		t.Errorf("codec handshakes = %d, want 41 (40 containers + the control channel)", negotiations)
+	}
+	if binary < 6*40 {
+		t.Errorf("binary frames = %d, want >= %d", binary, 6*40)
+	}
+	if json != 2*negotiations {
+		t.Errorf("JSON frames = %d, want only the %d probes and answers", json, 2*negotiations)
 	}
 }
 

@@ -75,7 +75,7 @@ func RunWire(ctx context.Context, reqs []Request, wcfg WireConfig) (RunResult, e
 		return RunResult{}, err
 	}
 	defer d.Close()
-	ctl, err := ipc.Dial(d.ControlSocket())
+	ctl, err := ipc.DialNegotiated(ctx, d.ControlSocket())
 	if err != nil {
 		return RunResult{}, err
 	}
@@ -178,7 +178,7 @@ func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, 
 	if !resp.OK {
 		return fmt.Errorf("load: register %s: %s", id, resp.Error)
 	}
-	cli, err := ipc.Dial(filepath.Join(resp.SocketDir, wrapper.SocketFileName))
+	cli, err := ipc.DialNegotiated(ctx, filepath.Join(resp.SocketDir, wrapper.SocketFileName))
 	if err != nil {
 		return fmt.Errorf("load: dial %s: %w", id, err)
 	}

@@ -887,7 +887,7 @@ func mustOKRec(t *testing.T, r *ipc.Reconnector, msg *protocol.Message) *protoco
 // TestFullStackBinaryRestartRecovery kills and restarts the daemon
 // mid-run under a Reconnector — the wrapper's production transport —
 // and asserts the reconnecting side re-negotiates the binary codec on
-// the fresh connection (or, with the debug knob set, cleanly stays on
+// the fresh connection (or, with CONVGPU_WIRE_JSON set, cleanly stays on
 // JSON), replays its session through Attach+Restore, and lands in
 // exactly the state the reference model predicts for recovery. The
 // codec negotiation was previously only chaos-tested on connections
@@ -895,14 +895,17 @@ func mustOKRec(t *testing.T, r *ipc.Reconnector, msg *protocol.Message) *protoco
 func TestFullStackBinaryRestartRecovery(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
-		disable    bool
+		pinJSON    bool
 		wantBinary bool
 	}{
 		{"binary-renegotiated", false, true},
-		{"json-fallback", true, false},
+		{"json-pinned", true, false},
 	} {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
+			if tc.pinJSON {
+				t.Setenv("CONVGPU_WIRE_JSON", "1")
+			}
 			base := filepath.Join(t.TempDir(), "cv")
 			mkCore := func() core.Scheduler {
 				a, err := core.NewAlgorithm(core.AlgBestFit, 1)
@@ -948,10 +951,9 @@ func TestFullStackBinaryRestartRecovery(t *testing.T) {
 			)
 			rec := ipc.NewReconnector(ipc.ReconnectConfig{
 				Network: "unix", Addr: sock,
-				Backoff:       ipc.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
-				CallTimeout:   wireCallTimeout,
-				DisableBinary: tc.disable,
-				Seed:          1,
+				Backoff:     ipc.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
+				CallTimeout: wireCallTimeout,
+				Seed:        1,
 				OnReconnect: func(c *ipc.Client) error {
 					resp, err := c.Call(ctx, &protocol.Message{Type: protocol.TypeAttach, PID: 1})
 					if err != nil {

@@ -8,8 +8,7 @@ import (
 )
 
 // TestAfterFieldRoundTrip covers the trace page cursor through both
-// codecs: the JSON fast scanner, the encoding/json fallback, and the
-// binary frame must all carry it.
+// codecs: the JSON line and the binary frame must both carry it.
 func TestAfterFieldRoundTrip(t *testing.T) {
 	m := &Message{Type: TypeTrace, Seq: 9, Container: "c1", After: 12345}
 	line, err := Encode(m)

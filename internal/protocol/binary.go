@@ -278,10 +278,9 @@ func ParseBinaryHeader(hdr []byte) (op byte, payloadLen int, seq uint64, err err
 // DecodeBinaryInto parses a frame's payload into m (resetting it
 // first), with type and seq taken from the already-validated header.
 // Decoding a hot-path message allocates nothing: integers and enums
-// are fixed-width, and the API name is interned like the JSON scanner
-// does. An error reports a malformed payload; the transport answers it
-// with an error response echoing seq, matching the JSON path's
-// malformed-line contract.
+// are fixed-width, and the API name is interned. An error reports a
+// malformed payload; the transport answers it with an error response
+// echoing seq, matching the JSON path's malformed-line contract.
 func DecodeBinaryInto(m *Message, op byte, seq uint64, payload []byte) error {
 	m.Reset()
 	if int(op) >= len(typeByOpcode) || typeByOpcode[op] == "" {
@@ -382,6 +381,33 @@ func DecodeBinaryInto(m *Message, op byte, seq uint64, payload []byte) error {
 
 func errTruncatedField(tag byte) error {
 	return fmt.Errorf("protocol: payload truncated in field tag %d", tag)
+}
+
+// apiToken maps the wire bytes of an API name onto a canonical string:
+// the wrapper only ever sends the intercepted CUDA API names, so decoding
+// any real request allocates nothing. A test in package wrapper
+// cross-checks the set against InterceptedAPIs.
+func apiToken(s []byte) string {
+	switch string(s) {
+	case "cudaMalloc":
+		return "cudaMalloc"
+	case "cudaMallocManaged":
+		return "cudaMallocManaged"
+	case "cudaMallocPitch":
+		return "cudaMallocPitch"
+	case "cudaMalloc3D":
+		return "cudaMalloc3D"
+	case "cudaFree":
+		return "cudaFree"
+	case "cudaMemGetInfo":
+		return "cudaMemGetInfo"
+	case "cudaGetDeviceProperties":
+		return "cudaGetDeviceProperties"
+	case "__cudaUnregisterFatBinary":
+		return "__cudaUnregisterFatBinary"
+	default:
+		return string(s) // unknown API: allocates, off every hot path
+	}
 }
 
 // codeToken interns the machine-readable error codes so a binary error

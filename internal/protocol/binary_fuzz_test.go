@@ -8,7 +8,7 @@ import (
 // FuzzBinaryDecode throws arbitrary opcode/payload pairs at the binary
 // decoder. It must never panic, and any payload it accepts must
 // round-trip through the binary encoder value-for-value — the closed
-// loop FuzzDecode proves for the JSON scanner.
+// loop FuzzDecode proves for the JSON codec.
 func FuzzBinaryDecode(f *testing.F) {
 	for _, m := range binarySampleMessages() {
 		if frame, ok := AppendEncodeBinary(nil, m); ok {
@@ -44,7 +44,8 @@ func FuzzBinaryDecode(f *testing.F) {
 
 // FuzzBinaryJSONParity drives both codecs with the same field values.
 // Whenever the binary encoder can represent the message, decoding its
-// frame must agree exactly with decoding the JSON line — and a
+// frame must agree with decoding the JSON line (exactly, up to jsonView:
+// binary carries string bytes verbatim) — and a
 // single-byte corruption anywhere in the frame must keep the seq-echo
 // contract: either the header still yields the true seq (so the
 // transport can answer a payload error like a mangled JSON line), or
@@ -94,7 +95,7 @@ func FuzzBinaryJSONParity(f *testing.F) {
 		if err := DecodeInto(viaJSON, line[:len(line)-1]); err != nil {
 			t.Fatalf("json decode: %v", err)
 		}
-		if !reflect.DeepEqual(viaBinary, viaJSON) {
+		if viaBinary = jsonView(viaBinary); !reflect.DeepEqual(viaBinary, viaJSON) {
 			t.Fatalf("codecs disagree:\nbinary %+v\n  json %+v", viaBinary, viaJSON)
 		}
 

@@ -1,32 +1,20 @@
-// Hand-rolled wire codec for the fixed Message shape.
+// JSON line codec and the Message/buffer pools both codecs share.
 //
-// The hot path of the system is one intercepted CUDA call = one request
-// line + one response line, so the per-line cost of encoding/json (its
-// reflection walk on encode, its generic state machine and field lookup
-// on decode) is paid twice per call on each side of the socket. The
-// codec below exploits what the generic library cannot: the message is a
-// flat object with a known, closed set of keys whose values are scalars.
-//
-// Encoding appends directly into a caller-supplied buffer
-// (AppendEncode), so a pooled buffer makes a steady-state encode
-// allocation-free. Decoding scans the line in place (DecodeInto) and
-// maps the type/decision tokens onto the package's canonical constants,
-// so a pooled Message makes a steady-state decode allocation-free as
-// well: the only remaining allocations are for string fields actually
-// present on the wire (container IDs, API names, error texts — all off
-// the per-allocation hot path).
-//
-// Inputs the scanner does not recognize — exotic number forms, nested
-// values under unknown keys — fall back to encoding/json, keeping wire
-// compatibility bit-for-bit.
+// JSON is the control and debug format: the paper's wire (§III-A), what
+// an un-negotiated peer speaks, and what CONVGPU_WIRE_JSON pins a
+// process to. Allocation traffic rides the binary codec (binary.go),
+// negotiated at dial, so JSON is off the per-call path and is served by
+// encoding/json over Message's struct tags — there is exactly one JSON
+// implementation in this package.
 package protocol
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"regexp"
 	"strconv"
 	"sync"
-	"unicode/utf16"
 )
 
 // msgPool recycles Messages across the transport read/write loops. The
@@ -86,730 +74,47 @@ const MaxEncodedLine = 4096
 
 // AppendEncode appends m's wire form — one JSON line including the
 // trailing newline — to dst and returns the extended slice. It never
-// fails: every Message field has a total JSON rendering.
+// fails: Message is a flat struct of strings, integers and a bool, all
+// of which encoding/json renders totally (invalid UTF-8 in a string
+// becomes U+FFFD).
 func AppendEncode(dst []byte, m *Message) []byte {
-	dst = append(dst, `{"type":`...)
-	dst = appendJSONString(dst, string(m.Type))
-	dst = append(dst, `,"seq":`...)
-	dst = strconv.AppendUint(dst, m.Seq, 10)
-	if m.Container != "" {
-		dst = append(dst, `,"container":`...)
-		dst = appendJSONString(dst, m.Container)
+	buf := bytes.NewBuffer(dst)
+	enc := json.NewEncoder(buf)
+	enc.SetEscapeHTML(false) // error texts and JSON payloads in Data stay readable
+	// Encode a copy: handing m itself to the reflection-based encoder
+	// would make every caller's Message escape to the heap, including
+	// the ones that go on to send a binary frame.
+	if err := enc.Encode(*m); err != nil {
+		panic(fmt.Sprintf("protocol: encode: %v", err)) // only a non-scalar field added to Message can get here
 	}
-	if m.PID != 0 {
-		dst = append(dst, `,"pid":`...)
-		dst = strconv.AppendInt(dst, int64(m.PID), 10)
-	}
-	if m.Size != 0 {
-		dst = append(dst, `,"size":`...)
-		dst = strconv.AppendInt(dst, m.Size, 10)
-	}
-	if m.Limit != 0 {
-		dst = append(dst, `,"limit":`...)
-		dst = strconv.AppendInt(dst, m.Limit, 10)
-	}
-	if m.Addr != 0 {
-		dst = append(dst, `,"addr":`...)
-		dst = strconv.AppendUint(dst, m.Addr, 10)
-	}
-	if m.API != "" {
-		dst = append(dst, `,"api":`...)
-		dst = appendJSONString(dst, m.API)
-	}
-	if m.After != 0 {
-		dst = append(dst, `,"after":`...)
-		dst = strconv.AppendUint(dst, m.After, 10)
-	}
-	if m.Tenant != "" {
-		dst = append(dst, `,"tenant":`...)
-		dst = appendJSONString(dst, m.Tenant)
-	}
-	if m.TenantWeight != 0 {
-		dst = append(dst, `,"tenant_weight":`...)
-		dst = strconv.AppendInt(dst, int64(m.TenantWeight), 10)
-	}
-	if m.TenantPriority != 0 {
-		dst = append(dst, `,"tenant_priority":`...)
-		dst = strconv.AppendInt(dst, int64(m.TenantPriority), 10)
-	}
-	if m.TenantQuota != 0 {
-		dst = append(dst, `,"tenant_quota":`...)
-		dst = strconv.AppendInt(dst, m.TenantQuota, 10)
-	}
-	if m.TenantGuarantee != 0 {
-		dst = append(dst, `,"tenant_guarantee":`...)
-		dst = strconv.AppendInt(dst, m.TenantGuarantee, 10)
-	}
-	if m.OK {
-		dst = append(dst, `,"ok":true`...)
-	}
-	if m.Error != "" {
-		dst = append(dst, `,"error":`...)
-		dst = appendJSONString(dst, m.Error)
-	}
-	if m.Code != "" {
-		dst = append(dst, `,"code":`...)
-		dst = appendJSONString(dst, m.Code)
-	}
-	if m.Decision != "" {
-		dst = append(dst, `,"decision":`...)
-		dst = appendJSONString(dst, string(m.Decision))
-	}
-	if m.Granted != 0 {
-		dst = append(dst, `,"granted":`...)
-		dst = strconv.AppendInt(dst, m.Granted, 10)
-	}
-	if m.SocketDir != "" {
-		dst = append(dst, `,"socket_dir":`...)
-		dst = appendJSONString(dst, m.SocketDir)
-	}
-	if m.Device != 0 {
-		dst = append(dst, `,"device":`...)
-		dst = strconv.AppendInt(dst, int64(m.Device), 10)
-	}
-	if m.Free != 0 {
-		dst = append(dst, `,"free":`...)
-		dst = strconv.AppendInt(dst, m.Free, 10)
-	}
-	if m.Total != 0 {
-		dst = append(dst, `,"total":`...)
-		dst = strconv.AppendInt(dst, m.Total, 10)
-	}
-	if m.Data != "" {
-		dst = append(dst, `,"data":`...)
-		dst = appendJSONString(dst, m.Data)
-	}
-	dst = append(dst, '}', '\n')
-	return dst
-}
-
-// appendJSONString appends s as a quoted JSON string, escaping only what
-// the grammar requires (quote, backslash, control characters). Invalid
-// UTF-8 passes through byte-for-byte, which round-trips more faithfully
-// than encoding/json's replacement-rune policy.
-func appendJSONString(dst []byte, s string) []byte {
-	dst = append(dst, '"')
-	start := 0
-	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if c >= 0x20 && c != '"' && c != '\\' {
-			continue
-		}
-		dst = append(dst, s[start:i]...)
-		switch c {
-		case '"':
-			dst = append(dst, '\\', '"')
-		case '\\':
-			dst = append(dst, '\\', '\\')
-		case '\n':
-			dst = append(dst, '\\', 'n')
-		case '\r':
-			dst = append(dst, '\\', 'r')
-		case '\t':
-			dst = append(dst, '\\', 't')
-		default:
-			const hex = "0123456789abcdef"
-			dst = append(dst, '\\', 'u', '0', '0', hex[c>>4], hex[c&0xf])
-		}
-		start = i + 1
-	}
-	dst = append(dst, s[start:]...)
-	dst = append(dst, '"')
-	return dst
+	return buf.Bytes()
 }
 
 // DecodeInto parses one JSON line into m (resetting it first) and
-// validates it. The fast scanner handles everything this protocol ever
-// puts on the wire; constructs outside that shape defer to
-// encoding/json so any line the old codec accepted is still accepted.
+// validates it. Unknown keys are skipped for forward compatibility.
 func DecodeInto(m *Message, line []byte) error {
 	m.Reset()
-	if !scanMessage(m, line) {
-		m.Reset()
-		if err := json.Unmarshal(line, m); err != nil {
-			return fmt.Errorf("protocol: decode: %v", err)
-		}
+	if err := json.Unmarshal(line, m); err != nil {
+		return fmt.Errorf("protocol: decode: %v", err)
 	}
 	return m.Validate()
 }
 
-// scanMessage is the fast path: a single in-place pass over the fixed
-// message shape. It reports false — leaving m in an undefined state —
-// whenever the input strays from that shape.
-func scanMessage(m *Message, line []byte) bool {
-	i := skipSpace(line, 0)
-	if i >= len(line) || line[i] != '{' {
-		return false
-	}
-	i = skipSpace(line, i+1)
-	if i < len(line) && line[i] == '}' {
-		return trailingOK(line, i+1)
-	}
-	for {
-		key, next, ok := scanString(line, i)
-		if !ok {
-			return false
-		}
-		i = skipSpace(line, next)
-		if i >= len(line) || line[i] != ':' {
-			return false
-		}
-		i = skipSpace(line, i+1)
-		i, ok = scanField(m, line, i, key)
-		if !ok {
-			return false
-		}
-		i = skipSpace(line, i)
-		if i >= len(line) {
-			return false
-		}
-		switch line[i] {
-		case ',':
-			i = skipSpace(line, i+1)
-		case '}':
-			return trailingOK(line, i+1)
-		default:
-			return false
-		}
-	}
-}
-
-// trailingOK verifies only whitespace follows the closing brace, the
-// same top-level strictness json.Unmarshal applies.
-func trailingOK(line []byte, i int) bool {
-	return skipSpace(line, i) == len(line)
-}
-
-func skipSpace(b []byte, i int) int {
-	for i < len(b) {
-		switch b[i] {
-		case ' ', '\t', '\n', '\r':
-			i++
-		default:
-			return i
-		}
-	}
-	return i
-}
-
-// scanField parses the value at b[i:] into the message field named by
-// key. Unknown keys get their scalar values skipped for forward
-// compatibility; non-scalar values force the encoding/json fallback.
-func scanField(m *Message, b []byte, i int, key []byte) (int, bool) {
-	switch string(key) { // compiled to a jump on the key bytes, no alloc
-	case "type":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Type = typeToken(s)
-		return next, true
-	case "seq":
-		u, next, ok := scanUint(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Seq = u
-		return next, true
-	case "container":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Container = string(s)
-		return next, true
-	case "pid":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.PID = int(n)
-		return next, true
-	case "size":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Size = n
-		return next, true
-	case "limit":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Limit = n
-		return next, true
-	case "addr":
-		u, next, ok := scanUint(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Addr = u
-		return next, true
-	case "after":
-		u, next, ok := scanUint(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.After = u
-		return next, true
-	case "api":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.API = apiToken(s)
-		return next, true
-	case "ok":
-		v, next, ok := scanBool(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.OK = v
-		return next, true
-	case "error":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Error = string(s)
-		return next, true
-	case "code":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Code = string(s)
-		return next, true
-	case "data":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Data = string(s)
-		return next, true
-	case "decision":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Decision = decisionToken(s)
-		return next, true
-	case "granted":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Granted = n
-		return next, true
-	case "socket_dir":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.SocketDir = string(s)
-		return next, true
-	case "device":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Device = int(n)
-		return next, true
-	case "free":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Free = n
-		return next, true
-	case "total":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Total = n
-		return next, true
-	case "tenant":
-		s, next, ok := scanString(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.Tenant = string(s)
-		return next, true
-	case "tenant_weight":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.TenantWeight = int(n)
-		return next, true
-	case "tenant_priority":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.TenantPriority = int(n)
-		return next, true
-	case "tenant_quota":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.TenantQuota = n
-		return next, true
-	case "tenant_guarantee":
-		n, next, ok := scanInt(b, i)
-		if !ok {
-			return 0, false
-		}
-		m.TenantGuarantee = n
-		return next, true
-	default:
-		return skipScalar(b, i)
-	}
-}
-
-// typeToken maps a wire token onto the canonical Type constant so the
-// decoded message aliases no input bytes and allocates nothing for any
-// known type.
-func typeToken(s []byte) Type {
-	switch string(s) {
-	case string(TypeRegister):
-		return TypeRegister
-	case string(TypeAlloc):
-		return TypeAlloc
-	case string(TypeConfirm):
-		return TypeConfirm
-	case string(TypeAbort):
-		return TypeAbort
-	case string(TypeFree):
-		return TypeFree
-	case string(TypeProcExit):
-		return TypeProcExit
-	case string(TypeClose):
-		return TypeClose
-	case string(TypeMemInfo):
-		return TypeMemInfo
-	case string(TypeAttach):
-		return TypeAttach
-	case string(TypeRestore):
-		return TypeRestore
-	case string(TypeHeartbeat):
-		return TypeHeartbeat
-	case string(TypeStats):
-		return TypeStats
-	case string(TypeTrace):
-		return TypeTrace
-	case string(TypeDump):
-		return TypeDump
-	case string(TypeSessions):
-		return TypeSessions
-	case string(TypeOps):
-		return TypeOps
-	case string(TypeTenants):
-		return TypeTenants
-	case string(TypeResponse):
-		return TypeResponse
-	default:
-		return Type(s) // unknown: allocates, Validate rejects it anyway
-	}
-}
-
-// apiToken is typeToken for the API field: the wrapper only ever sends
-// the intercepted CUDA API names, so matching the wire bytes onto these
-// canonical strings makes decoding any real request allocation-free. A
-// test cross-checks the set against wrapper.InterceptedAPIs.
-func apiToken(s []byte) string {
-	switch string(s) {
-	case "cudaMalloc":
-		return "cudaMalloc"
-	case "cudaMallocManaged":
-		return "cudaMallocManaged"
-	case "cudaMallocPitch":
-		return "cudaMallocPitch"
-	case "cudaMalloc3D":
-		return "cudaMalloc3D"
-	case "cudaFree":
-		return "cudaFree"
-	case "cudaMemGetInfo":
-		return "cudaMemGetInfo"
-	case "cudaGetDeviceProperties":
-		return "cudaGetDeviceProperties"
-	case "__cudaUnregisterFatBinary":
-		return "__cudaUnregisterFatBinary"
-	default:
-		return string(s) // unknown API: allocates, off every hot path
-	}
-}
-
-// decisionToken is typeToken for the Decision field.
-func decisionToken(s []byte) Decision {
-	switch string(s) {
-	case string(DecisionAccept):
-		return DecisionAccept
-	case string(DecisionReject):
-		return DecisionReject
-	case string(DecisionSuspend):
-		return DecisionSuspend
-	default:
-		return Decision(s)
-	}
-}
-
-// scanString parses a JSON string starting at b[i] and returns its
-// decoded bytes. Strings without escapes — every string this protocol
-// emits for its hot-path messages — are returned as a sub-slice of b
-// (zero-copy); escaped strings are decoded into a fresh buffer.
-func scanString(b []byte, i int) ([]byte, int, bool) {
-	if i >= len(b) || b[i] != '"' {
-		return nil, 0, false
-	}
-	i++
-	start := i
-	for i < len(b) {
-		switch b[i] {
-		case '"':
-			return b[start:i], i + 1, true
-		case '\\':
-			return unescapeString(b, start, i)
-		default:
-			if b[i] < 0x20 {
-				return nil, 0, false // raw control char: invalid JSON
-			}
-			i++
-		}
-	}
-	return nil, 0, false
-}
-
-// unescapeString finishes scanning a string that contains escapes; b[esc]
-// is the first backslash, b[start:esc] the clean prefix.
-func unescapeString(b []byte, start, esc int) ([]byte, int, bool) {
-	out := make([]byte, 0, len(b)-start)
-	out = append(out, b[start:esc]...)
-	i := esc
-	for i < len(b) {
-		c := b[i]
-		switch {
-		case c == '"':
-			return out, i + 1, true
-		case c == '\\':
-			if i+1 >= len(b) {
-				return nil, 0, false
-			}
-			i++
-			switch b[i] {
-			case '"', '\\', '/':
-				out = append(out, b[i])
-				i++
-			case 'b':
-				out = append(out, '\b')
-				i++
-			case 'f':
-				out = append(out, '\f')
-				i++
-			case 'n':
-				out = append(out, '\n')
-				i++
-			case 'r':
-				out = append(out, '\r')
-				i++
-			case 't':
-				out = append(out, '\t')
-				i++
-			case 'u':
-				r, next, ok := scanUnicodeEscape(b, i+1)
-				if !ok {
-					return nil, 0, false
-				}
-				out = utf8AppendRune(out, r)
-				i = next
-			default:
-				return nil, 0, false
-			}
-		case c < 0x20:
-			return nil, 0, false
-		default:
-			out = append(out, c)
-			i++
-		}
-	}
-	return nil, 0, false
-}
-
-// scanUnicodeEscape parses the 4 hex digits after \u (plus a low
-// surrogate pair when present) and returns the rune.
-func scanUnicodeEscape(b []byte, i int) (rune, int, bool) {
-	r1, ok := hex4(b, i)
-	if !ok {
-		return 0, 0, false
-	}
-	i += 4
-	if utf16.IsSurrogate(r1) {
-		if i+6 <= len(b) && b[i] == '\\' && b[i+1] == 'u' {
-			if r2, ok := hex4(b, i+2); ok {
-				if dec := utf16.DecodeRune(r1, r2); dec != 0xFFFD {
-					return dec, i + 6, true
-				}
-			}
-		}
-		return 0xFFFD, i, true // lone surrogate, like encoding/json
-	}
-	return r1, i, true
-}
-
-func hex4(b []byte, i int) (rune, bool) {
-	if i+4 > len(b) {
-		return 0, false
-	}
-	var r rune
-	for _, c := range b[i : i+4] {
-		r <<= 4
-		switch {
-		case c >= '0' && c <= '9':
-			r |= rune(c - '0')
-		case c >= 'a' && c <= 'f':
-			r |= rune(c-'a') + 10
-		case c >= 'A' && c <= 'F':
-			r |= rune(c-'A') + 10
-		default:
-			return 0, false
-		}
-	}
-	return r, true
-}
-
-// utf8AppendRune is utf8.AppendRune (spelled out to keep the import set
-// minimal on go1.22's linter settings).
-func utf8AppendRune(dst []byte, r rune) []byte {
-	return append(dst, string(r)...)
-}
-
-// scanInt parses an integer literal. Floats and exponent forms bail to
-// the encoding/json fallback, which reports the same overflow/shape
-// errors the old decoder did.
-func scanInt(b []byte, i int) (int64, int, bool) {
-	neg := false
-	if i < len(b) && b[i] == '-' {
-		neg = true
-		i++
-	}
-	start := i
-	var n uint64
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		d := uint64(b[i] - '0')
-		if n > (1<<63-1)/10 {
-			return 0, 0, false // would overflow: let encoding/json decide
-		}
-		n = n*10 + d
-		i++
-	}
-	if i == start {
-		return 0, 0, false
-	}
-	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
-		return 0, 0, false
-	}
-	if neg {
-		if n > 1<<63 {
-			return 0, 0, false
-		}
-		return -int64(n), i, true
-	}
-	if n > 1<<63-1 {
-		return 0, 0, false
-	}
-	return int64(n), i, true
-}
-
-// scanUint parses a non-negative integer literal (seq, addr).
-func scanUint(b []byte, i int) (uint64, int, bool) {
-	start := i
-	var n uint64
-	for i < len(b) && b[i] >= '0' && b[i] <= '9' {
-		d := uint64(b[i] - '0')
-		if n > (1<<64-1)/10 || n*10 > (1<<64-1)-d {
-			return 0, 0, false
-		}
-		n = n*10 + d
-		i++
-	}
-	if i == start {
-		return 0, 0, false
-	}
-	if i < len(b) && (b[i] == '.' || b[i] == 'e' || b[i] == 'E') {
-		return 0, 0, false
-	}
-	return n, i, true
-}
-
-func scanBool(b []byte, i int) (bool, int, bool) {
-	if i+4 <= len(b) && string(b[i:i+4]) == "true" {
-		return true, i + 4, true
-	}
-	if i+5 <= len(b) && string(b[i:i+5]) == "false" {
-		return false, i + 5, true
-	}
-	return false, 0, false
-}
-
-// skipScalar steps over an unknown key's scalar value. Arrays and
-// objects return false, routing the whole line to encoding/json.
-func skipScalar(b []byte, i int) (int, bool) {
-	if i >= len(b) {
-		return 0, false
-	}
-	switch b[i] {
-	case '"':
-		_, next, ok := scanString(b, i)
-		return next, ok
-	case 't':
-		if i+4 <= len(b) && string(b[i:i+4]) == "true" {
-			return i + 4, true
-		}
-	case 'f':
-		if i+5 <= len(b) && string(b[i:i+5]) == "false" {
-			return i + 5, true
-		}
-	case 'n':
-		if i+4 <= len(b) && string(b[i:i+4]) == "null" {
-			return i + 4, true
-		}
-	default:
-		// Numbers, including forms our field scanners reject; the value
-		// is discarded so shape does not matter beyond delimiting it.
-		start := i
-		for i < len(b) {
-			switch b[i] {
-			case ',', '}', ' ', '\t', '\n', '\r':
-				if i == start {
-					return 0, false
-				}
-				return i, true
-			default:
-				i++
-			}
-		}
-	}
-	return 0, false
-}
+// seqField matches a "seq" key and its unsigned integer value; the
+// second group catches a fraction or exponent, which no sequence number
+// carries.
+var seqField = regexp.MustCompile(`"seq"[ \t\r\n]*:[ \t\r\n]*([0-9]+)([.eE]?)`)
 
 // ScanSeq best-effort extracts the "seq" field from a line that failed
 // to decode, so the transport can still echo the sequence number on its
 // error response and the caller can correlate the failure instead of
 // timing out. Returns 0 when no sequence number is recoverable.
 func ScanSeq(line []byte) uint64 {
-	for i := 0; i+5 <= len(line); i++ {
-		if line[i] != '"' || string(line[i:i+5]) != `"seq"` {
+	for _, f := range seqField.FindAllSubmatch(line, -1) {
+		if len(f[2]) != 0 {
 			continue
 		}
-		j := skipSpace(line, i+5)
-		if j >= len(line) || line[j] != ':' {
-			continue
-		}
-		j = skipSpace(line, j+1)
-		if u, _, ok := scanUint(line, j); ok {
+		if u, err := strconv.ParseUint(string(f[1]), 10, 64); err == nil {
 			return u
 		}
 	}

@@ -168,17 +168,14 @@ type Message struct {
 }
 
 // Encode renders the message as a single JSON line (with trailing
-// newline). It is the allocating convenience form of AppendEncode; hot
-// paths encode into a pooled buffer instead (package ipc does).
+// newline): AppendEncode into a fresh buffer. The error is always nil.
 func Encode(m *Message) ([]byte, error) {
 	return AppendEncode(make([]byte, 0, 96), m), nil
 }
 
 // Decode parses one JSON line into a pooled message and validates it.
-// The returned message comes from the package's pool, so a caller that
-// pairs it with ReleaseMessage decodes allocation-free in the steady
-// state; a caller that never releases merely leaves the message to the
-// garbage collector, exactly as before.
+// A caller may hand the message back with ReleaseMessage; one that
+// never does merely leaves it to the garbage collector.
 func Decode(line []byte) (*Message, error) {
 	m := AcquireMessage()
 	if err := DecodeInto(m, line); err != nil {

@@ -1,8 +1,11 @@
 package wrapper
 
 import (
+	"bufio"
 	"context"
 	"errors"
+	"net"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -13,6 +16,7 @@ import (
 	"convgpu/internal/errs"
 	"convgpu/internal/gpu"
 	"convgpu/internal/inproc"
+	"convgpu/internal/ipc"
 	"convgpu/internal/protocol"
 )
 
@@ -90,6 +94,94 @@ func TestInterceptedAPIsMatchTableII(t *testing.T) {
 	for _, api := range got {
 		if !want[api] {
 			t.Errorf("unexpected intercepted API %q", api)
+		}
+	}
+}
+
+// TestInterceptedAPIsDecodeAllocationFree: the binary codec interns
+// exactly the API names the wrapper can send, so the daemon decodes any
+// real request without allocating. A name added here without a matching
+// intern case in package protocol fails instead of silently costing an
+// allocation per call.
+func TestInterceptedAPIsDecodeAllocationFree(t *testing.T) {
+	for _, api := range InterceptedAPIs() {
+		m := &protocol.Message{Type: protocol.TypeFree, Seq: 9, PID: 41, Addr: 160, API: api}
+		frame, ok := protocol.AppendEncodeBinary(nil, m)
+		if !ok {
+			t.Fatalf("%s: no binary form", api)
+		}
+		op, _, seq, err := protocol.ParseBinaryHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := new(protocol.Message)
+		if n := testing.AllocsPerRun(100, func() {
+			if err := protocol.DecodeBinaryInto(out, op, seq, frame[protocol.BinaryHeaderSize:]); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("binary decode of api %q allocates %.1f/op (missing intern case?)", api, n)
+		}
+		if out.API != api {
+			t.Errorf("api %q decoded as %q", api, out.API)
+		}
+	}
+}
+
+// TestWrapperDowngradesToJSON: a wrapper dialing a scheduler that
+// predates the codec verb — it answers the probe like any unknown type,
+// with an error — stays on JSON and completes Malloc/Free. The server
+// below reads lines only, so a single binary frame would fail the call.
+func TestWrapperDowngradesToJSON(t *testing.T) {
+	ln, err := net.Listen("unix", filepath.Join(t.TempDir(), "old.sock"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ln.Close()
+	seen := make(chan protocol.Type, 16)
+	go func() {
+		c, err := ln.Accept()
+		if err != nil {
+			return
+		}
+		defer c.Close()
+		sc := bufio.NewScanner(c)
+		for sc.Scan() {
+			var req protocol.Message
+			resp := &protocol.Message{Type: protocol.TypeResponse}
+			if err := protocol.DecodeInto(&req, sc.Bytes()); err != nil {
+				resp.Error = err.Error()
+			} else if req.Type == protocol.TypeCodec {
+				resp.Error = `protocol: unknown message type "codec"`
+			} else {
+				resp.OK, resp.Decision = true, protocol.DecisionAccept
+			}
+			resp.Seq = req.Seq
+			seen <- req.Type
+			c.Write(protocol.AppendEncode(nil, resp))
+		}
+	}()
+
+	cli, err := ipc.DialNegotiated(context.Background(), ln.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if cli.BinaryNegotiated() {
+		t.Fatal("a refused probe switched the wrapper's connection to binary")
+	}
+	mod := New(cuda.NewRuntime(gpu.New(gpu.K20m()), 7), cli, 7)
+	ptr, err := mod.Malloc(mib(1))
+	if err != nil {
+		t.Fatalf("Malloc over JSON: %v", err)
+	}
+	if err := mod.Free(ptr); err != nil {
+		t.Fatalf("Free over JSON: %v", err)
+	}
+	mod.Flush()
+	for _, want := range []protocol.Type{protocol.TypeCodec, protocol.TypeAlloc, protocol.TypeConfirm, protocol.TypeFree} {
+		if got := <-seen; got != want {
+			t.Fatalf("old server decoded %q, want %q", got, want)
 		}
 	}
 }

@@ -41,7 +41,6 @@ type stackConfig struct {
 	faultTolerant    bool
 	persistentGrants bool
 	eventLogSize     int
-	jsonWire         bool
 
 	tenants []core.Tenant
 
@@ -353,18 +352,6 @@ func WithWALSync(policy string) Option {
 			return fmt.Errorf("convgpu: WithWALSync: empty policy")
 		}
 		c.walSync = policy
-		return nil
-	}
-}
-
-// WithJSONWire pins the stack's control channel to the newline-JSON
-// wire codec instead of negotiating the binary fast path — a debugging
-// aid that makes every frame readable with socat/strace at the cost of
-// the binary codec's latency win. The CONVGPU_WIRE_JSON environment
-// variable forces the same process-wide without a code change.
-func WithJSONWire() Option {
-	return func(c *stackConfig) error {
-		c.jsonWire = true
 		return nil
 	}
 }

@@ -273,17 +273,16 @@ func (s *Stack) Start(ctx context.Context) error {
 	// The control channel is a Reconnector: callers' contexts propagate
 	// into its dial/backoff, WithCallTimeout bounds the non-blocking
 	// message types, and its round trips/redials feed the telemetry.
-	// Each published connection negotiates the binary fast-path codec
-	// unless WithJSONWire (or CONVGPU_WIRE_JSON) pins it to JSON.
+	// Each published connection offers the binary codec, like every
+	// other channel (CONVGPU_WIRE_JSON pins the process to JSON).
 	wire := &ipc.WireStats{}
 	ctl := ipc.NewReconnector(ipc.ReconnectConfig{
-		Network:       "unix",
-		Addr:          s.daemon.ControlSocket(),
-		CallTimeout:   s.cfg.callTimeout,
-		RTT:           s.obs.ControlRTT,
-		Reconnects:    s.obs.Reconnects,
-		Wire:          wire,
-		DisableBinary: s.cfg.jsonWire,
+		Network:     "unix",
+		Addr:        s.daemon.ControlSocket(),
+		CallTimeout: s.cfg.callTimeout,
+		RTT:         s.obs.ControlRTT,
+		Reconnects:  s.obs.Reconnects,
+		Wire:        wire,
 	})
 	s.ctl = ctl
 	s.obs.BindWire("client", wire, func() int64 { return ctl.InFlight() })
