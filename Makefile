@@ -52,9 +52,16 @@ race:
 # flake reruns the short tests of the transport packages — the ones that
 # race real sockets against goroutine scheduling — many times under the
 # race detector in shuffled order, so an intermittent failure shows up
-# here instead of one run in four on main.
+# here instead of one run in four on main. The one-way frame tests race
+# an unsolicited refusal against the caller's next step, and the client's
+# reader tests race calls for the reading role, so they get ten times the
+# runs.
 flake:
 	$(GO) test -race -shuffle=on -count=20 -short ./internal/ipc/... ./internal/protocol/... ./internal/wrapper/...
+	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame' ./internal/ipc
+	$(GO) test -race -count=200 -run 'TestRefusedConfirmFailsNextCall|TestHeartbeatKeepsRefusal' ./internal/wrapper
+	$(GO) test -race -count=200 -run 'TestReleaseBetweenDecideAndPark|TestRefusedOneWayFree|TestTwoWayReportsStillServed' ./internal/daemon
+	$(GO) test -race -count=200 -run 'TestChaosOneWayFrameLost' ./internal/fault
 
 # chaos replays the full sweep of seeded fault schedules against the
 # daemon↔wrapper stack under the race detector — both the single-device

@@ -50,15 +50,7 @@ func BenchmarkDriverAPIMallocWithConVGPU(b *testing.B) {
 		if err := mod.MemFree(ptr); err != nil {
 			b.Fatal(err)
 		}
-		if i%256 == 255 {
-			// The free reports are fire-and-forget; a tight loop must
-			// periodically let them drain or scheduler-side usage
-			// climbs to the limit.
-			mod.Flush()
-		}
 	}
-	b.StopTimer()
-	mod.Flush()
 }
 
 // BenchmarkStreamLaunch measures the pass-through kernel launch path —

@@ -414,12 +414,11 @@ func BenchmarkHotPathWrappedMallocFree(b *testing.B) {
 		if err := r.wrapped.Free(ptr); err != nil {
 			b.Fatal(err)
 		}
-		if i%256 == 255 {
-			r.wrapped.Flush()
-		}
 	}
 	b.StopTimer()
-	r.wrapped.Flush()
+	if err := r.wrapped.Flush(); err != nil { // the last reports are applied, none was refused
+		b.Fatal(err)
+	}
 }
 
 func atomicAdd(p *int64, d int64) int64 { return atomic.AddInt64(p, d) }

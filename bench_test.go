@@ -197,7 +197,6 @@ func BenchmarkFig4MallocPitchFirstCall(b *testing.B) {
 		}
 		b.StopTimer()
 		mod.Free(ptr)
-		mod.Flush()
 		mod.UnregisterFatBinary()
 		b.StartTimer()
 	}
@@ -376,14 +375,7 @@ func BenchmarkTableIIInterception(b *testing.B) {
 		if err := mod.Free(ptr); err != nil {
 			b.Fatal(err)
 		}
-		if i%256 == 255 {
-			// Drain the fire-and-forget free reports so scheduler-side
-			// usage does not outrun the frees in a tight loop.
-			mod.Flush()
-		}
 	}
-	b.StopTimer()
-	mod.Flush()
 }
 
 // --- Ablations ---

@@ -118,6 +118,15 @@ type Daemon struct {
 	parked  map[parkedKey]parkedResponder
 	servers map[core.ContainerID]*ipc.Server
 	dirs    map[core.ContainerID]string
+	// gate closes the window between a handler being told Suspend and its
+	// responder being parked: handlers hold it shared from the decision to
+	// the park, and dispatch passes through it exclusively before it looks
+	// a ticket's responder up. A ticket dispatch then finds without a
+	// responder has lost its connection; none is merely not parked yet.
+	gate sync.RWMutex
+	// beforePark, when a test sets it, runs in the gap between a Suspend
+	// decision and the parking of its responder.
+	beforePark func()
 	// tenantDefs is the resolved tenant table: Config.Tenants seeded at
 	// Start, WAL-recovered definitions merged under it, inline wire
 	// definitions adopted on first sight. tenantLogged marks the names
@@ -352,26 +361,36 @@ func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*pro
 		d.cfg.Core.Close(id)
 		return nil, err
 	}
-	os.Remove(sockPath) // stale socket from a previous run
-	srv, err := ipc.Listen(sockPath, containerHandler{d: d, id: id})
-	if err != nil {
+	if err := d.serve(id, dir); err != nil {
 		d.cfg.Core.Close(id)
 		return nil, err
+	}
+
+	resp := &protocol.Message{OK: true, Granted: int64(granted), SocketDir: dir, Device: device}
+	return resp, nil
+}
+
+// serve opens a container's socket in dir and enters the container in
+// the daemon's tables.
+func (d *Daemon) serve(id core.ContainerID, dir string) error {
+	sockPath := filepath.Join(dir, ContainerSocketName)
+	os.Remove(sockPath) // a previous run's listener
+	srv, err := ipc.Listen(sockPath, containerHandler{d: d, id: id})
+	if err != nil {
+		return err
 	}
 	srv.SetWireStats(d.wire)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
 		srv.Close()
-		return nil, fmt.Errorf("daemon: shutting down")
+		return fmt.Errorf("daemon: shutting down")
 	}
 	d.servers[id] = srv
 	d.dirs[id] = dir
 	d.mu.Unlock()
 	d.touch(id)
-
-	resp := &protocol.Message{OK: true, Granted: int64(granted), SocketDir: dir, Device: device}
-	return resp, nil
+	return nil
 }
 
 // closeContainer implements the plugin's close signal.
@@ -437,6 +456,10 @@ func (d *Daemon) dispatch(u core.Update) {
 	if len(u.Admitted) == 0 && len(u.Cancelled) == 0 {
 		return
 	}
+	// Wait until no handler is between a Suspend decision and its park.
+	// Before d.mu: park takes d.mu inside the gate.
+	d.gate.Lock()
+	d.gate.Unlock()
 	now := d.clk.Now()
 	d.mu.Lock()
 	type rel struct {
@@ -444,29 +467,37 @@ func (d *Daemon) dispatch(u core.Update) {
 		msg     *protocol.Message
 	}
 	byConn := make(map[*ipc.ServerConn][]rel)
-	for _, a := range u.Admitted {
-		k := parkedKey{a.Container, a.Ticket}
-		if p, ok := d.parked[k]; ok {
-			delete(d.parked, k)
-			d.obs.ObserveSuspendWait(p.device, now.Sub(p.at))
-			m := protocol.AcquireMessage()
-			m.OK = true
-			m.Decision = protocol.DecisionAccept
-			byConn[p.conn] = append(byConn[p.conn], rel{p.respond, m})
+	// release takes a ticket's responder. Every ticket in u was parked
+	// before this point (the gate), so one that is missing was taken by
+	// releaseConn or a failover when its connection or node died: core
+	// has resolved it, and there is nobody left to tell.
+	var lost []parkedKey
+	release := func(id core.ContainerID, t core.Ticket, m *protocol.Message) {
+		k := parkedKey{id, t}
+		p, parked := d.parked[k]
+		if !parked {
+			lost = append(lost, k)
+			protocol.ReleaseMessage(m)
+			return
 		}
+		delete(d.parked, k)
+		d.obs.ObserveSuspendWait(p.device, now.Sub(p.at))
+		byConn[p.conn] = append(byConn[p.conn], rel{p.respond, m})
+	}
+	for _, a := range u.Admitted {
+		m := ok()
+		m.Decision = protocol.DecisionAccept
+		release(a.Container, a.Ticket, m)
 	}
 	for _, c := range u.Cancelled {
-		k := parkedKey{c.Container, c.Ticket}
-		if p, ok := d.parked[k]; ok {
-			delete(d.parked, k)
-			d.obs.ObserveSuspendWait(p.device, now.Sub(p.at))
-			m := protocol.AcquireMessage()
-			m.OK = false
-			m.Error = "container closed"
-			byConn[p.conn] = append(byConn[p.conn], rel{p.respond, m})
-		}
+		m := protocol.AcquireMessage()
+		m.Error = "container closed"
+		release(c.Container, c.Ticket, m)
 	}
 	d.mu.Unlock()
+	for _, k := range lost {
+		d.cfg.Logf("daemon: ticket %d of %q resolved after its connection was lost", k.t, k.id)
+	}
 	// Audit resumes before the withheld responses leave: the log shows
 	// the admission ahead of the wrapper observing it.
 	for _, a := range u.Admitted {
@@ -583,7 +614,19 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 	h.d.touch(h.id) // any traffic renews the session lease
 	switch msg.Type {
 	case protocol.TypeAlloc:
+		h.d.gate.RLock()
 		res, err := c.RequestAlloc(h.id, msg.PID, msg.SizeBytes())
+		if err == nil && res.Decision == core.Suspend {
+			// The paper's pause: withhold the response until granted. The
+			// gate is held from the decision to the park, so a release
+			// that admits this ticket in between finds its responder.
+			h.d.walAudit(wal.KindSuspend, h.id, msg.Size, msg.PID, 0)
+			if h.d.beforePark != nil {
+				h.d.beforePark()
+			}
+			h.d.park(parkedKey{h.id, res.Ticket}, conn, respond)
+		}
+		h.d.gate.RUnlock()
 		if err != nil {
 			respond(codedError(msg, err))
 			return
@@ -599,10 +642,6 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			m := ok()
 			m.Decision = protocol.DecisionReject
 			respond(m)
-		case core.Suspend:
-			// The paper's pause: withhold the response until granted.
-			h.d.walAudit(wal.KindSuspend, h.id, msg.Size, msg.PID, 0)
-			h.d.park(parkedKey{h.id, res.Ticket}, conn, respond)
 		}
 	case protocol.TypeConfirm:
 		if err := c.ConfirmAlloc(h.id, msg.PID, msg.Addr, msg.SizeBytes()); err != nil {
@@ -622,6 +661,20 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 	case protocol.TypeFree:
 		size, u, err := c.Free(h.id, msg.PID, msg.Addr)
 		if err != nil {
+			if msg.NoReply {
+				// Nobody waits on a one-way free, so a refusal is counted
+				// and logged here. An unknown address is then all it gets:
+				// with several threads allocating, the device can hand a
+				// freed address out again and the confirm of its reuse can
+				// overtake this report, which core's confirm has already
+				// applied (see confirmLocked). Anything else also goes back
+				// for the wrapper's next call to fail on.
+				h.d.wire.CountFrameError()
+				h.d.cfg.Logf("daemon: %q: one-way free of %#x by pid %d refused: %v", h.id, msg.Addr, msg.PID, err)
+				if errors.Is(err, core.ErrUnknownAddr) {
+					return
+				}
+			}
 			respond(codedError(msg, err))
 			return
 		}

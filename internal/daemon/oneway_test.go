@@ -1,0 +1,321 @@
+package daemon
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"path/filepath"
+	"strings"
+	"sync"
+	"testing"
+	"time"
+
+	"convgpu/internal/core"
+	"convgpu/internal/cuda"
+	"convgpu/internal/gpu"
+	"convgpu/internal/ipc"
+	"convgpu/internal/leak"
+	"convgpu/internal/protocol"
+	"convgpu/internal/wrapper"
+)
+
+// wrapperOn dials a registered container's socket the way a container's
+// process does — negotiated, so confirm and free travel one-way — and
+// puts a wrapper module for pid on it.
+func wrapperOn(t *testing.T, resp *protocol.Message, dev *gpu.Device, pid int) (*wrapper.Module, *ipc.Client) {
+	t.Helper()
+	if !resp.OK {
+		t.Fatalf("register refused: %s", resp.Error)
+	}
+	cli, err := ipc.DialNegotiated(context.Background(), filepath.Join(resp.SocketDir, ContainerSocketName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cli.Close() })
+	if !cli.BinaryNegotiated() {
+		t.Fatal("wrapper connection stayed on JSON")
+	}
+	return wrapper.New(cuda.NewRuntime(dev, pid), cli, pid), cli
+}
+
+// TestReleaseBetweenDecideAndPark is the lost wake-up, made
+// deterministic: a handler is held between core telling it Suspend and
+// the parking of its responder while a release elsewhere admits the
+// ticket. The suspended Malloc must still return. Two releases can do
+// that: a free on the container's other connection (its usage drops
+// under its grant — the one a one-way free makes more likely, arriving
+// sooner than a reply-awaiting one did), and the close of the container
+// that held the memory.
+func TestReleaseBetweenDecideAndPark(t *testing.T) {
+	for _, release := range []string{"free", "close"} { // short names: they end up in socket paths
+		t.Run(release, func(t *testing.T) {
+			d := startDaemon(t, mib(1000))
+			inGap, leaveGap := make(chan struct{}), make(chan struct{})
+			defer close(leaveGap)
+			d.beforePark = func() {
+				close(inGap)
+				<-leaveGap
+			}
+			ctl := dialControl(t, d)
+			dev := gpu.New(gpu.K20m())
+			hog, _ := wrapperOn(t, register(t, ctl, "hog", mib(900)), dev, 1)
+			if _, err := hog.Malloc(mib(800)); err != nil {
+				t.Fatal(err)
+			}
+			late := register(t, ctl, "late", mib(600)) // granted the 100 MiB left over
+			first, _ := wrapperOn(t, late, dev, 2)
+			second, _ := wrapperOn(t, late, dev, 3)
+			held, err := first.Malloc(mib(80))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			got := make(chan error, 1)
+			go func() {
+				_, err := second.Malloc(mib(60)) // 80 + 60 exceed the grant, the pool is empty: Suspend
+				got <- err
+			}()
+			select {
+			case <-inGap:
+			case err := <-got:
+				t.Fatalf("Malloc returned %v without being suspended", err)
+			case <-time.After(5 * time.Second):
+				t.Fatal("Malloc never reached the decision")
+			}
+
+			// The release lands in the gap. Core admits the ticket at once;
+			// whether the daemon can deliver that is what is being tested.
+			released := make(chan error, 1)
+			go func() {
+				if release == "close" {
+					resp, err := ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeClose, Container: "hog"})
+					if err == nil && !resp.OK {
+						err = errors.New(resp.Error)
+					}
+					released <- err
+					return
+				}
+				released <- errors.Join(first.Free(held), first.Flush())
+			}()
+			for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+				info, err := d.Core().Info("late")
+				if err != nil {
+					t.Fatal(err)
+				}
+				if info.Pending == 0 {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("core never admitted the ticket: %+v", info)
+				}
+			}
+			leaveGap <- struct{}{}
+
+			select {
+			case err := <-got:
+				if err != nil {
+					t.Fatalf("suspended Malloc failed: %v", err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("lost wake-up: core admitted the ticket, the suspended Malloc never returned")
+			}
+			if err := <-released; err != nil {
+				t.Fatal(err)
+			}
+			d.mu.Lock()
+			defer d.mu.Unlock()
+			if n := len(d.parked); n != 0 {
+				t.Errorf("%d responders still parked", n)
+			}
+		})
+	}
+}
+
+// cycleRig is one container whose wrapper runs over a negotiated
+// connection to a daemon that logs what it refuses.
+type cycleRig struct {
+	d   *Daemon
+	st  *core.State
+	dev *gpu.Device
+	mod *wrapper.Module
+	cli *ipc.Client
+
+	mu   sync.Mutex
+	logs []string
+}
+
+func newCycleRig(t *testing.T) *cycleRig {
+	t.Helper()
+	leak.Check(t)
+	r := &cycleRig{st: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1}), dev: gpu.New(gpu.K20m())}
+	var err error
+	r.d, err = Start(Config{BaseDir: filepath.Join(t.TempDir(), "cv"), Core: r.st, Logf: func(format string, args ...any) {
+		r.mu.Lock()
+		r.logs = append(r.logs, fmt.Sprintf(format, args...))
+		r.mu.Unlock()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { r.d.Close() })
+	r.mod, r.cli = wrapperOn(t, register(t, dialControl(t, r.d), "c", mib(900)), r.dev, 7)
+	return r
+}
+
+func (r *cycleRig) used(t *testing.T) int64 {
+	t.Helper()
+	info, err := r.st.Info("c")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return int64(info.Used)
+}
+
+// TestOneWayCyclesKeepProgramOrder: 10k Malloc+Free cycles on one
+// connection, every one of which gets the address the previous one
+// freed. The free is written before the next confirm and the daemon
+// reads a connection in order, so the confirm of a reused address never
+// finds the address still charged (core's stale-address branch, which
+// would make the late free fail) and nothing is refused.
+func TestOneWayCyclesKeepProgramOrder(t *testing.T) {
+	r := newCycleRig(t)
+	var first cuda.DevPtr
+	for i := 0; i < 10000; i++ {
+		ptr, err := r.mod.Malloc(mib(1 + i%7))
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+		if i == 0 {
+			first = ptr
+		} else if ptr != first {
+			t.Fatalf("cycle %d: device returned %#x, not the freed %#x: no address reuse to test", i, ptr, first)
+		}
+		if err := r.mod.Free(ptr); err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	if err := r.mod.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if n := r.d.WireStats().FrameErrors(); n != 0 {
+		t.Errorf("daemon refused %d one-way frames: %v", n, r.logs)
+	}
+	if got := r.used(t); got != 1 {
+		t.Errorf("used = %d bytes after the last free, want the process's 1-byte context", got)
+	}
+	w := r.d.WireStats()
+	if in, out := w.Frames(true, false), w.Frames(true, true); in-out != 2*10000 {
+		t.Errorf("binary frames %d in, %d out: want 20000 more in than out, a confirm and a free per cycle", in, out)
+	}
+}
+
+// TestOneWayCyclesFourThreads: four threads of one process share the
+// connection. The device hands a freed address to another thread before
+// the free's report is written, so a confirm can overtake it — core
+// tolerates that (it releases the stale charge itself and the late free
+// may find nothing) and the wrapper must never hear of it: every call
+// succeeds and the account is square at the end.
+func TestOneWayCyclesFourThreads(t *testing.T) {
+	r := newCycleRig(t)
+	var wg sync.WaitGroup
+	errc := make(chan error, 4)
+	for th := 0; th < 4; th++ {
+		wg.Add(1)
+		go func(th int) {
+			defer wg.Done()
+			for i := 0; i < 2500; i++ {
+				ptr, err := r.mod.Malloc(mib(1 + (i+th)%5))
+				if err == nil {
+					err = r.mod.Free(ptr)
+				}
+				if err != nil {
+					errc <- fmt.Errorf("thread %d cycle %d: %w", th, i, err)
+					return
+				}
+			}
+		}(th)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	if err := r.mod.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.used(t); got != 1 {
+		t.Errorf("used = %d bytes after every thread freed everything, want the 1-byte context", got)
+	}
+	if err := r.st.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+	for _, l := range r.logs {
+		if !strings.Contains(l, core.ErrUnknownAddr.Error()) {
+			t.Errorf("daemon refused something other than a late free: %s", l)
+		}
+	}
+	if n := r.d.WireStats().FrameErrors(); int(n) != len(r.logs) {
+		t.Errorf("%d frame errors counted, %d logged", n, len(r.logs))
+	}
+}
+
+// TestRefusedOneWayFree: nobody waits on a one-way free, so the daemon
+// counts and logs a refused one. An unknown address stays there (see
+// containerHandler); any other refusal also goes back and fails the
+// wrapper's next call.
+func TestRefusedOneWayFree(t *testing.T) {
+	r := newCycleRig(t)
+	ctx := context.Background()
+	if _, err := r.mod.Malloc(mib(1)); err != nil { // the daemon now knows pid 7
+		t.Fatal(err)
+	}
+
+	if err := r.cli.Post(ctx, &protocol.Message{Type: protocol.TypeFree, PID: 7, Addr: 0xdead0}); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.mod.Flush(); err != nil {
+		t.Fatalf("a late free's refusal reached the wrapper: %v", err)
+	}
+	if n := r.d.WireStats().FrameErrors(); n != 1 || len(r.logs) != 1 || !strings.Contains(r.logs[0], "0xdead0") {
+		t.Fatalf("unknown address: %d frame errors, log %q; want it counted and logged", n, r.logs)
+	}
+
+	err := r.cli.Post(ctx, &protocol.Message{Type: protocol.TypeFree, PID: 99, Addr: 0xdead0})
+	if err == nil { // unless the refusal was back before Post returned
+		err = r.mod.Flush()
+	}
+	var ref *protocol.Refusal
+	if !errors.As(err, &ref) || !strings.Contains(err.Error(), "free refused: ") || !strings.Contains(err.Error(), core.ErrUnknownPID.Error()) {
+		t.Fatalf("a free by an unknown pid surfaced as %v, want the refusal", err)
+	}
+	if n := r.d.WireStats().FrameErrors(); n != 2 || len(r.logs) != 2 {
+		t.Errorf("unknown pid: %d frame errors, %d log lines; want 2 and 2", n, len(r.logs))
+	}
+	if err := r.mod.Flush(); err != nil {
+		t.Errorf("the refusal came back twice: %v", err)
+	}
+}
+
+// TestTwoWayReportsStillServed: a peer that negotiated the binary codec
+// and still waits for its confirm's and free's replies — an older
+// wrapper, a hand-written client — gets them.
+func TestTwoWayReportsStillServed(t *testing.T) {
+	r := newCycleRig(t)
+	ctx := context.Background()
+	for _, m := range []*protocol.Message{
+		{Type: protocol.TypeAlloc, PID: 7, Size: int64(mib(2))},
+		{Type: protocol.TypeConfirm, PID: 7, Size: int64(mib(2)), Addr: 0x1000},
+		{Type: protocol.TypeFree, PID: 7, Addr: 0x1000},
+	} {
+		resp, err := r.cli.Call(ctx, m)
+		if err != nil || !resp.OK {
+			t.Fatalf("%s: %+v %v", m.Type, resp, err)
+		}
+		if m.Type == protocol.TypeFree && resp.Free != int64(mib(2)) {
+			t.Errorf("free reply carries %d bytes, want the allocation's size", resp.Free)
+		}
+	}
+	if got := r.used(t); got != 1 {
+		t.Errorf("used = %d bytes, want the 1-byte context", got)
+	}
+}

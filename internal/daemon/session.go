@@ -17,7 +17,6 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
-	"convgpu/internal/ipc"
 	"convgpu/internal/wal"
 )
 
@@ -129,17 +128,10 @@ func (d *Daemon) recoverSessions() error {
 			d.discardSession(dir, e.Name(), fmt.Errorf("registration refused: %w", err))
 			continue
 		}
-		sockPath := filepath.Join(dir, ContainerSocketName)
-		os.Remove(sockPath) // the dead daemon's listener
-		srv, err := ipc.Listen(sockPath, containerHandler{d: d, id: id})
-		if err != nil {
+		if err := d.serve(id, dir); err != nil {
 			d.closeRecovered()
 			return fmt.Errorf("daemon: recover %s: %w", id, err)
 		}
-		srv.SetWireStats(d.wire)
-		d.servers[id] = srv
-		d.dirs[id] = dir
-		d.touch(id)
 	}
 	return nil
 }

@@ -26,7 +26,6 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/errs"
-	"convgpu/internal/ipc"
 	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
 )
@@ -129,16 +128,10 @@ func (d *Daemon) recoverFromWAL() error {
 				return fmt.Errorf("daemon: recover %s: %w", id, err)
 			}
 		}
-		os.Remove(sockPath) // the dead daemon's listener
-		srv, err := ipc.Listen(sockPath, containerHandler{d: d, id: id})
-		if err != nil {
+		if err := d.serve(id, dir); err != nil {
 			d.closeRecovered()
 			return fmt.Errorf("daemon: recover %s: %w", id, err)
 		}
-		srv.SetWireStats(d.wire)
-		d.servers[id] = srv
-		d.dirs[id] = dir
-		d.touch(id)
 	}
 	return nil
 }

@@ -51,8 +51,9 @@ func (h forwardHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, resp
 func (h forwardHandler) Closed(conn *ipc.ServerConn) {}
 
 // AblationTransport measures a full wrapped cudaMalloc+cudaFree cycle
-// (request round trip + confirm round trip + async free report) over
-// three transports. The paper chose UNIX sockets over TCP for
+// over three transports on the paper's wire — JSON lines, where every
+// report is a request/response exchange: alloc, confirm and free are
+// three round trips. The paper chose UNIX sockets over TCP for
 // "complexity and low performance" reasons and could not use plain
 // shared memory for safety (§III-A); the in-process row shows how much
 // of ConVGPU's overhead is transport versus scheduler logic.
@@ -88,7 +89,9 @@ func AblationTransport(opt Options) (*Report, error) {
 				return 0, err
 			}
 		}
-		mod.Flush()
+		if err := mod.Flush(); err != nil {
+			return 0, err
+		}
 		start := time.Now()
 		for i := 0; i < reps; i++ {
 			p, err := mod.Malloc(4096)
@@ -99,7 +102,9 @@ func AblationTransport(opt Options) (*Report, error) {
 				return 0, err
 			}
 		}
-		mod.Flush()
+		if err := mod.Flush(); err != nil {
+			return 0, err
+		}
 		return time.Since(start) / time.Duration(reps), nil
 	}
 

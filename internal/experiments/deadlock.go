@@ -73,7 +73,6 @@ func Deadlock(opt Options) (*Report, error) {
 			ptr, err := mod.Malloc(want)
 			if err == nil {
 				err = mod.Free(ptr)
-				mod.Flush()
 			}
 			if uerr := mod.UnregisterFatBinary(); err == nil {
 				err = uerr

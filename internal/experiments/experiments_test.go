@@ -103,8 +103,9 @@ func TestTable3(t *testing.T) {
 }
 
 // TestRigDataPathBinary: the measured path of Figure 4 runs the wrapper's
-// six frames per Malloc+Free as binary frames; the daemon sees JSON only
-// as the two connections' codec probes and their answers.
+// four frames per Malloc+Free — alloc and reply, confirm and free
+// one-way — as binary frames; the daemon sees JSON only as the two
+// connections' codec probes and their answers.
 func TestRigDataPathBinary(t *testing.T) {
 	r, err := newRig(false, bytesize.GiB)
 	if err != nil {
@@ -113,7 +114,7 @@ func TestRigDataPathBinary(t *testing.T) {
 	defer r.Close()
 	w := r.daemon.WireStats()
 	frames := func(binary bool) uint64 { return w.Frames(binary, false) + w.Frames(binary, true) }
-	bin0 := frames(true)
+	in0, out0 := w.Frames(true, false), w.Frames(true, true)
 	const cycles = 10
 	for i := 0; i < cycles; i++ {
 		ptr, err := r.Wrapped.Malloc(bytesize.MiB)
@@ -124,9 +125,11 @@ func TestRigDataPathBinary(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r.Wrapped.Flush() // the free reports are asynchronous
-	if got := frames(true) - bin0; got != 6*cycles {
-		t.Errorf("binary frames over %d cycles = %d, want %d", cycles, got, 6*cycles)
+	if err := r.Wrapped.Flush(); err != nil { // the reports are one-way: one more round trip settles them
+		t.Fatal(err)
+	}
+	if in, out := w.Frames(true, false)-in0, w.Frames(true, true)-out0; in != 3*cycles+1 || out != cycles+1 {
+		t.Errorf("binary frames over %d cycles and a flush: %d in, %d out; want %d and %d", cycles, in, out, 3*cycles+1, cycles+1)
 	}
 	if w.Negotiations() != 2 || frames(false) != 4 {
 		t.Errorf("%d handshakes, %d JSON frames; want 2 and 4 (control + wrapper probes)", w.Negotiations(), frames(false))

@@ -1,0 +1,178 @@
+package fault_test
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"net"
+	"path/filepath"
+	"sync"
+	"testing"
+	"time"
+
+	"convgpu/internal/bytesize"
+	"convgpu/internal/core"
+	"convgpu/internal/cuda"
+	"convgpu/internal/daemon"
+	"convgpu/internal/fault"
+	"convgpu/internal/gpu"
+	"convgpu/internal/ipc"
+	"convgpu/internal/leak"
+	"convgpu/internal/protocol"
+	"convgpu/internal/wrapper"
+)
+
+// oneWayFault loses exactly one one-way frame: the nth the wrapper
+// writes, recognised by the marker in its header. "drop" swallows it
+// (the write reports success, like a kernel buffer lost with a dying
+// peer), "truncate" delivers half of it and kills the connection,
+// "close" kills the connection under it. Everything else passes.
+type oneWayFault struct {
+	net.Conn
+	how   string
+	left  *int // one-way frames still to let through, shared across redials
+	mu    *sync.Mutex
+	fired *bool
+}
+
+func (c *oneWayFault) Write(b []byte) (int, error) {
+	oneWay := len(b) >= protocol.BinaryHeaderSize && b[0] == protocol.BinaryMagic && b[1]&0x80 != 0
+	c.mu.Lock()
+	hit := oneWay && !*c.fired && *c.left == 0
+	if oneWay && !*c.fired && *c.left > 0 {
+		*c.left--
+	}
+	if hit {
+		*c.fired = true
+	}
+	c.mu.Unlock()
+	if !hit {
+		return c.Conn.Write(b)
+	}
+	switch c.how {
+	case "drop":
+		return len(b), nil
+	case "truncate":
+		n, _ := c.Conn.Write(b[:len(b)/2])
+		c.Conn.Close()
+		return n, fault.ErrInjected
+	default:
+		c.Conn.Close()
+		return 0, fault.ErrInjected
+	}
+}
+
+// TestChaosOneWayFrameLost: a one-way frame is the one message whose
+// loss nobody is waiting to notice. Lose each kind — a confirm, a free —
+// each way a dying connection can, in the middle of a run of cycles, and
+// demand the contract: the scheduler may over-count from then on but
+// never under-counts what the device holds, the sum of grants never
+// exceeds capacity, the process exit reclaims the over-count, and the
+// pool is whole after close.
+func TestChaosOneWayFrameLost(t *testing.T) {
+	leak.Check(t)
+	const capacity = 1000
+	for _, how := range []string{"drop", "truncate", "close"} {
+		for nth, frame := range []string{"confirm", "free"} { // a cycle posts its confirm, then its free
+			t.Run(how+"-"+frame, func(t *testing.T) {
+				st := core.MustNew(core.Config{Capacity: cmib(capacity), ContextOverhead: 1})
+				d, err := daemon.Start(daemon.Config{BaseDir: filepath.Join(t.TempDir(), "cv"), Core: st})
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer d.Close()
+				ctl, err := ipc.Dial(d.ControlSocket())
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer ctl.Close()
+				sock := chaosRegister(t, ctl, "a", cmib(600), core.Tenant{})
+
+				ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
+				defer cancel()
+				left, fired, mu := 4+nth, false, new(sync.Mutex) // two clean cycles first
+				var mod *wrapper.Module
+				rec := ipc.NewReconnector(ipc.ReconnectConfig{
+					Dial: func() (net.Conn, error) {
+						c, err := net.Dial("unix", sock)
+						if err != nil {
+							return nil, err
+						}
+						return &oneWayFault{Conn: c, how: how, left: &left, mu: mu, fired: &fired}, nil
+					},
+					Backoff:     ipc.Backoff{Base: time.Millisecond, Max: 20 * time.Millisecond},
+					CallTimeout: time.Second,
+					Seed:        1,
+					OnReconnect: func(c *ipc.Client) error { return mod.ReplayState(ctx, c) },
+				})
+				defer rec.Close()
+				dev := gpu.New(gpu.K20m())
+				mod = wrapper.New(cuda.NewRuntime(dev, 1), rec, 1, wrapper.WithContext(ctx))
+
+				// conservative checks the contract after every call: whatever
+				// was lost, the scheduler's account covers the device's.
+				live := map[cuda.DevPtr]bytesize.Size{}
+				conservative := func(step string) {
+					t.Helper()
+					if err := mod.Flush(); err != nil {
+						var ref *protocol.Refusal
+						if errors.As(err, &ref) {
+							t.Fatalf("%s: the loss surfaced as a refusal, so the scheduler diverged: %v", step, err)
+						}
+						if err = mod.Flush(); err != nil { // a dead connection costs one call
+							t.Fatalf("%s: no barrier after a redial: %v", step, err)
+						}
+					}
+					if err := st.CheckInvariants(); err != nil {
+						t.Fatalf("%s: %v", step, err)
+					}
+					var held bytesize.Size
+					for _, size := range live {
+						held += size
+					}
+					info, err := st.Info("a")
+					if err != nil {
+						t.Fatal(err)
+					}
+					if info.Used < held {
+						t.Fatalf("%s: scheduler counts %v, the device holds %v: under-counted", step, info.Used, held)
+					}
+					if free := st.PoolFree(); free+info.Grant != cmib(capacity) {
+						t.Fatalf("%s: pool %v + grant %v != capacity", step, free, info.Grant)
+					}
+				}
+				for i := 0; i < 6; i++ {
+					size := cmib(10 + i)
+					ptr, err := mod.Malloc(size)
+					if ptr != 0 {
+						live[ptr] = size // allocated on the device whatever became of the report
+					} else if err == nil {
+						t.Fatalf("cycle %d: Malloc returned neither pointer nor error", i)
+					}
+					conservative(fmt.Sprintf("cycle %d after Malloc (%v)", i, err))
+					if ptr != 0 {
+						mod.Free(ptr) // frees on the device whatever becomes of the report
+						delete(live, ptr)
+						conservative(fmt.Sprintf("cycle %d after Free", i))
+					}
+				}
+				if !fired {
+					t.Fatal("the fault never fired: no one-way frame was lost")
+				}
+
+				if err := mod.UnregisterFatBinary(); err != nil {
+					t.Fatal(err)
+				}
+				if info, _ := st.Info("a"); info.Used != 0 {
+					t.Errorf("used = %v after the process exited; the over-count was not reclaimed", info.Used)
+				}
+				if resp, err := ctl.Call(ctx, &protocol.Message{Type: protocol.TypeClose, Container: "a"}); err != nil || !resp.OK {
+					t.Fatalf("close: %+v %v", resp, err)
+				}
+				if free := st.PoolFree(); free != cmib(capacity) {
+					t.Errorf("pool after close = %v, want all %d MiB", free, capacity)
+				}
+			})
+		}
+	}
+}

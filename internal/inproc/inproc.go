@@ -88,6 +88,20 @@ type Caller struct {
 	id  core.ContainerID
 }
 
+// Post implements the wrapper's one-way reports. With no socket between
+// the two sides there is nothing to overlap, so the report is applied
+// before Post returns and a refusal is its own error.
+func (c *Caller) Post(ctx context.Context, m *protocol.Message) error {
+	resp, err := c.Call(ctx, m)
+	if err != nil {
+		return err
+	}
+	if !resp.OK {
+		return protocol.NewRefusal(m.Type, resp)
+	}
+	return nil
+}
+
 // Call implements the wrapper's scheduler transport without any socket:
 // the same message types, the same decisions, the same blocking behavior
 // on suspension.

@@ -25,12 +25,14 @@
 // sequence numbers in a fixed ring (spilling to a map only while more
 // than callRingSize calls are parked), so concurrent wrapper threads
 // pipeline requests without serializing on one round trip or paying a
-// channel allocation per call.
+// channel allocation per call. The client has no read loop: the Call
+// waiting for a reply reads the connection itself, for the others too
+// while it does (see Client).
 //
 // # Hot-path memory discipline
 //
 // The transport threads pooled protocol.Message objects and pooled frame
-// buffers through its read and write loops, so a steady-state request
+// buffers through its reads and writes, so a steady-state request
 // cycle on binary frames does near-zero heap allocation. That imposes
 // ownership windows (see Handler and DESIGN.md §"Hot path"): a request
 // message is valid only until Handle returns, and a response message
@@ -75,8 +77,8 @@ const MaxLine = 64 * 1024
 const readBufSize = 16 * 1024
 
 // ErrClosed is returned for operations on a closed client or server. It
-// is the one sentinel for peer death: whether the read loop saw the EOF
-// or a write hit the dead socket first, the error matches ErrClosed.
+// is the one sentinel for peer death: whether a read saw the EOF or a
+// write hit the dead socket first, the error matches ErrClosed.
 var ErrClosed = errors.New("ipc: connection closed")
 
 // closedErr folds the errors that mean "the peer or this client is gone"
@@ -106,6 +108,12 @@ func closedErr(err error) error {
 // goroutine) must work on msg.Clone(). The message passed to respond is
 // consumed: the transport writes it and returns it to the pool, so the
 // caller must not touch it after respond returns.
+//
+// A one-way request (msg.NoReply) has nobody waiting: respond swallows a
+// success and sends a refusal back as an unsolicited error frame. For
+// such a request Handle must call respond before it returns, if at all —
+// one-way requests cannot be parked (protocol.Validate admits the marker
+// only on verbs that are answered at once).
 type Handler interface {
 	Handle(conn *ServerConn, msg *protocol.Message, respond func(*protocol.Message))
 	Closed(conn *ServerConn)
@@ -225,6 +233,13 @@ type ServerConn struct {
 	server *Server
 	w      *coalescer
 
+	// The one-way request being handled, for respondOneWay to name in a
+	// refusal. Owned by the read loop: requests on a connection are
+	// handled one at a time, and a one-way request is answered inside
+	// Handle.
+	oneWaySeq  uint64
+	oneWayType protocol.Type
+
 	tagMu sync.Mutex
 	tag   string
 }
@@ -289,6 +304,7 @@ func (c *ServerConn) readLoop(h Handler) {
 	var scratch []byte
 	msg := protocol.AcquireMessage()
 	defer protocol.ReleaseMessage(msg)
+	oneWay := c.respondOneWay // built once: a one-way frame costs no closure
 	for {
 		f, err := readFrame(r, &scratch)
 		if err != nil {
@@ -305,12 +321,15 @@ func (c *ServerConn) readLoop(h Handler) {
 			// request's sequence number when we can still extract it —
 			// from the validated binary header, or scanned out of the
 			// bad JSON line — so the caller can correlate the failure
-			// instead of timing out.
-			stats.countFrameError()
+			// instead of timing out. A one-way frame's sender waits on no
+			// seq, so its error goes back marked, like a refusal (msg keeps
+			// what the header said even when the payload did not decode).
+			stats.CountFrameError()
 			resp := protocol.AcquireMessage()
 			resp.Type = protocol.TypeResponse
 			resp.Seq = f.errorSeq()
 			resp.Error = err.Error()
+			resp.NoReply = msg.NoReply
 			c.send(resp, f.binary)
 			protocol.ReleaseMessage(resp)
 			continue
@@ -335,10 +354,31 @@ func (c *ServerConn) readLoop(h Handler) {
 			msg.Reset()
 			continue
 		}
-		respond := respondOnce(c, msg.Seq, f.binary)
+		respond := oneWay
+		if msg.NoReply {
+			c.oneWaySeq, c.oneWayType = msg.Seq, msg.Type
+		} else {
+			respond = respondOnce(c, msg.Seq, f.binary)
+		}
 		safeHandle(h, c, msg, respond)
 		msg.Reset()
 	}
+}
+
+// respondOneWay is respond for a one-way request: nobody waits for the
+// answer, so a success ends here and a refusal goes back as an error
+// frame carrying the request's seq and the one-way marker, which the
+// client holds for its next call. Allocation-free on the success path —
+// one-way frames are two of the four an allocation cycle sends.
+func (c *ServerConn) respondOneWay(resp *protocol.Message) {
+	if !resp.OK {
+		resp.Type = protocol.TypeResponse
+		resp.Seq = c.oneWaySeq
+		resp.NoReply = true
+		resp.Error = protocol.NewRefusal(c.oneWayType, resp).Text
+		c.send(resp, true)
+	}
+	protocol.ReleaseMessage(resp)
 }
 
 // frame is one received message in either framing, pre-parsed just far
@@ -490,6 +530,17 @@ type callSlot struct {
 }
 
 // Client is the wrapper-module side of a connection.
+//
+// It has no read loop. The Call that waits for a reply reads the
+// connection itself, so a reply wakes the goroutine that wants it and no
+// other: one park in the network poller per round trip, as in a bare
+// blocking read, where a reader goroutine handing replies over a channel
+// made it two. While several Calls are in flight one of them reads for
+// all (the holder of readTok), hands the others their replies through
+// their ring slots, and passes the role on when its own reply has come.
+// Nothing is read while no Call waits: a refusal of a one-way request
+// stays in the socket until the next Call, which reads it ahead of its
+// own reply, and a dead peer is found by the next write or read.
 type Client struct {
 	conn  net.Conn
 	w     *coalescer
@@ -507,7 +558,18 @@ type Client struct {
 	seq      uint64
 	closed   bool
 	readErr  error
-	done     chan struct{}
+	// refused holds one-way requests' refusals (*protocol.Refusal) from
+	// the moment a reading Call takes them off the wire until the next
+	// Call or Post returns them, once.
+	refused error
+
+	// readTok holds its one token while nobody reads; the Call that takes
+	// it owns src, rd and scratch until it puts the token back.
+	readTok chan struct{}
+	src     ctxReader
+	rd      *bufio.Reader
+	scratch []byte
+	wake    func() // ends a blocked read: src's deadline goes into the past
 }
 
 // SetWireStats installs a per-frame counter sink. Nil disables.
@@ -601,41 +663,129 @@ func DialNet(network, addr string) (*Client, error) {
 // dial through.
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
-		conn: conn,
-		w:    newCoalescer(conn),
-		done: make(chan struct{}),
+		conn:    conn,
+		w:       newCoalescer(conn),
+		readTok: make(chan struct{}, 1),
 	}
-	go c.readLoop()
+	c.src.conn = conn
+	c.rd = bufio.NewReaderSize(&c.src, readBufSize)
+	// On a connection that takes no deadline (or is closed already) a
+	// cancelled reader stays until a frame or the end of the stream comes.
+	c.wake = func() { _ = conn.SetReadDeadline(time.Unix(1, 0)) }
+	c.readTok <- struct{}{}
 	return c
 }
 
-func (c *Client) readLoop() {
-	r := bufio.NewReaderSize(c.conn, readBufSize)
-	var scratch []byte
-	var err error
+// ctxReader is the connection as the reading Call sees it. A Call whose
+// context ends is woken from a blocked read by a read deadline in the
+// past (Client.wake). The deadline can outlive the Call it was meant
+// for, so a timeout reaches the reader only when its own context has
+// ended; any other is cleared and the read retried.
+type ctxReader struct {
+	conn net.Conn
+	ctx  context.Context // the reading Call's
+}
+
+func (r *ctxReader) Read(p []byte) (int, error) {
 	for {
-		var f frame
-		f, err = readFrame(r, &scratch)
+		n, err := r.conn.Read(p)
+		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) || r.ctx.Err() != nil {
+			return n, err
+		}
+		if err := r.conn.SetReadDeadline(time.Time{}); err != nil {
+			return 0, err
+		}
+	}
+}
+
+// await returns the reply to seq, which arrives on ch when another Call
+// is reading and off the connection when this one is.
+func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Message) (*protocol.Message, error) {
+	select {
+	case resp, ok := <-ch:
+		if !ok {
+			return nil, ErrClosed
+		}
+		return resp, nil
+	case <-ctx.Done():
+		return nil, ctx.Err()
+	case <-c.readTok:
+	}
+	defer func() { c.readTok <- struct{}{} }()
+	select {
+	case resp, ok := <-ch: // delivered before the last reader left
+		if !ok {
+			return nil, ErrClosed
+		}
+		return resp, nil
+	default:
+	}
+	c.src.ctx = ctx
+	if ctx.Done() != nil {
+		stop := context.AfterFunc(ctx, c.wake)
+		defer stop()
+	}
+	for {
+		msg, inFrame, err := c.readMessage()
 		if err != nil {
-			break // includes a condemned binary header (checksum)
+			if cerr := ctx.Err(); cerr != nil && errors.Is(err, os.ErrDeadlineExceeded) {
+				_ = c.conn.SetReadDeadline(time.Time{}) // the next reader clears what this leaves
+				if inFrame {
+					// Part of a frame is consumed and the rest did not come
+					// before the caller gave up: the stream cannot be resumed.
+					c.fail(fmt.Errorf("%w: read cut inside a frame (%v)", ErrClosed, cerr))
+				}
+				return nil, cerr
+			}
+			c.fail(closedErr(err)) // includes a condemned binary header (checksum)
+			return nil, ErrClosed
+		}
+		switch {
+		case msg.NoReply:
+			c.refuse(msg)
+		case msg.Seq == seq:
+			return msg, nil
+		default:
+			c.deliver(msg)
+		}
+	}
+}
+
+// readMessage returns the next message that decodes. With an error,
+// inFrame says whether part of a frame had been consumed by then.
+func (c *Client) readMessage() (msg *protocol.Message, inFrame bool, err error) {
+	for {
+		if _, err := c.rd.Peek(1); err != nil {
+			return nil, false, err
+		}
+		f, err := readFrame(c.rd, &c.scratch)
+		if err != nil {
+			return nil, true, err
 		}
 		stats := c.stats.Load()
 		stats.countFrame(f.binary, false)
 		msg := protocol.AcquireMessage()
 		if derr := f.decodeInto(msg); derr != nil {
 			protocol.ReleaseMessage(msg)
-			stats.countFrameError()
+			stats.CountFrameError()
 			continue // skip unparseable frames; Call timeouts surface it
 		}
-		c.deliver(msg)
+		return msg, false, nil
 	}
-	err = closedErr(err)
-	// The transport is unusable once the read loop exits (a response
-	// could never be matched): poison the writer so late sends fail fast
-	// and close the socket so the peer's read loop ends too.
+}
+
+// fail ends the client: the transport is unusable once a read failed (a
+// response could never be matched), so the writer is poisoned for late
+// sends to fail fast, the socket closed for the peer's read loop to end
+// too, and every Call in flight released with ErrClosed.
+func (c *Client) fail(err error) error {
 	c.w.stop()
-	c.conn.Close()
+	cerr := c.conn.Close()
 	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		return cerr
+	}
 	c.closed = true
 	c.readErr = err
 	for i := range c.ring {
@@ -649,18 +799,47 @@ func (c *Client) readLoop() {
 		close(ch)
 		delete(c.overflow, seq)
 	}
-	c.mu.Unlock()
-	close(c.done)
+	return cerr
 }
 
-// deliver hands a decoded response to the Call waiting on its seq.
-// Delivery happens while holding mu: the slot lookup and the channel
-// send are atomic with respect to forget, so a response racing a Call's
-// context cancellation is either handed to the (buffered) channel —
-// where the cancelled Call drains it — or dropped here. Either way this
-// loop never blocks on a forgotten sequence. The ring slot stays owned
-// (seq set) until the receiving Call clears it, so no new claimant can
-// touch the channel while a response is in transit through it.
+// refuse records the scheduler's unsolicited error frame for a one-way
+// request (Post) it refused. No Call waits on that seq; the refusal is
+// kept for the next Call or Post on this connection to return. Frames on
+// a connection are read in order, so it is stored before the reply to
+// any Call sent after the refused Post is seen: the very next Call
+// returns it.
+func (c *Client) refuse(msg *protocol.Message) {
+	if msg.Type == protocol.TypeResponse && !msg.OK {
+		r := &protocol.Refusal{Text: msg.Error, Code: msg.Code}
+		c.mu.Lock()
+		if c.refused == nil {
+			c.refused = r
+		} else {
+			c.refused = errors.Join(c.refused, r)
+		}
+		c.mu.Unlock()
+	} else {
+		c.stats.Load().CountFrameError() // only refusals travel marked towards a client
+	}
+	protocol.ReleaseMessage(msg)
+}
+
+// takeRefused returns the stored refusals and clears them. Caller holds mu.
+func (c *Client) takeRefused() error {
+	err := c.refused
+	c.refused = nil
+	return err
+}
+
+// deliver hands a response the reading Call found not to be its own to
+// the Call waiting on its seq. Delivery happens while holding mu: the
+// slot lookup and the channel send are atomic with respect to forget, so
+// a response racing a Call's context cancellation is either handed to
+// the (buffered) channel — where the cancelled Call drains it — or
+// dropped here. Either way the reader never blocks on a forgotten
+// sequence. The ring slot stays owned (seq set) until the receiving Call
+// clears it, so no new claimant can touch the channel while a response
+// is in transit through it.
 func (c *Client) deliver(msg *protocol.Message) {
 	c.mu.Lock()
 	var ch chan *protocol.Message
@@ -695,14 +874,22 @@ func (c *Client) deliver(msg *protocol.Message) {
 // The returned response is owned by the caller; callers on an
 // allocation hot path may hand it back via protocol.ReleaseMessage once
 // they are done reading it.
+//
+// A refusal of an earlier Post is returned in place of this call's
+// reply, which is dropped. The request is sent and applied all the same
+// — a procexit or an abort must reach the scheduler whatever went wrong
+// before it — so the error says nothing about this call's own outcome.
+// Only a dead connection hands the refusal back without sending.
 func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Message, error) {
 	c.mu.Lock()
 	if c.closed {
-		err := c.readErr
-		c.mu.Unlock()
+		err := c.takeRefused()
 		if err == nil {
-			err = ErrClosed
+			if err = c.readErr; err == nil {
+				err = ErrClosed
+			}
 		}
+		c.mu.Unlock()
 		return nil, err
 	}
 	c.seq++
@@ -758,30 +945,82 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 		return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 	}
 
-	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		if ringSlot {
-			c.releaseSlot(seq)
-		}
-		return resp, nil
-	case <-ctx.Done():
+	resp, err := c.await(ctx, seq, ch)
+	if err != nil {
 		c.forget(seq, ch, ringSlot)
-		return nil, ctx.Err()
+		return nil, err
 	}
+	if err := c.received(seq, ringSlot); err != nil {
+		protocol.ReleaseMessage(resp)
+		return nil, err
+	}
+	return resp, nil
 }
 
-// releaseSlot frees a ring slot after its response was received. The
-// slot stays owned from claim to here, so the in-transit response can
-// never be raced by a new claimant of the same slot.
-func (c *Client) releaseSlot(seq uint64) {
+// Post sends m one-way: it assigns a sequence number, writes the frame
+// marked no-reply and returns without waiting — no ring slot, no
+// channel, no wake-up. The scheduler applies one-way frames in the order
+// they were written on the connection; if it refuses one, the refusal
+// comes back as the error of the next Call or Post (a
+// *protocol.Refusal), exactly once. A nil return therefore means
+// "written", not "applied": a blocking Call afterwards is the barrier.
+//
+// One-way frames exist only in the binary codec. On a connection that
+// did not negotiate it, Post is a Call that checks the reply, so callers
+// never choose between the two.
+func (c *Client) Post(ctx context.Context, m *protocol.Message) error {
+	if c.useBinary.Load() {
+		c.mu.Lock()
+		c.seq++
+		m.Seq = c.seq
+		c.mu.Unlock()
+		m.NoReply = true
+		buf := protocol.AcquireBuffer()
+		out, ok := protocol.AppendEncodeBinary((*buf)[:0], m)
+		if ok {
+			*buf = out
+			c.stats.Load().countFrame(true, true)
+			err := c.w.write(*buf) // fails at once on a closed client
+			protocol.ReleaseBuffer(buf)
+			if err != nil {
+				return fmt.Errorf("ipc: post %s: %w", m.Type, closedErr(err))
+			}
+			// Reported after the write, not in place of it: this frame has
+			// nothing to do with the refused one, and its sender could not
+			// tell "an earlier frame was refused" from "not sent".
+			c.mu.Lock()
+			err = c.takeRefused()
+			c.mu.Unlock()
+			return err
+		}
+		protocol.ReleaseBuffer(buf)
+		m.NoReply = false // no binary form: send it as a JSON request
+	}
+	resp, err := c.Call(ctx, m)
+	if err != nil {
+		return err
+	}
+	defer protocol.ReleaseMessage(resp)
+	if !resp.OK {
+		return protocol.NewRefusal(m.Type, resp)
+	}
+	return nil
+}
+
+// received closes a Call whose response arrived: it frees the ring slot
+// (owned from claim to here, so the in-transit response can never be
+// raced by a new claimant of the same slot) or the overflow entry (still
+// there when the Call read its reply itself) and returns the refusals
+// that arrived ahead of the response.
+func (c *Client) received(seq uint64, ringSlot bool) error {
 	c.mu.Lock()
-	if slot := &c.ring[seq&(callRingSize-1)]; slot.seq == seq {
+	defer c.mu.Unlock()
+	if !ringSlot {
+		delete(c.overflow, seq)
+	} else if slot := &c.ring[seq&(callRingSize-1)]; slot.seq == seq {
 		slot.seq = 0
 	}
-	c.mu.Unlock()
+	return c.takeRefused()
 }
 
 // forget abandons a sequence number after a failed or cancelled Call.
@@ -809,12 +1048,7 @@ func (c *Client) forget(seq uint64, ch chan *protocol.Message, ringSlot bool) {
 }
 
 // Close tears the connection down; in-flight Calls fail with ErrClosed.
-func (c *Client) Close() error {
-	c.w.stop()
-	err := c.conn.Close()
-	<-c.done
-	return err
-}
+func (c *Client) Close() error { return c.fail(ErrClosed) }
 
 // coalescer serializes and batches writes to one connection. Writers
 // append under the mutex; the first writer to find no flush in progress

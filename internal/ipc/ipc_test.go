@@ -423,22 +423,23 @@ func TestMalformedFrameEchoesSeq(t *testing.T) {
 	if _, err := cli.conn.Write([]byte(bad)); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case got := <-ch:
-		if got.Seq != badSeq {
-			t.Fatalf("error response seq = %d, want %d", got.Seq, badSeq)
-		}
-		if got.OK || got.Error == "" {
-			t.Fatalf("error response = %+v, want !OK with error text", got)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("no error response for malformed frame with extractable seq")
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	got, err := cli.await(ctx, badSeq, ch) // as the pending call would
+	if err != nil {
+		t.Fatalf("no error response for malformed frame with extractable seq: %v", err)
+	}
+	if got.Seq != badSeq {
+		t.Fatalf("error response seq = %d, want %d", got.Seq, badSeq)
+	}
+	if got.OK || got.Error == "" {
+		t.Fatalf("error response = %+v, want !OK with error text", got)
 	}
 }
 
 // TestLateResponseAfterCancelDoesNotBlockReadLoop is the regression test
 // for a response racing forget after a Call context cancellation: the
-// read loop must drop (not block on) responses for forgotten sequence
+// reading Call must drop (not block on) responses for forgotten sequence
 // numbers, and the connection must stay fully usable.
 func TestLateResponseAfterCancelDoesNotBlockReadLoop(t *testing.T) {
 	h := &parkHandler{}
@@ -597,11 +598,11 @@ func TestBatchedSendsCoalesce(t *testing.T) {
 	if err := sc.EndBatch(); err != nil {
 		t.Fatal(err)
 	}
-	for seq, ch := range chans {
-		select {
-		case <-ch:
-		case <-time.After(2 * time.Second):
-			t.Fatalf("batched message seq=%d never delivered", seq)
+	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
+	defer cancel()
+	for seq, ch := range chans { // the first to wait reads for the rest
+		if _, err := cli.await(ctx, seq, ch); err != nil {
+			t.Fatalf("batched message seq=%d never delivered: %v", seq, err)
 		}
 	}
 }

@@ -238,15 +238,42 @@ func (r *Reconnector) Call(ctx context.Context, m *protocol.Message) (*protocol.
 		r.cfg.RTT.Observe(time.Since(start))
 	}
 	if err != nil {
-		// Drop the connection on transport failure or per-call timeout
-		// (an unresponsive peer), but keep it when only the caller's own
-		// context ended — the transport itself proved nothing wrong.
-		if ctx.Err() == nil {
-			r.drop(c)
-		}
+		r.failed(ctx, c, err)
 		return nil, err
 	}
 	return resp, nil
+}
+
+// Post is Client.Post over the self-healing connection, under Call's
+// rules: a write failure drops the connection and nothing is resent. A
+// confirm lost that way is repaired by the OnReconnect replay (the
+// wrapper restores every live allocation); a lost free leaves the
+// scheduler over-counting until the process exits.
+func (r *Reconnector) Post(ctx context.Context, m *protocol.Message) error {
+	c, err := r.Connect(ctx)
+	if err != nil {
+		return err
+	}
+	callCtx := ctx
+	if r.cfg.CallTimeout > 0 && !c.BinaryNegotiated() { // a JSON connection makes a Call of it
+		var cancel context.CancelFunc
+		callCtx, cancel = context.WithTimeout(ctx, r.cfg.CallTimeout)
+		defer cancel()
+	}
+	if err = c.Post(callCtx, m); err != nil {
+		r.failed(ctx, c, err)
+	}
+	return err
+}
+
+// failed drops the connection a Call or Post failed on when the failure
+// is the transport's or a per-call timeout (an unresponsive peer). It
+// stays when only the caller's own context ended, or when the error is a
+// one-way request's refusal — the scheduler answered, and said no.
+func (r *Reconnector) failed(ctx context.Context, c *Client, err error) {
+	if ctx.Err() == nil && !protocol.IsRefusal(err) {
+		r.drop(c)
+	}
 }
 
 // InFlight reports the pipeline depth of the current connection — the

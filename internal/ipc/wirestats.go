@@ -36,7 +36,9 @@ func (w *WireStats) Frames(binary, out bool) uint64 {
 // the side that answered or initiated them).
 func (w *WireStats) Negotiations() uint64 { return w.negotiations.Load() }
 
-// FrameErrors reports frames that arrived but failed to decode.
+// FrameErrors reports frames that arrived but could not be served:
+// those that failed to decode, and one-way frames refused with nobody
+// to tell (see CountFrameError).
 func (w *WireStats) FrameErrors() uint64 { return w.frameErrors.Load() }
 
 // countFrame bumps one codec/direction counter; nil-safe so call sites
@@ -63,7 +65,10 @@ func (w *WireStats) countNegotiation() {
 	}
 }
 
-func (w *WireStats) countFrameError() {
+// CountFrameError records one frame that could not be served. The
+// transport counts undecodable frames itself; a handler calls it for a
+// one-way request it refuses without sending the refusal back. Nil-safe.
+func (w *WireStats) CountFrameError() {
 	if w != nil {
 		w.frameErrors.Add(1)
 	}

@@ -208,17 +208,15 @@ func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, 
 		o.out.Allocs++
 		o.out.SuspendWait += wait
 		addr++
-		if resp, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeConfirm, PID: pid, Addr: addr, Size: size}); err != nil {
+		// Confirm and free travel one-way, as the wrapper sends them; a
+		// refusal comes back on a later call, the procexit at the latest.
+		if err := cli.Post(ctx, &protocol.Message{Type: protocol.TypeConfirm, PID: pid, Addr: addr, Size: size}); err != nil {
 			return fmt.Errorf("load: confirm %s: %w", id, err)
-		} else if !resp.OK {
-			return fmt.Errorf("load: confirm %s: %s", id, resp.Error)
 		}
 		clock.Coarse{}.Sleep(serviceSleep)
 		if cycle+1 < r.Cycles {
-			if resp, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeFree, PID: pid, Addr: addr}); err != nil {
+			if err := cli.Post(ctx, &protocol.Message{Type: protocol.TypeFree, PID: pid, Addr: addr}); err != nil {
 				return fmt.Errorf("load: free %s: %w", id, err)
-			} else if !resp.OK {
-				return fmt.Errorf("load: free %s: %s", id, resp.Error)
 			}
 		}
 	}

@@ -12,7 +12,8 @@
 // Frame layout (little-endian):
 //
 //	offset 0   magic 0xBF     — cannot begin a JSON line, distinct from '\n'
-//	offset 1   opcode         — the message Type as a byte
+//	offset 1   opcode         — the message Type as a byte; the high bit
+//	                            marks a one-way frame (Message.NoReply)
 //	offset 2   u16 payload length
 //	offset 4   u64 seq
 //	offset 12  checksum       — XOR of bytes 0..11
@@ -48,6 +49,9 @@ const (
 	// are sent as JSON lines instead — both ends accept either framing
 	// per message once binary is negotiated.
 	MaxBinaryPayload = 1<<16 - 1
+	// noReplyBit in the opcode byte marks a one-way frame. Opcodes stay
+	// below it, and the header checksum covers it like any other bit.
+	noReplyBit = 0x80
 	// BinaryCodecToken is offered in a TypeCodec probe's Data field and
 	// echoed by a server that speaks this frame format.
 	BinaryCodecToken = "bin1"
@@ -118,6 +122,15 @@ func opcodeOf(t Type) (byte, bool) {
 	return 0, false
 }
 
+// typeOfOpcode maps a header's opcode byte, with or without the one-way
+// bit, to its message type; "" for a byte that names none.
+func typeOfOpcode(op byte) Type {
+	if op &^= noReplyBit; int(op) < len(typeByOpcode) {
+		return typeByOpcode[op]
+	}
+	return ""
+}
+
 // Decision enum bytes (stable wire format).
 const (
 	decAccept  = 1
@@ -148,6 +161,9 @@ func AppendEncodeBinary(dst []byte, m *Message) (out []byte, ok bool) {
 	op, ok := opcodeOf(m.Type)
 	if !ok {
 		return dst, false
+	}
+	if m.NoReply {
+		op |= noReplyBit
 	}
 	base := len(dst)
 	dst = append(dst, BinaryMagic, op, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
@@ -251,8 +267,9 @@ func xor12(hdr []byte) byte {
 	return x
 }
 
-// ParseBinaryHeader validates a frame header and returns its opcode,
-// payload length and sequence number. An error here means the header
+// ParseBinaryHeader validates a frame header and returns its opcode
+// byte (one-way bit included, for DecodeBinaryInto to read), payload
+// length and sequence number. An error here means the header
 // bytes cannot be trusted — in particular the length — so the caller
 // must drop the connection rather than attempt to resynchronize; a
 // fault that flips any single header byte is always caught by the XOR.
@@ -267,8 +284,8 @@ func ParseBinaryHeader(hdr []byte) (op byte, payloadLen int, seq uint64, err err
 		return 0, 0, 0, fmt.Errorf("protocol: binary header checksum mismatch")
 	}
 	op = hdr[1]
-	if int(op) >= len(typeByOpcode) || typeByOpcode[op] == "" {
-		return 0, 0, 0, fmt.Errorf("protocol: unknown opcode %d", op)
+	if typeOfOpcode(op) == "" {
+		return 0, 0, 0, fmt.Errorf("protocol: unknown opcode %d", op&^noReplyBit)
 	}
 	payloadLen = int(binary.LittleEndian.Uint16(hdr[2:4]))
 	seq = binary.LittleEndian.Uint64(hdr[4:12])
@@ -279,14 +296,16 @@ func ParseBinaryHeader(hdr []byte) (op byte, payloadLen int, seq uint64, err err
 // first), with type and seq taken from the already-validated header.
 // Decoding a hot-path message allocates nothing: integers and enums
 // are fixed-width, and the API name is interned. An error reports a
-// malformed payload; the transport answers it with an error response
+// malformed payload, with m still holding what the header said (type,
+// seq, one-way marker); the transport answers it with an error response
 // echoing seq, matching the JSON path's malformed-line contract.
 func DecodeBinaryInto(m *Message, op byte, seq uint64, payload []byte) error {
 	m.Reset()
-	if int(op) >= len(typeByOpcode) || typeByOpcode[op] == "" {
-		return fmt.Errorf("protocol: unknown opcode %d", op)
+	m.Type = typeOfOpcode(op)
+	if m.Type == "" {
+		return fmt.Errorf("protocol: unknown opcode %d", op&^noReplyBit)
 	}
-	m.Type = typeByOpcode[op]
+	m.NoReply = op&noReplyBit != 0
 	m.Seq = seq
 	i := 0
 	for i < len(payload) {

@@ -52,15 +52,20 @@ func FuzzBinaryDecode(f *testing.F) {
 // the header parse fails and the connection is condemned. Never a
 // panic, never a silently mis-framed read.
 func FuzzBinaryJSONParity(f *testing.F) {
-	f.Add("alloc", uint64(7), int64(41), int64(4<<20), int64(0), uint64(0), "", "cudaMalloc", "", true, "accept", -1)
-	f.Add("register", uint64(1), int64(1), int64(0), int64(512<<20), uint64(0), "c1", "", "", false, "", 0)
-	f.Add("response", uint64(9), int64(0), int64(0), int64(0), uint64(0), "", "", "a \"quoted\" \\ path\nline", false, "reject", 5)
-	f.Add("confirm", uint64(2), int64(1), int64(1), int64(0), uint64(1)<<63, "", "", "", false, "", 14)
+	f.Add("alloc", uint64(7), int64(41), int64(4<<20), int64(0), uint64(0), "", "cudaMalloc", "", true, "accept", -1, false)
+	f.Add("register", uint64(1), int64(1), int64(0), int64(512<<20), uint64(0), "c1", "", "", false, "", 0, false)
+	f.Add("response", uint64(9), int64(0), int64(0), int64(0), uint64(0), "", "", "a \"quoted\" \\ path\nline", false, "reject", 5, false)
+	f.Add("confirm", uint64(2), int64(1), int64(1), int64(0), uint64(1)<<63, "", "", "", false, "", 14, false)
+	f.Add("confirm", uint64(3), int64(1), int64(1), int64(0), uint64(160), "", "", "", false, "", 1, true)
+	f.Add("free", uint64(4), int64(1), int64(0), int64(0), uint64(160), "", "cudaFree", "", false, "", 12, true)
+	f.Add("response", uint64(3), int64(0), int64(0), int64(0), uint64(0), "", "", "confirm refused: not charged", false, "", -1, true)
+	f.Add("alloc", uint64(5), int64(1), int64(1), int64(0), uint64(0), "", "", "", false, "", -1, true) // not a verb that may be one-way
 	f.Fuzz(func(t *testing.T, typ string, seq uint64, pid, size, limit int64, addr uint64,
-		container, api, errText string, ok bool, decision string, corrupt int) {
+		container, api, errText string, ok bool, decision string, corrupt int, oneWay bool) {
 		in := AcquireMessage()
 		defer ReleaseMessage(in)
 		in.Type = Type(typ)
+		in.NoReply = oneWay
 		in.Seq = seq
 		in.Container = container
 		in.PID = int(pid)
@@ -89,6 +94,9 @@ func FuzzBinaryJSONParity(f *testing.F) {
 		}
 
 		viaBinary := decodeBinaryFrame(t, frame)
+		if viaBinary.NoReply != oneWay {
+			t.Fatalf("one-way marker changed in flight: sent %v, got %+v", oneWay, viaBinary)
+		}
 		viaJSON := AcquireMessage()
 		defer ReleaseMessage(viaJSON)
 		line := AppendEncode(nil, in)

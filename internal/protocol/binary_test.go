@@ -29,6 +29,11 @@ func binarySampleMessages() []*Message {
 		{Type: TypeResponse, Seq: 1<<64 - 1, Error: "a \"quoted\" \\ path\nline é☃😀"},
 		{Type: TypeConfirm, Seq: 2, PID: 1, Addr: 1<<64 - 1, Size: 1},
 		{Type: TypeAlloc, Seq: 0, PID: 1, Size: 1},
+		// One-way frames: the two reports a wrapper posts, and the error
+		// frame that comes back when one is refused.
+		{Type: TypeConfirm, Seq: 13, PID: 41, Size: 4 << 20, Addr: 0xdeadbeef, NoReply: true},
+		{Type: TypeFree, Seq: 14, PID: 41, Addr: 0xdeadbeef, NoReply: true},
+		{Type: TypeResponse, Seq: 13, Error: "confirm refused: not charged", Code: CodeUnknownContainer, NoReply: true},
 	}
 }
 
@@ -75,9 +80,56 @@ func TestBinaryAgreesWithJSON(t *testing.T) {
 		if err := DecodeInto(viaJSON, bytes.TrimSuffix(AppendEncode(nil, in), []byte("\n"))); err != nil {
 			t.Fatalf("json round trip: %v", err)
 		}
+		if viaBinary.NoReply != in.NoReply {
+			t.Fatalf("binary lost the one-way marker: %+v", in)
+		}
+		viaBinary.NoReply = false // JSON has no field for it
 		if !reflect.DeepEqual(viaBinary, viaJSON) {
 			t.Fatalf("codecs disagree:\nbinary %+v\n  json %+v", viaBinary, viaJSON)
 		}
+	}
+}
+
+// TestBinaryOneWayMarker: the marker is the opcode byte's high bit and
+// nothing else — the rest of the frame is the two-way frame's, the
+// header checksum covers it, and only the verbs that are answered at
+// once may carry it.
+func TestBinaryOneWayMarker(t *testing.T) {
+	twoWay := &Message{Type: TypeFree, Seq: 9, PID: 41, Addr: 160}
+	oneWay := *twoWay
+	oneWay.NoReply = true
+	a, _ := AppendEncodeBinary(nil, twoWay)
+	b, _ := AppendEncodeBinary(nil, &oneWay)
+	if len(a) != len(b) || b[1] != a[1]|0x80 || b[12] != a[12]^0x80 {
+		t.Fatalf("marked frame is not the plain frame with the opcode's high bit set:\n% x\n% x", a, b)
+	}
+	a[1], a[12] = b[1], b[12]
+	if !bytes.Equal(a, b) {
+		t.Fatalf("marker changed bytes beyond opcode and checksum:\n% x\n% x", a, b)
+	}
+	b[1] &^= 0x80 // the bit flipped in flight
+	if _, _, _, err := ParseBinaryHeader(b); err == nil {
+		t.Fatal("a flipped one-way bit passed the header checksum")
+	}
+	for _, typ := range []Type{TypeAlloc, TypeAbort, TypeProcExit, TypeMemInfo, TypeHeartbeat, TypeRegister, TypeClose} {
+		m := &Message{Type: typ, Seq: 1, PID: 1, Size: 1, Container: "c", Limit: 1, NoReply: true}
+		frame, ok := AppendEncodeBinary(nil, m)
+		if !ok {
+			t.Fatalf("%s: no binary form", typ)
+		}
+		op, _, seq, err := ParseBinaryHeader(frame)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := new(Message)
+		if err := DecodeBinaryInto(out, op, seq, frame[BinaryHeaderSize:]); err == nil {
+			t.Errorf("a one-way %s decoded; only confirm, free and the refusal response may be", typ)
+		} else if !out.NoReply || out.Seq != 1 {
+			t.Errorf("failed decode of a one-way %s lost the header: %+v", typ, out)
+		}
+	}
+	if line := AppendEncode(nil, &oneWay); !bytes.Equal(line, AppendEncode(nil, twoWay)) {
+		t.Errorf("JSON carries the marker: %s", line)
 	}
 }
 

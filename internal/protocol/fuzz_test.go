@@ -35,9 +35,11 @@ var fuzzSeedLines = []string{
 }
 
 // jsonView is m as a JSON round trip returns it: encoding/json replaces
-// each byte of invalid UTF-8 in a string with U+FFFD, on either side.
+// each byte of invalid UTF-8 in a string with U+FFFD, on either side,
+// and the one-way marker has no JSON form.
 func jsonView(m *Message) *Message {
 	v := *m
+	v.NoReply = false
 	v.Type, v.Decision = Type([]rune(v.Type)), Decision([]rune(v.Decision))
 	for _, s := range []*string{&v.Container, &v.API, &v.Tenant, &v.Error, &v.Code, &v.SocketDir, &v.Data} {
 		*s = string([]rune(*s))

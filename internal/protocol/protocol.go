@@ -165,6 +165,13 @@ type Message struct {
 	Free      int64    `json:"free,omitempty"`   // meminfo: free within limit
 	Total     int64    `json:"total,omitempty"`  // meminfo: the limit
 	Data      string   `json:"data,omitempty"`   // introspection payload (JSON document)
+
+	// NoReply marks a one-way frame: the sender waits for no response.
+	// It exists only on the binary wire (the opcode byte's high bit) and
+	// JSON never carries it. A wrapper sets it on confirm and free; the
+	// scheduler sets it on the unsolicited error response that reports
+	// such a frame refused. Validate rejects it anywhere else.
+	NoReply bool `json:"-"`
 }
 
 // Encode renders the message as a single JSON line (with trailing
@@ -187,6 +194,11 @@ func Decode(line []byte) (*Message, error) {
 
 // Validate checks type-specific required fields.
 func (m *Message) Validate() error {
+	if m.NoReply && m.Type != TypeConfirm && m.Type != TypeFree && m.Type != TypeResponse {
+		// Everything else either carries an answer the sender needs or
+		// may be parked, and a parked request must have someone waiting.
+		return fmt.Errorf("protocol: %s cannot be one-way", m.Type)
+	}
 	switch m.Type {
 	case TypeRegister:
 		if m.Container == "" {
@@ -307,6 +319,34 @@ func ErrFromCode(code string) error {
 	default:
 		return nil
 	}
+}
+
+// Refusal is the error a refused one-way request surfaces as. Nobody
+// waited for that request's reply, so the refusal comes back out of a
+// later call on the same connection; callers tell it from a transport
+// failure with errors.As, and from other refusals with errors.Is on the
+// sentinel its wire code stands for.
+type Refusal struct {
+	Text string // "<verb> refused: <the scheduler's error>"
+	Code string // machine-readable code, may be empty
+}
+
+// NewRefusal builds the refusal of a verb from the scheduler's error
+// response to it.
+func NewRefusal(verb Type, resp *Message) *Refusal {
+	return &Refusal{Text: string(verb) + " refused: " + resp.Error, Code: resp.Code}
+}
+
+func (r *Refusal) Error() string { return r.Text }
+
+// Unwrap exposes the sentinel for the refusal's code, if it has one.
+func (r *Refusal) Unwrap() error { return ErrFromCode(r.Code) }
+
+// IsRefusal reports whether err is, or wraps, a one-way request's
+// refusal — the scheduler answered — rather than a transport failure.
+func IsRefusal(err error) bool {
+	var r *Refusal
+	return errors.As(err, &r)
 }
 
 // Response constructs a success response to req, carrying no payload.

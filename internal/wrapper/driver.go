@@ -21,8 +21,6 @@ type DriverModule struct {
 	sched Caller
 	pid   int
 
-	reports sync.WaitGroup
-
 	mu       sync.Mutex
 	reported bool // context teardown already reported
 }
@@ -66,7 +64,6 @@ func (m *DriverModule) CtxDestroy() error {
 	if err != nil {
 		return err
 	}
-	m.reports.Wait()
 	m.mu.Lock()
 	already := m.reported
 	m.reported = true
@@ -105,32 +102,27 @@ func (m *DriverModule) MemAlloc(size bytesize.Size) (cuda.DevPtr, error) {
 		}
 		return 0, err
 	}
-	if _, err := m.sched.Call(context.Background(), &protocol.Message{
+	if err := m.sched.Post(context.Background(), &protocol.Message{
 		Type: protocol.TypeConfirm, PID: m.pid, Size: int64(size), Addr: uint64(ptr),
 	}); err != nil {
-		return ptr, fmt.Errorf("wrapper: confirm: %w", err)
+		return ptr, fmt.Errorf("wrapper: %w", err)
 	}
 	return ptr, nil
 }
 
-// MemFree implements cuda.DriverAPI (intercepted, async report like
+// MemFree implements cuda.DriverAPI (intercepted, one-way report like
 // cudaFree).
 func (m *DriverModule) MemFree(ptr cuda.DevPtr) error {
 	if err := m.inner.MemFree(ptr); err != nil {
 		return err
 	}
-	m.reports.Add(1)
-	go func() {
-		defer m.reports.Done()
-		m.sched.Call(context.Background(), &protocol.Message{
-			Type: protocol.TypeFree, PID: m.pid, Addr: uint64(ptr),
-		})
-	}()
+	if err := m.sched.Post(context.Background(), &protocol.Message{
+		Type: protocol.TypeFree, PID: m.pid, Addr: uint64(ptr),
+	}); err != nil {
+		return fmt.Errorf("wrapper: %w", err)
+	}
 	return nil
 }
-
-// Flush waits for in-flight free reports (tests/benchmarks).
-func (m *DriverModule) Flush() { m.reports.Wait() }
 
 // MemGetInfo implements cuda.DriverAPI (intercepted): the virtualized
 // per-container view, answered by the scheduler.

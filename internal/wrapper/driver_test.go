@@ -78,10 +78,9 @@ func TestDriverMemFreeReports(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := r.mod.MemFree(ptr); err != nil {
+	if err := r.mod.MemFree(ptr); err != nil { // applied before it returns: the rig's transport is in-process
 		t.Fatal(err)
 	}
-	r.mod.Flush()
 	info, _ := r.st.Info(r.id)
 	if info.Used != core.DefaultContextOverhead {
 		t.Fatalf("core used after free = %v", info.Used)

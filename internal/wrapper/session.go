@@ -2,6 +2,7 @@ package wrapper
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -64,7 +65,8 @@ func (m *Module) ReplayState(ctx context.Context, c Caller) error {
 // without allocating. The returned stop function ends the loop and
 // waits for it to exit; the loop also ends with the module's context.
 // Heartbeat failures are ignored here — a broken transport surfaces on
-// the next real call, and the reconnecting transport heals itself.
+// the next real call, and the reconnecting transport heals itself. A
+// report's refusal, returned only once, is held for that call (settle).
 func (m *Module) StartHeartbeats(interval time.Duration) (stop func()) {
 	ctx, cancel := context.WithCancel(m.ctx)
 	done := make(chan struct{})
@@ -77,10 +79,13 @@ func (m *Module) StartHeartbeats(interval time.Duration) (stop func()) {
 			case <-ctx.Done():
 				return
 			case <-t.C:
-				if resp, err := m.sched.Call(ctx, &protocol.Message{
-					Type: protocol.TypeHeartbeat, PID: m.pid,
-				}); err == nil {
+				resp, err := m.sched.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat, PID: m.pid})
+				if err == nil {
 					protocol.ReleaseMessage(resp)
+				} else if protocol.IsRefusal(err) {
+					m.mu.Lock()
+					m.held = errors.Join(m.held, err)
+					m.mu.Unlock()
 				}
 			}
 		}

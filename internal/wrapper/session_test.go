@@ -20,6 +20,10 @@ func (downCaller) Call(context.Context, *protocol.Message) (*protocol.Message, e
 	return nil, errors.New("injected transport failure")
 }
 
+func (downCaller) Post(context.Context, *protocol.Message) error {
+	return errors.New("injected transport failure")
+}
+
 // TestAllocFailsClosedWhenSchedulerUnreachable: a transport failure on
 // the allocation round trip must surface as the CUDA out-of-memory
 // error — never a locally granted allocation the scheduler doesn't know

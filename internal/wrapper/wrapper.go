@@ -20,8 +20,8 @@
 //  2. asks the GPU memory scheduler whether the size is available — the
 //     call blocks while the scheduler pauses the container;
 //  3. performs the real allocation only after a positive response, and
-//  4. reports the resulting device address back so the scheduler can
-//     track the container's usage.
+//  4. reports the resulting device address back, one-way, so the
+//     scheduler can track the container's usage.
 //
 // cudaMemGetInfo never touches the device: the scheduler already knows
 // the container's virtualized view, which is why the paper measures it
@@ -51,16 +51,17 @@ const ModuleFileName = "libgpushare.so"
 // created by the daemon next to the module copy.
 const SocketFileName = "gpushare.sock"
 
-// Caller sends one request to the GPU memory scheduler and returns its
-// response. *ipc.Client implements it over a UNIX socket; the benchmark
-// harness also provides an in-process implementation to isolate
-// transport cost.
-//
-// Ownership: the returned response belongs to the caller, which may
-// hand it back to the message pool (protocol.ReleaseMessage) once its
-// fields are consumed — implementations must not retain it.
+// Caller is the wrapper's channel to the GPU memory scheduler:
+// *ipc.Client over a UNIX socket, or the benchmark harness's in-process
+// implementation that isolates transport cost. Call's response belongs
+// to the caller, which may hand it back to the message pool
+// (protocol.ReleaseMessage); implementations must not retain it. Post
+// sends a report nobody waits on (confirm, free). Messages are applied
+// in the order sent, so a Call is a barrier for every Post before it; a
+// refused Post is the *protocol.Refusal the next Call or Post returns.
 type Caller interface {
 	Call(ctx context.Context, m *protocol.Message) (*protocol.Message, error)
+	Post(ctx context.Context, m *protocol.Message) error
 }
 
 // Module is the wrapper, bound to one process inside one container.
@@ -69,11 +70,6 @@ type Module struct {
 	sched Caller
 	pid   int
 	ctx   context.Context
-
-	// reports tracks in-flight asynchronous notifications (free
-	// reports); UnregisterFatBinary waits for them so the process-exit
-	// message never overtakes a free.
-	reports sync.WaitGroup
 
 	mu        sync.Mutex
 	propsOnce bool
@@ -90,6 +86,18 @@ type Module struct {
 	// scheduler (ReplayState) instead of silently holding unaccounted
 	// memory.
 	allocs map[cuda.DevPtr]bytesize.Size
+	held   error // a report's refusal the heartbeat loop got; see settle
+}
+
+// settle returns err or, when that call went well, the refusal the
+// heartbeat loop is holding for the next call into the module.
+func (m *Module) settle(err error) error {
+	if err == nil {
+		m.mu.Lock()
+		err, m.held = m.held, nil
+		m.mu.Unlock()
+	}
+	return err
 }
 
 // Option configures a Module.
@@ -163,7 +171,7 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 		Size: int64(adjusted),
 		API:  api,
 	})
-	if err != nil {
+	if err = m.settle(err); err != nil {
 		if cerr := m.ctx.Err(); cerr != nil {
 			if errors.Is(cerr, context.DeadlineExceeded) {
 				// The caller bounded the wait and the scheduler never
@@ -171,6 +179,12 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 				return 0, fmt.Errorf("wrapper: %w (%v)", errs.ErrSuspendedTimeout, err)
 			}
 			return 0, fmt.Errorf("wrapper: process terminated while allocation was suspended: %w", err)
+		}
+		if protocol.IsRefusal(err) {
+			// An earlier confirm was refused: the scheduler's view diverged
+			// (a middleware bug), so the call that learns of it fails loudly;
+			// what it was granted stays charged until procexit.
+			return 0, fmt.Errorf("wrapper: %w: %w", err, cuda.ErrorMemoryAllocation)
 		}
 		// Fail closed: no reachable scheduler means no grant. The user
 		// program sees the failure an exhausted GPU would produce — never
@@ -210,21 +224,13 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 	m.mu.Lock()
 	m.allocs[ptr] = adjusted
 	m.mu.Unlock()
-	resp, err = m.sched.Call(m.ctx, &protocol.Message{
+	// The allocation succeeded, so the pointer is returned either way; an
+	// error is the transport's or a refusal (on JSON, of this confirm).
+	if err := m.settle(m.sched.Post(m.ctx, &protocol.Message{
 		Type: protocol.TypeConfirm, PID: m.pid, Size: int64(adjusted), Addr: uint64(ptr),
-	})
-	if err != nil {
-		return ptr, fmt.Errorf("wrapper: confirm: %w", err)
+	})); err != nil {
+		return ptr, fmt.Errorf("wrapper: %w", err)
 	}
-	if !resp.OK {
-		// The allocation itself succeeded; a refused confirm means the
-		// scheduler's view diverged (a middleware bug, not a user-program
-		// condition), so it must be loud.
-		cerr := fmt.Errorf("wrapper: confirm refused: %s", resp.Error)
-		protocol.ReleaseMessage(resp)
-		return ptr, cerr
-	}
-	protocol.ReleaseMessage(resp)
 	return ptr, nil
 }
 
@@ -306,7 +312,9 @@ func (m *Module) Malloc3D(extent cuda.Extent) (cuda.PitchedPtr, error) {
 // fire-and-forget — the user program "will get the result of
 // deallocation from the wrapper module" (paper §III-C) without waiting
 // for the scheduler, which is why the paper's cudaFree response time
-// with ConVGPU (0.032 ms) is below even the raw allocation cost.
+// with ConVGPU (0.032 ms) is below even the raw allocation cost. It is
+// written at once: suspended allocations wait on it. An error means the
+// report did not go out, or an earlier one was refused; the memory is free.
 func (m *Module) Free(ptr cuda.DevPtr) error {
 	if err := m.inner.Free(ptr); err != nil {
 		return err
@@ -314,23 +322,25 @@ func (m *Module) Free(ptr cuda.DevPtr) error {
 	m.mu.Lock()
 	delete(m.allocs, ptr)
 	m.mu.Unlock()
-	m.reports.Add(1)
-	go func() {
-		defer m.reports.Done()
-		resp, err := m.sched.Call(m.ctx, &protocol.Message{
-			Type: protocol.TypeFree, PID: m.pid, Addr: uint64(ptr),
-		})
-		if err == nil {
-			protocol.ReleaseMessage(resp)
-		}
-	}()
+	if err := m.settle(m.sched.Post(m.ctx, &protocol.Message{
+		Type: protocol.TypeFree, PID: m.pid, Addr: uint64(ptr),
+	})); err != nil {
+		return fmt.Errorf("wrapper: %w", err)
+	}
 	return nil
 }
 
-// Flush blocks until every in-flight asynchronous report has been
-// acknowledged by the scheduler. Tests and benchmarks use it to observe
-// a settled scheduler state.
-func (m *Module) Flush() { m.reports.Wait() }
+// Flush is a barrier: one round trip, back once the scheduler has
+// applied every report sent before it, with a refusal if there was one.
+// Tests and benchmarks use it to observe a settled scheduler state.
+func (m *Module) Flush() error {
+	resp, err := m.sched.Call(m.ctx, &protocol.Message{Type: protocol.TypeHeartbeat, PID: m.pid})
+	if err = m.settle(err); err != nil {
+		return fmt.Errorf("wrapper: flush: %w", err)
+	}
+	protocol.ReleaseMessage(resp) // the acknowledgement carries nothing
+	return nil
+}
 
 // MemGetInfo implements cuda.API (intercepted): answered entirely from
 // the scheduler's per-container accounting; the original CUDA API is
@@ -339,17 +349,14 @@ func (m *Module) MemGetInfo() (free, total bytesize.Size, err error) {
 	resp, err := m.sched.Call(m.ctx, &protocol.Message{
 		Type: protocol.TypeMemInfo, PID: m.pid,
 	})
-	if err != nil {
+	if err = m.settle(err); err != nil {
 		return 0, 0, fmt.Errorf("wrapper: meminfo: %w", err)
 	}
+	defer protocol.ReleaseMessage(resp)
 	if !resp.OK {
-		merr := fmt.Errorf("wrapper: meminfo: %s", resp.Error)
-		protocol.ReleaseMessage(resp)
-		return 0, 0, merr
+		return 0, 0, fmt.Errorf("wrapper: meminfo: %s", resp.Error)
 	}
-	free, total = bytesize.Size(resp.Free), bytesize.Size(resp.Total)
-	protocol.ReleaseMessage(resp)
-	return free, total, nil
+	return bytesize.Size(resp.Free), bytesize.Size(resp.Total), nil
 }
 
 // GetDeviceProperties implements cuda.API (pass-through, but cached so
@@ -384,22 +391,16 @@ func (m *Module) UnregisterFatBinary() error {
 		return nil
 	}
 	m.exited = true
-	m.mu.Unlock()
-	// Drain async reports first: the exit message must not overtake a
-	// free still in flight.
-	m.reports.Wait()
-	m.mu.Lock()
 	m.allocs = make(map[cuda.DevPtr]bytesize.Size)
 	m.mu.Unlock()
 	err := m.inner.UnregisterFatBinary()
-	if resp, serr := m.sched.Call(m.ctx, &protocol.Message{
-		Type: protocol.TypeProcExit, PID: m.pid,
-	}); serr != nil {
-		if err == nil {
-			err = fmt.Errorf("wrapper: report procexit: %w", serr)
-		}
-	} else {
+	// The exit message cannot overtake a free: both travel on one
+	// connection, which the scheduler reads in order.
+	resp, serr := m.sched.Call(m.ctx, &protocol.Message{Type: protocol.TypeProcExit, PID: m.pid})
+	if serr = m.settle(serr); serr == nil {
 		protocol.ReleaseMessage(resp)
+	} else if err == nil {
+		err = fmt.Errorf("wrapper: report procexit: %w", serr)
 	}
 	return err
 }

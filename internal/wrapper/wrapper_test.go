@@ -6,7 +6,9 @@ import (
 	"errors"
 	"net"
 	"path/filepath"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -47,6 +49,13 @@ func (s *spyCaller) Call(ctx context.Context, m *protocol.Message) (*protocol.Me
 	s.sent = append(s.sent, *m)
 	s.mu.Unlock()
 	return s.inner.Call(ctx, m)
+}
+
+func (s *spyCaller) Post(ctx context.Context, m *protocol.Message) error {
+	s.mu.Lock()
+	s.sent = append(s.sent, *m)
+	s.mu.Unlock()
+	return s.inner.Post(ctx, m)
 }
 
 func (s *spyCaller) byType(t protocol.Type) []protocol.Message {
@@ -486,5 +495,143 @@ func TestSuspensionBlocksMallocUntilResume(t *testing.T) {
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// divergedScheduler grants every allocation and then refuses to account
+// for some of them: a confirm of exactly badSize bytes is answered "not
+// charged", the way a scheduler whose view has diverged answers. It
+// counts the process exits it is told of and the heartbeats.
+type divergedScheduler struct {
+	badSize    int64
+	procexits  atomic.Int64
+	heartbeats atomic.Int64
+}
+
+func (h *divergedScheduler) Handle(_ *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
+	m := protocol.AcquireMessage()
+	switch {
+	case msg.Type == protocol.TypeConfirm && msg.Size == h.badSize:
+		m.Error, m.Code = "core: allocation was never charged", protocol.CodeUnavailable
+	case msg.Type == protocol.TypeAlloc:
+		m.OK, m.Decision = true, protocol.DecisionAccept
+	case msg.Type == protocol.TypeProcExit:
+		h.procexits.Add(1)
+		m.OK = true
+	case msg.Type == protocol.TypeHeartbeat:
+		h.heartbeats.Add(1)
+		m.OK = true
+	default:
+		m.OK = true
+	}
+	respond(m)
+}
+
+func (*divergedScheduler) Closed(*ipc.ServerConn) {}
+
+// TestRefusedConfirmFailsNextCall: the confirm is one-way, so a refused
+// one cannot fail the Malloc that sent it; it fails the very next call
+// into the wrapper instead — whichever call that is — loudly, with the
+// text a refused confirm always had and the sentinel of the scheduler's
+// code, once. Nothing is left on the device by a Malloc that failed
+// this way. The call that carries the refusal back is still sent: the
+// scheduler hears of the process's exit exactly once, whether the
+// refusal was waiting when UnregisterFatBinary started or not.
+func TestRefusedConfirmFailsNextCall(t *testing.T) {
+	next := map[string]func(*Module) error{
+		"Malloc":              func(m *Module) error { _, err := m.Malloc(mib(1)); return err },
+		"MallocPitch":         func(m *Module) error { _, _, err := m.MallocPitch(100, 10); return err },
+		"MemGetInfo":          func(m *Module) error { _, _, err := m.MemGetInfo(); return err },
+		"Flush":               (*Module).Flush,
+		"UnregisterFatBinary": (*Module).UnregisterFatBinary,
+	}
+	for name, call := range next {
+		t.Run(name, func(t *testing.T) {
+			sched := &divergedScheduler{badSize: int64(mib(3))}
+			srv, err := ipc.Listen(filepath.Join(t.TempDir(), "s.sock"), sched)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer srv.Close()
+			cli, err := ipc.DialNegotiated(context.Background(), srv.Addr())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer cli.Close()
+			if !cli.BinaryNegotiated() {
+				t.Fatal("no binary codec: confirms would not be one-way")
+			}
+			dev := gpu.New(gpu.K20m())
+			mod := New(cuda.NewRuntime(dev, 7), cli, 7)
+			if _, err := mod.Malloc(mib(2)); err != nil {
+				t.Fatal(err)
+			}
+			used := dev.Used()
+			ptr, err := mod.Malloc(mib(3))
+			if ptr == 0 {
+				t.Fatalf("Malloc whose confirm is refused returned no pointer (%v): the device allocation succeeded", err)
+			}
+			if err == nil { // unless the refusal was back before Malloc returned
+				time.Sleep(2 * time.Millisecond) // let it arrive: the next call finds it waiting
+				err = call(mod)
+			}
+			if err == nil || !strings.Contains(err.Error(), "wrapper: ") ||
+				!strings.Contains(err.Error(), "confirm refused: core: allocation was never charged") {
+				t.Fatalf("%s after a refused confirm = %v, want it to fail on the refusal", name, err)
+			}
+			if !errors.Is(err, errs.ErrDaemonUnavailable) {
+				t.Errorf("refusal %v does not match its code's sentinel", err)
+			}
+			if got := dev.Used() - used; got != mib(3) && name != "UnregisterFatBinary" {
+				t.Errorf("device holds %v beyond the first allocation, want only the 3 MiB one", got)
+			}
+			if name != "UnregisterFatBinary" {
+				if _, _, err := mod.MemGetInfo(); err != nil {
+					t.Errorf("the refusal failed a second call: %v", err)
+				}
+			}
+			if err := mod.UnregisterFatBinary(); err != nil { // a no-op if it was the next call
+				t.Errorf("UnregisterFatBinary: %v", err)
+			}
+			if got := sched.procexits.Load(); got != 1 {
+				t.Errorf("scheduler was told of %d process exits, want 1", got)
+			}
+		})
+	}
+}
+
+// TestHeartbeatKeepsRefusal: the heartbeat loop makes calls of its own,
+// so a confirm's refusal may come back to it instead of to the program.
+// It is not lost there: the next call into the module returns it, once.
+func TestHeartbeatKeepsRefusal(t *testing.T) {
+	sched := &divergedScheduler{badSize: int64(mib(3))}
+	srv, err := ipc.Listen(filepath.Join(t.TempDir(), "s.sock"), sched)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := ipc.DialNegotiated(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	mod := New(cuda.NewRuntime(gpu.New(gpu.K20m()), 7), cli, 7)
+	if _, err := mod.Malloc(mib(3)); err != nil {
+		t.Skipf("the refusal was back before Malloc returned (%v): nothing left for a heartbeat to find", err)
+	}
+	stop := mod.StartHeartbeats(time.Millisecond)
+	for deadline := time.Now().Add(5 * time.Second); sched.heartbeats.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("heartbeats never flowed")
+		}
+	}
+	stop()
+	_, _, err = mod.MemGetInfo()
+	if err == nil || !strings.Contains(err.Error(), "confirm refused: core: allocation was never charged") ||
+		!errors.Is(err, errs.ErrDaemonUnavailable) {
+		t.Fatalf("call after a heartbeat took the refusal = %v, want the refusal", err)
+	}
+	if _, _, err := mod.MemGetInfo(); err != nil {
+		t.Errorf("the refusal came back twice: %v", err)
 	}
 }

@@ -57,14 +57,16 @@ func runOne(t *testing.T, run func(context.Context, convgpu.RunOptions) (*convgp
 
 // daemonWire sums the daemon-side wire counters: frames per codec (both
 // directions) and completed codec handshakes.
-func daemonWire(st *convgpu.Stack) (binary, json, negotiations int64) {
+func daemonWire(st *convgpu.Stack) (binaryIn, binaryOut, json, negotiations int64) {
 	for _, p := range st.Observability().Registry().Snapshot() {
 		if p.Labels["side"] != "daemon" {
 			continue
 		}
 		switch {
+		case p.Name == obs.MetricWireFrames && p.Labels["codec"] == "binary" && p.Labels["direction"] == "in":
+			binaryIn += p.Value
 		case p.Name == obs.MetricWireFrames && p.Labels["codec"] == "binary":
-			binary += p.Value
+			binaryOut += p.Value
 		case p.Name == obs.MetricWireFrames && p.Labels["codec"] == "json":
 			json += p.Value
 		case p.Name == obs.MetricWireNegotiations:
@@ -74,14 +76,15 @@ func daemonWire(st *convgpu.Stack) (binary, json, negotiations int64) {
 	return
 }
 
-// TestDataPathRidesBinary: a container's alloc/confirm/free loop — six
-// frames per Malloc+Free — travels as binary frames on the wrapper's
-// socket, and the only JSON the daemon sees is each connection's codec
-// probe and its answer. A wrapper dial that silently stayed on JSON
-// fails here, not in a latency number.
+// TestDataPathRidesBinary: a container's alloc/confirm/free loop travels
+// as binary frames on the wrapper's socket — four per Malloc+Free: the
+// alloc and its reply, the confirm and the free one-way — and the only
+// JSON the daemon sees is each connection's codec probe and its answer.
+// A wrapper dial that silently stayed on JSON, or a report that went
+// back to waiting for its reply, fails here, not in a latency number.
 func TestDataPathRidesBinary(t *testing.T) {
 	st := newStack(t)
-	bin0, json0, neg0 := daemonWire(st)
+	in0, out0, json0, neg0 := daemonWire(st)
 	if neg0 != 1 || json0 != 2 {
 		t.Fatalf("after Start: %d handshakes, %d JSON frames; want the control channel's 1 and 2", neg0, json0)
 	}
@@ -109,12 +112,15 @@ func TestDataPathRidesBinary(t *testing.T) {
 	if err := c.Wait(); err != nil {
 		t.Fatal(err)
 	}
-	bin, json, neg := daemonWire(st)
+	in, out, json, neg := daemonWire(st)
 	if neg-neg0 != 1 {
 		t.Errorf("wrapper connection handshakes = %d, want 1", neg-neg0)
 	}
-	if got := bin - bin0; got < 6*cycles {
-		t.Errorf("binary frames grew by %d over %d cycles, want >= %d", got, cycles, 6*cycles)
+	// Beyond the cycles: the control channel's register and close and
+	// the procexit at the program's end, one request and one reply each.
+	if in, out := in-in0, out-out0; in != 3*cycles+3 || out != cycles+3 {
+		t.Errorf("binary frames over %d cycles: %d in, %d out; want %d in (alloc, confirm, free) and %d out (the alloc's reply)",
+			cycles, in, out, 3*cycles+3, cycles+3)
 	}
 	if got := json - json0; got != 2*(neg-neg0) {
 		t.Errorf("JSON frames grew by %d, want only the probe and its answer (%d)", got, 2*(neg-neg0))
