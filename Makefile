@@ -5,7 +5,7 @@ GO ?= go
 
 .PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
 	bench bench-all bench-recovery bench-policy bench-load benchdiff \
-	benchdiff-policy clean model model-long policy fuzz-smoke cover \
+	benchdiff-policy bench-module clean model model-long policy fuzz-smoke cover \
 	recovery-smoke load-smoke
 
 all: build test
@@ -203,29 +203,33 @@ bench-load:
 
 # benchdiff compares the current hot-path numbers against the committed
 # BENCH_hotpath.txt baseline with the home-grown comparer (benchstat
-# itself is an external module this repo does not vendor). Informational
-# by default; pass BENCHDIFF_FAIL_OVER=25 to fail on a >25% ns/op
-# regression (generous slack for shared runners), or
-# BENCHDIFF_THRESHOLD=pct for the strict gate CI uses: ns/op past pct
-# AND any allocs/op increase at all fail the run — allocation counts
-# are deterministic, so the 0-alloc budgets get no slack.
-BENCHDIFF_FAIL_OVER ?= 0
-BENCHDIFF_THRESHOLD ?= 0
+# itself is an external module this repo does not vendor) and fails on
+# any allocs/op increase at all — allocation counts are deterministic,
+# so the 0-alloc budgets get no slack. The ns/op columns are printed for
+# reading and gate nothing: timing is judged by the repository benchmark
+# (bench/), not by one sample on a shared runner.
 benchdiff:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem -count=1 . > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
-	$(GO) run ./tools/benchdiff -fail-over $(BENCHDIFF_FAIL_OVER) -threshold $(BENCHDIFF_THRESHOLD) BENCH_hotpath.txt $$tmp; \
+	$(GO) run ./tools/benchdiff BENCH_hotpath.txt $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
 
-# benchdiff-policy is the same strict comparison against the committed
+# benchdiff-policy is the same comparison against the committed
 # BENCH_policy.txt baseline: the per-policy admit benchmarks are 0
 # allocs/op by construction, so any allocation leaking onto the tenant
-# admit path fails the gate regardless of the ns/op threshold.
+# admit path fails the gate.
 benchdiff-policy:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench 'BenchmarkPolicy' -benchmem -count=1 . > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \
-	$(GO) run ./tools/benchdiff -fail-over $(BENCHDIFF_FAIL_OVER) -threshold $(BENCHDIFF_THRESHOLD) BENCH_policy.txt $$tmp; \
+	$(GO) run ./tools/benchdiff BENCH_policy.txt $$tmp; \
 	status=$$?; rm -f $$tmp; exit $$status
+
+# bench-module builds and tests the repository benchmark. bench/ is a Go
+# module of its own (replace convgpu => ../), so `go build ./...` and
+# `go test ./...` at the root never compile it: this is the gate that
+# notices when a change here breaks an exported signature it calls.
+bench-module:
+	cd bench && $(GO) build ./... && $(GO) test ./...
 
 clean:
 	rm -f BENCH_hotpath.json BENCH_hotpath.txt

@@ -10,8 +10,8 @@ import (
 )
 
 // TestStackClusterNodes drives the node failure-domain surface through
-// the facade: a multi-node stack reports membership over the control
-// socket, drain/revive steer admission, and with every node drained a
+// the facade: a multi-node stack reports membership, drain/revive steer
+// admission, and with every node drained a
 // workload fails closed with ErrDaemonUnavailable.
 func TestStackClusterNodes(t *testing.T) {
 	st := newStack(t,
@@ -45,7 +45,7 @@ func TestStackClusterNodes(t *testing.T) {
 	runOne(t, st.Run, "c2")
 
 	// Both drained: admission fails closed, and the sentinel survives the
-	// wire round trip.
+	// control socket's round trip.
 	if err := st.DrainNode(ctx, 0); err != nil {
 		t.Fatal(err)
 	}

@@ -40,15 +40,18 @@
 // one-time.
 //
 // The daemon prints the control socket path on startup and, with
-// -status, a periodic snapshot of per-container grants and usage. With
-// -http it serves the versioned admin API: GET /v1/metrics (Prometheus
-// text), /v1/stats, /v1/trace (cursor-paged JSON), /v1/dump,
-// /v1/sessions, /v1/nodes, /v1/wal and /v1/operations, plus the async
+// -status, a periodic snapshot of per-container grants and usage. The
+// control socket speaks only the paper's protocol (register, close);
+// everything an operator asks goes through the versioned admin API,
+// always served on the UNIX socket <basedir>/admin.sock (no open port,
+// only access to the path; cmd/convgpu-stats is its CLI) and, with
+// -http, on a TCP address as well: GET /v1/metrics (Prometheus text),
+// /v1/stats, /v1/trace (cursor-paged JSON), /v1/dump, /v1/sessions,
+// /v1/tenants, /v1/nodes, /v1/wal and /v1/operations, plus the async
 // mutating verbs POST /v1/nodes/{n}/drain|revive|failover and POST
 // /v1/wal/compact|snapshot, which answer 202 with an operation to poll
 // at /v1/operations/{id}; /debug/vars and /debug/pprof are served
-// beside it. The same stats/trace/dump documents are always
-// available over the control socket itself (see cmd/convgpu-stats).
+// beside it.
 package main
 
 import (
@@ -59,6 +62,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
 	"strconv"
 	"strings"
 	"syscall"
@@ -137,7 +141,7 @@ func main() {
 		status    = flag.Duration("status", 0, "print a scheduler snapshot at this interval (0 = off)")
 		rescue    = flag.Bool("fault-tolerant", false, "enable the rescue pass of the authors' prior fault-tolerance study")
 		lease     = flag.Duration("lease", 0, "reap containers silent for this long (0 = no leasing)")
-		httpAddr  = flag.String("http", "", "serve the versioned /v1 admin API (plus /debug/*) on this address (e.g. :9090; empty = off)")
+		httpAddr  = flag.String("http", "", "also serve the /v1 admin API (plus /debug/*) on this TCP address (e.g. :9090; empty = admin.sock only)")
 		traceCap  = flag.Int("trace-capacity", 0, "event-trace ring capacity (0 = default, negative = disabled)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory; when set, admissions are durable and restart recovery replays the log (empty = session.json files)")
 		fsync     = flag.String("fsync", "always", "WAL fsync policy: always | none | a duration like 50ms (group commit)")
@@ -262,23 +266,34 @@ func main() {
 			cap, algName, d.ControlSocket())
 	}
 
-	if *httpAddr != "" {
-		handler, err := admin.New(admin.Config{Daemon: d})
+	// The admin plane is always served on a UNIX socket beside the
+	// control socket, and on -http as well when asked: one handler, so
+	// request IDs, operations and the throttle are shared.
+	handler, err := admin.New(admin.Config{Daemon: d})
+	if err != nil {
+		log.Fatalf("convgpu-scheduler: admin API: %v", err)
+	}
+	srv := &http.Server{Handler: handler}
+	defer srv.Close() // closes every listener; the UNIX one unlinks its file
+	serve := func(network, addr string) net.Addr {
+		ln, err := net.Listen(network, addr)
 		if err != nil {
-			log.Fatalf("convgpu-scheduler: -http: %v", err)
+			log.Fatalf("convgpu-scheduler: admin API on %s: %v", addr, err)
 		}
-		ln, err := net.Listen("tcp", *httpAddr)
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: -http: %v", err)
-		}
-		srv := &http.Server{Handler: handler}
 		go func() {
 			if err := srv.Serve(ln); err != http.ErrServerClosed {
-				log.Printf("convgpu-scheduler: http: %v", err)
+				log.Printf("convgpu-scheduler: admin API on %s: %v", addr, err)
 			}
 		}()
-		defer srv.Close()
-		log.Printf("admin API up: http://%s/v1/metrics", ln.Addr())
+		return ln.Addr()
+	}
+	// daemon.Start took the control socket over, which proved no live
+	// daemon owns this base directory: a socket file here is a dead run's.
+	adminSock := filepath.Join(*baseDir, admin.SocketName)
+	os.Remove(adminSock)
+	log.Printf("admin API up: %s", serve("unix", adminSock))
+	if *httpAddr != "" {
+		log.Printf("admin API up: http://%s/v1/metrics", serve("tcp", *httpAddr))
 	}
 
 	stop := make(chan os.Signal, 1)

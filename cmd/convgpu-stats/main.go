@@ -1,26 +1,27 @@
-// Command convgpu-stats queries a running scheduler daemon's
-// introspection surface over its control socket: the same stats, trace
-// and dump documents the -http endpoint serves, but with no open port —
-// only access to the socket path.
+// Command convgpu-stats queries a running scheduler daemon's admin
+// plane over its UNIX socket (<basedir>/admin.sock, which
+// convgpu-scheduler always serves): the same /v1 documents and verbs
+// the -http endpoint offers, but with no open port — only access to the
+// socket path.
 //
 // Usage:
 //
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock stats
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock trace [container]
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock dump
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock devices
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock sessions [after]
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock ops [id]
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock tenants
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock nodes
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock drain 0
-//	convgpu-stats -socket /var/run/convgpu/convgpu.sock revive 0
+//	convgpu-stats -socket /var/run/convgpu/admin.sock stats
+//	convgpu-stats -socket /var/run/convgpu/admin.sock trace [container]
+//	convgpu-stats -socket /var/run/convgpu/admin.sock dump
+//	convgpu-stats -socket /var/run/convgpu/admin.sock devices
+//	convgpu-stats -socket /var/run/convgpu/admin.sock sessions [after]
+//	convgpu-stats -socket /var/run/convgpu/admin.sock ops [id]
+//	convgpu-stats -socket /var/run/convgpu/admin.sock tenants
+//	convgpu-stats -socket /var/run/convgpu/admin.sock nodes
+//	convgpu-stats -socket /var/run/convgpu/admin.sock drain 0
+//	convgpu-stats -socket /var/run/convgpu/admin.sock revive 0
 //	convgpu-stats load [BENCH_load.json]
 //
-// The trace query follows the daemon's page cursor until the ring is
-// exhausted, so a trace larger than one IPC frame is printed whole.
-// The sessions query pages the registered-session listing (pass the
-// last container ID printed to continue); ops lists the admin plane's
+// The trace query follows /v1/trace's page cursor until the ring is
+// exhausted, so a trace larger than one page is printed whole. The
+// sessions query pages the registered-session listing (pass the last
+// container ID printed to continue); ops lists the admin plane's
 // retained operations, or polls one by ID.
 //
 // The tenants query renders the per-tenant usage rollup — one row per
@@ -34,8 +35,10 @@
 // row per node with its state, free memory and failover count — and
 // drain / revive are the admin verbs of that view: drain makes a node
 // refuse new containers while existing ones complete, revive returns a
-// drained or down node to service. All three require the daemon to run
-// the cluster tier (convgpu-scheduler -nodes).
+// drained or down node to service. Both are submitted as operations
+// (they show up under ops and in the trace, with their request ID) and
+// polled to completion inside -timeout. All three require the daemon to
+// run the cluster tier (convgpu-scheduler -nodes).
 //
 // The load query is local, not a daemon round trip: it reads the
 // BENCH_load.json artifact `make bench-load` wrote (default name, or an
@@ -44,158 +47,243 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
+	"net"
+	"net/http"
+	"net/url"
 	"os"
 	"strconv"
 	"time"
 
+	"convgpu/internal/admin"
+	"convgpu/internal/asyncop"
 	"convgpu/internal/bytesize"
-	"convgpu/internal/ipc"
+	"convgpu/internal/core"
+	"convgpu/internal/daemon"
 	"convgpu/internal/load"
-	"convgpu/internal/protocol"
+	"convgpu/internal/obs"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs as parameters; it returns the
+// exit status.
+func run(args []string, stdout, stderr io.Writer) int {
+	flags := flag.NewFlagSet("convgpu-stats", flag.ContinueOnError)
+	flags.SetOutput(stderr)
 	var (
-		socket  = flag.String("socket", "", "scheduler control socket path (required)")
-		timeout = flag.Duration("timeout", 5*time.Second, "round-trip deadline")
-		limit   = flag.Int("limit", 0, "max trace events to return (0 = server default)")
+		socket  = flags.String("socket", "", "scheduler admin socket path, <basedir>/"+admin.SocketName+" (required)")
+		timeout = flags.Duration("timeout", 5*time.Second, "deadline for the whole query")
+		limit   = flags.Int("limit", 0, "max trace events or sessions per page (0 = server default)")
 	)
-	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(),
+	flags.Usage = func() {
+		fmt.Fprintf(stderr,
 			"usage: convgpu-stats -socket PATH {stats | trace [container] | dump | devices | sessions [after] | ops [id] | tenants | nodes | drain NODE | revive NODE}\n"+
 				"       convgpu-stats load [BENCH_load.json]\n")
-		flag.PrintDefaults()
+		flags.PrintDefaults()
 	}
-	flag.Parse()
-	if flag.NArg() >= 1 && flag.Arg(0) == "load" {
-		if err := printLoad(flag.Arg(1)); err != nil {
-			fmt.Fprintf(os.Stderr, "convgpu-stats: load: %v\n", err)
-			os.Exit(1)
+	if err := flags.Parse(args); err != nil {
+		return 2
+	}
+	query, arg := flags.Arg(0), flags.Arg(1)
+	if query == "load" {
+		if err := printLoad(stdout, arg); err != nil {
+			fmt.Fprintf(stderr, "convgpu-stats: load: %v\n", err)
+			return 1
 		}
-		return
+		return 0
 	}
-	if *socket == "" || flag.NArg() < 1 {
-		flag.Usage()
-		os.Exit(2)
+	if *socket == "" || query == "" {
+		flags.Usage()
+		return 2
 	}
-
-	var typ protocol.Type
-	var container string
-	var node int
-	var renderDevices, renderNodes, renderTenants bool
-	switch flag.Arg(0) {
-	case "stats":
-		typ = protocol.TypeStats
-	case "trace":
-		typ = protocol.TypeTrace
-		container = flag.Arg(1)
-	case "dump":
-		typ = protocol.TypeDump
-	case "devices":
-		typ = protocol.TypeDump
-		renderDevices = true
-	case "sessions":
-		typ = protocol.TypeSessions
-		container = flag.Arg(1) // page cursor: last container ID seen
-	case "ops":
-		typ = protocol.TypeOps
-		container = flag.Arg(1) // operation ID; empty lists all
-	case "tenants":
-		typ = protocol.TypeTenants
-		renderTenants = true
-	case "nodes":
-		typ = protocol.TypeNodes
-		renderNodes = true
-	case "drain", "revive":
-		typ = protocol.TypeDrain
-		if flag.Arg(0) == "revive" {
-			typ = protocol.TypeRevive
-		}
-		n, err := strconv.Atoi(flag.Arg(1))
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "convgpu-stats: %s needs a node index, got %q\n", flag.Arg(0), flag.Arg(1))
-			os.Exit(2)
-		}
-		node = n
-	default:
-		fmt.Fprintf(os.Stderr, "convgpu-stats: unknown query %q\n", flag.Arg(0))
-		flag.Usage()
-		os.Exit(2)
-	}
-
-	cli, err := ipc.Dial(*socket)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "convgpu-stats: %v\n", err)
-		os.Exit(1)
-	}
-	defer cli.Close()
 
 	ctx, cancel := context.WithTimeout(context.Background(), *timeout)
 	defer cancel()
-	if typ == protocol.TypeTrace {
-		if err := dumpTrace(ctx, cli, container, *limit); err != nil {
-			fmt.Fprintf(os.Stderr, "convgpu-stats: trace: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	tr := &http.Transport{DialContext: func(ctx context.Context, _, _ string) (net.Conn, error) {
+		var d net.Dialer
+		return d.DialContext(ctx, "unix", *socket)
+	}}
+	defer tr.CloseIdleConnections()
+	c := &client{ctx: ctx, http: &http.Client{Transport: tr}}
+	page := url.Values{}
+	if *limit > 0 {
+		page.Set("limit", strconv.Itoa(*limit))
 	}
-	resp, err := cli.Call(ctx, &protocol.Message{
-		Type:      typ,
-		Container: container,
-		Device:    node,
-		Size:      int64(*limit),
-	})
+
+	var err error
+	switch query {
+	case "stats":
+		err = c.printJSON(stdout, "/v1/stats")
+	case "trace":
+		err = c.printTrace(stdout, arg, page)
+	case "dump":
+		err = c.printJSON(stdout, "/v1/dump?"+page.Encode())
+	case "devices":
+		var d daemon.Dump
+		if err = c.get("/v1/dump", &d); err == nil {
+			printDevices(stdout, d)
+		}
+	case "sessions":
+		page.Set("after", arg) // page cursor: last container ID seen
+		err = c.printJSON(stdout, "/v1/sessions?"+page.Encode())
+	case "ops":
+		path := "/v1/operations"
+		if arg != "" {
+			path += "/" + url.PathEscape(arg)
+		}
+		err = c.printJSON(stdout, path)
+	case "tenants":
+		var tenants []core.TenantUsage
+		if err = c.get("/v1/tenants", &tenants); err == nil {
+			printTenants(stdout, tenants)
+		}
+	case "nodes":
+		var nodes []core.NodeStatus
+		if err = c.get("/v1/nodes", &nodes); err == nil {
+			printNodes(stdout, nodes)
+		}
+	case "drain", "revive":
+		node, aerr := strconv.Atoi(arg)
+		if aerr != nil {
+			fmt.Fprintf(stderr, "convgpu-stats: %s needs a node index, got %q\n", query, arg)
+			return 2
+		}
+		if err = c.nodeVerb(node, query); err == nil {
+			fmt.Fprintf(stdout, "node %d: %s acknowledged\n", node, query)
+		}
+	default:
+		fmt.Fprintf(stderr, "convgpu-stats: unknown query %q\n", query)
+		flags.Usage()
+		return 2
+	}
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "convgpu-stats: %s: %v\n", typ, err)
-		os.Exit(1)
+		fmt.Fprintf(stderr, "convgpu-stats: %s: %v\n", query, err)
+		return 1
 	}
-	if !resp.OK {
-		fmt.Fprintf(os.Stderr, "convgpu-stats: %s: %s\n", typ, resp.Error)
-		os.Exit(1)
-	}
-	switch typ {
-	case protocol.TypeDrain, protocol.TypeRevive:
-		fmt.Printf("node %d: %s acknowledged\n", node, flag.Arg(0))
-		return
-	}
-	if renderDevices {
-		if err := printDevices([]byte(resp.Data)); err != nil {
-			fmt.Fprintf(os.Stderr, "convgpu-stats: devices: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if renderNodes {
-		if err := printNodes([]byte(resp.Data)); err != nil {
-			fmt.Fprintf(os.Stderr, "convgpu-stats: nodes: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if renderTenants {
-		if err := printTenants([]byte(resp.Data)); err != nil {
-			fmt.Fprintf(os.Stderr, "convgpu-stats: tenants: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-	var pretty json.RawMessage = []byte(resp.Data)
-	out, err := json.MarshalIndent(pretty, "", "  ")
+	return 0
+}
+
+// client speaks /v1 to the daemon's admin socket; ctx carries -timeout
+// across every request of one query.
+type client struct {
+	ctx  context.Context
+	http *http.Client
+}
+
+// do performs one request and returns the response body. A non-2xx
+// answer comes back as the error envelope's "code: error (request_id)".
+func (c *client) do(method, path string) ([]byte, error) {
+	req, err := http.NewRequestWithContext(c.ctx, method, "http://convgpu"+path, nil)
 	if err != nil {
-		// Not JSON after all: print the payload as-is.
-		fmt.Println(resp.Data)
-		return
+		return nil, err
 	}
-	os.Stdout.Write(append(out, '\n'))
+	resp, err := c.http.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		var e admin.ErrorBody
+		if json.Unmarshal(body, &e) != nil || e.Error == "" {
+			return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
+		}
+		if e.Code != "" {
+			e.Error = e.Code + ": " + e.Error
+		}
+		return nil, fmt.Errorf("%s (%s)", e.Error, e.RequestID)
+	}
+	return body, nil
+}
+
+// get fetches one document into v.
+func (c *client) get(path string, v any) error {
+	body, err := c.do(http.MethodGet, path)
+	if err != nil {
+		return err
+	}
+	return json.Unmarshal(body, v)
+}
+
+// printJSON fetches one document and prints it indented.
+func (c *client) printJSON(w io.Writer, path string) error {
+	body, err := c.do(http.MethodGet, path)
+	if err != nil {
+		return err
+	}
+	return writeIndented(w, json.RawMessage(body))
+}
+
+// writeIndented prints v as JSON indented by two spaces.
+func writeIndented(w io.Writer, v any) error {
+	out, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	_, err = w.Write(append(out, '\n'))
+	return err
+}
+
+// nodeVerb submits drain or revive for one node and polls the operation
+// it becomes until it has completed or failed.
+func (c *client) nodeVerb(node int, verb string) error {
+	body, err := c.do(http.MethodPost, fmt.Sprintf("/v1/nodes/%d/%s", node, verb))
+	if err != nil {
+		return err
+	}
+	var op asyncop.Operation
+	if err := json.Unmarshal(body, &op); err != nil {
+		return err
+	}
+	for op.Status != asyncop.StatusCompleted && op.Status != asyncop.StatusFailed {
+		select {
+		case <-c.ctx.Done():
+			return fmt.Errorf("operation %s still %s: %w", op.ID, op.Status, c.ctx.Err())
+		case <-time.After(20 * time.Millisecond):
+		}
+		if err := c.get("/v1/operations/"+url.PathEscape(op.ID), &op); err != nil {
+			return err
+		}
+	}
+	if op.Status == asyncop.StatusFailed {
+		return fmt.Errorf("%s (%s)", op.Error, op.RequestID)
+	}
+	return nil
+}
+
+// printTrace retrieves the whole retained trace by following /v1/trace's
+// page cursor and prints the merged dump.
+func (c *client) printTrace(w io.Writer, container string, page url.Values) error {
+	page.Set("container", container)
+	var merged obs.TraceDump
+	for {
+		var p obs.TraceDump
+		if err := c.get("/v1/trace?"+page.Encode(), &p); err != nil {
+			return err
+		}
+		p.Events = append(merged.Events, p.Events...)
+		merged = p
+		if !p.More || p.NextAfter == 0 {
+			break
+		}
+		page.Set("after", strconv.FormatUint(p.NextAfter, 10))
+	}
+	merged.NextAfter, merged.More = 0, false
+	return writeIndented(w, merged)
 }
 
 // printLoad renders the load harness artifact's tails and curves as
 // tables, reusing the report's own metrics.Table rendering.
-func printLoad(path string) error {
+func printLoad(w io.Writer, path string) error {
 	if path == "" {
 		path = "BENCH_load.json"
 	}
@@ -207,81 +295,27 @@ func printLoad(path string) error {
 	if err != nil {
 		return err
 	}
-	return rep.Render(os.Stdout)
-}
-
-// devicesDump mirrors the daemon's dump payload fields the devices
-// table needs; unknown fields are ignored.
-type devicesDump struct {
-	Algorithm string `json:"algorithm"`
-	Devices   []struct {
-		Index      int   `json:"index"`
-		Capacity   int64 `json:"capacity"`
-		PoolFree   int64 `json:"pool_free"`
-		Containers int   `json:"containers"`
-	} `json:"devices"`
-	Containers []struct {
-		ID        string `json:"id"`
-		Device    int    `json:"device"`
-		Limit     int64  `json:"limit"`
-		Grant     int64  `json:"grant"`
-		Used      int64  `json:"used"`
-		Suspended bool   `json:"suspended"`
-	} `json:"containers"`
-}
-
-// nodeStatus mirrors the daemon's nodes payload (core.NodeStatus).
-type nodeStatus struct {
-	Index      int    `json:"index"`
-	Name       string `json:"name"`
-	State      string `json:"state"`
-	Containers int    `json:"containers"`
-	Capacity   int64  `json:"capacity"`
-	Free       int64  `json:"free"`
-	Failovers  uint64 `json:"failovers"`
+	return rep.Render(w)
 }
 
 // printNodes renders the cluster membership view as a table.
-func printNodes(data []byte) error {
-	var nodes []nodeStatus
-	if err := json.Unmarshal(data, &nodes); err != nil {
-		return err
-	}
-	fmt.Printf("%-6s %-12s %-10s %-12s %-12s %-12s %s\n",
+func printNodes(w io.Writer, nodes []core.NodeStatus) {
+	fmt.Fprintf(w, "%-6s %-12s %-10s %-12s %-12s %-12s %s\n",
 		"NODE", "NAME", "STATE", "CAPACITY", "FREE", "CONTAINERS", "FAILOVERS")
 	for _, n := range nodes {
-		fmt.Printf("%-6d %-12s %-10s %-12v %-12v %-12d %d\n",
-			n.Index, n.Name, n.State, bytesize.Size(n.Capacity), bytesize.Size(n.Free), n.Containers, n.Failovers)
+		fmt.Fprintf(w, "%-6d %-12s %-10s %-12v %-12v %-12d %d\n",
+			n.Index, n.Name, n.State, n.Capacity, n.Free, n.Containers, n.Failovers)
 	}
-	return nil
-}
-
-// tenantUsage mirrors the daemon's tenants payload (core.TenantUsage).
-type tenantUsage struct {
-	Name       string `json:"name"`
-	Weight     int    `json:"weight"`
-	Priority   int    `json:"priority"`
-	Quota      int64  `json:"quota"`
-	Guarantee  int64  `json:"guarantee"`
-	Containers int    `json:"containers"`
-	Suspended  int    `json:"suspended"`
-	Grant      int64  `json:"grant"`
-	Used       int64  `json:"used"`
-	Pending    int    `json:"pending"`
 }
 
 // printTenants renders the per-tenant usage rollup as a table. Weight 0
 // reads as the fair-share default (1); quota/guarantee 0 mean none.
-func printTenants(data []byte) error {
-	var tenants []tenantUsage
-	if err := json.Unmarshal(data, &tenants); err != nil {
-		return err
-	}
+func printTenants(w io.Writer, tenants []core.TenantUsage) {
 	if len(tenants) == 0 {
-		fmt.Println("no named tenants registered")
-		return nil
+		fmt.Fprintln(w, "no named tenants registered")
+		return
 	}
-	fmt.Printf("%-16s %-7s %-5s %-10s %-10s %-11s %-10s %-10s %-10s %s\n",
+	fmt.Fprintf(w, "%-16s %-7s %-5s %-10s %-10s %-11s %-10s %-10s %-10s %s\n",
 		"TENANT", "WEIGHT", "PRIO", "QUOTA", "GUARANTEE", "CONTAINERS", "SUSPENDED", "GRANT", "USED", "PENDING")
 	for _, t := range tenants {
 		weight := t.Weight
@@ -290,104 +324,36 @@ func printTenants(data []byte) error {
 		}
 		quota, guarantee := "-", "-"
 		if t.Quota > 0 {
-			quota = bytesize.Size(t.Quota).String()
+			quota = t.Quota.String()
 		}
 		if t.Guarantee > 0 {
-			guarantee = bytesize.Size(t.Guarantee).String()
+			guarantee = t.Guarantee.String()
 		}
-		fmt.Printf("%-16s %-7d %-5d %-10s %-10s %-11d %-10d %-10v %-10v %d\n",
+		fmt.Fprintf(w, "%-16s %-7d %-5d %-10s %-10s %-11d %-10d %-10v %-10v %d\n",
 			t.Name, weight, t.Priority, quota, guarantee,
-			t.Containers, t.Suspended, bytesize.Size(t.Grant), bytesize.Size(t.Used), t.Pending)
+			t.Containers, t.Suspended, t.Grant, t.Used, t.Pending)
 	}
-	return nil
 }
 
 // printDevices renders the dump's per-device breakdown as a table.
-func printDevices(data []byte) error {
-	var d devicesDump
-	if err := json.Unmarshal(data, &d); err != nil {
-		return err
-	}
-	fmt.Printf("algorithm: %s, devices: %d\n", d.Algorithm, len(d.Devices))
-	fmt.Printf("%-8s %-12s %-12s %s\n", "DEVICE", "CAPACITY", "FREE", "CONTAINERS")
+func printDevices(w io.Writer, d daemon.Dump) {
+	fmt.Fprintf(w, "algorithm: %s, devices: %d\n", d.Algorithm, len(d.Devices))
+	fmt.Fprintf(w, "%-8s %-12s %-12s %s\n", "DEVICE", "CAPACITY", "FREE", "CONTAINERS")
 	for _, dev := range d.Devices {
-		fmt.Printf("%-8d %-12v %-12v %d\n",
+		fmt.Fprintf(w, "%-8d %-12v %-12v %d\n",
 			dev.Index, bytesize.Size(dev.Capacity), bytesize.Size(dev.PoolFree), dev.Containers)
 	}
 	if len(d.Containers) == 0 {
-		return nil
+		return
 	}
-	fmt.Printf("\n%-20s %-8s %-10s %-10s %-10s %s\n",
+	fmt.Fprintf(w, "\n%-20s %-8s %-10s %-10s %-10s %s\n",
 		"CONTAINER", "DEVICE", "LIMIT", "GRANT", "USED", "STATE")
 	for _, c := range d.Containers {
 		state := "running"
 		if c.Suspended {
 			state = "suspended"
 		}
-		fmt.Printf("%-20s %-8d %-10v %-10v %-10v %s\n",
+		fmt.Fprintf(w, "%-20s %-8d %-10v %-10v %-10v %s\n",
 			c.ID, c.Device, bytesize.Size(c.Limit), bytesize.Size(c.Grant), bytesize.Size(c.Used), state)
 	}
-	return nil
-}
-
-// traceDump mirrors obs.TraceDump closely enough to follow the page
-// cursor; events stay raw so the printed JSON is the daemon's own.
-type traceDump struct {
-	Capacity  int               `json:"capacity"`
-	Total     uint64            `json:"total_events"`
-	Dropped   uint64            `json:"dropped_events"`
-	Events    []json.RawMessage `json:"events"`
-	NextAfter uint64            `json:"next_after"`
-	More      bool              `json:"more"`
-}
-
-// dumpTrace retrieves the whole retained trace by following the
-// daemon's page cursor — each response is bounded to one IPC frame, so
-// a long trace arrives across several round trips — and prints the
-// merged dump.
-func dumpTrace(ctx context.Context, cli *ipc.Client, container string, limit int) error {
-	var merged traceDump
-	first := true
-	after := uint64(0)
-	for {
-		resp, err := cli.Call(ctx, &protocol.Message{
-			Type:      protocol.TypeTrace,
-			Container: container,
-			After:     after,
-			Size:      int64(limit),
-		})
-		if err != nil {
-			return err
-		}
-		if !resp.OK {
-			return fmt.Errorf("%s", resp.Error)
-		}
-		var page traceDump
-		if err := json.Unmarshal([]byte(resp.Data), &page); err != nil {
-			return err
-		}
-		if first {
-			merged = page
-			first = false
-		} else {
-			merged.Capacity, merged.Total, merged.Dropped = page.Capacity, page.Total, page.Dropped
-			merged.Events = append(merged.Events, page.Events...)
-		}
-		if !page.More || page.NextAfter == 0 {
-			break
-		}
-		after = page.NextAfter
-	}
-	merged.NextAfter, merged.More = 0, false
-	out, err := json.MarshalIndent(struct {
-		Capacity int               `json:"capacity"`
-		Total    uint64            `json:"total_events"`
-		Dropped  uint64            `json:"dropped_events"`
-		Events   []json.RawMessage `json:"events"`
-	}{merged.Capacity, merged.Total, merged.Dropped, merged.Events}, "", "  ")
-	if err != nil {
-		return err
-	}
-	os.Stdout.Write(append(out, '\n'))
-	return nil
 }

@@ -21,9 +21,10 @@
 //     nvidia-docker, volume plugin) assembled and wired, for running
 //     containerized GPU workloads in-process;
 //   - runtime observability: every Stack carries an Observability
-//     bundle (counters, latency histograms, gauges, event trace) that
-//     the live daemon also answers over the control socket (Stats,
-//     Trace, Dump) and that MetricsHandler serves over HTTP;
+//     bundle (counters, latency histograms, gauges, event trace); the
+//     getters (Stats, Trace, Dump, Sessions, Tenants, Nodes, ...) read
+//     the running daemon's documents in process, and AdminHandler
+//     serves the same documents over HTTP under /v1;
 //   - SimulateContext and Sweep: the discrete-event replay of the paper's
 //     scheduling experiments (Figures 7/8, Tables IV/V) in virtual time;
 //   - errors.Is-able sentinels (ErrRejected, ErrSuspendedTimeout,

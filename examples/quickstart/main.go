@@ -73,9 +73,9 @@ func main() {
 	fmt.Printf("container exited; scheduler pool back to %v, device holds %v\n",
 		sys.PoolFree(), sys.Device().Used())
 
-	// The stack gathered telemetry while it scheduled: ask the live
-	// daemon over its control socket (also served on HTTP via
-	// MetricsHandler, or from the CLI via cmd/convgpu-stats).
+	// The stack gathered telemetry while it scheduled: read it in
+	// process (also served over HTTP via AdminHandler; against a
+	// convgpu-scheduler daemon, cmd/convgpu-stats is the CLI).
 	counts := sys.Observability().EventCounts()
 	fmt.Printf("scheduler events: %d accepts, %d rejects\n",
 		counts["accept"], counts["reject"])

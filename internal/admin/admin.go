@@ -1,4 +1,6 @@
-// Package admin serves the daemon's versioned HTTP admin plane.
+// Package admin serves the daemon's versioned HTTP admin plane — the
+// one way the daemon's documents (stats, trace, dump, sessions, tenants,
+// nodes, operations) and admin verbs leave the process.
 //
 // Every endpoint lives under /v1. Reads answer synchronously; mutating
 // verbs (drain, revive, failover, compact, snapshot) return 202 with a
@@ -43,6 +45,11 @@ import (
 // RequestIDHeader carries the request correlation ID both ways.
 const RequestIDHeader = "X-Request-Id"
 
+// SocketName is the UNIX socket, beside the control socket in the
+// daemon's base directory, on which convgpu-scheduler always serves
+// this plane: reaching it takes access to the path, not an open port.
+const SocketName = "admin.sock"
+
 // Default throttle: enough for dashboards polling every endpoint each
 // second with headroom, small enough that a tight poll loop trips it.
 const (
@@ -50,9 +57,8 @@ const (
 	defaultBurst      = 100
 )
 
-// maxTracePage bounds one /v1/trace page. HTTP has no IPC frame limit,
-// so pages can be larger than the socket's; the bound keeps a single
-// response from serializing the entire ring at once.
+// maxTracePage bounds one /v1/trace page: it keeps a single response
+// from serializing the entire ring at once.
 const maxTracePage = 1024
 
 // Config configures the admin plane.
@@ -318,18 +324,18 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request, kind, detail st
 	h.writeJSON(w, r, http.StatusAccepted, op)
 }
 
-// errorBody is the error envelope every failing endpoint answers with.
+// ErrorBody is the error envelope every failing endpoint answers with.
 // Code reuses the wire protocol's machine codes (protocol.ErrFromCode
 // reverses it client-side); RequestID lets an operator grep the trace
 // and logs for the failing call.
-type errorBody struct {
+type ErrorBody struct {
 	Code      string `json:"code,omitempty"`
 	Error     string `json:"error"`
 	RequestID string `json:"request_id"`
 }
 
 func (h *Handler) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
-	body := errorBody{
+	body := ErrorBody{
 		Code:      protocol.CodeFor(err),
 		Error:     err.Error(),
 		RequestID: r.Header.Get(RequestIDHeader),

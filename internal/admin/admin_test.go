@@ -6,22 +6,25 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"convgpu/internal/asyncop"
 	"convgpu/internal/bytesize"
+	"convgpu/internal/cluster"
 	"convgpu/internal/core"
 	"convgpu/internal/daemon"
 	"convgpu/internal/ipc"
 	"convgpu/internal/leak"
+	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
 )
 
-// startPlane boots a daemon (optionally WAL-backed) and wraps it in an
-// admin handler with the given throttle shape.
+// startPlane boots a single-device daemon (optionally WAL-backed) and
+// wraps it in an admin handler with the given throttle shape.
 func startPlane(t *testing.T, withWAL bool, rate, burst float64) *Handler {
 	t.Helper()
 	leak.Check(t)
@@ -35,7 +38,15 @@ func startPlane(t *testing.T, withWAL bool, rate, burst float64) *Handler {
 		t.Cleanup(func() { l.Close() })
 	}
 	st := core.MustNew(core.Config{Capacity: 1000 * bytesize.MiB, ContextOverhead: 1})
-	d, err := daemon.Start(daemon.Config{BaseDir: filepath.Join(t.TempDir(), "cv"), Core: st, WAL: l})
+	return planeFor(t, daemon.Config{Core: st, WAL: l}, rate, burst)
+}
+
+// planeFor starts a daemon from cfg (in a fresh base directory) and
+// wraps it in an admin handler.
+func planeFor(t *testing.T, cfg daemon.Config, rate, burst float64) *Handler {
+	t.Helper()
+	cfg.BaseDir = filepath.Join(t.TempDir(), "cv")
+	d, err := daemon.Start(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -47,16 +58,35 @@ func startPlane(t *testing.T, withWAL bool, rate, burst float64) *Handler {
 	return h
 }
 
-// registerSessions registers n sessions over the daemon's control
-// socket — the admin plane is read-mostly, admissions still arrive over
-// IPC.
-func registerSessions(t *testing.T, h *Handler, n int) {
+// control dials the daemon's control socket — the admin plane is
+// read-mostly, admissions still arrive over IPC.
+func control(t *testing.T, h *Handler) *ipc.Client {
 	t.Helper()
 	cli, err := ipc.Dial(h.d.ControlSocket())
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer cli.Close()
+	t.Cleanup(func() { cli.Close() })
+	return cli
+}
+
+// getJSON performs one GET that must answer 200 and decodes the body.
+func getJSON(t *testing.T, h *Handler, target string, v any) {
+	t.Helper()
+	rec := do(h, "GET", target, nil)
+	if rec.Code != http.StatusOK {
+		t.Fatalf("GET %s = %d: %s", target, rec.Code, rec.Body)
+	}
+	if err := json.Unmarshal(rec.Body.Bytes(), v); err != nil {
+		t.Fatalf("GET %s: body %q: %v", target, rec.Body, err)
+	}
+}
+
+// registerSessions registers n sessions over the daemon's control
+// socket.
+func registerSessions(t *testing.T, h *Handler, n int) {
+	t.Helper()
+	cli := control(t, h)
 	for i := 0; i < n; i++ {
 		id := "s" + string(rune('a'+i))
 		resp, err := cli.Call(context.Background(), &protocol.Message{
@@ -115,6 +145,10 @@ func TestSessionsPaging(t *testing.T) {
 		}
 		for _, s := range page.Sessions {
 			got = append(got, s.Container)
+			// Live-core pages carry usage detail.
+			if s.Limit != int64(10*bytesize.MiB) || s.Grant == 0 {
+				t.Errorf("session %s = %+v", s.Container, s)
+			}
 		}
 		if !page.More {
 			break
@@ -241,12 +275,16 @@ func TestUnknownOperationEnvelope(t *testing.T) {
 	if rec.Code != http.StatusNotFound {
 		t.Fatalf("unknown operation = %d, want 404", rec.Code)
 	}
-	var e errorBody
+	var e ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}
 	if e.RequestID != "req-x" || e.Error == "" {
 		t.Errorf("envelope = %+v", e)
+	}
+	// A fresh daemon lists no operations: an empty array, not null.
+	if rec := do(h, "GET", "/v1/operations", nil); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
+		t.Errorf("operations on a fresh daemon = %d %s, want []", rec.Code, rec.Body)
 	}
 }
 
@@ -271,6 +309,11 @@ func TestDrainWithoutClusterFails(t *testing.T) {
 	if rec := do(h, "POST", "/v1/nodes/banana/drain", nil); rec.Code != http.StatusBadRequest {
 		t.Errorf("drain banana = %d, want 400", rec.Code)
 	}
+	// The membership view itself is not there to read.
+	rec = do(h, "GET", "/v1/nodes", nil)
+	if rec.Code != http.StatusNotFound || !containsAll(rec.Body.String(), "no node membership", "request_id") {
+		t.Errorf("/v1/nodes on a single-node backend = %d %s, want the 404 envelope", rec.Code, rec.Body)
+	}
 }
 
 func TestThrottle(t *testing.T) {
@@ -284,7 +327,7 @@ func TestThrottle(t *testing.T) {
 	if rec.Code != http.StatusTooManyRequests {
 		t.Fatalf("over-budget request = %d, want 429", rec.Code)
 	}
-	var e errorBody
+	var e ErrorBody
 	if err := json.Unmarshal(rec.Body.Bytes(), &e); err != nil {
 		t.Fatal(err)
 	}
@@ -307,4 +350,253 @@ func containsAll(s string, subs ...string) bool {
 		}
 	}
 	return true
+}
+
+// driveOneContainer registers c1 (400 MiB) and has pid 1 allocate
+// 100 MiB, so every document has something to show.
+func driveOneContainer(t *testing.T, h *Handler) {
+	t.Helper()
+	resp, err := control(t, h).Call(context.Background(), &protocol.Message{
+		Type: protocol.TypeRegister, Container: "c1", Limit: int64(400 * bytesize.MiB),
+	})
+	if err != nil || !resp.OK {
+		t.Fatalf("register c1: %v %+v", err, resp)
+	}
+	wcli, err := ipc.Dial(filepath.Join(resp.SocketDir, daemon.ContainerSocketName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wcli.Close()
+	areq, err := wcli.Call(context.Background(), &protocol.Message{
+		Type: protocol.TypeAlloc, PID: 1, Size: int64(100 * bytesize.MiB),
+	})
+	if err != nil || !areq.OK || areq.Decision != protocol.DecisionAccept {
+		t.Fatalf("alloc: %+v %v", areq, err)
+	}
+}
+
+// TestStatsTraceDumpRoutes pins the three introspection documents on
+// the plane that serves them: the same keys and values the control
+// socket's stats / trace / dump verbs answered with.
+func TestStatsTraceDumpRoutes(t *testing.T) {
+	h := startPlane(t, false, 0, 0)
+	driveOneContainer(t, h)
+
+	// stats: full metric snapshot, with the register+accept counted.
+	var stats obs.StatsPayload
+	getJSON(t, h, "/v1/stats", &stats)
+	if stats.Algorithm == "" || stats.AtNano == 0 || len(stats.Metrics) == 0 {
+		t.Fatalf("stats payload: %+v", stats)
+	}
+	counts := map[string]int64{}
+	for _, p := range stats.Metrics {
+		if p.Name == obs.MetricEvents {
+			counts[p.Labels["kind"]] = p.Value
+		}
+	}
+	if counts["register"] != 1 || counts["accept"] != 1 {
+		t.Fatalf("event counters: %v", counts)
+	}
+
+	// trace: c1's events in causal order.
+	var trace obs.TraceDump
+	getJSON(t, h, "/v1/trace?container=c1", &trace)
+	if len(trace.Events) < 2 || trace.Capacity == 0 || trace.Total < 2 {
+		t.Fatalf("trace: %+v", trace)
+	}
+	if trace.Events[0].Kind != "register" || trace.Events[0].CSeq != 1 {
+		t.Fatalf("first trace event: %+v", trace.Events[0])
+	}
+	// A limit shrinks the page and the cursor says there is more.
+	getJSON(t, h, "/v1/trace?limit=1", &trace)
+	if len(trace.Events) != 1 || !trace.More || trace.NextAfter != trace.Events[0].Seq {
+		t.Fatalf("limited trace page: %+v", trace)
+	}
+	if rec := do(h, "GET", "/v1/trace?after=banana", nil); rec.Code != http.StatusBadRequest {
+		t.Errorf("trace with a malformed cursor = %d, want 400", rec.Code)
+	}
+
+	// dump: identity, devices, containers, metrics and trace in one
+	// document.
+	var dump struct {
+		daemon.Dump
+		Trace obs.TraceDump `json:"trace"`
+	}
+	getJSON(t, h, "/v1/dump", &dump)
+	if dump.Algorithm == "" || dump.Capacity != int64(1000*bytesize.MiB) || dump.PoolFree != int64(600*bytesize.MiB) {
+		t.Fatalf("dump identity: %+v", dump.Dump)
+	}
+	if len(dump.Devices) != 1 || dump.Devices[0].Containers != 1 || len(dump.Containers) != 1 {
+		t.Fatalf("dump: %+v", dump.Dump)
+	}
+	if c := dump.Containers[0]; c.ID != "c1" || c.Limit != int64(400*bytesize.MiB) || c.Used == 0 {
+		t.Fatalf("dump container: %+v", c)
+	}
+	if len(dump.Trace.Events) == 0 || len(dump.Metrics) == 0 {
+		t.Fatal("dump missing trace or metrics")
+	}
+}
+
+// TestTraceRoutePages: a ring holding more than one page's worth of
+// events is retrieved whole by following next_after, and the dump's
+// trace stays a capped tail of the same ring.
+func TestTraceRoutePages(t *testing.T) {
+	h := startPlane(t, false, 0, 0)
+	tr := h.d.Obs().Tracer()
+	for i := 0; i < 2*maxTracePage+300; i++ {
+		tr.RecordAdmin(time.Now(), "test_fill", "req-fill", "filler")
+	}
+	total := tr.Len()
+	var events, pages int
+	var last uint64
+	target := "/v1/trace"
+	for {
+		var page obs.TraceDump
+		getJSON(t, h, target, &page)
+		if len(page.Events) > maxTracePage {
+			t.Fatalf("page holds %d events, over the cap %d", len(page.Events), maxTracePage)
+		}
+		for _, e := range page.Events {
+			if e.Seq <= last {
+				t.Fatalf("event seq %d after %d: pages overlap or are out of order", e.Seq, last)
+			}
+			last = e.Seq
+		}
+		events += len(page.Events)
+		pages++
+		if !page.More {
+			break
+		}
+		target = "/v1/trace?after=" + strconv.FormatUint(page.NextAfter, 10)
+	}
+	if events != total || pages != 3 {
+		t.Errorf("paged %d events in %d pages, ring holds %d (want 3 pages)", events, pages, total)
+	}
+
+	var dump struct {
+		Trace obs.TraceDump `json:"trace"`
+	}
+	getJSON(t, h, "/v1/dump", &dump)
+	if n := len(dump.Trace.Events); n != 256 || dump.Trace.Events[n-1].Seq != last {
+		t.Errorf("dump trace holds %d events ending at seq %d, want the newest 256 ending at %d", n, dump.Trace.Events[n-1].Seq, last)
+	}
+	getJSON(t, h, "/v1/dump?limit=10", &dump)
+	if len(dump.Trace.Events) != 10 {
+		t.Errorf("dump?limit=10 trace holds %d events", len(dump.Trace.Events))
+	}
+}
+
+// TestTenantsAndMetricsRoutes: the tenants rollup, and the per-tenant
+// gauge series on the first /v1/metrics scrape (and the first dump)
+// after a tenant's first container registers — no other export has run.
+func TestTenantsAndMetricsRoutes(t *testing.T) {
+	leak.Check(t)
+	st := core.MustNew(core.Config{Capacity: 1000 * bytesize.MiB, ContextOverhead: 1})
+	h := planeFor(t, daemon.Config{Core: st, Tenants: []core.Tenant{{Name: "gold", Weight: 4, Quota: 600 * bytesize.MiB}}}, 0, 0)
+
+	if rec := do(h, "GET", "/v1/tenants", nil); rec.Code != http.StatusOK || strings.TrimSpace(rec.Body.String()) != "[]" {
+		t.Fatalf("tenants before any registration = %d %s, want []", rec.Code, rec.Body)
+	}
+	resp, err := control(t, h).Call(context.Background(), &protocol.Message{
+		Type: protocol.TypeRegister, Container: "c1", Limit: int64(200 * bytesize.MiB), Tenant: "gold",
+	})
+	if err != nil || !resp.OK {
+		t.Fatalf("register under gold: %v %+v", err, resp)
+	}
+
+	rec := do(h, "GET", "/v1/metrics", nil)
+	if rec.Code != http.StatusOK || !strings.HasPrefix(rec.Header().Get("Content-Type"), "text/plain") {
+		t.Fatalf("/v1/metrics = %d %q", rec.Code, rec.Header().Get("Content-Type"))
+	}
+	for _, want := range []string{
+		obs.MetricTenantContainers + `{tenant="gold"} 1`,
+		obs.MetricTenantQuota + `{tenant="gold"} ` + strconv.FormatInt(int64(600*bytesize.MiB), 10),
+		obs.MetricEvents + `{algorithm="fifo",kind="register"} 1`,
+	} {
+		if !strings.Contains(rec.Body.String(), want) {
+			t.Errorf("first /v1/metrics scrape misses %q", want)
+		}
+	}
+
+	var tenants []core.TenantUsage
+	getJSON(t, h, "/v1/tenants", &tenants)
+	if len(tenants) != 1 || tenants[0].Name != "gold" || tenants[0].Weight != 4 || tenants[0].Containers != 1 || tenants[0].Grant != 200*bytesize.MiB {
+		t.Fatalf("tenants rollup = %+v", tenants)
+	}
+
+	// A second tenant, first seen by the dump's metrics array.
+	resp, err = control(t, h).Call(context.Background(), &protocol.Message{
+		Type: protocol.TypeRegister, Container: "c2", Limit: int64(100 * bytesize.MiB), Tenant: "adhoc",
+	})
+	if err != nil || !resp.OK {
+		t.Fatalf("register under adhoc: %v %+v", err, resp)
+	}
+	var dump daemon.Dump
+	getJSON(t, h, "/v1/dump", &dump)
+	found := false
+	for _, p := range dump.Metrics {
+		found = found || p.Name == obs.MetricTenantContainers && p.Labels["tenant"] == "adhoc" && p.Value == 1
+	}
+	if !found {
+		t.Error("first dump after adhoc registered carries no tenant gauge for it")
+	}
+
+	if rec := do(h, "GET", "/debug/vars", nil); rec.Code != http.StatusOK || !strings.Contains(rec.Body.String(), "cmdline") {
+		t.Errorf("/debug/vars = %d", rec.Code)
+	}
+}
+
+// TestNodeRoutes drives the membership view and its verbs on a 2-node
+// cluster: drain and revive complete as operations and show in
+// /v1/nodes; an unknown node index fails its operation.
+func TestNodeRoutes(t *testing.T) {
+	leak.Check(t)
+	clus, err := cluster.New(cluster.Config{
+		Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: 500 * bytesize.MiB, ContextOverhead: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := planeFor(t, daemon.Config{Core: clus}, 0, 0)
+	nodeVerb := func(target string) asyncop.Operation {
+		t.Helper()
+		rec := do(h, "POST", target, nil)
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d: %s", target, rec.Code, rec.Body)
+		}
+		var op asyncop.Operation
+		if err := json.Unmarshal(rec.Body.Bytes(), &op); err != nil {
+			t.Fatal(err)
+		}
+		return pollOperation(t, h, op.ID)
+	}
+	states := func() []string {
+		t.Helper()
+		var nodes []core.NodeStatus
+		getJSON(t, h, "/v1/nodes", &nodes)
+		if len(nodes) != 2 || nodes[0].Capacity != 500*bytesize.MiB || nodes[1].Index != 1 {
+			t.Fatalf("membership = %+v, want 2 nodes of 500 MiB", nodes)
+		}
+		return []string{nodes[0].State, nodes[1].State}
+	}
+
+	if got := states(); got[0] != "up" || got[1] != "up" {
+		t.Fatalf("initial membership = %v, want both up", got)
+	}
+	if op := nodeVerb("/v1/nodes/0/drain"); op.Status != asyncop.StatusCompleted || op.Kind != "drain" || op.Detail != "node 0" {
+		t.Fatalf("drain = %+v", op)
+	}
+	if got := states(); got[0] != "draining" || got[1] != "up" {
+		t.Fatalf("after drain: %v", got)
+	}
+	if op := nodeVerb("/v1/nodes/0/revive"); op.Status != asyncop.StatusCompleted {
+		t.Fatalf("revive = %+v", op)
+	}
+	if got := states(); got[0] != "up" {
+		t.Fatalf("after revive: %v", got)
+	}
+	// Unknown node indexes are refused, not panicked on.
+	if op := nodeVerb("/v1/nodes/9/drain"); op.Status != asyncop.StatusFailed || op.Error == "" {
+		t.Fatalf("drain of unknown node = %+v, want failed", op)
+	}
 }

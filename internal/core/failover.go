@@ -60,7 +60,7 @@ type NodeStatus struct {
 
 // Membership is the admin surface a cluster-tier scheduler exposes:
 // the daemon type-asserts its backend to it to answer the nodes /
-// drain / revive control verbs, and the facade re-exports it.
+// drain / revive admin verbs, and the facade re-exports it.
 type Membership interface {
 	// NodeStatuses reports every node's membership state.
 	NodeStatuses() []NodeStatus

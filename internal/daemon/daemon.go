@@ -65,8 +65,8 @@ type Config struct {
 	// inject a manual clock to expire leases deterministically.
 	Clock clock.Clock
 	// Obs receives the daemon's runtime telemetry (handler latency,
-	// suspend waits, lease expiries) and serves the control socket's
-	// stats/trace/dump introspection. Nil builds a default bundle —
+	// suspend waits, lease expiries) and backs the stats, trace and dump
+	// documents. Nil builds a default bundle —
 	// observability is always on; its record paths are atomic-only, so
 	// the hot path stays allocation-free either way.
 	Obs *obs.Observability
@@ -233,8 +233,6 @@ func Start(cfg Config) (*Daemon, error) {
 	} else if err := d.recoverSessions(); err != nil {
 		return nil, err
 	}
-	// The operation manager must exist before the control socket
-	// listens: an ops request can arrive the instant Listen returns.
 	d.ops = asyncop.New(2, cfg.Clock.Now)
 	ctl, err := ipc.Listen(ctlPath, controlHandler{d})
 	if err != nil {
@@ -539,8 +537,9 @@ func codedError(msg *protocol.Message, err error) *protocol.Message {
 	return protocol.CodedErrorResponse(msg, codeFor(err), "%v", err)
 }
 
-// controlHandler serves the control socket: registration, close, and
-// the stats/trace/dump introspection requests.
+// controlHandler serves the control socket's two peers (paper §III-D):
+// nvidia-docker's registration and the plugin's close signal. Everything
+// an operator asks of the daemon goes through internal/admin instead.
 type controlHandler struct{ d *Daemon }
 
 // Handle implements ipc.Handler.
@@ -566,16 +565,6 @@ func (h controlHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, resp
 			return
 		}
 		respond(resp)
-	case protocol.TypeStats, protocol.TypeTrace, protocol.TypeDump:
-		h.d.introspect(msg, respond)
-	case protocol.TypeNodes, protocol.TypeDrain, protocol.TypeRevive:
-		h.d.handleMembership(msg, respond)
-	case protocol.TypeSessions:
-		h.d.handleSessions(msg, respond)
-	case protocol.TypeOps:
-		h.d.handleOps(msg, respond)
-	case protocol.TypeTenants:
-		h.d.handleTenants(msg, respond)
 	default:
 		respond(protocol.ErrorResponse(msg, "daemon: unexpected %s on control socket", msg.Type))
 	}

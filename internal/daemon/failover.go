@@ -3,9 +3,7 @@
 // sessions in step with the migration — re-key tickets that moved,
 // answer tickets that were admitted or evicted, rewrite migrated
 // containers' session files, and invalidate evicted containers'
-// sessions through the same path restart recovery uses. It also
-// surfaces the membership admin verbs (nodes / drain / revive) on the
-// control socket.
+// sessions through the same path restart recovery uses.
 
 package daemon
 
@@ -185,40 +183,6 @@ func (d *Daemon) evictContainer(id core.ContainerID, node int) {
 	}
 	if srv != nil {
 		go srv.Close()
-	}
-}
-
-// handleMembership answers the nodes / drain / revive control verbs.
-// The node index for drain/revive travels in the request's Device
-// field.
-func (d *Daemon) handleMembership(msg *protocol.Message, respond func(*protocol.Message)) {
-	m, ok := d.membership()
-	if !ok {
-		respond(protocol.ErrorResponse(msg, "daemon: backend has no node membership (single-node scheduler)"))
-		return
-	}
-	switch msg.Type {
-	case protocol.TypeNodes:
-		data, err := json.Marshal(m.NodeStatuses())
-		if err != nil {
-			respond(protocol.ErrorResponse(msg, "daemon: encode nodes: %v", err))
-			return
-		}
-		r := protocol.Response(msg)
-		r.Data = string(data)
-		respond(r)
-	case protocol.TypeDrain:
-		if err := d.DrainNode(msg.Device); err != nil {
-			respond(codedError(msg, err))
-			return
-		}
-		respond(protocol.Response(msg))
-	case protocol.TypeRevive:
-		if err := d.ReviveNode(msg.Device); err != nil {
-			respond(codedError(msg, err))
-			return
-		}
-		respond(protocol.Response(msg))
 	}
 }
 

@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"path/filepath"
 	"testing"
@@ -40,55 +39,22 @@ func callControl(t *testing.T, ctl *ipc.Client, msg *protocol.Message) *protocol
 	return resp
 }
 
-func TestMembershipVerbsOverWire(t *testing.T) {
-	d, _ := startClusterDaemon(t)
-	ctl := dialControl(t, d)
-
-	nodesView := func() []core.NodeStatus {
-		t.Helper()
-		resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeNodes})
-		if !resp.OK {
-			t.Fatalf("nodes failed: %s", resp.Error)
-		}
-		var nodes []core.NodeStatus
-		if err := json.Unmarshal([]byte(resp.Data), &nodes); err != nil {
-			t.Fatalf("nodes payload: %v", err)
-		}
-		return nodes
-	}
-
-	nodes := nodesView()
-	if len(nodes) != 2 || nodes[0].State != "up" || nodes[1].State != "up" {
-		t.Fatalf("initial membership = %+v, want 2 up nodes", nodes)
-	}
-
-	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeDrain, Device: 0}); !resp.OK {
-		t.Fatalf("drain failed: %s", resp.Error)
-	}
-	if nodes := nodesView(); nodes[0].State != "draining" {
-		t.Fatalf("after drain: %+v", nodes[0])
-	}
-	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeRevive, Device: 0}); !resp.OK {
-		t.Fatalf("revive failed: %s", resp.Error)
-	}
-	if nodes := nodesView(); nodes[0].State != "up" {
-		t.Fatalf("after revive: %+v", nodes[0])
-	}
-
-	// Unknown node indexes are refused, not panicked on.
-	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeDrain, Device: 9}); resp.OK {
-		t.Fatal("drain of unknown node succeeded")
-	}
-}
-
+// TestMembershipVerbsNeedClusterBackend: on a single core.State the
+// node verbs refuse with the membership sentinel the admin plane maps
+// to 404 / failed operations.
 func TestMembershipVerbsNeedClusterBackend(t *testing.T) {
-	d := startDaemon(t, mib(1000)) // single core.State: no membership
-	ctl := dialControl(t, d)
-	for _, typ := range []protocol.Type{protocol.TypeNodes, protocol.TypeDrain, protocol.TypeRevive} {
-		resp := callControl(t, ctl, &protocol.Message{Type: typ})
-		if resp.OK {
-			t.Fatalf("%s succeeded on a single-node scheduler", typ)
-		}
+	d := startDaemon(t, mib(1000))
+	if _, err := d.NodeStatuses(); !errors.Is(err, errNoMembership) {
+		t.Errorf("NodeStatuses error = %v", err)
+	}
+	if err := d.DrainNode(0); !errors.Is(err, errNoMembership) {
+		t.Errorf("DrainNode error = %v", err)
+	}
+	if err := d.ReviveNode(0); !errors.Is(err, errNoMembership) {
+		t.Errorf("ReviveNode error = %v", err)
+	}
+	if _, err := d.FailNode(0); !errors.Is(err, errNoMembership) {
+		t.Errorf("FailNode error = %v", err)
 	}
 }
 
@@ -200,8 +166,8 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 
 	// Drain node 1 up front: everything lands on node 0 and the later
 	// failover has no migration target.
-	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeDrain, Device: 1}); !resp.OK {
-		t.Fatalf("drain: %s", resp.Error)
+	if err := d.DrainNode(1); err != nil {
+		t.Fatalf("drain: %v", err)
 	}
 	for _, id := range []string{"c0", "c2"} {
 		if resp := register(t, ctl, id, mib(450)); !resp.OK {
@@ -259,8 +225,8 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 	}
 
 	// Revive the drained node: service resumes.
-	if r := callControl(t, ctl, &protocol.Message{Type: protocol.TypeRevive, Device: 1}); !r.OK {
-		t.Fatalf("revive: %s", r.Error)
+	if err := d.ReviveNode(1); err != nil {
+		t.Fatalf("revive: %v", err)
 	}
 	if r := register(t, ctl, "c9", mib(100)); !r.OK {
 		t.Fatalf("register after revive: %s", r.Error)

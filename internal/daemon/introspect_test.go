@@ -1,140 +1,54 @@
 package daemon
 
 import (
-	"context"
+	"bufio"
 	"encoding/json"
 	"fmt"
+	"net"
 	"testing"
 
-	"convgpu/internal/ipc"
-	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
 )
 
-// query performs one introspection round trip on the control socket.
-func query(t *testing.T, ctl *ipc.Client, typ protocol.Type, container string, limit int64) []byte {
-	t.Helper()
-	resp, err := ctl.Call(context.Background(), &protocol.Message{
-		Type: typ, Container: container, Size: limit,
-	})
-	if err != nil {
-		t.Fatalf("%s: %v", typ, err)
-	}
-	if !resp.OK {
-		t.Fatalf("%s refused: %s", typ, resp.Error)
-	}
-	if resp.Data == "" {
-		t.Fatalf("%s: empty payload", typ)
-	}
-	return []byte(resp.Data)
-}
-
+// TestIntrospectionOverControlSocket: the control socket speaks only the
+// paper's protocol. The introspection and admin verbs it used to answer
+// are unknown message types now — refused with the request's seq echoed,
+// so an old client sees an error instead of a hang — and the connection
+// goes on to serve a register.
 func TestIntrospectionOverControlSocket(t *testing.T) {
 	d := startDaemon(t, mib(1000))
-	ctl := dialControl(t, d)
-
-	// Drive a tiny lifecycle so the answers are non-trivial.
-	resp := register(t, ctl, "c1", mib(400))
-	if !resp.OK {
-		t.Fatalf("register: %s", resp.Error)
-	}
-	wcli := dialContainer(t, resp)
-	areq, err := wcli.Call(context.Background(), &protocol.Message{
-		Type: protocol.TypeAlloc, Container: "c1", PID: 1, Size: int64(mib(100)),
-	})
-	if err != nil || !areq.OK || areq.Decision != protocol.DecisionAccept {
-		t.Fatalf("alloc: %+v %v", areq, err)
-	}
-
-	// stats: full metric snapshot, with the register+accept counted.
-	var stats obs.StatsPayload
-	if err := json.Unmarshal(query(t, ctl, protocol.TypeStats, "", 0), &stats); err != nil {
+	conn, err := net.Dial("unix", d.ControlSocket())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Algorithm == "" || len(stats.Metrics) == 0 {
-		t.Fatalf("stats payload: %+v", stats)
-	}
-	counts := map[string]int64{}
-	for _, p := range stats.Metrics {
-		if p.Name == obs.MetricEvents {
-			counts[p.Labels["kind"]] = p.Value
-		}
-	}
-	if counts["register"] != 1 || counts["accept"] != 1 {
-		t.Fatalf("event counters: %v", counts)
-	}
-
-	// trace: c1's events in causal order.
-	var trace obs.TraceDump
-	if err := json.Unmarshal(query(t, ctl, protocol.TypeTrace, "c1", 0), &trace); err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Events) < 2 {
-		t.Fatalf("trace events: %+v", trace.Events)
-	}
-	if trace.Events[0].Kind != "register" || trace.Events[0].CSeq != 1 {
-		t.Fatalf("first trace event: %+v", trace.Events[0])
-	}
-
-	// trace with a shrink limit keeps only the newest events.
-	if err := json.Unmarshal(query(t, ctl, protocol.TypeTrace, "", 1), &trace); err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Events) != 1 {
-		t.Fatalf("limited trace kept %d events", len(trace.Events))
-	}
-
-	// dump: identity, containers, metrics and trace in one document.
-	var dump struct {
-		Algorithm  string `json:"algorithm"`
-		Capacity   int64  `json:"capacity"`
-		PoolFree   int64  `json:"pool_free"`
-		Containers []struct {
-			ID    string `json:"id"`
-			Limit int64  `json:"limit"`
-			Used  int64  `json:"used"`
-		} `json:"containers"`
-		Metrics []obs.MetricPoint `json:"metrics"`
-		Trace   obs.TraceDump     `json:"trace"`
-	}
-	if err := json.Unmarshal(query(t, ctl, protocol.TypeDump, "", 0), &dump); err != nil {
-		t.Fatal(err)
-	}
-	if dump.Capacity != int64(mib(1000)) || len(dump.Containers) != 1 {
-		t.Fatalf("dump: %+v", dump)
-	}
-	if dump.Containers[0].ID != "c1" || dump.Containers[0].Limit != int64(mib(400)) {
-		t.Fatalf("dump container: %+v", dump.Containers[0])
-	}
-	if len(dump.Trace.Events) == 0 || len(dump.Metrics) == 0 {
-		t.Fatal("dump missing trace or metrics")
-	}
-}
-
-func TestIntrospectionTraceFitsOneFrame(t *testing.T) {
-	d := startDaemon(t, mib(100000))
-	ctl := dialControl(t, d)
-	// Far more events than maxTraceEvents: hundreds of registrations.
-	for i := 0; i < 2*maxTraceEvents; i++ {
-		resp, err := ctl.Call(context.Background(), &protocol.Message{
-			Type:      protocol.TypeRegister,
-			Container: fmt.Sprintf("c%04d-xxxxxxxxxxxxxxxxxxxxxxxxxxxxxxx", i),
-			Limit:     int64(mib(1)),
-		})
-		if err != nil {
+	defer conn.Close()
+	r := bufio.NewReader(conn)
+	call := func(line string) protocol.Message {
+		t.Helper()
+		if _, err := fmt.Fprintln(conn, line); err != nil {
 			t.Fatal(err)
 		}
-		protocol.ReleaseMessage(resp)
+		reply, err := r.ReadBytes('\n')
+		if err != nil {
+			t.Fatalf("%s: %v", line, err)
+		}
+		var m protocol.Message
+		if err := json.Unmarshal(reply, &m); err != nil {
+			t.Fatalf("%s: reply %q: %v", line, reply, err)
+		}
+		return m
 	}
-	data := query(t, ctl, protocol.TypeTrace, "", 0)
-	if len(data) >= ipc.MaxLine {
-		t.Fatalf("trace payload %d bytes, exceeds one frame (%d)", len(data), ipc.MaxLine)
+
+	for i, typ := range []string{"stats", "trace", "dump", "nodes", "drain", "revive", "sessions", "ops", "tenants"} {
+		seq := uint64(i + 1)
+		resp := call(fmt.Sprintf(`{"type":%q,"seq":%d}`, typ, seq))
+		want := fmt.Sprintf("protocol: unknown message type %q", typ)
+		if resp.OK || resp.Seq != seq || resp.Error != want {
+			t.Errorf("%s on the control socket = %+v, want seq %d refused with %q", typ, resp, seq, want)
+		}
 	}
-	var trace obs.TraceDump
-	if err := json.Unmarshal(data, &trace); err != nil {
-		t.Fatal(err)
-	}
-	if len(trace.Events) != maxTraceEvents {
-		t.Fatalf("trace kept %d events, want cap %d", len(trace.Events), maxTraceEvents)
+	resp := call(fmt.Sprintf(`{"type":"register","seq":10,"container":"c1","limit":%d}`, mib(400)))
+	if !resp.OK || resp.Seq != 10 || resp.SocketDir == "" {
+		t.Fatalf("register after the refusals = %+v", resp)
 	}
 }

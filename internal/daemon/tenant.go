@@ -1,6 +1,6 @@
 // Tenant identity plumbing: the daemon resolves each registration's
 // tenant, persists tenant definitions ahead of the sessions bound to
-// them, and serves the per-tenant usage rollup on the control socket.
+// them, and produces the per-tenant usage rollup.
 //
 // Resolution order: the daemon's configured tenant table
 // (Config.Tenants) is the operator's authoritative definition and wins
@@ -11,8 +11,6 @@
 package daemon
 
 import (
-	"encoding/json"
-
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/protocol"
@@ -89,20 +87,3 @@ func (d *Daemon) persistTenant(t core.Tenant) error {
 // Tenants reports the live per-tenant usage rollup from the scheduling
 // backend (named tenants only, sorted by name).
 func (d *Daemon) Tenants() []core.TenantUsage { return d.cfg.Core.Tenants() }
-
-// handleTenants answers the tenants control verb with the JSON-encoded
-// usage rollup in the response's Data field.
-func (d *Daemon) handleTenants(msg *protocol.Message, respond func(*protocol.Message)) {
-	usages := d.Tenants()
-	if usages == nil {
-		usages = []core.TenantUsage{}
-	}
-	data, err := json.Marshal(usages)
-	if err != nil {
-		respond(protocol.ErrorResponse(msg, "daemon: encode tenants: %v", err))
-		return
-	}
-	r := protocol.Response(msg)
-	r.Data = string(data)
-	respond(r)
-}

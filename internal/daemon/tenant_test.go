@@ -2,7 +2,6 @@ package daemon
 
 import (
 	"context"
-	"encoding/json"
 	"path/filepath"
 	"testing"
 
@@ -29,23 +28,6 @@ func registerTenant(t *testing.T, ctl *ipc.Client, id string, limit bytesize.Siz
 	return resp
 }
 
-// tenantsVerb asks the daemon for its rollup over the control socket.
-func tenantsVerb(t *testing.T, ctl *ipc.Client) []core.TenantUsage {
-	t.Helper()
-	resp, err := ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeTenants})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !resp.OK {
-		t.Fatalf("tenants verb refused: %s", resp.Error)
-	}
-	var usages []core.TenantUsage
-	if err := json.Unmarshal([]byte(resp.Data), &usages); err != nil {
-		t.Fatalf("decode tenants payload %q: %v", resp.Data, err)
-	}
-	return usages
-}
-
 // TestTenantRegisterResolutionAndRollup covers the daemon's resolution
 // order: the configured table is authoritative (inline attributes for a
 // known name are ignored), an unknown name's inline definition is
@@ -63,7 +45,7 @@ func TestTenantRegisterResolutionAndRollup(t *testing.T) {
 	t.Cleanup(func() { d.Close() })
 	ctl := dialControl(t, d)
 
-	if got := tenantsVerb(t, ctl); len(got) != 0 {
+	if got := d.Tenants(); len(got) != 0 {
 		t.Fatalf("rollup before any registration = %+v, want empty", got)
 	}
 
@@ -106,10 +88,6 @@ func TestTenantRegisterResolutionAndRollup(t *testing.T) {
 	}
 	if info.TenantDef.Weight != 2 || info.TenantDef.Priority != 3 {
 		t.Fatalf("c4 tenant %+v, want the first-adopted adhoc definition", info.TenantDef)
-	}
-	// The wire rollup matches the direct accessor.
-	if wire := tenantsVerb(t, ctl); len(wire) != 2 {
-		t.Fatalf("wire rollup = %+v, want 2 tenants", wire)
 	}
 }
 

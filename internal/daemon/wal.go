@@ -26,7 +26,6 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/errs"
-	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
 )
 
@@ -278,8 +277,7 @@ type SessionPage struct {
 	More      bool           `json:"more,omitempty"`
 }
 
-// maxSessionPage bounds one sessions page; ~100 bytes per encoded
-// entry keeps 256 of them safely inside one IPC frame.
+// maxSessionPage bounds one sessions page.
 const maxSessionPage = 256
 
 // Sessions returns one page of registered sessions ordered by container
@@ -316,42 +314,4 @@ func (d *Daemon) Sessions(after string, limit int) SessionPage {
 		page.Sessions = entries[i:]
 	}
 	return page
-}
-
-// handleSessions answers the sessions control verb: the page cursor
-// travels in the request's Container field, the page size in Size.
-func (d *Daemon) handleSessions(msg *protocol.Message, respond func(*protocol.Message)) {
-	data, err := json.Marshal(d.Sessions(msg.Container, int(msg.Size)))
-	if err != nil {
-		respond(protocol.ErrorResponse(msg, "daemon: encode sessions: %v", err))
-		return
-	}
-	r := protocol.Response(msg)
-	r.Data = string(data)
-	respond(r)
-}
-
-// handleOps answers the ops control verb: one operation when the
-// request's Container field carries its ID, the retained list (newest
-// first) otherwise.
-func (d *Daemon) handleOps(msg *protocol.Message, respond func(*protocol.Message)) {
-	var payload any
-	if msg.Container != "" {
-		op, ok := d.ops.Get(msg.Container)
-		if !ok {
-			respond(protocol.ErrorResponse(msg, "daemon: unknown operation %q", msg.Container))
-			return
-		}
-		payload = op
-	} else {
-		payload = d.ops.List()
-	}
-	data, err := json.Marshal(payload)
-	if err != nil {
-		respond(protocol.ErrorResponse(msg, "daemon: encode operations: %v", err))
-		return
-	}
-	r := protocol.Response(msg)
-	r.Data = string(data)
-	respond(r)
 }

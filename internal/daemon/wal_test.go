@@ -3,7 +3,6 @@ package daemon
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -222,8 +221,9 @@ func TestWALLeaseExpireDurable(t *testing.T) {
 	}
 }
 
-// TestSessionsVerbPaging drives the sessions control verb through its
-// cursor: pages of 2 over 5 sessions, in order, no overlap.
+// TestSessionsVerbPaging drives the sessions document through its
+// cursor at the producer (/v1/sessions serves it): pages of 2 over 5
+// sessions, in order, no overlap.
 func TestSessionsVerbPaging(t *testing.T) {
 	d := startDaemon(t, mib(1000))
 	ctl := dialControl(t, d)
@@ -233,16 +233,7 @@ func TestSessionsVerbPaging(t *testing.T) {
 	var got []string
 	after := ""
 	for {
-		resp, err := ctl.Call(context.Background(), &protocol.Message{
-			Type: protocol.TypeSessions, Container: after, Size: 2,
-		})
-		if err != nil || !resp.OK {
-			t.Fatalf("sessions: %v %+v", err, resp)
-		}
-		var page SessionPage
-		if err := json.Unmarshal([]byte(resp.Data), &page); err != nil {
-			t.Fatal(err)
-		}
+		page := d.Sessions(after, 2)
 		if page.Total != 5 {
 			t.Fatalf("page total = %d, want 5", page.Total)
 		}
@@ -263,40 +254,26 @@ func TestSessionsVerbPaging(t *testing.T) {
 	}
 }
 
-// TestOpsVerb covers the ops control verb: empty list on a fresh
-// daemon, error for an unknown ID.
+// TestOpsVerb covers the operations document at the producer: empty on
+// a fresh daemon, nothing under an unknown ID.
 func TestOpsVerb(t *testing.T) {
 	d := startDaemon(t, mib(100))
-	ctl := dialControl(t, d)
-	resp, err := ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeOps})
-	if err != nil || !resp.OK {
-		t.Fatalf("ops: %v %+v", err, resp)
-	}
-	var ops []json.RawMessage
-	if err := json.Unmarshal([]byte(resp.Data), &ops); err != nil {
-		t.Fatalf("ops payload %q: %v", resp.Data, err)
-	}
-	if len(ops) != 0 {
+	if ops := d.Ops().List(); len(ops) != 0 {
 		t.Errorf("fresh daemon lists %d operations", len(ops))
 	}
-	resp, err = ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeOps, Container: "op-404"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.OK {
-		t.Error("unknown operation id answered OK")
+	if op, ok := d.Ops().Get("op-404"); ok {
+		t.Errorf("unknown operation id found: %+v", op)
 	}
 }
 
-// TestTraceVerbPages proves the 64 KiB one-frame trace cap is gone:
-// with far more events than one frame's cap, paging with the After
-// cursor retrieves every retained event.
+// TestTraceVerbPages: with far more events retained than one dump's
+// trace tail holds, paging with the cursor retrieves every one of them.
 func TestTraceVerbPages(t *testing.T) {
 	d := startDaemon(t, mib(4000))
 	ctl := dialControl(t, d)
 	register(t, ctl, "c1", mib(1))
-	// Stuff the ring well past the per-frame event cap without paying a
-	// socket per event.
+	// Stuff the ring well past the dump's cap without paying a socket
+	// per event.
 	tr := d.Obs().Tracer()
 	for i := 0; i < 600; i++ {
 		tr.RecordAdmin(time.Now(), "test_fill", fmt.Sprintf("req-%d", i), "filler")
@@ -309,16 +286,16 @@ func TestTraceVerbPages(t *testing.T) {
 	after := uint64(0)
 	pages := 0
 	for {
-		resp, err := ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeTrace, After: after})
-		if err != nil || !resp.OK {
-			t.Fatalf("trace: %v %+v", err, resp)
+		data, err := tr.DumpPage("", after, maxTraceEvents)
+		if err != nil {
+			t.Fatal(err)
 		}
 		var dump obs.TraceDump
-		if err := json.Unmarshal([]byte(resp.Data), &dump); err != nil {
+		if err := json.Unmarshal(data, &dump); err != nil {
 			t.Fatal(err)
 		}
 		if len(dump.Events) > maxTraceEvents {
-			t.Fatalf("page holds %d events, over the frame cap %d", len(dump.Events), maxTraceEvents)
+			t.Fatalf("page holds %d events, over the limit %d", len(dump.Events), maxTraceEvents)
 		}
 		events += len(dump.Events)
 		pages++
@@ -336,8 +313,8 @@ func TestTraceVerbPages(t *testing.T) {
 }
 
 // TestWALAdminAccessors drives the daemon methods the HTTP admin plane
-// fronts — WAL stats/snapshot/compact, the ops manager, node verbs on
-// a single-node backend, and the JSON dump — directly.
+// fronts — WAL stats/snapshot/compact, the ops manager and the JSON
+// dump — directly.
 func TestWALAdminAccessors(t *testing.T) {
 	leak.Check(t)
 	base := filepath.Join(t.TempDir(), "cv")
@@ -362,20 +339,6 @@ func TestWALAdminAccessors(t *testing.T) {
 	after, err := d.CompactWAL()
 	if err != nil || after.Sessions != 1 {
 		t.Fatalf("CompactWAL = %+v, %v", after, err)
-	}
-	// Node verbs on a single-node scheduler refuse with the membership
-	// sentinel the admin plane maps to 404 / failed operations.
-	if _, err := d.NodeStatuses(); !errors.Is(err, errNoMembership) {
-		t.Errorf("NodeStatuses error = %v", err)
-	}
-	if err := d.DrainNode(0); !errors.Is(err, errNoMembership) {
-		t.Errorf("DrainNode error = %v", err)
-	}
-	if err := d.ReviveNode(0); !errors.Is(err, errNoMembership) {
-		t.Errorf("ReviveNode error = %v", err)
-	}
-	if _, err := d.FailNode(0); !errors.Is(err, errNoMembership) {
-		t.Errorf("FailNode error = %v", err)
 	}
 	data, err := d.DumpJSON(10)
 	if err != nil || !json.Valid(data) {

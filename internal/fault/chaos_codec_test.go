@@ -104,7 +104,7 @@ func runCodecHandshakeSchedule(t *testing.T, seed int64) {
 	// another handshake under fire. Failures are expected — corruption
 	// condemns connections by design — but every call must return.
 	for i := 0; i < 10; i++ {
-		m := &protocol.Message{Type: protocol.TypeStats, Data: fmt.Sprintf("probe-%d", i)}
+		m := &protocol.Message{Type: protocol.TypeHeartbeat, Data: fmt.Sprintf("probe-%d", i)}
 		if resp, err := rec.Call(context.Background(), m); err == nil {
 			protocol.ReleaseMessage(resp)
 		}
@@ -118,7 +118,7 @@ func runCodecHandshakeSchedule(t *testing.T, seed int64) {
 	deadline := time.Now().Add(5 * time.Second)
 	var lastErr error
 	for attempt := 0; time.Now().Before(deadline); attempt++ {
-		m := &protocol.Message{Type: protocol.TypeStats, Data: fmt.Sprintf("healed-%d", attempt)}
+		m := &protocol.Message{Type: protocol.TypeHeartbeat, Data: fmt.Sprintf("healed-%d", attempt)}
 		resp, err := rec.Call(context.Background(), m)
 		if err != nil {
 			lastErr = err
@@ -131,7 +131,7 @@ func runCodecHandshakeSchedule(t *testing.T, seed int64) {
 		// One more call on the same (now stable) connection, verifying
 		// the negotiated codec — whichever side of the fallback the
 		// handshake landed on — keeps framing straight.
-		resp, err = rec.Call(context.Background(), &protocol.Message{Type: protocol.TypeStats, Data: "final"})
+		resp, err = rec.Call(context.Background(), &protocol.Message{Type: protocol.TypeHeartbeat, Data: "final"})
 		if err != nil {
 			t.Fatalf("second healed call failed: %v", err)
 		}

@@ -44,7 +44,7 @@ const (
 // the health loop declares them down and fails them over), stalls
 // probes into the suspect band, partitions both nodes at once (the
 // fail-closed path), flaps nodes through down-and-back, and drains /
-// revives nodes through the control-socket admin verbs. After every
+// revives nodes through the daemon's admin verbs. After every
 // operation the cluster invariants must hold; after healing, every
 // session is closed and the pool must hold the full cluster capacity
 // again — a failover may migrate or observably evict work, but must
@@ -115,7 +115,7 @@ func runNodeKillSchedule(t *testing.T, seed int64) {
 	driverDone := make(chan struct{})
 	go func() {
 		defer close(driverDone)
-		nodeFaultDriver(ctx, clus, ctl, nf, seed, &killed)
+		nodeFaultDriver(ctx, clus, d, nf, seed, &killed)
 	}()
 
 	errs := make(chan error, nodeContainers)
@@ -209,9 +209,9 @@ func runNodeKillSchedule(t *testing.T, seed int64) {
 
 // nodeFaultDriver injects the node-scope fault schedule: hard kills
 // (held until the membership view confirms the death), suspect blips,
-// whole-cluster partitions, flapping restarts, and wire-level drain /
-// revive admin verbs.
-func nodeFaultDriver(ctx context.Context, clus *cluster.Cluster, ctl *ipc.Client, nf *fault.NodeFaults, seed int64, killed *atomic.Int64) {
+// whole-cluster partitions, flapping restarts, and drain / revive
+// admin verbs.
+func nodeFaultDriver(ctx context.Context, clus *cluster.Cluster, d *daemon.Daemon, nf *fault.NodeFaults, seed int64, killed *atomic.Int64) {
 	rng := rand.New(rand.NewSource(seed * 31))
 	for i := 0; i < 4 && ctx.Err() == nil; i++ {
 		time.Sleep(time.Duration(2+rng.Intn(8)) * time.Millisecond)
@@ -230,14 +230,10 @@ func nodeFaultDriver(ctx context.Context, clus *cluster.Cluster, ctl *ipc.Client
 			nf.Partition([]int{0, 1}, nodeDownAfter+1)
 		case 3: // flapping restart: down and straight back
 			nf.Flap(node, nodeDownAfter)
-		case 4: // admin drain / revive over the control socket
-			if resp, err := ctl.Call(ctx, &protocol.Message{Type: protocol.TypeDrain, Device: node}); err == nil {
-				protocol.ReleaseMessage(resp)
-			}
+		case 4: // admin drain / revive; a node that is down refuses the drain
+			_ = d.DrainNode(node)
 			time.Sleep(2 * time.Millisecond)
-			if resp, err := ctl.Call(ctx, &protocol.Message{Type: protocol.TypeRevive, Device: node}); err == nil {
-				protocol.ReleaseMessage(resp)
-			}
+			_ = d.ReviveNode(node)
 		}
 	}
 }

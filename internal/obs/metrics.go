@@ -1,15 +1,15 @@
 // Package obs is ConVGPU's runtime observability layer: lock-free
 // counters and fixed-bucket latency histograms for the scheduler's hot
 // path, a ring-buffer event tracer with per-container causal ordering,
-// and export surfaces (Prometheus text, JSON, expvar/pprof over HTTP)
-// for the daemon's introspection protocol.
+// and the renderers (Prometheus text, JSON) behind the documents
+// internal/admin serves under /v1.
 //
 // Everything a hot path touches is a plain atomic operation: recording
 // a counter increment or a histogram observation allocates nothing and
 // takes no lock, so the 0 allocs/op accept path of DESIGN.md §7 is
 // preserved with observability enabled. Aggregation cost — snapshots,
 // JSON rendering, gauge evaluation — is paid only when somebody asks
-// (a `stats` message on the control socket, a /metrics scrape).
+// (a /v1/stats request, a /v1/metrics scrape).
 package obs
 
 import (

@@ -213,8 +213,14 @@ func (o *Observability) SetGoodput(perSec float64) {
 	o.goodputMilli.Store(int64(perSec * 1000))
 }
 
-// Registry exposes the metric registry (for extra series or export).
-func (o *Observability) Registry() *Registry { return o.reg }
+// Registry exposes the metric registry for export. Every renderer
+// (Prometheus text, the stats and dump documents) reads through here,
+// so this is where the gauge series of a tenant that registered since
+// the last export get added.
+func (o *Observability) Registry() *Registry {
+	o.refreshTenantGauges()
+	return o.reg
+}
 
 // Tracer exposes the event trace ring.
 func (o *Observability) Tracer() *Tracer { return o.tracer }
@@ -311,8 +317,8 @@ func (o *Observability) BindTenants(st core.Scheduler) {
 // appeared since the last export: containers, suspended containers,
 // pending requests, granted and used bytes, plus the configured quota
 // and guarantee. Labelled {"tenant": name}; evaluated live at scrape
-// time. Export paths call this, so the cost is paid per scrape, never
-// on the scheduling hot path.
+// time. Registry calls this, so the cost is paid per export, never on
+// the scheduling hot path.
 func (o *Observability) refreshTenantGauges() {
 	o.tenantMu.Lock()
 	st := o.tenantSrc
@@ -539,26 +545,18 @@ func (o *Observability) EventCounts() map[string]uint64 {
 	return out
 }
 
-// StatsPayload is the JSON shape answered to a `stats` introspection
-// request.
+// StatsPayload is the JSON shape of the stats document.
 type StatsPayload struct {
 	Algorithm string        `json:"algorithm"`
 	AtNano    int64         `json:"at_unix_nano"`
 	Metrics   []MetricPoint `json:"metrics"`
 }
 
-// StatsJSON renders the full metric snapshot for the control socket.
+// StatsJSON renders the full metric snapshot as a StatsPayload.
 func (o *Observability) StatsJSON() ([]byte, error) {
-	o.refreshTenantGauges()
 	return json.Marshal(StatsPayload{
 		Algorithm: o.algo,
 		AtNano:    time.Now().UnixNano(),
-		Metrics:   o.reg.Snapshot(),
+		Metrics:   o.Registry().Snapshot(),
 	})
-}
-
-// TraceJSON renders the retained event trace, optionally filtered to
-// one container.
-func (o *Observability) TraceJSON(container string) ([]byte, error) {
-	return o.tracer.Dump(container)
 }

@@ -2,8 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"io"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -239,7 +237,7 @@ func TestBindCoreCountsEvents(t *testing.T) {
 	}
 }
 
-func TestStatsJSONAndHandler(t *testing.T) {
+func TestStatsJSON(t *testing.T) {
 	st := core.MustNew(core.Config{Capacity: mib(100), ContextOverhead: 1})
 	o := New(Config{Algorithm: "bestfit"})
 	o.BindCore(st)
@@ -257,30 +255,5 @@ func TestStatsJSONAndHandler(t *testing.T) {
 	}
 	if p.Algorithm != "bestfit" || len(p.Metrics) == 0 {
 		t.Fatalf("stats payload: %+v", p)
-	}
-
-	srv := httptest.NewServer(o.Handler())
-	defer srv.Close()
-	for path, want := range map[string]string{
-		"/metrics":            MetricEvents + `{algorithm="bestfit",kind="register"} 1`,
-		"/stats":              `"algorithm":"bestfit"`,
-		"/trace?container=c1": `"kind":"register"`,
-		"/debug/vars":         "cmdline",
-	} {
-		resp, err := srv.Client().Get(srv.URL + path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		body, err := io.ReadAll(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.StatusCode != 200 {
-			t.Errorf("%s: status %d", path, resp.StatusCode)
-		}
-		if !strings.Contains(string(body), want) {
-			t.Errorf("%s missing %q:\n%.2000s", path, want, body)
-		}
 	}
 }

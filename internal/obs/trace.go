@@ -152,7 +152,7 @@ func (t *Tracer) Events(container string) []TraceEvent {
 // Page returns up to limit retained events with Seq > after, oldest
 // first (limit <= 0 means no bound), plus whether more remain. This is
 // the cursor shape long trace retrieval pages over: a consumer replays
-// the whole ring in bounded frames by passing the last Seq it saw.
+// the whole ring in bounded pages by passing the last Seq it saw.
 func (t *Tracer) Page(container string, after uint64, limit int) (events []TraceEvent, more bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -196,7 +196,7 @@ func (t *Tracer) Dump(container string) ([]byte, error) {
 }
 
 // DumpLimit is Dump keeping only the newest limit events (0 = all).
-// The daemon uses it to keep a trace response inside one IPC frame.
+// The daemon uses it for the dump document's trace tail.
 func (t *Tracer) DumpLimit(container string, limit int) ([]byte, error) {
 	events := t.Events(container)
 	if limit > 0 && len(events) > limit {
@@ -213,7 +213,7 @@ func (t *Tracer) DumpLimit(container string, limit int) ([]byte, error) {
 
 // DumpPage renders one page of the trace (events with Seq > after,
 // oldest first, at most limit of them) with the cursor fields set, so
-// a long trace is retrieved whole across several bounded frames
+// a long trace is retrieved whole across several bounded responses
 // instead of silently truncated to the newest window.
 func (t *Tracer) DumpPage(container string, after uint64, limit int) ([]byte, error) {
 	events, more := t.Page(container, after, limit)

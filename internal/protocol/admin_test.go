@@ -2,71 +2,51 @@ package protocol
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"convgpu/internal/errs"
 )
 
-// TestAfterFieldRoundTrip covers the trace page cursor through both
-// codecs: the JSON line and the binary frame must both carry it.
-func TestAfterFieldRoundTrip(t *testing.T) {
-	m := &Message{Type: TypeTrace, Seq: 9, Container: "c1", After: 12345}
-	line, err := Encode(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got Message
-	if err := DecodeInto(&got, line); err != nil {
-		t.Fatal(err)
-	}
-	if got.After != 12345 {
-		t.Fatalf("JSON round trip After = %d, want 12345", got.After)
-	}
-
-	frame, ok := AppendEncodeBinary(nil, m)
-	if !ok {
-		t.Fatal("trace message not binary-representable")
-	}
-	op, plen, seq, err := ParseBinaryHeader(frame)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bin Message
-	if err := DecodeBinaryInto(&bin, op, seq, frame[BinaryHeaderSize:BinaryHeaderSize+plen]); err != nil {
-		t.Fatal(err)
-	}
-	if bin.After != 12345 || bin.Container != "c1" {
-		t.Fatalf("binary round trip = %+v", bin)
-	}
-
-	// Zero cursor is omitted from the wire entirely.
-	line, _ = Encode(&Message{Type: TypeTrace, Seq: 1})
-	if string(line) != `{"type":"trace","seq":1}`+"\n" {
-		t.Fatalf("zero After leaked onto the wire: %s", line)
-	}
-}
-
-// TestSessionsOpsValidate covers the new control verbs.
-func TestSessionsOpsValidate(t *testing.T) {
-	for _, m := range []*Message{
-		{Type: TypeSessions, Seq: 1},
-		{Type: TypeSessions, Seq: 2, Container: "cursor-id", Size: 100},
-		{Type: TypeOps, Seq: 3},
-		{Type: TypeOps, Seq: 4, Container: "op-7"},
-	} {
-		if err := m.Validate(); err != nil {
-			t.Errorf("Validate(%s): %v", m.Type, err)
+// TestRetiredVerbsRefused pins the retirement of the control socket's
+// introspection verbs: their JSON type strings are unknown message
+// types (the trace cursor key with them), their binary opcodes and the
+// cursor's payload tag fail exactly like never-assigned ones, and no
+// message can be encoded onto a retired opcode.
+func TestRetiredVerbsRefused(t *testing.T) {
+	for _, typ := range []string{"stats", "trace", "dump", "nodes", "drain", "revive", "sessions", "ops", "tenants"} {
+		line := []byte(`{"type":"` + typ + `","seq":1,"after":7}`)
+		var m Message
+		err := DecodeInto(&m, line)
+		if want := `protocol: unknown message type "` + typ + `"`; err == nil || err.Error() != want {
+			t.Errorf("DecodeInto(%s) = %v, want %s", line, err, want)
 		}
-		line, err := Encode(m)
-		if err != nil {
-			t.Fatal(err)
+		if out, ok := AppendEncodeBinary(nil, &Message{Type: Type(typ), Seq: 1}); ok {
+			t.Errorf("%s still has a binary form: % x", typ, out)
 		}
-		var got Message
-		if err := DecodeInto(&got, line); err != nil {
-			t.Fatalf("decode %s: %v", line, err)
+	}
+	// 18 was never assigned: the retired opcodes get its treatment, with
+	// or without the one-way bit.
+	for _, op := range []byte{12, 13, 14, 17, 18, 12 | noReplyBit} {
+		want := fmt.Sprintf("protocol: unknown opcode %d", op&^noReplyBit)
+		hdr := []byte{BinaryMagic, op, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0}
+		hdr[12] = xor12(hdr)
+		if _, _, _, err := ParseBinaryHeader(hdr); err == nil || err.Error() != want {
+			t.Errorf("ParseBinaryHeader(opcode %d) = %v, want %s", op, err, want)
 		}
-		if got.Type != m.Type || got.Container != m.Container {
-			t.Errorf("round trip %s: got %+v", m.Type, got)
+		if err := DecodeBinaryInto(new(Message), op, 1, nil); err == nil || err.Error() != want {
+			t.Errorf("DecodeBinaryInto(opcode %d) = %v, want %s", op, err, want)
+		}
+	}
+	if out, ok := AppendEncodeBinary(nil, &Message{Seq: 1}); ok {
+		t.Errorf("typeless message encoded onto a retired opcode's empty slot: % x", out)
+	}
+	// Tag 17 carried the trace cursor; 23 was never assigned.
+	for _, tag := range []byte{17, 23} {
+		want := fmt.Sprintf("protocol: unknown payload tag %d", tag)
+		err := DecodeBinaryInto(new(Message), 8, 1, []byte{tag, 7, 0, 0, 0, 0, 0, 0, 0})
+		if err == nil || err.Error() != want {
+			t.Errorf("payload tag %d = %v, want %s", tag, err, want)
 		}
 	}
 }

@@ -45,9 +45,9 @@ const (
 	// BinaryHeaderSize is the fixed frame header length.
 	BinaryHeaderSize = 13
 	// MaxBinaryPayload bounds the tagged-field payload (u16 length).
-	// Larger messages (introspection dumps, pathological error texts)
-	// are sent as JSON lines instead — both ends accept either framing
-	// per message once binary is negotiated.
+	// Larger messages (pathological error texts) are sent as JSON lines
+	// instead — both ends accept either framing per message once binary
+	// is negotiated.
 	MaxBinaryPayload = 1<<16 - 1
 	// noReplyBit in the opcode byte marks a one-way frame. Opcodes stay
 	// below it, and the header checksum covers it like any other bit.
@@ -57,7 +57,9 @@ const (
 	BinaryCodecToken = "bin1"
 )
 
-// Payload field tags. Tag values are stable wire format.
+// Payload field tags. Tag values are stable wire format. Tag 17 (the
+// trace page cursor of the retired introspection verbs) is never
+// reassigned; a payload carrying it fails like any unknown tag.
 const (
 	tagContainer = 1  // string
 	tagPID       = 2  // i64
@@ -75,7 +77,6 @@ const (
 	tagFree      = 14 // i64
 	tagTotal     = 15 // i64
 	tagData      = 16 // string
-	tagAfter     = 17 // u64 (trace page cursor)
 
 	// Tenant identity fields (register/attach). New tags extend the
 	// format compatibly: zero values are omitted, so single-tenant
@@ -90,7 +91,10 @@ const (
 
 // typeByOpcode maps opcode bytes back to message types. Opcode values
 // are stable wire format; 0 stays invalid so a zeroed header never
-// aliases a real verb.
+// aliases a real verb. Opcodes 12, 13, 14 and 17 belonged to the
+// control socket's introspection verbs (stats, trace, dump, tenants),
+// which /v1 on the admin socket replaced: they are retired, never
+// reassigned, and a frame carrying one is an unknown opcode.
 var typeByOpcode = [...]Type{
 	1:  TypeRegister,
 	2:  TypeAlloc,
@@ -103,17 +107,16 @@ var typeByOpcode = [...]Type{
 	9:  TypeAttach,
 	10: TypeRestore,
 	11: TypeHeartbeat,
-	12: TypeStats,
-	13: TypeTrace,
-	14: TypeDump,
 	15: TypeCodec,
 	16: TypeResponse,
-	17: TypeTenants,
 }
 
 // opcodeOf returns the opcode for a type, or false for a type with no
 // binary form (unknown/empty types — Validate rejects those anyway).
 func opcodeOf(t Type) (byte, bool) {
+	if t == "" {
+		return 0, false // would otherwise match a retired opcode's empty slot
+	}
 	for op := 1; op < len(typeByOpcode); op++ {
 		if typeByOpcode[op] == t {
 			return byte(op), true
@@ -176,7 +179,6 @@ func AppendEncodeBinary(dst []byte, m *Message) (out []byte, ok bool) {
 	dst = appendBinaryInt(dst, tagSize, m.Size)
 	dst = appendBinaryInt(dst, tagLimit, m.Limit)
 	dst = appendBinaryInt(dst, tagAddr, int64(m.Addr))
-	dst = appendBinaryInt(dst, tagAfter, int64(m.After))
 	dst, ok = appendBinaryString(dst, tagTenant, m.Tenant)
 	if !ok {
 		return dst[:base], false
@@ -329,7 +331,7 @@ func DecodeBinaryInto(m *Message, op byte, seq uint64, payload []byte) error {
 				return fmt.Errorf("protocol: unknown decision byte %d", payload[i])
 			}
 			i++
-		case tagPID, tagSize, tagLimit, tagAddr, tagAfter, tagGranted, tagDevice, tagFree, tagTotal,
+		case tagPID, tagSize, tagLimit, tagAddr, tagGranted, tagDevice, tagFree, tagTotal,
 			tagTenantWeight, tagTenantPriority, tagTenantQuota, tagTenantGuarantee:
 			if i+8 > len(payload) {
 				return errTruncatedField(tag)
@@ -345,8 +347,6 @@ func DecodeBinaryInto(m *Message, op byte, seq uint64, payload []byte) error {
 				m.Limit = int64(v)
 			case tagAddr:
 				m.Addr = v
-			case tagAfter:
-				m.After = v
 			case tagGranted:
 				m.Granted = int64(v)
 			case tagDevice:

@@ -37,26 +37,8 @@ var goldenLines = []struct {
 		Message{Type: TypeRestore, Seq: 15, PID: 41, Size: 104857600, Addr: 160}},
 	{`{"type":"heartbeat","seq":16}`,
 		Message{Type: TypeHeartbeat, Seq: 16}},
-	{`{"type":"stats","seq":17}`,
-		Message{Type: TypeStats, Seq: 17}},
-	{`{"type":"trace","seq":18,"container":"c1","after":256}`,
-		Message{Type: TypeTrace, Seq: 18, Container: "c1", After: 256}},
-	{`{"type":"dump","seq":19}`,
-		Message{Type: TypeDump, Seq: 19}},
 	{`{"type":"codec","seq":20,"data":"bin1"}`,
 		Message{Type: TypeCodec, Seq: 20, Data: BinaryCodecToken}},
-	{`{"type":"nodes","seq":21}`,
-		Message{Type: TypeNodes, Seq: 21}},
-	{`{"type":"drain","seq":22,"device":1}`,
-		Message{Type: TypeDrain, Seq: 22, Device: 1}},
-	{`{"type":"revive","seq":23,"device":1}`,
-		Message{Type: TypeRevive, Seq: 23, Device: 1}},
-	{`{"type":"sessions","seq":24,"container":"c0","size":50}`,
-		Message{Type: TypeSessions, Seq: 24, Container: "c0", Size: 50}},
-	{`{"type":"ops","seq":25,"container":"op-3"}`,
-		Message{Type: TypeOps, Seq: 25, Container: "op-3"}},
-	{`{"type":"tenants","seq":26}`,
-		Message{Type: TypeTenants, Seq: 26}},
 	{`{"type":"response","seq":7,"ok":true,"decision":"accept"}`,
 		Message{Type: TypeResponse, Seq: 7, OK: true, Decision: DecisionAccept}},
 	{`{"type":"response","seq":1,"ok":true,"granted":536870912,"socket_dir":"/run/convgpu/containers/c1","device":2}`,

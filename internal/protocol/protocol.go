@@ -66,17 +66,6 @@ const (
 	// whose lease expires (no traffic within the daemon's grace window
 	// and no close signal) is presumed dead and reaped.
 	TypeHeartbeat Type = "heartbeat"
-	// TypeStats asks the daemon for its metric snapshot (introspection,
-	// control socket only). The response's Data field carries the JSON
-	// payload (obs.StatsPayload).
-	TypeStats Type = "stats"
-	// TypeTrace asks the daemon for its retained event trace, optionally
-	// filtered to one container (Container field). The response's Data
-	// field carries the JSON payload (obs.TraceDump).
-	TypeTrace Type = "trace"
-	// TypeDump asks the daemon for a full state dump: scheduler
-	// snapshot, metrics and trace in one JSON document (Data field).
-	TypeDump Type = "dump"
 	// TypeCodec negotiates the wire codec for the rest of the
 	// connection. The probe is always sent JSON-encoded with the offered
 	// codec token in Data; a server that supports it echoes the token
@@ -86,32 +75,6 @@ const (
 	// leaves the connection on JSON, so the handshake can only ever
 	// downgrade to the universally understood codec.
 	TypeCodec Type = "codec"
-	// TypeNodes asks the daemon for its cluster membership view
-	// (control socket only; single-node daemons answer an error). The
-	// response's Data field carries the JSON payload (a list of node
-	// statuses).
-	TypeNodes Type = "nodes"
-	// TypeDrain marks one node (Device field) as draining: it refuses
-	// new registrations but lets existing grants complete.
-	TypeDrain Type = "drain"
-	// TypeRevive manually returns one node (Device field) to service,
-	// clearing a draining or down state.
-	TypeRevive Type = "revive"
-	// TypeSessions asks the daemon for a page of its live sessions
-	// (control socket only). Container carries the page cursor (the last
-	// container ID of the previous page, empty for the first page) and
-	// Size the page limit. The response's Data field carries the JSON
-	// payload (a session page).
-	TypeSessions Type = "sessions"
-	// TypeOps asks the daemon for its async admin operations (control
-	// socket only): all retained operations, or one when Container
-	// carries an operation ID. The response's Data field carries the
-	// JSON payload.
-	TypeOps Type = "ops"
-	// TypeTenants asks the daemon for its per-tenant usage rollup
-	// (control socket only). The response's Data field carries the JSON
-	// payload (a list of tenant usage summaries).
-	TypeTenants Type = "tenants"
 	// TypeResponse is the reply to any request.
 	TypeResponse Type = "response"
 )
@@ -142,8 +105,7 @@ type Message struct {
 	Size      int64  `json:"size,omitempty"`  // bytes
 	Limit     int64  `json:"limit,omitempty"` // bytes, register only
 	Addr      uint64 `json:"addr,omitempty"`
-	API       string `json:"api,omitempty"`   // originating CUDA API name
-	After     uint64 `json:"after,omitempty"` // trace page cursor: return events with Seq > After
+	API       string `json:"api,omitempty"` // originating CUDA API name
 
 	// Tenant identity fields (register/attach only; absent = default
 	// tenant, which keeps single-tenant wire bytes identical to older
@@ -164,7 +126,7 @@ type Message struct {
 	Device    int      `json:"device,omitempty"` // assigned device (register/attach responses)
 	Free      int64    `json:"free,omitempty"`   // meminfo: free within limit
 	Total     int64    `json:"total,omitempty"`  // meminfo: the limit
-	Data      string   `json:"data,omitempty"`   // introspection payload (JSON document)
+	Data      string   `json:"data,omitempty"`   // codec negotiation token
 
 	// NoReply marks a one-way frame: the sender waits for no response.
 	// It exists only on the binary wire (the opcode byte's high bit) and
@@ -245,13 +207,9 @@ func (m *Message) Validate() error {
 		if m.Size <= 0 {
 			return fmt.Errorf("protocol: restore with non-positive size %d", m.Size)
 		}
-	case TypeMemInfo, TypeResponse, TypeHeartbeat, TypeStats, TypeTrace, TypeDump, TypeCodec, TypeNodes, TypeDrain, TypeRevive, TypeSessions, TypeOps, TypeTenants:
-		// No required request fields beyond the type itself (trace may
-		// carry an optional Container filter and an After cursor; codec
-		// carries the offered token in Data; drain/revive carry the node
-		// index in Device, where zero is a valid node; sessions carries
-		// its cursor in Container and page limit in Size; ops carries an
-		// optional operation ID in Container).
+	case TypeMemInfo, TypeResponse, TypeHeartbeat, TypeCodec:
+		// No required request fields beyond the type itself (codec
+		// carries the offered token in Data).
 	case "":
 		return fmt.Errorf("protocol: message without type")
 	default:

@@ -258,8 +258,9 @@ func WithLease(d time.Duration) Option {
 	}
 }
 
-// WithCallTimeout bounds each control-socket call (registration, close,
-// introspection). Allocation requests are exempt by design — a
+// WithCallTimeout bounds each control-socket call (registration,
+// close); the introspection getters read the daemon in process and
+// cross no socket. Allocation requests are exempt by design — a
 // suspended allocation legitimately blocks. Zero disables the bound;
 // the per-call context passed to Run/Create still applies either way.
 func WithCallTimeout(d time.Duration) Option {

@@ -2,7 +2,6 @@ package convgpu
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net/http"
 	"os"
@@ -21,14 +20,13 @@ import (
 	"convgpu/internal/obs"
 	"convgpu/internal/plugin"
 	"convgpu/internal/policy"
-	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
 )
 
 // Observability is the stack's runtime telemetry bundle: per-algorithm
 // event counters, latency histograms, scrape-time gauges and the event
-// trace ring. Reach it with Stack.Observability; serve it over HTTP
-// with its Handler method.
+// trace ring. Reach it with Stack.Observability; Stack.AdminHandler
+// serves it over HTTP.
 type Observability = obs.Observability
 
 // Operation is one admin-plane operation: a mutating verb (drain,
@@ -389,10 +387,6 @@ func (s *Stack) Device() *gpu.Device { return s.device }
 // histograms, gauges and the event trace.
 func (s *Stack) Observability() *Observability { return s.obs }
 
-// MetricsHandler returns an HTTP handler serving /metrics (Prometheus
-// text), /stats, /trace, /debug/vars and /debug/pprof for this stack.
-func (s *Stack) MetricsHandler() http.Handler { return s.obs.Handler() }
-
 // ControlSocket returns the scheduler daemon's control socket path, or
 // "" before Start.
 func (s *Stack) ControlSocket() string {
@@ -404,194 +398,128 @@ func (s *Stack) ControlSocket() string {
 	return s.daemon.ControlSocket()
 }
 
-// introspect performs one stats/trace/dump round trip on the control
-// socket and returns the response's JSON payload.
-func (s *Stack) introspect(ctx context.Context, typ protocol.Type, containerID string) ([]byte, error) {
-	return s.callData(ctx, &protocol.Message{Type: typ, Container: containerID})
-}
-
-// callData performs one control-socket round trip and returns the
-// response's JSON payload.
-func (s *Stack) callData(ctx context.Context, msg *protocol.Message) ([]byte, error) {
+// running returns the started daemon, or ErrNotStarted. The getters
+// below read its documents in process — the same producers /v1 serves
+// (AdminHandler) — so no socket and no context deadline is involved.
+func (s *Stack) running() (*daemon.Daemon, error) {
 	s.mu.Lock()
-	ctl := s.ctl
-	started := s.started
-	s.mu.Unlock()
-	if !started {
+	defer s.mu.Unlock()
+	if !s.started {
 		return nil, ErrNotStarted
 	}
-	typ := msg.Type
-	resp, err := ctl.Call(ctx, msg)
-	if err != nil {
-		return nil, fmt.Errorf("convgpu: %s: %w: %v", typ, ErrDaemonUnavailable, err)
-	}
-	if !resp.OK {
-		e := fmt.Errorf("convgpu: %s: %s", typ, resp.Error)
-		protocol.ReleaseMessage(resp)
-		return nil, e
-	}
-	data := []byte(resp.Data)
-	protocol.ReleaseMessage(resp)
-	return data, nil
+	return s.daemon, nil
 }
 
-// nodeVerb performs one drain/revive round trip on the control socket.
-func (s *Stack) nodeVerb(ctx context.Context, typ protocol.Type, node int) error {
-	s.mu.Lock()
-	ctl := s.ctl
-	started := s.started
-	s.mu.Unlock()
-	if !started {
-		return ErrNotStarted
-	}
-	resp, err := ctl.Call(ctx, &protocol.Message{Type: typ, Device: node})
-	if err != nil {
-		return fmt.Errorf("convgpu: %s: %w: %v", typ, ErrDaemonUnavailable, err)
-	}
-	defer protocol.ReleaseMessage(resp)
-	if !resp.OK {
-		if err := protocol.ErrFromCode(resp.Code); err != nil {
-			return fmt.Errorf("convgpu: %s node %d: %w", typ, node, err)
-		}
-		return fmt.Errorf("convgpu: %s node %d: %s", typ, node, resp.Error)
-	}
-	return nil
-}
-
-// Nodes asks the live daemon for the cluster membership view — one
-// NodeStatus per node with its state (up, suspect, down, draining),
-// capacity, free memory and failover count. It requires a cluster stack
-// (WithNodes); on a single-node stack the daemon answers with an error.
+// Nodes reports the cluster membership view — one NodeStatus per node
+// with its state (up, suspect, down, draining), capacity, free memory
+// and failover count. It requires a cluster stack (WithNodes); a
+// single-node stack answers with an error.
 func (s *Stack) Nodes(ctx context.Context) ([]NodeStatus, error) {
-	data, err := s.introspect(ctx, protocol.TypeNodes, "")
+	d, err := s.running()
 	if err != nil {
 		return nil, err
 	}
-	var nodes []NodeStatus
-	if err := json.Unmarshal(data, &nodes); err != nil {
-		return nil, fmt.Errorf("convgpu: nodes: %w", err)
-	}
-	return nodes, nil
+	return d.NodeStatuses()
 }
 
-// Tenants asks the live daemon for the per-tenant usage rollup: one
-// TenantUsage per named tenant with its configured attributes (weight,
-// priority, quota, guarantee) and live scheduling state (containers,
-// grants, usage, pending requests), sorted by name. Containers of the
-// default tenant are not listed.
+// Tenants reports the per-tenant usage rollup: one TenantUsage per
+// named tenant with its configured attributes (weight, priority, quota,
+// guarantee) and live scheduling state (containers, grants, usage,
+// pending requests), sorted by name. Containers of the default tenant
+// are not listed.
 func (s *Stack) Tenants(ctx context.Context) ([]TenantUsage, error) {
-	data, err := s.introspect(ctx, protocol.TypeTenants, "")
+	d, err := s.running()
 	if err != nil {
 		return nil, err
 	}
-	var tenants []TenantUsage
-	if err := json.Unmarshal(data, &tenants); err != nil {
-		return nil, fmt.Errorf("convgpu: tenants: %w", err)
-	}
-	return tenants, nil
+	return d.Tenants(), nil
 }
 
 // DrainNode makes a cluster node refuse new containers while its
 // existing grants complete — the graceful half of the failure-domain
 // surface. Draining a node that is already down fails with ErrNodeDown.
 func (s *Stack) DrainNode(ctx context.Context, node int) error {
-	return s.nodeVerb(ctx, protocol.TypeDrain, node)
+	d, err := s.running()
+	if err != nil {
+		return err
+	}
+	return d.DrainNode(node)
 }
 
 // ReviveNode returns a drained or down cluster node to service. A down
 // node's slot holds a fresh, empty scheduler (installed at failover),
 // so revival is indistinguishable from a clean boot.
 func (s *Stack) ReviveNode(ctx context.Context, node int) error {
-	return s.nodeVerb(ctx, protocol.TypeRevive, node)
-}
-
-// Stats asks the live daemon for its metric snapshot over the control
-// socket and returns the JSON document (obs.StatsPayload).
-func (s *Stack) Stats(ctx context.Context) ([]byte, error) {
-	return s.introspect(ctx, protocol.TypeStats, "")
-}
-
-// Trace asks the live daemon for its retained event trace over the
-// control socket (obs.TraceDump). An empty containerID returns every
-// container's events. The daemon pages trace responses to fit the IPC
-// frame bound; Trace follows the cursor until the ring is exhausted
-// and returns the merged dump, so a trace longer than one frame is no
-// longer silently truncated.
-func (s *Stack) Trace(ctx context.Context, containerID string) ([]byte, error) {
-	var merged obs.TraceDump
-	first := true
-	after := uint64(0)
-	for {
-		data, err := s.callData(ctx, &protocol.Message{Type: protocol.TypeTrace, Container: containerID, After: after})
-		if err != nil {
-			return nil, err
-		}
-		var page obs.TraceDump
-		if err := json.Unmarshal(data, &page); err != nil {
-			return nil, fmt.Errorf("convgpu: trace: %w", err)
-		}
-		if first {
-			merged = page
-			first = false
-		} else {
-			merged.Capacity, merged.Total, merged.Dropped = page.Capacity, page.Total, page.Dropped
-			merged.Events = append(merged.Events, page.Events...)
-		}
-		if !page.More || len(page.Events) == 0 {
-			break
-		}
-		after = page.Events[len(page.Events)-1].Seq
-	}
-	merged.NextAfter, merged.More = 0, false
-	return json.Marshal(&merged)
-}
-
-// TracePage retrieves one bounded page of the event trace: up to limit
-// events with Seq > after. The returned dump's next_after/more fields
-// drive the next call — the building block Trace loops over.
-func (s *Stack) TracePage(ctx context.Context, containerID string, after uint64, limit int) ([]byte, error) {
-	return s.callData(ctx, &protocol.Message{Type: protocol.TypeTrace, Container: containerID, After: after, Size: int64(limit)})
-}
-
-// Sessions asks the live daemon for one page of its registered session
-// listing, ordered by container ID: entries with ID > after, at most
-// limit of them (0 = the daemon's page cap). With WithWAL the listing
-// reads the durable folded state; otherwise the live core.
-func (s *Stack) Sessions(ctx context.Context, after string, limit int) (SessionPage, error) {
-	data, err := s.callData(ctx, &protocol.Message{Type: protocol.TypeSessions, Container: after, Size: int64(limit)})
+	d, err := s.running()
 	if err != nil {
-		return SessionPage{}, err
+		return err
 	}
-	var page SessionPage
-	if err := json.Unmarshal(data, &page); err != nil {
-		return SessionPage{}, fmt.Errorf("convgpu: sessions: %w", err)
-	}
-	return page, nil
+	return d.ReviveNode(node)
 }
 
-// Operations asks the live daemon for its retained admin operations,
-// newest first.
-func (s *Stack) Operations(ctx context.Context) ([]Operation, error) {
-	data, err := s.callData(ctx, &protocol.Message{Type: protocol.TypeOps})
+// Stats returns the daemon's metric snapshot as a JSON document
+// (obs.StatsPayload).
+func (s *Stack) Stats(ctx context.Context) ([]byte, error) {
+	d, err := s.running()
 	if err != nil {
 		return nil, err
 	}
-	var ops []Operation
-	if err := json.Unmarshal(data, &ops); err != nil {
-		return nil, fmt.Errorf("convgpu: ops: %w", err)
+	return d.Obs().StatsJSON()
+}
+
+// Trace returns the daemon's whole retained event trace as a JSON
+// document (obs.TraceDump). An empty containerID returns every
+// container's events.
+func (s *Stack) Trace(ctx context.Context, containerID string) ([]byte, error) {
+	d, err := s.running()
+	if err != nil {
+		return nil, err
 	}
-	return ops, nil
+	return d.Obs().Tracer().Dump(containerID)
+}
+
+// TracePage returns one bounded page of the event trace: up to limit
+// events with Seq > after (limit <= 0 means no bound). The returned
+// dump's next_after/more fields drive the next call.
+func (s *Stack) TracePage(ctx context.Context, containerID string, after uint64, limit int) ([]byte, error) {
+	d, err := s.running()
+	if err != nil {
+		return nil, err
+	}
+	return d.Obs().Tracer().DumpPage(containerID, after, limit)
+}
+
+// Sessions returns one page of the daemon's registered session listing,
+// ordered by container ID: entries with ID > after, at most limit of
+// them (0 = the daemon's page cap). With WithWAL the listing reads the
+// durable folded state; otherwise the live core.
+func (s *Stack) Sessions(ctx context.Context, after string, limit int) (SessionPage, error) {
+	d, err := s.running()
+	if err != nil {
+		return SessionPage{}, err
+	}
+	return d.Sessions(after, limit), nil
+}
+
+// Operations returns the daemon's retained admin operations, newest
+// first.
+func (s *Stack) Operations(ctx context.Context) ([]Operation, error) {
+	d, err := s.running()
+	if err != nil {
+		return nil, err
+	}
+	return d.Ops().List(), nil
 }
 
 // Operation polls one admin operation by ID.
 func (s *Stack) Operation(ctx context.Context, id string) (Operation, error) {
-	data, err := s.callData(ctx, &protocol.Message{Type: protocol.TypeOps, Container: id})
+	d, err := s.running()
 	if err != nil {
 		return Operation{}, err
 	}
-	var op Operation
-	if err := json.Unmarshal(data, &op); err != nil {
-		return Operation{}, fmt.Errorf("convgpu: ops: %w", err)
+	op, ok := d.Ops().Get(id)
+	if !ok {
+		return Operation{}, fmt.Errorf("convgpu: unknown operation %q", id)
 	}
 	return op, nil
 }
@@ -599,10 +527,8 @@ func (s *Stack) Operation(ctx context.Context, id string) (Operation, error) {
 // WALStats reports the write-ahead log's counters; ok is false without
 // WithWAL or before Start.
 func (s *Stack) WALStats() (WALStats, bool) {
-	s.mu.Lock()
-	d := s.daemon
-	s.mu.Unlock()
-	if d == nil {
+	d, err := s.running()
+	if err != nil {
 		return WALStats{}, false
 	}
 	return d.WALStats()
@@ -611,21 +537,22 @@ func (s *Stack) WALStats() (WALStats, bool) {
 // AdminHandler returns the versioned HTTP admin plane for the running
 // stack: read endpoints and async mutating verbs under /v1 (see
 // internal/admin), with request-ID correlation and per-client
-// throttling. It fronts the same daemon the control socket serves.
-// Fails before Start.
+// throttling — the one surface through which the documents the getters
+// above return leave the process. Fails before Start.
 func (s *Stack) AdminHandler() (http.Handler, error) {
-	s.mu.Lock()
-	d := s.daemon
-	started := s.started
-	s.mu.Unlock()
-	if !started || d == nil {
-		return nil, ErrNotStarted
+	d, err := s.running()
+	if err != nil {
+		return nil, err
 	}
 	return admin.New(admin.Config{Daemon: d})
 }
 
-// Dump asks the live daemon for a full state dump over the control
-// socket: snapshot, metrics and trace in one JSON document.
+// Dump returns the daemon's full state dump: snapshot, metrics and the
+// trace tail in one JSON document.
 func (s *Stack) Dump(ctx context.Context) ([]byte, error) {
-	return s.introspect(ctx, protocol.TypeDump, "")
+	d, err := s.running()
+	if err != nil {
+		return nil, err
+	}
+	return d.DumpJSON(0)
 }

@@ -134,7 +134,7 @@ func TestStackLifecycleAndIntrospection(t *testing.T) {
 	}
 	runOne(t, st.Run, "c1")
 
-	// Stats over the live control socket.
+	// Stats of the live daemon.
 	data, err := st.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
@@ -163,7 +163,7 @@ func TestStackLifecycleAndIntrospection(t *testing.T) {
 		t.Fatalf("accept counter = %d, want >= 1", accepts)
 	}
 
-	// Trace over the live control socket, filtered to the container.
+	// Trace of the live daemon, filtered to the container.
 	data, err = st.Trace(context.Background(), "c1")
 	if err != nil {
 		t.Fatal(err)
@@ -197,19 +197,23 @@ func TestStackLifecycleAndIntrospection(t *testing.T) {
 	}
 
 	// The HTTP surface serves the same registry.
-	srv := httptest.NewServer(st.MetricsHandler())
+	h, err := st.AdminHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv := httptest.NewServer(h)
 	defer srv.Close()
-	resp, err := srv.Client().Get(srv.URL + "/metrics")
+	resp, err := srv.Client().Get(srv.URL + "/v1/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	body, _ := io.ReadAll(resp.Body)
 	resp.Body.Close()
 	if !strings.Contains(string(body), `convgpu_scheduler_events_total{algorithm="bestfit",kind="accept"}`) {
-		t.Fatalf("/metrics missing accept counter:\n%.2000s", body)
+		t.Fatalf("/v1/metrics missing accept counter:\n%.2000s", body)
 	}
 	if !strings.Contains(string(body), "convgpu_ipc_rtt_seconds_count") {
-		t.Fatalf("/metrics missing RTT histogram:\n%.2000s", body)
+		t.Fatalf("/v1/metrics missing RTT histogram:\n%.2000s", body)
 	}
 }
 

@@ -81,7 +81,7 @@ func TestStackWALAndAdminPlane(t *testing.T) {
 		t.Fatalf("snapshot operation failed: %s", op.Error)
 	}
 
-	// The facade's listing sees the same operation over the socket.
+	// The facade's listing sees the same operation.
 	ops, err := st.Operations(ctx)
 	if err != nil {
 		t.Fatal(err)
