@@ -4,9 +4,9 @@
 GO ?= go
 
 .PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
-	bench bench-all bench-recovery bench-policy bench-load benchdiff \
+	bench bench-recovery bench-policy bench-load benchdiff \
 	benchdiff-policy bench-module clean model model-long policy fuzz-smoke cover \
-	recovery-smoke load-smoke
+	recovery-smoke load-smoke load-repro
 
 all: build test
 
@@ -165,14 +165,6 @@ bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem -count=1 . | tee BENCH_hotpath.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem -count=1 -json . > BENCH_hotpath.json
 
-# bench-all regenerates docs_bench_all.txt, the captured full benchmark
-# run EXPERIMENTS.md quotes — every family at -benchtime=1x except the
-# hot-path suite, which gets real sampling via `make bench` above. Run
-# it whenever a benchmark is added or renamed so the capture cannot
-# drift from the suite.
-bench-all:
-	$(GO) test -run '^$$' -bench . -benchmem -benchtime=1x -count=1 . | tee docs_bench_all.txt
-
 # bench-recovery captures the restart-recovery artifact quoted by
 # EXPERIMENTS.md: replay wall time and per-event cost as the WAL grows
 # from 10^3 to 10^6 sessions (the 10^6 case allocates a multi-hundred-MB
@@ -197,9 +189,24 @@ bench-policy:
 # in-process path and the daemon+IPC wire path, with
 # goodput-vs-offered-load curves and p50/p99/p999 admission tails.
 # Repeat runs with the same seed reproduce BENCH_load.json's in-process
-# section byte-for-byte; `convgpu-stats load` renders the artifact.
+# section byte-for-byte (load-repro below checks it); `convgpu-stats
+# load` renders the artifact.
 bench-load:
 	$(GO) run ./cmd/convgpu-load -out BENCH_load
+
+# load-repro is the gate on that promise, and with it on every
+# virtual-time scheduling outcome at 3200 containers: the in-process
+# section is regenerated with the command's defaults into a temp dir
+# (about a minute and a half) and must equal the committed
+# BENCH_load.json's, cell for cell, byte for byte. A change that moves a
+# scheduling outcome on purpose regenerates the artifact with
+# `make bench-load` and says so.
+load-repro:
+	@tmp=$$(mktemp -d); \
+	$(GO) run ./cmd/convgpu-load -path inprocess -out $$tmp/BENCH_load > /dev/null \
+		&& $(GO) test -run '^TestLoadRepro$$' -count=1 -v ./internal/load \
+			-load.fresh=$$tmp/BENCH_load.json -load.committed=$(CURDIR)/BENCH_load.json; \
+	status=$$?; rm -rf $$tmp; exit $$status
 
 # benchdiff compares the current hot-path numbers against the committed
 # BENCH_hotpath.txt baseline with the home-grown comparer (benchstat

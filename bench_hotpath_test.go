@@ -27,6 +27,9 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
+	"convgpu/internal/cuda"
+	"convgpu/internal/daemon"
+	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
 	"convgpu/internal/multigpu"
 	"convgpu/internal/obs"
@@ -251,11 +254,49 @@ func BenchmarkHotPathRoutedAccept64Devices(b *testing.B) { benchRoutedAccept(b, 
 
 // --- end to end ---
 
-// hotPathRig is newBenchRig without device latency: what remains is pure
-// middleware cost (codec + transport + scheduler). Its wrapper connection
-// must be on binary frames, like every container's.
+// benchRig is the measured single-container path with no device
+// latency — daemon over a real UNIX socket, one registered container,
+// wrapper module — so that what remains is pure middleware cost (codec +
+// transport + scheduler).
+type benchRig struct {
+	wrapCli *ipc.Client
+	sockDir string // the registered container's socket directory
+	wrapped *wrapper.Module
+}
+
+// newHotPathRig builds the rig. Its wrapper connection must be on binary
+// frames, like every container's.
 func newHotPathRig(b *testing.B) *benchRig {
-	r := newBenchRig(b, false)
+	b.Helper()
+	st, err := core.New(core.Config{Capacity: 5 * bytesize.GiB})
+	if err != nil {
+		b.Fatal(err)
+	}
+	d, err := daemon.Start(daemon.Config{BaseDir: b.TempDir(), Core: st})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctl, err := ipc.Dial(d.ControlSocket())
+	if err != nil {
+		b.Fatal(err)
+	}
+	resp, err := ctl.Call(context.Background(), &protocol.Message{
+		Type: protocol.TypeRegister, Container: "bench", Limit: int64(4 * bytesize.GiB),
+	})
+	if err != nil || !resp.OK {
+		b.Fatalf("register: %v %v", resp, err)
+	}
+	r := &benchRig{sockDir: resp.SocketDir}
+	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(r.sockDir, wrapper.SocketFileName))
+	if err != nil {
+		b.Fatal(err)
+	}
+	r.wrapped = wrapper.New(cuda.NewRuntime(gpu.New(gpu.K20m()), 2), r.wrapCli, 2)
+	b.Cleanup(func() {
+		r.wrapCli.Close()
+		ctl.Close()
+		d.Close()
+	})
 	if !r.wrapCli.BinaryNegotiated() {
 		b.Fatal("the rig's wrapper connection did not negotiate binary")
 	}

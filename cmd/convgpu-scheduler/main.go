@@ -177,6 +177,8 @@ func main() {
 	wakeFactory := func(seed int64) (core.Algorithm, error) {
 		return policy.NewWake(algName, policy.Config{Seed: seed})
 	}
+	// Per-device settings: one template, in force on every topology.
+	device := core.Config{FaultTolerant: *rescue}
 	var st core.Scheduler
 	var clus *cluster.Cluster
 	if *nodes > 1 {
@@ -195,6 +197,7 @@ func main() {
 				return policy.NewPlace(placeName, policy.Config{Seed: *seed})
 			},
 			Strategy: strat,
+			Device:   device,
 		})
 		if err != nil {
 			log.Fatalf("convgpu-scheduler: %v", err)
@@ -212,6 +215,7 @@ func main() {
 			AlgorithmFactory:  wakeFactory,
 			AlgSeed:           *seed,
 			Policy:            pol,
+			Device:            device,
 		})
 		if err != nil {
 			log.Fatalf("convgpu-scheduler: %v", err)
@@ -222,7 +226,8 @@ func main() {
 		if err != nil {
 			log.Fatalf("convgpu-scheduler: %v", err)
 		}
-		single, err := core.New(core.Config{Capacity: cap, Algorithm: alg, FaultTolerant: *rescue})
+		device.Capacity, device.Algorithm = cap, alg
+		single, err := core.New(device)
 		if err != nil {
 			log.Fatalf("convgpu-scheduler: %v", err)
 		}

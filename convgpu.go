@@ -266,10 +266,10 @@ func SimulateMultiGPU(trace []TraceEntry, devices int, policy, algorithm string)
 	}
 	sched, err := multigpu.New(multigpu.Config{
 		Devices:           devices,
-		CapacityPerDevice: 5 * GiB,
+		CapacityPerDevice: sim.DeviceCapacity,
 		Algorithm:         algorithm,
 		Policy:            pol,
-		Clock:             clk,
+		Device:            core.Config{Clock: clk},
 	})
 	if err != nil {
 		return SimResult{}, err
@@ -293,10 +293,10 @@ func SimulateCluster(trace []TraceEntry, nodes int, strategy, algorithm string) 
 	cl, err := cluster.New(cluster.Config{
 		Nodes:          nodes,
 		GPUsPerNode:    1,
-		CapacityPerGPU: 5 * GiB,
+		CapacityPerGPU: sim.DeviceCapacity,
 		Algorithm:      algorithm,
 		Strategy:       strat,
-		Clock:          clk,
+		Device:         core.Config{Clock: clk},
 	})
 	if err != nil {
 		return SimResult{}, err

@@ -552,7 +552,7 @@ func TestTenantsAndMetricsRoutes(t *testing.T) {
 func TestNodeRoutes(t *testing.T) {
 	leak.Check(t)
 	clus, err := cluster.New(cluster.Config{
-		Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: 500 * bytesize.MiB, ContextOverhead: 1,
+		Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: 500 * bytesize.MiB, Device: core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -188,10 +188,11 @@ type Config struct {
 	DevicePolicyFactory func() (multigpu.Policy, error)
 	// Strategy places containers on nodes (default spread).
 	Strategy Strategy
-	// Clock is shared by every scheduler in the cluster.
-	Clock clock.Clock
-	// ContextOverhead per process (default 66 MiB).
-	ContextOverhead bytesize.Size
+	// Device is the per-GPU scheduler template handed to every node's
+	// multigpu.Config.Device unchanged: the Clock every scheduler in the
+	// cluster shares, ContextOverhead, PersistentGrants, FaultTolerant,
+	// EventLogSize.
+	Device core.Config
 }
 
 // Cluster routes containers to per-node ConVGPU schedulers. All
@@ -243,7 +244,7 @@ func New(cfg Config) (*Cluster, error) {
 		devPolicyName = multigpu.PolicyLeastLoaded
 	}
 	cfg.DevicePolicy = devPolicyName
-	clk := cfg.Clock
+	clk := cfg.Device.Clock
 	if clk == nil {
 		clk = clock.Real{}
 	}
@@ -290,8 +291,7 @@ func (c *Cluster) newMember(i int) (core.Scheduler, error) {
 		AlgorithmFactory:  c.cfg.AlgorithmFactory,
 		AlgSeed:           c.cfg.AlgSeed + int64(i)*100,
 		Policy:            pol,
-		Clock:             c.cfg.Clock,
-		ContextOverhead:   c.cfg.ContextOverhead,
+		Device:            c.cfg.Device,
 	})
 }
 

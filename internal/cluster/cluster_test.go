@@ -97,11 +97,11 @@ func TestRandomStrategyDeterministicAndEligible(t *testing.T) {
 func newCluster(t *testing.T, nodes, gpus int, strat Strategy) *Cluster {
 	t.Helper()
 	c, err := New(Config{
-		Nodes:           nodes,
-		GPUsPerNode:     gpus,
-		CapacityPerGPU:  mib(1000),
-		Strategy:        strat,
-		ContextOverhead: 1,
+		Nodes:          nodes,
+		GPUsPerNode:    gpus,
+		CapacityPerGPU: mib(1000),
+		Strategy:       strat,
+		Device:         core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -203,7 +203,7 @@ func TestSimOverCluster(t *testing.T) {
 			CapacityPerGPU: 5 * bytesize.GiB,
 			Algorithm:      core.AlgBestFit,
 			Strategy:       Spread{},
-			Clock:          clk,
+			Device:         core.Config{Clock: clk},
 		})
 		if err != nil {
 			t.Fatal(err)

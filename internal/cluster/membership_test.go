@@ -24,8 +24,8 @@ func newMembershipCluster(t *testing.T, cfg Config) *Cluster {
 	if cfg.CapacityPerGPU == 0 {
 		cfg.CapacityPerGPU = mib(500)
 	}
-	if cfg.ContextOverhead == 0 {
-		cfg.ContextOverhead = 1
+	if cfg.Device.ContextOverhead == 0 {
+		cfg.Device.ContextOverhead = 1
 	}
 	c, err := New(cfg)
 	if err != nil {
@@ -319,7 +319,7 @@ func waitArmed(t *testing.T, clk *clock.Manual) {
 // then probe recovery → auto-revival, with draining nodes left alone.
 func TestHealthLoopTransitions(t *testing.T) {
 	clk := clock.NewManual()
-	c := newMembershipCluster(t, Config{Clock: clk})
+	c := newMembershipCluster(t, Config{Device: core.Config{Clock: clk}})
 	if _, err := c.Register("c0", mib(100)); err != nil {
 		t.Fatal(err)
 	}

@@ -155,8 +155,8 @@ type Config struct {
 	// to a container it stays assigned until the container closes. This
 	// reading of the paper strands partial grants with paused containers
 	// and can wedge Recent-Use and Random under heavy load (the ablation
-	// benches quantify it); the default (reclaiming) semantics cannot
-	// wedge on single-allocation workloads.
+	// benches quantify it); the default (reclaiming) semantics wedge
+	// single-allocation workloads only in the window Stalled describes.
 	PersistentGrants bool
 	// EventLogSize sets the scheduler event-log ring capacity
 	// (DefaultEventLogSize when 0; negative disables retention).
@@ -1206,14 +1206,15 @@ func (s *State) TotalUsed() bytesize.Size {
 // is released (free, process exit, close); if every container is
 // blocked in a suspended allocation, no such event can occur again.
 //
-// With single-allocation programs — the paper's entire evaluation —
-// this state is unreachable: a paused container then holds no usage, so
-// the reclaim step of the previous redistribution had the full freed
-// capacity available and always fully satisfies at least its first
-// pick. Multi-allocation programs can reach it via classic
-// hold-and-wait (a paused container retaining earlier allocations),
-// the residual risk the authors' prior fault-tolerance study [10]
-// addresses.
+// Multi-allocation programs reach it via classic hold-and-wait (a paused
+// container retaining earlier allocations), the residual risk the
+// authors' prior fault-tolerance study [10] addresses. Single-allocation
+// programs — the paper's entire evaluation — reach it through the
+// partial-grant wedge: two containers each register into a partial grant
+// while nobody is pending, the grants sum to the device, both suspend on
+// their first request, and no release — so no reclaim and no rescue pass
+// either — can follow. TESTING.md ("The partial-grant wedge") has the
+// three-container trace; closing it is ROADMAP item 1(b).
 func (s *State) Stalled() bool {
 	s.lockAll()
 	defer s.unlockAll()

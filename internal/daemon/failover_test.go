@@ -17,7 +17,7 @@ import (
 func startClusterDaemon(t *testing.T) (*Daemon, *cluster.Cluster) {
 	t.Helper()
 	clus, err := cluster.New(cluster.Config{
-		Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: mib(500), ContextOverhead: 1,
+		Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: mib(500), Device: core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -27,7 +27,7 @@ func newMultiDevice(t *testing.T, devices int) *multigpu.State {
 		Devices:           devices,
 		CapacityPerDevice: mib(1000),
 		Policy:            pol,
-		ContextOverhead:   1,
+		Device:            core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

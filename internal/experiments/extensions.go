@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"convgpu/internal/bytesize"
 	"convgpu/internal/clock"
 	"convgpu/internal/cluster"
 	"convgpu/internal/core"
@@ -51,10 +50,10 @@ func MultiGPU(opt Options) (*Report, error) {
 				}
 				sched, err := multigpu.New(multigpu.Config{
 					Devices:           devices,
-					CapacityPerDevice: 5 * bytesize.GiB,
+					CapacityPerDevice: sim.DeviceCapacity,
 					Algorithm:         core.AlgBestFit,
 					Policy:            pol,
-					Clock:             clk,
+					Device:            core.Config{Clock: clk},
 				})
 				if err != nil {
 					return nil, err
@@ -123,10 +122,10 @@ func ClusterExp(opt Options) (*Report, error) {
 				cl, err := cluster.New(cluster.Config{
 					Nodes:          nodes,
 					GPUsPerNode:    1,
-					CapacityPerGPU: 5 * bytesize.GiB,
+					CapacityPerGPU: sim.DeviceCapacity,
 					Algorithm:      core.AlgBestFit,
 					Strategy:       strat,
-					Clock:          clk,
+					Device:         core.Config{Clock: clk},
 				})
 				if err != nil {
 					return nil, err

@@ -1,8 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Section IV), plus the ablations DESIGN.md calls out and
 // the future-work extensions. Each experiment returns a Report that the
-// convgpu-bench command renders; bench_test.go wraps the same
-// implementations as testing.B benchmarks.
+// convgpu-bench command renders.
 package experiments
 
 import (

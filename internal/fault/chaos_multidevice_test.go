@@ -53,7 +53,7 @@ func runChaosMultiDeviceSchedule(t *testing.T, seed int64) {
 		Devices:           2,
 		CapacityPerDevice: cmib(chaosCapacity),
 		Policy:            pol,
-		ContextOverhead:   1,
+		Device:            core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -66,7 +66,7 @@ func TestChaosNodeKill(t *testing.T) {
 
 func runNodeKillSchedule(t *testing.T, seed int64) {
 	clus, err := cluster.New(cluster.Config{
-		Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: cmib(nodeCapacity), ContextOverhead: 1,
+		Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: cmib(nodeCapacity), Device: core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

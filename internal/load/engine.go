@@ -1,7 +1,6 @@
 package load
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -12,10 +11,16 @@ import (
 	"convgpu/internal/multigpu"
 	"convgpu/internal/obs"
 	"convgpu/internal/policy"
+	"convgpu/internal/sim"
 )
 
-// Config parameterizes one harness run: the scheduler under test and
-// the physics the request stream is replayed with.
+// checkEvery is the scheduler-invariant check cadence in events (the
+// check scans every container, too much per event at thousands of them);
+// invariants are checked once more at the end of the run.
+const checkEvery = 512
+
+// Config parameterizes one harness run: the scheduler under test. The
+// physics the request stream is replayed with are sim's constants.
 type Config struct {
 	// Wake is the wake-order policy name (policy registry; default
 	// fifo). All seven registered policies are valid.
@@ -25,27 +30,14 @@ type Config struct {
 	Place string
 	// Devices is the GPU count (default 4).
 	Devices int
-	// CapacityPerDevice is each device's schedulable memory (default
-	// the K20m's 5 GiB).
-	CapacityPerDevice bytesize.Size
 	// Capacities optionally gives per-device capacities (MIG-style
-	// heterogeneous topology); overrides CapacityPerDevice.
+	// heterogeneous topology) in place of sim.DeviceCapacity each.
 	Capacities []bytesize.Size
 	// Seed seeds randomized policies.
 	Seed int64
-	// PCIeBandwidth models the host<->device copies (default 6 GiB/s).
-	PCIeBandwidth int64
-	// ContextOverhead is the per-process charge (default 66 MiB).
-	ContextOverhead bytesize.Size
-	// StartupDelay is container start to first allocation (default
-	// 100 ms; the wire path scales it with the timescale).
-	StartupDelay time.Duration
 	// Obs optionally receives admit-latency, deadline and goodput
 	// telemetry while the run executes.
 	Obs *obs.Observability
-	// CheckEvery is the scheduler-invariant check cadence in events
-	// (default 512; invariants are always checked once at the end).
-	CheckEvery int
 }
 
 func (c Config) withDefaults() Config {
@@ -57,21 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.Devices == 0 {
 		c.Devices = 4
-	}
-	if c.CapacityPerDevice == 0 {
-		c.CapacityPerDevice = 5 * bytesize.GiB
-	}
-	if c.PCIeBandwidth == 0 {
-		c.PCIeBandwidth = 6 << 30
-	}
-	if c.ContextOverhead == 0 {
-		c.ContextOverhead = core.DefaultContextOverhead
-	}
-	if c.StartupDelay == 0 {
-		c.StartupDelay = 100 * time.Millisecond
-	}
-	if c.CheckEvery == 0 {
-		c.CheckEvery = 512
 	}
 	return c
 }
@@ -85,16 +62,15 @@ func newBackend(cfg Config, clk clock.Clock) (*multigpu.State, error) {
 	}
 	return multigpu.New(multigpu.Config{
 		Devices:           cfg.Devices,
-		CapacityPerDevice: cfg.CapacityPerDevice,
+		CapacityPerDevice: sim.DeviceCapacity,
 		Capacities:        cfg.Capacities,
 		Algorithm:         cfg.Wake,
 		AlgorithmFactory: func(seed int64) (core.Algorithm, error) {
 			return policy.NewWake(cfg.Wake, policy.Config{Seed: seed})
 		},
-		AlgSeed:         cfg.Seed,
-		Policy:          place,
-		Clock:           clk,
-		ContextOverhead: cfg.ContextOverhead,
+		AlgSeed: cfg.Seed,
+		Policy:  place,
+		Device:  core.Config{Clock: clk},
 	})
 }
 
@@ -134,73 +110,55 @@ type RunResult struct {
 	Stalled bool
 }
 
+// outcomeOf opens a request's Outcome with what is known on arrival;
+// timeScale is deadlineOf's.
+func outcomeOf(r Request, timeScale float64) Outcome {
+	return Outcome{Seq: r.Seq, Class: r.Class.String(), Type: r.Type.Name, Arrival: r.Arrival, Deadline: deadlineOf(r, timeScale)}
+}
+
+// complete records the request's completion at offset finished.
+func (o *Outcome) complete(finished time.Duration, ob *obs.Observability) {
+	o.Completed, o.Finished = true, finished
+	o.DeadlineMet = finished <= o.Deadline
+	if ob != nil {
+		ob.ObserveDeadline(o.DeadlineMet)
+	}
+}
+
+// settle derives the run-level facts from the per-request outcomes once
+// Elapsed is known, and publishes the goodput.
+func (res *RunResult) settle(ob *obs.Observability) {
+	met := 0
+	for _, o := range res.Outcomes {
+		if !o.Completed {
+			res.Stalled = true
+		}
+		if o.DeadlineMet {
+			met++
+		}
+	}
+	if ob != nil && res.Elapsed > 0 {
+		ob.SetGoodput(float64(met) / res.Elapsed.Seconds())
+	}
+}
+
 // deadlineOf derives a request's absolute deadline offset: startup plus
 // slack times the ideal runtime (compute plus both PCIe copies per
-// cycle) plus the fixed grace.
-func deadlineOf(r Request, cfg Config) time.Duration {
-	ideal := time.Duration(r.Cycles) * (r.Service + copyTime(r.Type.AllocSize(), cfg.PCIeBandwidth))
-	return r.Arrival + cfg.StartupDelay + time.Duration(r.Slack*float64(ideal)) + r.Grace
-}
-
-// copyTime is the duration of the sample program's two PCIe transfers.
-func copyTime(size bytesize.Size, bandwidth int64) time.Duration {
-	if bandwidth <= 0 {
-		return 0
-	}
-	return 2 * time.Duration(int64(size)*int64(time.Second)/bandwidth)
-}
-
-type loadEventKind int
-
-const (
-	levArrive loadEventKind = iota
-	levAllocate
-	levFinish
-)
-
-type loadEvent struct {
-	at   time.Time
-	seq  int
-	kind loadEventKind
-	idx  int
-}
-
-type loadEventHeap []loadEvent
-
-func (h loadEventHeap) Len() int { return len(h) }
-func (h loadEventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h loadEventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *loadEventHeap) Push(x interface{}) { *h = append(*h, x.(loadEvent)) }
-func (h *loadEventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-type loadContainer struct {
-	id          core.ContainerID
-	req         Request
-	cycle       int
-	addr        uint64
-	ticket      core.Ticket
-	waiting     bool
-	requestedAt time.Time
-	finished    bool
-	out         Outcome
+// cycle) plus the fixed grace. The wire path hands in pre-scaled
+// requests and its timescale, which compresses the two terms that come
+// from the testbed's constants and not from the request; the in-process
+// path's timescale is 1.
+func deadlineOf(r Request, timeScale float64) time.Duration {
+	ideal := time.Duration(r.Cycles) * (r.Service + scaleDur(sim.CopyTime(r.Type.AllocSize()), timeScale))
+	return r.Arrival + scaleDur(sim.StartupDelay, timeScale) + time.Duration(r.Slack*float64(ideal)) + r.Grace
 }
 
 // RunInProcess replays the request stream against the scheduler core
 // under a virtual clock: open-loop arrivals from the stream, admission
 // and wake-ups from the real policies, service times advanced in
-// virtual time. Deterministic — the same requests, Config and seed
-// produce the identical RunResult.
+// virtual time — each request one sim.Job, the event loop sim.Replay.
+// Deterministic — the same requests, Config and seed produce the
+// identical RunResult.
 func RunInProcess(ctx context.Context, reqs []Request, cfg Config) (RunResult, error) {
 	cfg = cfg.withDefaults()
 	clk := clock.NewManual()
@@ -212,178 +170,51 @@ func RunInProcess(ctx context.Context, reqs []Request, cfg Config) (RunResult, e
 		cfg.Obs.BindCore(st)
 	}
 	start := clk.Now()
-	res := RunResult{}
-	containers := make([]*loadContainer, len(reqs))
-	byID := make(map[core.ContainerID]int)
-	var events loadEventHeap
-	seq := 0
-	push := func(at time.Time, kind loadEventKind, idx int) {
-		seq++
-		heap.Push(&events, loadEvent{at: at, seq: seq, kind: kind, idx: idx})
-	}
+	res := RunResult{Outcomes: make([]Outcome, len(reqs))}
+	jobs := make([]sim.Job, len(reqs))
 	for i, r := range reqs {
-		containers[i] = &loadContainer{
-			id:  core.ContainerID(fmt.Sprintf("l%05d-%s", i, r.Class)),
-			req: r,
-			out: Outcome{
-				Seq:      r.Seq,
-				Class:    r.Class.String(),
-				Type:     r.Type.Name,
-				Arrival:  r.Arrival,
-				Deadline: deadlineOf(r, cfg),
-			},
+		jobs[i] = sim.Job{
+			ID:      core.ContainerID(fmt.Sprintf("l%05d-%s", i, r.Class)),
+			PID:     pidOf(i),
+			Limit:   r.Type.GPUMemory,
+			Alloc:   r.Type.AllocSize(),
+			Arrival: r.Arrival,
+			Cycles:  r.Cycles,
+			Runtime: r.Service + sim.CopyTime(r.Type.AllocSize()),
 		}
-		push(start.Add(r.Arrival), levArrive, i)
+		res.Outcomes[i] = outcomeOf(r, 1)
 	}
 
-	cycleRuntime := func(r Request) time.Duration {
-		return r.Service + copyTime(r.Type.AllocSize(), cfg.PCIeBandwidth)
-	}
-	var nextAddr uint64 = 0x1000
-	recordWait := func(lc *loadContainer, w time.Duration) {
-		res.AdmitWaits = append(res.AdmitWaits, w)
-		if w > lc.out.AdmitWaitMax {
-			lc.out.AdmitWaitMax = w
-		}
-		lc.out.Allocs++
-	}
-	// admit dispatches an Update from any memory-freeing operation:
-	// every admitted ticket's wait ends now, its allocation confirms,
-	// and its compute cycle is scheduled.
-	admit := func(u core.Update) {
-		now := clk.Now()
-		for _, a := range u.Admitted {
-			idx, ok := byID[a.Container]
-			if !ok || containers[idx].ticket != a.Ticket {
-				continue
+	events := 0
+	done, err := sim.Replay(ctx, jobs, st, clk,
+		func(job int, waited time.Duration) {
+			res.AdmitWaits = append(res.AdmitWaits, waited)
+			o := &res.Outcomes[job]
+			o.AdmitWaitMax = max(o.AdmitWaitMax, waited)
+			o.Allocs++
+		},
+		func() error {
+			if events++; events%checkEvery != 0 {
+				return nil
 			}
-			delete(byID, a.Container)
-			lc := containers[idx]
-			lc.waiting = false
-			recordWait(lc, now.Sub(lc.requestedAt))
-			nextAddr += 0x10
-			lc.addr = nextAddr
-			if err := st.ConfirmAlloc(lc.id, pidOf(idx), lc.addr, lc.req.Type.AllocSize()); err != nil {
-				panic(fmt.Sprintf("load: confirm after admit: %v", err))
-			}
-			push(now.Add(cycleRuntime(lc.req)), levFinish, idx)
-		}
-		for _, c := range u.Cancelled {
-			if idx, ok := byID[c.Container]; ok && containers[idx].ticket == c.Ticket {
-				delete(byID, c.Container)
-			}
-		}
-	}
-	requestCycle := func(idx int, at time.Time) error {
-		lc := containers[idx]
-		r, err := st.RequestAlloc(lc.id, pidOf(idx), lc.req.Type.AllocSize())
-		if err != nil {
-			return fmt.Errorf("load: alloc %s: %w", lc.id, err)
-		}
-		switch r.Decision {
-		case core.Accept:
-			recordWait(lc, 0)
-			nextAddr += 0x10
-			lc.addr = nextAddr
-			if err := st.ConfirmAlloc(lc.id, pidOf(idx), lc.addr, lc.req.Type.AllocSize()); err != nil {
-				return err
-			}
-			push(at.Add(cycleRuntime(lc.req)), levFinish, idx)
-		case core.Suspend:
-			lc.ticket = r.Ticket
-			lc.waiting = true
-			lc.requestedAt = at
-			byID[lc.id] = idx
-		case core.Reject:
-			return fmt.Errorf("load: %s rejected its own in-limit request", lc.id)
-		}
-		return nil
-	}
-
-	processed := 0
-	for events.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return RunResult{}, fmt.Errorf("load: cancelled at %v: %w", clk.Since(start), err)
-		}
-		e := heap.Pop(&events).(loadEvent)
-		clk.AdvanceTo(e.at)
-		lc := containers[e.idx]
-		switch e.kind {
-		case levArrive:
-			if _, err := st.Register(lc.id, lc.req.Type.GPUMemory); err != nil {
-				return RunResult{}, fmt.Errorf("load: register %s: %w", lc.id, err)
-			}
-			push(e.at.Add(cfg.StartupDelay), levAllocate, e.idx)
-		case levAllocate:
-			if err := requestCycle(e.idx, e.at); err != nil {
-				return RunResult{}, err
-			}
-		case levFinish:
-			lc.cycle++
-			if lc.cycle < lc.req.Cycles {
-				// Training realloc cycle: release the working set and
-				// immediately re-enter admission.
-				if _, u, err := st.Free(lc.id, pidOf(e.idx), lc.addr); err != nil {
-					return RunResult{}, fmt.Errorf("load: free %s: %w", lc.id, err)
-				} else {
-					admit(u)
-				}
-				if err := requestCycle(e.idx, e.at); err != nil {
-					return RunResult{}, err
-				}
-				break
-			}
-			info, err := st.Info(lc.id)
-			if err != nil {
-				return RunResult{}, err
-			}
-			lc.out.SuspendWait = info.SuspendedTotal
-			if _, u, err := st.ProcessExit(lc.id, pidOf(e.idx)); err != nil {
-				return RunResult{}, err
-			} else {
-				admit(u)
-			}
-			if _, u, err := st.Close(lc.id); err != nil {
-				return RunResult{}, err
-			} else {
-				admit(u)
-			}
-			lc.finished = true
-			lc.out.Completed = true
-			lc.out.Finished = clk.Since(start)
-			lc.out.DeadlineMet = lc.out.Finished <= lc.out.Deadline
-			if cfg.Obs != nil {
-				cfg.Obs.ObserveDeadline(lc.out.DeadlineMet)
-			}
-		}
-		processed++
-		if cfg.CheckEvery > 0 && processed%cfg.CheckEvery == 0 {
-			if err := st.CheckInvariants(); err != nil {
-				return RunResult{}, fmt.Errorf("load: after event at %v: %w", clk.Since(start), err)
-			}
-		}
+			return st.CheckInvariants()
+		})
+	if err != nil {
+		return RunResult{}, fmt.Errorf("load: %w", err)
 	}
 	if err := st.CheckInvariants(); err != nil {
 		return RunResult{}, fmt.Errorf("load: at end of run: %w", err)
 	}
 
 	res.Elapsed = clk.Since(start)
-	met := 0
-	for _, lc := range containers {
-		if !lc.finished {
-			if info, err := st.Info(lc.id); err == nil {
-				lc.out.SuspendWait = info.SuspendedTotal
-			}
-			res.Stalled = true
+	for i, d := range done {
+		o := &res.Outcomes[i]
+		o.SuspendWait = d.Suspended
+		if d.Completed {
+			o.complete(d.Finished, cfg.Obs)
 		}
-		if lc.out.DeadlineMet {
-			met++
-		}
-		res.Outcomes = append(res.Outcomes, lc.out)
 	}
-	if cfg.Obs != nil && res.Elapsed > 0 {
-		cfg.Obs.SetGoodput(float64(met) / res.Elapsed.Seconds())
-	}
+	res.settle(cfg.Obs)
 	return res, nil
 }
 

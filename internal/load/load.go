@@ -15,7 +15,9 @@
 // batch jobs) and replays them against the scheduler on two paths:
 //
 //   - in-process: the scheduler core driven directly under a virtual
-//     clock — deterministic, replayable by seed, byte-identical reports;
+//     clock, by the repository's one event loop, sim.Replay — this
+//     package owns the scenarios, not an engine. Deterministic,
+//     replayable by seed, byte-identical reports;
 //   - wire: the full daemon + UNIX-socket IPC stack under the real
 //     clock with a compressed timescale — tails include real socket,
 //     encode and wakeup costs, at the price of run-to-run jitter.
@@ -74,13 +76,12 @@ func Classes() []Class {
 
 // Request is one open-loop container arrival. The deadline is carried
 // as a slack factor over the request's ideal runtime rather than an
-// absolute instant, because the ideal runtime depends on engine
-// parameters (PCIe bandwidth, startup delay) the generator does not
-// know: the engine computes
+// absolute instant, so that it scales with the wire path's compressed
+// timebase: deadlineOf computes
 //
 //	deadline = arrival + startup + slack*(cycles*(service+copies)) + grace
 //
-// at admission time, identically on both paths.
+// identically on both paths.
 type Request struct {
 	// Seq numbers the arrival (0-based).
 	Seq int

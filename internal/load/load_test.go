@@ -7,8 +7,10 @@ import (
 	"time"
 
 	"convgpu/internal/bytesize"
+	"convgpu/internal/core"
 	"convgpu/internal/model"
 	"convgpu/internal/obs"
+	"convgpu/internal/workload"
 )
 
 func smokeScenario(n int) Scenario {
@@ -318,5 +320,47 @@ func TestReportRoundTrip(t *testing.T) {
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("goodput")) || !bytes.Contains(buf.Bytes(), []byte("inprocess")) {
 		t.Fatalf("text rendering incomplete:\n%s", buf.String())
+	}
+}
+
+// TestPartialGrantWedgeIsReported is the sim test of the same name
+// through the harness: the three-container reproducer of the
+// partial-grant wedge (TESTING.md) on one device ends Stalled with the
+// two xlarge requests incomplete — what `contention` scenario seed 2
+// reaches at 3200 requests — and the run still returns its report.
+func TestPartialGrantWedgeIsReported(t *testing.T) {
+	batch := func(seq int, typeName string, arrival time.Duration) Request {
+		ct, err := workload.TypeByName(typeName)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return Request{Seq: seq, Class: ClassBatch, Type: ct, Arrival: arrival,
+			Service: ct.SampleDuration(), Cycles: 1, Slack: 2, Grace: time.Second}
+	}
+	alone, err := RunInProcess(context.Background(), []Request{batch(0, "large", 0)}, Config{Devices: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := alone.Outcomes[0].Finished
+	reqs := []Request{
+		batch(0, "large", 0),
+		batch(1, "xlarge", done-50*time.Millisecond),
+		batch(2, "xlarge", done+30*time.Millisecond),
+	}
+	for _, wake := range core.AlgorithmNames() {
+		res, err := RunInProcess(context.Background(), reqs, Config{Wake: wake, Devices: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", wake, err)
+		}
+		rr := BuildRunReport(wake, "leastloaded", 1, res)
+		if !res.Stalled || rr.Incomplete != 2 {
+			t.Errorf("%s: stalled=%v incomplete=%d, want the wedge with 2 incomplete", wake, res.Stalled, rr.Incomplete)
+		}
+		if !res.Outcomes[0].Completed || res.Outcomes[1].Completed || res.Outcomes[2].Completed {
+			t.Errorf("%s: outcomes %+v, want only the large request complete", wake, res.Outcomes)
+		}
+		if len(res.AdmitWaits) != 1 {
+			t.Errorf("%s: %d admissions recorded, want only the large request's", wake, len(res.AdmitWaits))
+		}
 	}
 }

@@ -28,31 +28,30 @@ func generateAt(scn Scenario, loadX float64) ([]Request, error) {
 	return scn.Generate()
 }
 
-// RunInProcessSweep runs every (pair × load multiplier) cell on the
-// in-process virtual-clock path and returns the report section.
-// Deterministic: cells run sequentially and each run is seeded from the
-// scenario, so the same inputs yield the identical section.
-func RunInProcessSweep(ctx context.Context, scn Scenario, pairs []PolicyPair, loads []float64, ecfg Config) (Section, error) {
+// sweep runs every (load multiplier × pair) cell of one path through run
+// and collects the runs into sec. Cells run sequentially and each is
+// seeded from the scenario unless base carries a seed.
+func sweep(scn Scenario, pairs []PolicyPair, loads []float64, base Config, sec Section,
+	run func([]Request, Config) (RunResult, error)) (Section, error) {
 	scn = scn.withDefaults()
 	if len(loads) == 0 {
 		loads = []float64{1}
 	}
-	sec := Section{Path: "inprocess", Deterministic: true, TimeScale: 1}
 	for _, loadX := range loads {
 		reqs, err := generateAt(scn, loadX)
 		if err != nil {
 			return Section{}, err
 		}
 		for _, p := range pairs {
-			cfg := ecfg
+			cfg := base
 			cfg.Wake = p.Wake
 			cfg.Place = p.Place
 			if cfg.Seed == 0 {
 				cfg.Seed = scn.Seed
 			}
-			res, err := RunInProcess(ctx, reqs, cfg)
+			res, err := run(reqs, cfg)
 			if err != nil {
-				return Section{}, fmt.Errorf("load: %s/%s@%g: %w", p.Wake, p.Place, loadX, err)
+				return Section{}, fmt.Errorf("load: %s %s/%s@%g: %w", sec.Path, p.Wake, p.Place, loadX, err)
 			}
 			sec.Runs = append(sec.Runs, BuildRunReport(p.Wake, p.Place, loadX, res))
 		}
@@ -60,36 +59,25 @@ func RunInProcessSweep(ctx context.Context, scn Scenario, pairs []PolicyPair, lo
 	return sec, nil
 }
 
+// RunInProcessSweep runs every (pair × load multiplier) cell on the
+// in-process virtual-clock path and returns the report section.
+// Deterministic: the same inputs yield the identical section.
+func RunInProcessSweep(ctx context.Context, scn Scenario, pairs []PolicyPair, loads []float64, ecfg Config) (Section, error) {
+	return sweep(scn, pairs, loads, ecfg, Section{Path: "inprocess", Deterministic: true, TimeScale: 1},
+		func(reqs []Request, cfg Config) (RunResult, error) { return RunInProcess(ctx, reqs, cfg) })
+}
+
 // RunWireSweep is RunInProcessSweep over the daemon+IPC wire path.
 // Timings are real (compressed by wcfg.TimeScale), so the section is
 // marked non-deterministic.
 func RunWireSweep(ctx context.Context, scn Scenario, pairs []PolicyPair, loads []float64, wcfg WireConfig) (Section, error) {
-	scn = scn.withDefaults()
-	if len(loads) == 0 {
-		loads = []float64{1}
-	}
 	wcfg = wcfg.withDefaults()
-	sec := Section{Path: "wire", Deterministic: false, TimeScale: wcfg.TimeScale}
-	for _, loadX := range loads {
-		reqs, err := generateAt(scn, loadX)
-		if err != nil {
-			return Section{}, err
-		}
-		for _, p := range pairs {
-			cfg := wcfg
-			cfg.Wake = p.Wake
-			cfg.Place = p.Place
-			if cfg.Seed == 0 {
-				cfg.Seed = scn.Seed
-			}
-			res, err := RunWire(ctx, reqs, cfg)
-			if err != nil {
-				return Section{}, fmt.Errorf("load: wire %s/%s@%g: %w", p.Wake, p.Place, loadX, err)
-			}
-			sec.Runs = append(sec.Runs, BuildRunReport(p.Wake, p.Place, loadX, res))
-		}
-	}
-	return sec, nil
+	return sweep(scn, pairs, loads, wcfg.Config, Section{Path: "wire", TimeScale: wcfg.TimeScale},
+		func(reqs []Request, cfg Config) (RunResult, error) {
+			w := wcfg
+			w.Config = cfg
+			return RunWire(ctx, reqs, w)
+		})
 }
 
 // NewReport assembles the report envelope for a scenario.

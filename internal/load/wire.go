@@ -12,6 +12,7 @@ import (
 	"convgpu/internal/daemon"
 	"convgpu/internal/ipc"
 	"convgpu/internal/protocol"
+	"convgpu/internal/sim"
 	"convgpu/internal/wrapper"
 )
 
@@ -82,7 +83,6 @@ func RunWire(ctx context.Context, reqs []Request, wcfg WireConfig) (RunResult, e
 	defer ctl.Close()
 
 	scaled := ScaleRequests(reqs, wcfg.TimeScale)
-	startup := scaleDur(cfg.StartupDelay, wcfg.TimeScale)
 	ctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -103,16 +103,10 @@ func RunWire(ctx context.Context, reqs []Request, wcfg WireConfig) (RunResult, e
 			defer wg.Done()
 			r := scaled[idx]
 			o := &outs[idx]
-			o.out = Outcome{
-				Seq:     reqs[idx].Seq,
-				Class:   r.Class.String(),
-				Type:    r.Type.Name,
-				Arrival: r.Arrival,
-				// Deadline in the compressed timebase, matching the
-				// compressed measurements.
-				Deadline: deadlineOfScaled(r, cfg, wcfg.TimeScale),
-			}
-			if err := runWireContainer(ctx, ctl, r, idx, start, startup, cfg, wcfg.TimeScale, o); err != nil {
+			// Deadline in the compressed timebase, matching the
+			// compressed measurements.
+			o.out = outcomeOf(r, wcfg.TimeScale)
+			if err := runWireContainer(ctx, ctl, r, idx, start, cfg, wcfg.TimeScale, o); err != nil {
 				if ctx.Err() == nil {
 					fail(err)
 				}
@@ -127,31 +121,13 @@ func RunWire(ctx context.Context, reqs []Request, wcfg WireConfig) (RunResult, e
 		return RunResult{}, fmt.Errorf("load: wire run cancelled: %w", err)
 	}
 
-	res := RunResult{}
-	met := 0
+	res := RunResult{Elapsed: time.Since(start)}
 	for i := range outs {
-		if !outs[i].out.Completed {
-			res.Stalled = true
-		}
-		if outs[i].out.DeadlineMet {
-			met++
-		}
 		res.Outcomes = append(res.Outcomes, outs[i].out)
 		res.AdmitWaits = append(res.AdmitWaits, outs[i].waits...)
 	}
-	res.Elapsed = time.Since(start)
-	if cfg.Obs != nil && res.Elapsed > 0 {
-		cfg.Obs.SetGoodput(float64(met) / res.Elapsed.Seconds())
-	}
+	res.settle(cfg.Obs)
 	return res, nil
-}
-
-// deadlineOfScaled is deadlineOf over a pre-scaled request: the startup
-// delay and the PCIe copy estimate still need scaling (they derive from
-// Config, not the request).
-func deadlineOfScaled(r Request, cfg Config, timeScale float64) time.Duration {
-	ideal := time.Duration(r.Cycles) * (r.Service + scaleDur(copyTime(r.Type.AllocSize(), cfg.PCIeBandwidth), timeScale))
-	return r.Arrival + scaleDur(cfg.StartupDelay, timeScale) + time.Duration(r.Slack*float64(ideal)) + r.Grace
 }
 
 // runWireContainer is one simulated container's full wire life:
@@ -162,7 +138,7 @@ func deadlineOfScaled(r Request, cfg Config, timeScale float64) time.Duration {
 // per request, so SuspendWait is approximated by the summed blocking
 // alloc waits (which additionally include the socket round trip — the
 // quantity a real client experiences).
-func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, start time.Time, startup time.Duration, cfg Config, timeScale float64, o *wireOut) error {
+func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, start time.Time, cfg Config, timeScale float64, o *wireOut) error {
 	sleepUntil(ctx, start.Add(r.Arrival))
 	if ctx.Err() != nil {
 		return ctx.Err()
@@ -184,9 +160,9 @@ func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, 
 	}
 	defer cli.Close()
 
-	clock.Coarse{}.Sleep(startup)
+	clock.Coarse{}.Sleep(scaleDur(sim.StartupDelay, timeScale))
 	size := int64(r.Type.AllocSize())
-	serviceSleep := r.Service + scaleDur(copyTime(r.Type.AllocSize(), cfg.PCIeBandwidth), timeScale)
+	serviceSleep := r.Service + scaleDur(sim.CopyTime(r.Type.AllocSize()), timeScale)
 	addr := uint64(0x1000 + idx*0x100)
 	for cycle := 0; cycle < r.Cycles; cycle++ {
 		// The blocking alloc round trip IS the admission wait: the
@@ -230,12 +206,7 @@ func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, 
 	} else if !resp.OK {
 		return fmt.Errorf("load: close %s: %s", id, resp.Error)
 	}
-	o.out.Completed = true
-	o.out.Finished = time.Since(start)
-	o.out.DeadlineMet = o.out.Finished <= o.out.Deadline
-	if cfg.Obs != nil {
-		cfg.Obs.ObserveDeadline(o.out.DeadlineMet)
-	}
+	o.out.complete(time.Since(start), cfg.Obs)
 	return nil
 }
 

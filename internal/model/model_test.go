@@ -44,13 +44,13 @@ func backends(alg string, seed int64) []model.Backend {
 	multi := func() (core.Scheduler, error) {
 		return multigpu.New(multigpu.Config{
 			Devices: 2, CapacityPerDevice: capacity,
-			Algorithm: alg, AlgSeed: seed, ContextOverhead: overhead,
+			Algorithm: alg, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
 		})
 	}
 	clus := func() (core.Scheduler, error) {
 		return cluster.New(cluster.Config{
 			Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: capacity,
-			Algorithm: alg, AlgSeed: seed, ContextOverhead: overhead,
+			Algorithm: alg, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
 		})
 	}
 	return []model.Backend{

@@ -35,7 +35,7 @@ func TestTenantCrossNodeRollup(t *testing.T) {
 			}
 			clus, err := cluster.New(cluster.Config{
 				Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: capacity,
-				AlgorithmFactory: factory, AlgSeed: seed, ContextOverhead: overhead,
+				AlgorithmFactory: factory, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
 			})
 			if err != nil {
 				t.Fatal(err)

@@ -53,13 +53,13 @@ func tenantBackends(alg string, seed int64) []model.Backend {
 	multi := func() (core.Scheduler, error) {
 		return multigpu.New(multigpu.Config{
 			Devices: 2, CapacityPerDevice: capacity,
-			AlgorithmFactory: factory, AlgSeed: seed, ContextOverhead: overhead,
+			AlgorithmFactory: factory, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
 		})
 	}
 	clus := func() (core.Scheduler, error) {
 		return cluster.New(cluster.Config{
 			Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: capacity,
-			AlgorithmFactory: factory, AlgSeed: seed, ContextOverhead: overhead,
+			AlgorithmFactory: factory, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
 		})
 	}
 	return []model.Backend{

@@ -24,7 +24,6 @@ import (
 	"sync"
 
 	"convgpu/internal/bytesize"
-	"convgpu/internal/clock"
 	"convgpu/internal/core"
 )
 
@@ -184,12 +183,13 @@ type Config struct {
 	AlgSeed int64
 	// Policy places containers onto devices (default least-loaded).
 	Policy Policy
-	// Clock is shared by all per-device schedulers.
-	Clock clock.Clock
-	// ContextOverhead per process (default 66 MiB).
-	ContextOverhead bytesize.Size
-	// PersistentGrants selects the non-reclaiming grant semantics.
-	PersistentGrants bool
+	// Device is the template every device's scheduler is built from:
+	// Capacity, DeviceIndex and Algorithm are filled in per device here,
+	// and everything else — the Clock all devices share, ContextOverhead,
+	// PersistentGrants, FaultTolerant, EventLogSize — reaches each
+	// core.State as given, so a per-device setting cannot be lost on the
+	// way through this layer.
+	Device core.Config
 }
 
 // State is the multi-GPU scheduler: one core.State per device (state i
@@ -239,14 +239,9 @@ func New(cfg Config) (*State, error) {
 		if len(cfg.Capacities) > 0 {
 			capacity = cfg.Capacities[i]
 		}
-		st, err := core.New(core.Config{
-			Capacity:         capacity,
-			DeviceIndex:      i,
-			Algorithm:        alg,
-			Clock:            cfg.Clock,
-			ContextOverhead:  cfg.ContextOverhead,
-			PersistentGrants: cfg.PersistentGrants,
-		})
+		dev := cfg.Device
+		dev.Capacity, dev.DeviceIndex, dev.Algorithm = capacity, i, alg
+		st, err := core.New(dev)
 		if err != nil {
 			return nil, err
 		}

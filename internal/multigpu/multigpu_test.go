@@ -96,7 +96,7 @@ func newSched(t *testing.T, n int, pol Policy) *State {
 		Devices:           n,
 		CapacityPerDevice: mib(1000),
 		Policy:            pol,
-		ContextOverhead:   1,
+		Device:            core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -229,7 +229,7 @@ func TestSimOverMultiGPU(t *testing.T) {
 			CapacityPerDevice: 5 * bytesize.GiB,
 			Algorithm:         core.AlgBestFit,
 			Policy:            LeastLoaded{},
-			Clock:             clk,
+			Device:            core.Config{Clock: clk},
 		})
 		if err != nil {
 			t.Fatal(err)

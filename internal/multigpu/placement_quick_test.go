@@ -183,7 +183,7 @@ func opStream(t *testing.T, policy Policy, seed int64) {
 		Devices:           3,
 		CapacityPerDevice: 1000 * bytesize.MiB,
 		Policy:            policy,
-		ContextOverhead:   1,
+		Device:            core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

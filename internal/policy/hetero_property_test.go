@@ -120,10 +120,10 @@ func heteroOpStream(t *testing.T, name string, seed int64) {
 	}
 	caps := []bytesize.Size{20 * bytesize.GiB, 5 * bytesize.GiB, 5 * bytesize.GiB, 10 * bytesize.GiB}
 	s, err := multigpu.New(multigpu.Config{
-		Devices:         len(caps),
-		Capacities:      caps,
-		Policy:          pol,
-		ContextOverhead: 1,
+		Devices:    len(caps),
+		Capacities: caps,
+		Policy:     pol,
+		Device:     core.Config{ContextOverhead: 1},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -11,10 +11,14 @@
 // completions, close signals — executes against core.State with a
 // virtual clock, so a full sweep runs in milliseconds while exercising
 // the same scheduling decisions.
+//
+// The event loop itself (engine.go: Replay, and the K20m testbed's
+// physics) is the repository's one virtual-time engine: Run/RunWith/Sweep
+// put the paper's traces on it, one single-cycle job per container, and
+// package load its open-loop scenarios.
 package sim
 
 import (
-	"container/heap"
 	"context"
 	"fmt"
 	"time"
@@ -41,14 +45,6 @@ type Config struct {
 	WakeFactory func(name string, seed int64) (core.Algorithm, error)
 	// AlgSeed seeds the Random algorithm.
 	AlgSeed int64
-	// PCIeBandwidth models host<->device copy speed for the sample
-	// program's two transfers (default 6 GiB/s, the K20m testbed).
-	PCIeBandwidth int64
-	// ContextOverhead is the per-process charge (default 66 MiB).
-	ContextOverhead bytesize.Size
-	// StartupDelay is the time between container start and its first
-	// allocation call (CUDA init); default 100 ms.
-	StartupDelay time.Duration
 	// PersistentGrants selects the non-reclaiming grant semantics
 	// (core.Config.PersistentGrants) for the ablation benches.
 	PersistentGrants bool
@@ -59,31 +55,20 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	if c.Capacity == 0 {
-		c.Capacity = 5 * bytesize.GiB
+		c.Capacity = DeviceCapacity
 	}
 	if c.Algorithm == "" {
 		c.Algorithm = core.AlgFIFO
-	}
-	if c.PCIeBandwidth == 0 {
-		c.PCIeBandwidth = 6 << 30
-	}
-	if c.ContextOverhead == 0 {
-		c.ContextOverhead = core.DefaultContextOverhead
-	}
-	if c.StartupDelay == 0 {
-		c.StartupDelay = 100 * time.Millisecond
 	}
 	return c
 }
 
 // ContainerResult describes one container's simulated life.
 type ContainerResult struct {
-	ID        core.ContainerID
-	Type      string
-	Arrival   time.Duration // offset from run start
-	Finished  time.Duration // offset from run start; 0 if never finished
-	Suspended time.Duration // total time its allocation was paused
-	Completed bool
+	ID      core.ContainerID
+	Type    string
+	Arrival time.Duration // offset from run start
+	JobResult
 }
 
 // Result describes one simulated run.
@@ -115,71 +100,12 @@ type Result struct {
 	SuspendedByType map[string]time.Duration
 }
 
-type eventKind int
-
-const (
-	evArrive eventKind = iota
-	evAllocate
-	evFinish
-)
-
-type event struct {
-	at   time.Time
-	seq  int // FIFO tie-break
-	kind eventKind
-	idx  int // container index in the trace
-}
-
-type eventHeap []event
-
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
-	if !h[i].at.Equal(h[j].at) {
-		return h[i].at.Before(h[j].at)
-	}
-	return h[i].seq < h[j].seq
-}
-func (h eventHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(event)) }
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	*h = old[:n-1]
-	return e
-}
-
-type simContainer struct {
-	id       core.ContainerID
-	entry    workload.TraceEntry
-	ticket   core.Ticket
-	waiting  bool
-	finished bool
-	result   ContainerResult
-}
-
-// Backend is the scheduler surface the simulator drives. core.State
-// implements it directly; the multi-GPU and cluster extensions adapt
-// their schedulers to it so the same event loop replays their sweeps.
-type Backend interface {
-	Register(id core.ContainerID, limit bytesize.Size) (bytesize.Size, error)
-	RequestAlloc(id core.ContainerID, pid int, size bytesize.Size) (core.AllocResult, error)
-	ConfirmAlloc(id core.ContainerID, pid int, addr uint64, size bytesize.Size) error
-	ProcessExit(id core.ContainerID, pid int) (bytesize.Size, core.Update, error)
-	Close(id core.ContainerID) (bytesize.Size, core.Update, error)
-	Info(id core.ContainerID) (core.ContainerInfo, error)
-	TotalUsed() bytesize.Size
-	CheckInvariants() error
-}
-
 // Run replays a trace against a fresh single-GPU scheduler.
 func Run(trace []workload.TraceEntry, cfg Config) (Result, error) {
 	return RunContext(context.Background(), trace, cfg)
 }
 
-// RunContext is Run with cancellation: the context is checked between
-// simulated events, so a caller's deadline bounds even a pathological
-// run (virtual time never blocks, but huge traces still cost real CPU).
+// RunContext is Run with cancellation, checked between simulated events.
 func RunContext(ctx context.Context, trace []workload.TraceEntry, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	newAlg := cfg.WakeFactory
@@ -193,7 +119,6 @@ func RunContext(ctx context.Context, trace []workload.TraceEntry, cfg Config) (R
 	clk := clock.NewManual()
 	st, err := core.New(core.Config{
 		Capacity:         cfg.Capacity,
-		ContextOverhead:  cfg.ContextOverhead,
 		Algorithm:        alg,
 		Clock:            clk,
 		PersistentGrants: cfg.PersistentGrants,
@@ -211,62 +136,24 @@ func RunWith(trace []workload.TraceEntry, st Backend, clk *clock.Manual, cfg Con
 	return RunWithContext(context.Background(), trace, st, clk, cfg)
 }
 
-// RunWithContext is RunWith with cancellation, checked between events.
+// RunWithContext is RunWith with cancellation, checked between events:
+// the trace becomes one single-cycle Job per container, Replay runs them
+// checking the scheduler's invariants and sampling its usage after every
+// event, and the per-job results are folded into the paper's metrics.
 func RunWithContext(ctx context.Context, trace []workload.TraceEntry, st Backend, clk *clock.Manual, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
 	start := clk.Now()
-	containers := make([]*simContainer, len(trace))
-	// Suspended containers are keyed by id: tickets are only unique per
-	// core.State, and multi-GPU/cluster backends hold several.
-	byID := make(map[core.ContainerID]int)
-	var events eventHeap
-	seq := 0
-	push := func(at time.Time, kind eventKind, idx int) {
-		seq++
-		heap.Push(&events, event{at: at, seq: seq, kind: kind, idx: idx})
-	}
+	jobs := make([]Job, len(trace))
 	for i, e := range trace {
-		containers[i] = &simContainer{
-			id:    core.ContainerID(fmt.Sprintf("c%03d-%s", i, e.Type.Name)),
-			entry: e,
-			result: ContainerResult{
-				Type:    e.Type.Name,
-				Arrival: e.Arrival,
-			},
-		}
-		containers[i].result.ID = containers[i].id
-		push(start.Add(e.Arrival), evArrive, i)
-	}
-
-	// runtime computes how long a container computes once its allocation
-	// succeeded: the complement kernel plus two PCIe transfers.
-	runtime := func(ct workload.ContainerType) time.Duration {
-		copies := 2 * time.Duration(int64(ct.AllocSize())*int64(time.Second)/cfg.PCIeBandwidth)
-		return ct.SampleDuration() + copies
-	}
-
-	var nextAddr uint64 = 0x1000
-	admit := func(u core.Update) {
-		now := clk.Now()
-		for _, a := range u.Admitted {
-			idx, ok := byID[a.Container]
-			if !ok || containers[idx].ticket != a.Ticket {
-				continue
-			}
-			delete(byID, a.Container)
-			sc := containers[idx]
-			sc.waiting = false
-			// The wrapper performs the real allocation and confirms.
-			nextAddr += 0x10
-			if err := st.ConfirmAlloc(sc.id, pidOf(idx), nextAddr, sc.entry.Type.AllocSize()); err != nil {
-				panic(fmt.Sprintf("sim: confirm after admit: %v", err))
-			}
-			push(now.Add(runtime(sc.entry.Type)), evFinish, idx)
-		}
-		for _, c := range u.Cancelled {
-			if idx, ok := byID[c.Container]; ok && containers[idx].ticket == c.Ticket {
-				delete(byID, c.Container)
-			}
+		jobs[i] = Job{
+			ID:      core.ContainerID(fmt.Sprintf("c%03d-%s", i, e.Type.Name)),
+			PID:     10000 + i, // the (unique) host pid of the container's single process
+			Limit:   e.Type.GPUMemory,
+			Alloc:   e.Type.AllocSize(),
+			Arrival: e.Arrival,
+			Cycles:  1,
+			// The complement kernel plus the two PCIe transfers.
+			Runtime: e.Type.SampleDuration() + CopyTime(e.Type.AllocSize()),
 		}
 	}
 
@@ -274,104 +161,42 @@ func RunWithContext(ctx context.Context, trace []workload.TraceEntry, st Backend
 	var usedIntegral float64 // byte-seconds
 	prevTime := start
 	prevUsed := st.TotalUsed()
-
-	for events.Len() > 0 {
-		if err := ctx.Err(); err != nil {
-			return Result{}, fmt.Errorf("sim: cancelled at %v: %w", clk.Since(start), err)
-		}
-		e := heap.Pop(&events).(event)
-		if dt := e.at.Sub(prevTime); dt > 0 {
+	done, err := Replay(ctx, jobs, st, clk, nil, func() error {
+		now := clk.Now()
+		if dt := now.Sub(prevTime); dt > 0 {
 			usedIntegral += float64(prevUsed) * dt.Seconds()
 		}
-		clk.AdvanceTo(e.at)
-		sc := containers[e.idx]
-		switch e.kind {
-		case evArrive:
-			// nvidia-docker registers the creation-time request, then the
-			// container starts and, after CUDA init, allocates.
-			if _, err := st.Register(sc.id, sc.entry.Type.GPUMemory); err != nil {
-				return Result{}, fmt.Errorf("sim: register %s: %w", sc.id, err)
-			}
-			push(e.at.Add(cfg.StartupDelay), evAllocate, e.idx)
-		case evAllocate:
-			res, err := st.RequestAlloc(sc.id, pidOf(e.idx), sc.entry.Type.AllocSize())
-			if err != nil {
-				return Result{}, fmt.Errorf("sim: alloc %s: %w", sc.id, err)
-			}
-			switch res.Decision {
-			case core.Accept:
-				nextAddr += 0x10
-				if err := st.ConfirmAlloc(sc.id, pidOf(e.idx), nextAddr, sc.entry.Type.AllocSize()); err != nil {
-					return Result{}, err
-				}
-				push(e.at.Add(runtime(sc.entry.Type)), evFinish, e.idx)
-			case core.Suspend:
-				sc.ticket = res.Ticket
-				sc.waiting = true
-				byID[sc.id] = e.idx
-			case core.Reject:
-				return Result{}, fmt.Errorf("sim: %s rejected its own creation-time request", sc.id)
-			}
-		case evFinish:
-			// The program exits (implicit __cudaUnregisterFatBinary
-			// releases everything), then Docker unmounts the dummy volume
-			// and the plugin closes the container.
-			info, err := st.Info(sc.id)
-			if err != nil {
-				return Result{}, err
-			}
-			sc.result.Suspended = info.SuspendedTotal
-			if _, u, err := st.ProcessExit(sc.id, pidOf(e.idx)); err != nil {
-				return Result{}, err
-			} else {
-				admit(u)
-			}
-			if _, u, err := st.Close(sc.id); err != nil {
-				return Result{}, err
-			} else {
-				admit(u)
-			}
-			sc.finished = true
-			sc.result.Completed = true
-			sc.result.Finished = clk.Since(start)
-		}
 		if err := st.CheckInvariants(); err != nil {
-			return Result{}, fmt.Errorf("sim: after event at %v: %w", clk.Since(start), err)
+			return err
 		}
-		prevTime = clk.Now()
+		prevTime = now
 		prevUsed = st.TotalUsed()
+		return nil
+	})
+	if err != nil {
+		return Result{}, err
 	}
 
-	// Assemble the result.
 	var res Result
-	var suspended []time.Duration
-	for _, sc := range containers {
-		if !sc.finished {
-			// Wedged container: capture its open suspension interval.
-			if info, err := st.Info(sc.id); err == nil {
-				sc.result.Suspended = info.SuspendedTotal
-			}
+	suspended := make([]time.Duration, len(done))
+	byType := map[string][]time.Duration{}
+	for i, d := range done {
+		if !d.Completed {
 			res.Stalled = true
 		}
-		if sc.result.Finished > res.FinishTime {
-			res.FinishTime = sc.result.Finished
-		}
-		if sc.result.Suspended > res.MaxSuspended {
-			res.MaxSuspended = sc.result.Suspended
-		}
-		if sc.result.Suspended > 0 {
+		res.FinishTime = max(res.FinishTime, d.Finished)
+		res.MaxSuspended = max(res.MaxSuspended, d.Suspended)
+		if d.Suspended > 0 {
 			res.SuspendedCount++
 		}
-		suspended = append(suspended, sc.result.Suspended)
-		res.Containers = append(res.Containers, sc.result)
+		typ := trace[i].Type.Name
+		suspended[i] = d.Suspended
+		byType[typ] = append(byType[typ], d.Suspended)
+		res.Containers = append(res.Containers, ContainerResult{ID: jobs[i].ID, Type: typ, Arrival: trace[i].Arrival, JobResult: d})
 	}
 	res.AvgSuspended = metrics.MeanDuration(suspended)
 	if span := clk.Since(start).Seconds(); span > 0 && cfg.Capacity > 0 {
 		res.AvgUtilization = usedIntegral / (float64(cfg.Capacity) * span)
-	}
-	byType := map[string][]time.Duration{}
-	for _, c := range res.Containers {
-		byType[c.Type] = append(byType[c.Type], c.Suspended)
 	}
 	res.SuspendedByType = make(map[string]time.Duration, len(byType))
 	for typ, ds := range byType {
@@ -379,10 +204,6 @@ func RunWithContext(ctx context.Context, trace []workload.TraceEntry, st Backend
 	}
 	return res, nil
 }
-
-// pidOf derives the (unique) simulated host pid of a container's single
-// process.
-func pidOf(idx int) int { return 10000 + idx }
 
 // Sweep runs the paper's full Fig. 7/8 parameter sweep: for every
 // container count and every algorithm, `reps` runs with distinct trace

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"convgpu/internal/bytesize"
+	"convgpu/internal/clock"
 	"convgpu/internal/core"
 	"convgpu/internal/workload"
 )
@@ -189,5 +190,74 @@ func TestSuspendedTimeGrowsWithLoad(t *testing.T) {
 	hi := res.Cells["fifo"][30].AvgSuspended
 	if hi <= lo {
 		t.Fatalf("suspension at 30 containers (%v) not above 6 (%v)", hi, lo)
+	}
+}
+
+// wedgeTrace is the three-container reproducer of the partial-grant
+// wedge (TESTING.md, "The partial-grant wedge"): a large container runs
+// alone, one xlarge arrives 50 ms before it finishes and a second 30 ms
+// after. The first xlarge registers into the 3072 MiB then unassigned;
+// large closes while nobody is pending, so nothing is redistributed; the
+// second xlarge registers into the 2048 MiB just returned; both then
+// request 4030 MiB, both suspend holding unused partial grants that sum
+// to the device, and no release event can ever come.
+func wedgeTrace(t *testing.T) []workload.TraceEntry {
+	t.Helper()
+	alone, err := Run(singleTrace("large"), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	large, _ := workload.TypeByName("large")
+	xlarge, _ := workload.TypeByName("xlarge")
+	return []workload.TraceEntry{
+		{Seq: 0, Type: large, Arrival: 0},
+		{Seq: 1, Type: xlarge, Arrival: alone.FinishTime - 50*time.Millisecond},
+		{Seq: 2, Type: xlarge, Arrival: alone.FinishTime + 30*time.Millisecond},
+	}
+}
+
+// TestPartialGrantWedgeIsReported drives the replay into its
+// not-finished epilogue: the run returns without error, reports Stalled,
+// leaves exactly the two xlarge containers incomplete and keeps every
+// scheduler invariant — under all four paper algorithms, with and
+// without the rescue pass (which only runs on a release, and none comes).
+// It is a scheduler hole (ROADMAP item 1(b)), pinned here so the replay
+// keeps reproducing it until core closes it.
+func TestPartialGrantWedgeIsReported(t *testing.T) {
+	trace := wedgeTrace(t)
+	for _, algName := range core.AlgorithmNames() {
+		for _, rescue := range []bool{false, true} {
+			alg, err := core.NewAlgorithm(algName, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			clk := clock.NewManual()
+			st, err := core.New(core.Config{Capacity: 5 * bytesize.GiB, Algorithm: alg, Clock: clk, FaultTolerant: rescue})
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := RunWith(trace, st, clk, Config{Algorithm: algName})
+			if err != nil {
+				t.Fatalf("%s rescue=%v: %v", algName, rescue, err)
+			}
+			if !res.Stalled || !st.Stalled() {
+				t.Errorf("%s rescue=%v: Stalled = %v (core %v), want the wedge", algName, rescue, res.Stalled, st.Stalled())
+			}
+			var incomplete []string
+			for _, c := range res.Containers {
+				if !c.Completed {
+					incomplete = append(incomplete, string(c.ID))
+				}
+			}
+			if len(incomplete) != 2 || incomplete[0] != "c001-xlarge" || incomplete[1] != "c002-xlarge" {
+				t.Errorf("%s rescue=%v: incomplete = %v, want the two xlarge", algName, rescue, incomplete)
+			}
+			if err := st.CheckInvariants(); err != nil {
+				t.Errorf("%s rescue=%v: %v", algName, rescue, err)
+			}
+			if free := st.PoolFree(); free != 0 {
+				t.Errorf("%s rescue=%v: pool free = %v, want the device fully granted", algName, rescue, free)
+			}
+		}
 	}
 }

@@ -110,6 +110,12 @@ func New(options ...Option) (*Stack, error) {
 	wakeFactory := func(seed int64) (core.Algorithm, error) {
 		return policy.NewWake(cfg.algorithm, policy.Config{Seed: seed})
 	}
+	// Per-device settings: one template, in force on every topology.
+	device := core.Config{
+		FaultTolerant:    cfg.faultTolerant,
+		PersistentGrants: cfg.persistentGrants,
+		EventLogSize:     cfg.eventLogSize,
+	}
 	var state core.Scheduler
 	var clus *cluster.Cluster
 	if cfg.nodes > 1 {
@@ -142,6 +148,7 @@ func New(options ...Option) (*Stack, error) {
 				return policy.NewPlace(devicePolicy, policy.Config{Seed: cfg.algorithmSeed})
 			},
 			Strategy: strat,
+			Device:   device,
 		})
 		if err != nil {
 			return nil, err
@@ -165,7 +172,7 @@ func New(options ...Option) (*Stack, error) {
 			AlgorithmFactory:  wakeFactory,
 			AlgSeed:           cfg.algorithmSeed,
 			Policy:            pol,
-			PersistentGrants:  cfg.persistentGrants,
+			Device:            device,
 		})
 		if err != nil {
 			return nil, err
@@ -175,13 +182,8 @@ func New(options ...Option) (*Stack, error) {
 		if err != nil {
 			return nil, err
 		}
-		state, err = core.New(core.Config{
-			Capacity:         cfg.capacity,
-			Algorithm:        alg,
-			FaultTolerant:    cfg.faultTolerant,
-			PersistentGrants: cfg.persistentGrants,
-			EventLogSize:     cfg.eventLogSize,
-		})
+		device.Capacity, device.Algorithm = cfg.capacity, alg
+		state, err = core.New(device)
 		if err != nil {
 			return nil, err
 		}
