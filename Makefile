@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
 	bench bench-recovery bench-policy bench-load benchdiff \
 	benchdiff-policy bench-module clean model model-long policy fuzz-smoke cover \
-	recovery-smoke load-smoke load-repro
+	recovery-smoke load-smoke load-repro loc
 
 all: build test
 
@@ -237,6 +237,14 @@ benchdiff-policy:
 # notices when a change here breaks an exported signature it calls.
 bench-module:
 	cd bench && $(GO) build ./... && $(GO) test ./...
+
+# loc prints the non-test Go lines outside bench/ (tracked files only),
+# per package directory and in total — the figure every CHANGES.md entry
+# quotes before and after, so a size claim can be read off a CI log.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | xargs wc -l | \
+		awk '$$2 != "total" { d = $$2; if (!sub("/[^/]*$$", "", d)) d = "."; n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d %s\n", n[d], d | "sort -k2"; close("sort -k2"); printf "%7d total\n", t }'
 
 clean:
 	rm -f BENCH_hotpath.json BENCH_hotpath.txt

@@ -12,7 +12,7 @@
 // (internal/policy): the paper's four redistribution algorithms keep
 // their historical names and short aliases, and the tenant-aware
 // policies (fairshare, quota, priority; placement fragaware) are
-// selected the same way. -alg is a deprecated alias for -algorithm.
+// selected the same way.
 //
 // With -tenant NAME[:WEIGHT[:PRIORITY[:QUOTA[:GUARANTEE]]]] (repeatable)
 // the daemon provisions named tenants: registrations carrying the
@@ -131,7 +131,6 @@ func main() {
 		baseDir   = flag.String("basedir", "", "directory for the control socket and per-container directories (required)")
 		capacity  = flag.String("capacity", "5GiB", "schedulable GPU memory")
 		algorithm = flag.String("algorithm", core.AlgFIFO, "wake-order policy: "+strings.Join(policy.WakeNames(), "|"))
-		algAlias  = flag.String("alg", "", "deprecated alias for -algorithm")
 		devices   = flag.Int("devices", 1, "number of GPUs to serve; -capacity is per device when > 1")
 		placement = flag.String("placement", multigpu.PolicyLeastLoaded, "device placement policy: "+strings.Join(policy.PlaceNames(), "|")+" (multi-device only)")
 		nodes     = flag.Int("nodes", 1, "number of cluster nodes, each with -devices GPUs; > 1 enables the cluster tier")
@@ -153,10 +152,6 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
-	if *algAlias != "" {
-		log.Printf("convgpu-scheduler: -alg is deprecated, use -algorithm")
-		*algorithm = *algAlias
-	}
 	cap, err := bytesize.Parse(*capacity)
 	if err != nil {
 		log.Fatalf("convgpu-scheduler: -capacity: %v", err)
@@ -174,65 +169,20 @@ func main() {
 		log.Fatalf("convgpu-scheduler: -placement: unknown policy %q (have %s)",
 			*placement, strings.Join(policy.PlaceNames(), "|"))
 	}
-	wakeFactory := func(seed int64) (core.Algorithm, error) {
-		return policy.NewWake(algName, policy.Config{Seed: seed})
+	st, err := policy.NewScheduler(policy.Spec{
+		Nodes:    *nodes,
+		Devices:  *devices,
+		Capacity: cap,
+		Wake:     algName,
+		Place:    placeName,
+		Strategy: *strategy,
+		Seed:     *seed,
+		Device:   core.Config{FaultTolerant: *rescue},
+	})
+	if err != nil {
+		log.Fatalf("convgpu-scheduler: %v", err)
 	}
-	// Per-device settings: one template, in force on every topology.
-	device := core.Config{FaultTolerant: *rescue}
-	var st core.Scheduler
-	var clus *cluster.Cluster
-	if *nodes > 1 {
-		strat, err := cluster.NewStrategy(*strategy, *seed)
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: -strategy: %v", err)
-		}
-		clus, err = cluster.New(cluster.Config{
-			Nodes:            *nodes,
-			GPUsPerNode:      *devices,
-			CapacityPerGPU:   cap,
-			Algorithm:        algName,
-			AlgorithmFactory: wakeFactory,
-			AlgSeed:          *seed,
-			DevicePolicyFactory: func() (multigpu.Policy, error) {
-				return policy.NewPlace(placeName, policy.Config{Seed: *seed})
-			},
-			Strategy: strat,
-			Device:   device,
-		})
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: %v", err)
-		}
-		st = clus
-	} else if *devices > 1 {
-		pol, err := policy.NewPlace(placeName, policy.Config{Seed: *seed})
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: -placement: %v", err)
-		}
-		mg, err := multigpu.New(multigpu.Config{
-			Devices:           *devices,
-			CapacityPerDevice: cap,
-			Algorithm:         algName,
-			AlgorithmFactory:  wakeFactory,
-			AlgSeed:           *seed,
-			Policy:            pol,
-			Device:            device,
-		})
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: %v", err)
-		}
-		st = mg
-	} else {
-		alg, err := policy.NewWake(algName, policy.Config{Seed: *seed})
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: %v", err)
-		}
-		device.Capacity, device.Algorithm = cap, alg
-		single, err := core.New(device)
-		if err != nil {
-			log.Fatalf("convgpu-scheduler: %v", err)
-		}
-		st = single
-	}
+	clus, _ := st.(*cluster.Cluster)
 	bundle := obs.New(obs.Config{Algorithm: algName, TraceCapacity: *traceCap})
 	var walLog *wal.Log
 	if *walDir != "" {
@@ -349,14 +299,10 @@ func main() {
 				log.Printf("  %-20s limit=%-8v grant=%-8v used=%-8v %s%s",
 					c.ID, c.Limit, c.Grant, c.Used, state, dev)
 			}
-			// The event tail is only wired for the single-device core —
-			// EventsSince is a concrete *core.State affordance; a multi
-			// device backend reports the per-device summary above instead.
-			if single, ok := st.(*core.State); ok {
-				for _, e := range single.EventsSince(lastEvent) {
-					log.Printf("  event %s", e)
-					lastEvent = e.Seq
-				}
+			events, _ := bundle.Tracer().Page("", lastEvent, 0)
+			for _, e := range events {
+				log.Printf("  event %s", e)
+				lastEvent = e.Seq
 			}
 		}
 	}

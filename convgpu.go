@@ -202,9 +202,6 @@ func CUDAImage(name string, memoryLimit string) Image {
 // SchedulerInfo is a snapshot row of the scheduler's view.
 type SchedulerInfo = core.ContainerInfo
 
-// SchedulerEvent is one entry of the scheduler's event log.
-type SchedulerEvent = core.EventRecord
-
 // DeviceInfo summarizes one device a scheduler serves: index, capacity,
 // free pool and placed-container count (Stack.Devices).
 type DeviceInfo = core.DeviceInfo

@@ -69,10 +69,8 @@ func TestSystemEventLog(t *testing.T) {
 		t.Fatal(err)
 	}
 	kinds := map[string]bool{}
-	for _, e := range sys.Events() {
-		if e.Container == "ev1" {
-			kinds[e.Kind.String()] = true
-		}
+	for _, e := range sys.Observability().Tracer().Events("ev1") {
+		kinds[e.Kind] = true
 	}
 	for _, want := range []string{"register", "accept", "free", "procexit", "close"} {
 		if !kinds[want] {

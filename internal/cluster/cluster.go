@@ -190,8 +190,7 @@ type Config struct {
 	Strategy Strategy
 	// Device is the per-GPU scheduler template handed to every node's
 	// multigpu.Config.Device unchanged: the Clock every scheduler in the
-	// cluster shares, ContextOverhead, PersistentGrants, FaultTolerant,
-	// EventLogSize.
+	// cluster shares, ContextOverhead, PersistentGrants, FaultTolerant.
 	Device core.Config
 }
 

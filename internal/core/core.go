@@ -38,8 +38,7 @@
 // container's shard read lock plus its mutex, so independent containers
 // proceed in parallel without even sharing a reader-count cache line
 // unless they hash to the same shard (see DESIGN.md "Hot path";
-// Config.DisableFastPath forces every operation through lockAll). The
-// event log is sharded the same way (see events.go).
+// Config.DisableFastPath forces every operation through lockAll).
 package core
 
 import (
@@ -158,9 +157,6 @@ type Config struct {
 	// benches quantify it); the default (reclaiming) semantics wedge
 	// single-allocation workloads only in the window Stalled describes.
 	PersistentGrants bool
-	// EventLogSize sets the scheduler event-log ring capacity
-	// (DefaultEventLogSize when 0; negative disables retention).
-	EventLogSize int
 	// DisableFastPath forces every operation through the global write
 	// lock, turning off the read-mostly fast paths for in-grant admits,
 	// frees with nothing paused, confirms and meminfo. The fast path
@@ -217,19 +213,18 @@ type containerState struct {
 	everSuspended  bool
 }
 
-// numShards is the number of container-table (and event-log) shards.
+// numShards is the number of container-table shards.
 // A power of two so ContainerID hashes index by mask. Eight shards keep
 // the lockAll slow path cheap while spreading unrelated containers'
 // fast paths across distinct locks and cache lines.
 const numShards = 8
 
-// shard is one slice of the container table with its own lock and
-// event-log ring. Fast paths hold mu.RLock plus the container's mutex;
-// slow paths hold every shard's write lock (State.lockAll).
+// shard is one slice of the container table with its own lock. Fast
+// paths hold mu.RLock plus the container's mutex; slow paths hold every
+// shard's write lock (State.lockAll).
 type shard struct {
 	mu         sync.RWMutex
 	containers map[ContainerID]*containerState
-	events     *eventLog
 
 	// Pad shards apart so two cores hammering adjacent shards' reader
 	// counts do not false-share a cache line.
@@ -241,10 +236,10 @@ type State struct {
 	cfg    Config
 	shards [numShards]shard
 
-	// admitObs receives one AdmitObservation per admitted request.
-	// Written only under lockAll (SetAdmitObserver); read by fast paths
-	// under a shard read lock, which lockAll excludes.
-	admitObs func(AdmitObservation)
+	// observer receives every event record (see SetObserver). Written
+	// only under lockAll; read by fast paths under a shard read lock,
+	// which lockAll excludes.
+	observer func(EventRecord)
 
 	// The fields below are global scheduler state touched only by slow
 	// paths, which hold every shard's write lock — lockAll is their
@@ -260,9 +255,6 @@ type State struct {
 	// byte-identical to its pre-tenant behavior. Changes only under
 	// lockAll (register, close, tenant adoption).
 	namedTenants int
-
-	// eventSeq numbers events across all shard logs (see events.go).
-	eventSeq atomic.Uint64
 
 	// pausedCount counts containers with at least one pending request.
 	// It changes only under lockAll (suspension and the three
@@ -325,10 +317,6 @@ func New(cfg Config) (*State, error) {
 	if cfg.Clock == nil {
 		cfg.Clock = clock.Real{}
 	}
-	logSize := cfg.EventLogSize
-	if logSize == 0 {
-		logSize = DefaultEventLogSize
-	}
 	s := &State{
 		cfg:       cfg,
 		pool:      cfg.Capacity,
@@ -336,7 +324,6 @@ func New(cfg Config) (*State, error) {
 	}
 	for i := range s.shards {
 		s.shards[i].containers = make(map[ContainerID]*containerState)
-		s.shards[i].events = newEventLog(logSize, &s.eventSeq)
 	}
 	return s, nil
 }
@@ -479,7 +466,6 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 	if c.used+charge <= c.grant {
 		s.admit(c, pid, size)
 		s.logEvent(EvAccept, id, pid, charge)
-		s.observeAdmit(id, pid, 0, size, 0)
 		return AllocResult{Decision: Accept}, nil
 	}
 	if s.namedTenants > 0 && s.tryPreemptLocked(c, charge) {
@@ -487,7 +473,6 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 		// lower-ranked holders to admit the request in place.
 		s.admit(c, pid, size)
 		s.logEvent(EvAccept, id, pid, charge)
-		s.observeAdmit(id, pid, 0, size, 0)
 		return AllocResult{Decision: Accept}, nil
 	}
 	// Suspend: park the request until redistribution grants enough.
@@ -501,7 +486,7 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 		c.everSuspended = true
 		s.pausedCount.Add(1)
 	}
-	s.logEventT(EvSuspend, id, pid, size, t)
+	s.logEventT(EvSuspend, id, pid, size, t, 0)
 	return AllocResult{Decision: Suspend, Ticket: t}, nil
 }
 
@@ -540,7 +525,6 @@ func (s *State) fastRequestAlloc(id ContainerID, pid int, size bytesize.Size) (r
 	}
 	s.admit(c, pid, size)
 	s.logEvent(EvAccept, id, pid, charge)
-	s.observeAdmit(id, pid, 0, size, 0)
 	return AllocResult{Decision: Accept}, true, nil
 }
 
@@ -693,7 +677,7 @@ func (s *State) DropPending(id ContainerID, tickets []Ticket) (Update, error) {
 	c.pending = kept
 	s.noteSuspensionEnd(c)
 	for _, r := range removed {
-		s.logEventT(EvDrop, id, r.pid, 0, r.ticket)
+		s.logEventT(EvDrop, id, r.pid, 0, r.ticket, 0)
 	}
 	return s.afterRelease(), nil
 }
@@ -975,10 +959,7 @@ func (s *State) admitFittingLocked(c *containerState) []Admitted {
 			break
 		}
 		s.admit(c, req.pid, req.size)
-		s.logEventT(EvResume, c.id, req.pid, charge, req.ticket)
-		if s.admitObs != nil {
-			s.observeAdmit(c.id, req.pid, req.ticket, req.size, s.cfg.Clock.Now().Sub(req.at))
-		}
+		s.logEventT(EvResume, c.id, req.pid, charge, req.ticket, s.cfg.Clock.Now().Sub(req.at))
 		admitted = append(admitted, Admitted{Container: c.id, Ticket: req.ticket})
 		c.pending = c.pending[1:]
 	}

@@ -2,9 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"convgpu/internal/bytesize"
@@ -70,10 +67,10 @@ func (k EventKind) String() string {
 	}
 }
 
-// EventRecord is one entry of the scheduler's event log.
+// EventRecord is one scheduler event as the core hands it to its
+// observer. The core keeps no copy and assigns no number: the observer
+// (obs.Tracer, through obs.BindCore) owns retention and the total order.
 type EventRecord struct {
-	// Seq orders events totally (monotonic, never reused).
-	Seq uint64
 	// At is the scheduler-clock timestamp.
 	At time.Time
 	// Kind classifies the event.
@@ -90,91 +87,36 @@ type EventRecord struct {
 	// Ticket identifies the parked request a suspend/resume/drop event
 	// concerns (0 for every other kind). Tickets are per-device.
 	Ticket Ticket
+	// Waited is how long an admitted request was suspended first: the
+	// park-to-admit time on EvResume, zero on EvAccept and on every
+	// other kind.
+	Waited time.Duration
 }
 
 // String renders the record for logs.
 func (e EventRecord) String() string {
 	if e.PID != 0 {
-		return fmt.Sprintf("#%d %s %s pid=%d %v", e.Seq, e.Kind, e.Container, e.PID, e.Amount)
+		return fmt.Sprintf("%s %s pid=%d %v", e.Kind, e.Container, e.PID, e.Amount)
 	}
-	return fmt.Sprintf("#%d %s %s %v", e.Seq, e.Kind, e.Container, e.Amount)
+	return fmt.Sprintf("%s %s %v", e.Kind, e.Container, e.Amount)
 }
 
-// DefaultEventLogSize is the per-shard ring buffer capacity when Config
-// leaves EventLogSize zero.
-const DefaultEventLogSize = 512
-
-// eventLog is one shard's fixed-capacity ring buffer with its own
-// mutex: fast paths on different shards append concurrently, each
-// holding only its shard's read lock, so no single log mutex serializes
-// independent containers. Sequence numbers come from a counter shared
-// by all of a State's shard logs (an atomic incremented under l.mu),
-// keeping Seq values unique and monotone across the whole State even
-// though the entries live in per-shard rings.
-type eventLog struct {
-	mu       sync.Mutex
-	buf      []EventRecord
-	next     int            // write position
-	count    int            // filled entries
-	seq      *atomic.Uint64 // shared across the State's shards
-	observer func(EventRecord)
-}
-
-func newEventLog(capacity int, seq *atomic.Uint64) *eventLog {
-	if capacity <= 0 {
-		return &eventLog{seq: seq}
-	}
-	return &eventLog{buf: make([]EventRecord, capacity), seq: seq}
-}
-
-func (l *eventLog) append(e EventRecord) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e.Seq = l.seq.Add(1)
-	if l.observer != nil {
-		// Fired under l.mu so one shard's records arrive in Seq order;
-		// see SetObserver for the cross-shard ordering contract.
-		// Observers must be fast, lock-free-or-leaf, safe for concurrent
-		// invocation, and must not call back into the State.
-		l.observer(e)
-	}
-	if len(l.buf) == 0 {
-		return // disabled: sequence numbers still advance
-	}
-	l.buf[l.next] = e
-	l.next = (l.next + 1) % len(l.buf)
-	if l.count < len(l.buf) {
-		l.count++
-	}
-}
-
-// snapshot returns the shard's retained events, oldest first.
-func (l *eventLog) snapshot() []EventRecord {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := make([]EventRecord, 0, l.count)
-	start := l.next - l.count
-	if start < 0 {
-		start += len(l.buf)
-	}
-	for i := 0; i < l.count; i++ {
-		out = append(out, l.buf[(start+i)%len(l.buf)])
-	}
-	return out
-}
-
-// logEvent appends to the event-log shard of the container the event
-// concerns. Callers hold that container's shard lock in either mode
-// (or every shard lock, on slow paths); the log's own mutex orders the
-// entries within the shard.
+// logEvent hands one event to the observer. Callers hold the shard lock
+// of the container the event concerns in either mode — with that
+// container's mutex on the fast paths, or every shard lock on the slow
+// paths — which is what SetObserver's ordering contract rests on.
 func (s *State) logEvent(kind EventKind, id ContainerID, pid int, amount bytesize.Size) {
-	s.logEventT(kind, id, pid, amount, 0)
+	s.logEventT(kind, id, pid, amount, 0, 0)
 }
 
 // logEventT is logEvent carrying the ticket of the parked request the
-// event concerns (suspend, resume, drop).
-func (s *State) logEventT(kind EventKind, id ContainerID, pid int, amount bytesize.Size, ticket Ticket) {
-	s.shardFor(id).events.append(EventRecord{
+// event concerns (suspend, resume, drop) and, for a resume, how long it
+// waited. With no observer nothing is built and the clock is not read.
+func (s *State) logEventT(kind EventKind, id ContainerID, pid int, amount bytesize.Size, ticket Ticket, waited time.Duration) {
+	if s.observer == nil {
+		return
+	}
+	s.observer(EventRecord{
 		At:        s.cfg.Clock.Now(),
 		Kind:      kind,
 		Container: id,
@@ -182,88 +124,24 @@ func (s *State) logEventT(kind EventKind, id ContainerID, pid int, amount bytesi
 		Amount:    amount,
 		Device:    s.cfg.DeviceIndex,
 		Ticket:    ticket,
+		Waited:    waited,
 	})
 }
 
-// Events returns the retained event log, oldest first — the sequenced
-// merge of every shard's ring, ordered by Seq. Each shard retains up to
-// Config.EventLogSize entries (DefaultEventLogSize when unset; negative
-// disables retention), so a busy shard wrapping its ring never evicts
-// another container's history.
-func (s *State) Events() []EventRecord {
-	var out []EventRecord
-	for i := range s.shards {
-		out = append(out, s.shards[i].events.snapshot()...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
-	return out
-}
-
 // SetObserver installs fn to receive every event record as it is
-// logged, with Seq already assigned. Ordering contract: records of one
-// container arrive in Seq order, and any two events separated by a
-// memory-moving (write-locked) operation arrive in Seq order; only
-// fast-path records of containers on different shards may reach fn
-// concurrently and slightly out of global Seq order. fn therefore must
-// be safe for concurrent invocation. It runs with a shard log's mutex
-// held on the scheduler's request paths, so it must be cheap (atomic
-// counter bumps, ring appends) and must never call back into the State.
-// A nil fn removes the observer.
+// emitted. Ordering contract: records of one container arrive in order,
+// and any two events separated by a memory-moving (write-locked)
+// operation arrive in order; only fast-path records of different
+// containers may reach fn concurrently — they move no memory between
+// containers, so no consumer depends on their relative order. fn
+// therefore must be safe for concurrent invocation. It runs with the
+// scheduler's locks held on the request paths, so it must be cheap
+// (atomic counter bumps, ring appends) and must never call back into
+// the State. A nil fn removes the observer.
 func (s *State) SetObserver(fn func(EventRecord)) {
-	for i := range s.shards {
-		l := s.shards[i].events
-		l.mu.Lock()
-		l.observer = fn
-		l.mu.Unlock()
-	}
-}
-
-// AdmitObservation describes one admitted allocation request at the
-// moment the scheduler let it through: immediately (Ticket 0, Waited 0)
-// or after a park, in which case Waited is the time the request spent
-// suspended before a redistribution released it. It is the per-request
-// signal SLO-tail evaluation needs — the event log records that an
-// admission happened, this hook records how long the requester waited
-// for it — and it fires synchronously on the admitting path, so a
-// deadline judge sees the admission before the response leaves the
-// scheduler.
-type AdmitObservation struct {
-	// Container the request belonged to.
-	Container ContainerID
-	// PID of the requesting process.
-	PID int
-	// Ticket the request was parked under; 0 for immediate accepts.
-	Ticket Ticket
-	// Size is the raw requested size (overhead excluded).
-	Size bytesize.Size
-	// Device is the admitting scheduler's device index.
-	Device int
-	// Waited is how long the request was suspended before admission
-	// (zero when it was accepted in place).
-	Waited time.Duration
-}
-
-// SetAdmitObserver installs fn to receive one AdmitObservation per
-// admitted allocation request — immediate accepts and resumed parks
-// alike. Like SetObserver, fn runs on the admitting path (under the
-// scheduler's locks) and must be cheap, concurrency-safe, and must
-// never call back into the State. A nil fn removes the observer.
-func (s *State) SetAdmitObserver(fn func(AdmitObservation)) {
 	s.lockAll()
-	s.admitObs = fn
+	s.observer = fn
 	s.unlockAll()
-}
-
-// observeAdmit fires the admit observer, if any. Callers hold at least
-// the container's shard read lock, which excludes SetAdmitObserver's
-// write-locked store.
-func (s *State) observeAdmit(id ContainerID, pid int, t Ticket, size bytesize.Size, waited time.Duration) {
-	if s.admitObs != nil {
-		s.admitObs(AdmitObservation{
-			Container: id, PID: pid, Ticket: t, Size: size,
-			Device: s.cfg.DeviceIndex, Waited: waited,
-		})
-	}
 }
 
 // PausedContainers returns the number of containers with at least one
@@ -271,16 +149,4 @@ func (s *State) observeAdmit(id ContainerID, pid int, t Ticket, size bytesize.Si
 // containers. Lock-free; safe to call from metric scrapes.
 func (s *State) PausedContainers() int {
 	return int(s.pausedCount.Load())
-}
-
-// EventsSince returns retained events with Seq > after, oldest first —
-// the daemon's status loop tails the log with this.
-func (s *State) EventsSince(after uint64) []EventRecord {
-	all := s.Events()
-	for i, e := range all {
-		if e.Seq > after {
-			return all[i:]
-		}
-	}
-	return nil
 }

@@ -3,6 +3,9 @@ package core
 import (
 	"strings"
 	"testing"
+	"time"
+
+	"convgpu/internal/clock"
 )
 
 func TestEventKindStrings(t *testing.T) {
@@ -20,8 +23,21 @@ func TestEventKindStrings(t *testing.T) {
 	}
 }
 
+// observe installs an observer that appends every record s emits to the
+// returned slice — what a test reads where the core used to keep a ring.
+func observe(s *State) *[]EventRecord {
+	var events []EventRecord
+	s.SetObserver(func(e EventRecord) { events = append(events, e) })
+	return &events
+}
+
 func TestEventLogRecordsLifecycle(t *testing.T) {
-	s := newStateNoOverhead(t, 1000, FIFO{})
+	clk := clock.NewManual()
+	s, err := New(Config{Capacity: mib(1000), ContextOverhead: 1, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := observe(s)
 	mustRegister(t, s, "a", mib(700))
 	mustAlloc(t, s, "a", 1, mib(600))
 	if err := s.ConfirmAlloc("a", 1, 0x1, mib(600)); err != nil {
@@ -42,102 +58,79 @@ func TestEventLogRecordsLifecycle(t *testing.T) {
 	if _, _, err := s.ProcessExit("a", 1); err != nil {
 		t.Fatal(err)
 	}
+	clk.Advance(3 * time.Second)
 	if _, _, err := s.Close("a"); err != nil {
 		t.Fatal(err)
 	}
 
+	// Single-threaded, so the records arrive in emission order. Each of
+	// a's three releases runs a redistribution that re-grants paused b
+	// what the pool holds; only the close frees enough to resume it.
 	var kinds []string
-	for _, e := range s.Events() {
+	for _, e := range *seen {
 		kinds = append(kinds, e.Kind.String())
 	}
-	got := strings.Join(kinds, ",")
-	// register a, accept, register b, suspend, reject, free, procexit,
-	// close, grant (redistribution to b), resume (b's pending).
-	for _, want := range []string{"register", "accept", "suspend", "reject", "free", "procexit", "close", "grant", "resume"} {
-		if !strings.Contains(got, want) {
-			t.Errorf("event log %q missing %q", got, want)
-		}
+	if got, want := strings.Join(kinds, ","), "register,accept,register,suspend,reject,free,grant,procexit,grant,close,grant,resume"; got != want {
+		t.Errorf("emitted %q, want %q", got, want)
 	}
-	// Sequence numbers are strictly increasing.
-	events := s.Events()
-	for i := 1; i < len(events); i++ {
-		if events[i].Seq <= events[i-1].Seq {
-			t.Fatalf("event seq not increasing: %v then %v", events[i-1], events[i])
-		}
+	// The grant event targets b with a's returned memory; the resume
+	// names the ticket the suspend handed out and how long it was parked,
+	// where the accept waited for nothing.
+	var granted, resumed, accepted bool
+	for _, e := range *seen {
+		granted = granted || e.Kind == EvGrant && e.Container == "b" && e.Amount > 0
+		resumed = resumed || e.Kind == EvResume && e.Container == "b" && e.PID == 2 && e.Ticket == res.Ticket && e.Waited == 3*time.Second
+		accepted = accepted || e.Kind == EvAccept && e.Container == "a" && e.Waited == 0
 	}
-	// The grant event targets b with a's returned memory.
-	found := false
-	for _, e := range events {
-		if e.Kind == EvGrant && e.Container == "b" && e.Amount > 0 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("no grant-to-b event in %v", events)
+	if !granted || !resumed || !accepted {
+		t.Fatalf("grant to b %v, resume of ticket %d after 3s %v, accept with no wait %v in %+v", granted, res.Ticket, resumed, accepted, *seen)
 	}
 }
 
-func TestEventsSince(t *testing.T) {
-	s := newStateNoOverhead(t, 1000, nil)
-	mustRegister(t, s, "a", mib(100))
-	mustRegister(t, s, "b", mib(100))
-	all := s.Events()
-	if len(all) != 2 {
-		t.Fatalf("events = %v", all)
-	}
-	tail := s.EventsSince(all[0].Seq)
-	if len(tail) != 1 || tail[0].Container != "b" {
-		t.Fatalf("EventsSince = %v", tail)
-	}
-	if got := s.EventsSince(all[1].Seq); got != nil {
-		t.Fatalf("EventsSince(latest) = %v, want nil", got)
-	}
+// countingClock counts how often the scheduler reads the time.
+type countingClock struct {
+	clock.Real
+	reads int
 }
 
-func TestEventLogRingWraps(t *testing.T) {
-	// Retention is per shard, so one container's events — all on one
-	// shard — exercise the wrap deterministically: register + 10
-	// accepts is 11 events through a ring of 4.
-	s, err := New(Config{Capacity: mib(10000), ContextOverhead: 1, EventLogSize: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	mustRegister(t, s, "c", mib(1000))
-	for i := 0; i < 10; i++ {
-		if _, err := s.RequestAlloc("c", 1, mib(1)); err != nil {
-			t.Fatal(err)
-		}
-	}
-	events := s.Events()
-	if len(events) != 4 {
-		t.Fatalf("retained %d events, want ring capacity 4", len(events))
-	}
-	// The newest four accepts survive, in Seq order.
-	for i, e := range events {
-		if e.Kind != EvAccept {
-			t.Fatalf("ring[%d] = %v, want an accept", i, e)
-		}
-		if want := uint64(8 + i); e.Seq != want {
-			t.Fatalf("ring[%d].Seq = %d, want %d", i, e.Seq, want)
-		}
-	}
+func (c *countingClock) Now() time.Time {
+	c.reads++
+	return c.Real.Now()
 }
 
+// TestEventLogDisabled: a core nobody observes emits nothing — the
+// in-grant accept and the free that follows build no record and never
+// read the clock — and an observer installed later sees only what
+// happens after it.
 func TestEventLogDisabled(t *testing.T) {
-	s, err := New(Config{Capacity: mib(100), EventLogSize: -1})
+	clk := &countingClock{}
+	s, err := New(Config{Capacity: mib(100), ContextOverhead: 1, Clock: clk})
 	if err != nil {
 		t.Fatal(err)
 	}
 	mustRegister(t, s, "a", mib(10))
-	if got := s.Events(); len(got) != 0 {
-		t.Fatalf("disabled log retained %v", got)
+	before := clk.reads
+	mustAlloc(t, s, "a", 1, mib(1))
+	if err := s.ConfirmAlloc("a", 1, 0x1, mib(1)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Free("a", 1, 0x1); err != nil {
+		t.Fatal(err)
+	}
+	if clk.reads != before {
+		t.Fatalf("unobserved accept/confirm/free read the clock %d times", clk.reads-before)
+	}
+	seen := observe(s)
+	mustAlloc(t, s, "a", 1, mib(1))
+	if len(*seen) != 1 || (*seen)[0].Kind != EvAccept || (*seen)[0].At.IsZero() {
+		t.Fatalf("observer installed late saw %v, want the one accept after it", *seen)
 	}
 }
 
 func TestEventRecordString(t *testing.T) {
-	e := EventRecord{Seq: 7, Kind: EvAccept, Container: "c1", PID: 42, Amount: mib(10)}
+	e := EventRecord{Kind: EvAccept, Container: "c1", PID: 42, Amount: mib(10)}
 	got := e.String()
-	for _, want := range []string{"#7", "accept", "c1", "pid=42", "10MiB"} {
+	for _, want := range []string{"accept", "c1", "pid=42", "10MiB"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("String() = %q missing %q", got, want)
 		}
@@ -150,12 +143,13 @@ func TestEventRecordString(t *testing.T) {
 
 func TestRescueEventLogged(t *testing.T) {
 	s, ticketB, _ := stalledSetupFT(t)
+	seen := observe(s)
 	if _, _, err := s.Close("filler"); err != nil {
 		t.Fatal(err)
 	}
 	_ = ticketB
 	found := false
-	for _, e := range s.Events() {
+	for _, e := range *seen {
 		if e.Kind == EvRescue && e.Container == "B" {
 			found = true
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"convgpu/internal/bytesize"
@@ -21,6 +22,8 @@ func TestFastPathStress(t *testing.T) {
 		iters   = 400
 	)
 	s := MustNew(Config{Capacity: bytesize.Size(workers) * bytesize.GiB})
+	var emitted atomic.Int64 // observed, so every path builds its records
+	s.SetObserver(func(EventRecord) { emitted.Add(1) })
 	var wg sync.WaitGroup
 	errs := make(chan error, workers+1)
 	for w := 0; w < workers; w++ {
@@ -104,7 +107,6 @@ func TestFastPathStress(t *testing.T) {
 				return
 			}
 			s.Snapshot()
-			s.Events()
 			s.TotalUsed()
 		}
 	}()
@@ -123,6 +125,9 @@ func TestFastPathStress(t *testing.T) {
 	}
 	if n := s.pausedCount.Load(); n != 0 {
 		t.Errorf("pausedCount after quiesce = %d, want 0", n)
+	}
+	if emitted.Load() < 2*workers {
+		t.Errorf("observer saw %d records, want at least a register and a close per worker", emitted.Load())
 	}
 }
 
@@ -266,5 +271,84 @@ func TestFastFreeGateOnPaused(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestObserverOrderOnOneShard: eight goroutines, each its own container,
+// all hashed to one shard, loop accept/confirm/free on the fast path —
+// concurrent under the shard's read lock, serialised per container only
+// by that container's mutex. The observer keeps a plain (non-atomic)
+// expectation per container, so -race reports any two records of one
+// container reaching it unordered, and it asserts each container's
+// records strictly alternate accept, free.
+func TestObserverOrderOnOneShard(t *testing.T) {
+	const (
+		workers = 8
+		cycles  = 10000
+	)
+	var ids []ContainerID
+	for n := 0; len(ids) < workers; n++ {
+		if id := ContainerID(fmt.Sprintf("s%d", n)); shardIndex(id) == 0 {
+			ids = append(ids, id)
+		}
+	}
+	s := MustNew(Config{Capacity: workers * bytesize.GiB, ContextOverhead: 1})
+	for _, id := range ids {
+		if _, err := s.Register(id, bytesize.GiB); err != nil {
+			t.Fatal(err)
+		}
+	}
+	type expectation struct {
+		next  EventKind
+		wrong int
+	}
+	expect := make(map[ContainerID]*expectation, workers)
+	for _, id := range ids {
+		expect[id] = &expectation{next: EvAccept}
+	}
+	var records atomic.Int64
+	s.SetObserver(func(e EventRecord) {
+		records.Add(1)
+		x := expect[e.Container]
+		if e.Kind != x.next {
+			x.wrong++
+		}
+		if e.Kind == EvAccept {
+			x.next = EvFree
+		} else {
+			x.next = EvAccept
+		}
+	})
+	var wg sync.WaitGroup
+	for w, id := range ids {
+		wg.Add(1)
+		go func(pid int, id ContainerID) {
+			defer wg.Done()
+			for i := 0; i < cycles; i++ {
+				res, err := s.RequestAlloc(id, pid, bytesize.MiB)
+				if err != nil || res.Decision != Accept {
+					t.Errorf("%s cycle %d: alloc = %+v, %v", id, i, res, err)
+					return
+				}
+				if err := s.ConfirmAlloc(id, pid, 0x10, bytesize.MiB); err != nil {
+					t.Errorf("%s cycle %d: confirm: %v", id, i, err)
+					return
+				}
+				if _, _, err := s.Free(id, pid, 0x10); err != nil {
+					t.Errorf("%s cycle %d: free: %v", id, i, err)
+					return
+				}
+			}
+		}(w+1, id)
+	}
+	wg.Wait()
+	s.SetObserver(nil)
+	if got, want := records.Load(), int64(workers*cycles*2); got != want {
+		t.Errorf("observer saw %d records, want %d", got, want)
+	}
+	for id, x := range expect {
+		if x.wrong != 0 || x.next != EvAccept {
+			t.Errorf("%s: %d records out of accept/free alternation (next expected %v)", id, x.wrong, x.next)
+		}
 	}
 }

@@ -10,7 +10,7 @@ import (
 
 // Router fans a Scheduler's per-container operations out to the member
 // scheduler that owns each container's placement, and aggregates the
-// whole-scheduler views (snapshots, events, pools, invariants) across
+// whole-scheduler views (snapshots, pools, invariants) across
 // all members. multigpu.State embeds it with per-device *State members;
 // cluster.Cluster embeds it with per-node multigpu.State members — the
 // placement decision itself (Register) stays with the embedding type,
@@ -32,7 +32,6 @@ type Router struct {
 	members   []Scheduler
 	placement map[ContainerID]int
 	observer  func(EventRecord)
-	admitObs  func(AdmitObservation)
 }
 
 // NewRouter builds a router over members. memberNoun names a member in
@@ -76,13 +75,9 @@ func (r *Router) ReplaceMember(i int, fresh Scheduler, drop []ContainerID) {
 		delete(r.placement, id)
 	}
 	fn := r.observer
-	afn := r.admitObs
 	r.mu.Unlock()
 	if fn != nil {
 		fresh.SetObserver(fn)
-	}
-	if afn != nil {
-		fresh.SetAdmitObserver(afn)
 	}
 }
 
@@ -266,25 +261,9 @@ func (r *Router) Snapshot() []ContainerInfo {
 	return out
 }
 
-// Events merges every member's retained events, ordered by timestamp
-// (ties broken by per-member Seq). Seq values are per member and may
-// repeat across devices; EventRecord.Device disambiguates.
-func (r *Router) Events() []EventRecord {
-	var out []EventRecord
-	for _, m := range r.membersView() {
-		out = append(out, m.Events()...)
-	}
-	sort.SliceStable(out, func(i, j int) bool {
-		if !out[i].At.Equal(out[j].At) {
-			return out[i].At.Before(out[j].At)
-		}
-		return out[i].Seq < out[j].Seq
-	})
-	return out
-}
-
-// SetObserver installs fn on every member; records from different
-// members interleave in timestamp order only as precisely as the
+// SetObserver installs fn on every member (and on members installed
+// later by ReplaceMember, so events keep flowing across failovers);
+// records from different members interleave only as precisely as the
 // members' own locks allow.
 func (r *Router) SetObserver(fn func(EventRecord)) {
 	r.mu.Lock()
@@ -293,19 +272,6 @@ func (r *Router) SetObserver(fn func(EventRecord)) {
 	r.mu.Unlock()
 	for _, m := range ms {
 		m.SetObserver(fn)
-	}
-}
-
-// SetAdmitObserver installs fn on every member (and, like SetObserver,
-// on members installed later by ReplaceMember), so per-request admit
-// observations keep flowing across failovers.
-func (r *Router) SetAdmitObserver(fn func(AdmitObservation)) {
-	r.mu.Lock()
-	r.admitObs = fn
-	ms := r.members
-	r.mu.Unlock()
-	for _, m := range ms {
-		m.SetAdmitObserver(fn)
 	}
 }
 

@@ -125,8 +125,14 @@ func TestRouterRoutesAndAggregates(t *testing.T) {
 	if name := r.AlgorithmName(); name != AlgFIFO {
 		t.Fatalf("AlgorithmName = %q", name)
 	}
-	if evs := r.Events(); len(evs) == 0 || len(seen) == 0 {
-		t.Fatalf("events: merged=%d observed=%d", len(evs), len(seen))
+	// Every member's records reach the router's one observer, stamped
+	// with the device that emitted them.
+	byDevice := map[int]int{}
+	for _, e := range seen {
+		byDevice[e.Device]++
+	}
+	if len(byDevice) != 2 {
+		t.Fatalf("observed records per device = %v, want both members'", byDevice)
 	}
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)

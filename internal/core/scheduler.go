@@ -53,9 +53,7 @@ type Scheduler interface {
 	// Introspection and observability (PR 3).
 	Info(id ContainerID) (ContainerInfo, error)
 	Snapshot() []ContainerInfo
-	Events() []EventRecord
 	SetObserver(fn func(EventRecord))
-	SetAdmitObserver(fn func(AdmitObservation))
 	PausedContainers() int
 	AlgorithmName() string
 	Capacity() bytesize.Size

@@ -166,8 +166,13 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 
 // evictContainer tears one evicted container's serving state down: its
 // socket stops listening and its session record is discarded through
-// the same path restart recovery uses for unservable sessions.
+// the same path restart recovery uses for unservable sessions. The dead
+// node's scheduler went without a Close, so no core event ends the
+// container's trace: the evict record here is its last, and its causal
+// counter ends with it.
 func (d *Daemon) evictContainer(id core.ContainerID, node int) {
+	d.obs.Tracer().Record(d.clk.Now(), "evict", string(id), 0, 0, 0, 0)
+	d.obs.Tracer().EndContainer(string(id))
 	d.mu.Lock()
 	srv := d.servers[id]
 	dir := d.dirs[id]

@@ -158,7 +158,9 @@ func TestFailoverMigratesParkedResponder(t *testing.T) {
 // TestFailoverEvictsWithNodeDownCode pins the fail-closed half: with no
 // surviving capacity the parked caller gets an immediate, machine-
 // readable node_down error (errors.Is-able as ErrNodeDown across the
-// wire), the evicted sessions are discarded, and new registrations fail
+// wire), the evicted sessions are discarded, each evicted container's
+// trace ends with an evict record (the dead node's scheduler emitted no
+// close) that also ends its causal counter, and new registrations fail
 // closed with the unavailable code until a node is revived.
 func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 	d, clus := startClusterDaemon(t)
@@ -212,6 +214,10 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 		if dir, ok := d.sessionDirFor(id); ok {
 			t.Fatalf("evicted container %s still tracked at %s", id, dir)
 		}
+		events := d.Obs().Tracer().Events(string(id))
+		if last := events[len(events)-1]; last.Kind != "evict" {
+			t.Fatalf("evicted container %s: last trace event is %q, want evict", id, last.Kind)
+		}
 	}
 
 	// Node 0 down, node 1 draining: admission fails closed with the
@@ -230,6 +236,15 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 	}
 	if r := register(t, ctl, "c9", mib(100)); !r.OK {
 		t.Fatalf("register after revive: %s", r.Error)
+	}
+	// An evicted ID that registers again is a new lifetime: its causal
+	// sequence restarts at 1.
+	if r := register(t, ctl, "c0", mib(100)); !r.OK {
+		t.Fatalf("re-register evicted c0: %s", r.Error)
+	}
+	events := d.Obs().Tracer().Events("c0")
+	if last := events[len(events)-1]; last.Kind != "register" || last.CSeq != 1 {
+		t.Fatalf("re-registered c0: last trace event %+v, want a register with cseq 1", last)
 	}
 }
 

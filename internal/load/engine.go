@@ -8,7 +8,6 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/clock"
 	"convgpu/internal/core"
-	"convgpu/internal/multigpu"
 	"convgpu/internal/obs"
 	"convgpu/internal/policy"
 	"convgpu/internal/sim"
@@ -41,36 +40,23 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Wake == "" {
-		c.Wake = core.AlgFIFO
-	}
-	if c.Place == "" {
-		c.Place = multigpu.PolicyLeastLoaded
-	}
 	if c.Devices == 0 {
 		c.Devices = 4
 	}
 	return c
 }
 
-// newBackend builds the multi-GPU scheduler under test from the policy
-// registry.
-func newBackend(cfg Config, clk clock.Clock) (*multigpu.State, error) {
-	place, err := policy.NewPlace(cfg.Place, policy.Config{Seed: cfg.Seed})
-	if err != nil {
-		return nil, err
-	}
-	return multigpu.New(multigpu.Config{
-		Devices:           cfg.Devices,
-		CapacityPerDevice: sim.DeviceCapacity,
-		Capacities:        cfg.Capacities,
-		Algorithm:         cfg.Wake,
-		AlgorithmFactory: func(seed int64) (core.Algorithm, error) {
-			return policy.NewWake(cfg.Wake, policy.Config{Seed: seed})
-		},
-		AlgSeed: cfg.Seed,
-		Policy:  place,
-		Device:  core.Config{Clock: clk},
+// newBackend builds the scheduler under test through the one assembly
+// (policy.NewScheduler).
+func newBackend(cfg Config, clk clock.Clock) (core.Scheduler, error) {
+	return policy.NewScheduler(policy.Spec{
+		Devices:    cfg.Devices,
+		Capacity:   sim.DeviceCapacity,
+		Capacities: cfg.Capacities,
+		Wake:       cfg.Wake,
+		Place:      cfg.Place,
+		Seed:       cfg.Seed,
+		Device:     core.Config{Clock: clk},
 	})
 }
 

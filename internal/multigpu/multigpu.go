@@ -186,9 +186,9 @@ type Config struct {
 	// Device is the template every device's scheduler is built from:
 	// Capacity, DeviceIndex and Algorithm are filled in per device here,
 	// and everything else — the Clock all devices share, ContextOverhead,
-	// PersistentGrants, FaultTolerant, EventLogSize — reaches each
-	// core.State as given, so a per-device setting cannot be lost on the
-	// way through this layer.
+	// PersistentGrants, FaultTolerant — reaches each core.State as given,
+	// so a per-device setting cannot be lost on the way through this
+	// layer.
 	Device core.Config
 }
 

@@ -111,8 +111,8 @@ type Observability struct {
 	MigrationLatency *Histogram
 	// AdmitLatency times every admitted allocation request from the
 	// requester's point of view: zero for requests accepted in place,
-	// the park-to-release wait for suspended ones. BindCore feeds it
-	// through the scheduler's admit observer, so the histogram covers
+	// the park-to-release wait for suspended ones. The event hook feeds
+	// it from accept and resume records, so the histogram covers
 	// immediate accepts the SuspendWait series never sees.
 	AdmitLatency *Histogram
 	// DeadlineMet / DeadlineMissed count per-request SLO outcomes as a
@@ -192,12 +192,6 @@ func New(cfg Config) *Observability {
 	return o
 }
 
-// ObserveAdmit records one admission into the admit-latency histogram —
-// the hook BindCore installs via the scheduler's SetAdmitObserver.
-func (o *Observability) ObserveAdmit(a core.AdmitObservation) {
-	o.AdmitLatency.Observe(a.Waited)
-}
-
 // ObserveDeadline counts one per-request SLO outcome.
 func (o *Observability) ObserveDeadline(met bool) {
 	if met {
@@ -229,22 +223,21 @@ func (o *Observability) Tracer() *Tracer { return o.tracer }
 func (o *Observability) Algorithm() string { return o.algo }
 
 // observeEvent is the core event hook: one atomic counter bump and one
-// ring append per scheduler event. Runs under the core event log's
-// mutex — no allocation, no locks beyond the tracer's leaf mutex.
+// ring append per scheduler event, plus the admit-latency observation
+// on the two admitting kinds. Runs under the scheduler's locks — no
+// allocation, no locks beyond the tracer's leaf mutex.
 func (o *Observability) observeEvent(e core.EventRecord) {
 	k := int(e.Kind)
 	if k >= 0 && k < len(o.byKind) {
 		o.byKind[k].Inc()
 	}
 	o.tracer.Record(e.At, e.Kind.String(), string(e.Container), e.PID, int64(e.Amount), e.Device, uint64(e.Ticket))
-	if e.Kind == core.EvClose {
+	switch e.Kind {
+	case core.EvAccept, core.EvResume:
+		o.AdmitLatency.Observe(e.Waited)
+	case core.EvClose:
 		o.tracer.EndContainer(string(e.Container))
 	}
-}
-
-// CoreObserver returns the function to install via core's SetObserver.
-func (o *Observability) CoreObserver() func(core.EventRecord) {
-	return o.observeEvent
 }
 
 // BindCore wires a scheduling backend into the bundle: installs the
@@ -254,7 +247,6 @@ func (o *Observability) CoreObserver() func(core.EventRecord) {
 // so a long-lived bundle follows the current core.
 func (o *Observability) BindCore(st core.Scheduler) {
 	st.SetObserver(o.observeEvent)
-	st.SetAdmitObserver(o.ObserveAdmit)
 	al := Labels{"algorithm": o.algo}
 	o.reg.GaugeFunc(MetricPoolFree,
 		"Schedulable GPU memory not granted to any container (all devices).", al,

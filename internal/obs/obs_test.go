@@ -155,6 +155,23 @@ func TestTracerCausalOrder(t *testing.T) {
 	}
 }
 
+// TestTraceEventString pins the three shapes the daemon's -status tail
+// prints: a scheduler event with and without a pid, and an admin verb.
+func TestTraceEventString(t *testing.T) {
+	for _, tc := range []struct {
+		e    TraceEvent
+		want string
+	}{
+		{TraceEvent{Seq: 7, Kind: "accept", Container: "c1", PID: 42, Amount: 10 << 20}, "#7 accept c1 pid=42 10MiB"},
+		{TraceEvent{Seq: 8, Kind: "close", Container: "c1", Amount: 1 << 30}, "#8 close c1 1GiB"},
+		{TraceEvent{Seq: 9, Kind: "admin_drain", RequestID: "req-1", Detail: "node 0"}, "#9 admin_drain node 0 req-1"},
+	} {
+		if got := tc.e.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+	}
+}
+
 func TestTracerWrapAndLimit(t *testing.T) {
 	tr := NewTracer(4)
 	at := time.Unix(0, 0)

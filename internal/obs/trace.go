@@ -2,8 +2,11 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
+
+	"convgpu/internal/bytesize"
 )
 
 // DefaultTraceCapacity is the event ring size used when a Tracer is
@@ -30,6 +33,18 @@ type TraceEvent struct {
 	// an operation ID). Both empty for scheduler events.
 	RequestID string `json:"request_id,omitempty"`
 	Detail    string `json:"detail,omitempty"`
+}
+
+// String renders the event for logs (the daemon's -status tail).
+func (e TraceEvent) String() string {
+	switch {
+	case e.Container == "":
+		return fmt.Sprintf("#%d %s %s %s", e.Seq, e.Kind, e.Detail, e.RequestID)
+	case e.PID != 0:
+		return fmt.Sprintf("#%d %s %s pid=%d %v", e.Seq, e.Kind, e.Container, e.PID, bytesize.Size(e.Amount))
+	default:
+		return fmt.Sprintf("#%d %s %s %v", e.Seq, e.Kind, e.Container, bytesize.Size(e.Amount))
+	}
 }
 
 // Tracer is a fixed-capacity ring buffer of TraceEvents. Recording

@@ -48,6 +48,11 @@ func TestPreemptionNeverLosesTicket(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			s.SetObserver(func(ev core.EventRecord) {
+				if ev.Kind == core.EvPreempt {
+					totalPreempts++
+				}
+			})
 
 			type ticketRec struct {
 				id   core.ContainerID
@@ -188,11 +193,6 @@ func TestPreemptionNeverLosesTicket(t *testing.T) {
 			}
 			if len(pending) != 0 {
 				t.Fatalf("after closing all containers, %d tickets unresolved: %v", len(pending), pending)
-			}
-			for _, ev := range s.Events() {
-				if ev.Kind == core.EvPreempt {
-					totalPreempts++
-				}
 			}
 		})
 	}

@@ -40,7 +40,6 @@ type stackConfig struct {
 
 	faultTolerant    bool
 	persistentGrants bool
-	eventLogSize     int
 
 	tenants []core.Tenant
 
@@ -312,15 +311,6 @@ func WithFaultTolerant() Option {
 func WithPersistentGrants() Option {
 	return func(c *stackConfig) error {
 		c.persistentGrants = true
-		return nil
-	}
-}
-
-// WithEventLogSize sets the scheduler event-log ring capacity
-// (core.DefaultEventLogSize when unset; negative disables retention).
-func WithEventLogSize(n int) Option {
-	return func(c *stackConfig) error {
-		c.eventLogSize = n
 		return nil
 	}
 }

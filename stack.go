@@ -15,7 +15,6 @@ import (
 	"convgpu/internal/daemon"
 	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
-	"convgpu/internal/multigpu"
 	"convgpu/internal/nvdocker"
 	"convgpu/internal/obs"
 	"convgpu/internal/plugin"
@@ -103,91 +102,26 @@ func New(options ...Option) (*Stack, error) {
 		gpuOpts = append(gpuOpts, gpu.WithLatency(gpu.PaperLatency(), nil))
 	}
 
-	// Every wake-order and placement policy resolves through the unified
-	// policy registry: legacy algorithm names yield the exact values
-	// core.NewAlgorithm builds (byte-identical behavior), and the
-	// tenant-aware policies are reached by the same Option surface.
-	wakeFactory := func(seed int64) (core.Algorithm, error) {
-		return policy.NewWake(cfg.algorithm, policy.Config{Seed: seed})
+	// One assembly for every topology (policy.NewScheduler): a cluster
+	// under WithNodes, a multi-device backend under WithDevices, else the
+	// paper's single core — with the per-device settings in force on all.
+	state, err := policy.NewScheduler(policy.Spec{
+		Nodes:    cfg.nodes,
+		Devices:  cfg.devices,
+		Capacity: cfg.capacity,
+		Wake:     cfg.algorithm,
+		Place:    cfg.placement,
+		Strategy: cfg.nodeStrategy,
+		Seed:     cfg.algorithmSeed,
+		Device: core.Config{
+			FaultTolerant:    cfg.faultTolerant,
+			PersistentGrants: cfg.persistentGrants,
+		},
+	})
+	if err != nil {
+		return nil, err
 	}
-	// Per-device settings: one template, in force on every topology.
-	device := core.Config{
-		FaultTolerant:    cfg.faultTolerant,
-		PersistentGrants: cfg.persistentGrants,
-		EventLogSize:     cfg.eventLogSize,
-	}
-	var state core.Scheduler
-	var clus *cluster.Cluster
-	if cfg.nodes > 1 {
-		// Cluster stack: WithDevices GPUs per node behind a node
-		// placement strategy and the membership/failover layer.
-		strategyName := cfg.nodeStrategy
-		if strategyName == "" {
-			strategyName = cluster.StrategySpread
-		}
-		strat, err := cluster.NewStrategy(strategyName, cfg.algorithmSeed)
-		if err != nil {
-			return nil, err
-		}
-		gpus := cfg.devices
-		if gpus < 1 {
-			gpus = 1
-		}
-		devicePolicy := cfg.placement
-		if devicePolicy == "" {
-			devicePolicy = multigpu.PolicyLeastLoaded
-		}
-		clus, err = cluster.New(cluster.Config{
-			Nodes:            cfg.nodes,
-			GPUsPerNode:      gpus,
-			CapacityPerGPU:   cfg.capacity,
-			Algorithm:        cfg.algorithm,
-			AlgorithmFactory: wakeFactory,
-			AlgSeed:          cfg.algorithmSeed,
-			DevicePolicyFactory: func() (multigpu.Policy, error) {
-				return policy.NewPlace(devicePolicy, policy.Config{Seed: cfg.algorithmSeed})
-			},
-			Strategy: strat,
-			Device:   device,
-		})
-		if err != nil {
-			return nil, err
-		}
-		state = clus
-	} else if cfg.devices > 1 {
-		// Multi-device stack: one core per device behind a placement
-		// policy, served through the same Scheduler interface.
-		policyName := cfg.placement
-		if policyName == "" {
-			policyName = multigpu.PolicyLeastLoaded
-		}
-		pol, err := policy.NewPlace(policyName, policy.Config{Seed: cfg.algorithmSeed})
-		if err != nil {
-			return nil, err
-		}
-		state, err = multigpu.New(multigpu.Config{
-			Devices:           cfg.devices,
-			CapacityPerDevice: cfg.capacity,
-			Algorithm:         cfg.algorithm,
-			AlgorithmFactory:  wakeFactory,
-			AlgSeed:           cfg.algorithmSeed,
-			Policy:            pol,
-			Device:            device,
-		})
-		if err != nil {
-			return nil, err
-		}
-	} else {
-		alg, err := policy.NewWake(cfg.algorithm, policy.Config{Seed: cfg.algorithmSeed})
-		if err != nil {
-			return nil, err
-		}
-		device.Capacity, device.Algorithm = cfg.capacity, alg
-		state, err = core.New(device)
-		if err != nil {
-			return nil, err
-		}
-	}
+	clus, _ := state.(*cluster.Cluster)
 
 	o := cfg.obs
 	if o == nil {
@@ -362,10 +296,6 @@ func (s *Stack) Create(ctx context.Context, opts RunOptions) (*Container, error)
 
 // Snapshot reports the scheduler's per-container state.
 func (s *Stack) Snapshot() []SchedulerInfo { return s.state.Snapshot() }
-
-// Events returns the scheduler's retained event log (registrations,
-// accepts, suspensions, grants, closes, ...), oldest first.
-func (s *Stack) Events() []SchedulerEvent { return s.state.Events() }
 
 // PoolFree reports unassigned GPU memory.
 func (s *Stack) PoolFree() Size { return s.state.PoolFree() }

@@ -72,10 +72,12 @@ func pausedPair(t *testing.T, st *core.State, fillerMiB, heldMiB, olderMiB, newe
 	return u
 }
 
-// TestPerDeviceOptionsReachEveryTopology: WithFaultTolerant,
-// WithPersistentGrants and WithEventLogSize configure the per-device
-// scheduler, so they must be in force on every device of every topology
-// New can build — they used to reach the single-device branch only.
+// TestPerDeviceOptionsReachEveryTopology: WithFaultTolerant and
+// WithPersistentGrants configure the per-device scheduler, so they must
+// be in force on every device of every topology New can build — they
+// used to reach the single-device branch only. New assembles through
+// policy.NewScheduler, as convgpu-scheduler and the load harness do, so
+// this covers their topologies too.
 func TestPerDeviceOptionsReachEveryTopology(t *testing.T) {
 	topologies := []struct {
 		name    string
@@ -121,23 +123,6 @@ func TestPerDeviceOptionsReachEveryTopology(t *testing.T) {
 				}
 				if len(u.Admitted) != 0 || info.Grant != 700*MiB {
 					t.Errorf("device %d: persistent grants not in force: admitted %+v, older's grant %v (want none, 700 MiB)", i, u.Admitted, info.Grant)
-				}
-			}
-			// The ring is per shard and a container lives in one shard, so
-			// a capacity of one retains at most one record per container.
-			for i, st := range build(t, topo.options, []Option{WithEventLogSize(1)}, topo.devices) {
-				pausedPair(t, st, 500, 300, 400, 600)
-				kept := map[core.ContainerID]int{}
-				for _, e := range st.Events() {
-					kept[e.Container]++
-				}
-				for id, n := range kept {
-					if n > 1 {
-						t.Errorf("device %d: event log kept %d records of %s, want the configured 1", i, n, id)
-					}
-				}
-				if len(kept) == 0 {
-					t.Errorf("device %d: event log kept nothing", i)
 				}
 			}
 		})
