@@ -13,6 +13,11 @@
 //	                              forward) — must stay 0 allocs/op
 //	BenchmarkHotPathRoundTrip*    end-to-end over the daemon's real UNIX
 //	                              socket, zero device latency
+//	BenchmarkHotPathFacadeCycleWAL the loop BENCHMARK.json's cycle_wal
+//	                              runs, through the public facade
+//
+// TestWrappedCycleAllocatesNothing holds the wrapped cycle at zero
+// allocations in tier-1; `make benchdiff` holds the benchmarks there.
 //
 // CHANGES.md records the seed-vs-optimized numbers for these.
 package convgpu_test
@@ -21,10 +26,12 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"convgpu"
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
@@ -34,6 +41,7 @@ import (
 	"convgpu/internal/multigpu"
 	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
+	"convgpu/internal/wal"
 	"convgpu/internal/wrapper"
 )
 
@@ -264,15 +272,16 @@ type benchRig struct {
 	wrapped *wrapper.Module
 }
 
-// newHotPathRig builds the rig. Its wrapper connection must be on binary
-// frames, like every container's.
-func newHotPathRig(b *testing.B) *benchRig {
+// newHotPathRig builds the rig, the daemon over log when one is given.
+// Its wrapper connection must be on binary frames, like every
+// container's.
+func newHotPathRig(b testing.TB, log *wal.Log, opts ...wrapper.Option) *benchRig {
 	b.Helper()
 	st, err := core.New(core.Config{Capacity: 5 * bytesize.GiB})
 	if err != nil {
 		b.Fatal(err)
 	}
-	d, err := daemon.Start(daemon.Config{BaseDir: b.TempDir(), Core: st})
+	d, err := daemon.Start(daemon.Config{BaseDir: b.TempDir(), Core: st, WAL: log})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -291,7 +300,7 @@ func newHotPathRig(b *testing.B) *benchRig {
 	if err != nil {
 		b.Fatal(err)
 	}
-	r.wrapped = wrapper.New(cuda.NewRuntime(gpu.New(gpu.K20m()), 2), r.wrapCli, 2)
+	r.wrapped = wrapper.New(cuda.NewRuntime(gpu.New(gpu.K20m()), 2), r.wrapCli, 2, opts...)
 	b.Cleanup(func() {
 		r.wrapCli.Close()
 		ctl.Close()
@@ -310,7 +319,7 @@ func newHotPathRig(b *testing.B) *benchRig {
 // is a second, un-negotiated connection to the same socket: the
 // control/debug format's price for comparison.
 func benchRoundTrip1RTT(b *testing.B, binary bool) {
-	r := newHotPathRig(b)
+	r := newHotPathRig(b, nil)
 	cli := r.wrapCli
 	if !binary {
 		var err error
@@ -342,7 +351,7 @@ func BenchmarkHotPathRoundTrip1RTTJSON(b *testing.B)   { benchRoundTrip1RTT(b, f
 // drops well under one synchronous RTT.
 func BenchmarkHotPathRoundTripPipelined(b *testing.B) {
 	const depth = 8
-	r := newHotPathRig(b)
+	r := newHotPathRig(b, nil)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -374,7 +383,7 @@ func BenchmarkHotPathRoundTripPipelined(b *testing.B) {
 // over the daemon's real UNIX socket: alloc (accept), confirm, free —
 // three RTTs per iteration, on the negotiated binary codec.
 func BenchmarkHotPathRoundTrip(b *testing.B) {
-	r := newHotPathRig(b)
+	r := newHotPathRig(b, nil)
 	ctx := context.Background()
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -405,7 +414,7 @@ func BenchmarkHotPathRoundTrip(b *testing.B) {
 // cycles over one connection — the several-blocked-processes shape the
 // pipelined sequence numbers exist for, on the binary codec.
 func BenchmarkHotPathRoundTripParallel(b *testing.B) {
-	r := newHotPathRig(b)
+	r := newHotPathRig(b, nil)
 	ctx := context.Background()
 	var next int64
 	b.ReportAllocs()
@@ -444,7 +453,7 @@ func BenchmarkHotPathRoundTripParallel(b *testing.B) {
 // the socket with zero device latency — the closest analogue of the
 // paper's intercepted cudaMalloc cost with hardware time subtracted.
 func BenchmarkHotPathWrappedMallocFree(b *testing.B) {
-	r := newHotPathRig(b)
+	r := newHotPathRig(b, nil)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -459,6 +468,99 @@ func BenchmarkHotPathWrappedMallocFree(b *testing.B) {
 	b.StopTimer()
 	if err := r.wrapped.Flush(); err != nil { // the last reports are applied, none was refused
 		b.Fatal(err)
+	}
+}
+
+// BenchmarkHotPathFacadeCycleWAL is the loop the repository's benchmark
+// judges as cycle_wal: a stack with a write-ahead log at the default
+// fsync-on-every-append runs a container whose program loops Malloc+Free
+// under the container's cancellable context. Registration is synced to
+// disk before the loop; the loop itself must touch neither the disk nor
+// the heap.
+func BenchmarkHotPathFacadeCycleWAL(b *testing.B) {
+	st, err := convgpu.New(convgpu.WithBaseDir(b.TempDir()), convgpu.WithWAL(filepath.Join(b.TempDir(), "wal")))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Start(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	cycle := func(p *convgpu.Proc) error {
+		ptr, err := p.CUDA.Malloc(4096)
+		if err != nil {
+			return err
+		}
+		return p.CUDA.Free(ptr)
+	}
+	c, err := st.Run(context.Background(), convgpu.RunOptions{
+		Name: "bench", Image: convgpu.CUDAImage("bench", ""), NvidiaMemory: convgpu.GiB,
+		Program: func(p *convgpu.Proc) error {
+			for i := 0; i < 1000; i++ { // pools, ring slots and maps reach their steady size
+				if err := cycle(p); err != nil {
+					return err
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cycle(p); err != nil {
+					return err
+				}
+			}
+			b.StopTimer()
+			return nil
+		},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := c.Wait(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// TestWrappedCycleAllocatesNothing is the tier-1 gate on what an
+// intercepted call leaves behind in the tenant's process: wrapped
+// Malloc+Free cycles over a negotiated socket to a daemon with a
+// write-ahead log, under a context that can be cancelled as every
+// container's can, allocate nothing — in the wrapper, the client, the
+// simulated device or the daemon's side of the connection. The counter is
+// the process's, so ten strays in the thousand cycles pass and one
+// allocation per hundred cycles does not.
+func TestWrappedCycleAllocatesNothing(t *testing.T) {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range info.Settings {
+			if s.Key == "-race" && s.Value == "true" {
+				t.Skip("the race detector's instrumentation allocates")
+			}
+		}
+	}
+	log, err := wal.Open(wal.Options{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer log.Close()
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	r := newHotPathRig(t, log, wrapper.WithContext(ctx))
+	hundred := func() {
+		for i := 0; i < 100; i++ {
+			ptr, err := r.wrapped.Malloc(4096)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.wrapped.Free(ptr); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	hundred() // warm: pools, the ring slot, the context registration
+	if n := testing.AllocsPerRun(10, hundred); n != 0 {
+		t.Errorf("100 wrapped Malloc+Free cycles allocate %.0f times, want 0", n)
+	}
+	if err := r.wrapped.Flush(); err != nil {
+		t.Fatal(err)
 	}
 }
 

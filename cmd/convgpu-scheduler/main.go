@@ -143,7 +143,7 @@ func main() {
 		httpAddr  = flag.String("http", "", "also serve the /v1 admin API (plus /debug/*) on this TCP address (e.g. :9090; empty = admin.sock only)")
 		traceCap  = flag.Int("trace-capacity", 0, "event-trace ring capacity (0 = default, negative = disabled)")
 		walDir    = flag.String("wal-dir", "", "write-ahead log directory; when set, admissions are durable and restart recovery replays the log (empty = session.json files)")
-		fsync     = flag.String("fsync", "always", "WAL fsync policy: always | none | a duration like 50ms (group commit)")
+		fsync     = flag.String("fsync", "always", "WAL fsync policy: always (every session-changing record synced before it is acknowledged) | none | a duration like 50ms (group commit, at most that much lost)")
 	)
 	flag.Var(&tenants, "tenant", "provision a named tenant: NAME[:WEIGHT[:PRIORITY[:QUOTA[:GUARANTEE]]]] (repeatable)")
 	flag.Parse()

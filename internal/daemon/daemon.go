@@ -496,11 +496,6 @@ func (d *Daemon) dispatch(u core.Update) {
 	for _, k := range lost {
 		d.cfg.Logf("daemon: ticket %d of %q resolved after its connection was lost", k.t, k.id)
 	}
-	// Audit resumes before the withheld responses leave: the log shows
-	// the admission ahead of the wrapper observing it.
-	for _, a := range u.Admitted {
-		d.walAudit(wal.KindResume, a.Container, 0, 0, 0)
-	}
 	for conn, rels := range byConn {
 		if conn != nil && len(rels) > 1 {
 			conn.BeginBatch()
@@ -609,7 +604,6 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			// The paper's pause: withhold the response until granted. The
 			// gate is held from the decision to the park, so a release
 			// that admits this ticket in between finds its responder.
-			h.d.walAudit(wal.KindSuspend, h.id, msg.Size, msg.PID, 0)
 			if h.d.beforePark != nil {
 				h.d.beforePark()
 			}
@@ -622,12 +616,10 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		}
 		switch res.Decision {
 		case core.Accept:
-			h.d.walAudit(wal.KindGrant, h.id, msg.Size, msg.PID, 0)
 			m := ok()
 			m.Decision = protocol.DecisionAccept
 			respond(m)
 		case core.Reject:
-			h.d.walAudit(wal.KindReject, h.id, msg.Size, msg.PID, 0)
 			m := ok()
 			m.Decision = protocol.DecisionReject
 			respond(m)
@@ -644,7 +636,6 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			respond(codedError(msg, err))
 			return
 		}
-		h.d.walAudit(wal.KindRelease, h.id, msg.Size, msg.PID, 0)
 		respond(ok())
 		h.d.dispatch(u)
 	case protocol.TypeFree:
@@ -667,7 +658,6 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			respond(codedError(msg, err))
 			return
 		}
-		h.d.walAudit(wal.KindRelease, h.id, int64(size), msg.PID, 0)
 		m := ok()
 		m.Free = int64(size)
 		respond(m)
@@ -678,7 +668,6 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			respond(codedError(msg, err))
 			return
 		}
-		h.d.walAudit(wal.KindRelease, h.id, int64(size), msg.PID, 0)
 		m := ok()
 		m.Free = int64(size)
 		respond(m)
@@ -733,7 +722,8 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		if device, err := c.Placement(h.id); err == nil {
 			m.Device = device
 		}
-		h.d.walAudit(wal.KindAttach, h.id, 0, msg.PID, m.Device)
+		// The one event of this socket that core does not emit into the ring.
+		h.d.obs.Tracer().Record(h.d.clk.Now(), "attach", string(h.id), msg.PID, 0, m.Device, 0)
 		respond(m)
 	case protocol.TypeRestore:
 		if err := c.Restore(h.id, msg.PID, msg.Addr, msg.SizeBytes()); err != nil {
@@ -781,7 +771,7 @@ func (d *Daemon) releaseConn(id core.ContainerID, conn *ipc.ServerConn) {
 	}
 	for _, r := range responders {
 		// The connection is gone, so the send fails on the dead socket;
-		// responding still runs the respondOnce bookkeeping and returns
+		// responding still spends the responder and returns
 		// the message to the pool.
 		m := protocol.AcquireMessage()
 		m.Error = "connection dropped while allocation was suspended"

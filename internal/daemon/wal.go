@@ -5,10 +5,10 @@
 // close, migrate, lease expiry, evict) is appended — and synced per the
 // log's policy — before the daemon acknowledges the event to its
 // caller, and restart recovery becomes "load snapshot + replay tail"
-// instead of scanning per-container session.json files. Audit kinds
-// (grants, suspends, rejects, releases, attaches) ride the same log for
-// forensics but do not fold into recovery state, so their appends are
-// best-effort. The first boot against an empty log imports any pre-WAL
+// instead of scanning per-container session.json files. Nothing else is
+// appended: allocation history is the event ring's (obs.Tracer,
+// /v1/trace; in memory) and recovery rebuilds usage from the wrappers'
+// restore replay. The first boot against an empty log imports any pre-WAL
 // session.json records one-time; the files are left in place read-only
 // so a rollback to the previous daemon still finds them.
 
@@ -47,24 +47,6 @@ func (d *Daemon) walAppend(rec wal.Record) error {
 		return fmt.Errorf("daemon: persist admission event: %w (%v)", errs.ErrDaemonUnavailable, err)
 	}
 	return nil
-}
-
-// walAudit appends one audit record. Audit kinds never fold into
-// recovered state, so a failed append is logged and swallowed rather
-// than failing the request it annotates.
-func (d *Daemon) walAudit(kind wal.Kind, id core.ContainerID, amount int64, pid int, device int) {
-	l := d.cfg.WAL
-	if l == nil {
-		return
-	}
-	rec := wal.Record{
-		Kind: kind, Container: string(id),
-		Amount: amount, PID: int32(pid), Device: int32(device),
-		At: d.clk.Now().UnixNano(),
-	}
-	if _, err := l.Append(rec); err != nil {
-		d.cfg.Logf("daemon: wal audit %s %q: %v", kind, id, err)
-	}
 }
 
 // recoverFromWAL re-adopts the sessions the write-ahead log folded at

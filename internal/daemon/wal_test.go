@@ -3,15 +3,19 @@ package daemon
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
+	"convgpu/internal/errs"
+	"convgpu/internal/gpu"
 	"convgpu/internal/leak"
 	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
@@ -358,8 +362,10 @@ func TestWALAdminAccessors(t *testing.T) {
 	}
 }
 
-// TestWALAuditTrail drives allocation traffic against a WAL daemon and
-// checks the audit kinds land in the log without disturbing the fold.
+// TestWALAuditTrail is the allocation history's one home: a thousand
+// Malloc+Free cycles, a reject, an attach and a suspend/resume against a
+// WAL daemon append nothing — the log stays where registration put it —
+// and every one of those events is in the ring /v1/trace pages.
 func TestWALAuditTrail(t *testing.T) {
 	leak.Check(t)
 	base := filepath.Join(t.TempDir(), "cv")
@@ -368,33 +374,71 @@ func TestWALAuditTrail(t *testing.T) {
 	d := startWALDaemon(t, base, l, mib(1000))
 	defer d.Close()
 	ctl := dialControl(t, d)
-	cc := dialContainer(t, register(t, ctl, "aud", mib(400)))
-	ctx := context.Background()
+	dev := gpu.New(gpu.K20m())
+	hog, _ := wrapperOn(t, register(t, ctl, "hog", mib(900)), dev, 1)
+	late := register(t, ctl, "late", mib(600)) // granted the 100 MiB left over
+	first, firstCli := wrapperOn(t, late, dev, 2)
+	second, _ := wrapperOn(t, late, dev, 3)
+	registered := l.Stats()
 
-	resp, err := cc.Call(ctx, &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: int64(mib(100)), API: "cudaMalloc"})
-	if err != nil || resp.Decision != protocol.DecisionAccept {
-		t.Fatalf("alloc: %v %+v", err, resp)
+	for i := 0; i < 1000; i++ {
+		ptr, err := hog.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := hog.Free(ptr); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if _, err := cc.Call(ctx, &protocol.Message{Type: protocol.TypeConfirm, PID: 1, Size: int64(mib(100)), Addr: 0xA1}); err != nil {
+	if _, err := hog.Malloc(mib(950)); !errors.Is(err, errs.ErrRejected) {
+		t.Fatalf("over-limit Malloc = %v, want a reject", err)
+	}
+	if resp, err := firstCli.Call(context.Background(), &protocol.Message{Type: protocol.TypeAttach, PID: 2}); err != nil || !resp.OK {
+		t.Fatalf("attach: %v %+v", err, resp)
+	}
+	held, err := first.Malloc(mib(80))
+	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cc.Call(ctx, &protocol.Message{Type: protocol.TypeFree, PID: 1, Addr: 0xA1}); err != nil {
+	resumed := make(chan error, 1)
+	go func() {
+		_, err := second.Malloc(mib(60)) // 80 + 60 exceed the grant, the pool is empty: Suspend
+		resumed <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if info, err := d.Core().Info("late"); err == nil && info.Pending == 1 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the second Malloc was never suspended")
+		}
+	}
+	if err := first.Free(held); err != nil {
 		t.Fatal(err)
 	}
-	// Over-limit alloc: rejected, audited.
-	resp, err = cc.Call(ctx, &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: int64(mib(900))})
-	if err != nil || resp.Decision != protocol.DecisionReject {
-		t.Fatalf("over-limit alloc: %v %+v", err, resp)
+	select {
+	case err := <-resumed:
+		if err != nil {
+			t.Fatalf("resumed Malloc: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("suspended Malloc never resumed")
+	}
+	if err := errors.Join(hog.Flush(), first.Flush(), second.Flush()); err != nil {
+		t.Fatal(err)
 	}
 
-	seqBefore := l.LastSeq()
-	if seqBefore < 4 {
-		t.Fatalf("expected audit records beyond the register, LastSeq = %d", seqBefore)
+	if got := l.Stats(); got != registered {
+		t.Errorf("allocation traffic moved the log: %+v, after registration it was %+v", got, registered)
 	}
-	// Audit records never change the fold: still exactly one session.
-	sessions := l.Sessions()
-	if len(sessions) != 1 || sessions[0].Container != "aud" || sessions[0].Limit != int64(mib(400)) {
-		t.Fatalf("fold disturbed by audit traffic: %+v", sessions)
+	got := make(map[string]int)
+	events, _ := d.Obs().Tracer().Page("", 0, 0)
+	for _, e := range events {
+		got[e.Kind]++
+	}
+	want := map[string]int{"register": 2, "accept": 1001, "free": 1001, "reject": 1, "attach": 1, "suspend": 1, "resume": 1}
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("ring holds %v, want %v", got, want)
 	}
 }
 

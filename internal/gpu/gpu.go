@@ -119,7 +119,8 @@ type region struct {
 	size uint64
 }
 
-// allocation records a live device allocation.
+// allocation records a live device allocation; kept by value, so that the
+// simulated cudaMalloc costs the tenant's heap no object per call.
 type allocation struct {
 	addr  uint64
 	size  bytesize.Size
@@ -163,7 +164,7 @@ type Device struct {
 	clk     clock.Clock
 	mu      sync.Mutex
 	free    []region // sorted by addr, coalesced
-	allocs  map[uint64]*allocation
+	allocs  map[uint64]allocation
 	ctx     map[int]bytesize.Size // pid -> context reservation
 	used    bytesize.Size         // sum of allocations + context reservations
 	streams *streamEngine
@@ -192,7 +193,7 @@ func New(props Properties, opts ...Option) *Device {
 		props:  props,
 		clk:    clock.Real{},
 		free:   []region{{addr: baseAddr, size: uint64(props.TotalGlobalMem)}},
-		allocs: make(map[uint64]*allocation),
+		allocs: make(map[uint64]allocation),
 		ctx:    make(map[int]bytesize.Size),
 	}
 	for _, o := range opts {
@@ -297,7 +298,7 @@ func (d *Device) alloc(pid int, requested, consumed bytesize.Size, kind AllocKin
 			if d.free[i].size == 0 {
 				d.free = append(d.free[:i], d.free[i+1:]...)
 			}
-			d.allocs[addr] = &allocation{addr: addr, size: consumed, pid: pid, kind: kind, pitch: pitch}
+			d.allocs[addr] = allocation{addr: addr, size: consumed, pid: pid, kind: kind, pitch: pitch}
 			d.used += consumed
 			return addr, nil
 		}
@@ -325,7 +326,7 @@ func (d *Device) Free(pid int, addr uint64) (bytesize.Size, error) {
 	return a.size, nil
 }
 
-func (d *Device) releaseLocked(a *allocation) {
+func (d *Device) releaseLocked(a allocation) {
 	delete(d.allocs, a.addr)
 	d.used -= a.size
 	d.insertFreeLocked(region{addr: a.addr, size: uint64(a.size)})

@@ -100,6 +100,9 @@ func closedErr(err error) error {
 // Handle must eventually call respond exactly once with the response
 // message; it may do so after returning (that is how the scheduler
 // suspends an allocation: it parks respond until memory is granted).
+// The transport drops a second call, except one that comes after Handle
+// returned having answered: respond serves the connection's next request
+// by then (see responder), and such a call may answer that one.
 // Closed is invoked once when the connection drops, letting the scheduler
 // release any requests still parked on it.
 //
@@ -262,7 +265,7 @@ func (c *ServerConn) Tag() string {
 // serialized by the coalescing writer, so delayed responses from parked
 // allocation requests never interleave bytes with concurrent replies.
 // The message is only read, never retained. (Responses to requests flow
-// through respondOnce instead, which answers in the request's codec.)
+// through a responder instead, which answers in the request's codec.)
 func (c *ServerConn) Send(m *protocol.Message) error {
 	return c.send(m, false)
 }
@@ -305,6 +308,7 @@ func (c *ServerConn) readLoop(h Handler) {
 	msg := protocol.AcquireMessage()
 	defer protocol.ReleaseMessage(msg)
 	oneWay := c.respondOneWay // built once: a one-way frame costs no closure
+	rsp := newResponder(c)
 	for {
 		f, err := readFrame(r, &scratch)
 		if err != nil {
@@ -358,7 +362,12 @@ func (c *ServerConn) readLoop(h Handler) {
 		if msg.NoReply {
 			c.oneWaySeq, c.oneWayType = msg.Seq, msg.Type
 		} else {
-			respond = respondOnce(c, msg.Seq, f.binary)
+			if rsp.pending.Load() { // parked: it is its holder's now
+				rsp = newResponder(c)
+			}
+			rsp.seq, rsp.binary = msg.Seq, f.binary
+			rsp.pending.Store(true)
+			respond = rsp.fn
 		}
 		safeHandle(h, c, msg, respond)
 		msg.Reset()
@@ -454,8 +463,8 @@ func readFrame(r *bufio.Reader, scratch *[]byte) (frame, error) {
 // safeHandle runs Handle with panic recovery: one request tripping a bug
 // must not take the whole daemon down (and every other container's
 // connection with it). The panicked request gets an error response
-// through its respondOnce wrapper — a no-op if the handler responded
-// before panicking — and the connection keeps serving.
+// through its responder — a no-op if the handler responded before
+// panicking — and the connection keeps serving.
 func safeHandle(h Handler, c *ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -467,24 +476,38 @@ func safeHandle(h Handler, c *ServerConn, msg *protocol.Message, respond func(*p
 	h.Handle(c, msg, respond)
 }
 
-// respondOnce wraps the connection's send so a handler calling respond
-// more than once (a bug) cannot emit duplicate responses on the wire.
-// It captures the sequence number and the request's codec by value: the
-// request message itself is pooled and must not outlive Handle, and a
-// response — even one released hours later by a redistribution — goes
-// back in the codec its request arrived in.
-func respondOnce(c *ServerConn, seq uint64, binary bool) func(*protocol.Message) {
-	var once sync.Once
-	return func(resp *protocol.Message) {
-		once.Do(func() {
-			resp.Seq = seq
-			resp.Type = protocol.TypeResponse
-			c.send(resp, binary)
-		})
-		// The transport consumes the response whether or not it was the
-		// winning call; see Handler's ownership contract.
-		protocol.ReleaseMessage(resp)
+// responder is respond for a request that wants a reply: it answers in
+// the request's codec under its seq — hours later, for a parked
+// allocation — and once only, so a handler that calls respond again (a
+// bug) puts no duplicate on the wire. The read loop arms one for request
+// after request, so answering at once allocates nothing; one still
+// pending when the next request comes is left to its holder and replaced.
+// Arming cannot race a late answer: respond reads seq and binary before
+// it gives pending up, the loop writes them only after it saw pending
+// false (requests are handled one at a time, as respondOneWay assumes).
+type responder struct {
+	c       *ServerConn
+	seq     uint64
+	binary  bool
+	pending atomic.Bool                  // armed and not answered yet
+	fn      func(resp *protocol.Message) // respond, bound once
+}
+
+func newResponder(c *ServerConn) *responder {
+	r := &responder{c: c}
+	r.fn = r.respond
+	return r
+}
+
+func (r *responder) respond(resp *protocol.Message) {
+	seq, binary := r.seq, r.binary
+	if r.pending.CompareAndSwap(true, false) {
+		resp.Seq, resp.Type = seq, protocol.TypeResponse
+		r.c.send(resp, binary)
 	}
+	// The transport consumes the response whether or not it was the
+	// winning call; see Handler's ownership contract.
+	protocol.ReleaseMessage(resp)
 }
 
 // readLine returns the next newline-terminated line. The returned slice
@@ -570,6 +593,11 @@ type Client struct {
 	rd      *bufio.Reader
 	scratch []byte
 	wake    func() // ends a blocked read: src's deadline goes into the past
+	// wake stays registered (an AfterFunc) with the context of the last
+	// Call that read, whose Done channel is watched: a container's calls
+	// all come under one context. unwatch, under mu, ends it (fail does too).
+	watched <-chan struct{}
+	unwatch func() bool
 }
 
 // SetWireStats installs a per-frame counter sink. Nil disables.
@@ -666,6 +694,7 @@ func NewClient(conn net.Conn) *Client {
 		conn:    conn,
 		w:       newCoalescer(conn),
 		readTok: make(chan struct{}, 1),
+		unwatch: func() bool { return false },
 	}
 	c.src.conn = conn
 	c.rd = bufio.NewReaderSize(&c.src, readBufSize)
@@ -678,9 +707,11 @@ func NewClient(conn net.Conn) *Client {
 
 // ctxReader is the connection as the reading Call sees it. A Call whose
 // context ends is woken from a blocked read by a read deadline in the
-// past (Client.wake). The deadline can outlive the Call it was meant
-// for, so a timeout reaches the reader only when its own context has
-// ended; any other is cleared and the read retried.
+// past (Client.wake). The deadline can outlive the Call it was meant for,
+// so a timeout reaches the reader only when its own context has ended;
+// any other is dropped and the read retried. The deadline is cleared
+// before the context is looked at, or a wake of this reader's own landing
+// in between would be lost.
 type ctxReader struct {
 	conn net.Conn
 	ctx  context.Context // the reading Call's
@@ -689,10 +720,13 @@ type ctxReader struct {
 func (r *ctxReader) Read(p []byte) (int, error) {
 	for {
 		n, err := r.conn.Read(p)
-		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) || r.ctx.Err() != nil {
+		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
 			return n, err
 		}
-		if err := r.conn.SetReadDeadline(time.Time{}); err != nil {
+		if cerr := r.conn.SetReadDeadline(time.Time{}); cerr != nil {
+			return 0, cerr
+		}
+		if r.ctx.Err() != nil {
 			return 0, err
 		}
 	}
@@ -701,13 +735,14 @@ func (r *ctxReader) Read(p []byte) (int, error) {
 // await returns the reply to seq, which arrives on ch when another Call
 // is reading and off the connection when this one is.
 func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Message) (*protocol.Message, error) {
+	done := ctx.Done()
 	select {
 	case resp, ok := <-ch:
 		if !ok {
 			return nil, ErrClosed
 		}
 		return resp, nil
-	case <-ctx.Done():
+	case <-done:
 		return nil, ctx.Err()
 	case <-c.readTok:
 	}
@@ -718,18 +753,24 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 			return nil, ErrClosed
 		}
 		return resp, nil
+	case <-done: // ended before this read: its wake may have been and gone
+		return nil, ctx.Err()
 	default:
 	}
 	c.src.ctx = ctx
-	if ctx.Done() != nil {
-		stop := context.AfterFunc(ctx, c.wake)
-		defer stop()
+	if done != c.watched { // wake's registration moves to this context
+		c.mu.Lock()
+		c.unwatch() // one that stays is called again later: harmless
+		if done != nil && !c.closed {
+			c.unwatch = context.AfterFunc(ctx, c.wake)
+		}
+		c.mu.Unlock()
+		c.watched = done
 	}
 	for {
 		msg, inFrame, err := c.readMessage()
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-				_ = c.conn.SetReadDeadline(time.Time{}) // the next reader clears what this leaves
 				if inFrame {
 					// Part of a frame is consumed and the rest did not come
 					// before the caller gave up: the stream cannot be resumed.
@@ -788,6 +829,7 @@ func (c *Client) fail(err error) error {
 	}
 	c.closed = true
 	c.readErr = err
+	c.unwatch() // or the context would hold this client until it ends
 	for i := range c.ring {
 		if c.ring[i].seq != 0 {
 			close(c.ring[i].ch)

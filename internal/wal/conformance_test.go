@@ -3,6 +3,8 @@ package wal
 import (
 	"math/rand"
 	"os"
+	"path/filepath"
+	"reflect"
 	"strconv"
 	"testing"
 	"time"
@@ -149,5 +151,55 @@ func TestRecoverySmoke(t *testing.T) {
 	t.Logf("recovered %d sessions from %d events in %v", n, events, elapsed)
 	if elapsed > time.Duration(thresholdMS)*time.Millisecond {
 		t.Fatalf("recovery took %v, threshold %dms (tune CONVGPU_RECOVERY_SMOKE_MS)", elapsed, thresholdMS)
+	}
+}
+
+// TestAuditEraLogReplays opens a segment written by the daemon of the
+// commit before the allocation audit left the log (testdata/audit_era;
+// TESTING.md says how it was made): register a, b / tenant gold /
+// register c / then a's grant, release, grant, b's suspend, reject,
+// attach, close a, b's resume. The audit records among them must still
+// decode and be skipped — sessions, sequence and replay count as that
+// daemon left them.
+func TestAuditEraLogReplays(t *testing.T) {
+	const name = "wal-0000000000000001.seg"
+	data, err := os.ReadFile(filepath.Join("testdata", "audit_era", name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []Kind
+	for off := 0; off < len(data); {
+		var rec Record
+		n, err := decodeRecord(data[off:], &rec)
+		if err != nil {
+			t.Fatalf("golden segment does not decode at offset %d: %v", off, err)
+		}
+		kinds = append(kinds, rec.Kind)
+		off += n
+	}
+	want := []Kind{KindRegister, KindRegister, KindTenant, KindRegister,
+		KindGrant, KindRelease, KindGrant, KindSuspend, KindReject, KindAttach, KindClose, KindResume}
+	if !reflect.DeepEqual(kinds, want) {
+		t.Fatalf("golden segment holds %v, want %v", kinds, want)
+	}
+
+	dir := t.TempDir() // Open writes to the directory it is given
+	if err := os.WriteFile(filepath.Join(dir, name), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l := open(t, dir, Options{})
+	defer l.Close()
+	if st := l.Stats(); st.LastSeq != 12 || st.Replayed != 12 || st.TailDropped != 0 {
+		t.Fatalf("stats after replay: %+v, want 12 records, nothing dropped", st)
+	}
+	wantSessions := []Session{
+		{Container: "b", Limit: 600 << 20},
+		{Container: "c", Limit: 100 << 20, Tenant: "gold"},
+	}
+	if got := l.Sessions(); !reflect.DeepEqual(got, wantSessions) {
+		t.Fatalf("sessions = %+v, want %+v", got, wantSessions)
+	}
+	if got := l.Tenants(); len(got) != 1 || got[0].Name != "gold" {
+		t.Fatalf("tenants = %+v, want gold", got)
 	}
 }

@@ -1,5 +1,5 @@
-// Record framing: every event the daemon acknowledges is first appended
-// to the log as one CRC-framed binary record. The frame is
+// Record framing: every session-changing event the daemon acknowledges
+// is first appended to the log as one CRC-framed binary record. The frame is
 //
 //	[payload length : uint32 LE][CRC-32 (IEEE) of payload : uint32 LE][payload]
 //
@@ -17,10 +17,12 @@ import (
 	"hash/crc32"
 )
 
-// Kind classifies one admission event. Session-folding kinds
-// (KindRegister, KindMigrate, KindClose, KindLeaseExpire, KindEvict)
-// change the recovered session set; audit kinds record the allocation
-// plane for operators and are ignored by replay's fold.
+// Kind classifies one admission event. The daemon writes session-folding
+// kinds only (KindRegister, KindMigrate, KindClose, KindLeaseExpire,
+// KindEvict, KindTenant): they change the recovered session set. The
+// audit kinds are legacy — earlier builds appended one per allocation
+// event, so replay still decodes and skips them; nothing writes them now
+// (that history is the event ring's, see internal/obs).
 type Kind uint8
 
 const (
@@ -45,7 +47,8 @@ const (
 	// alongside the sessions bound to them.
 	KindTenant Kind = 6
 
-	// Audit kinds: the allocation plane. Replay ignores them.
+	// Audit kinds: the allocation plane. Legacy: decoded and skipped by
+	// replay, never written by this daemon.
 	KindGrant   Kind = 16 // allocation accepted (Amount bytes, PID)
 	KindSuspend Kind = 17 // allocation parked
 	KindResume  Kind = 18 // parked allocation released (admitted)
@@ -96,7 +99,7 @@ func (k Kind) sessionKind() bool { return k >= KindRegister && k <= KindTenant }
 type Record struct {
 	Seq       uint64
 	At        int64 // event time, Unix nanoseconds
-	Amount    int64 // limit (register/migrate) or size (grant/release)
+	Amount    int64 // limit (register/migrate), bytes released (close)
 	Device    int32
 	PID       int32
 	Kind      Kind

@@ -1,23 +1,31 @@
 // Package wal is the daemon's durable admission store: an embedded
-// append-only write-ahead log of admission events plus a snapshot store
-// that bounds restart time. Every event the daemon acknowledges —
-// register, close, alloc grant, release, suspend, resume, lease expiry,
-// failover migration — is appended (and, per the sync policy, fsynced)
-// before the acknowledgement leaves, so the scheduler's view of grants
-// survives any crash. Recovery is "load newest snapshot + replay tail",
-// replacing the per-container session.json glob of earlier releases
-// (kept one release as a read-only import path — see the daemon).
+// append-only write-ahead log of session events plus a snapshot store
+// that bounds restart time. Every session-changing event the daemon
+// acknowledges — register, close, lease expiry, failover migration,
+// evict, tenant definition — is appended (and, per the sync policy,
+// fsynced) before the acknowledgement leaves, so the set of sessions
+// survives any crash. Session state only: what a session allocated and
+// freed is the event ring's history (internal/obs, in memory) and is
+// rebuilt after a restart by the wrappers' restore replay, so an
+// intercepted cudaMalloc/cudaFree never touches the disk. Recovery is
+// "load newest snapshot + replay tail", replacing the per-container
+// session.json glob of earlier releases (kept one release as a read-only
+// import path — see the daemon).
 //
 // On disk a log directory holds numbered segment files
 // (wal-<firstseq>.seg) of CRC-framed records and snapshot files
 // (snap-<seq>.snap). A torn tail record — the signature of a crash mid
 // append — is truncated silently; a checksum failure anywhere cuts the
 // usable log at the last intact record and drops whatever follows,
-// which is the only safe reading of a log whose middle is gone.
+// which is the only safe reading of a log whose middle is gone. A torn
+// record is only ever the tail: the first failed write or fsync stops the
+// Log for good (ErrFailed), so nothing lands behind a half-written record
+// and pages a failed fsync dropped are not synced again as if still dirty.
 package wal
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -35,9 +43,10 @@ const (
 	// SyncAlways fsyncs every append before it returns: no acknowledged
 	// event is ever lost. The default.
 	SyncAlways SyncMode = iota
-	// SyncInterval fsyncs at most once per Options.SyncInterval, piggy
-	// backed on appends (plus rotation, snapshot and close). A crash
-	// can lose up to one interval of acknowledged events.
+	// SyncInterval fsyncs at most once per Options.SyncInterval: by the
+	// append that finds the interval elapsed, else by a timer one interval
+	// after the first append left unsynced (plus rotation, snapshot and
+	// close). A crash can lose up to one interval of acknowledged events.
 	SyncInterval
 	// SyncNone never fsyncs explicitly (the OS flushes on its own
 	// schedule; Close still syncs). For benchmarks and tests.
@@ -99,22 +108,35 @@ type Stats struct {
 	TailDropped int64  `json:"tail_dropped_bytes"`
 }
 
+// ErrFailed is in every error of a Log that a failed write or fsync
+// stopped, with that first failure. Only Close still works.
+var ErrFailed = errors.New("wal: log failed")
+
+// segment is the active segment file; a test swaps it to inject faults.
+type segment interface {
+	Write(p []byte) (int, error)
+	Sync() error
+	Close() error
+}
+
 // Log is an open write-ahead log. All methods are safe for concurrent
 // use.
 type Log struct {
 	opts Options
 
 	mu       sync.Mutex
-	f        *os.File // active segment
-	fsize    int64    // active segment size
-	dirSize  int64    // total size of sealed segments (not the active one)
-	sealed   int      // number of sealed segments on disk
+	f        segment // active segment
+	fsize    int64   // active segment size
+	dirSize  int64   // total size of sealed segments (not the active one)
+	sealed   int     // number of sealed segments on disk
 	nextSeq  uint64
 	snapSeq  uint64
 	sessions map[string]Session
 	tenants  map[string]TenantDef
 	buf      []byte
 	lastSync time.Time
+	flush    *time.Timer // SyncInterval: syncs what no later append came to sync
+	refuse   error       // set once closed, or by the first failed write or fsync (ErrFailed)
 	appends  uint64
 	syncs    uint64
 	replayed uint64
@@ -325,8 +347,8 @@ func (l *Log) SetFsyncObserver(fn func(time.Duration)) {
 func (l *Log) Append(rec Record) (uint64, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return 0, fmt.Errorf("wal: log closed")
+	if l.refuse != nil {
+		return 0, l.refuse
 	}
 	if l.fsize >= l.opts.SegmentBytes {
 		if err := l.rotateLocked(); err != nil {
@@ -340,7 +362,7 @@ func (l *Log) Append(rec Record) (uint64, error) {
 		return 0, err
 	}
 	if _, err := l.f.Write(l.buf); err != nil {
-		return 0, fmt.Errorf("wal: append: %w", err)
+		return 0, l.failLocked(fmt.Errorf("wal: append: %w", err))
 	}
 	l.fsize += int64(len(l.buf))
 	l.nextSeq++
@@ -356,17 +378,45 @@ func (l *Log) Append(rec Record) (uint64, error) {
 			if err := l.syncLocked(); err != nil {
 				return 0, err
 			}
+		} else if l.flush == nil {
+			// No later append may come to find the interval elapsed.
+			l.flush = time.AfterFunc(l.opts.SyncInterval, l.syncPending)
 		}
 	}
 	return rec.Seq, nil
+}
+
+// failLocked stops the log at its first failed write or fsync.
+func (l *Log) failLocked(err error) error {
+	if l.refuse == nil {
+		l.refuse = fmt.Errorf("%w: %w", ErrFailed, err)
+	}
+	return l.refuse
+}
+
+func (l *Log) stopFlushLocked() {
+	if l.flush != nil {
+		l.flush.Stop()
+		l.flush = nil
+	}
+}
+
+// syncPending is the interval timer's; any sync since it was set cleared flush.
+func (l *Log) syncPending() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if l.flush != nil && l.refuse == nil {
+		_ = l.syncLocked() // a failure stops the log; the next Append reports it
+	}
 }
 
 // syncLocked fsyncs the active segment and feeds the latency observer.
 func (l *Log) syncLocked() error {
 	start := time.Now()
 	if err := l.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		return l.failLocked(fmt.Errorf("wal: fsync: %w", err))
 	}
+	l.stopFlushLocked()
 	l.lastSync = time.Now()
 	l.syncs++
 	if l.fsyncObs != nil {
@@ -379,8 +429,8 @@ func (l *Log) syncLocked() error {
 func (l *Log) Sync() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log closed")
+	if l.refuse != nil {
+		return l.refuse
 	}
 	return l.syncLocked()
 }
@@ -454,8 +504,8 @@ func (l *Log) Snapshot() (uint64, error) {
 }
 
 func (l *Log) snapshotLocked() (uint64, error) {
-	if l.closed {
-		return 0, fmt.Errorf("wal: log closed")
+	if l.refuse != nil {
+		return 0, l.refuse
 	}
 	// The snapshot must not claim coverage of records still in the page
 	// cache: sync first so covered == durable.
@@ -478,9 +528,6 @@ func (l *Log) snapshotLocked() (uint64, error) {
 func (l *Log) Compact() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.closed {
-		return fmt.Errorf("wal: log closed")
-	}
 	if _, err := l.snapshotLocked(); err != nil {
 		return err
 	}
@@ -545,7 +592,8 @@ func (l *Log) Stats() Stats {
 	}
 }
 
-// Close fsyncs and closes the active segment. Further appends fail.
+// Close fsyncs and closes the active segment. Further appends fail. A
+// failed log is not synced: its last write is the tail the next Open cuts.
 func (l *Log) Close() error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -553,9 +601,13 @@ func (l *Log) Close() error {
 		return nil
 	}
 	l.closed = true
-	if err := l.f.Sync(); err != nil {
-		l.f.Close()
-		return err
+	l.stopFlushLocked()
+	if l.refuse == nil {
+		l.refuse = errors.New("wal: log closed")
+		if err := l.f.Sync(); err != nil {
+			l.f.Close()
+			return err
+		}
 	}
 	return l.f.Close()
 }

@@ -252,3 +252,33 @@ func TestStatsShape(t *testing.T) {
 		t.Fatalf("SizeBytes = %d, want > 0", st.SizeBytes)
 	}
 }
+
+// TestIntervalSyncWithoutALaterAppend: under SyncInterval the last append
+// of a burst is synced one interval later by the log's own timer — with
+// the allocation audit stream gone a session record may be followed by
+// no append for hours, and "a crash can lose up to one interval" must
+// hold all the same.
+func TestIntervalSyncWithoutALaterAppend(t *testing.T) {
+	l, err := Open(Options{Dir: t.TempDir(), Sync: SyncInterval, SyncInterval: 20 * time.Millisecond})
+	if err != nil {
+		t.Fatalf("Open: %v", err)
+	}
+	defer l.Close()
+	mustAppend(t, l, Record{Kind: KindRegister, Container: "a", Amount: 1}) // syncs: lastSync is zero
+	mustAppend(t, l, Record{Kind: KindRegister, Container: "b", Amount: 1}) // inside the interval
+	if got := l.Stats().Syncs; got != 1 {
+		t.Fatalf("%d syncs right after two back-to-back appends, want 1", got)
+	}
+	deadline := time.Now().Add(time.Second)
+	for l.Stats().Syncs < 2 {
+		if time.Now().After(deadline) {
+			t.Fatal("the second append was never synced: no third append came, and no timer")
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	// One pending timer at most, cleared by the sync it made.
+	time.Sleep(60 * time.Millisecond)
+	if got := l.Stats().Syncs; got != 2 {
+		t.Fatalf("%d syncs for two appends, want 2", got)
+	}
+}

@@ -55,7 +55,10 @@ const SocketFileName = "gpushare.sock"
 // *ipc.Client over a UNIX socket, or the benchmark harness's in-process
 // implementation that isolates transport cost. Call's response belongs
 // to the caller, which may hand it back to the message pool
-// (protocol.ReleaseMessage); implementations must not retain it. Post
+// (protocol.ReleaseMessage); implementations must not retain it, nor m
+// once Call or Post has returned: the module's alloc, confirm and free
+// come from the pool and go back then, so that an intercepted call
+// leaves no garbage in the tenant's process. Post
 // sends a report nobody waits on (confirm, free). Messages are applied
 // in the order sent, so a Call is a barrier for every Post before it; a
 // refused Post is the *protocol.Refusal the next Call or Post returns.
@@ -165,12 +168,10 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 	// once the process is torn down, the connection-drop and lease
 	// handling on the daemon side reclaims whatever a cut-short confirm
 	// or abort left behind.
-	resp, err := m.sched.Call(m.ctx, &protocol.Message{
-		Type: protocol.TypeAlloc,
-		PID:  m.pid,
-		Size: int64(adjusted),
-		API:  api,
-	})
+	req := protocol.AcquireMessage() // pooled, as the two reports are: see Caller
+	req.Type, req.PID, req.Size, req.API = protocol.TypeAlloc, m.pid, int64(adjusted), api
+	resp, err := m.sched.Call(m.ctx, req)
+	protocol.ReleaseMessage(req)
 	if err = m.settle(err); err != nil {
 		if cerr := m.ctx.Err(); cerr != nil {
 			if errors.Is(cerr, context.DeadlineExceeded) {
@@ -226,9 +227,11 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 	m.mu.Unlock()
 	// The allocation succeeded, so the pointer is returned either way; an
 	// error is the transport's or a refusal (on JSON, of this confirm).
-	if err := m.settle(m.sched.Post(m.ctx, &protocol.Message{
-		Type: protocol.TypeConfirm, PID: m.pid, Size: int64(adjusted), Addr: uint64(ptr),
-	})); err != nil {
+	req = protocol.AcquireMessage()
+	req.Type, req.PID, req.Size, req.Addr = protocol.TypeConfirm, m.pid, int64(adjusted), uint64(ptr)
+	err = m.settle(m.sched.Post(m.ctx, req))
+	protocol.ReleaseMessage(req)
+	if err != nil {
 		return ptr, fmt.Errorf("wrapper: %w", err)
 	}
 	return ptr, nil
@@ -322,9 +325,11 @@ func (m *Module) Free(ptr cuda.DevPtr) error {
 	m.mu.Lock()
 	delete(m.allocs, ptr)
 	m.mu.Unlock()
-	if err := m.settle(m.sched.Post(m.ctx, &protocol.Message{
-		Type: protocol.TypeFree, PID: m.pid, Addr: uint64(ptr),
-	})); err != nil {
+	req := protocol.AcquireMessage()
+	req.Type, req.PID, req.Addr = protocol.TypeFree, m.pid, uint64(ptr)
+	err := m.settle(m.sched.Post(m.ctx, req))
+	protocol.ReleaseMessage(req)
+	if err != nil {
 		return fmt.Errorf("wrapper: %w", err)
 	}
 	return nil

@@ -321,8 +321,8 @@ func WithPersistentGrants() Option {
 // acknowledged, and a restarted stack recovers by loading the newest
 // snapshot and replaying the log tail instead of scanning per-container
 // session.json files. Pre-WAL session.json records found on the first
-// boot are imported one-time. The log syncs on every append unless
-// WithWALSync relaxes the policy.
+// boot are imported one-time. Every such record is synced before it is
+// acknowledged unless WithWALSync relaxes the policy; allocations append none.
 func WithWAL(dir string) Option {
 	return func(c *stackConfig) error {
 		if dir == "" {
@@ -334,9 +334,9 @@ func WithWAL(dir string) Option {
 }
 
 // WithWALSync sets the WAL fsync policy: "always" (default — every
-// append durable before acknowledgement), "none" (leave syncing to the
-// OS), or a duration like "50ms" (group commits, bounding loss to one
-// window). Requires WithWAL.
+// session-changing record durable before acknowledgement), "none" (leave
+// syncing to the OS), or a duration like "50ms" (group commits, bounding
+// loss to one window). Requires WithWAL.
 func WithWALSync(policy string) Option {
 	return func(c *stackConfig) error {
 		if policy == "" {
