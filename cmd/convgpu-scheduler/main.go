@@ -32,12 +32,12 @@
 // over to survivors. Nodes are inspected and drained / revived at
 // runtime with cmd/convgpu-stats (nodes | drain | revive).
 //
-// With -wal-dir the daemon's admission state is durable: every
-// session-changing event is appended to a write-ahead log (fsynced per
-// -fsync) before it is acknowledged, and a restarted daemon recovers by
-// loading the newest snapshot and replaying the log tail. Legacy
-// session.json records found on the first WAL boot are imported
-// one-time.
+// Every session-changing event is appended to a write-ahead log before
+// it is acknowledged, and a restarted daemon recovers by loading the
+// newest snapshot and replaying the log tail. Without -wal-dir that log
+// is the daemon's own under <basedir>/wal, never fsynced: it survives a
+// daemon crash, not a host crash. With -wal-dir it lives where the
+// operator says and is fsynced per -fsync (default: every record).
 //
 // The daemon prints the control socket path on startup and, with
 // -status, a periodic snapshot of per-container grants and usage. The
@@ -142,8 +142,8 @@ func main() {
 		lease     = flag.Duration("lease", 0, "reap containers silent for this long (0 = no leasing)")
 		httpAddr  = flag.String("http", "", "also serve the /v1 admin API (plus /debug/*) on this TCP address (e.g. :9090; empty = admin.sock only)")
 		traceCap  = flag.Int("trace-capacity", 0, "event-trace ring capacity (0 = default, negative = disabled)")
-		walDir    = flag.String("wal-dir", "", "write-ahead log directory; when set, admissions are durable and restart recovery replays the log (empty = session.json files)")
-		fsync     = flag.String("fsync", "always", "WAL fsync policy: always (every session-changing record synced before it is acknowledged) | none | a duration like 50ms (group commit, at most that much lost)")
+		walDir    = flag.String("wal-dir", "", "write-ahead log directory, fsynced per -fsync (empty = <basedir>/wal, never fsynced: survives a daemon restart, not a host crash)")
+		fsync     = flag.String("fsync", "always", "-wal-dir's fsync policy: always (every session-changing record synced before it is acknowledged) | none | a duration like 50ms (group commit, at most that much lost)")
 	)
 	flag.Var(&tenants, "tenant", "provision a named tenant: NAME[:WEIGHT[:PRIORITY[:QUOTA[:GUARANTEE]]]] (repeatable)")
 	flag.Parse()
@@ -152,6 +152,11 @@ func main() {
 		flag.Usage()
 		os.Exit(2)
 	}
+	flag.Visit(func(f *flag.Flag) {
+		if f.Name == "fsync" && *walDir == "" {
+			log.Fatalf("convgpu-scheduler: -fsync requires -wal-dir (the log under -basedir is never fsynced)")
+		}
+	})
 	cap, err := bytesize.Parse(*capacity)
 	if err != nil {
 		log.Fatalf("convgpu-scheduler: -capacity: %v", err)

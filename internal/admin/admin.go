@@ -211,12 +211,7 @@ func (h *Handler) routes() *http.ServeMux {
 		h.writeJSON(w, r, http.StatusOK, nodes)
 	})
 	mux.HandleFunc("GET /v1/wal", func(w http.ResponseWriter, r *http.Request) {
-		stats, ok := h.d.WALStats()
-		if !ok {
-			h.writeError(w, r, http.StatusNotFound, errors.New("admin: daemon runs without a write-ahead log"))
-			return
-		}
-		h.writeJSON(w, r, http.StatusOK, stats)
+		h.writeJSON(w, r, http.StatusOK, h.d.WALStats())
 	})
 	mux.HandleFunc("GET /v1/operations", func(w http.ResponseWriter, r *http.Request) {
 		h.writeJSON(w, r, http.StatusOK, h.d.Ops().List())

@@ -16,10 +16,12 @@ package daemon
 import (
 	"errors"
 	"fmt"
+	"net"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"convgpu/internal/asyncop"
@@ -75,12 +77,14 @@ type Config struct {
 	// which would otherwise vanish silently. Nil discards them. Not
 	// called on the request hot path.
 	Logf func(format string, args ...any)
-	// WAL, when set, is the daemon's durable admission log: every
-	// session-changing event is appended (and synced per the log's
-	// policy) before it is acknowledged, restart recovery replays the
-	// log instead of scanning per-container session.json files, and the
-	// obs bundle exports the log's counters. The caller owns the log's
-	// lifecycle — open it before Start, close it after Close.
+	// WAL is the daemon's one durable store: every session-changing
+	// event is appended (and synced per the log's policy) before it is
+	// acknowledged, restart recovery replays it, and the obs bundle
+	// exports its counters. A log passed here is the caller's — open it
+	// before Start, close it after Close. Nil means the daemon's own log
+	// under <BaseDir>/wal, never fsynced (wal.SyncNone) and closed by
+	// Close: it lives beside the sockets and container directories it
+	// would recover, so it has to outlive the daemon process, not the host.
 	WAL *wal.Log
 	// Tenants is the operator's static tenant table. A registration
 	// naming one of these tenants uses the configured definition,
@@ -96,6 +100,7 @@ type Daemon struct {
 	cfg     Config
 	clk     clock.Clock
 	obs     *obs.Observability
+	wal     *wal.Log // Config.WAL, or the daemon's own log when that is nil
 	control *ipc.Server
 	// wire counts transport frames by codec across the control socket
 	// and every container socket; obs renders it at scrape time.
@@ -113,11 +118,13 @@ type Daemon struct {
 	// ops runs the admin plane's asynchronous verbs (drain, failover,
 	// compact, ...) and retains their outcomes for polling.
 	ops *asyncop.Manager
+	// compacting is set while a compaction the daemon submitted itself
+	// (compactIfGrown) is queued or running.
+	compacting atomic.Bool
 
 	mu      sync.Mutex
 	parked  map[parkedKey]parkedResponder
 	servers map[core.ContainerID]*ipc.Server
-	dirs    map[core.ContainerID]string
 	// gate closes the window between a handler being told Suspend and its
 	// responder being parked: handlers hold it shared from the decision to
 	// the park, and dispatch passes through it exclusively before it looks
@@ -128,9 +135,9 @@ type Daemon struct {
 	// decision and the parking of its responder.
 	beforePark func()
 	// tenantDefs is the resolved tenant table: Config.Tenants seeded at
-	// Start, WAL-recovered definitions merged under it, inline wire
+	// Start, recovered definitions merged under it, inline wire
 	// definitions adopted on first sight. tenantLogged marks the names
-	// whose current definition is durable in the WAL.
+	// whose current definition is in the log.
 	tenantDefs   map[string]core.Tenant
 	tenantLogged map[string]bool
 	closed       bool
@@ -163,11 +170,10 @@ type parkedResponder struct {
 //
 // A control socket file left behind by a previous run is taken over
 // after a dial probe proves no live daemon answers on it; if one does,
-// Start fails instead of stealing its socket. Container sessions
-// persisted by a previous run (see sessionFileName) are recovered:
-// their registrations are re-applied idempotently and their sockets
-// re-listen, so wrappers reconnect and replay instead of losing their
-// grants.
+// Start fails instead of stealing its socket. The sessions a previous
+// run left open in the log are recovered: their registrations are
+// re-applied idempotently and their sockets re-listen, so wrappers
+// reconnect and replay instead of losing their grants.
 func Start(cfg Config) (*Daemon, error) {
 	if cfg.Core == nil {
 		return nil, fmt.Errorf("daemon: Config.Core is required")
@@ -185,9 +191,6 @@ func Start(cfg Config) (*Daemon, error) {
 		cfg.Obs = obs.New(obs.Config{Algorithm: cfg.Core.AlgorithmName()})
 	}
 	cfg.Obs.BindCore(cfg.Core)
-	if cfg.WAL != nil {
-		cfg.Obs.BindWAL(cfg.WAL)
-	}
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
@@ -198,7 +201,6 @@ func Start(cfg Config) (*Daemon, error) {
 		wire:         &ipc.WireStats{},
 		parked:       make(map[parkedKey]parkedResponder),
 		servers:      make(map[core.ContainerID]*ipc.Server),
-		dirs:         make(map[core.ContainerID]string),
 		tenantDefs:   make(map[string]core.Tenant),
 		tenantLogged: make(map[string]bool),
 		reapStop:     make(chan struct{}),
@@ -215,8 +217,8 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	if fs, ok := cfg.Core.(core.FailoverSource); ok {
 		// A cluster backend reports node failovers synchronously; the
-		// daemon re-keys parked responders and rewrites session files in
-		// step with the migration.
+		// daemon re-keys parked responders and logs each move in step
+		// with the migration.
 		fs.OnFailover(d.handleFailover)
 	}
 	if m, ok := cfg.Core.(core.Membership); ok {
@@ -226,11 +228,17 @@ func Start(cfg Config) (*Daemon, error) {
 	if err := takeoverSocket(ctlPath); err != nil {
 		return nil, err
 	}
-	if cfg.WAL != nil {
-		if err := d.recoverFromWAL(); err != nil {
-			return nil, err
+	// Only now is the base directory known to be this daemon's alone.
+	if d.wal = cfg.WAL; d.wal == nil {
+		l, err := wal.Open(wal.Options{Dir: filepath.Join(cfg.BaseDir, "wal"), Sync: wal.SyncNone, Logf: cfg.Logf})
+		if err != nil {
+			return nil, fmt.Errorf("daemon: open session log: %w", err)
 		}
-	} else if err := d.recoverSessions(); err != nil {
+		d.wal = l
+	}
+	cfg.Obs.BindWAL(d.wal)
+	if err := d.recoverFromWAL(); err != nil {
+		d.closeOwnLog()
 		return nil, err
 	}
 	d.ops = asyncop.New(2, cfg.Clock.Now)
@@ -238,6 +246,7 @@ func Start(cfg Config) (*Daemon, error) {
 	if err != nil {
 		d.closeRecovered()
 		d.ops.Close()
+		d.closeOwnLog()
 		return nil, err
 	}
 	ctl.SetWireStats(d.wire)
@@ -249,6 +258,26 @@ func Start(cfg Config) (*Daemon, error) {
 		close(d.reapDone)
 	}
 	return d, nil
+}
+
+// takeoverSocket prepares a control-socket path that may hold a stale
+// file from a crashed daemon. A dial probe distinguishes stale from
+// live: nothing answering means the previous daemon is gone and the
+// file is removed; an answering peer means another daemon owns the
+// socket and starting would steal its clients mid-session.
+func takeoverSocket(path string) error {
+	if _, err := os.Stat(path); err != nil {
+		return nil // no leftover socket
+	}
+	conn, err := net.DialTimeout("unix", path, time.Second)
+	if err == nil {
+		conn.Close()
+		return fmt.Errorf("daemon: control socket %s is owned by a running daemon", path)
+	}
+	if err := os.Remove(path); err != nil {
+		return fmt.Errorf("daemon: remove stale control socket: %w", err)
+	}
+	return nil
 }
 
 // ControlSocket returns the path of the control socket nvidia-docker and
@@ -297,7 +326,17 @@ func (d *Daemon) Close() error {
 	for _, s := range servers {
 		s.Close()
 	}
-	return err
+	// Last: a handler still draining may append.
+	return errors.Join(err, d.closeOwnLog())
+}
+
+// closeOwnLog closes the log Start opened because Config.WAL was nil; a
+// log the caller passed in is the caller's to close.
+func (d *Daemon) closeOwnLog() error {
+	if d.cfg.WAL != nil {
+		return nil
+	}
+	return d.wal.Close()
 }
 
 // containerDir builds the per-container directory path. Container IDs
@@ -341,24 +380,21 @@ func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*pro
 		d.cfg.Core.Close(id)
 		return nil, fmt.Errorf("daemon: write wrapper module: %w", err)
 	}
-	// Persist the admission before acknowledging it: a registration the
-	// daemon cannot make durable is unwound, not acked. The tenant's
-	// definition lands first so replay folds it before the session that
-	// references it.
-	if d.cfg.WAL == nil {
-		if err := writeSessionFile(dir, id, bytesize.Size(limit), device, t); err != nil {
-			d.cfg.Core.Close(id)
-			return nil, err
-		}
-	} else if err := d.persistTenant(t); err != nil {
+	// Log the admission before acknowledging it: a registration the
+	// daemon cannot log is unwound, not acked. The tenant's definition
+	// lands first so replay folds it before the session that references
+	// it.
+	if err := d.persistTenant(t); err != nil {
 		d.cfg.Core.Close(id)
 		return nil, err
-	} else if err := d.walAppend(wal.Record{
+	}
+	if err := d.walAppend(wal.Record{
 		Kind: wal.KindRegister, Container: string(id), Amount: limit, Device: int32(device), Tenant: t.Name,
 	}); err != nil {
 		d.cfg.Core.Close(id)
 		return nil, err
 	}
+	d.compactIfGrown()
 	if err := d.serve(id, dir); err != nil {
 		d.cfg.Core.Close(id)
 		return nil, err
@@ -385,7 +421,6 @@ func (d *Daemon) serve(id core.ContainerID, dir string) error {
 		return fmt.Errorf("daemon: shutting down")
 	}
 	d.servers[id] = srv
-	d.dirs[id] = dir
 	d.mu.Unlock()
 	d.touch(id)
 	return nil
@@ -396,34 +431,33 @@ func (d *Daemon) closeContainer(id core.ContainerID) (*protocol.Message, error) 
 	return d.closeContainerKind(id, wal.KindClose)
 }
 
-// closeContainerKind is closeContainer with the WAL record kind chosen
-// by the caller — the lease reaper records KindLeaseExpire so a
-// replayed log distinguishes operator closes from reaped sessions.
+// closeContainerKind is closeContainer with the record kind chosen by
+// the caller — the lease reaper records KindLeaseExpire so a replayed
+// log distinguishes operator closes from reaped sessions. The record is
+// the acknowledgement's precondition, as register's is: appended while
+// the core still holds the session, so a refused append leaves core and
+// log agreeing on an open session (closing the core first let a restart
+// re-offer a session, grant included, that nobody was left to close). A
+// close that loses the race to another leaves a second record, which
+// folds to nothing.
 func (d *Daemon) closeContainerKind(id core.ContainerID, kind wal.Kind) (*protocol.Message, error) {
+	if _, err := d.cfg.Core.Info(id); err != nil {
+		return nil, err
+	}
+	if err := d.walAppend(wal.Record{Kind: kind, Container: string(id)}); err != nil {
+		return nil, err
+	}
+	d.compactIfGrown()
 	released, update, err := d.cfg.Core.Close(id)
 	if err != nil {
 		return nil, err
 	}
-	if err := d.walAppend(wal.Record{Kind: kind, Container: string(id), Amount: int64(released)}); err != nil {
-		// The core already forgot the session, so refusing the ack would
-		// strand the caller retrying an unrepeatable close. Log loudly
-		// and proceed: recovery re-offers the session and the lease
-		// reaper (or the next close) reconciles it.
-		d.cfg.Logf("daemon: close %q not persisted: %v", id, err)
-	}
 	d.dispatch(update)
 	d.mu.Lock()
 	srv := d.servers[id]
-	dir := d.dirs[id]
 	delete(d.servers, id)
-	delete(d.dirs, id)
 	d.mu.Unlock()
 	d.lastSeen.Delete(id)
-	if dir != "" && d.cfg.WAL == nil {
-		// A closed session must not be recovered by a future restart.
-		// With a WAL the close record above is the durable tombstone.
-		os.Remove(filepath.Join(dir, sessionFileName))
-	}
 	if srv != nil {
 		// Shut the container socket down in the background: the close
 		// signal must not wait for in-flight handlers.
@@ -685,7 +719,7 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 	case protocol.TypeAttach:
 		// A wrapper re-binding its session after a reconnect. The
 		// registration survived (same daemon) or was recovered from the
-		// session file (restarted daemon); either way the container must
+		// log (restarted daemon); either way the container must
 		// be known — an attach for an unknown one is refused so the
 		// wrapper does not run against a scheduler with no account of it.
 		info, err := c.Info(h.id)
@@ -701,13 +735,7 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			t := h.d.resolveTenant(msg)
 			if _, err := c.EnsureRegisteredTenant(h.id, info.Limit, t); err == nil {
 				device, _ := c.Placement(h.id)
-				if h.d.cfg.WAL == nil {
-					if dir, ok := h.d.sessionDirFor(h.id); ok {
-						if err := writeSessionFile(dir, h.id, info.Limit, device, t); err != nil {
-							h.d.cfg.Logf("daemon: attach %q: tenant rebind not persisted: %v", h.id, err)
-						}
-					}
-				} else if err := h.d.persistTenant(t); err != nil {
+				if err := h.d.persistTenant(t); err != nil {
 					h.d.cfg.Logf("daemon: attach %q: tenant definition not persisted: %v", h.id, err)
 				} else if err := h.d.walAppend(wal.Record{
 					Kind: wal.KindRegister, Container: string(h.id),

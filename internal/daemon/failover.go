@@ -1,17 +1,14 @@
 // Node failure domains, daemon side: when the backend fails a node
-// over, the daemon must keep its parked responders and persisted
-// sessions in step with the migration — re-key tickets that moved,
-// answer tickets that were admitted or evicted, rewrite migrated
-// containers' session files, and invalidate evicted containers'
-// sessions through the same path restart recovery uses.
+// over, the daemon must keep its parked responders and the log in step
+// with the migration — re-key tickets that moved, answer tickets that
+// were admitted or evicted, append a migrate record for each container
+// that moved, and evict the ones that could not through the same path
+// restart recovery uses.
 
 package daemon
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"convgpu/internal/core"
 	"convgpu/internal/errs"
@@ -123,10 +120,10 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 		r.respond(r.msg)
 	}
 
-	// Session bookkeeping outside the parked lock: migrated containers'
-	// session files follow them to the new node; evicted containers'
-	// sessions are invalidated exactly like an unrecoverable record at
-	// restart.
+	// Session bookkeeping outside the parked lock: a migrated container's
+	// migrate record folds to its new placement on replay (the tenant
+	// binding travels with it, definition first); an evicted container's
+	// session is invalidated exactly like an unservable one at restart.
 	for _, mv := range rep.Moves {
 		if mv.Evicted {
 			d.evictContainer(mv.ID, rep.Node)
@@ -136,29 +133,15 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 		if err != nil {
 			continue
 		}
-		if d.cfg.WAL != nil {
-			// The migrate record folds to the session's new placement on
-			// replay — the WAL-mode equivalent of the session-file rewrite.
-			// The tenant binding travels with it (definition first).
-			if err := d.persistTenant(mv.Tenant); err != nil {
-				d.cfg.Logf("daemon: failover: persist tenant for %s: %v", mv.ID, err)
-			}
-			if err := d.walAppend(wal.Record{
-				Kind: wal.KindMigrate, Container: string(mv.ID),
-				Amount: int64(mv.Limit), Device: int32(device), Tenant: mv.Tenant.Name,
-				Meta: fmt.Sprintf("node %d -> %d", mv.From, mv.To),
-			}); err != nil {
-				d.cfg.Logf("daemon: failover: persist migration %s: %v", mv.ID, err)
-			}
-		} else {
-			d.mu.Lock()
-			dir := d.dirs[mv.ID]
-			d.mu.Unlock()
-			if dir != "" {
-				if err := writeSessionFile(dir, mv.ID, mv.Limit, device, mv.Tenant); err != nil {
-					d.cfg.Logf("daemon: failover: rewrite session %s: %v", mv.ID, err)
-				}
-			}
+		if err := d.persistTenant(mv.Tenant); err != nil {
+			d.cfg.Logf("daemon: failover: persist tenant for %s: %v", mv.ID, err)
+		}
+		if err := d.walAppend(wal.Record{
+			Kind: wal.KindMigrate, Container: string(mv.ID),
+			Amount: int64(mv.Limit), Device: int32(device), Tenant: mv.Tenant.Name,
+			Meta: fmt.Sprintf("node %d -> %d", mv.From, mv.To),
+		}); err != nil {
+			d.cfg.Logf("daemon: failover: persist migration %s: %v", mv.ID, err)
 		}
 		d.cfg.Logf("daemon: failover: migrated %s node %d -> %d (%d tickets)", mv.ID, mv.From, mv.To, len(mv.Tickets))
 	}
@@ -175,44 +158,11 @@ func (d *Daemon) evictContainer(id core.ContainerID, node int) {
 	d.obs.Tracer().EndContainer(string(id))
 	d.mu.Lock()
 	srv := d.servers[id]
-	dir := d.dirs[id]
 	delete(d.servers, id)
-	delete(d.dirs, id)
 	d.mu.Unlock()
 	d.lastSeen.Delete(id)
-	reason := fmt.Errorf("node %d down, no surviving capacity: %w", node, errs.ErrNodeDown)
-	if d.cfg.WAL != nil {
-		d.discardWALSession(id, reason)
-	} else if dir != "" {
-		d.discardSession(dir, string(id), reason)
-	}
+	d.discardWALSession(id, fmt.Errorf("node %d down, no surviving capacity: %w", node, errs.ErrNodeDown))
 	if srv != nil {
 		go srv.Close()
 	}
-}
-
-// sessionDirFor reports the session directory currently tracked for id
-// (tests use it to assert failover session rewrites).
-func (d *Daemon) sessionDirFor(id core.ContainerID) (string, bool) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	dir, ok := d.dirs[id]
-	return dir, ok
-}
-
-// sessionRecordFor reads id's persisted session record back.
-func (d *Daemon) sessionRecordFor(id core.ContainerID) (sessionRecord, error) {
-	dir, ok := d.sessionDirFor(id)
-	if !ok {
-		return sessionRecord{}, fmt.Errorf("daemon: no session dir for %s", id)
-	}
-	data, err := os.ReadFile(filepath.Join(dir, sessionFileName))
-	if err != nil {
-		return sessionRecord{}, err
-	}
-	var rec sessionRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		return sessionRecord{}, err
-	}
-	return rec, nil
 }

@@ -12,6 +12,7 @@ import (
 	"convgpu/internal/errs"
 	"convgpu/internal/ipc"
 	"convgpu/internal/protocol"
+	"convgpu/internal/wal"
 )
 
 func startClusterDaemon(t *testing.T) (*Daemon, *cluster.Cluster) {
@@ -81,7 +82,7 @@ func waitParked(t *testing.T, d *Daemon, n int) {
 // the responder is re-keyed onto the survivor's fresh ticket, and when
 // capacity frees up there the original caller — still blocked in its
 // alloc round trip — receives an accept, never an error, a hang, or a
-// silent drop. The migrated container's session file follows it.
+// silent drop. The migrated container's session follows it in the log.
 func TestFailoverMigratesParkedResponder(t *testing.T) {
 	d, clus := startClusterDaemon(t)
 	ctl := dialControl(t, d)
@@ -123,14 +124,22 @@ func TestFailoverMigratesParkedResponder(t *testing.T) {
 		t.Fatalf("migrated-tickets counter = %d, want 1", got)
 	}
 
-	// The migrated containers' sessions survived and still recover.
+	// The migrated containers' sessions survived and still recover: the
+	// log folds each to its limit and the device it now lives on.
+	folded := make(map[core.ContainerID]wal.Session)
+	for _, s := range d.wal.Sessions() {
+		folded[core.ContainerID(s.Container)] = s
+	}
 	for _, id := range []core.ContainerID{"c0", "c2"} {
-		rec, err := d.sessionRecordFor(id)
-		if err != nil {
-			t.Fatalf("session record %s after migration: %v", id, err)
+		s, ok := folded[id]
+		if !ok {
+			t.Fatalf("session %s not in the log after migration: %+v", id, folded)
 		}
-		if rec.Limit != int64(mib(450)) {
-			t.Fatalf("session %s limit = %v, want 450 MiB", id, rec.Limit)
+		if s.Limit != int64(mib(450)) {
+			t.Fatalf("session %s limit = %v, want 450 MiB", id, s.Limit)
+		}
+		if device, err := d.Core().Placement(id); err != nil || s.Device != device {
+			t.Fatalf("session %s logged on device %d, placed on %d (%v)", id, s.Device, device, err)
 		}
 	}
 
@@ -211,8 +220,11 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 		t.Fatalf("evicted-tickets counter = %d, want 1", got)
 	}
 	for _, id := range []core.ContainerID{"c0", "c2"} {
-		if dir, ok := d.sessionDirFor(id); ok {
-			t.Fatalf("evicted container %s still tracked at %s", id, dir)
+		d.mu.Lock()
+		_, served := d.servers[id]
+		d.mu.Unlock()
+		if served {
+			t.Fatalf("evicted container %s is still served", id)
 		}
 		events := d.Obs().Tracer().Events(string(id))
 		if last := events[len(events)-1]; last.Kind != "evict" {
@@ -248,14 +260,9 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 	}
 }
 
-// registerDirOf rebuilds the response a dialContainer caller needs from
-// the daemon's tracked session dir (registration responses are pooled
-// and may have been released).
+// registerDirOf rebuilds the response a dialContainer caller needs
+// (registration responses are pooled and may have been released).
 func registerDirOf(t *testing.T, d *Daemon, id string) *protocol.Message {
 	t.Helper()
-	dir, ok := d.sessionDirFor(core.ContainerID(id))
-	if !ok {
-		t.Fatalf("no session dir for %s", id)
-	}
-	return &protocol.Message{SocketDir: dir}
+	return &protocol.Message{SocketDir: d.containerDir(core.ContainerID(id))}
 }

@@ -8,7 +8,6 @@ package daemon
 
 import (
 	"context"
-	"os"
 	"path/filepath"
 	"testing"
 
@@ -63,7 +62,7 @@ func TestRegisterReportsDevice(t *testing.T) {
 }
 
 // TestMultiDeviceRestartPinsPlacement: restart recovery must restore
-// each container to the device recorded in its session file, not
+// each container to the device recorded in its register record, not
 // wherever the fresh daemon's placement policy would put it. The
 // schedule makes the distinction observable: a, b, c, d round-robin
 // onto devices 0,1,0,1; b's session is removed before the restart, so a
@@ -117,8 +116,9 @@ func TestMultiDeviceRestartPinsPlacement(t *testing.T) {
 
 // TestRecoveryDropsUnservableDevice: a session recorded on a device the
 // restarted daemon no longer serves (fewer GPUs after the restart) is
-// invalidated — session file deleted, container not registered — rather
-// than silently re-placed on a device its CUDA context does not live on.
+// invalidated — evicted into the log, container not registered — rather
+// than silently re-placed on a device its CUDA context does not live on;
+// a later restart with the device back does not resurrect it.
 func TestRecoveryDropsUnservableDevice(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cv")
 	st1 := newMultiDevice(t, 2)
@@ -144,10 +144,21 @@ func TestRecoveryDropsUnservableDevice(t *testing.T) {
 	if _, err := st2.Info("b"); err == nil {
 		t.Fatal("b recovered onto a device the daemon does not serve")
 	}
-	if _, err := os.Stat(filepath.Join(base, "containers", "b", sessionFileName)); !os.IsNotExist(err) {
-		t.Fatalf("b's invalid session file not deleted: %v", err)
-	}
 	if err := st2.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+	d2.Close()
+
+	st3 := newMultiDevice(t, 2)
+	d3, err := Start(Config{BaseDir: base, Core: st3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d3.Close() })
+	if _, err := st3.Info("a"); err != nil {
+		t.Fatalf("a lost by the second restart: %v", err)
+	}
+	if _, err := st3.Info("b"); err == nil {
+		t.Fatal("evicted b resurrected once its device was back")
 	}
 }

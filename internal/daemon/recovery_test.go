@@ -30,89 +30,67 @@ func (l *logCapture) joined() string {
 	return strings.Join(l.lines, "\n")
 }
 
-// TestRecoverySurvivesCorruptSessionFiles restarts a daemon over a base
-// directory holding session records damaged every way a crash can
-// damage them — a partial write, outright garbage, an empty record and
-// a device the backend does not serve — next to one healthy session.
-// The daemon must come up cleanly, recover only the healthy session,
-// log why each of the others was discarded and count the discards.
-func TestRecoverySurvivesCorruptSessionFiles(t *testing.T) {
+// TestRecoverySurvivesTornLogTail restarts a daemon over its own log
+// (<base>/wal, no Config.WAL) whose last record a crash cut mid-frame.
+// The daemon must come up cleanly with every earlier session back, the
+// torn registration — never acknowledged as far as the log can tell —
+// gone, and the cut reported.
+func TestRecoverySurvivesTornLogTail(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cv")
-
-	// First daemon registers the healthy container, so its directory,
-	// session record and socket layout are exactly what production writes.
 	d1, err := Start(Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := dialControl(t, d1)
-	register(t, ctl, "healthy", mib(300))
+	for _, id := range []string{"first", "second", "torn"} {
+		register(t, ctl, id, mib(200))
+	}
 	ctl.Close()
 	d1.Close()
 
-	// Plant the damaged sessions by hand: each one is a container dir
-	// with a session.json a crashed daemon could plausibly have left.
-	plant := func(name, content string) {
-		t.Helper()
-		dir := filepath.Join(base, "containers", name)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, sessionFileName), []byte(content), 0o644); err != nil {
-			t.Fatal(err)
-		}
+	segs, err := filepath.Glob(filepath.Join(base, "wal", "wal-*.seg"))
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("segments under %s/wal = %v (%v), want one", base, segs, err)
 	}
-	plant("truncated", `{"container":"truncated","limit":3145`) // write cut mid-number
-	plant("garbage", "\x00\xff not json at all")
-	plant("anonymous", `{"limit":1048576}`) // decodes, but names no container
-	plant("wrong-device", `{"container":"wrong-device","limit":1048576,"device":7}`)
+	info, err := os.Stat(segs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(segs[0], info.Size()-5); err != nil {
+		t.Fatal(err)
+	}
 
 	logs := &logCapture{}
-	o := obs.New(obs.Config{Algorithm: core.AlgFIFO})
 	d2, err := Start(Config{
 		BaseDir: base,
 		Core:    core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1}),
-		Obs:     o, Logf: logs.logf,
+		Logf:    logs.logf,
 	})
 	if err != nil {
-		t.Fatalf("daemon failed to start over damaged sessions: %v", err)
+		t.Fatalf("daemon failed to start over a torn log: %v", err)
 	}
 	defer d2.Close()
-
-	if _, err := d2.Core().Info("healthy"); err != nil {
-		t.Errorf("healthy session not recovered: %v", err)
-	}
-	for _, id := range []core.ContainerID{"truncated", "garbage", "anonymous", "wrong-device"} {
-		if _, err := d2.Core().Info(id); err == nil {
-			t.Errorf("damaged session %q was recovered", id)
-		}
-		if _, err := os.Stat(filepath.Join(base, "containers", string(id), sessionFileName)); !os.IsNotExist(err) {
-			t.Errorf("damaged session file %q not removed (err=%v)", id, err)
+	for _, id := range []core.ContainerID{"first", "second"} {
+		if _, err := d2.Core().Info(id); err != nil {
+			t.Errorf("session %s ahead of the torn record not recovered: %v", id, err)
 		}
 	}
-	if got := o.SessionsDiscarded.Value(); got != 4 {
-		t.Errorf("SessionsDiscarded = %d, want 4", got)
+	if _, err := d2.Core().Info("torn"); err == nil {
+		t.Error("the torn registration was recovered")
 	}
-	out := logs.joined()
-	for _, want := range []string{
-		`discarded session "truncated": unreadable record`,
-		`discarded session "garbage": unreadable record`,
-		`discarded session "anonymous": record has no container id`,
-		`discarded session "wrong-device": device 7 not restorable`,
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("logs missing %q; got:\n%s", want, out)
-		}
+	if got := d2.WALStats(); got.Replayed != 2 || got.TailDropped == 0 {
+		t.Errorf("log stats after the cut = %+v, want 2 records replayed and a dropped tail", got)
 	}
-	// The healthy session's recovery must not have logged a discard.
-	if strings.Contains(out, "healthy") {
-		t.Errorf("healthy session appears in discard logs:\n%s", out)
+	if out := logs.joined(); !strings.Contains(out, "truncating torn tail record") {
+		t.Errorf("the cut was not reported; logs:\n%s", out)
 	}
 }
 
-// TestRecoveryDiscardsRefusedRegistration covers the fourth discard
-// reason: a record whose registration the core rejects (the limit
-// exceeds a shrunken capacity). The daemon logs it and starts anyway.
+// TestRecoveryDiscardsRefusedRegistration: a session whose registration
+// the restarted core rejects (the limit exceeds a shrunken capacity) is
+// logged, counted and evicted into the daemon's own log — the daemon
+// starts anyway, and a later restart with the capacity back does not
+// resurrect it.
 func TestRecoveryDiscardsRefusedRegistration(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cv")
 	d1, err := Start(Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})})
@@ -146,5 +124,15 @@ func TestRecoveryDiscardsRefusedRegistration(t *testing.T) {
 	}
 	if out := logs.joined(); !strings.Contains(out, `discarded session "big": registration refused`) {
 		t.Errorf("missing discard log; got:\n%s", out)
+	}
+	d2.Close()
+
+	d3, err := Start(Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d3.Close()
+	if _, err := d3.Core().Info("big"); err == nil {
+		t.Error("evicted session resurrected after capacity restored")
 	}
 }

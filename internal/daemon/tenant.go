@@ -1,5 +1,5 @@
 // Tenant identity plumbing: the daemon resolves each registration's
-// tenant, persists tenant definitions ahead of the sessions bound to
+// tenant, logs tenant definitions ahead of the sessions bound to
 // them, and produces the per-tenant usage rollup.
 //
 // Resolution order: the daemon's configured tenant table
@@ -18,8 +18,8 @@ import (
 )
 
 // tenantFromParts resolves a tenant identity from a name plus inline
-// attributes (wire fields or a persisted session record). The
-// configured table wins; an unknown name's inline definition is
+// attributes (wire fields; a recovered session names a definition the
+// log already folded into the table). The configured table wins; an unknown name's inline definition is
 // adopted into the table. Empty name = default tenant.
 func (d *Daemon) tenantFromParts(name string, weight, priority int, quota, guarantee int64) core.Tenant {
 	if name == "" {
@@ -60,9 +60,9 @@ func walTenantDef(t core.Tenant) wal.TenantDef {
 // persistTenant makes one tenant definition durable before the first
 // session referencing it is acknowledged. Idempotent: a definition
 // already folded into the log (and unchanged) is not re-appended.
-// No-op for the default tenant or without a WAL.
+// No-op for the default tenant.
 func (d *Daemon) persistTenant(t core.Tenant) error {
-	if t.Name == "" || d.cfg.WAL == nil {
+	if t.Name == "" {
 		return nil
 	}
 	d.mu.Lock()

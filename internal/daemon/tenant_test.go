@@ -10,7 +10,6 @@ import (
 	"convgpu/internal/ipc"
 	"convgpu/internal/leak"
 	"convgpu/internal/protocol"
-	"convgpu/internal/wal"
 )
 
 // registerTenant registers a container over the control socket carrying
@@ -110,76 +109,54 @@ func TestTenantConfigRejected(t *testing.T) {
 // TestTenantWALRecovery registers under a tenant carried inline on the
 // wire, restarts the daemon from the log alone, and demands the full
 // identity — not just the name — is rebound: the tenant definition
-// record must precede the sessions referencing it in the fold.
+// record must precede the sessions referencing it in the fold. The
+// default-log row does the same on the daemon's own log with the tenant
+// defined in the operator's table (re-supplied at the restart), which
+// wins over whatever the log folded.
 func TestTenantWALRecovery(t *testing.T) {
-	leak.Check(t)
-	base := filepath.Join(t.TempDir(), "cv")
-	walDir := filepath.Join(t.TempDir(), "wal")
 	ten := core.Tenant{Name: "team-a", Weight: 3, Priority: 7, Quota: mib(500), Guarantee: mib(100)}
+	for _, row := range []struct {
+		name   string
+		walDir string
+		table  []core.Tenant
+		inline core.Tenant // what c1's registration carries
+	}{
+		{name: "named log", walDir: filepath.Join(t.TempDir(), "wal"), inline: ten},
+		{name: "default log", table: []core.Tenant{ten}, inline: core.Tenant{Name: "team-a", Weight: 9}},
+	} {
+		t.Run(row.name, func(t *testing.T) {
+			leak.Check(t)
+			base := filepath.Join(t.TempDir(), "cv")
+			d1, stop := startOnLog(t, base, row.walDir, row.table)
+			ctl := dialControl(t, d1)
+			if resp := registerTenant(t, ctl, "c1", mib(200), row.inline); !resp.OK {
+				t.Fatalf("register c1: %s", resp.Error)
+			}
+			// Second session, same tenant: the definition is appended once.
+			if resp := registerTenant(t, ctl, "c2", mib(200), core.Tenant{Name: "team-a"}); !resp.OK {
+				t.Fatalf("register c2: %s", resp.Error)
+			}
+			if got := d1.WALStats(); got.Appends != 3 || got.Tenants != 1 {
+				t.Fatalf("log after two registrations under one tenant = %+v, want 3 appends and 1 definition", got)
+			}
+			stop()
 
-	l1 := openTestWAL(t, walDir)
-	d1 := startWALDaemon(t, base, l1, mib(1000))
-	ctl := dialControl(t, d1)
-	if resp := registerTenant(t, ctl, "c1", mib(200), ten); !resp.OK {
-		t.Fatalf("register c1: %s", resp.Error)
-	}
-	// Second session, same tenant: the definition is appended once.
-	if resp := registerTenant(t, ctl, "c2", mib(200), core.Tenant{Name: "team-a"}); !resp.OK {
-		t.Fatalf("register c2: %s", resp.Error)
-	}
-	d1.Close()
-	l1.Close()
-
-	l2 := openTestWAL(t, walDir)
-	defer l2.Close()
-	d2 := startWALDaemon(t, base, l2, mib(1000))
-	defer d2.Close()
-	for _, id := range []core.ContainerID{"c1", "c2"} {
-		info, err := d2.Core().Info(id)
-		if err != nil {
-			t.Fatalf("session %s not recovered: %v", id, err)
-		}
-		if info.TenantDef != ten {
-			t.Fatalf("%s recovered with tenant %+v, want %+v", id, info.TenantDef, ten)
-		}
-	}
-	roll := d2.Tenants()
-	if len(roll) != 1 || roll[0].Name != "team-a" || roll[0].Containers != 2 || roll[0].Weight != 3 {
-		t.Fatalf("recovered rollup = %+v", roll)
-	}
-}
-
-// TestTenantSessionFileRecovery is the legacy-persistence variant: with
-// no WAL, the tenant identity rides in session.json and a restarted
-// daemon (with the operator's table re-supplied) rebinds it.
-func TestTenantSessionFileRecovery(t *testing.T) {
-	leak.Check(t)
-	base := filepath.Join(t.TempDir(), "cv")
-	table := []core.Tenant{{Name: "gold", Weight: 4, Priority: 9}}
-
-	st1 := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-	d1, err := Start(Config{BaseDir: base, Core: st1, Tenants: table})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := dialControl(t, d1)
-	if resp := registerTenant(t, ctl, "c1", mib(200), core.Tenant{Name: "gold"}); !resp.OK {
-		t.Fatalf("register c1: %s", resp.Error)
-	}
-	d1.Close()
-
-	st2 := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-	d2, err := Start(Config{BaseDir: base, Core: st2, Tenants: table})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer d2.Close()
-	info, err := st2.Info("c1")
-	if err != nil {
-		t.Fatalf("c1 not recovered: %v", err)
-	}
-	if info.Tenant != "gold" || info.TenantDef.Weight != 4 {
-		t.Fatalf("c1 recovered with tenant %+v, want the configured gold definition", info.TenantDef)
+			d2, stop := startOnLog(t, base, row.walDir, row.table)
+			defer stop()
+			for _, id := range []core.ContainerID{"c1", "c2"} {
+				info, err := d2.Core().Info(id)
+				if err != nil {
+					t.Fatalf("session %s not recovered: %v", id, err)
+				}
+				if info.TenantDef != ten {
+					t.Fatalf("%s recovered with tenant %+v, want %+v", id, info.TenantDef, ten)
+				}
+			}
+			roll := d2.Tenants()
+			if len(roll) != 1 || roll[0].Name != "team-a" || roll[0].Containers != 2 || roll[0].Weight != 3 {
+				t.Fatalf("recovered rollup = %+v", roll)
+			}
+		})
 	}
 }
 
@@ -187,29 +164,16 @@ func TestTenantSessionFileRecovery(t *testing.T) {
 // a tenant identity: the attach adopts the binding and persists it, so
 // a subsequent restart converges on the tenant-bound session.
 func TestTenantAttachRebind(t *testing.T) {
-	t.Run("wal", func(t *testing.T) { testTenantAttachRebind(t, true) })
-	t.Run("sessionfile", func(t *testing.T) { testTenantAttachRebind(t, false) })
+	t.Run("wal", func(t *testing.T) { testTenantAttachRebind(t, filepath.Join(t.TempDir(), "wal")) })
+	t.Run("default log", func(t *testing.T) { testTenantAttachRebind(t, "") })
 }
 
-func testTenantAttachRebind(t *testing.T, useWAL bool) {
+func testTenantAttachRebind(t *testing.T, walDir string) {
 	leak.Check(t)
 	base := filepath.Join(t.TempDir(), "cv")
-	walDir := filepath.Join(t.TempDir(), "wal")
 	ten := core.Tenant{Name: "late", Weight: 2, Priority: 4}
 
-	var d1 *Daemon
-	var l1 *wal.Log
-	if useWAL {
-		l1 = openTestWAL(t, walDir)
-		d1 = startWALDaemon(t, base, l1, mib(1000))
-	} else {
-		st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-		var err error
-		d1, err = Start(Config{BaseDir: base, Core: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
+	d1, stop := startOnLog(t, base, walDir, nil)
 	ctl := dialControl(t, d1)
 	resp := register(t, ctl, "c1", mib(200)) // default tenant
 	if !resp.OK {
@@ -232,34 +196,14 @@ func testTenantAttachRebind(t *testing.T, useWAL bool) {
 	}
 	cli.Close()
 	ctl.Close()
-	if useWAL {
-		d1.Close()
-		l1.Close()
-		l2 := openTestWAL(t, walDir)
-		defer l2.Close()
-		d2 := startWALDaemon(t, base, l2, mib(1000))
-		defer d2.Close()
-		info, err := d2.Core().Info("c1")
-		if err != nil {
-			t.Fatalf("c1 not recovered: %v", err)
-		}
-		if info.TenantDef != ten {
-			t.Fatalf("recovered tenant = %+v, want the adopted %+v", info.TenantDef, ten)
-		}
-	} else {
-		d1.Close()
-		st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-		d2, err := Start(Config{BaseDir: base, Core: st})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer d2.Close()
-		info, err := st.Info("c1")
-		if err != nil {
-			t.Fatalf("c1 not recovered: %v", err)
-		}
-		if info.Tenant != ten.Name {
-			t.Fatalf("recovered tenant name = %q, want %q", info.Tenant, ten.Name)
-		}
+	stop()
+	d2, stop := startOnLog(t, base, walDir, nil)
+	defer stop()
+	info, err = d2.Core().Info("c1")
+	if err != nil {
+		t.Fatalf("c1 not recovered: %v", err)
+	}
+	if info.TenantDef != ten {
+		t.Fatalf("recovered tenant = %+v, want the adopted %+v", info.TenantDef, ten)
 	}
 }

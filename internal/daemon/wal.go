@@ -1,21 +1,18 @@
-// Durable admission log integration plus the admin verbs built on it.
+// The daemon's one durable store, and the admin verbs built on it.
 //
-// With Config.WAL set, the write-ahead log is the daemon's single
-// durable truth: every session-changing admission event (register,
-// close, migrate, lease expiry, evict) is appended — and synced per the
-// log's policy — before the daemon acknowledges the event to its
-// caller, and restart recovery becomes "load snapshot + replay tail"
-// instead of scanning per-container session.json files. Nothing else is
-// appended: allocation history is the event ring's (obs.Tracer,
-// /v1/trace; in memory) and recovery rebuilds usage from the wrappers'
-// restore replay. The first boot against an empty log imports any pre-WAL
-// session.json records one-time; the files are left in place read-only
-// so a rollback to the previous daemon still finds them.
+// Every session-changing admission event (register, close, migrate,
+// lease expiry, evict, a tenant's definition) is appended to the
+// write-ahead log — and synced per the log's policy — before the daemon
+// acknowledges the event to its caller, and restart recovery is "load
+// snapshot + replay tail". Nothing else is appended: allocation history
+// is the event ring's (obs.Tracer, /v1/trace; in memory) and recovery
+// rebuilds usage from the wrappers' restore replay. The log is the one
+// Config.WAL names or, when that is nil, the daemon's own under
+// <BaseDir>/wal (see Config.WAL); nothing below asks which.
 
 package daemon
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -33,42 +30,49 @@ import (
 var errNoMembership = errors.New("daemon: backend has no node membership (single-node scheduler)")
 
 // walAppend appends one session-changing record, stamping the event
-// time. A daemon that cannot persist an admission must not acknowledge
+// time. A daemon that cannot log an admission event must not acknowledge
 // it, so a refused append maps onto CodeUnavailable for the caller.
-// No-op without a WAL.
 func (d *Daemon) walAppend(rec wal.Record) error {
-	l := d.cfg.WAL
-	if l == nil {
-		return nil
-	}
 	rec.At = d.clk.Now().UnixNano()
-	if _, err := l.Append(rec); err != nil {
+	if _, err := d.wal.Append(rec); err != nil {
 		d.cfg.Logf("daemon: wal append %s %q: %v", rec.Kind, rec.Container, err)
 		return fmt.Errorf("daemon: persist admission event: %w (%v)", errs.ErrDaemonUnavailable, err)
 	}
 	return nil
 }
 
-// recoverFromWAL re-adopts the sessions the write-ahead log folded at
-// open: placement pinned, registration re-applied idempotently, socket
-// re-listening — the same adoption recoverSessions performs, minus the
-// per-container file scan. A session the core refuses is evicted *into
-// the log*, so the refusal is durable and the next recovery does not
-// re-offer it. When the log is empty this is the first boot under WAL
-// and any legacy session.json records are imported first.
-func (d *Daemon) recoverFromWAL() error {
-	l := d.cfg.WAL
-	if l.LastSeq() == 0 {
-		if err := d.importLegacySessions(); err != nil {
-			return err
-		}
+// compactIfGrown keeps a log nobody compacts by hand bounded: once a
+// register or close leaves more than two sealed segments behind the
+// active one, the daemon submits a compaction of its own, one at a time,
+// to the operations manager (where /v1/operations shows it).
+func (d *Daemon) compactIfGrown() {
+	if d.wal.Stats().Segments <= 3 || !d.compacting.CompareAndSwap(false, true) {
+		return
 	}
+	if _, err := d.ops.Submit("compact", "", "wal: over two sealed segments", func() (any, error) {
+		defer d.compacting.Store(false)
+		return d.CompactWAL()
+	}); err != nil {
+		d.compacting.Store(false)
+	}
+}
+
+// recoverFromWAL re-adopts the sessions the write-ahead log folded at
+// open: placement pinned (the container's CUDA context lives on the
+// recorded device, so a multi-device backend must not place it afresh),
+// registration re-applied idempotently (a shared core keeps its grant; a
+// fresh core grants anew), socket re-listening so the wrapper's
+// reconnect finds a live endpoint. A session the core refuses is evicted
+// *into the log*, so the refusal is durable and the next recovery does
+// not re-offer it — one unservable session must not keep the scheduler
+// down.
+func (d *Daemon) recoverFromWAL() error {
 	// Adopt the log's folded tenant definitions. The configured table
 	// still wins for names it defines; for those, the durable copy is
 	// considered logged only when it already matches, so the next
 	// registration under the name re-appends the overriding definition.
 	d.mu.Lock()
-	for _, def := range l.Tenants() {
+	for _, def := range d.wal.Tenants() {
 		t := core.Tenant{
 			Name: def.Name, Weight: def.Weight, Priority: def.Priority,
 			Quota: bytesize.Size(def.Quota), Guarantee: bytesize.Size(def.Guarantee),
@@ -83,7 +87,7 @@ func (d *Daemon) recoverFromWAL() error {
 		d.tenantLogged[def.Name] = true
 	}
 	d.mu.Unlock()
-	for _, s := range l.Sessions() {
+	for _, s := range d.wal.Sessions() {
 		id := core.ContainerID(s.Container)
 		if err := d.cfg.Core.RestorePlacement(id, s.Device); err != nil {
 			d.discardWALSession(id, fmt.Errorf("device %d not restorable: %w", s.Device, err))
@@ -117,10 +121,11 @@ func (d *Daemon) recoverFromWAL() error {
 	return nil
 }
 
-// discardWALSession drops one unservable recovered session, making the
-// drop durable: an evict record is appended so replay converges on the
-// same refusal, the discard is logged with its reason, and the
-// sessions-discarded counter ticks so fleets alert on recovery loss.
+// discardWALSession drops one unservable session, making the drop
+// durable: an evict record is appended so replay converges on the same
+// refusal, the discard is logged with its reason (a wrapper is about to
+// find its session gone — the operator should be able to see why), and
+// the sessions-discarded counter ticks so fleets alert on recovery loss.
 func (d *Daemon) discardWALSession(id core.ContainerID, reason error) {
 	if err := d.walAppend(wal.Record{Kind: wal.KindEvict, Container: string(id), Meta: reason.Error()}); err != nil {
 		d.cfg.Logf("daemon: recovery evict %q not persisted: %v", id, err)
@@ -129,78 +134,32 @@ func (d *Daemon) discardWALSession(id core.ContainerID, reason error) {
 	d.cfg.Logf("daemon: recovery discarded session %q: %v", id, reason)
 }
 
-// importLegacySessions folds pre-WAL session.json records into an empty
-// log, one register event each. Runs once — after the first append the
-// log is never empty again. Files are left untouched: session.json
-// stays importable for one release and is never written when the WAL
-// is on.
-func (d *Daemon) importLegacySessions() error {
-	root := filepath.Join(d.cfg.BaseDir, "containers")
-	entries, err := os.ReadDir(root)
-	if err != nil {
-		if os.IsNotExist(err) {
-			return nil
-		}
-		return fmt.Errorf("daemon: scan container dirs: %w", err)
+// closeRecovered unwinds recoverFromWAL when startup fails later on.
+func (d *Daemon) closeRecovered() {
+	for id, srv := range d.servers {
+		srv.Close()
+		delete(d.servers, id)
 	}
-	for _, e := range entries {
-		if !e.IsDir() {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(root, e.Name(), sessionFileName))
-		if err != nil {
-			continue // never registered, or cleanly closed
-		}
-		var rec sessionRecord
-		if err := json.Unmarshal(data, &rec); err != nil || rec.Container == "" {
-			d.obs.SessionsDiscarded.Inc()
-			d.cfg.Logf("daemon: wal import skipped %q: unreadable session record (%v)", e.Name(), err)
-			continue
-		}
-		if err := d.walAppend(wal.Record{
-			Kind: wal.KindRegister, Container: rec.Container,
-			Amount: rec.Limit, Device: int32(rec.Device),
-			Meta: "imported from session.json",
-		}); err != nil {
-			return err
-		}
-		d.cfg.Logf("daemon: wal import: adopted legacy session %q", rec.Container)
-	}
-	return nil
 }
 
 // Ops exposes the daemon's async operation manager — the admin plane's
 // pollable operations. Non-nil on every started daemon.
 func (d *Daemon) Ops() *asyncop.Manager { return d.ops }
 
-// WALStats reports the write-ahead log's counters; ok is false when the
-// daemon runs without a WAL.
-func (d *Daemon) WALStats() (wal.Stats, bool) {
-	if d.cfg.WAL == nil {
-		return wal.Stats{}, false
-	}
-	return d.cfg.WAL.Stats(), true
-}
+// WALStats reports the write-ahead log's counters.
+func (d *Daemon) WALStats() wal.Stats { return d.wal.Stats() }
 
 // SnapshotWAL writes a point-in-time snapshot of the folded session
 // state, returning the sequence it covers.
-func (d *Daemon) SnapshotWAL() (uint64, error) {
-	if d.cfg.WAL == nil {
-		return 0, errors.New("daemon: no write-ahead log configured")
-	}
-	return d.cfg.WAL.Snapshot()
-}
+func (d *Daemon) SnapshotWAL() (uint64, error) { return d.wal.Snapshot() }
 
 // CompactWAL snapshots and drops fully-covered segments, returning the
 // post-compaction stats.
 func (d *Daemon) CompactWAL() (wal.Stats, error) {
-	if d.cfg.WAL == nil {
-		return wal.Stats{}, errors.New("daemon: no write-ahead log configured")
-	}
-	if err := d.cfg.WAL.Compact(); err != nil {
+	if err := d.wal.Compact(); err != nil {
 		return wal.Stats{}, err
 	}
-	return d.cfg.WAL.Stats(), nil
+	return d.wal.Stats(), nil
 }
 
 // DrainNode marks one node draining so new placements avoid it.
@@ -238,9 +197,8 @@ func (d *Daemon) FailNode(node int) (core.FailoverReport, error) {
 	return f.FailNode(node)
 }
 
-// SessionEntry is one registered session in a sessions page. Grant,
-// Used and Pending are filled only when the page reads the live core
-// (no WAL) — the durable view knows limits and placements, not usage.
+// SessionEntry is one registered session in a sessions page, read off
+// the live core (GET /v1/wal reports the log).
 type SessionEntry struct {
 	Container string `json:"container"`
 	Limit     int64  `json:"limit"`
@@ -264,28 +222,20 @@ const maxSessionPage = 256
 
 // Sessions returns one page of registered sessions ordered by container
 // ID: entries with ID > after, at most limit of them (0 or anything
-// over the cap means the cap). With a WAL the page reads the folded
-// durable state — O(sessions) regardless of page count; without one it
-// snapshots the live core and includes grant/usage detail.
+// over the cap means the cap).
 func (d *Daemon) Sessions(after string, limit int) SessionPage {
 	if limit <= 0 || limit > maxSessionPage {
 		limit = maxSessionPage
 	}
 	var entries []SessionEntry
-	if l := d.cfg.WAL; l != nil {
-		for _, s := range l.Sessions() {
-			entries = append(entries, SessionEntry{Container: s.Container, Limit: s.Limit, Device: s.Device})
-		}
-	} else {
-		for _, info := range d.cfg.Core.Snapshot() {
-			device, _ := d.cfg.Core.Placement(info.ID)
-			entries = append(entries, SessionEntry{
-				Container: string(info.ID), Limit: int64(info.Limit), Device: device,
-				Grant: int64(info.Grant), Used: int64(info.Used), Pending: info.Pending,
-			})
-		}
-		sort.Slice(entries, func(i, j int) bool { return entries[i].Container < entries[j].Container })
+	for _, info := range d.cfg.Core.Snapshot() {
+		device, _ := d.cfg.Core.Placement(info.ID)
+		entries = append(entries, SessionEntry{
+			Container: string(info.ID), Limit: int64(info.Limit), Device: device,
+			Grant: int64(info.Grant), Used: int64(info.Used), Pending: info.Pending,
+		})
 	}
+	sort.Slice(entries, func(i, j int) bool { return entries[i].Container < entries[j].Container })
 	page := SessionPage{Total: len(entries), Sessions: []SessionEntry{}}
 	i := sort.Search(len(entries), func(i int) bool { return entries[i].Container > after })
 	if n := len(entries) - i; n > limit {

@@ -33,6 +33,24 @@ func openTestWAL(t *testing.T, dir string) *wal.Log {
 	return l
 }
 
+// startOnLog starts a daemon over base on its own log or, when walDir is
+// set, on one the test opens there (and stop closes after the daemon).
+func startOnLog(t *testing.T, base, walDir string, tenants []core.Tenant) (d *Daemon, stop func()) {
+	t.Helper()
+	cfg := Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1}), Tenants: tenants}
+	stop = func() { d.Close() }
+	if walDir != "" {
+		l := openTestWAL(t, walDir)
+		cfg.WAL = l
+		stop = func() { d.Close(); l.Close() }
+	}
+	d, err := Start(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return d, stop
+}
+
 // startWALDaemon starts a daemon over base with the given open log.
 func startWALDaemon(t *testing.T, base string, l *wal.Log, capacity bytesize.Size) *Daemon {
 	t.Helper()
@@ -45,9 +63,8 @@ func startWALDaemon(t *testing.T, base string, l *wal.Log, capacity bytesize.Siz
 }
 
 // TestWALRecoveryRoundTrip is the tentpole flow: register against a
-// WAL-backed daemon, restart it, and find exactly the open sessions
-// back — closed ones stay closed — without a single session.json on
-// disk.
+// daemon on a log the caller opened, restart it, and find exactly the
+// open sessions back — closed ones stay closed.
 func TestWALRecoveryRoundTrip(t *testing.T) {
 	leak.Check(t)
 	base := filepath.Join(t.TempDir(), "cv")
@@ -64,12 +81,6 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	resp, err := ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeClose, Container: "c2"})
 	if err != nil || !resp.OK {
 		t.Fatalf("close c2: %v %+v", err, resp)
-	}
-	// WAL mode must not write session.json files.
-	for _, id := range []string{"c1", "c2", "c3"} {
-		if _, err := os.Stat(filepath.Join(base, "containers", id, sessionFileName)); !os.IsNotExist(err) {
-			t.Errorf("session.json written for %s in WAL mode (err=%v)", id, err)
-		}
 	}
 	d1.Close()
 	l1.Close()
@@ -94,58 +105,6 @@ func TestWALRecoveryRoundTrip(t *testing.T) {
 	}
 	if page.Sessions[0].Container != "c1" || page.Sessions[1].Container != "c3" {
 		t.Errorf("sessions page order = %+v", page.Sessions)
-	}
-}
-
-// TestWALLegacyImport boots a WAL daemon over a base directory a
-// pre-WAL daemon populated: the session.json records are imported into
-// the empty log (and left in place for rollback), and a second restart
-// recovers from the log alone.
-func TestWALLegacyImport(t *testing.T) {
-	leak.Check(t)
-	base := filepath.Join(t.TempDir(), "cv")
-	walDir := filepath.Join(t.TempDir(), "wal")
-
-	// Pre-WAL daemon writes the legacy records.
-	d0, err := Start(Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctl := dialControl(t, d0)
-	register(t, ctl, "old1", mib(300))
-	register(t, ctl, "old2", mib(200))
-	d0.Close()
-
-	l1 := openTestWAL(t, walDir)
-	d1 := startWALDaemon(t, base, l1, mib(1000))
-	for _, id := range []core.ContainerID{"old1", "old2"} {
-		if _, err := d1.Core().Info(id); err != nil {
-			t.Errorf("imported session %s missing: %v", id, err)
-		}
-		// Import leaves the legacy records readable for rollback.
-		if _, err := os.Stat(filepath.Join(base, "containers", string(id), sessionFileName)); err != nil {
-			t.Errorf("legacy record %s removed by import: %v", id, err)
-		}
-	}
-	if l1.LastSeq() == 0 {
-		t.Fatal("import appended nothing")
-	}
-	d1.Close()
-	l1.Close()
-
-	// Second WAL boot: delete the legacy files to prove recovery now
-	// reads the log, not session.json.
-	for _, id := range []string{"old1", "old2"} {
-		os.Remove(filepath.Join(base, "containers", id, sessionFileName))
-	}
-	l2 := openTestWAL(t, walDir)
-	defer l2.Close()
-	d2 := startWALDaemon(t, base, l2, mib(1000))
-	defer d2.Close()
-	for _, id := range []core.ContainerID{"old1", "old2"} {
-		if _, err := d2.Core().Info(id); err != nil {
-			t.Errorf("session %s lost after legacy files removed: %v", id, err)
-		}
 	}
 }
 
@@ -332,9 +291,8 @@ func TestWALAdminAccessors(t *testing.T) {
 	if d.Ops() == nil {
 		t.Fatal("Ops() is nil on a started daemon")
 	}
-	stats, ok := d.WALStats()
-	if !ok || stats.LastSeq == 0 || stats.Sessions != 1 {
-		t.Fatalf("WALStats = %+v ok=%v", stats, ok)
+	if stats := d.WALStats(); stats.LastSeq == 0 || stats.Sessions != 1 {
+		t.Fatalf("WALStats = %+v", stats)
 	}
 	seq, err := d.SnapshotWAL()
 	if err != nil || seq == 0 {
@@ -349,16 +307,94 @@ func TestWALAdminAccessors(t *testing.T) {
 		t.Fatalf("DumpJSON: %v (%.40s)", err, data)
 	}
 
-	// A WAL-less daemon reports no WAL and refuses the WAL verbs.
+	// A daemon given no log answers the same verbs from its own.
 	d2 := startDaemon(t, mib(100))
-	if _, ok := d2.WALStats(); ok {
-		t.Error("WALStats ok on a WAL-less daemon")
+	register(t, dialControl(t, d2), "own", mib(50))
+	if got := d2.WALStats(); got.LastSeq != 1 || got.Sessions != 1 {
+		t.Errorf("WALStats on the daemon's own log = %+v, want the one registration", got)
 	}
-	if _, err := d2.SnapshotWAL(); err == nil {
-		t.Error("SnapshotWAL succeeded without a WAL")
+	if seq, err := d2.SnapshotWAL(); err != nil || seq != 1 {
+		t.Errorf("SnapshotWAL on the daemon's own log = %d, %v", seq, err)
 	}
-	if _, err := d2.CompactWAL(); err == nil {
-		t.Error("CompactWAL succeeded without a WAL")
+	if after, err := d2.CompactWAL(); err != nil || after.Sessions != 1 {
+		t.Errorf("CompactWAL on the daemon's own log = %+v, %v", after, err)
+	}
+}
+
+// TestWALCompactsItself: nobody POSTs /v1/wal/compact at a default
+// daemon, so the daemon compacts once more than two sealed segments lie
+// behind the active one. Over 20k register/close cycles (segments shrunk
+// so that is ~190 rotations) the directory and the segment count stay
+// flat, and a restart replays the tail, not the history.
+func TestWALCompactsItself(t *testing.T) {
+	leak.Check(t)
+	cycles := 20000
+	if testing.Short() {
+		cycles = 2000
+	}
+	const segmentBytes = 8 << 10
+	base := filepath.Join(t.TempDir(), "cv")
+	walDir := filepath.Join(t.TempDir(), "wal")
+	open := func() *wal.Log {
+		l, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncNone, SegmentBytes: segmentBytes})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return l
+	}
+	l := open()
+	d := startWALDaemon(t, base, l, mib(1000))
+	ctl := dialControl(t, d)
+	register(t, ctl, "resident", mib(100))
+	var maxSegments int
+	var maxBytes int64
+	for i := 0; i < cycles; i++ {
+		id := fmt.Sprintf("c%d", i%8) // eight names in rotation: the containers directory stays small
+		if resp := register(t, ctl, id, mib(10)); !resp.OK {
+			t.Fatalf("register %s: %s", id, resp.Error)
+		}
+		if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeClose, Container: id}); !resp.OK {
+			t.Fatalf("close %s: %s", id, resp.Error)
+		}
+		st := l.Stats()
+		maxSegments = max(maxSegments, st.Segments)
+		maxBytes = max(maxBytes, st.SizeBytes)
+	}
+	ctl.Close()
+	d.Close() // drains a compaction still queued
+	appended := l.Stats().Appends
+	l.Close()
+	// One compaction can be running while appends rotate on; two
+	// segments of slack over the trigger is flat, 190 would not be.
+	t.Logf("max segments %d, max bytes %d, appends %d", maxSegments, maxBytes, appended)
+	if maxSegments > 6 || maxBytes > 6*segmentBytes {
+		t.Errorf("log grew to %d segments / %d bytes over %d cycles (%d appends), want it flat near the 4-segment trigger", maxSegments, maxBytes, cycles, appended)
+	}
+	var onDisk int64
+	entries, err := os.ReadDir(walDir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range entries {
+		if info, err := e.Info(); err == nil {
+			onDisk += info.Size()
+		}
+	}
+	if onDisk > 8*segmentBytes { // segments plus the two snapshots Compact keeps
+		t.Errorf("%s holds %d bytes in %d files after %d appends", walDir, onDisk, len(entries), appended)
+	}
+
+	l2 := open()
+	defer l2.Close()
+	d2 := startWALDaemon(t, base, l2, mib(1000))
+	defer d2.Close()
+	// The tail is what the trigger lets pile up: under four segments of
+	// records, none of them shorter than 50 bytes.
+	if st := l2.Stats(); st.Sessions != 1 || st.Replayed > 4*segmentBytes/50 {
+		t.Errorf("restart replayed %d of %d records into %d sessions, want only the tail and the one resident", st.Replayed, appended, st.Sessions)
+	}
+	if _, err := d2.Core().Info("resident"); err != nil {
+		t.Errorf("resident lost across compactions: %v", err)
 	}
 }
 

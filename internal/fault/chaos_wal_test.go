@@ -27,11 +27,14 @@ import (
 const maxWALSeeds = 12
 
 // TestChaosWALRecovery replays seeded fault schedules against a
-// WAL-backed daemon, then crashes past it: after the hostile workload,
-// one container closes cleanly, the daemon is shut down, and a fresh
-// daemon (new core, same log) must recover exactly the still-open
-// session — whatever the faults did to the transport, the log's fold
-// must agree with the admission state the daemon acknowledged.
+// WAL-backed daemon, then crashes past it. Allocation traffic appends
+// nothing, so while the two faulted wrappers run a third goroutine
+// registers and closes short-lived containers over the reliable control
+// connection: the log is written all through the hostile phase. After
+// it, one container closes cleanly, the daemon is shut down, and a fresh
+// daemon (new core, same log) must recover exactly the acknowledged set
+// — the one still-open session, none of the churned ones — whatever the
+// faults did to the transport.
 func TestChaosWALRecovery(t *testing.T) {
 	leak.Check(t)
 	seeds := *chaosSeeds
@@ -88,6 +91,11 @@ func runChaosWALSchedule(t *testing.T, seed int64) {
 	modB, recB := chaosModule(ctx, plan, sockB, dev, 2, seed)
 	defer recB.Close()
 
+	appendsBefore := l.Stats().Appends
+	churnStop := make(chan struct{})
+	churnErr := make(chan error, 1)
+	go func() { churnErr <- chaosChurn(churnStop, ctl) }()
+
 	errs := make(chan error, 2)
 	var wg sync.WaitGroup
 	for i, mod := range []*wrapper.Module{modA, modB} {
@@ -116,6 +124,15 @@ func runChaosWALSchedule(t *testing.T, seed int64) {
 			t.Fatalf("invariant violated mid-schedule: %v", err)
 		}
 	}
+	close(churnStop)
+	if err := <-churnErr; err != nil {
+		t.Fatalf("churn over the reliable control connection: %v", err)
+	}
+	if grown := l.Stats().Appends - appendsBefore; grown == 0 {
+		t.Fatal("the hostile phase appended nothing to the log")
+	} else {
+		t.Logf("hostile phase: %d appends", grown)
+	}
 
 	// Heal, close one container over a reliable path, and crash the
 	// daemon. The log is the only state that survives.
@@ -135,8 +152,9 @@ func runChaosWALSchedule(t *testing.T, seed int64) {
 		t.Fatalf("wal close: %v", err)
 	}
 
-	// Recovery: fresh core, same log. Exactly b must come back, with the
-	// limit the chaos-era registration acknowledged.
+	// Recovery: fresh core, same log. Exactly b must come back — not a,
+	// not one churned session — with the limit its registration
+	// acknowledged.
 	l2, err := wal.Open(wal.Options{Dir: walDir, Sync: wal.SyncNone})
 	if err != nil {
 		t.Fatal(err)
@@ -158,6 +176,9 @@ func runChaosWALSchedule(t *testing.T, seed int64) {
 	if info.Limit != cmib(chaosLimitB) {
 		t.Errorf("recovered limit = %v, want %v", info.Limit, cmib(chaosLimitB))
 	}
+	if snap := st2.Snapshot(); len(snap) != 1 {
+		t.Errorf("recovery brought back %d sessions, want b alone: %+v", len(snap), snap)
+	}
 	if err := st2.CheckInvariants(); err != nil {
 		t.Fatalf("invariant violated after recovery: %v", err)
 	}
@@ -175,5 +196,33 @@ func runChaosWALSchedule(t *testing.T, seed int64) {
 	protocol.ReleaseMessage(resp)
 	if free := st2.PoolFree(); free != cmib(chaosCapacity) {
 		t.Fatalf("pool after recovered teardown = %v, want %v", free, cmib(chaosCapacity))
+	}
+}
+
+// chaosChurn registers and closes one short-lived container after
+// another over ctl until stop closes; every one it registered is closed
+// (and acknowledged closed) when it returns.
+func chaosChurn(stop <-chan struct{}, ctl *ipc.Client) error {
+	for n := 0; ; n++ {
+		id := fmt.Sprintf("churn-%d", n)
+		for _, msg := range []*protocol.Message{
+			{Type: protocol.TypeRegister, Container: id, Limit: int64(cmib(10))},
+			{Type: protocol.TypeClose, Container: id},
+		} {
+			resp, err := ctl.Call(context.Background(), msg)
+			if err != nil {
+				return fmt.Errorf("%s %s: %w", msg.Type, id, err)
+			}
+			ok, refusal := resp.OK, resp.Error
+			protocol.ReleaseMessage(resp)
+			if !ok {
+				return fmt.Errorf("%s %s refused: %s", msg.Type, id, refusal)
+			}
+		}
+		select {
+		case <-stop:
+			return nil
+		case <-time.After(time.Millisecond):
+		}
 	}
 }

@@ -601,9 +601,9 @@ func mustOK(t *testing.T, cli *ipc.Client, msg *protocol.Message) *protocol.Mess
 }
 
 // TestFullStackRestartRecovery kills a daemon and verifies that the
-// replacement's session.json recovery plus the wrappers' Restore replay
+// replacement's recovery from its log plus the wrappers' Restore replay
 // reproduce exactly the state the reference model predicts. Recovery
-// order is the session directories' lexicographic order — deliberately
+// order is the container IDs' lexicographic order — deliberately
 // different from registration order here — a closed container's session
 // must not come back, and a request that was parked at crash time is
 // lost on both sides.
@@ -997,7 +997,7 @@ func TestFullStackBinaryRestartRecovery(t *testing.T) {
 				t.Fatalf("generation before restart = %d, want 1", g)
 			}
 
-			// Crash and restart on the same base dir: session.json recovery
+			// Crash and restart on the same base dir: recovery from the log
 			// re-registers the survivors, the reconnecting client replays.
 			d1.Close()
 			inner2 := mkCore()

@@ -8,9 +8,9 @@
 // freed is the event ring's history (internal/obs, in memory) and is
 // rebuilt after a restart by the wrappers' restore replay, so an
 // intercepted cudaMalloc/cudaFree never touches the disk. Recovery is
-// "load newest snapshot + replay tail", replacing the per-container
-// session.json glob of earlier releases (kept one release as a read-only
-// import path — see the daemon).
+// "load newest snapshot + replay tail". Every daemon runs on one: the
+// log an operator names (fsynced per its policy) or, failing that, the
+// daemon's own under its base directory at SyncNone (daemon.Config.WAL).
 //
 // On disk a log directory holds numbered segment files
 // (wal-<firstseq>.seg) of CRC-framed records and snapshot files
@@ -49,7 +49,8 @@ const (
 	// close). A crash can lose up to one interval of acknowledged events.
 	SyncInterval
 	// SyncNone never fsyncs explicitly (the OS flushes on its own
-	// schedule; Close still syncs). For benchmarks and tests.
+	// schedule; Close still syncs): the log survives the process, not the
+	// host. The daemon's own log, benchmarks and tests.
 	SyncNone
 )
 

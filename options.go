@@ -315,14 +315,14 @@ func WithPersistentGrants() Option {
 	}
 }
 
-// WithWAL makes the scheduler daemon's admission state durable in a
-// write-ahead log under dir: every session-changing event (register,
-// close, migrate, lease expiry, evict) is appended before it is
-// acknowledged, and a restarted stack recovers by loading the newest
-// snapshot and replaying the log tail instead of scanning per-container
-// session.json files. Pre-WAL session.json records found on the first
-// boot are imported one-time. Every such record is synced before it is
-// acknowledged unless WithWALSync relaxes the policy; allocations append none.
+// WithWAL puts the scheduler daemon's write-ahead log under dir and
+// makes it durable: every session-changing event (register, close,
+// migrate, lease expiry, evict) is appended before it is acknowledged —
+// and synced, unless WithWALSync relaxes the policy — and a restarted
+// stack recovers by loading the newest snapshot and replaying the log
+// tail. Allocations append none. Without WithWAL the daemon keeps the
+// same log under its base directory and never fsyncs it: sessions
+// survive a daemon restart on that directory, not a host crash.
 func WithWAL(dir string) Option {
 	return func(c *stackConfig) error {
 		if dir == "" {
@@ -336,7 +336,8 @@ func WithWAL(dir string) Option {
 // WithWALSync sets the WAL fsync policy: "always" (default — every
 // session-changing record durable before acknowledgement), "none" (leave
 // syncing to the OS), or a duration like "50ms" (group commits, bounding
-// loss to one window). Requires WithWAL.
+// loss to one window). Requires WithWAL: the log under the base
+// directory is never fsynced.
 func WithWALSync(policy string) Option {
 	return func(c *stackConfig) error {
 		if policy == "" {

@@ -423,8 +423,7 @@ func (s *Stack) TracePage(ctx context.Context, containerID string, after uint64,
 
 // Sessions returns one page of the daemon's registered session listing,
 // ordered by container ID: entries with ID > after, at most limit of
-// them (0 = the daemon's page cap). With WithWAL the listing reads the
-// durable folded state; otherwise the live core.
+// them (0 = the daemon's page cap), read off the live core.
 func (s *Stack) Sessions(ctx context.Context, after string, limit int) (SessionPage, error) {
 	d, err := s.running()
 	if err != nil {
@@ -456,14 +455,15 @@ func (s *Stack) Operation(ctx context.Context, id string) (Operation, error) {
 	return op, nil
 }
 
-// WALStats reports the write-ahead log's counters; ok is false without
-// WithWAL or before Start.
+// WALStats reports the write-ahead log's counters — the log WithWAL
+// names, else the daemon's own under the base directory; ok is false
+// only before Start.
 func (s *Stack) WALStats() (WALStats, bool) {
 	d, err := s.running()
 	if err != nil {
 		return WALStats{}, false
 	}
-	return d.WALStats()
+	return d.WALStats(), true
 }
 
 // AdminHandler returns the versioned HTTP admin plane for the running

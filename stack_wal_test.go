@@ -3,6 +3,7 @@ package convgpu_test
 import (
 	"context"
 	"encoding/json"
+	"io/fs"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -170,4 +171,53 @@ func TestStackWALRecovery(t *testing.T) {
 	if stats, ok := st2.WALStats(); !ok || stats.LastSeq == 0 {
 		t.Fatalf("successor lost the log: %+v ok=%v", stats, ok)
 	}
+}
+
+// TestStackDefaultLogRecovery: a stack given no WAL option still keeps
+// its sessions across a restart on the same base directory — in the
+// daemon's own log under it, not in per-container session.json files.
+func TestStackDefaultLogRecovery(t *testing.T) {
+	dir := t.TempDir()
+	start := func() *convgpu.Stack {
+		t.Helper()
+		st, err := convgpu.New(convgpu.WithBaseDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := st.Start(context.Background()); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := start()
+	// Created, never started: registered with the scheduler and still open
+	// when the stack goes down.
+	if _, err := st.Create(context.Background(), convgpu.RunOptions{
+		Name:         "open",
+		Image:        convgpu.CUDAImage("app", ""),
+		NvidiaMemory: 256 * convgpu.MiB,
+		Program:      func(*convgpu.Proc) error { return nil },
+	}); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+
+	st2 := start()
+	defer st2.Close()
+	page, err := st2.Sessions(context.Background(), "", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if page.Total != 1 || page.Sessions[0].Container != "open" || page.Sessions[0].Limit != int64(256*convgpu.MiB) {
+		t.Fatalf("sessions after the restart = %+v, want the open one back", page)
+	}
+	if stats, ok := st2.WALStats(); !ok || stats.Replayed != 1 || stats.Sessions != 1 {
+		t.Errorf("WALStats after the restart = %+v ok=%v, want the one registration replayed", stats, ok)
+	}
+	filepath.WalkDir(dir, func(path string, _ fs.DirEntry, err error) error {
+		if err == nil && filepath.Base(path) == "session.json" {
+			t.Errorf("second store is back: %s", path)
+		}
+		return nil
+	})
 }
