@@ -18,6 +18,8 @@
 //
 // TestWrappedCycleAllocatesNothing holds the wrapped cycle at zero
 // allocations in tier-1; `make benchdiff` holds the benchmarks there.
+// TestWrappedCycleIsTwoWrites, beside it, holds the cycle at two socket
+// writes for its three frames.
 //
 // CHANGES.md records the seed-vs-optimized numbers for these.
 package convgpu_test
@@ -25,6 +27,7 @@ package convgpu_test
 import (
 	"context"
 	"fmt"
+	"net"
 	"path/filepath"
 	"runtime/debug"
 	"sync"
@@ -36,6 +39,7 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/daemon"
+	"convgpu/internal/fault"
 	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
 	"convgpu/internal/multigpu"
@@ -267,6 +271,7 @@ func BenchmarkHotPathRoutedAccept64Devices(b *testing.B) { benchRoutedAccept(b, 
 // wrapper module — so that what remains is pure middleware cost (codec +
 // transport + scheduler).
 type benchRig struct {
+	daemon  *daemon.Daemon
 	wrapCli *ipc.Client
 	sockDir string // the registered container's socket directory
 	wrapped *wrapper.Module
@@ -295,7 +300,7 @@ func newHotPathRig(b testing.TB, log *wal.Log, opts ...wrapper.Option) *benchRig
 	if err != nil || !resp.OK {
 		b.Fatalf("register: %v %v", resp, err)
 	}
-	r := &benchRig{sockDir: resp.SocketDir}
+	r := &benchRig{daemon: d, sockDir: resp.SocketDir}
 	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(r.sockDir, wrapper.SocketFileName))
 	if err != nil {
 		b.Fatal(err)
@@ -562,6 +567,54 @@ func TestWrappedCycleAllocatesNothing(t *testing.T) {
 	if err := r.wrapped.Flush(); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// TestWrappedCycleIsTwoWrites is the tier-1 gate on what an intercepted
+// Malloc+Free costs the tenant's process in socket writes: two — the
+// alloc, and the free with the cycle's confirm in front of it — for the
+// three frames the daemon decodes. The hundred spare writes are the
+// deferral timer's, which may catch a confirm before its free does, at
+// most once a millisecond; a client that wrote every frame at once
+// (three a cycle) is ten thousand over.
+func TestWrappedCycleIsTwoWrites(t *testing.T) {
+	const cycles = 10000
+	r := newHotPathRig(t, nil)
+	raw, err := net.Dial("unix", filepath.Join(r.sockDir, wrapper.SocketFileName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := fault.NewTap(raw) // counts the client's Writes: one per socket write
+	cli := ipc.NewClient(conn)
+	defer cli.Close()
+	if ok, err := cli.NegotiateBinary(context.Background()); err != nil || !ok {
+		t.Fatalf("negotiate: %v %v", ok, err)
+	}
+	mod := wrapper.New(cuda.NewRuntime(gpu.New(gpu.K20m()), 3), cli, 3)
+	stats := r.daemon.WireStats()
+	frames0, writes0 := stats.Frames(true, false), conn.Writes()
+	for i := 0; i < cycles; i++ {
+		ptr, err := mod.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := mod.Free(ptr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	writes := conn.Writes() - writes0
+	if err := mod.Flush(); err != nil { // the barrier: every frame has been decoded, none refused
+		t.Fatal(err)
+	}
+	if frames := stats.Frames(true, false) - frames0; frames != 3*cycles+1 {
+		t.Errorf("daemon decoded %d binary frames, want %d: alloc, confirm and free a cycle, and the barrier", frames, 3*cycles+1)
+	}
+	if n := stats.FrameErrors(); n != 0 {
+		t.Errorf("%d frame errors", n)
+	}
+	if writes > 2*cycles+100 {
+		t.Errorf("%d cycles took %d client writes, want at most %d: two a cycle", cycles, writes, 2*cycles+100)
+	}
+	t.Logf("%d cycles: %d client writes", cycles, writes)
 }
 
 func atomicAdd(p *int64, d int64) int64 { return atomic.AddInt64(p, d) }

@@ -586,8 +586,12 @@ func (s *State) confirmLocked(c *containerState, pid int, addr uint64, size byte
 }
 
 // Restore re-charges a live allocation a wrapper reports while
-// re-attaching after a reconnect. Two cases:
+// re-attaching after a reconnect. Three cases:
 //
+//   - Only the connection dropped, and the allocation's confirm went
+//     down with it: the process still holds an accepted charge of this
+//     size with no address. The restore is that confirm, late — the
+//     charge moves to the address and nothing is charged twice.
 //   - The scheduler restarted and lost its accounting: the allocation is
 //     charged as if it had been confirmed (including the process's
 //     context overhead on its first restore), topping the grant up from
@@ -615,6 +619,9 @@ func (s *State) Restore(id ContainerID, pid int, addr uint64, size bytesize.Size
 			}
 			return fmt.Errorf("core: restore of %#x with size %v conflicts with tracked %v", addr, size, have)
 		}
+	}
+	if p, ok := c.procs[pid]; ok && indexOfSize(p.accepted, size) >= 0 {
+		return s.confirmLocked(c, pid, addr, size)
 	}
 	charge := s.chargeFor(c, pid, size)
 	if c.used+charge > c.limit {

@@ -82,6 +82,60 @@ func TestRestoreRebuildsAccounting(t *testing.T) {
 	}
 }
 
+// TestRestoreAdoptsAcceptedCharge: the connection died between an
+// accepted alloc and its confirm, the scheduler did not. The replay's
+// restore is that confirm, late: the charge the alloc made moves to the
+// address, and is not made a second time.
+func TestRestoreAdoptsAcceptedCharge(t *testing.T) {
+	st := MustNew(Config{Capacity: bytesize.GiB})
+	if _, err := st.Register("c", bytesize.GiB); err != nil {
+		t.Fatal(err)
+	}
+	if res, err := st.RequestAlloc("c", 1, sMiB(100)); err != nil || res.Decision != Accept {
+		t.Fatalf("alloc = %+v %v", res, err)
+	}
+	want := sMiB(100) + DefaultContextOverhead
+	if info, _ := st.Info("c"); info.Used != want {
+		t.Fatalf("used after the accept = %v, want %v", info.Used, want)
+	}
+	if err := st.Restore("c", 1, 0xA0, sMiB(100)); err != nil {
+		t.Fatal(err)
+	}
+	if info, _ := st.Info("c"); info.Used != want {
+		t.Fatalf("used after the restore = %v, want %v: the accepted charge was made again", info.Used, want)
+	}
+	// The charge is the address's now: a confirm that did get through
+	// after all finds nothing accepted, a replayed restore changes
+	// nothing, and a free gives the size back.
+	if err := st.ConfirmAlloc("c", 1, 0xA0, sMiB(100)); !errors.Is(err, ErrNotCharged) {
+		t.Fatalf("confirm after the restore adopted its charge = %v, want ErrNotCharged", err)
+	}
+	if err := st.Restore("c", 1, 0xA0, sMiB(100)); err != nil {
+		t.Fatal(err)
+	}
+	if size, _, err := st.Free("c", 1, 0xA0); err != nil || size != sMiB(100) {
+		t.Fatalf("free = %v %v", size, err)
+	}
+	// An accepted charge of another size, or another process's, is not
+	// this allocation's: the restore charges anew beside it.
+	if res, err := st.RequestAlloc("c", 1, sMiB(50)); err != nil || res.Decision != Accept {
+		t.Fatalf("alloc = %+v %v", res, err)
+	}
+	if err := st.Restore("c", 1, 0xB0, sMiB(20)); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Restore("c", 2, 0xC0, sMiB(50)); err != nil {
+		t.Fatal(err)
+	}
+	want = sMiB(50) + sMiB(20) + sMiB(50) + 2*DefaultContextOverhead
+	if info, _ := st.Info("c"); info.Used != want {
+		t.Fatalf("used = %v, want %v", info.Used, want)
+	}
+	if err := st.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRestoreFailsClosed(t *testing.T) {
 	st := newSessionState(t, sMiB(1000))
 	if _, err := st.Register("c", sMiB(400)); err != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"net"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -12,6 +13,7 @@ import (
 
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
+	"convgpu/internal/fault"
 	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
 	"convgpu/internal/leak"
@@ -24,18 +26,28 @@ import (
 // puts a wrapper module for pid on it.
 func wrapperOn(t *testing.T, resp *protocol.Message, dev *gpu.Device, pid int) (*wrapper.Module, *ipc.Client) {
 	t.Helper()
+	mod, cli, _ := tappedWrapperOn(t, resp, dev, pid)
+	return mod, cli
+}
+
+// tappedWrapperOn is wrapperOn, handing out the tap that sits where the
+// client's socket is and records what it writes.
+func tappedWrapperOn(t *testing.T, resp *protocol.Message, dev *gpu.Device, pid int) (*wrapper.Module, *ipc.Client, *fault.Tap) {
+	t.Helper()
 	if !resp.OK {
 		t.Fatalf("register refused: %s", resp.Error)
 	}
-	cli, err := ipc.DialNegotiated(context.Background(), filepath.Join(resp.SocketDir, ContainerSocketName))
+	conn, err := net.Dial("unix", filepath.Join(resp.SocketDir, ContainerSocketName))
 	if err != nil {
 		t.Fatal(err)
 	}
+	tap := fault.NewTap(conn)
+	cli := ipc.NewClient(tap)
 	t.Cleanup(func() { cli.Close() })
-	if !cli.BinaryNegotiated() {
-		t.Fatal("wrapper connection stayed on JSON")
+	if ok, err := cli.NegotiateBinary(context.Background()); err != nil || !ok {
+		t.Fatalf("wrapper connection stayed on JSON: %v", err)
 	}
-	return wrapper.New(cuda.NewRuntime(dev, pid), cli, pid), cli
+	return wrapper.New(cuda.NewRuntime(dev, pid), cli, pid), cli, tap
 }
 
 // TestReleaseBetweenDecideAndPark is the lost wake-up, made
@@ -139,6 +151,7 @@ type cycleRig struct {
 	dev *gpu.Device
 	mod *wrapper.Module
 	cli *ipc.Client
+	tap *fault.Tap
 
 	mu   sync.Mutex
 	logs []string
@@ -158,7 +171,7 @@ func newCycleRig(t *testing.T) *cycleRig {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { r.d.Close() })
-	r.mod, r.cli = wrapperOn(t, register(t, dialControl(t, r.d), "c", mib(900)), r.dev, 7)
+	r.mod, r.cli, r.tap = tappedWrapperOn(t, register(t, dialControl(t, r.d), "c", mib(900)), r.dev, 7)
 	return r
 }
 
@@ -173,10 +186,12 @@ func (r *cycleRig) used(t *testing.T) int64 {
 
 // TestOneWayCyclesKeepProgramOrder: 10k Malloc+Free cycles on one
 // connection, every one of which gets the address the previous one
-// freed. The free is written before the next confirm and the daemon
-// reads a connection in order, so the confirm of a reused address never
-// finds the address still charged (core's stale-address branch, which
-// would make the late free fail) and nothing is refused.
+// freed. A cycle's confirm waits in the client's buffer and leaves with
+// its free, behind it in the same write, and the daemon reads a
+// connection in order: alloc, confirm, free, cycle after cycle. So the
+// free finds its address confirmed, the confirm of a reused address
+// never finds the address still charged (core's stale-address branch,
+// which would make the late free fail) and nothing is refused.
 func TestOneWayCyclesKeepProgramOrder(t *testing.T) {
 	r := newCycleRig(t)
 	var first cuda.DevPtr
@@ -207,23 +222,66 @@ func TestOneWayCyclesKeepProgramOrder(t *testing.T) {
 	if in, out := w.Frames(true, false), w.Frames(true, true); in-out != 2*10000 {
 		t.Errorf("binary frames %d in, %d out: want 20000 more in than out, a confirm and a free per cycle", in, out)
 	}
+	frames := r.tap.FrameTypes()
+	if n := len(frames); n != 3*10000+1 {
+		t.Fatalf("the client wrote %d binary frames, want 3 a cycle and the barrier", n)
+	}
+	cycle := [3]protocol.Type{protocol.TypeAlloc, protocol.TypeConfirm, protocol.TypeFree}
+	for i, typ := range frames[:3*10000] {
+		if typ != cycle[i%3] {
+			t.Fatalf("frame %d on the wire is a %s, want %s: a cycle is decoded alloc, confirm, free", i, typ, cycle[i%3])
+		}
+	}
 }
 
-// TestOneWayCyclesFourThreads: four threads of one process share the
-// connection. The device hands a freed address to another thread before
-// the free's report is written, so a confirm can overtake it — core
-// tolerates that (it releases the stale charge itself and the late free
-// may find nothing) and the wrapper must never hear of it: every call
-// succeeds and the account is square at the end.
-func TestOneWayCyclesFourThreads(t *testing.T) {
+// TestLoneMallocIsConfirmedWithinTheBound: one Malloc, then silence —
+// no free, no heartbeat, no further call into the module. The deferred
+// confirm has nothing to ride and the client's timer writes it: within
+// 50 ms the scheduler tracks the address under its pid (a free of it,
+// asked of the core directly, finds it).
+func TestLoneMallocIsConfirmedWithinTheBound(t *testing.T) {
+	r := newCycleRig(t)
+	ptr, err := r.mod.Malloc(mib(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for deadline := time.Now().Add(50 * time.Millisecond); ; time.Sleep(200 * time.Microsecond) {
+		size, _, err := r.st.Free("c", 7, uint64(ptr))
+		if err == nil {
+			if size != mib(3) {
+				t.Fatalf("the scheduler tracked %#x with %v, want 3MiB", uint64(ptr), size)
+			}
+			break
+		}
+		if !errors.Is(err, core.ErrUnknownAddr) {
+			t.Fatal(err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("50 ms after Malloc returned the scheduler does not know %#x: the confirm is still in the client", uint64(ptr))
+		}
+	}
+	if n := r.tap.Writes(); n != 3 { // the codec probe, the alloc, the timer's flush
+		t.Errorf("%d client writes, want 3: the confirm went out once, on its own", n)
+	}
+}
+
+// oneWayCyclesThreads: threads of one process share the connection. The
+// device hands a freed address to another thread before the free's
+// report is written, so a confirm can overtake it — core tolerates that
+// (it releases the stale charge itself and the late free may find
+// nothing) and the wrapper must never hear of it: every call succeeds
+// and the account is square at the end. Deferred confirms, frees written
+// at once, blocking allocs and the deferral timer all meet on the one
+// write buffer here; under -race that is the test of its locking.
+func oneWayCyclesThreads(t *testing.T, threads, cycles int) {
 	r := newCycleRig(t)
 	var wg sync.WaitGroup
-	errc := make(chan error, 4)
-	for th := 0; th < 4; th++ {
+	errc := make(chan error, threads)
+	for th := 0; th < threads; th++ {
 		wg.Add(1)
 		go func(th int) {
 			defer wg.Done()
-			for i := 0; i < 2500; i++ {
+			for i := 0; i < cycles; i++ {
 				ptr, err := r.mod.Malloc(mib(1 + (i+th)%5))
 				if err == nil {
 					err = r.mod.Free(ptr)
@@ -257,7 +315,19 @@ func TestOneWayCyclesFourThreads(t *testing.T) {
 	if n := r.d.WireStats().FrameErrors(); int(n) != len(r.logs) {
 		t.Errorf("%d frame errors counted, %d logged", n, len(r.logs))
 	}
+	if err := r.mod.UnregisterFatBinary(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := r.st.Close("c"); err != nil {
+		t.Fatal(err)
+	}
+	if free := r.st.PoolFree(); free != mib(1000) {
+		t.Errorf("pool after close = %v, want all of it", free)
+	}
 }
+
+func TestOneWayCyclesFourThreads(t *testing.T)  { oneWayCyclesThreads(t, 4, 2500) }
+func TestOneWayCyclesEightThreads(t *testing.T) { oneWayCyclesThreads(t, 8, 1250) }
 
 // TestRefusedOneWayFree: nobody waits on a one-way free, so the daemon
 // counts and logs a refused one. An unknown address stays there (see

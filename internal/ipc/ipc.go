@@ -47,7 +47,11 @@
 // the leader's next pass — a redistribution that admits N suspended
 // tickets on one connection costs ~1 write syscall instead of N (the
 // daemon brackets such bursts with BeginBatch/EndBatch). An uncontended
-// send flushes immediately on the caller's goroutine, adding no latency.
+// send flushes immediately on the caller's goroutine, adding no latency —
+// with one exception, on the client side: a posted confirm (a one-way
+// verb protocol.Type.Deferrable admits) is appended and left for the
+// next frame on the connection to carry out in its write, or for a
+// timer after deferBound (1 ms) when none comes. See Client.Post.
 package ipc
 
 import (
@@ -999,13 +1003,26 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 	return resp, nil
 }
 
-// Post sends m one-way: it assigns a sequence number, writes the frame
-// marked no-reply and returns without waiting — no ring slot, no
-// channel, no wake-up. The scheduler applies one-way frames in the order
-// they were written on the connection; if it refuses one, the refusal
-// comes back as the error of the next Call or Post (a
-// *protocol.Refusal), exactly once. A nil return therefore means
-// "written", not "applied": a blocking Call afterwards is the barrier.
+// Post sends m one-way: it assigns a sequence number, hands the frame
+// marked no-reply to the connection's writer and returns without waiting
+// — no ring slot, no channel, no wake-up. The scheduler applies one-way
+// frames in the order they were posted on the connection.
+//
+// What a nil return means — the one place that says it; Caller,
+// Reconnector.Post and the wrapper point here. The frame is queued on
+// the connection behind every frame sent before it; it has not been
+// applied, and it may not have been written. A verb somebody can be
+// waiting on (free: it releases memory suspended allocations wait for)
+// is written before Post returns, and a dead connection is that Post's
+// error. A verb nobody can be waiting on (protocol.Type.Deferrable:
+// confirm) stays in the write buffer and leaves in the same socket write
+// as the next frame of any kind on this connection, or after deferBound
+// (1 ms) when none comes, so a failure to write it is the error of that
+// next frame's Call or Post — as a refusal already is: if the scheduler
+// refuses a one-way frame, the refusal comes back as the error of the
+// next Call or Post (a *protocol.Refusal), exactly once. Either way a
+// blocking Call afterwards is the barrier: when it returns, everything
+// posted before it has been applied.
 //
 // One-way frames exist only in the binary codec. On a connection that
 // did not negotiate it, Post is a Call that checks the reply, so callers
@@ -1022,9 +1039,14 @@ func (c *Client) Post(ctx context.Context, m *protocol.Message) error {
 		if ok {
 			*buf = out
 			c.stats.Load().countFrame(true, true)
-			err := c.w.write(*buf) // fails at once on a closed client
+			var err error
+			if m.Type.Deferrable() {
+				err = c.w.writeDeferred(*buf)
+			} else {
+				err = c.w.write(*buf)
+			}
 			protocol.ReleaseBuffer(buf)
-			if err != nil {
+			if err != nil { // at once on a closed client, for either kind
 				return fmt.Errorf("ipc: post %s: %w", m.Type, closedErr(err))
 			}
 			// Reported after the write, not in place of it: this frame has
@@ -1090,7 +1112,17 @@ func (c *Client) forget(seq uint64, ch chan *protocol.Message, ringSlot bool) {
 }
 
 // Close tears the connection down; in-flight Calls fail with ErrClosed.
+// A frame Post deferred and nothing has carried away yet is dropped, not
+// flushed: Close may be running because the socket is dead, and whatever
+// a closing process still holds is released by its procexit, its
+// container's close or the session lease, confirmed or not.
 func (c *Client) Close() error { return c.fail(ErrClosed) }
+
+// deferBound is the longest a deferred frame (coalescer.writeDeferred)
+// waits for another frame to leave with: far above a 7 µs allocation
+// cycle, so in a busy process the wait is never served out, and far
+// below anything an operator or a session lease can see.
+const deferBound = time.Millisecond
 
 // coalescer serializes and batches writes to one connection. Writers
 // append under the mutex; the first writer to find no flush in progress
@@ -1107,6 +1139,10 @@ type coalescer struct {
 	flushing bool
 	batch    int // nested BeginBatch depth: defer flushing while > 0
 	err      error
+	// timer flushes what writeDeferred left in buf and nothing carried
+	// away since; armed from the deferral that set it until it fires.
+	timer *time.Timer
+	armed bool
 }
 
 func newCoalescer(dst io.Writer) *coalescer {
@@ -1129,6 +1165,41 @@ func (w *coalescer) write(p []byte) error {
 		return nil
 	}
 	return w.flushLocked()
+}
+
+// writeDeferred appends p and leaves it there: it goes out in the same
+// socket write as the next frame of any kind, or after deferBound when
+// none comes. One buffer, so the peer reads the frames in the order they
+// were handed in. A nil return says less than write's: the bytes are
+// queued, and a failure to send them is the next write's error.
+func (w *coalescer) writeDeferred(p []byte) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	w.buf = append(w.buf, p...)
+	if !w.armed {
+		w.armed = true
+		if w.timer == nil {
+			w.timer = time.AfterFunc(deferBound, w.flushDeferred)
+		} else {
+			w.timer.Reset(deferBound) // it has fired: armed was cleared by its callback
+		}
+	}
+	return nil
+}
+
+// flushDeferred is the timer's callback: it writes what is still
+// buffered, unless a leader is about to.
+func (w *coalescer) flushDeferred() {
+	w.mu.Lock()
+	w.armed = false
+	if w.flushing {
+		w.mu.Unlock()
+		return
+	}
+	_ = w.flushLocked() // kept in w.err for the next write to return
 }
 
 // flushLocked drains the buffer as the leader. Called with mu held;
@@ -1172,11 +1243,15 @@ func (w *coalescer) endBatch() error {
 }
 
 // stop marks the writer closed so late writes fail fast instead of
-// accumulating against a dead connection.
+// accumulating against a dead connection, and ends the deferral timer:
+// what it would have flushed is dropped.
 func (w *coalescer) stop() {
 	w.mu.Lock()
 	if w.err == nil {
 		w.err = ErrClosed
+	}
+	if w.timer != nil {
+		w.timer.Stop()
 	}
 	w.mu.Unlock()
 }

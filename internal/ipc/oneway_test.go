@@ -382,7 +382,9 @@ func TestMalformedOneWayFrameComesBackMarked(t *testing.T) {
 
 // TestReconnectorPost: a refusal leaves the connection alone (the
 // scheduler answered); a write failure drops it, nothing is resent, and
-// the next Post goes out on a fresh dial.
+// the next Post goes out on a fresh dial. A free's write failure is that
+// Post's own error; a confirm's is the error of the frame after it, and
+// the redial's replay hook repairs it (see Client.Post).
 func TestReconnectorPost(t *testing.T) {
 	leak.Check(t)
 	h := &refuseHandler{}
@@ -391,8 +393,11 @@ func TestReconnectorPost(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
 	var mu sync.Mutex
 	var conns []net.Conn
+	var unconfirmed []uint64 // what the wrapper's replay would restore
 	r := NewReconnector(ReconnectConfig{
 		Dial: func() (net.Conn, error) {
 			c, err := net.Dial("unix", srv.Addr())
@@ -401,15 +406,30 @@ func TestReconnectorPost(t *testing.T) {
 			mu.Unlock()
 			return c, err
 		},
+		OnReconnect: func(c *Client) error {
+			for _, addr := range unconfirmed {
+				if _, err := c.Call(ctx, &protocol.Message{Type: protocol.TypeRestore, PID: 1, Size: 64, Addr: addr}); err != nil {
+					return err
+				}
+			}
+			return nil
+		},
 		Backoff: Backoff{Base: time.Millisecond}, Seed: 1, CallTimeout: time.Second,
 	})
 	defer r.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
+	kill := func(i int) { // the transport dies under the wrapper
+		mu.Lock()
+		conns[i].Close()
+		mu.Unlock()
+	}
+	heartbeat := func() error {
+		_, err := r.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat})
+		return err
+	}
 
 	err = r.Post(ctx, confirm(1))
 	if err == nil { // the refusal was not back yet: the next Call has it
-		_, err = r.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat})
+		err = heartbeat()
 	}
 	var ref *protocol.Refusal
 	if !errors.As(err, &ref) {
@@ -418,35 +438,52 @@ func TestReconnectorPost(t *testing.T) {
 	if err := r.Post(ctx, confirm(2)); err != nil || r.Generation() != 1 {
 		t.Fatalf("after a refusal: Post = %v on connection %d, want the first connection still up", err, r.Generation())
 	}
-
-	if _, err := r.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat}); err != nil { // the barrier: 2 has been applied
+	if err := heartbeat(); err != nil { // the barrier: 2 has been applied
 		t.Fatal(err)
 	}
 
-	mu.Lock()
-	conns[0].Close() // the transport dies under the wrapper
-	mu.Unlock()
-	if err := r.Post(ctx, confirm(4)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Post over the dead connection = %v, want ErrClosed", err)
+	kill(0)
+	if err := r.Post(ctx, &protocol.Message{Type: protocol.TypeFree, PID: 1, Addr: 4}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("a free posted over the dead connection = %v, want ErrClosed: it is written at once", err)
 	}
 	if err := r.Post(ctx, confirm(6)); err != nil || r.Generation() != 2 {
 		t.Fatalf("Post after the drop = %v on connection %d, want a redial", err, r.Generation())
 	}
-	if _, err := r.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat}); err != nil {
+	if err := heartbeat(); err != nil {
 		t.Fatal(err)
 	}
-	confirms := 0
+
+	kill(1)
+	if err := r.Post(ctx, confirm(8)); err != nil || r.Generation() != 2 {
+		t.Fatalf("a confirm posted over the dead connection = %v on connection %d, want nil: it is only queued", err, r.Generation())
+	}
+	unconfirmed = append(unconfirmed, 8)
+	if err := heartbeat(); !errors.Is(err, ErrClosed) {
+		t.Fatalf("the call after the lost confirm = %v, want ErrClosed", err)
+	}
+	if err := r.Post(ctx, confirm(10)); err != nil || r.Generation() != 3 {
+		t.Fatalf("Post after the second drop = %v on connection %d, want a redial", err, r.Generation())
+	}
+	if err := heartbeat(); err != nil {
+		t.Fatal(err)
+	}
+	var confirms, restores []uint64
 	h.mu.Lock()
 	for _, m := range h.seen {
-		if m.Type == protocol.TypeConfirm {
-			confirms++
-			if m.Addr == 4 {
-				t.Error("the Post that failed was resent")
-			}
+		switch m.Type {
+		case protocol.TypeConfirm:
+			confirms = append(confirms, m.Addr)
+		case protocol.TypeRestore:
+			restores = append(restores, m.Addr)
+		case protocol.TypeFree:
+			t.Error("the free that failed was resent")
 		}
 	}
 	h.mu.Unlock()
-	if confirms != 3 {
-		t.Errorf("handler saw %d confirms, want 3 (1, 2, 6)", confirms)
+	if fmt.Sprint(confirms) != "[1 2 6 10]" {
+		t.Errorf("handler saw confirms %v, want [1 2 6 10]: nothing that failed is resent", confirms)
+	}
+	if fmt.Sprint(restores) != "[8]" {
+		t.Errorf("handler saw restores %v, want the replay's one for the lost confirm", restores)
 	}
 }

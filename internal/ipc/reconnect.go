@@ -244,10 +244,12 @@ func (r *Reconnector) Call(ctx context.Context, m *protocol.Message) (*protocol.
 	return resp, nil
 }
 
-// Post is Client.Post over the self-healing connection, under Call's
-// rules: a write failure drops the connection and nothing is resent. A
-// confirm lost that way is repaired by the OnReconnect replay (the
-// wrapper restores every live allocation); a lost free leaves the
+// Post is Client.Post over the self-healing connection — see there for
+// what a nil return means — under Call's rules: an error that is the
+// transport's drops the connection and nothing is resent. A confirm lost
+// with a connection is repaired by the OnReconnect replay (the wrapper
+// restores every live allocation, and the scheduler moves the charge
+// the alloc made to the restored address); a lost free leaves the
 // scheduler over-counting until the process exits.
 func (r *Reconnector) Post(ctx context.Context, m *protocol.Message) error {
 	c, err := r.Connect(ctx)

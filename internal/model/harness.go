@@ -195,7 +195,7 @@ func (r *runner) step(i int, op Op) *Divergence {
 			r.regOrder = append(r.regOrder, op.C)
 		}
 
-	case OpAlloc, OpAbort:
+	case OpAlloc, OpAbort, OpReplay:
 		rres, rerr := r.real.RequestAlloc(id, op.PID, op.Size)
 		mres, merr := r.model.RequestAlloc(id, op.PID, op.Size)
 		if c := diffErr(rerr, merr); c != "" {
@@ -209,7 +209,8 @@ func (r *runner) step(i int, op Op) *Divergence {
 		}
 		switch rres.Decision {
 		case core.Accept:
-			if op.Kind == OpAbort {
+			switch op.Kind {
+			case OpAbort:
 				ru, rerr := r.real.AbortAlloc(id, op.PID, op.Size)
 				mu, merr := r.model.AbortAlloc(id, op.PID, op.Size)
 				if c := diffErr(rerr, merr); c != "" {
@@ -218,7 +219,26 @@ func (r *runner) step(i int, op Op) *Divergence {
 				if d := r.applyUpdate(i, op, ru, mu); d != nil {
 					return d
 				}
-			} else {
+			case OpReplay:
+				// The wrapper's replay after a redial: every allocation the
+				// process holds, the one whose confirm was lost last. The
+				// scheduler never went away, so the first change nothing and
+				// the last must adopt the accepted charge, not add to it —
+				// the post-op crossCheck compares used. (One that a restart
+				// could not restore fails again here, on both sides alike.)
+				lost := allocRec{pid: op.PID, addr: r.nextAddr(), size: op.Size}
+				for _, rec := range append(allocsOf(r.live[op.C], op.PID), lost) {
+					rerr := r.real.Restore(id, rec.pid, rec.addr, rec.size)
+					merr := r.model.Restore(id, rec.pid, rec.addr, rec.size)
+					if c := diffErr(rerr, merr); c != "" {
+						return r.fail(i, op, "replayed restore of %#x error mismatch: %s", rec.addr, c)
+					}
+					if rerr != nil && rec == lost {
+						return r.fail(i, op, "restore of the accepted, unconfirmed %#x failed: %v", rec.addr, rerr)
+					}
+				}
+				r.live[op.C] = append(r.live[op.C], lost)
+			default:
 				addr := r.nextAddr()
 				rerr := r.real.ConfirmAlloc(id, op.PID, addr, op.Size)
 				merr := r.model.ConfirmAlloc(id, op.PID, addr, op.Size)
@@ -724,6 +744,16 @@ func removeAlloc(recs []allocRec, addr uint64) []allocRec {
 	out := recs[:0]
 	for _, rec := range recs {
 		if rec.addr != addr {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+func allocsOf(recs []allocRec, pid int) []allocRec {
+	var out []allocRec
+	for _, rec := range recs {
+		if rec.pid == pid {
 			out = append(out, rec)
 		}
 	}

@@ -470,7 +470,10 @@ func (m *Model) MemInfo(id core.ContainerID) (free, total bytesize.Size, err err
 	return c.limit - c.used, c.limit, nil
 }
 
-// Restore re-charges a live allocation during recovery replay.
+// Restore re-charges a live allocation during recovery replay — unless
+// the process still holds an accepted, unconfirmed charge of that size:
+// then the scheduler outlived the connection that lost the confirm, the
+// restore stands in for it and used does not move.
 func (m *Model) Restore(id core.ContainerID, pid int, addr uint64, size bytesize.Size) error {
 	d, c, err := m.find(id)
 	if err != nil {
@@ -485,6 +488,13 @@ func (m *Model) Restore(id core.ContainerID, pid int, addr uint64, size bytesize
 				return nil
 			}
 			return fmt.Errorf("model: restore of %#x conflicts with tracked size", addr)
+		}
+	}
+	if p, ok := c.procs[pid]; ok {
+		if i := indexOfSize(p.accepted, size); i >= 0 {
+			p.accepted = append(p.accepted[:i], p.accepted[i+1:]...)
+			p.allocs[addr] = size
+			return nil
 		}
 	}
 	charge := m.chargeFor(c, pid, size)

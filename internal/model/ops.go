@@ -23,6 +23,7 @@ const (
 	OpDrop                   // drop the Pick-th parked ticket of C
 	OpRestart                // crash the backend and recover from persisted state
 	OpNodeKill               // kill node Pick%Nodes, fail it over, then revive it
+	OpReplay                 // RequestAlloc(C, PID, Size); if accepted, the connection drops before the confirm and the replay restores it
 )
 
 func (k OpKind) String() string {
@@ -47,6 +48,8 @@ func (k OpKind) String() string {
 		return "restart"
 	case OpNodeKill:
 		return "nodekill"
+	case OpReplay:
+		return "replay"
 	default:
 		return fmt.Sprintf("OpKind(%d)", int(k))
 	}
@@ -62,7 +65,7 @@ type Op struct {
 	Kind   OpKind
 	C      int           // container slot, 0-based ("c0", "c1", ...)
 	PID    int           // process id, 1-based
-	Size   bytesize.Size // OpAlloc/OpAbort request size
+	Size   bytesize.Size // OpAlloc/OpAbort/OpReplay request size
 	Limit  bytesize.Size // OpRegister limit
 	Pick   int           // OpFree: live-alloc index; OpDrop: parked-ticket index (mod current count)
 	Tenant int           // OpRegister: 0 = default tenant, k > 0 = Backend.Tenants[(k-1) mod len]
@@ -75,7 +78,7 @@ func (o Op) String() string {
 			return fmt.Sprintf("register c%d limit=%v tenant=%d", o.C, o.Limit, o.Tenant)
 		}
 		return fmt.Sprintf("register c%d limit=%v", o.C, o.Limit)
-	case OpAlloc, OpAbort:
+	case OpAlloc, OpAbort, OpReplay:
 		return fmt.Sprintf("%s c%d pid=%d size=%v", o.Kind, o.C, o.PID, o.Size)
 	case OpFree:
 		return fmt.Sprintf("free c%d pick=%d", o.C, o.Pick)
@@ -137,7 +140,7 @@ func DefaultGenConfig() GenConfig {
 // favor allocations and frees (the redistribution engine's fuel), keep
 // enough register/close churn to cycle container lifetimes, and sprinkle
 // error paths: ~8% of registers use an over-capacity limit, ~5% of
-// allocs use size zero.
+// allocs use size zero, ~10% of allocations lose their confirm.
 func Generate(seed int64, n int, g GenConfig) []Op {
 	rng := rand.New(rand.NewSource(seed))
 	ops := make([]Op, 0, n)
@@ -159,8 +162,14 @@ func Generate(seed int64, n int, g GenConfig) []Op {
 			if g.TenantSlots > 0 {
 				op.Tenant = rng.Intn(g.TenantSlots + 1)
 			}
-		case w < 51:
+		case w < 47:
 			op.Kind = OpAlloc
+			op.Size = allocSize(rng, g)
+		case w < 51:
+			// Taken from the allocations' share, with the same draws: the
+			// accept → connection drop → replay path a deferred confirm
+			// makes a little likelier (DESIGN §7).
+			op.Kind = OpReplay
 			op.Size = allocSize(rng, g)
 		case w < 56:
 			op.Kind = OpAbort

@@ -218,6 +218,18 @@ func (m *Message) Validate() error {
 	return nil
 }
 
+// Deferrable reports whether a one-way request of type t (see Validate
+// for which may be one-way at all) may wait in its sender's write buffer
+// for the next frame on the connection: applying it admits nobody, so
+// nobody can be waiting on it, and when it is applied changes no
+// scheduling decision. Today that is confirm alone, which moves a size
+// already charged to the address it was allocated at (the core's
+// ConfirmAlloc returns no Update); only a later free of that address
+// needs it, and that travels behind it on the same connection. free is
+// one-way and not deferrable: suspended allocations wait on the memory
+// it releases.
+func (t Type) Deferrable() bool { return t == TypeConfirm }
+
 // Machine-readable error codes carried in a failure response's Code
 // field. The human-readable Error string stays free-form; the code is
 // what clients match on to reconstruct an errors.Is-able sentinel on

@@ -20,8 +20,8 @@
 //  2. asks the GPU memory scheduler whether the size is available — the
 //     call blocks while the scheduler pauses the container;
 //  3. performs the real allocation only after a positive response, and
-//  4. reports the resulting device address back, one-way, so the
-//     scheduler can track the container's usage.
+//  4. reports the resulting device address back, one-way, with the next
+//     frame it sends, so the scheduler can track the container's usage.
 //
 // cudaMemGetInfo never touches the device: the scheduler already knows
 // the container's virtualized view, which is why the paper measures it
@@ -59,9 +59,11 @@ const SocketFileName = "gpushare.sock"
 // once Call or Post has returned: the module's alloc, confirm and free
 // come from the pool and go back then, so that an intercepted call
 // leaves no garbage in the tenant's process. Post
-// sends a report nobody waits on (confirm, free). Messages are applied
-// in the order sent, so a Call is a barrier for every Post before it; a
-// refused Post is the *protocol.Refusal the next Call or Post returns.
+// sends a report nobody waits on (confirm, free); what its nil return
+// does and does not promise is ipc.Client.Post's to say. Messages are
+// applied in the order sent, so a Call is a barrier for every Post
+// before it; a refused Post is the *protocol.Refusal the next Call or
+// Post returns.
 type Caller interface {
 	Call(ctx context.Context, m *protocol.Message) (*protocol.Message, error)
 	Post(ctx context.Context, m *protocol.Message) error
@@ -225,8 +227,9 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 	m.mu.Lock()
 	m.allocs[ptr] = adjusted
 	m.mu.Unlock()
-	// The allocation succeeded, so the pointer is returned either way; an
-	// error is the transport's or a refusal (on JSON, of this confirm).
+	// The allocation succeeded, so the pointer is returned either way,
+	// with whatever Post returns (ipc.Client.Post: on a socket the confirm
+	// leaves with the next frame this process sends).
 	req = protocol.AcquireMessage()
 	req.Type, req.PID, req.Size, req.Addr = protocol.TypeConfirm, m.pid, int64(adjusted), uint64(ptr)
 	err = m.settle(m.sched.Post(m.ctx, req))
@@ -316,8 +319,11 @@ func (m *Module) Malloc3D(extent cuda.Extent) (cuda.PitchedPtr, error) {
 // deallocation from the wrapper module" (paper §III-C) without waiting
 // for the scheduler, which is why the paper's cudaFree response time
 // with ConVGPU (0.032 ms) is below even the raw allocation cost. It is
-// written at once: suspended allocations wait on it. An error means the
-// report did not go out, or an earlier one was refused; the memory is free.
+// written at once: suspended allocations wait on it. (A confirm is not —
+// it frees nothing, so nobody can be waiting on it — and the free's
+// write is the one that carries the allocation's confirm out.) An error
+// means the report did not go out, or an earlier one was refused or did
+// not go out; the memory is free.
 func (m *Module) Free(ptr cuda.DevPtr) error {
 	if err := m.inner.Free(ptr); err != nil {
 		return err

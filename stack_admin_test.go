@@ -33,6 +33,11 @@ func TestStackGettersMatchAdminRoutes(t *testing.T) {
 		Tenant:       "gold",
 		Program: func(p *convgpu.Proc) error {
 			ptr, err := p.CUDA.Malloc(64 * convgpu.MiB)
+			if err == nil {
+				// A round trip carries the Malloc's confirm out, or it
+				// would arrive (≤ 1 ms later) between a getter and its route.
+				_, _, err = p.CUDA.MemGetInfo()
+			}
 			close(allocated)
 			if err != nil {
 				return err
