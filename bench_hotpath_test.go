@@ -18,8 +18,8 @@
 //
 // TestWrappedCycleAllocatesNothing holds the wrapped cycle at zero
 // allocations in tier-1; `make benchdiff` holds the benchmarks there.
-// TestWrappedCycleIsTwoWrites, beside it, holds the cycle at two socket
-// writes for its three frames.
+// TestWrappedCycleIsOneWrite, beside it, holds the cycle at one socket
+// write for its three frames.
 //
 // CHANGES.md records the seed-vs-optimized numbers for these.
 package convgpu_test
@@ -33,6 +33,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"convgpu"
 	"convgpu/internal/bytesize"
@@ -569,14 +570,16 @@ func TestWrappedCycleAllocatesNothing(t *testing.T) {
 	}
 }
 
-// TestWrappedCycleIsTwoWrites is the tier-1 gate on what an intercepted
-// Malloc+Free costs the tenant's process in socket writes: two — the
-// alloc, and the free with the cycle's confirm in front of it — for the
-// three frames the daemon decodes. The hundred spare writes are the
-// deferral timer's, which may catch a confirm before its free does, at
-// most once a millisecond; a client that wrote every frame at once
-// (three a cycle) is ten thousand over.
-func TestWrappedCycleIsTwoWrites(t *testing.T) {
+// TestWrappedCycleIsOneWrite is the tier-1 gate on what an intercepted
+// Malloc+Free costs the tenant's process in socket writes: one — the
+// next cycle's alloc, with this cycle's confirm and free in front of it
+// — for the three frames the daemon decodes. The spare writes are the
+// deferral bound's: once a millisecond the timer, or the free that finds
+// it past due, writes a confirm and its free before the next alloc does
+// — a hundred in a loop of 70 to 100 ms, and one more for each
+// millisecond a slower run (the race detector's) takes. A client that
+// wrote every free at once (two a cycle) is ten thousand over.
+func TestWrappedCycleIsOneWrite(t *testing.T) {
 	const cycles = 10000
 	r := newHotPathRig(t, nil)
 	raw, err := net.Dial("unix", filepath.Join(r.sockDir, wrapper.SocketFileName))
@@ -591,7 +594,7 @@ func TestWrappedCycleIsTwoWrites(t *testing.T) {
 	}
 	mod := wrapper.New(cuda.NewRuntime(gpu.New(gpu.K20m()), 3), cli, 3)
 	stats := r.daemon.WireStats()
-	frames0, writes0 := stats.Frames(true, false), conn.Writes()
+	frames0, writes0, start := stats.Frames(true, false), conn.Writes(), time.Now()
 	for i := 0; i < cycles; i++ {
 		ptr, err := mod.Malloc(4096)
 		if err != nil {
@@ -601,7 +604,7 @@ func TestWrappedCycleIsTwoWrites(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	writes := conn.Writes() - writes0
+	writes, elapsed := conn.Writes()-writes0, time.Since(start)
 	if err := mod.Flush(); err != nil { // the barrier: every frame has been decoded, none refused
 		t.Fatal(err)
 	}
@@ -611,10 +614,10 @@ func TestWrappedCycleIsTwoWrites(t *testing.T) {
 	if n := stats.FrameErrors(); n != 0 {
 		t.Errorf("%d frame errors", n)
 	}
-	if writes > 2*cycles+100 {
-		t.Errorf("%d cycles took %d client writes, want at most %d: two a cycle", cycles, writes, 2*cycles+100)
+	if spare := 100 + int(elapsed/time.Millisecond); writes > cycles+spare {
+		t.Errorf("%d cycles in %v took %d client writes, want at most %d: one a cycle and one a millisecond", cycles, elapsed, writes, cycles+spare)
 	}
-	t.Logf("%d cycles: %d client writes", cycles, writes)
+	t.Logf("%d cycles in %v: %d client writes", cycles, elapsed, writes)
 }
 
 func atomicAdd(p *int64, d int64) int64 { return atomic.AddInt64(p, d) }

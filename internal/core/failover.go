@@ -143,7 +143,8 @@ type FailoverReport struct {
 
 // FailoverSource is implemented by backends that fail nodes over; the
 // daemon registers a hook to re-key parked responders, answer evicted
-// tickets and rewrite session files in step with the migration.
+// tickets and append each move to its log (a migrate or an evict
+// record) in step with the migration.
 type FailoverSource interface {
 	// OnFailover installs fn, called synchronously with each failover's
 	// report (while the backend's registration lock is held, so the

@@ -19,8 +19,9 @@ var ErrUnknownDevice = fmt.Errorf("core: unknown device")
 // The device plane is three methods: Devices describes the per-device
 // pools, Placement reports which device a registered container landed
 // on, and RestorePlacement pins a recovering container back onto the
-// device recorded in its session file before EnsureRegistered re-admits
-// it — the order the daemon's recovery path uses.
+// device its session's records in the write-ahead log name before
+// EnsureRegistered re-admits it — the order the daemon's recovery path
+// uses.
 type Scheduler interface {
 	// Admission and the allocation lifecycle (paper §III-A).
 	Register(id ContainerID, limit bytesize.Size) (bytesize.Size, error)
@@ -140,10 +141,10 @@ func (s *State) PendingRequests(id ContainerID) ([]PendingRequest, error) {
 	return out, nil
 }
 
-// RestorePlacement pins a recovering container to the device recorded in
-// its session file. A single-device state serves exactly one device, so
-// this only validates the index; the subsequent EnsureRegistered does
-// the actual re-admission.
+// RestorePlacement pins a recovering container to the device its
+// session's records in the write-ahead log name. A single-device state
+// serves exactly one device, so this only validates the index; the
+// subsequent EnsureRegistered does the actual re-admission.
 func (s *State) RestorePlacement(id ContainerID, device int) error {
 	if device != s.cfg.DeviceIndex {
 		return fmt.Errorf("%w: %d (state serves device %d)", ErrUnknownDevice, device, s.cfg.DeviceIndex)

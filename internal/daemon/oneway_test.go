@@ -186,9 +186,9 @@ func (r *cycleRig) used(t *testing.T) int64 {
 
 // TestOneWayCyclesKeepProgramOrder: 10k Malloc+Free cycles on one
 // connection, every one of which gets the address the previous one
-// freed. A cycle's confirm waits in the client's buffer and leaves with
-// its free, behind it in the same write, and the daemon reads a
-// connection in order: alloc, confirm, free, cycle after cycle. So the
+// freed. A cycle's confirm waits in the client's buffer, its free waits
+// behind it, both leave in the next cycle's alloc's write, and the daemon
+// reads a connection in order: alloc, confirm, free, cycle after cycle. So the
 // free finds its address confirmed, the confirm of a reused address
 // never finds the address still charged (core's stale-address branch,
 // which would make the late free fail) and nothing is refused.
@@ -265,14 +265,79 @@ func TestLoneMallocIsConfirmedWithinTheBound(t *testing.T) {
 	}
 }
 
+// TestJoinedFreeResumesWithinTheBound: a free that somebody is waiting on
+// is late by no more than the confirm it joined. A running container's
+// free goes back to its own grant, not to the pool, so the two that wait
+// on each other are two processes of one container, with a second
+// container holding the pool empty: B's Malloc is suspended behind A's
+// old 600 MiB. A allocates 4 KiB and frees the old block at once — the
+// free waits in A's buffer behind the fresh confirm — and then calls
+// nothing more: B's Malloc returns within 50 ms all the same, by A's
+// timer. With 5 ms between A's Malloc and its Free the timer has taken
+// the confirm, nothing is waiting, and the free is on the wire when Free
+// returns.
+func TestJoinedFreeResumesWithinTheBound(t *testing.T) {
+	for _, pause := range []time.Duration{0, 5 * time.Millisecond} {
+		t.Run(fmt.Sprint("pause=", pause), func(t *testing.T) {
+			d := startDaemon(t, mib(1000))
+			ctl := dialControl(t, d)
+			dev := gpu.New(gpu.K20m())
+			register(t, ctl, "hog", mib(300))
+			late := register(t, ctl, "late", mib(900)) // granted the 700 MiB left over
+			a, _, tap := tappedWrapperOn(t, late, dev, 2)
+			b, _ := wrapperOn(t, late, dev, 3)
+			old, err := a.Malloc(mib(600))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := a.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan error, 1)
+			go func() {
+				_, err := b.Malloc(mib(250)) // 600 + 250 fit the limit, exceed the grant, the pool is empty: Suspend
+				got <- err
+			}()
+			waitFor(t, "B's Malloc suspended", func() bool {
+				info, err := d.Core().Info("late")
+				return err == nil && info.Pending == 1
+			})
+
+			if _, err := a.Malloc(4096); err != nil {
+				t.Fatal(err)
+			}
+			time.Sleep(pause)
+			before := tap.Writes()
+			if err := a.Free(old); err != nil {
+				t.Fatal(err)
+			}
+			if pause > 0 {
+				frames := tap.FrameTypes()
+				if n := tap.Writes() - before; n != 1 || frames[len(frames)-1] != protocol.TypeFree {
+					t.Errorf("a free with nothing waiting ahead of it: %d writes when Free returned, last frame %s; want its own write", n, frames[len(frames)-1])
+				}
+			}
+			select { // A makes no further call
+			case err := <-got:
+				if err != nil {
+					t.Fatalf("suspended Malloc failed: %v", err)
+				}
+			case <-time.After(50 * time.Millisecond):
+				t.Fatalf("B still suspended 50 ms after A's Free returned: the free is waiting in A's buffer (%d writes since)", tap.Writes()-before)
+			}
+		})
+	}
+}
+
 // oneWayCyclesThreads: threads of one process share the connection. The
 // device hands a freed address to another thread before the free's
 // report is written, so a confirm can overtake it — core tolerates that
 // (it releases the stale charge itself and the late free may find
 // nothing) and the wrapper must never hear of it: every call succeeds
-// and the account is square at the end. Deferred confirms, frees written
-// at once, blocking allocs and the deferral timer all meet on the one
-// write buffer here; under -race that is the test of its locking.
+// and the account is square at the end. Deferred confirms, frees that
+// join them or are written at once, blocking allocs and the deferral
+// timer all meet on the one write buffer here; under -race that is the
+// test of its locking.
 func oneWayCyclesThreads(t *testing.T, threads, cycles int) {
 	r := newCycleRig(t)
 	var wg sync.WaitGroup

@@ -31,20 +31,18 @@ type forwardHandler struct {
 	caller wrapper.Caller
 }
 
-// Handle implements ipc.Handler. Each message is served on its own
-// goroutine so a suspended request never stalls the connection; the
-// pooled request is cloned because it must outlive Handle (ipc.Handler's
-// ownership window).
+// Handle implements ipc.Handler. The request is served where it was
+// read, inside its ownership window: nothing in these experiments is
+// ever suspended, and a goroutine per message put a scheduler hand-off
+// into every round trip — more spread between two runs of one transport
+// than there is distance between UNIX and TCP.
 func (h forwardHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
-	req := msg.Clone()
-	go func() {
-		resp, err := h.caller.Call(context.Background(), req)
-		if err != nil {
-			respond(&protocol.Message{OK: false, Error: err.Error()})
-			return
-		}
-		respond(resp)
-	}()
+	resp, err := h.caller.Call(context.Background(), msg)
+	if err != nil {
+		respond(&protocol.Message{OK: false, Error: err.Error()})
+		return
+	}
+	respond(resp)
 }
 
 // Closed implements ipc.Handler.
@@ -57,102 +55,119 @@ func (h forwardHandler) Closed(conn *ipc.ServerConn) {}
 // "complexity and low performance" reasons and could not use plain
 // shared memory for safety (§III-A); the in-process row shows how much
 // of ConVGPU's overhead is transport versus scheduler logic.
+//
+// The transports take turns, a round of cycles each, and a row is its
+// transport's median round: measured one after the other, a burst from
+// a neighbour on the machine landed on one transport whole and flipped
+// the comparison.
 func AblationTransport(opt Options) (*Report, error) {
-	reps := 500
+	const rounds = 20
+	perRound := 50
 	if opt.Quick {
-		reps = 50
+		perRound = 25
 	}
-	// Zero-latency device: only middleware cost remains.
-	measure := func(mkCaller func(hub *inproc.Hub) (wrapper.Caller, func(), error)) (time.Duration, error) {
+	// Zero-latency device: only middleware cost remains. setup returns
+	// one transport, warmed, as the function that times a round on it.
+	setup := func(mkCaller func(hub *inproc.Hub) (wrapper.Caller, func(), error)) (round func() (time.Duration, error), cleanup func(), err error) {
 		st, err := core.New(core.Config{Capacity: 5 * bytesize.GiB})
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 		hub := inproc.NewHub(st)
 		if _, err := hub.Register("t", bytesize.GiB); err != nil {
-			return 0, err
+			return nil, nil, err
 		}
 		caller, cleanup, err := mkCaller(hub)
 		if err != nil {
-			return 0, err
+			return nil, nil, err
 		}
-		defer cleanup()
 		dev := gpu.New(gpu.K20m())
 		mod := wrapper.New(cuda.NewRuntime(dev, 7), caller, 7)
+		cycles := func(n int) error {
+			for i := 0; i < n; i++ {
+				p, err := mod.Malloc(4096)
+				if err != nil {
+					return err
+				}
+				if err := mod.Free(p); err != nil {
+					return err
+				}
+			}
+			return mod.Flush()
+		}
 		// Warm up (context overhead, socket buffers).
-		for i := 0; i < 5; i++ {
-			p, err := mod.Malloc(4096)
-			if err != nil {
-				return 0, err
-			}
-			if err := mod.Free(p); err != nil {
-				return 0, err
-			}
+		if err := cycles(5); err != nil {
+			cleanup()
+			return nil, nil, err
 		}
-		if err := mod.Flush(); err != nil {
-			return 0, err
-		}
-		start := time.Now()
-		for i := 0; i < reps; i++ {
-			p, err := mod.Malloc(4096)
-			if err != nil {
-				return 0, err
-			}
-			if err := mod.Free(p); err != nil {
-				return 0, err
-			}
-		}
-		if err := mod.Flush(); err != nil {
-			return 0, err
-		}
-		return time.Since(start) / time.Duration(reps), nil
+		return func() (time.Duration, error) {
+			start := time.Now()
+			err := cycles(perRound)
+			return time.Since(start) / time.Duration(perRound), err
+		}, cleanup, nil
 	}
 
-	direct, err := measure(func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
-		return hub.Caller("t"), func() {}, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ablation-transport direct: %w", err)
+	transports := []struct {
+		name string
+		mk   func(hub *inproc.Hub) (wrapper.Caller, func(), error)
+	}{
+		{"direct", func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
+			return hub.Caller("t"), func() {}, nil
+		}},
+		{"unix", func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
+			dir, err := os.MkdirTemp("", "convgpu-abl")
+			if err != nil {
+				return nil, nil, err
+			}
+			srv, err := ipc.Listen(filepath.Join(dir, "s.sock"), forwardHandler{hub.Caller("t")})
+			if err != nil {
+				os.RemoveAll(dir)
+				return nil, nil, err
+			}
+			// Bare Dial on both transports: A2a compares the paper's wire,
+			// JSON lines, over UNIX and TCP; the negotiated data path is
+			// what fig4 measures.
+			cli, err := ipc.Dial(srv.Addr())
+			if err != nil {
+				srv.Close()
+				os.RemoveAll(dir)
+				return nil, nil, err
+			}
+			return cli, func() { cli.Close(); srv.Close(); os.RemoveAll(dir) }, nil
+		}},
+		{"tcp", func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
+			srv, err := ipc.ListenNet("tcp", "127.0.0.1:0", forwardHandler{hub.Caller("t")})
+			if err != nil {
+				return nil, nil, err
+			}
+			cli, err := ipc.DialNet("tcp", srv.Addr())
+			if err != nil {
+				srv.Close()
+				return nil, nil, err
+			}
+			return cli, func() { cli.Close(); srv.Close() }, nil
+		}},
 	}
-	unix, err := measure(func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
-		dir, err := os.MkdirTemp("", "convgpu-abl")
+	round := make([]func() (time.Duration, error), len(transports))
+	for i, tr := range transports {
+		r, cleanup, err := setup(tr.mk)
 		if err != nil {
-			return nil, nil, err
+			return nil, fmt.Errorf("ablation-transport %s: %w", tr.name, err)
 		}
-		srv, err := ipc.Listen(filepath.Join(dir, "s.sock"), forwardHandler{hub.Caller("t")})
-		if err != nil {
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
-		// Bare Dial on both transports: A2a compares the paper's wire,
-		// JSON lines, over UNIX and TCP; the negotiated data path is
-		// what fig4 measures.
-		cli, err := ipc.Dial(srv.Addr())
-		if err != nil {
-			srv.Close()
-			os.RemoveAll(dir)
-			return nil, nil, err
-		}
-		return cli, func() { cli.Close(); srv.Close(); os.RemoveAll(dir) }, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ablation-transport unix: %w", err)
+		defer cleanup()
+		round[i] = r
 	}
-	tcp, err := measure(func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
-		srv, err := ipc.ListenNet("tcp", "127.0.0.1:0", forwardHandler{hub.Caller("t")})
-		if err != nil {
-			return nil, nil, err
+	samples := make([][]time.Duration, len(transports))
+	for r := 0; r < rounds; r++ {
+		for i, tr := range transports {
+			d, err := round[i]()
+			if err != nil {
+				return nil, fmt.Errorf("ablation-transport %s: %w", tr.name, err)
+			}
+			samples[i] = append(samples[i], d)
 		}
-		cli, err := ipc.DialNet("tcp", srv.Addr())
-		if err != nil {
-			srv.Close()
-			return nil, nil, err
-		}
-		return cli, func() { cli.Close(); srv.Close() }, nil
-	})
-	if err != nil {
-		return nil, fmt.Errorf("ablation-transport tcp: %w", err)
 	}
+	direct, unix, tcp := median(samples[0]), median(samples[1]), median(samples[2])
 
 	t := &metrics.Table{
 		Title: "A2a: wrapped cudaMalloc+cudaFree cycle by scheduler transport (µs)",

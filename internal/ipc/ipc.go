@@ -51,7 +51,8 @@
 // with one exception, on the client side: a posted confirm (a one-way
 // verb protocol.Type.Deferrable admits) is appended and left for the
 // next frame on the connection to carry out in its write, or for a
-// timer after deferBound (1 ms) when none comes. See Client.Post.
+// timer after deferBound (1 ms) when none comes, and a one-way frame
+// posted while it waits there (a free) waits with it. See Client.Post.
 package ipc
 
 import (
@@ -1011,18 +1012,33 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 // What a nil return means — the one place that says it; Caller,
 // Reconnector.Post and the wrapper point here. The frame is queued on
 // the connection behind every frame sent before it; it has not been
-// applied, and it may not have been written. A verb somebody can be
-// waiting on (free: it releases memory suspended allocations wait for)
-// is written before Post returns, and a dead connection is that Post's
-// error. A verb nobody can be waiting on (protocol.Type.Deferrable:
-// confirm) stays in the write buffer and leaves in the same socket write
-// as the next frame of any kind on this connection, or after deferBound
-// (1 ms) when none comes, so a failure to write it is the error of that
-// next frame's Call or Post — as a refusal already is: if the scheduler
-// refuses a one-way frame, the refusal comes back as the error of the
-// next Call or Post (a *protocol.Refusal), exactly once. Either way a
-// blocking Call afterwards is the barrier: when it returns, everything
-// posted before it has been applied.
+// applied, and it may not have been written. Which of three things
+// happened to it is the coalescer's one rule (coalescer.post):
+//
+//   - It starts a wait. A verb nobody can be waiting on
+//     (protocol.Type.Deferrable: confirm) stays in the write buffer and
+//     leaves in the same socket write as the next Call on this
+//     connection, or after deferBound (1 ms) when none comes.
+//   - It joins one. Any other one-way verb (free) never starts a wait,
+//     but posted while such a frame is still in the buffer it is left
+//     behind it and leaves with it: in that next Call's write, or when
+//     the timer already running fires — it is not re-armed, so the free
+//     is applied no later than deferBound after the confirm it joined
+//     was posted. A free is late, then, only when a thread of this
+//     process reported an allocation less than a millisecond ago, its
+//     own or another thread's. (A timer past due that the runtime has
+//     not run yet counts as fired: that free flushes the buffer.)
+//   - It is written before Post returns: every one-way frame that may not
+//     start a wait and finds nothing waiting — a lone free, a free after
+//     the timer or a Call took the confirm away — and a dead connection is
+//     then that Post's error.
+//
+// A failure to write a frame that stayed in the buffer is the error of
+// the Call or Post whose write takes it — as a refusal already is: if
+// the scheduler refuses a one-way frame, the refusal comes back as the
+// error of the next Call or Post (a *protocol.Refusal), exactly once.
+// Either way a blocking Call afterwards is the barrier: when it returns,
+// everything posted before it has been applied.
 //
 // One-way frames exist only in the binary codec. On a connection that
 // did not negotiate it, Post is a Call that checks the reply, so callers
@@ -1039,14 +1055,9 @@ func (c *Client) Post(ctx context.Context, m *protocol.Message) error {
 		if ok {
 			*buf = out
 			c.stats.Load().countFrame(true, true)
-			var err error
-			if m.Type.Deferrable() {
-				err = c.w.writeDeferred(*buf)
-			} else {
-				err = c.w.write(*buf)
-			}
+			err := c.w.post(*buf, m.Type.Deferrable())
 			protocol.ReleaseBuffer(buf)
-			if err != nil { // at once on a closed client, for either kind
+			if err != nil { // at once on a closed client, waiting or not
 				return fmt.Errorf("ipc: post %s: %w", m.Type, closedErr(err))
 			}
 			// Reported after the write, not in place of it: this frame has
@@ -1112,16 +1123,18 @@ func (c *Client) forget(seq uint64, ch chan *protocol.Message, ringSlot bool) {
 }
 
 // Close tears the connection down; in-flight Calls fail with ErrClosed.
-// A frame Post deferred and nothing has carried away yet is dropped, not
-// flushed: Close may be running because the socket is dead, and whatever
-// a closing process still holds is released by its procexit, its
-// container's close or the session lease, confirmed or not.
+// Frames Post left in the buffer that nothing has carried away yet (a
+// confirm, a free that joined it) are dropped, not flushed: Close may be
+// running because the socket is dead, and whatever a closing process
+// still holds is released by its procexit, its container's close or the
+// session lease, confirmed or not, reported freed or not.
 func (c *Client) Close() error { return c.fail(ErrClosed) }
 
-// deferBound is the longest a deferred frame (coalescer.writeDeferred)
-// waits for another frame to leave with: far above a 7 µs allocation
-// cycle, so in a busy process the wait is never served out, and far
-// below anything an operator or a session lease can see.
+// deferBound is the longest a frame that started a wait (coalescer.post)
+// stays in the buffer, and so the longest the frames that joined it do:
+// far above a 7 µs allocation cycle, so in a busy process the wait is
+// never served out, and far below anything an operator or a session
+// lease can see.
 const deferBound = time.Millisecond
 
 // coalescer serializes and batches writes to one connection. Writers
@@ -1139,10 +1152,12 @@ type coalescer struct {
 	flushing bool
 	batch    int // nested BeginBatch depth: defer flushing while > 0
 	err      error
-	// timer flushes what writeDeferred left in buf and nothing carried
-	// away since; armed from the deferral that set it until it fires.
+	// timer flushes what post left in buf and nothing carried away
+	// since; armed from the post that started the wait until it fires or
+	// a post finds it past due.
 	timer *time.Timer
 	armed bool
+	due   time.Time
 }
 
 func newCoalescer(dst io.Writer) *coalescer {
@@ -1167,27 +1182,50 @@ func (w *coalescer) write(p []byte) error {
 	return w.flushLocked()
 }
 
-// writeDeferred appends p and leaves it there: it goes out in the same
-// socket write as the next frame of any kind, or after deferBound when
-// none comes. One buffer, so the peer reads the frames in the order they
-// were handed in. A nil return says less than write's: the bytes are
-// queued, and a failure to send them is the next write's error.
-func (w *coalescer) writeDeferred(p []byte) error {
+// post appends the one-way frame p and decides, by one rule, whether it
+// also leaves. A frame that mayWait (protocol.Type.Deferrable) stays in
+// the buffer and arms the timer unless it is running: it starts a wait.
+// Any other frame never starts one, but when deferred bytes are already
+// waiting — timer armed, buffer not empty, no leader writing — it is left
+// behind them and leaves with them, in the next write or when that timer
+// fires, so it waits no longer than the frame it joined had left to wait.
+// With nothing waiting it is written before post returns, like write's.
+// One buffer, so the peer reads the frames in the order they were handed
+// in. A nil return for a frame that stayed says less than write's: the
+// bytes are queued, and a failure to send them is the next write's error.
+//
+// A timer past its due time counts as fired. The runtime runs a timer
+// when a thread passes through the scheduler with that timer in reach,
+// and in a process whose threads are busy that is milliseconds late (6 to
+// 12 ms measured in a two-thread Malloc+Free loop, none at one thread); a
+// frame somebody may be waiting on does not wait for it, and flushes what
+// the timer should have.
+func (w *coalescer) post(p []byte, mayWait bool) error {
 	w.mu.Lock()
-	defer w.mu.Unlock()
 	if w.err != nil {
-		return w.err
+		err := w.err
+		w.mu.Unlock()
+		return err
+	}
+	joins := !mayWait && w.armed && len(w.buf) > 0
+	if joins && time.Until(w.due) <= 0 {
+		w.armed, joins = false, false // the next deferral re-arms the timer
 	}
 	w.buf = append(w.buf, p...)
-	if !w.armed {
+	if mayWait && !w.armed {
 		w.armed = true
+		w.due = time.Now().Add(deferBound)
 		if w.timer == nil {
 			w.timer = time.AfterFunc(deferBound, w.flushDeferred)
 		} else {
-			w.timer.Reset(deferBound) // it has fired: armed was cleared by its callback
+			w.timer.Reset(deferBound) // fired, or overdue and still to fire: either way one expiry from now
 		}
 	}
-	return nil
+	if mayWait || joins || w.flushing || w.batch > 0 {
+		w.mu.Unlock()
+		return nil
+	}
+	return w.flushLocked()
 }
 
 // flushDeferred is the timer's callback: it writes what is still

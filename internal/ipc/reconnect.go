@@ -250,7 +250,12 @@ func (r *Reconnector) Call(ctx context.Context, m *protocol.Message) (*protocol.
 // with a connection is repaired by the OnReconnect replay (the wrapper
 // restores every live allocation, and the scheduler moves the charge
 // the alloc made to the restored address); a lost free leaves the
-// scheduler over-counting until the process exits.
+// scheduler over-counting until the process exits. A lost free now
+// usually takes its confirm with it — in a Malloc+Free loop both wait
+// for the next alloc's write — and then what stays behind is the
+// accepted, never-confirmed charge of an allocation the process no
+// longer holds: the replay has nothing to restore it to, and it too
+// stays until procexit, close or the lease.
 func (r *Reconnector) Post(ctx context.Context, m *protocol.Message) error {
 	c, err := r.Connect(ctx)
 	if err != nil {

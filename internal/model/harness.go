@@ -226,8 +226,21 @@ func (r *runner) step(i int, op Op) *Divergence {
 				// the last must adopt the accepted charge, not add to it —
 				// the post-op crossCheck compares used. (One that a restart
 				// could not restore fails again here, on both sides alike.)
+				//
+				// An odd Pick is the lost pair: the process freed the block
+				// before the connection died, so its confirm and its free were
+				// lost in one write and the replay has only the others to
+				// restore. The accepted charge stays on both sides — nothing
+				// names it — until the process exits or the container closes.
 				lost := allocRec{pid: op.PID, addr: r.nextAddr(), size: op.Size}
-				for _, rec := range append(allocsOf(r.live[op.C], op.PID), lost) {
+				replayed := allocsOf(r.live[op.C], op.PID)
+				pair := op.Pick%2 == 1
+				if !pair {
+					replayed = append(replayed, lost)
+					r.live[op.C] = append(r.live[op.C], lost)
+				}
+				before, _ := r.real.Info(id)
+				for _, rec := range replayed {
 					rerr := r.real.Restore(id, rec.pid, rec.addr, rec.size)
 					merr := r.model.Restore(id, rec.pid, rec.addr, rec.size)
 					if c := diffErr(rerr, merr); c != "" {
@@ -237,7 +250,9 @@ func (r *runner) step(i int, op Op) *Divergence {
 						return r.fail(i, op, "restore of the accepted, unconfirmed %#x failed: %v", rec.addr, rerr)
 					}
 				}
-				r.live[op.C] = append(r.live[op.C], lost)
+				if after, _ := r.real.Info(id); after.Used != before.Used {
+					return r.fail(i, op, "the replay moved used %v -> %v: it restores what is charged already", before.Used, after.Used)
+				}
 			default:
 				addr := r.nextAddr()
 				rerr := r.real.ConfirmAlloc(id, op.PID, addr, op.Size)

@@ -23,7 +23,7 @@ const (
 	OpDrop                   // drop the Pick-th parked ticket of C
 	OpRestart                // crash the backend and recover from persisted state
 	OpNodeKill               // kill node Pick%Nodes, fail it over, then revive it
-	OpReplay                 // RequestAlloc(C, PID, Size); if accepted, the connection drops before the confirm and the replay restores it
+	OpReplay                 // RequestAlloc(C, PID, Size); if accepted, the connection drops before the confirm and the replay restores it — or, on an odd Pick, cannot: the process freed it first
 )
 
 func (k OpKind) String() string {
@@ -67,7 +67,7 @@ type Op struct {
 	PID    int           // process id, 1-based
 	Size   bytesize.Size // OpAlloc/OpAbort/OpReplay request size
 	Limit  bytesize.Size // OpRegister limit
-	Pick   int           // OpFree: live-alloc index; OpDrop: parked-ticket index (mod current count)
+	Pick   int           // OpFree: live-alloc index; OpDrop: parked-ticket index (mod current count); OpReplay: odd = the lost pair
 	Tenant int           // OpRegister: 0 = default tenant, k > 0 = Backend.Tenants[(k-1) mod len]
 }
 
@@ -78,8 +78,10 @@ func (o Op) String() string {
 			return fmt.Sprintf("register c%d limit=%v tenant=%d", o.C, o.Limit, o.Tenant)
 		}
 		return fmt.Sprintf("register c%d limit=%v", o.C, o.Limit)
-	case OpAlloc, OpAbort, OpReplay:
+	case OpAlloc, OpAbort:
 		return fmt.Sprintf("%s c%d pid=%d size=%v", o.Kind, o.C, o.PID, o.Size)
+	case OpReplay:
+		return fmt.Sprintf("replay c%d pid=%d size=%v freed=%t", o.C, o.PID, o.Size, o.Pick%2 == 1)
 	case OpFree:
 		return fmt.Sprintf("free c%d pick=%d", o.C, o.Pick)
 	case OpClose, OpMemInfo:
@@ -168,7 +170,9 @@ func Generate(seed int64, n int, g GenConfig) []Op {
 		case w < 51:
 			// Taken from the allocations' share, with the same draws: the
 			// accept → connection drop → replay path a deferred confirm
-			// makes a little likelier (DESIGN §7).
+			// makes a little likelier (DESIGN §7). Pick, drawn for every
+			// op, says which half: the allocation is still held, or it was
+			// freed and the free was lost with the confirm.
 			op.Kind = OpReplay
 			op.Size = allocSize(rng, g)
 		case w < 56:

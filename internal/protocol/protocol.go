@@ -227,7 +227,9 @@ func (m *Message) Validate() error {
 // ConfirmAlloc returns no Update); only a later free of that address
 // needs it, and that travels behind it on the same connection. free is
 // one-way and not deferrable: suspended allocations wait on the memory
-// it releases.
+// it releases, so a free never starts a wait. It may join one: posted
+// while a deferrable frame is still in the buffer it leaves with that
+// frame, inside the bound that frame was given (ipc.Client.Post).
 func (t Type) Deferrable() bool { return t == TypeConfirm }
 
 // Machine-readable error codes carried in a failure response's Code

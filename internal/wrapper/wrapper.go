@@ -21,7 +21,8 @@
 //     call blocks while the scheduler pauses the container;
 //  3. performs the real allocation only after a positive response, and
 //  4. reports the resulting device address back, one-way, with the next
-//     frame it sends, so the scheduler can track the container's usage.
+//     request it sends (the free that follows within a millisecond waits
+//     with it), so the scheduler can track the container's usage.
 //
 // cudaMemGetInfo never touches the device: the scheduler already knows
 // the container's virtualized view, which is why the paper measures it
@@ -59,8 +60,9 @@ const SocketFileName = "gpushare.sock"
 // once Call or Post has returned: the module's alloc, confirm and free
 // come from the pool and go back then, so that an intercepted call
 // leaves no garbage in the tenant's process. Post
-// sends a report nobody waits on (confirm, free); what its nil return
-// does and does not promise is ipc.Client.Post's to say. Messages are
+// sends a report whose sender does not wait (confirm, free); what its
+// nil return does and does not promise — queued, not necessarily
+// written — is ipc.Client.Post's to say. Messages are
 // applied in the order sent, so a Call is a barrier for every Post
 // before it; a refused Post is the *protocol.Refusal the next Call or
 // Post returns.
@@ -229,7 +231,7 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 	m.mu.Unlock()
 	// The allocation succeeded, so the pointer is returned either way,
 	// with whatever Post returns (ipc.Client.Post: on a socket the confirm
-	// leaves with the next frame this process sends).
+	// leaves with the next request this process sends).
 	req = protocol.AcquireMessage()
 	req.Type, req.PID, req.Size, req.Addr = protocol.TypeConfirm, m.pid, int64(adjusted), uint64(ptr)
 	err = m.settle(m.sched.Post(m.ctx, req))
@@ -318,12 +320,15 @@ func (m *Module) Malloc3D(extent cuda.Extent) (cuda.PitchedPtr, error) {
 // fire-and-forget — the user program "will get the result of
 // deallocation from the wrapper module" (paper §III-C) without waiting
 // for the scheduler, which is why the paper's cudaFree response time
-// with ConVGPU (0.032 ms) is below even the raw allocation cost. It is
-// written at once: suspended allocations wait on it. (A confirm is not —
-// it frees nothing, so nobody can be waiting on it — and the free's
-// write is the one that carries the allocation's confirm out.) An error
-// means the report did not go out, or an earlier one was refused or did
-// not go out; the memory is free.
+// with ConVGPU (0.032 ms) is below even the raw allocation cost. When it
+// is written is ipc.Client.Post's rule: before Free returns — suspended
+// allocations wait on it — unless this process posted a confirm less
+// than a millisecond ago that is still in the write buffer (a confirm
+// frees nothing, so nobody can be waiting on it). Then the free waits
+// behind it and both leave in the write of the next call, or at the end
+// of that confirm's millisecond: a Malloc+Free loop costs one socket
+// write a cycle. An error means the report did not go out, or an
+// earlier one was refused or did not go out; the memory is free.
 func (m *Module) Free(ptr cuda.DevPtr) error {
 	if err := m.inner.Free(ptr); err != nil {
 		return err
