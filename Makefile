@@ -112,12 +112,13 @@ model:
 model-long:
 	$(MAKE) model MODEL_SEEDS=64 MODEL_OPS=2000
 
-# policy is the conformance gate on the wake/placement policy registry:
-# the registry's own unit tests (alias resolution, byte-identical legacy
-# construction, ordering semantics of the tenant-aware policies, the
-# preemption never-loses-a-ticket property), plus the tenant conformance
-# and mutation-sensitivity sweeps that check every registered policy
-# against the fairness/quota oracle in internal/model under -race.
+# policy is the conformance gate on the policy tables: their own unit
+# tests (every name and alias to its concrete type, seeded draws equal to
+# the direct constructors', ordering semantics of the tenant-aware
+# policies, the preemption never-loses-a-ticket property), plus the
+# tenant conformance and mutation-sensitivity sweeps that check every
+# wake policy against the fairness/quota oracle in internal/model under
+# -race.
 policy:
 	$(GO) test -race -count=1 ./internal/policy
 	$(GO) test -race -count=1 -timeout 15m ./internal/model -run 'TestTenant|TestMutation' -model.seeds=$(MODEL_SEEDS) -model.ops=$(MODEL_OPS)
@@ -186,9 +187,9 @@ bench-recovery:
 	$(GO) test -run '^$$' -bench 'BenchmarkRecovery' -benchmem -count=1 -timeout 30m ./internal/wal | tee BENCH_recovery.txt
 	$(GO) test -run '^$$' -bench 'BenchmarkRecovery' -benchmem -count=1 -timeout 30m -json ./internal/wal > BENCH_recovery.json
 
-# bench-policy captures the policy-registry artifact: per-policy admit
-# cost (which must stay flat and allocation-free across every registered
-# wake policy), the bare Pick decision over a fixed candidate set, and
+# bench-policy captures the policy artifact: per-policy admit
+# cost (which must stay flat and allocation-free across every wake
+# policy), the bare Pick decision over a fixed candidate set, and
 # the end-to-end preempt-admit cycle latency. BENCH_policy.txt is the
 # committed baseline benchdiff-policy gates against.
 bench-policy:

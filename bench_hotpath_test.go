@@ -207,14 +207,10 @@ func BenchmarkHotPathCoreAcceptParallel(b *testing.B) {
 // container, observability bound as in the real daemon.
 func newRoutedState(b *testing.B, devices int) *multigpu.State {
 	b.Helper()
-	pol, err := multigpu.NewPolicy(multigpu.PolicyRoundRobin)
-	if err != nil {
-		b.Fatal(err)
-	}
 	st, err := multigpu.New(multigpu.Config{
 		Devices:           devices,
 		CapacityPerDevice: 1 << 40,
-		Policy:            pol,
+		Policy:            &multigpu.RoundRobin{},
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -1,6 +1,6 @@
 // Policy benchmarks (run `make bench-policy`): the cost of the wake
-// policy registry on the paths a policy can actually tax, measured per
-// registered policy so a regression is attributable to one of them:
+// policies on the paths a policy can actually tax, measured per policy
+// so a regression is attributable to one of them:
 //
 //	BenchmarkPolicyAdmit/<name>    steady-state within-grant
 //	                               admit/confirm/free under two named
@@ -92,8 +92,8 @@ func BenchmarkPolicyAdmit(b *testing.B) {
 // BenchmarkPolicyPick measures the bare wake decision: one Pick over a
 // fixed 64-candidate set spanning four tenants with distinct weights,
 // priorities, grants, and deficits. This is the only per-policy cost on
-// the redistribution path, so it is the number the registry's policy
-// authors budget against.
+// the redistribution path, so it is the number a wake policy's author
+// budgets against.
 func BenchmarkPolicyPick(b *testing.B) {
 	cands := make([]core.Candidate, 64)
 	tenants := []string{"", "gold", "silver", "bronze"}

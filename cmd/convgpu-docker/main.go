@@ -40,6 +40,7 @@ import (
 	"convgpu/internal/ipc"
 	"convgpu/internal/nvdocker"
 	"convgpu/internal/plugin"
+	"convgpu/internal/policy"
 	"convgpu/internal/workload"
 )
 
@@ -47,7 +48,7 @@ func main() {
 	var (
 		schedSock = flag.String("scheduler", "", "control socket of an external convgpu-scheduler (default: embed one)")
 		capacity  = flag.String("capacity", "5GiB", "embedded scheduler's GPU capacity")
-		algorithm = flag.String("algorithm", core.AlgFIFO, "embedded scheduler's algorithm")
+		algorithm = flag.String("algorithm", core.AlgFIFO, "embedded scheduler's wake-order policy: "+strings.Join(policy.WakeNames(), "|"))
 		scale     = flag.Float64("scale", 0.05, "time compression for sample kernels (1.0 = the paper's 5-45 s)")
 	)
 	flag.Parse()
@@ -77,11 +78,7 @@ func main() {
 		if err != nil {
 			log.Fatalf("convgpu-docker: -capacity: %v", err)
 		}
-		alg, err := core.NewAlgorithm(*algorithm, 1)
-		if err != nil {
-			log.Fatal(err)
-		}
-		st, err := core.New(core.Config{Capacity: cap, Algorithm: alg})
+		st, err := policy.NewScheduler(policy.Spec{Capacity: cap, Wake: *algorithm, Seed: 1})
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -96,7 +93,7 @@ func main() {
 		}
 		defer d.Close()
 		ctlPath = d.ControlSocket()
-		log.Printf("embedded scheduler: capacity=%v algorithm=%s", cap, alg.Name())
+		log.Printf("embedded scheduler: capacity=%v algorithm=%s", cap, st.AlgorithmName())
 	}
 	ctl, err := ipc.Dial(ctlPath)
 	if err != nil {

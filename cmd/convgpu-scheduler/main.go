@@ -8,7 +8,7 @@
 //
 //	convgpu-scheduler -basedir /var/run/convgpu -capacity 5GiB -algorithm bestfit
 //
-// -algorithm and -placement resolve through the unified policy registry
+// -algorithm, -placement and -strategy resolve through the policy tables
 // (internal/policy): the paper's four redistribution algorithms keep
 // their historical names and short aliases, and the tenant-aware
 // policies (fairshare, quota, priority; placement fragaware) are
@@ -134,7 +134,7 @@ func main() {
 		devices   = flag.Int("devices", 1, "number of GPUs to serve; -capacity is per device when > 1")
 		placement = flag.String("placement", multigpu.PolicyLeastLoaded, "device placement policy: "+strings.Join(policy.PlaceNames(), "|")+" (multi-device only)")
 		nodes     = flag.Int("nodes", 1, "number of cluster nodes, each with -devices GPUs; > 1 enables the cluster tier")
-		strategy  = flag.String("strategy", cluster.StrategySpread, "node placement strategy: spread|binpack|random (cluster only)")
+		strategy  = flag.String("strategy", cluster.StrategySpread, "node placement strategy: "+strings.Join(policy.StrategyNames(), "|")+" (cluster only)")
 		health    = flag.Duration("node-health", 0, "probe nodes at this interval, failing over unresponsive ones (0 = off; cluster only)")
 		seed      = flag.Int64("seed", 1, "seed for the random algorithm")
 		status    = flag.Duration("status", 0, "print a scheduler snapshot at this interval (0 = off)")
@@ -161,9 +161,9 @@ func main() {
 	if err != nil {
 		log.Fatalf("convgpu-scheduler: -capacity: %v", err)
 	}
-	// Resolve both policy names through the unified registry up front:
-	// legacy spellings and aliases map to their canonical names, unknown
-	// ones fail with the full policy list before anything is built.
+	// Resolve every policy name up front: legacy spellings and aliases
+	// map to their canonical names, unknown ones fail with the full list
+	// before anything is built.
 	algName, ok := policy.ResolveWake(*algorithm)
 	if !ok {
 		log.Fatalf("convgpu-scheduler: -algorithm: unknown policy %q (have %s)",
@@ -173,6 +173,9 @@ func main() {
 	if !ok {
 		log.Fatalf("convgpu-scheduler: -placement: unknown policy %q (have %s)",
 			*placement, strings.Join(policy.PlaceNames(), "|"))
+	}
+	if _, err := policy.NewStrategy(*strategy, policy.Config{}); err != nil {
+		log.Fatalf("convgpu-scheduler: -strategy: %v", err)
 	}
 	st, err := policy.NewScheduler(policy.Spec{
 		Nodes:    *nodes,

@@ -22,6 +22,7 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/metrics"
+	"convgpu/internal/policy"
 	"convgpu/internal/sim"
 	"convgpu/internal/workload"
 )
@@ -29,8 +30,8 @@ import (
 func main() {
 	var (
 		n          = flag.Int("n", 0, "run a single trace with n containers (0 = full sweep)")
-		algorithm  = flag.String("algorithm", core.AlgFIFO, "algorithm for -n runs")
-		algorithms = flag.String("algorithms", strings.Join(core.AlgorithmNames(), ","), "comma-separated algorithms for the sweep")
+		algorithm  = flag.String("algorithm", core.AlgFIFO, "wake-order policy for -n runs: "+strings.Join(policy.WakeNames(), "|"))
+		algorithms = flag.String("algorithms", strings.Join(core.AlgorithmNames(), ","), "comma-separated wake-order policies for the sweep")
 		reps       = flag.Int("reps", 6, "repetitions per sweep cell")
 		minN       = flag.Int("min", 4, "sweep minimum container count")
 		maxN       = flag.Int("max", 38, "sweep maximum container count")

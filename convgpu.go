@@ -46,12 +46,10 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/clock"
-	"convgpu/internal/cluster"
 	"convgpu/internal/container"
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
-	"convgpu/internal/multigpu"
 	"convgpu/internal/nvdocker"
 	"convgpu/internal/plugin"
 	"convgpu/internal/policy"
@@ -80,9 +78,9 @@ const (
 	Random    = core.AlgRandom
 )
 
-// Tenant-aware policy names from the unified policy registry: the three
-// wake-order policies for WithPolicy/WithAlgorithm and the
-// fragmentation-aware placement policy for WithPlacementPolicy.
+// Tenant-aware policy names: the three wake-order policies for
+// WithAlgorithm and the fragmentation-aware placement policy for
+// WithPlacementPolicy.
 const (
 	FairShare = policy.WakeFairShare
 	QuotaFair = policy.WakeQuota
@@ -93,11 +91,11 @@ const (
 // Algorithms lists the four algorithm names in the paper's order.
 func Algorithms() []string { return core.AlgorithmNames() }
 
-// Policies lists every registered wake-order policy: the paper's four
-// first, then the tenant-aware ones.
+// Policies lists every wake-order policy: the paper's four first, then
+// the tenant-aware ones.
 func Policies() []string { return policy.WakeNames() }
 
-// PlacementPolicies lists every registered device placement policy.
+// PlacementPolicies lists every device placement policy.
 func PlacementPolicies() []string { return policy.PlaceNames() }
 
 // Tenant is the identity a container registers under on a shared
@@ -252,55 +250,37 @@ type SweepResult = sim.SweepResult
 func DefaultSweep() Sweep { return sim.DefaultSweep() }
 
 // SimulateMultiGPU replays a trace against the multi-GPU extension
-// (paper §V future work): `devices` GPUs of the configured capacity,
-// containers placed by `policy` ("roundrobin", "leastloaded",
-// "firstfit", "bestfit") and scheduled per device by `algorithm`.
+// (paper §V future work): `devices` GPUs of the K20m's capacity,
+// containers placed by `policy` (any of PlacementPolicies) and scheduled
+// per device by `algorithm` (any of Policies).
 func SimulateMultiGPU(trace []TraceEntry, devices int, policy, algorithm string) (SimResult, error) {
+	return simulateTopology(trace, topology{Devices: devices, Place: policy, Wake: algorithm})
+}
+
+// SimulateCluster replays a trace against the cluster extension (paper
+// §V future work): `nodes` single-GPU nodes, containers placed by the
+// Swarm-style `strategy` (any of ClusterStrategies). Seed 1 feeds the
+// random strategy and the random algorithm alike.
+func SimulateCluster(trace []TraceEntry, nodes int, strategy, algorithm string) (SimResult, error) {
+	return simulateTopology(trace, topology{Nodes: nodes, Strategy: strategy, Wake: algorithm, Seed: 1})
+}
+
+// topology names policy.Spec where SimulateMultiGPU's parameter shadows
+// the package.
+type topology = policy.Spec
+
+// simulateTopology replays trace on the K20m-sized backend spec
+// describes, every scheduler in it on one virtual clock.
+func simulateTopology(trace []TraceEntry, spec topology) (SimResult, error) {
 	clk := clock.NewManual()
-	pol, err := multigpu.NewPolicy(policy)
-	if err != nil {
-		return SimResult{}, err
-	}
-	sched, err := multigpu.New(multigpu.Config{
-		Devices:           devices,
-		CapacityPerDevice: sim.DeviceCapacity,
-		Algorithm:         algorithm,
-		Policy:            pol,
-		Device:            core.Config{Clock: clk},
-	})
+	spec.Capacity, spec.Device = sim.DeviceCapacity, core.Config{Clock: clk}
+	sched, err := policy.NewScheduler(spec)
 	if err != nil {
 		return SimResult{}, err
 	}
 	return sim.RunWith(trace, sched, clk, sim.Config{})
 }
 
-// MultiGPUPolicies lists the placement policies of the multi-GPU
-// extension.
-func MultiGPUPolicies() []string { return multigpu.PolicyNames() }
-
-// SimulateCluster replays a trace against the cluster extension (paper
-// §V future work): `nodes` single-GPU nodes, containers placed by the
-// Swarm-style `strategy` ("spread", "binpack", "random").
-func SimulateCluster(trace []TraceEntry, nodes int, strategy, algorithm string) (SimResult, error) {
-	clk := clock.NewManual()
-	strat, err := cluster.NewStrategy(strategy, 1)
-	if err != nil {
-		return SimResult{}, err
-	}
-	cl, err := cluster.New(cluster.Config{
-		Nodes:          nodes,
-		GPUsPerNode:    1,
-		CapacityPerGPU: sim.DeviceCapacity,
-		Algorithm:      algorithm,
-		Strategy:       strat,
-		Device:         core.Config{Clock: clk},
-	})
-	if err != nil {
-		return SimResult{}, err
-	}
-	return sim.RunWith(trace, cl, clk, sim.Config{})
-}
-
 // ClusterStrategies lists the Swarm-style strategies of the cluster
 // extension.
-func ClusterStrategies() []string { return cluster.StrategyNames() }
+func ClusterStrategies() []string { return policy.StrategyNames() }

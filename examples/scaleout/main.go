@@ -29,7 +29,7 @@ func main() {
 		fmt.Printf("  %6d GPU(s)", d)
 	}
 	fmt.Println()
-	for _, pol := range convgpu.MultiGPUPolicies() {
+	for _, pol := range convgpu.PlacementPolicies() {
 		fmt.Printf("  %-12s", pol)
 		for _, devices := range []int{1, 2, 4} {
 			res, err := convgpu.SimulateMultiGPU(trace, devices, pol, convgpu.BestFit)

@@ -24,8 +24,34 @@ func TestSimulateMultiGPUFacade(t *testing.T) {
 	if _, err := convgpu.SimulateMultiGPU(trace, 2, "bogus", convgpu.BestFit); err == nil {
 		t.Fatal("bogus policy accepted")
 	}
-	if len(convgpu.MultiGPUPolicies()) != 4 {
-		t.Fatalf("policies = %v", convgpu.MultiGPUPolicies())
+	if len(convgpu.PlacementPolicies()) != 5 {
+		t.Fatalf("policies = %v", convgpu.PlacementPolicies())
+	}
+}
+
+// TestSimulateTopologiesTakeEveryPolicy: the facade's multi-GPU and
+// cluster replays build through the one policy table, so the
+// fragmentation-aware placement and the tenant-aware wake policies run
+// there too (RunWith checks every scheduler invariant after each event).
+func TestSimulateTopologiesTakeEveryPolicy(t *testing.T) {
+	trace := convgpu.GenerateTrace(16, 5*time.Second, 3)
+	multi, err := convgpu.SimulateMultiGPU(trace, 2, convgpu.FragAware, convgpu.FairShare)
+	if err != nil {
+		t.Fatal(err)
+	}
+	clus, err := convgpu.SimulateCluster(trace, 2, "binpack", convgpu.Priority)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range []convgpu.SimResult{multi, clus} {
+		if res.Stalled {
+			t.Fatal("run stalled")
+		}
+		for _, c := range res.Containers {
+			if !c.Completed {
+				t.Fatalf("container %s never completed", c.ID)
+			}
+		}
 	}
 }
 

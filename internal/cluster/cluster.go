@@ -20,7 +20,6 @@ package cluster
 import (
 	"fmt"
 	"math/rand"
-	"strings"
 	"sync"
 
 	"convgpu/internal/bytesize"
@@ -58,31 +57,13 @@ type Strategy interface {
 	Place(limit bytesize.Size, nodes []NodeInfo) int
 }
 
-// Strategy names (Docker Swarm's vocabulary).
+// Strategy names (Docker Swarm's vocabulary; internal/policy maps them
+// to the types below).
 const (
 	StrategySpread  = "spread"
 	StrategyBinpack = "binpack"
 	StrategyRandom  = "random"
 )
-
-// StrategyNames lists the strategies.
-func StrategyNames() []string {
-	return []string{StrategySpread, StrategyBinpack, StrategyRandom}
-}
-
-// NewStrategy constructs a strategy by name; seed only affects random.
-func NewStrategy(name string, seed int64) (Strategy, error) {
-	switch strings.ToLower(name) {
-	case StrategySpread:
-		return Spread{}, nil
-	case StrategyBinpack:
-		return Binpack{}, nil
-	case StrategyRandom, "rand":
-		return NewRandomStrategy(seed), nil
-	default:
-		return nil, fmt.Errorf("cluster: unknown strategy %q", name)
-	}
-}
 
 // Spread picks the node with the fewest containers (ties: most total
 // free memory) among nodes that can ever hold the limit.
@@ -170,22 +151,16 @@ type Config struct {
 	GPUsPerNode int
 	// CapacityPerGPU is each GPU's schedulable memory.
 	CapacityPerGPU bytesize.Size
-	// Algorithm is the per-GPU redistribution algorithm name.
-	Algorithm string
-	// AlgorithmFactory, when non-nil, supplies each GPU's wake-order
-	// algorithm instead of resolving Algorithm by name — the policy
-	// registry's construction path. Called per GPU with its seed.
-	AlgorithmFactory func(seed int64) (core.Algorithm, error)
-	// AlgSeed seeds the Random redistribution algorithm.
+	// AlgorithmFactory supplies each GPU's wake-order algorithm, called
+	// per GPU with its seed (AlgSeed + 100·node + GPU index); nil gives
+	// every GPU FIFO.
+	AlgorithmFactory func(seed int64) core.Algorithm
+	// AlgSeed seeds the randomized algorithms.
 	AlgSeed int64
-	// DevicePolicy places containers on GPUs within a node (default
-	// least-loaded).
-	DevicePolicy string
-	// DevicePolicyFactory, when non-nil, supplies each node's device
-	// placement policy instead of resolving DevicePolicy by name —
+	// DevicePolicyFactory supplies each node's device placement policy —
 	// called once per node, so stateful policies (round-robin) stay
-	// per-node like the string path builds them.
-	DevicePolicyFactory func() (multigpu.Policy, error)
+	// per-node. nil places least-loaded.
+	DevicePolicyFactory func() multigpu.Policy
 	// Strategy places containers on nodes (default spread).
 	Strategy Strategy
 	// Device is the per-GPU scheduler template handed to every node's
@@ -238,11 +213,6 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Strategy == nil {
 		cfg.Strategy = Spread{}
 	}
-	devPolicyName := cfg.DevicePolicy
-	if devPolicyName == "" {
-		devPolicyName = multigpu.PolicyLeastLoaded
-	}
-	cfg.DevicePolicy = devPolicyName
 	clk := cfg.Device.Clock
 	if clk == nil {
 		clk = clock.Real{}
@@ -273,20 +243,13 @@ func New(cfg Config) (*Cluster, error) {
 // exactly as it started, so a revived node is indistinguishable from a
 // freshly booted one (and the model oracle can mirror the reset).
 func (c *Cluster) newMember(i int) (core.Scheduler, error) {
-	var pol multigpu.Policy
-	var err error
+	var pol multigpu.Policy // nil: multigpu's least-loaded default
 	if c.cfg.DevicePolicyFactory != nil {
-		pol, err = c.cfg.DevicePolicyFactory()
-	} else {
-		pol, err = multigpu.NewPolicy(c.cfg.DevicePolicy)
-	}
-	if err != nil {
-		return nil, err
+		pol = c.cfg.DevicePolicyFactory()
 	}
 	return multigpu.New(multigpu.Config{
 		Devices:           c.cfg.GPUsPerNode,
 		CapacityPerDevice: c.cfg.CapacityPerGPU,
-		Algorithm:         c.cfg.Algorithm,
 		AlgorithmFactory:  c.cfg.AlgorithmFactory,
 		AlgSeed:           c.cfg.AlgSeed + int64(i)*100,
 		Policy:            pol,

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"convgpu/internal/bytesize"
-	"convgpu/internal/clock"
 	"convgpu/internal/core"
-	"convgpu/internal/sim"
-	"convgpu/internal/workload"
 )
 
 func mib(n int) bytesize.Size { return bytesize.Size(n) * bytesize.MiB }
@@ -26,20 +23,6 @@ func nodes(containersAndFree ...int) []NodeInfo {
 		})
 	}
 	return out
-}
-
-func TestNewStrategy(t *testing.T) {
-	for _, name := range []string{"spread", "binpack", "random", "rand"} {
-		if _, err := NewStrategy(name, 1); err != nil {
-			t.Errorf("NewStrategy(%q): %v", name, err)
-		}
-	}
-	if _, err := NewStrategy("magic", 1); err == nil {
-		t.Error("unknown strategy accepted")
-	}
-	if len(StrategyNames()) != 3 {
-		t.Errorf("StrategyNames() = %v", StrategyNames())
-	}
 }
 
 func TestSpreadFewestContainers(t *testing.T) {
@@ -116,9 +99,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(Config{Nodes: 1, GPUsPerNode: 0, CapacityPerGPU: mib(10)}); err == nil {
 		t.Error("zero gpus accepted")
 	}
-	if _, err := New(Config{Nodes: 1, GPUsPerNode: 1, CapacityPerGPU: mib(10), DevicePolicy: "zzz"}); err == nil {
-		t.Error("bad device policy accepted")
-	}
 	c, err := New(Config{Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: mib(10)})
 	if err != nil {
 		t.Fatal(err)
@@ -188,38 +168,5 @@ func TestClusterRejectsImpossibleLimit(t *testing.T) {
 	c := newCluster(t, 2, 1, Spread{})
 	if _, err := c.Register("big", mib(2000)); err == nil {
 		t.Fatal("impossible limit accepted")
-	}
-}
-
-// TestSimOverCluster: a 2-node x 1-GPU cluster beats a single node on a
-// contended trace.
-func TestSimOverCluster(t *testing.T) {
-	trace := workload.GenerateTrace(24, workload.DefaultSpacing, 55)
-	run := func(nodes int) sim.Result {
-		clk := clock.NewManual()
-		c, err := New(Config{
-			Nodes:          nodes,
-			GPUsPerNode:    1,
-			CapacityPerGPU: 5 * bytesize.GiB,
-			Algorithm:      core.AlgBestFit,
-			Strategy:       Spread{},
-			Device:         core.Config{Clock: clk},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.RunWith(trace, c, clk, sim.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := c.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	one := run(1)
-	two := run(2)
-	if two.FinishTime >= one.FinishTime {
-		t.Fatalf("2 nodes (%v) not faster than 1 (%v)", two.FinishTime, one.FinishTime)
 	}
 }

@@ -1,10 +1,8 @@
 package core
 
 import (
-	"fmt"
 	"math/rand"
 	"sort"
-	"strings"
 
 	"convgpu/internal/bytesize"
 )
@@ -41,7 +39,8 @@ type Algorithm interface {
 	Pick(pool bytesize.Size, cands []Candidate) int
 }
 
-// Algorithm names accepted by NewAlgorithm.
+// Algorithm names (internal/policy maps them, and their aliases, to the
+// types below).
 const (
 	AlgFIFO      = "fifo"
 	AlgBestFit   = "bestfit"
@@ -52,24 +51,6 @@ const (
 // AlgorithmNames lists the four paper algorithms in presentation order.
 func AlgorithmNames() []string {
 	return []string{AlgFIFO, AlgBestFit, AlgRecentUse, AlgRandom}
-}
-
-// NewAlgorithm constructs an algorithm by name ("fifo", "bestfit",
-// "recentuse", "random"; short aliases "bf", "ru", "rand" are accepted).
-// seed only affects "random".
-func NewAlgorithm(name string, seed int64) (Algorithm, error) {
-	switch strings.ToLower(name) {
-	case AlgFIFO, "first-in-first-out":
-		return FIFO{}, nil
-	case AlgBestFit, "bf", "best-fit":
-		return BestFit{}, nil
-	case AlgRecentUse, "ru", "recent-use":
-		return RecentUse{}, nil
-	case AlgRandom, "rand":
-		return NewRandom(seed), nil
-	default:
-		return nil, fmt.Errorf("core: unknown scheduling algorithm %q", name)
-	}
 }
 
 // FIFO selects the oldest created container among paused containers and

@@ -17,20 +17,11 @@ func cands() []Candidate {
 	}
 }
 
-func TestNewAlgorithm(t *testing.T) {
-	for _, name := range []string{"fifo", "bestfit", "bf", "recentuse", "ru", "random", "rand", "FIFO", "Best-Fit"} {
-		a, err := NewAlgorithm(name, 1)
-		if err != nil {
-			t.Errorf("NewAlgorithm(%q): %v", name, err)
-			continue
-		}
-		if a == nil {
-			t.Errorf("NewAlgorithm(%q) returned nil", name)
-		}
-	}
-	if _, err := NewAlgorithm("lru", 1); err == nil {
-		t.Error("NewAlgorithm(lru) should fail")
-	}
+// paperAlgorithms is the paper's four, Random seeded, in AlgorithmNames
+// order. core's tests iterate it: internal/policy owns the name mapping
+// and imports core, so they cannot build algorithms by name.
+func paperAlgorithms(seed int64) []Algorithm {
+	return []Algorithm{FIFO{}, BestFit{}, RecentUse{}, NewRandom(seed)}
 }
 
 func TestAlgorithmNamesOrder(t *testing.T) {

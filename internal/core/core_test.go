@@ -723,13 +723,9 @@ func TestDecisionString(t *testing.T) {
 // operation mix under every algorithm and asserts the core invariants
 // after every single step, plus full-drain recovery at the end.
 func TestRandomOperationsInvariant(t *testing.T) {
-	for _, algName := range AlgorithmNames() {
-		algName := algName
-		t.Run(algName, func(t *testing.T) {
-			alg, err := NewAlgorithm(algName, 7)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, alg := range paperAlgorithms(7) {
+		alg := alg
+		t.Run(alg.Name(), func(t *testing.T) {
 			s, err := New(Config{Capacity: mib(2048), ContextOverhead: mib(66), Algorithm: alg})
 			if err != nil {
 				t.Fatal(err)

@@ -104,13 +104,9 @@ func TestFaultTolerancePersistentGrantsNeverWedge(t *testing.T) {
 	// The brutal combination: persistent grants (which wedge RU/Random
 	// on the Fig. 7 workload) plus fault tolerance. Random sequences of
 	// single-allocation containers must always drain.
-	for _, algName := range AlgorithmNames() {
-		algName := algName
-		t.Run(algName, func(t *testing.T) {
-			alg, err := NewAlgorithm(algName, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, alg := range paperAlgorithms(3) {
+		alg := alg
+		t.Run(alg.Name(), func(t *testing.T) {
 			s, err := New(Config{
 				Capacity:         mib(5120),
 				ContextOverhead:  mib(66),

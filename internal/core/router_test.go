@@ -15,7 +15,7 @@ func newTestRouter(t *testing.T) (*Router, []*State) {
 	var members []Scheduler
 	var states []*State
 	for i := 0; i < 2; i++ {
-		s, err := New(Config{Capacity: mib(500), ContextOverhead: 1, Algorithm: mustAlg(t, AlgFIFO), DeviceIndex: i})
+		s, err := New(Config{Capacity: mib(500), ContextOverhead: 1, Algorithm: FIFO{}, DeviceIndex: i})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -23,15 +23,6 @@ func newTestRouter(t *testing.T) (*Router, []*State) {
 		states = append(states, s)
 	}
 	return NewRouter(members, "node"), states
-}
-
-func mustAlg(t *testing.T, name string) Algorithm {
-	t.Helper()
-	a, err := NewAlgorithm(name, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return a
 }
 
 // TestRouterRoutesAndAggregates pins the routing plane inside its own
@@ -173,7 +164,7 @@ func TestRouterReplaceMember(t *testing.T) {
 		t.Fatalf("PlacementsOn(0) = %v", got)
 	}
 
-	fresh, err := New(Config{Capacity: mib(500), ContextOverhead: 1, Algorithm: mustAlg(t, AlgFIFO)})
+	fresh, err := New(Config{Capacity: mib(500), ContextOverhead: 1, Algorithm: FIFO{}})
 	if err != nil {
 		t.Fatal(err)
 	}

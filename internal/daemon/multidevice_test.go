@@ -18,14 +18,10 @@ import (
 
 func newMultiDevice(t *testing.T, devices int) *multigpu.State {
 	t.Helper()
-	pol, err := multigpu.NewPolicy(multigpu.PolicyRoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := multigpu.New(multigpu.Config{
 		Devices:           devices,
 		CapacityPerDevice: mib(1000),
-		Policy:            pol,
+		Policy:            &multigpu.RoundRobin{},
 		Device:            core.Config{ContextOverhead: 1},
 	})
 	if err != nil {

@@ -8,6 +8,7 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/metrics"
 	"convgpu/internal/multigpu"
+	"convgpu/internal/policy"
 	"convgpu/internal/sim"
 	"convgpu/internal/workload"
 )
@@ -15,6 +16,24 @@ import (
 func init() {
 	register("multigpu", "extension: placement policies over 1-4 GPUs (paper §V future work)", MultiGPU)
 	register("cluster", "extension: Swarm-style strategies over 1-4 nodes (paper §V future work)", ClusterExp)
+}
+
+// x1Policies are X1's rows: the four device placement policies the
+// table has always had, listed here so it keeps its shape.
+var x1Policies = []string{
+	multigpu.PolicyRoundRobin, multigpu.PolicyLeastLoaded, multigpu.PolicyFirstFit, multigpu.PolicyBestFit,
+}
+
+// runTopology replays trace on the K20m-sized backend spec describes,
+// every scheduler in it on one virtual clock.
+func runTopology(trace []workload.TraceEntry, spec policy.Spec) (sim.Result, error) {
+	clk := clock.NewManual()
+	spec.Capacity, spec.Device = sim.DeviceCapacity, core.Config{Clock: clk}
+	sched, err := policy.NewScheduler(spec)
+	if err != nil {
+		return sim.Result{}, err
+	}
+	return sim.RunWith(trace, sched, clk, sim.Config{})
 }
 
 // MultiGPU evaluates the multi-GPU extension: the same contended trace
@@ -38,27 +57,12 @@ func MultiGPU(opt Options) (*Report, error) {
 		devices int
 	}
 	finish := map[key]float64{}
-	for _, polName := range multigpu.PolicyNames() {
+	for _, polName := range x1Policies {
 		for _, devices := range deviceCounts {
 			var total float64
 			for rep := 0; rep < reps; rep++ {
 				trace := workload.GenerateTrace(n, workload.DefaultSpacing, 31000+int64(rep))
-				clk := clock.NewManual()
-				pol, err := multigpu.NewPolicy(polName)
-				if err != nil {
-					return nil, err
-				}
-				sched, err := multigpu.New(multigpu.Config{
-					Devices:           devices,
-					CapacityPerDevice: sim.DeviceCapacity,
-					Algorithm:         core.AlgBestFit,
-					Policy:            pol,
-					Device:            core.Config{Clock: clk},
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.RunWith(trace, sched, clk, sim.Config{})
+				res, err := runTopology(trace, policy.Spec{Devices: devices, Wake: core.AlgBestFit, Place: polName})
 				if err != nil {
 					return nil, err
 				}
@@ -67,7 +71,7 @@ func MultiGPU(opt Options) (*Report, error) {
 			finish[key{polName, devices}] = total
 		}
 	}
-	for _, polName := range multigpu.PolicyNames() {
+	for _, polName := range x1Policies {
 		var cells []float64
 		for _, d := range deviceCounts {
 			cells = append(cells, finish[key{polName, d}])
@@ -109,28 +113,12 @@ func ClusterExp(opt Options) (*Report, error) {
 		nodes    int
 	}
 	finish := map[key]float64{}
-	for _, stratName := range cluster.StrategyNames() {
+	for _, stratName := range policy.StrategyNames() {
 		for _, nodes := range nodeCounts {
 			var total float64
 			for rep := 0; rep < reps; rep++ {
 				trace := workload.GenerateTrace(n, workload.DefaultSpacing, 47000+int64(rep))
-				clk := clock.NewManual()
-				strat, err := cluster.NewStrategy(stratName, int64(rep))
-				if err != nil {
-					return nil, err
-				}
-				cl, err := cluster.New(cluster.Config{
-					Nodes:          nodes,
-					GPUsPerNode:    1,
-					CapacityPerGPU: sim.DeviceCapacity,
-					Algorithm:      core.AlgBestFit,
-					Strategy:       strat,
-					Device:         core.Config{Clock: clk},
-				})
-				if err != nil {
-					return nil, err
-				}
-				res, err := sim.RunWith(trace, cl, clk, sim.Config{})
+				res, err := runTopology(trace, policy.Spec{Nodes: nodes, Wake: core.AlgBestFit, Strategy: stratName, Seed: int64(rep)})
 				if err != nil {
 					return nil, err
 				}
@@ -139,7 +127,7 @@ func ClusterExp(opt Options) (*Report, error) {
 			finish[key{stratName, nodes}] = total
 		}
 	}
-	for _, stratName := range cluster.StrategyNames() {
+	for _, stratName := range policy.StrategyNames() {
 		var cells []float64
 		for _, d := range nodeCounts {
 			cells = append(cells, finish[key{stratName, d}])

@@ -18,7 +18,7 @@ func init() {
 // Fig78Scale re-runs the paper's Fig. 7/8 experiment two orders of
 // magnitude past the testbed: a single 3200-container cohort (the paper
 // tops out at 38, with 32 as the last Best-Fit win reported) under all
-// seven registered wake policies, not just the paper's four. The
+// seven wake policies, not just the paper's four. The
 // question it answers is whether Best-Fit's finish-time advantage — the
 // paper's headline claim — survives when the queue is deep enough that
 // its starvation pathology (Fig. 8's caveat) has 100x the opportunity
@@ -28,11 +28,6 @@ func Fig78Scale(opt Options) (*Report, error) {
 	s.Counts = []int{3200}
 	s.Reps = 1
 	s.Algorithms = policy.WakeNames()
-	// Registry policies (fairshare, quota, priority) are unknown to
-	// core.NewAlgorithm; route all resolution through the registry.
-	s.Config.WakeFactory = func(name string, seed int64) (core.Algorithm, error) {
-		return policy.NewWake(name, policy.Config{Seed: seed})
-	}
 	if opt.Quick {
 		s.Counts = []int{320}
 	}

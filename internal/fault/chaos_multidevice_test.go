@@ -45,14 +45,10 @@ func TestChaosMultiDevice(t *testing.T) {
 }
 
 func runChaosMultiDeviceSchedule(t *testing.T, seed int64) {
-	pol, err := multigpu.NewPolicy(multigpu.PolicyRoundRobin)
-	if err != nil {
-		t.Fatal(err)
-	}
 	st, err := multigpu.New(multigpu.Config{
 		Devices:           2,
 		CapacityPerDevice: cmib(chaosCapacity),
-		Policy:            pol,
+		Policy:            &multigpu.RoundRobin{},
 		Device:            core.Config{ContextOverhead: 1},
 	})
 	if err != nil {

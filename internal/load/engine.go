@@ -21,11 +21,11 @@ const checkEvery = 512
 // Config parameterizes one harness run: the scheduler under test. The
 // physics the request stream is replayed with are sim's constants.
 type Config struct {
-	// Wake is the wake-order policy name (policy registry; default
-	// fifo). All seven registered policies are valid.
+	// Wake is the wake-order policy name (any of policy.WakeNames or an
+	// alias; default fifo).
 	Wake string
-	// Place is the placement policy name (policy registry; default
-	// leastloaded).
+	// Place is the placement policy name (any of policy.PlaceNames or an
+	// alias; default leastloaded).
 	Place string
 	// Devices is the GPU count (default 4).
 	Devices int

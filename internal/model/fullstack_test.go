@@ -16,6 +16,7 @@ import (
 	"convgpu/internal/daemon"
 	"convgpu/internal/ipc"
 	"convgpu/internal/model"
+	"convgpu/internal/policy"
 	"convgpu/internal/protocol"
 )
 
@@ -495,7 +496,7 @@ func fullStackBackend(t *testing.T, alg string, seed int64) (model.Backend, func
 				last.shutdown()
 				last = nil
 			}
-			a, err := core.NewAlgorithm(alg, seed)
+			a, err := policy.NewWake(alg, policy.Config{Seed: seed})
 			if err != nil {
 				return nil, err
 			}
@@ -610,7 +611,7 @@ func mustOK(t *testing.T, cli *ipc.Client, msg *protocol.Message) *protocol.Mess
 func TestFullStackRestartRecovery(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "cv")
 	mkCore := func() core.Scheduler {
-		a, err := core.NewAlgorithm(core.AlgBestFit, 1)
+		a, err := policy.NewWake(core.AlgBestFit, policy.Config{Seed: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -749,7 +750,7 @@ func TestFullStackRestartRecovery(t *testing.T) {
 // another container's parked request.
 func TestFullStackLeaseExpiryConformance(t *testing.T) {
 	clk := clock.NewManual()
-	a, err := core.NewAlgorithm(core.AlgFIFO, 1)
+	a, err := policy.NewWake(core.AlgFIFO, policy.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -908,7 +909,7 @@ func TestFullStackBinaryRestartRecovery(t *testing.T) {
 			}
 			base := filepath.Join(t.TempDir(), "cv")
 			mkCore := func() core.Scheduler {
-				a, err := core.NewAlgorithm(core.AlgBestFit, 1)
+				a, err := policy.NewWake(core.AlgBestFit, policy.Config{Seed: 1})
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -9,7 +9,7 @@ import (
 	"convgpu/internal/cluster"
 	"convgpu/internal/core"
 	"convgpu/internal/model"
-	"convgpu/internal/multigpu"
+	"convgpu/internal/policy"
 )
 
 // The short run (defaults) keeps `go test ./...` fast; `make model`
@@ -27,32 +27,22 @@ const (
 )
 
 // backends returns the three topologies the oracle checks, each built
-// around the given algorithm and seed: a single core.State, a 2-device
-// multigpu.State, and a 2x2 cluster.Cluster. Restarts are exercised on
-// the first two; cluster recovery migrates claims across nodes (every
-// un-pinned claim lands on the first accepting node), which is a
-// placement-policy question the sequential model does not answer, so
-// restart ops are disabled there.
+// by policy.NewScheduler around the given wake policy and seed: a single
+// core.State, a 2-device multigpu.State, and a 2x2 cluster.Cluster.
+// Restarts are exercised on the first two; cluster recovery migrates
+// claims across nodes (every un-pinned claim lands on the first
+// accepting node), which is a placement-policy question the sequential
+// model does not answer, so restart ops are disabled there.
 func backends(alg string, seed int64) []model.Backend {
-	single := func() (core.Scheduler, error) {
-		a, err := core.NewAlgorithm(alg, seed)
-		if err != nil {
-			return nil, err
+	build := func(nodes, devices int) func() (core.Scheduler, error) {
+		return func() (core.Scheduler, error) {
+			return policy.NewScheduler(policy.Spec{
+				Nodes: nodes, Devices: devices, Capacity: capacity,
+				Wake: alg, Seed: seed, Device: core.Config{ContextOverhead: overhead},
+			})
 		}
-		return core.New(core.Config{Capacity: capacity, ContextOverhead: overhead, Algorithm: a})
 	}
-	multi := func() (core.Scheduler, error) {
-		return multigpu.New(multigpu.Config{
-			Devices: 2, CapacityPerDevice: capacity,
-			Algorithm: alg, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
-		})
-	}
-	clus := func() (core.Scheduler, error) {
-		return cluster.New(cluster.Config{
-			Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: capacity,
-			Algorithm: alg, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
-		})
-	}
+	single, multi, clus := build(1, 1), build(1, 2), build(2, 2)
 	return []model.Backend{
 		{
 			Name: "core", New: single, Restart: single,

@@ -6,6 +6,7 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/model"
+	"convgpu/internal/policy"
 )
 
 // The mutation tests prove the oracle's sensitivity: a deliberately
@@ -97,7 +98,7 @@ func TestMutationBrokenBestFit(t *testing.T) {
 // TestMutationCapacityOffByOne plants a one-byte capacity inflation —
 // the real device claims one more byte than the model believes exists.
 func TestMutationCapacityOffByOne(t *testing.T) {
-	alg, err := core.NewAlgorithm(core.AlgBestFit, 1)
+	alg, err := policy.NewWake(core.AlgBestFit, policy.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -162,7 +163,7 @@ func (greedyPreemptor) Victims(need bytesize.Size, req core.Holder, holders []co
 // TestMutationGreedyPreemptor plants the over-eager preemptor under
 // tenant streams and demands the oracle catches the illegal reclaim.
 func TestMutationGreedyPreemptor(t *testing.T) {
-	alg, err := core.NewAlgorithm(core.AlgFIFO, 1)
+	alg, err := policy.NewWake(core.AlgFIFO, policy.Config{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

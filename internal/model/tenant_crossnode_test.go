@@ -30,16 +30,14 @@ func TestTenantCrossNodeRollup(t *testing.T) {
 		t.Run(alg, func(t *testing.T) {
 			t.Parallel()
 			const seed = 7
-			factory := func(s int64) (core.Algorithm, error) {
-				return policy.NewWake(alg, policy.Config{Seed: s})
-			}
-			clus, err := cluster.New(cluster.Config{
-				Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: capacity,
-				AlgorithmFactory: factory, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
+			st, err := policy.NewScheduler(policy.Spec{
+				Nodes: 2, Devices: 2, Capacity: capacity,
+				Wake: alg, Seed: seed, Device: core.Config{ContextOverhead: overhead},
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
+			clus := st.(*cluster.Cluster)
 			m := model.New(model.Config{
 				Devices: 4, Capacity: capacity, Overhead: overhead,
 				Algorithm: alg,

@@ -5,10 +5,8 @@ import (
 	"testing"
 
 	"convgpu/internal/bytesize"
-	"convgpu/internal/cluster"
 	"convgpu/internal/core"
 	"convgpu/internal/model"
-	"convgpu/internal/multigpu"
 	"convgpu/internal/policy"
 )
 
@@ -34,79 +32,13 @@ func tenantAlgorithms() []string {
 		policy.WakeFairShare, policy.WakeQuota, policy.WakePriority)
 }
 
-// tenantBackends mirrors backends() but constructs every wake policy
-// through the unified policy registry (the registry's factory path is
-// exactly what the daemon CLIs and the facade use) and carries the
-// tenant table.
+// tenantBackends is backends() carrying the tenant table.
 func tenantBackends(alg string, seed int64) []model.Backend {
-	table := tenantTable()
-	factory := func(s int64) (core.Algorithm, error) {
-		return policy.NewWake(alg, policy.Config{Seed: s})
+	bs := backends(alg, seed)
+	for i := range bs {
+		bs[i].Tenants = tenantTable()
 	}
-	single := func() (core.Scheduler, error) {
-		a, err := factory(seed)
-		if err != nil {
-			return nil, err
-		}
-		return core.New(core.Config{Capacity: capacity, ContextOverhead: overhead, Algorithm: a})
-	}
-	multi := func() (core.Scheduler, error) {
-		return multigpu.New(multigpu.Config{
-			Devices: 2, CapacityPerDevice: capacity,
-			AlgorithmFactory: factory, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
-		})
-	}
-	clus := func() (core.Scheduler, error) {
-		return cluster.New(cluster.Config{
-			Nodes: 2, GPUsPerNode: 2, CapacityPerGPU: capacity,
-			AlgorithmFactory: factory, AlgSeed: seed, Device: core.Config{ContextOverhead: overhead},
-		})
-	}
-	return []model.Backend{
-		{
-			Name: "core", New: single, Restart: single, Tenants: table,
-			Model: func() *model.Model {
-				return model.New(model.Config{
-					Devices: 1, Capacity: capacity, Overhead: overhead,
-					Algorithm: alg, AlgSeeds: []int64{seed},
-				})
-			},
-		},
-		{
-			Name: "multigpu-2", New: multi, Restart: multi, Tenants: table,
-			Model: func() *model.Model {
-				return model.New(model.Config{
-					Devices: 2, Capacity: capacity, Overhead: overhead,
-					Algorithm: alg, AlgSeeds: []int64{seed, seed + 1}, Routed: true,
-				})
-			},
-		},
-		{
-			Name: "cluster-2x2", New: clus, Tenants: table,
-			Model: func() *model.Model {
-				return model.New(model.Config{
-					Devices: 4, Capacity: capacity, Overhead: overhead,
-					Algorithm: alg,
-					AlgSeeds:  []int64{seed, seed + 1, seed + 100, seed + 101},
-					Routed:    true,
-				})
-			},
-			DeviceOf: func(s core.Scheduler, id core.ContainerID) (int, error) {
-				node, dev, err := s.(*cluster.Cluster).NodePlacement(id)
-				if err != nil {
-					return -1, err
-				}
-				return node*2 + dev, nil
-			},
-			Nodes: 2, GPUsPerNode: 2,
-			FailNode: func(s core.Scheduler, node int) (core.FailoverReport, error) {
-				return s.(*cluster.Cluster).FailNode(node)
-			},
-			Revive: func(s core.Scheduler, node int) error {
-				return s.(*cluster.Cluster).Revive(node)
-			},
-		},
-	}
+	return bs
 }
 
 // TestTenantConformance drives every wake policy on every topology

@@ -20,7 +20,6 @@ package multigpu
 
 import (
 	"fmt"
-	"strings"
 	"sync"
 
 	"convgpu/internal/bytesize"
@@ -41,34 +40,13 @@ type Policy interface {
 	Place(limit bytesize.Size, devs []DeviceInfo) int
 }
 
-// Policy names understood by NewPolicy.
+// Policy names (internal/policy maps them to the types below).
 const (
 	PolicyRoundRobin  = "roundrobin"
 	PolicyLeastLoaded = "leastloaded"
 	PolicyFirstFit    = "firstfit"
 	PolicyBestFit     = "bestfit"
 )
-
-// PolicyNames lists the placement policies.
-func PolicyNames() []string {
-	return []string{PolicyRoundRobin, PolicyLeastLoaded, PolicyFirstFit, PolicyBestFit}
-}
-
-// NewPolicy constructs a policy by name.
-func NewPolicy(name string) (Policy, error) {
-	switch strings.ToLower(name) {
-	case PolicyRoundRobin, "rr":
-		return &RoundRobin{}, nil
-	case PolicyLeastLoaded, "ll":
-		return LeastLoaded{}, nil
-	case PolicyFirstFit, "ff":
-		return FirstFit{}, nil
-	case PolicyBestFit, "bf":
-		return BestFitDevice{}, nil
-	default:
-		return nil, fmt.Errorf("multigpu: unknown placement policy %q", name)
-	}
-}
 
 // RoundRobin rotates placements across devices that can ever fit the
 // limit.
@@ -171,15 +149,11 @@ type Config struct {
 	// capacities through DeviceInfo.Capacity exactly as before; nothing
 	// else in the scheduler assumes uniformity.
 	Capacities []bytesize.Size
-	// Algorithm is the per-device redistribution algorithm name.
-	Algorithm string
-	// AlgorithmFactory, when non-nil, supplies each device's wake-order
-	// algorithm instead of resolving Algorithm by name — the policy
-	// registry's construction path, which also reaches policies
-	// core.NewAlgorithm does not know. It is called once per device with
-	// that device's seed (AlgSeed + device index).
-	AlgorithmFactory func(seed int64) (core.Algorithm, error)
-	// AlgSeed seeds the Random algorithm.
+	// AlgorithmFactory supplies each device's wake-order algorithm. It is
+	// called once per device with that device's seed (AlgSeed + device
+	// index); nil gives every device FIFO.
+	AlgorithmFactory func(seed int64) core.Algorithm
+	// AlgSeed seeds the randomized algorithms.
 	AlgSeed int64
 	// Policy places containers onto devices (default least-loaded).
 	Policy Policy
@@ -217,23 +191,14 @@ func New(cfg Config) (*State, error) {
 	if cfg.Policy == nil {
 		cfg.Policy = LeastLoaded{}
 	}
-	if cfg.Algorithm == "" {
-		cfg.Algorithm = core.AlgFIFO
-	}
 	if len(cfg.Capacities) > 0 && len(cfg.Capacities) != cfg.Devices {
 		return nil, fmt.Errorf("multigpu: %d per-device capacities for %d devices", len(cfg.Capacities), cfg.Devices)
 	}
 	members := make([]core.Scheduler, cfg.Devices)
 	for i := range members {
-		var alg core.Algorithm
-		var err error
+		var alg core.Algorithm = core.FIFO{}
 		if cfg.AlgorithmFactory != nil {
-			alg, err = cfg.AlgorithmFactory(cfg.AlgSeed + int64(i))
-		} else {
-			alg, err = core.NewAlgorithm(cfg.Algorithm, cfg.AlgSeed+int64(i))
-		}
-		if err != nil {
-			return nil, err
+			alg = cfg.AlgorithmFactory(cfg.AlgSeed + int64(i))
 		}
 		capacity := cfg.CapacityPerDevice
 		if len(cfg.Capacities) > 0 {

@@ -4,10 +4,7 @@ import (
 	"testing"
 
 	"convgpu/internal/bytesize"
-	"convgpu/internal/clock"
 	"convgpu/internal/core"
-	"convgpu/internal/sim"
-	"convgpu/internal/workload"
 )
 
 func mib(n int) bytesize.Size { return bytesize.Size(n) * bytesize.MiB }
@@ -18,20 +15,6 @@ func devs(pools ...int) []DeviceInfo {
 		out[i] = DeviceInfo{Index: i, Capacity: mib(5120), PoolFree: mib(p)}
 	}
 	return out
-}
-
-func TestNewPolicy(t *testing.T) {
-	for _, name := range []string{"roundrobin", "rr", "leastloaded", "ll", "firstfit", "ff", "bestfit", "bf"} {
-		if _, err := NewPolicy(name); err != nil {
-			t.Errorf("NewPolicy(%q): %v", name, err)
-		}
-	}
-	if _, err := NewPolicy("nope"); err == nil {
-		t.Error("unknown policy accepted")
-	}
-	if len(PolicyNames()) != 4 {
-		t.Errorf("PolicyNames() = %v", PolicyNames())
-	}
 }
 
 func TestRoundRobinRotates(t *testing.T) {
@@ -110,9 +93,6 @@ func TestNewValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Devices: 1, CapacityPerDevice: 0}); err == nil {
 		t.Error("zero capacity accepted")
-	}
-	if _, err := New(Config{Devices: 1, CapacityPerDevice: mib(100), Algorithm: "nope"}); err == nil {
-		t.Error("bad algorithm accepted")
 	}
 	s, err := New(Config{Devices: 2, CapacityPerDevice: mib(100)})
 	if err != nil {
@@ -215,45 +195,5 @@ func TestDevicesSnapshot(t *testing.T) {
 	}
 	if total != 1 {
 		t.Fatalf("container count across devices = %d", total)
-	}
-}
-
-// TestSimOverMultiGPU replays a contended trace on 1 vs 2 GPUs: doubling
-// devices must cut both finish time and suspension.
-func TestSimOverMultiGPU(t *testing.T) {
-	trace := workload.GenerateTrace(24, workload.DefaultSpacing, 77)
-	run := func(devices int) sim.Result {
-		clk := clock.NewManual()
-		s, err := New(Config{
-			Devices:           devices,
-			CapacityPerDevice: 5 * bytesize.GiB,
-			Algorithm:         core.AlgBestFit,
-			Policy:            LeastLoaded{},
-			Device:            core.Config{Clock: clk},
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := sim.RunWith(trace, s, clk, sim.Config{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.CheckInvariants(); err != nil {
-			t.Fatal(err)
-		}
-		return res
-	}
-	one := run(1)
-	two := run(2)
-	if two.FinishTime >= one.FinishTime {
-		t.Fatalf("2 GPUs (%v) not faster than 1 (%v)", two.FinishTime, one.FinishTime)
-	}
-	if two.AvgSuspended >= one.AvgSuspended {
-		t.Fatalf("2 GPUs suspension (%v) not below 1 GPU (%v)", two.AvgSuspended, one.AvgSuspended)
-	}
-	for _, c := range two.Containers {
-		if !c.Completed {
-			t.Fatalf("container %s never completed on 2 GPUs", c.ID)
-		}
 	}
 }

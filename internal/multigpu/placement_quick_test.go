@@ -284,15 +284,11 @@ func opStream(t *testing.T, policy Policy, seed int64) {
 // TestPlacementOpStreams: random operation streams keep per-device
 // invariants for every placement policy.
 func TestPlacementOpStreams(t *testing.T) {
-	for _, name := range PolicyNames() {
-		name := name
-		t.Run(name, func(t *testing.T) {
+	for i, p := range freshPolicies() {
+		i := i
+		t.Run(p.Name(), func(t *testing.T) {
 			for seed := int64(1); seed <= 20; seed++ {
-				pol, err := NewPolicy(name)
-				if err != nil {
-					t.Fatal(err)
-				}
-				opStream(t, pol, seed)
+				opStream(t, freshPolicies()[i], seed)
 			}
 		})
 	}

@@ -228,7 +228,7 @@ func heteroOpStream(t *testing.T, name string, seed int64) {
 	}
 }
 
-// TestPlaceHeteroOpStreams: every registered placement policy keeps
+// TestPlaceHeteroOpStreams: every placement policy keeps
 // per-device invariants over random op streams on an unequal-capacity
 // (MIG-style) topology.
 func TestPlaceHeteroOpStreams(t *testing.T) {

@@ -1,209 +1,135 @@
-// Package policy is the unified plugin registry for the scheduler's
-// two decision surfaces: wake-order policies (which paused container
-// receives freed memory — the paper's redistribution algorithms, core
-// Algorithm) and placement policies (which device a new container lands
-// on — multigpu.Policy). It follows the shape of volcano's scheduler
-// plugins: policies are named, registered through factories, selected
-// by name per daemon, and constructed with per-policy configuration.
+// Package policy is the one place a policy name becomes a policy. It
+// holds three static tables — wake order (which paused container
+// receives freed memory: the paper's redistribution algorithms, a
+// core.Algorithm), device placement (which GPU a new container lands on,
+// a multigpu.Policy) and node strategy (which node of a cluster, a
+// cluster.Strategy) — and NewScheduler, the one assembly that builds any
+// topology from those names.
 //
-// The paper's four redistribution algorithms and the four device
-// placement policies are pre-registered with their historical names and
-// short aliases; their factories delegate to core.NewAlgorithm and
-// multigpu.NewPolicy, so resolving a legacy name through the registry
-// yields the exact same concrete policy value — byte-identical
-// behavior. On top of them the registry ships the tenant-aware
-// policies: weighted fair share (DRF-style deficit ordering), quota /
-// guarantee shortfall ordering, priority with preemption, and
-// fragmentation-aware placement for heterogeneous device sizes.
+// Every entry is a canonical name, the aliases that also select it
+// (matched case-insensitively) and a constructor that takes a seed. The
+// paper's four algorithms and the four legacy placement policies keep
+// their historical names and short aliases; on top of them the tables
+// carry the tenant-aware policies — weighted fair share (DRF-style
+// deficit ordering), quota / guarantee shortfall ordering, priority with
+// preemption — and fragmentation-aware placement for heterogeneous
+// device sizes.
 package policy
 
 import (
 	"fmt"
 	"strings"
-	"sync"
 
+	"convgpu/internal/cluster"
 	"convgpu/internal/core"
 	"convgpu/internal/multigpu"
 )
 
-// Config carries per-policy construction parameters. Seed feeds
-// randomized policies; Args is the open-ended per-policy knob table
-// (volcano's plugin arguments) — unknown keys are ignored by policies
-// that do not consume them.
+// Config carries a policy's construction parameters: Seed feeds the
+// randomized ones (the random wake order and node strategy).
 type Config struct {
 	Seed int64
-	Args map[string]string
 }
 
-// WakeFactory builds a wake-order policy (a core.Algorithm).
-type WakeFactory func(cfg Config) (core.Algorithm, error)
-
-// PlaceFactory builds a device placement policy (a multigpu.Policy).
-type PlaceFactory func(cfg Config) (multigpu.Policy, error)
-
-// registry is one named-factory table with alias resolution. Names and
-// aliases share a namespace and are matched case-insensitively.
-type registry[F any] struct {
-	mu        sync.RWMutex
-	kind      string
-	factories map[string]F
-	canonical map[string]string // alias (and name) -> canonical name
-	order     []string          // canonical names in registration order
+// entry is one row of a policy table.
+type entry[T any] struct {
+	name    string
+	aliases []string
+	build   func(seed int64) T
 }
 
-func newRegistry[F any](kind string) *registry[F] {
-	return &registry[F]{
-		kind:      kind,
-		factories: make(map[string]F),
-		canonical: make(map[string]string),
-	}
+// table is one kind of policy, its rows in listing order.
+type table[T any] struct {
+	kind string
+	rows []entry[T]
 }
 
-func (r *registry[F]) register(name string, f F, aliases ...string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := strings.ToLower(name)
-	if _, dup := r.factories[key]; dup {
-		panic(fmt.Sprintf("policy: duplicate %s policy %q", r.kind, name))
-	}
-	r.factories[key] = f
-	r.canonical[key] = key
-	r.order = append(r.order, key)
-	for _, a := range aliases {
-		ak := strings.ToLower(a)
-		if have, dup := r.canonical[ak]; dup {
-			panic(fmt.Sprintf("policy: alias %q of %s policy %q already names %q", a, r.kind, name, have))
+var wakes = table[core.Algorithm]{"wake policy", []entry[core.Algorithm]{
+	{core.AlgFIFO, []string{"first-in-first-out"}, func(int64) core.Algorithm { return core.FIFO{} }},
+	{core.AlgBestFit, []string{"bf", "best-fit"}, func(int64) core.Algorithm { return core.BestFit{} }},
+	{core.AlgRecentUse, []string{"ru", "recent-use"}, func(int64) core.Algorithm { return core.RecentUse{} }},
+	{core.AlgRandom, []string{"rand"}, func(seed int64) core.Algorithm { return core.NewRandom(seed) }},
+	{WakeFairShare, []string{"fair-share", "fs", "drf"}, func(int64) core.Algorithm { return FairShare{} }},
+	{WakeQuota, []string{"guarantee"}, func(int64) core.Algorithm { return Quota{} }},
+	{WakePriority, []string{"prio", "preempt"}, func(int64) core.Algorithm { return Priority{} }},
+}}
+
+var places = table[multigpu.Policy]{"placement policy", []entry[multigpu.Policy]{
+	{multigpu.PolicyRoundRobin, []string{"rr"}, func(int64) multigpu.Policy { return &multigpu.RoundRobin{} }},
+	{multigpu.PolicyLeastLoaded, []string{"ll"}, func(int64) multigpu.Policy { return multigpu.LeastLoaded{} }},
+	{multigpu.PolicyFirstFit, []string{"ff"}, func(int64) multigpu.Policy { return multigpu.FirstFit{} }},
+	{multigpu.PolicyBestFit, []string{"bf"}, func(int64) multigpu.Policy { return multigpu.BestFitDevice{} }},
+	{PlaceFragAware, []string{"frag", "fragmentation-aware"}, func(int64) multigpu.Policy { return FragAware{} }},
+}}
+
+var strategies = table[cluster.Strategy]{"node strategy", []entry[cluster.Strategy]{
+	{cluster.StrategySpread, nil, func(int64) cluster.Strategy { return cluster.Spread{} }},
+	{cluster.StrategyBinpack, nil, func(int64) cluster.Strategy { return cluster.Binpack{} }},
+	{cluster.StrategyRandom, []string{"rand"}, func(seed int64) cluster.Strategy { return cluster.NewRandomStrategy(seed) }},
+}}
+
+// find returns the row name or one of its aliases selects; an unknown
+// name fails with the full list.
+func (t table[T]) find(name string) (entry[T], error) {
+	for _, e := range t.rows {
+		if strings.EqualFold(name, e.name) {
+			return e, nil
 		}
-		r.canonical[ak] = key
+		for _, a := range e.aliases {
+			if strings.EqualFold(name, a) {
+				return e, nil
+			}
+		}
 	}
+	return entry[T]{}, fmt.Errorf("policy: unknown %s %q (have %s)", t.kind, name, strings.Join(t.names(), "|"))
 }
 
-func (r *registry[F]) lookup(name string) (F, error) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	key, ok := r.canonical[strings.ToLower(name)]
-	if !ok {
-		var zero F
-		return zero, fmt.Errorf("policy: unknown %s policy %q (have %s)",
-			r.kind, name, strings.Join(r.order, "|"))
+func (t table[T]) names() []string {
+	out := make([]string, len(t.rows))
+	for i, e := range t.rows {
+		out[i] = e.name
 	}
-	return r.factories[key], nil
-}
-
-func (r *registry[F]) names() []string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	out := make([]string, len(r.order))
-	copy(out, r.order)
 	return out
 }
 
-func (r *registry[F]) resolve(name string) (string, bool) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	key, ok := r.canonical[strings.ToLower(name)]
-	return key, ok
+func (t table[T]) build(name string, cfg Config) (T, error) {
+	e, err := t.find(name)
+	if err != nil {
+		var zero T
+		return zero, err
+	}
+	return e.build(cfg.Seed), nil
 }
 
-var (
-	wakeReg  = newRegistry[WakeFactory]("wake")
-	placeReg = newRegistry[PlaceFactory]("placement")
-)
-
-// RegisterWake registers a wake-order policy factory under name and
-// optional aliases. It panics on a duplicate name or alias — policy
-// registration happens at init time, where a clash is a programming
-// error.
-func RegisterWake(name string, f WakeFactory, aliases ...string) {
-	wakeReg.register(name, f, aliases...)
-}
-
-// RegisterPlace registers a placement policy factory under name and
-// optional aliases.
-func RegisterPlace(name string, f PlaceFactory, aliases ...string) {
-	placeReg.register(name, f, aliases...)
+func (t table[T]) resolve(name string) (string, bool) {
+	e, err := t.find(name)
+	return e.name, err == nil
 }
 
 // NewWake constructs the named wake-order policy.
-func NewWake(name string, cfg Config) (core.Algorithm, error) {
-	f, err := wakeReg.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(cfg)
+func NewWake(name string, cfg Config) (core.Algorithm, error) { return wakes.build(name, cfg) }
+
+// NewPlace constructs the named device placement policy.
+func NewPlace(name string, cfg Config) (multigpu.Policy, error) { return places.build(name, cfg) }
+
+// NewStrategy constructs the named node strategy.
+func NewStrategy(name string, cfg Config) (cluster.Strategy, error) {
+	return strategies.build(name, cfg)
 }
 
-// NewPlace constructs the named placement policy.
-func NewPlace(name string, cfg Config) (multigpu.Policy, error) {
-	f, err := placeReg.lookup(name)
-	if err != nil {
-		return nil, err
-	}
-	return f(cfg)
-}
+// WakeNames lists the wake-order policies, the paper's four first.
+func WakeNames() []string { return wakes.names() }
 
-// WakeNames lists the registered wake-order policies, registration
-// order (the paper's four first).
-func WakeNames() []string { return wakeReg.names() }
+// PlaceNames lists the device placement policies, the legacy four first.
+func PlaceNames() []string { return places.names() }
 
-// PlaceNames lists the registered placement policies, registration
-// order (the legacy four first).
-func PlaceNames() []string { return placeReg.names() }
+// StrategyNames lists the node strategies.
+func StrategyNames() []string { return strategies.names() }
 
-// ResolveWake maps a wake policy name or alias to its canonical
-// registry name, reporting whether it is known. CLIs use it to accept
-// legacy spellings while printing the canonical name.
-func ResolveWake(name string) (string, bool) { return wakeReg.resolve(name) }
+// ResolveWake maps a wake policy name or alias to its canonical name,
+// reporting whether it is known. CLIs use it to accept legacy spellings
+// while printing the canonical name.
+func ResolveWake(name string) (string, bool) { return wakes.resolve(name) }
 
 // ResolvePlace is ResolveWake for placement policies.
-func ResolvePlace(name string) (string, bool) { return placeReg.resolve(name) }
-
-func init() {
-	// The paper's four wake-order algorithms, by their historical names
-	// and the short aliases core.NewAlgorithm always accepted. The
-	// factories delegate to core.NewAlgorithm, so the registry hands back
-	// the identical concrete values.
-	for _, name := range core.AlgorithmNames() {
-		name := name
-		f := func(cfg Config) (core.Algorithm, error) { return core.NewAlgorithm(name, cfg.Seed) }
-		switch name {
-		case core.AlgFIFO:
-			RegisterWake(name, f, "first-in-first-out")
-		case core.AlgBestFit:
-			RegisterWake(name, f, "bf", "best-fit")
-		case core.AlgRecentUse:
-			RegisterWake(name, f, "ru", "recent-use")
-		case core.AlgRandom:
-			RegisterWake(name, f, "rand")
-		default:
-			RegisterWake(name, f)
-		}
-	}
-	RegisterWake(WakeFairShare, func(Config) (core.Algorithm, error) { return FairShare{}, nil },
-		"fair-share", "fs", "drf")
-	RegisterWake(WakeQuota, func(Config) (core.Algorithm, error) { return Quota{}, nil },
-		"guarantee")
-	RegisterWake(WakePriority, func(Config) (core.Algorithm, error) { return Priority{}, nil },
-		"prio", "preempt")
-
-	// The four legacy placement policies, delegating to
-	// multigpu.NewPolicy, plus fragmentation-aware placement.
-	for _, name := range multigpu.PolicyNames() {
-		name := name
-		f := func(Config) (multigpu.Policy, error) { return multigpu.NewPolicy(name) }
-		switch name {
-		case multigpu.PolicyRoundRobin:
-			RegisterPlace(name, f, "rr")
-		case multigpu.PolicyLeastLoaded:
-			RegisterPlace(name, f, "ll")
-		case multigpu.PolicyFirstFit:
-			RegisterPlace(name, f, "ff")
-		case multigpu.PolicyBestFit:
-			RegisterPlace(name, f, "bf")
-		default:
-			RegisterPlace(name, f)
-		}
-	}
-	RegisterPlace(PlaceFragAware, func(Config) (multigpu.Policy, error) { return FragAware{}, nil },
-		"frag", "fragmentation-aware")
-}
+func ResolvePlace(name string) (string, bool) { return places.resolve(name) }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"convgpu/internal/bytesize"
+	"convgpu/internal/cluster"
 	"convgpu/internal/core"
 	"convgpu/internal/multigpu"
 )
@@ -19,7 +20,7 @@ func TestWakeNamesOrder(t *testing.T) {
 }
 
 func TestPlaceNamesOrder(t *testing.T) {
-	want := append(multigpu.PolicyNames(), PlaceFragAware)
+	want := []string{multigpu.PolicyRoundRobin, multigpu.PolicyLeastLoaded, multigpu.PolicyFirstFit, multigpu.PolicyBestFit, PlaceFragAware}
 	if got := PlaceNames(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("PlaceNames() = %v, want %v", got, want)
 	}
@@ -69,24 +70,154 @@ func TestNewWakeUnknown(t *testing.T) {
 		t.Fatal("NewWake of unknown name succeeded")
 	}
 	if !strings.Contains(err.Error(), "fifo") {
-		t.Fatalf("unknown-policy error should list the registry: %v", err)
+		t.Fatalf("unknown-policy error should list the table: %v", err)
 	}
 }
 
-// TestNewWakeLegacyByteIdentical drives each legacy algorithm resolved
-// through the registry and its core.NewAlgorithm twin over identical
-// generated candidate sets: every pick must match, pick for pick — the
-// registry refactor must not perturb the paper's algorithms.
+// named is what the three policy kinds have in common.
+type named interface{ Name() string }
+
+// TestTables covers every canonical name and every alias of all three
+// tables: each builds the expected concrete type under its canonical
+// Name(), in any letter case; the listing is the canonical names in
+// table order; a randomized entry built with Config{Seed: s} draws the
+// same sequence as its direct constructor with seed s; and an unknown
+// name fails with the whole list.
+func TestTables(t *testing.T) {
+	type row struct {
+		want  named    // a value of the concrete type the names build
+		names []string // canonical name first, then every alias
+	}
+	// wakeDraws and strategyDraws record 200 decisions over fixed inputs.
+	wakeDraws := func(p named) []int {
+		cands := make([]core.Candidate, 5)
+		for i := range cands {
+			cands[i] = core.Candidate{ID: core.ContainerID(rune('a' + i)), CreatedSeq: uint64(i), Deficit: bytesize.MiB}
+		}
+		out := make([]int, 200)
+		for i := range out {
+			out[i] = p.(core.Algorithm).Pick(bytesize.GiB, cands)
+		}
+		return out
+	}
+	strategyDraws := func(p named) []int {
+		nodes := make([]cluster.NodeInfo, 4)
+		for i := range nodes {
+			nodes[i] = cluster.NodeInfo{Index: i, MaxDeviceCapacity: bytesize.GiB}
+		}
+		out := make([]int, 200)
+		for i := range out {
+			out[i] = p.(cluster.Strategy).Place(bytesize.MiB, nodes)
+		}
+		return out
+	}
+	const seed = 42
+	for _, kind := range []struct {
+		name  string
+		build func(string, Config) (named, error)
+		list  []string
+		rows  []row
+		// seeded is the randomized entry's own constructor at seed, and
+		// draws records its decisions.
+		seeded func() named
+		draws  func(named) []int
+	}{
+		{
+			name:  "wake",
+			build: func(n string, c Config) (named, error) { return NewWake(n, c) },
+			list:  WakeNames(),
+			rows: []row{
+				{core.FIFO{}, []string{"fifo", "first-in-first-out"}},
+				{core.BestFit{}, []string{"bestfit", "bf", "best-fit"}},
+				{core.RecentUse{}, []string{"recentuse", "ru", "recent-use"}},
+				{core.NewRandom(0), []string{"random", "rand"}},
+				{FairShare{}, []string{"fairshare", "fair-share", "fs", "drf"}},
+				{Quota{}, []string{"quota", "guarantee"}},
+				{Priority{}, []string{"priority", "prio", "preempt"}},
+			},
+			seeded: func() named { return core.NewRandom(seed) },
+			draws:  wakeDraws,
+		},
+		{
+			name:  "placement",
+			build: func(n string, c Config) (named, error) { return NewPlace(n, c) },
+			list:  PlaceNames(),
+			rows: []row{
+				{&multigpu.RoundRobin{}, []string{"roundrobin", "rr"}},
+				{multigpu.LeastLoaded{}, []string{"leastloaded", "ll"}},
+				{multigpu.FirstFit{}, []string{"firstfit", "ff"}},
+				{multigpu.BestFitDevice{}, []string{"bestfit", "bf"}},
+				{FragAware{}, []string{"fragaware", "frag", "fragmentation-aware"}},
+			},
+		},
+		{
+			name:  "strategy",
+			build: func(n string, c Config) (named, error) { return NewStrategy(n, c) },
+			list:  StrategyNames(),
+			rows: []row{
+				{cluster.Spread{}, []string{"spread"}},
+				{cluster.Binpack{}, []string{"binpack"}},
+				{cluster.NewRandomStrategy(0), []string{"random", "rand"}},
+			},
+			seeded: func() named { return cluster.NewRandomStrategy(seed) },
+			draws:  strategyDraws,
+		},
+	} {
+		t.Run(kind.name, func(t *testing.T) {
+			var canonical []string
+			for _, r := range kind.rows {
+				canonical = append(canonical, r.names[0])
+				for _, name := range r.names {
+					for _, spelling := range []string{name, strings.ToUpper(name)} {
+						got, err := kind.build(spelling, Config{Seed: seed})
+						if err != nil {
+							t.Errorf("%q: %v", spelling, err)
+							continue
+						}
+						if reflect.TypeOf(got) != reflect.TypeOf(r.want) || got.Name() != r.names[0] {
+							t.Errorf("%q built %T named %q, want %T named %q", spelling, got, got.Name(), r.want, r.names[0])
+						}
+						if r.names[0] != "random" {
+							continue
+						}
+						if g, w := kind.draws(got), kind.draws(kind.seeded()); !reflect.DeepEqual(g, w) {
+							t.Errorf("%q with seed %d draws %v, its constructor %v", spelling, seed, g, w)
+						}
+					}
+				}
+			}
+			if !reflect.DeepEqual(kind.list, canonical) {
+				t.Errorf("names = %v, want %v", kind.list, canonical)
+			}
+			_, err := kind.build("no-such-policy", Config{})
+			if err == nil || !strings.Contains(err.Error(), strings.Join(canonical, "|")) {
+				t.Errorf("unknown name: err = %v, want the full list %s", err, strings.Join(canonical, "|"))
+			}
+		})
+	}
+	// Stateful placement is built fresh per call, so every node of a
+	// cluster rotates on its own.
+	a, _ := NewPlace(multigpu.PolicyRoundRobin, Config{})
+	b, _ := NewPlace(multigpu.PolicyRoundRobin, Config{})
+	if a == b {
+		t.Error("two round-robin placements share one instance")
+	}
+}
+
+// TestNewWakeLegacyByteIdentical: each of the paper's four names makes
+// the same decisions through NewWake as the core value it built before
+// the table, with the same seed, over 500 random rounds.
 func TestNewWakeLegacyByteIdentical(t *testing.T) {
+	legacy := map[string]core.Algorithm{
+		core.AlgFIFO: core.FIFO{}, core.AlgBestFit: core.BestFit{},
+		core.AlgRecentUse: core.RecentUse{}, core.AlgRandom: core.NewRandom(7),
+	}
 	for _, name := range core.AlgorithmNames() {
-		viaRegistry, err := NewWake(name, Config{Seed: 7})
+		viaTable, err := NewWake(name, Config{Seed: 7})
 		if err != nil {
 			t.Fatalf("NewWake(%q): %v", name, err)
 		}
-		direct, err := core.NewAlgorithm(name, 7)
-		if err != nil {
-			t.Fatalf("NewAlgorithm(%q): %v", name, err)
-		}
+		direct := legacy[name]
 		rng := rand.New(rand.NewSource(11))
 		for round := 0; round < 500; round++ {
 			n := 1 + rng.Intn(8)
@@ -100,23 +231,24 @@ func TestNewWakeLegacyByteIdentical(t *testing.T) {
 				}
 			}
 			pool := bytesize.Size(rng.Intn(2048)) * bytesize.MiB
-			if got, want := viaRegistry.Pick(pool, cands), direct.Pick(pool, cands); got != want {
-				t.Fatalf("%s round %d: registry pick %d, direct pick %d", name, round, got, want)
+			if got, want := viaTable.Pick(pool, cands), direct.Pick(pool, cands); got != want {
+				t.Fatalf("%s round %d: table pick %d, direct pick %d", name, round, got, want)
 			}
 		}
 	}
 }
 
-// TestNewPlaceLegacyByteIdentical is the placement twin of the above.
+// TestNewPlaceLegacyByteIdentical is the placement twin of the above,
+// over the four placement names multigpu resolved before the table.
 func TestNewPlaceLegacyByteIdentical(t *testing.T) {
-	for _, name := range multigpu.PolicyNames() {
-		viaRegistry, err := NewPlace(name, Config{})
+	legacy := map[string]multigpu.Policy{
+		multigpu.PolicyRoundRobin: &multigpu.RoundRobin{}, multigpu.PolicyLeastLoaded: multigpu.LeastLoaded{},
+		multigpu.PolicyFirstFit: multigpu.FirstFit{}, multigpu.PolicyBestFit: multigpu.BestFitDevice{},
+	}
+	for name, direct := range legacy {
+		viaTable, err := NewPlace(name, Config{})
 		if err != nil {
 			t.Fatalf("NewPlace(%q): %v", name, err)
-		}
-		direct, err := multigpu.NewPolicy(name)
-		if err != nil {
-			t.Fatalf("NewPolicy(%q): %v", name, err)
 		}
 		rng := rand.New(rand.NewSource(13))
 		for round := 0; round < 500; round++ {
@@ -132,8 +264,8 @@ func TestNewPlaceLegacyByteIdentical(t *testing.T) {
 				}
 			}
 			limit := bytesize.Size(1+rng.Intn(4096)) * bytesize.MiB
-			if got, want := viaRegistry.Place(limit, devs), direct.Place(limit, devs); got != want {
-				t.Fatalf("%s round %d: registry place %d, direct place %d", name, round, got, want)
+			if got, want := viaTable.Place(limit, devs), direct.Place(limit, devs); got != want {
+				t.Fatalf("%s round %d: table place %d, direct place %d", name, round, got, want)
 			}
 		}
 	}

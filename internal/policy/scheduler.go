@@ -1,6 +1,8 @@
 package policy
 
 import (
+	"cmp"
+
 	"convgpu/internal/bytesize"
 	"convgpu/internal/cluster"
 	"convgpu/internal/core"
@@ -8,8 +10,8 @@ import (
 )
 
 // Spec describes a scheduling backend by topology and policy names —
-// everything the facade, the daemon's command line and the load harness
-// each used to wire by hand.
+// everything the facade, the daemon's command line, the load harness and
+// the experiments each used to wire by hand.
 type Spec struct {
 	// Nodes > 1 builds a cluster of that many nodes, each with Devices
 	// GPUs; otherwise a single node.
@@ -23,7 +25,9 @@ type Spec struct {
 	Capacities []bytesize.Size
 	// Wake, Place and Strategy name the wake-order policy (default fifo),
 	// the device placement policy (default leastloaded) and the node
-	// placement strategy (default spread); Seed seeds the randomized ones.
+	// placement strategy (default spread). Seed seeds the randomized ones:
+	// device i of node n draws from Seed + 100·n + i, the strategy from
+	// Seed.
 	Wake, Place, Strategy string
 	Seed                  int64
 	// Device is the template every device's core.State is built from;
@@ -33,63 +37,47 @@ type Spec struct {
 
 // NewScheduler assembles the backend spec describes: a cluster.Cluster
 // for more than one node, a multigpu.State for more than one device (or
-// per-device capacities), else a single core.State — each with its
-// policies resolved through this package's registries.
+// per-device capacities), else a single core.State. All three names are
+// resolved first, so a name no table knows fails before anything is
+// built, whether or not the topology uses it.
 func NewScheduler(spec Spec) (core.Scheduler, error) {
-	if spec.Wake == "" {
-		spec.Wake = core.AlgFIFO
+	wake, err := wakes.find(cmp.Or(spec.Wake, core.AlgFIFO))
+	if err != nil {
+		return nil, err
 	}
-	if spec.Place == "" {
-		spec.Place = multigpu.PolicyLeastLoaded
+	place, err := places.find(cmp.Or(spec.Place, multigpu.PolicyLeastLoaded))
+	if err != nil {
+		return nil, err
 	}
-	if spec.Devices < 1 {
-		spec.Devices = 1
+	strategy, err := strategies.find(cmp.Or(spec.Strategy, cluster.StrategySpread))
+	if err != nil {
+		return nil, err
 	}
-	wake := func(seed int64) (core.Algorithm, error) {
-		return NewWake(spec.Wake, Config{Seed: seed})
-	}
-	place := func() (multigpu.Policy, error) {
-		return NewPlace(spec.Place, Config{Seed: spec.Seed})
-	}
+	devices := max(spec.Devices, 1)
 	switch {
 	case spec.Nodes > 1:
-		if spec.Strategy == "" {
-			spec.Strategy = cluster.StrategySpread
-		}
-		strategy, err := cluster.NewStrategy(spec.Strategy, spec.Seed)
-		if err != nil {
-			return nil, err
-		}
 		return cluster.New(cluster.Config{
 			Nodes:               spec.Nodes,
-			GPUsPerNode:         spec.Devices,
+			GPUsPerNode:         devices,
 			CapacityPerGPU:      spec.Capacity,
-			AlgorithmFactory:    wake,
+			AlgorithmFactory:    wake.build,
 			AlgSeed:             spec.Seed,
-			DevicePolicyFactory: place,
-			Strategy:            strategy,
+			DevicePolicyFactory: func() multigpu.Policy { return place.build(spec.Seed) },
+			Strategy:            strategy.build(spec.Seed),
 			Device:              spec.Device,
 		})
-	case spec.Devices > 1 || len(spec.Capacities) > 0:
-		pol, err := place()
-		if err != nil {
-			return nil, err
-		}
+	case devices > 1 || len(spec.Capacities) > 0:
 		return multigpu.New(multigpu.Config{
-			Devices:           spec.Devices,
+			Devices:           devices,
 			CapacityPerDevice: spec.Capacity,
 			Capacities:        spec.Capacities,
-			AlgorithmFactory:  wake,
+			AlgorithmFactory:  wake.build,
 			AlgSeed:           spec.Seed,
-			Policy:            pol,
+			Policy:            place.build(spec.Seed),
 			Device:            spec.Device,
 		})
 	default:
-		alg, err := wake(spec.Seed)
-		if err != nil {
-			return nil, err
-		}
-		spec.Device.Capacity, spec.Device.Algorithm = spec.Capacity, alg
+		spec.Device.Capacity, spec.Device.Algorithm = spec.Capacity, wake.build(spec.Seed)
 		return core.New(spec.Device)
 	}
 }

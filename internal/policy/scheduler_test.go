@@ -11,7 +11,8 @@ import (
 // TestNewSchedulerTopologies: the one assembly picks the backend by
 // node and device count, applies the shared defaults (fifo, a device
 // count below one is one), sizes every device from the spec, and
-// refuses names no registry knows before building anything.
+// refuses names no table knows before building anything — including a
+// name the topology would not use.
 func TestNewSchedulerTopologies(t *testing.T) {
 	gib := bytesize.GiB
 	for _, tc := range []struct {
@@ -45,6 +46,8 @@ func TestNewSchedulerTopologies(t *testing.T) {
 		{Capacity: gib, Devices: 2, Place: "nosuch"},
 		{Capacity: gib, Nodes: 2, Place: "nosuch"},
 		{Capacity: gib, Nodes: 2, Strategy: "nosuch"},
+		{Capacity: gib, Place: "nosuch"},
+		{Capacity: gib, Devices: 2, Strategy: "nosuch"},
 		{Devices: 2, Capacities: []bytesize.Size{gib}},
 		{},
 	} {

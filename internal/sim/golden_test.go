@@ -14,6 +14,7 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/metrics"
 	"convgpu/internal/multigpu"
+	"convgpu/internal/policy"
 	"convgpu/internal/workload"
 )
 
@@ -84,12 +85,12 @@ func renderResult(res Result) []byte {
 // container IDs also decide placement order.
 func TestGoldenMultiGPU(t *testing.T) {
 	clk := clock.NewManual()
-	st, err := multigpu.New(multigpu.Config{
-		Devices:           2,
-		CapacityPerDevice: 5 * bytesize.GiB,
-		Algorithm:         core.AlgBestFit,
-		Policy:            multigpu.LeastLoaded{},
-		Device:            core.Config{Clock: clk},
+	st, err := policy.NewScheduler(policy.Spec{
+		Devices:  2,
+		Capacity: 5 * bytesize.GiB,
+		Wake:     core.AlgBestFit,
+		Place:    multigpu.PolicyLeastLoaded,
+		Device:   core.Config{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -104,13 +105,12 @@ func TestGoldenMultiGPU(t *testing.T) {
 // TestGoldenCluster pins one RunWith over a 2-node x 1-GPU cluster.
 func TestGoldenCluster(t *testing.T) {
 	clk := clock.NewManual()
-	cl, err := cluster.New(cluster.Config{
-		Nodes:          2,
-		GPUsPerNode:    1,
-		CapacityPerGPU: 5 * bytesize.GiB,
-		Algorithm:      core.AlgBestFit,
-		Strategy:       cluster.Spread{},
-		Device:         core.Config{Clock: clk},
+	cl, err := policy.NewScheduler(policy.Spec{
+		Nodes:    2,
+		Capacity: 5 * bytesize.GiB,
+		Wake:     core.AlgBestFit,
+		Strategy: cluster.StrategySpread,
+		Device:   core.Config{Clock: clk},
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -7,6 +7,7 @@ import (
 	"convgpu/internal/clock"
 	"convgpu/internal/core"
 	"convgpu/internal/model"
+	"convgpu/internal/policy"
 	"convgpu/internal/workload"
 )
 
@@ -22,7 +23,7 @@ func TestSimulationHistoryStructurallySafe(t *testing.T) {
 	for _, algName := range core.AlgorithmNames() {
 		algName := algName
 		t.Run(algName, func(t *testing.T) {
-			alg, err := core.NewAlgorithm(algName, 11)
+			alg, err := policy.NewWake(algName, policy.Config{Seed: 11})
 			if err != nil {
 				t.Fatal(err)
 			}

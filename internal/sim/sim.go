@@ -27,6 +27,7 @@ import (
 	"convgpu/internal/clock"
 	"convgpu/internal/core"
 	"convgpu/internal/metrics"
+	"convgpu/internal/policy"
 	"convgpu/internal/workload"
 )
 
@@ -36,13 +37,9 @@ type Config struct {
 	// For RunWith over a multi-device backend it is only the utilization
 	// denominator and should be set to the aggregate capacity.
 	Capacity bytesize.Size
-	// Algorithm names the redistribution algorithm (default "fifo").
+	// Algorithm names the wake-order policy, any name or alias
+	// policy.NewWake knows (default "fifo").
 	Algorithm string
-	// WakeFactory, when non-nil, resolves Algorithm instead of
-	// core.NewAlgorithm — the hook that lets a sweep run registry-only
-	// wake policies (fairshare, quota, priority) the core does not know
-	// by name. It is called with the algorithm name and the run's seed.
-	WakeFactory func(name string, seed int64) (core.Algorithm, error)
 	// AlgSeed seeds the Random algorithm.
 	AlgSeed int64
 	// PersistentGrants selects the non-reclaiming grant semantics
@@ -108,11 +105,7 @@ func Run(trace []workload.TraceEntry, cfg Config) (Result, error) {
 // RunContext is Run with cancellation, checked between simulated events.
 func RunContext(ctx context.Context, trace []workload.TraceEntry, cfg Config) (Result, error) {
 	cfg = cfg.withDefaults()
-	newAlg := cfg.WakeFactory
-	if newAlg == nil {
-		newAlg = core.NewAlgorithm
-	}
-	alg, err := newAlg(cfg.Algorithm, cfg.AlgSeed)
+	alg, err := policy.NewWake(cfg.Algorithm, policy.Config{Seed: cfg.AlgSeed})
 	if err != nil {
 		return Result{}, err
 	}

@@ -1,12 +1,14 @@
 package sim
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/clock"
 	"convgpu/internal/core"
+	"convgpu/internal/policy"
 	"convgpu/internal/workload"
 )
 
@@ -135,6 +137,24 @@ func TestRunBadAlgorithm(t *testing.T) {
 	}
 }
 
+// TestRunTakesEveryWakePolicy: Run resolves Algorithm through the policy
+// table, so a tenant-aware policy runs by name, and an alias runs exactly
+// what its canonical name runs.
+func TestRunTakesEveryWakePolicy(t *testing.T) {
+	trace := workload.GenerateTrace(20, workload.DefaultSpacing, 7)
+	canonical, err := Run(trace, Config{Algorithm: policy.WakeFairShare})
+	if err != nil {
+		t.Fatal(err)
+	}
+	alias, err := Run(trace, Config{Algorithm: "drf"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(canonical, alias) {
+		t.Fatalf("drf and fairshare diverged:\n%+v\n%+v", alias, canonical)
+	}
+}
+
 func TestRunRejectsOversizedType(t *testing.T) {
 	ct := workload.ContainerType{Index: 0, Name: "huge", GPUMemory: 6 * bytesize.GiB}
 	_, err := Run([]workload.TraceEntry{{Type: ct}}, Config{})
@@ -227,7 +247,7 @@ func TestPartialGrantWedgeIsReported(t *testing.T) {
 	trace := wedgeTrace(t)
 	for _, algName := range core.AlgorithmNames() {
 		for _, rescue := range []bool{false, true} {
-			alg, err := core.NewAlgorithm(algName, 1)
+			alg, err := policy.NewWake(algName, policy.Config{Seed: 1})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -92,9 +92,9 @@ func WithDevices(n int) Option {
 }
 
 // WithPlacementPolicy selects the device placement policy for a
-// multi-device stack through the policy registry (round-robin,
-// least-loaded, first-fit, best-fit, fragmentation-aware; default
-// least-loaded). Ignored without WithDevices.
+// multi-device stack by name or alias (any of PlacementPolicies; default
+// least-loaded). New checks the name either way, but uses it only with
+// WithDevices.
 func WithPlacementPolicy(name string) Option {
 	return func(c *stackConfig) error {
 		if name == "" {
@@ -122,8 +122,8 @@ func WithNodes(n int) Option {
 }
 
 // WithNodeStrategy selects the node placement strategy for a cluster
-// stack ("spread", "binpack", "random"; default spread). Ignored
-// without WithNodes.
+// stack (any of ClusterStrategies; default spread). New checks the name
+// either way, but uses it only with WithNodes.
 func WithNodeStrategy(name string) Option {
 	return func(c *stackConfig) error {
 		if name == "" {
@@ -151,30 +151,17 @@ func WithNodeHealth(interval time.Duration) Option {
 	}
 }
 
-// WithAlgorithm selects the redistribution algorithm by name (FIFO,
-// BestFit, RecentUse, Random; default FIFO).
+// WithAlgorithm selects the wake-order policy by name or alias: the
+// paper's four algorithms (FIFO, BestFit, RecentUse, Random; default
+// FIFO) or a tenant-aware policy (FairShare, QuotaFair, Priority). The
+// stack, its telemetry and its admin API carry the canonical name; an
+// unknown name fails at option time with the Policies list.
 func WithAlgorithm(name string) Option {
-	return func(c *stackConfig) error {
-		if name == "" {
-			return fmt.Errorf("convgpu: WithAlgorithm: empty name")
-		}
-		c.algorithm = name
-		return nil
-	}
-}
-
-// WithPolicy selects the wake-order policy through the unified policy
-// registry: the paper's four algorithms by name or alias, plus the
-// tenant-aware policies (FairShare, QuotaAware, Priority). Unknown
-// names fail at option time with the full registry listing. WithPolicy
-// and WithAlgorithm set the same knob; WithPolicy validates eagerly and
-// accepts every registered alias.
-func WithPolicy(name string) Option {
 	return func(c *stackConfig) error {
 		canonical, ok := policy.ResolveWake(name)
 		if !ok {
-			return fmt.Errorf("convgpu: WithPolicy: unknown policy %q (have %s)",
-				name, strings.Join(policy.WakeNames(), "|"))
+			return fmt.Errorf("convgpu: WithAlgorithm: unknown policy %q (have %s)",
+				name, strings.Join(Policies(), "|"))
 		}
 		c.algorithm = canonical
 		return nil

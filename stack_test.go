@@ -268,6 +268,22 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
+// TestAlgorithmAliasIsCanonicalEverywhere: an alias selects its policy,
+// and the stack, its telemetry and the stats document all carry the
+// canonical name, never the caller's spelling.
+func TestAlgorithmAliasIsCanonicalEverywhere(t *testing.T) {
+	st, err := convgpu.New(convgpu.WithAlgorithm("BF"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Algorithm(); got != convgpu.BestFit {
+		t.Errorf("Stack.Algorithm() = %q, want %q", got, convgpu.BestFit)
+	}
+	if got := st.Observability().Algorithm(); got != convgpu.BestFit {
+		t.Errorf("Observability().Algorithm() = %q, want %q", got, convgpu.BestFit)
+	}
+}
+
 func TestSimulateContextCancelled(t *testing.T) {
 	trace := convgpu.GenerateTrace(8, 5*time.Second, 42)
 	cancelled, cancel := context.WithCancel(context.Background())
