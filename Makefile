@@ -63,12 +63,14 @@ race:
 # here instead of one run in four on main. The one-way frame tests race
 # an unsolicited refusal against the caller's next step, the client's
 # reader tests race calls for the reading role, and the responder tests
-# race a late answer against the read loop re-arming, and the deferral
+# race a late answer against the read loop re-arming, the deferral
 # tests race a 1 ms timer against the next frame (and a free against the
-# confirm it may join), so they get ten times the runs.
+# confirm it may join), and the wait-rule tests race a peer's close or a
+# stray frame against an end that waits without reading, so they get ten
+# times the runs.
 flake:
 	$(GO) test -race -shuffle=on -count=20 -short ./internal/ipc/... ./internal/protocol/... ./internal/wrapper/...
-	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame|TestReusedResponder|TestOneReplyFrame|TestSpentContext|TestCloseEndsContext|TestDeferredPost|TestCloseDropsADeferredFrame|TestFreeJoinsOnlyAWaitingFrame' ./internal/ipc
+	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame|TestReusedResponder|TestOneReplyFrame|TestSpentContext|TestCloseEndsContext|TestDeferredPost|TestCloseDropsADeferredFrame|TestFreeJoinsOnlyAWaitingFrame|TestOneWayFrameThenClose|TestFramesAndCloseInOneWake|TestStaleRefusalAndReplyInOneRead|TestFrameAheadOfTheWriteIsRead|TestEndedContextStillSendsItsFrame|TestPastDeadlineAtEntry' ./internal/ipc
 	$(GO) test -race -count=200 -run 'TestRefusedConfirmFailsNextCall|TestHeartbeatKeepsRefusal' ./internal/wrapper
 	$(GO) test -race -count=200 -run 'TestReleaseBetweenDecideAndPark|TestRefusedOneWayFree|TestTwoWayReportsStillServed|TestLoneMallocIsConfirmedWithinTheBound|TestJoinedFreeResumesWithinTheBound' ./internal/daemon
 	$(GO) test -race -count=200 -run 'TestChaosOneWayFrameLost' ./internal/fault
@@ -123,7 +125,7 @@ policy:
 	$(GO) test -race -count=1 ./internal/policy
 	$(GO) test -race -count=1 -timeout 15m ./internal/model -run 'TestTenant|TestMutation' -model.seeds=$(MODEL_SEEDS) -model.ops=$(MODEL_OPS)
 
-# fuzz-smoke gives each protocol fuzz target a short native-fuzzing
+# fuzz-smoke gives each fuzz target a short native-fuzzing
 # budget on top of the committed seeds (which plain `go test` always
 # replays). Long fuzzing sessions: raise FUZZTIME.
 FUZZTIME ?= 10s
@@ -133,6 +135,7 @@ fuzz-smoke:
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzBinaryDecode$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/protocol -run '^$$' -fuzz '^FuzzBinaryJSONParity$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wal -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/ipc -run '^$$' -fuzz '^FuzzFrameSplit$$' -fuzztime $(FUZZTIME)
 
 # recovery-smoke is the CI gate on restart recovery cost: replaying a
 # 50k-event log must finish inside CONVGPU_RECOVERY_SMOKE_MS

@@ -19,7 +19,8 @@
 // TestWrappedCycleAllocatesNothing holds the wrapped cycle at zero
 // allocations in tier-1; `make benchdiff` holds the benchmarks there.
 // TestWrappedCycleIsOneWrite, beside it, holds the cycle at one socket
-// write for its three frames.
+// write for its three frames, and TestWrappedCycleSyscalls at two reads
+// and two writes, client and daemon together.
 //
 // CHANGES.md records the seed-vs-optimized numbers for these.
 package convgpu_test
@@ -28,8 +29,11 @@ import (
 	"context"
 	"fmt"
 	"net"
+	"os"
 	"path/filepath"
 	"runtime/debug"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -614,6 +618,76 @@ func TestWrappedCycleIsOneWrite(t *testing.T) {
 		t.Errorf("%d cycles in %v took %d client writes, want at most %d: one a cycle and one a millisecond", cycles, elapsed, writes, cycles+spare)
 	}
 	t.Logf("%d cycles in %v: %d client writes", cycles, elapsed, writes)
+}
+
+// TestWrappedCycleSyscalls is the tier-1 gate on what a wrapped
+// Malloc+Free costs in read and write syscalls, client and daemon
+// together, on real sockets: two of each — the client's write and read,
+// the daemon's read and write — for neither end reads what it knows is
+// empty (ipc package doc, "Reading"). An end that tries a read before it
+// waits is one read a cycle over, both ends two: four reads, as before
+// the rule. The counts are the process's own from /proc/self/io, which
+// holds both ends; where that file cannot be read the test is skipped.
+// The allowance is the deferral bound's: once a millisecond the timer
+// writes a confirm and its free, and both ends read once more — a tenth
+// a cycle, and one more read and write for every millisecond the loop
+// took (≈ 100 ms plain, ≈ 1 s under the race detector).
+func TestWrappedCycleSyscalls(t *testing.T) {
+	const cycles = 10000
+	if _, _, err := procIO(); err != nil {
+		t.Skipf("cannot count syscalls: %v", err)
+	}
+	r := newHotPathRig(t, nil)
+	cycle := func() {
+		ptr, err := r.wrapped.Malloc(4096)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := r.wrapped.Free(ptr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle() // the first Call on the connection reads before it waits
+	reads0, writes0, _ := procIO()
+	start := time.Now()
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	elapsed := time.Since(start)
+	reads1, writes1, err := procIO()
+	if err != nil {
+		t.Fatal(err)
+	}
+	reads, writes := float64(reads1-reads0)/cycles, float64(writes1-writes0)/cycles
+	if limit := 2.1 + float64(elapsed/time.Millisecond)/cycles; reads > limit || writes > limit {
+		t.Errorf("%d cycles in %v: %.3f reads and %.3f writes a cycle, want at most %.3f each: 2.1, and one a millisecond", cycles, elapsed, reads, writes, limit)
+	}
+	t.Logf("%d cycles in %v: %.3f reads, %.3f writes a cycle", cycles, elapsed, reads, writes)
+	if err := r.wrapped.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// procIO reads the process's read and write syscall counts.
+func procIO() (syscr, syscw uint64, err error) {
+	b, err := os.ReadFile("/proc/self/io")
+	if err != nil {
+		return 0, 0, err
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, "syscr: "); ok {
+			syscr, err = strconv.ParseUint(v, 10, 64)
+		} else if v, ok := strings.CutPrefix(line, "syscw: "); ok {
+			syscw, err = strconv.ParseUint(v, 10, 64)
+		}
+		if err != nil {
+			return 0, 0, err
+		}
+	}
+	if syscr == 0 || syscw == 0 {
+		return 0, 0, fmt.Errorf("no syscr/syscw in /proc/self/io")
+	}
+	return syscr, syscw, nil
 }
 
 func atomicAdd(p *int64, d int64) int64 { return atomic.AddInt64(p, d) }

@@ -27,7 +27,9 @@
 // pipeline requests without serializing on one round trip or paying a
 // channel allocation per call. The client has no read loop: the Call
 // waiting for a reply reads the connection itself, for the others too
-// while it does (see Client).
+// while it does (see Client). Neither end reads what it knows is empty:
+// on a UNIX socket both read inside syscall.RawConn.Read and may wait
+// without the read that would only return EAGAIN (coalescer.wroteSince).
 //
 // # Hot-path memory discipline
 //
@@ -56,7 +58,7 @@
 package ipc
 
 import (
-	"bufio"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -75,10 +77,7 @@ import (
 // anything larger indicates a corrupt or hostile peer.
 const MaxLine = 64 * 1024
 
-// readBufSize sizes the per-connection read buffer. 4 KiB (the old
-// size) fits any single message but forces extra read syscalls when
-// responses burst after a redistribution; 16 KiB absorbs a burst of
-// ~100 coalesced lines in one read.
+// readBufSize is a read buffer's first size: a burst of ~100 coalesced lines.
 const readBufSize = 16 * 1024
 
 // ErrClosed is returned for operations on a closed client or server. It
@@ -308,74 +307,96 @@ func (c *ServerConn) BeginBatch() { c.w.beginBatch() }
 func (c *ServerConn) EndBatch() error { return c.w.endBatch() }
 
 func (c *ServerConn) readLoop(h Handler) {
-	r := bufio.NewReaderSize(c.conn, readBufSize)
-	var scratch []byte
+	s := splitter{buf: make([]byte, readBufSize)}
 	msg := protocol.AcquireMessage()
 	defer protocol.ReleaseMessage(msg)
 	oneWay := c.respondOneWay // built once: a one-way frame costs no closure
 	rsp := newResponder(c)
-	for {
-		f, err := readFrame(r, &scratch)
-		if err != nil {
-			// Includes a binary header that failed its checksum: the
-			// length cannot be trusted, so the connection is condemned
-			// rather than resynchronized (the caller closes the socket
-			// and the peer's reconnect path takes over).
-			return
-		}
-		stats := c.server.stats.Load()
-		stats.countFrame(f.binary, false)
-		if err := f.decodeInto(msg); err != nil {
-			// A malformed message gets an error response echoing the
-			// request's sequence number when we can still extract it —
-			// from the validated binary header, or scanned out of the
-			// bad JSON line — so the caller can correlate the failure
-			// instead of timing out. A one-way frame's sender waits on no
-			// seq, so its error goes back marked, like a refusal (msg keeps
-			// what the header said even when the payload did not decode).
-			stats.CountFrameError()
-			resp := protocol.AcquireMessage()
-			resp.Type = protocol.TypeResponse
-			resp.Seq = f.errorSeq()
-			resp.Error = err.Error()
-			resp.NoReply = msg.NoReply
-			c.send(resp, f.binary)
-			protocol.ReleaseMessage(resp)
-			continue
-		}
-		if msg.Type == protocol.TypeCodec {
-			// Codec negotiation is transport business: answer here so
-			// every server (control and per-container) supports it with
-			// no handler involvement, echoing the token a client must
-			// see before it starts sending binary frames.
-			resp := protocol.AcquireMessage()
-			resp.Type = protocol.TypeResponse
-			resp.Seq = msg.Seq
-			if msg.Data == protocol.BinaryCodecToken {
-				resp.OK = true
-				resp.Data = protocol.BinaryCodecToken
-				stats.countNegotiation()
+	var err error     // what ended the stream
+	serve := func() { // every whole frame in the buffer, in order
+		for {
+			f, ok, ferr := s.next()
+			if !ok { // ferr condemns the connection: the caller closes it
+				err = ferr
+				return
+			}
+			stats := c.server.stats.Load()
+			stats.countFrame(f.binary, false)
+			if err := f.decodeInto(msg); err != nil {
+				// A malformed message gets an error response echoing the
+				// request's sequence number when we can still extract it —
+				// from the validated binary header, or scanned out of the
+				// bad JSON line — so the caller can correlate the failure
+				// instead of timing out. A one-way frame's sender waits on no
+				// seq, so its error goes back marked, like a refusal (msg keeps
+				// what the header said even when the payload did not decode).
+				stats.CountFrameError()
+				resp := protocol.AcquireMessage()
+				resp.Type = protocol.TypeResponse
+				resp.Seq = f.errorSeq()
+				resp.Error = err.Error()
+				resp.NoReply = msg.NoReply
+				c.send(resp, f.binary)
+				protocol.ReleaseMessage(resp)
+				continue
+			}
+			if msg.Type == protocol.TypeCodec {
+				// Codec negotiation is transport business: answer here so
+				// every server (control and per-container) supports it with
+				// no handler involvement, echoing the token a client must
+				// see before it starts sending binary frames.
+				resp := protocol.AcquireMessage()
+				resp.Type = protocol.TypeResponse
+				resp.Seq = msg.Seq
+				if msg.Data == protocol.BinaryCodecToken {
+					resp.OK = true
+					resp.Data = protocol.BinaryCodecToken
+					stats.countNegotiation()
+				} else {
+					resp.Error = fmt.Sprintf("ipc: unknown codec %q", msg.Data)
+				}
+				c.send(resp, f.binary)
+				protocol.ReleaseMessage(resp)
+				msg.Reset()
+				continue
+			}
+			respond := oneWay
+			if msg.NoReply {
+				c.oneWaySeq, c.oneWayType = msg.Seq, msg.Type
 			} else {
-				resp.Error = fmt.Sprintf("ipc: unknown codec %q", msg.Data)
+				if rsp.pending.Load() { // parked: it is its holder's now
+					rsp = newResponder(c)
+				}
+				rsp.seq, rsp.binary = msg.Seq, f.binary
+				rsp.pending.Store(true)
+				respond = rsp.fn
 			}
-			c.send(resp, f.binary)
-			protocol.ReleaseMessage(resp)
+			safeHandle(h, c, msg, respond)
 			msg.Reset()
-			continue
 		}
-		respond := oneWay
-		if msg.NoReply {
-			c.oneWaySeq, c.oneWayType = msg.Seq, msg.Type
-		} else {
-			if rsp.pending.Load() { // parked: it is its holder's now
-				rsp = newResponder(c)
+	}
+	// readable is the RawConn.Read callback: one read and its frames; it
+	// waits without reading again once a reply to them reached the peer.
+	readable := func(fd uintptr) bool {
+		mark := c.w.mark()
+		short, rerr := s.readFD(fd)
+		if rerr == syscall.EAGAIN {
+			return false
+		}
+		if err = rerr; err == nil {
+			serve()
+		}
+		return err != nil || !short || !c.w.wroteSince(mark)
+	}
+	raw := rawConn(c.conn)
+	for err == nil {
+		if raw != nil {
+			if rerr := raw.Read(readable); rerr != nil {
+				err = rerr
 			}
-			rsp.seq, rsp.binary = msg.Seq, f.binary
-			rsp.pending.Store(true)
-			respond = rsp.fn
+		} else if err = s.fill(c.conn); err == nil {
+			serve()
 		}
-		safeHandle(h, c, msg, respond)
-		msg.Reset()
 	}
 }
 
@@ -393,76 +414,6 @@ func (c *ServerConn) respondOneWay(resp *protocol.Message) {
 		c.send(resp, true)
 	}
 	protocol.ReleaseMessage(resp)
-}
-
-// frame is one received message in either framing, pre-parsed just far
-// enough to decode it and to echo its seq on failure.
-type frame struct {
-	binary  bool
-	line    []byte // JSON line when !binary
-	op      byte   // binary header fields when binary
-	seq     uint64
-	payload []byte
-}
-
-func (f *frame) decodeInto(m *protocol.Message) error {
-	if f.binary {
-		return protocol.DecodeBinaryInto(m, f.op, f.seq, f.payload)
-	}
-	return protocol.DecodeInto(m, f.line)
-}
-
-// errorSeq is the seq to echo on a response to an undecodable frame: a
-// binary frame's header already survived its checksum, a JSON line gets
-// the best-effort scan.
-func (f *frame) errorSeq() uint64 {
-	if f.binary {
-		return f.seq
-	}
-	return protocol.ScanSeq(f.line)
-}
-
-// readFrame returns the next message in either framing. Dispatch is on
-// the first byte: >= 0x80 is an (attempted) binary frame — real JSON
-// output always starts with '{', and validating the full header by
-// checksum means even a corrupted leading byte can never cause a
-// misframed read — anything else is a JSON line. Returned slices alias
-// the bufio buffer or *scratch and are valid only until the next call.
-func readFrame(r *bufio.Reader, scratch *[]byte) (frame, error) {
-	first, err := r.Peek(1)
-	if err != nil {
-		return frame{}, err
-	}
-	if first[0] < 0x80 {
-		line, err := readLine(r, scratch)
-		if err != nil {
-			return frame{}, err
-		}
-		return frame{line: line}, nil
-	}
-	hdr, err := r.Peek(protocol.BinaryHeaderSize)
-	if err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return frame{}, err
-	}
-	op, n, seq, err := protocol.ParseBinaryHeader(hdr)
-	if err != nil {
-		return frame{}, err
-	}
-	if _, err := r.Discard(protocol.BinaryHeaderSize); err != nil {
-		return frame{}, err
-	}
-	if cap(*scratch) < n {
-		*scratch = make([]byte, n)
-	}
-	buf := (*scratch)[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return frame{}, err
-	}
-	*scratch = buf
-	return frame{binary: true, op: op, seq: seq, payload: buf}, nil
 }
 
 // safeHandle runs Handle with panic recovery: one request tripping a bug
@@ -515,33 +466,6 @@ func (r *responder) respond(resp *protocol.Message) {
 	protocol.ReleaseMessage(resp)
 }
 
-// readLine returns the next newline-terminated line. The returned slice
-// is valid only until the next call: it aliases either the bufio buffer
-// (the common, allocation-free case) or *scratch, which is reused across
-// calls for lines that straddle buffer boundaries.
-func readLine(r *bufio.Reader, scratch *[]byte) ([]byte, error) {
-	chunk, isPrefix, err := r.ReadLine()
-	if err != nil {
-		return nil, err
-	}
-	if !isPrefix {
-		return chunk, nil // whole line already buffered: zero copies
-	}
-	buf := append((*scratch)[:0], chunk...)
-	for isPrefix {
-		chunk, isPrefix, err = r.ReadLine()
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, chunk...)
-		if len(buf) > MaxLine {
-			return nil, fmt.Errorf("ipc: message exceeds %d bytes", MaxLine)
-		}
-	}
-	*scratch = buf
-	return buf, nil
-}
-
 // callRingSize is the number of in-flight calls the client tracks in
 // its fixed ring (a power of two; sequence numbers index it by mask).
 // The ring's channels are allocated once and reused, so a steady-state
@@ -592,12 +516,16 @@ type Client struct {
 	refused error
 
 	// readTok holds its one token while nobody reads; the Call that takes
-	// it owns src, rd and scratch until it puts the token back.
-	readTok chan struct{}
-	src     ctxReader
-	rd      *bufio.Reader
-	scratch []byte
-	wake    func() // ends a blocked read: src's deadline goes into the past
+	// it owns rd and the fields after it until it puts the token back.
+	readTok  chan struct{}
+	rd       splitter
+	raw      syscall.RawConn    // nil: rd is filled by conn.Read
+	readable func(uintptr) bool // onReadable, bound once
+	out      []byte             // the reading Call's frame, for readable to write
+	sent     uint64             // the generation of the write that carried out
+	quiet    uint64             // see onReadable
+	rerr     error              // what readable's last read or write returned
+	wake     func()             // ends a blocked read: the read deadline goes into the past
 	// wake stays registered (an AfterFunc) with the context of the last
 	// Call that read, whose Done channel is watched: a container's calls
 	// all come under one context. unwatch, under mu, ends it (fail does too).
@@ -699,10 +627,11 @@ func NewClient(conn net.Conn) *Client {
 		conn:    conn,
 		w:       newCoalescer(conn),
 		readTok: make(chan struct{}, 1),
+		rd:      splitter{buf: make([]byte, readBufSize)},
 		unwatch: func() bool { return false },
 	}
-	c.src.conn = conn
-	c.rd = bufio.NewReaderSize(&c.src, readBufSize)
+	c.raw = rawConn(conn)
+	c.readable = c.onReadable
 	// On a connection that takes no deadline (or is closed already) a
 	// cancelled reader stays until a frame or the end of the stream comes.
 	c.wake = func() { _ = conn.SetReadDeadline(time.Unix(1, 0)) }
@@ -710,46 +639,27 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// ctxReader is the connection as the reading Call sees it. A Call whose
-// context ends is woken from a blocked read by a read deadline in the
-// past (Client.wake). The deadline can outlive the Call it was meant for,
-// so a timeout reaches the reader only when its own context has ended;
-// any other is dropped and the read retried. The deadline is cleared
-// before the context is looked at, or a wake of this reader's own landing
-// in between would be lost.
-type ctxReader struct {
-	conn net.Conn
-	ctx  context.Context // the reading Call's
-}
-
-func (r *ctxReader) Read(p []byte) (int, error) {
-	for {
-		n, err := r.conn.Read(p)
-		if n > 0 || !errors.Is(err, os.ErrDeadlineExceeded) {
-			return n, err
-		}
-		if cerr := r.conn.SetReadDeadline(time.Time{}); cerr != nil {
-			return 0, cerr
-		}
-		if r.ctx.Err() != nil {
-			return 0, err
-		}
-	}
-}
-
-// await returns the reply to seq, which arrives on ch when another Call
-// is reading and off the connection when this one is.
-func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Message) (*protocol.Message, error) {
-	done := ctx.Done()
+// await sends out, a Call's frame, and returns the reply to seq, which
+// arrives on ch when another Call is reading and off the connection when
+// this one is (read sends out then).
+func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Message, out []byte) (*protocol.Message, error) {
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return nil, ErrClosed
-		}
-		return resp, nil
-	case <-done:
-		return nil, ctx.Err()
 	case <-c.readTok:
+	default:
+		if err := c.w.write(out); err != nil {
+			return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
+		}
+		out = nil
+		select {
+		case resp, ok := <-ch:
+			if !ok {
+				return nil, ErrClosed
+			}
+			return resp, nil
+		case <-ctx.Done():
+			return nil, ctx.Err()
+		case <-c.readTok:
+		}
 	}
 	defer func() { c.readTok <- struct{}{} }()
 	select {
@@ -758,12 +668,27 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 			return nil, ErrClosed
 		}
 		return resp, nil
-	case <-done: // ended before this read: its wake may have been and gone
-		return nil, ctx.Err()
 	default:
 	}
-	c.src.ctx = ctx
-	if done != c.watched { // wake's registration moves to this context
+	return c.read(ctx, seq, out)
+}
+
+// read is the reading Call's: it reads frames until the reply to seq,
+// storing refusals and handing other calls' replies to their ring slots.
+// On a UNIX socket onReadable writes out, after RawConn.Read armed the poller.
+func (c *Client) read(ctx context.Context, seq uint64, out []byte) (*protocol.Message, error) {
+	c.sent = 0
+	if c.raw != nil && ctx.Err() == nil {
+		c.out = out
+	} else if out != nil {
+		if err := c.w.write(out); err != nil {
+			return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
+		}
+	}
+	if err := ctx.Err(); err != nil { // ended before this read: its wake may have been and gone
+		return nil, err
+	}
+	if done := ctx.Done(); done != c.watched { // wake's registration moves to this context
 		c.mu.Lock()
 		c.unwatch() // one that stays is called again later: harmless
 		if done != nil && !c.closed {
@@ -773,12 +698,15 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 		c.watched = done
 	}
 	for {
-		msg, inFrame, err := c.readMessage()
+		msg, err := c.readMessage(ctx)
+		if out := c.out; out != nil { // came back before onReadable wrote it: it goes out all the same
+			c.out, _ = nil, c.w.write(out)
+		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, os.ErrDeadlineExceeded) {
-				if inFrame {
-					// Part of a frame is consumed and the rest did not come
-					// before the caller gave up: the stream cannot be resumed.
+				if c.rd.r < c.rd.w {
+					// The caller gave up inside a frame whose peer stopped
+					// sending: fail the client, as for a frame cut short.
 					c.fail(fmt.Errorf("%w: read cut inside a frame (%v)", ErrClosed, cerr))
 				}
 				return nil, cerr
@@ -790,6 +718,9 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 		case msg.NoReply:
 			c.refuse(msg)
 		case msg.Seq == seq:
+			if c.quiet = c.sent; c.w.mark() != c.sent {
+				c.quiet = 0
+			}
 			return msg, nil
 		default:
 			c.deliver(msg)
@@ -797,16 +728,66 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 	}
 }
 
-// readMessage returns the next message that decodes. With an error,
-// inFrame says whether part of a frame had been consumed by then.
-func (c *Client) readMessage() (msg *protocol.Message, inFrame bool, err error) {
-	for {
-		if _, err := c.rd.Peek(1); err != nil {
-			return nil, false, err
+// onReadable is the reading Call's RawConn.Read callback: one read, after
+// writing the Call's own frame if it has one. When that write reached the
+// peer it waits without reading (coalescer.wroteSince) if nothing came
+// before the poller was armed: no other Call is in flight, and quiet is its
+// mark — no write since the last reader's own, answered in short reads.
+func (c *Client) onReadable(fd uintptr) bool {
+	if out := c.out; out != nil {
+		c.out = nil
+		mark := c.w.mark()
+		if c.rerr = c.w.write(out); c.rerr != nil {
+			return true
 		}
-		f, err := readFrame(c.rd, &c.scratch)
+		c.sent = mark + 1
+		if mark == c.quiet && mark != 0 && c.w.wroteSince(mark) && c.inFlight.Load() == 1 {
+			return false
+		}
+	}
+	short, err := c.rd.readFD(fd)
+	if err == syscall.EAGAIN {
+		return false
+	}
+	if c.rerr = err; !short {
+		c.sent = 0 // more may be waiting: not quiet
+	}
+	return true
+}
+
+// fill reads more of the stream into the buffer. A read deadline in the
+// past is a wake (Client.wake) and can outlive the Call it was meant for:
+// it is cleared — before ctx is looked at, or a wake of this Call's own
+// landing in between would be lost — and ends the fill only if ctx has.
+func (c *Client) fill(ctx context.Context) error {
+	for {
+		var err error
+		if c.raw == nil {
+			err = c.rd.fill(c.conn)
+		} else if err = c.raw.Read(c.readable); err == nil {
+			err = c.rerr
+		}
+		if !errors.Is(err, os.ErrDeadlineExceeded) {
+			return err
+		}
+		if cerr := c.conn.SetReadDeadline(time.Time{}); cerr != nil || ctx.Err() != nil {
+			return cmp.Or(cerr, err)
+		}
+	}
+}
+
+// readMessage returns the next message that decodes, filling the buffer
+// as it needs to.
+func (c *Client) readMessage(ctx context.Context) (*protocol.Message, error) {
+	for {
+		f, ok, err := c.rd.next()
+		if err == nil && !ok {
+			if err = c.fill(ctx); err == nil {
+				continue
+			}
+		}
 		if err != nil {
-			return nil, true, err
+			return nil, err
 		}
 		stats := c.stats.Load()
 		stats.countFrame(f.binary, false)
@@ -816,7 +797,7 @@ func (c *Client) readMessage() (msg *protocol.Message, inFrame bool, err error) 
 			stats.CountFrameError()
 			continue // skip unparseable frames; Call timeouts surface it
 		}
-		return msg, false, nil
+		return msg, nil
 	}
 }
 
@@ -984,15 +965,9 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 	if !wroteBinary {
 		*buf = protocol.AppendEncode((*buf)[:0], m)
 	}
-	err := c.w.write(*buf)
-	protocol.ReleaseBuffer(buf)
 	c.stats.Load().countFrame(wroteBinary, true)
-	if err != nil {
-		c.forget(seq, ch, ringSlot)
-		return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
-	}
-
-	resp, err := c.await(ctx, seq, ch)
+	resp, err := c.await(ctx, seq, ch, *buf)
+	protocol.ReleaseBuffer(buf)
 	if err != nil {
 		c.forget(seq, ch, ringSlot)
 		return nil, err
@@ -1158,11 +1133,21 @@ type coalescer struct {
 	timer *time.Timer
 	armed bool
 	due   time.Time
+	// started numbers the socket writes (under mu, before each); wrote is
+	// the last that succeeded: writes run one at a time.
+	started, wrote atomic.Uint64
 }
 
 func newCoalescer(dst io.Writer) *coalescer {
 	return &coalescer{dst: dst}
 }
+
+// wroteSince reports whether a socket write that started after mark
+// returned mark has succeeded: a reader's licence to wait without reading
+// after a short read, for a peer that had closed would have failed it with
+// EPIPE (DESIGN.md §7, "Pipelined IPC, and who reads").
+func (w *coalescer) mark() uint64                { return w.started.Load() }
+func (w *coalescer) wroteSince(mark uint64) bool { return w.wrote.Load() > mark }
 
 // write appends p and flushes unless another writer already took the
 // leader role (or a batch is open) — in which case the bytes ride along
@@ -1247,11 +1232,14 @@ func (w *coalescer) flushLocked() error {
 	for w.err == nil && len(w.buf) > 0 && w.batch == 0 {
 		out := w.buf
 		w.buf = w.spare[:0]
+		gen := w.started.Add(1)
 		w.mu.Unlock()
 		_, err := w.dst.Write(out)
 		w.mu.Lock()
 		w.spare = out[:0]
-		if err != nil && w.err == nil {
+		if err == nil {
+			w.wrote.Store(gen)
+		} else if w.err == nil {
 			w.err = err
 		}
 	}

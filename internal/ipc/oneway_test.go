@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"fmt"
@@ -61,14 +60,14 @@ func (h *refuseHandler) types() []protocol.Type {
 // negotiated or not.
 func oneWayRig(t *testing.T, h Handler, negotiate bool) (*Client, *WireStats) {
 	t.Helper()
-	srv, err := Listen(sockPath(t), h)
+	srv, err := listenFill(sockPath(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { srv.Close() })
 	stats := &WireStats{}
 	srv.SetWireStats(stats)
-	cli, err := Dial(srv.Addr())
+	cli, err := dialFill(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +87,9 @@ func confirm(addr uint64) *protocol.Message {
 // TestPostIsOneFrame: a posted report costs the wire one frame in and
 // none out, reaches the handler marked, in order with the calls around
 // it, and a Call after it is a barrier.
-func TestPostIsOneFrame(t *testing.T) {
+func TestPostIsOneFrame(t *testing.T) { bothFills(t, testPostIsOneFrame) }
+
+func testPostIsOneFrame(t *testing.T) {
 	leak.Check(t)
 	h := &refuseHandler{}
 	cli, stats := oneWayRig(t, h, true)
@@ -137,6 +138,10 @@ func TestPostIsOneFrame(t *testing.T) {
 // scheduler's text and matching the sentinel of its code; the Call
 // after that succeeds.
 func TestRefusedPostFailsTheVeryNextCall(t *testing.T) {
+	bothFills(t, testRefusedPostFailsTheVeryNextCall)
+}
+
+func testRefusedPostFailsTheVeryNextCall(t *testing.T) {
 	leak.Check(t)
 	cli, stats := oneWayRig(t, &refuseHandler{}, true)
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -196,7 +201,9 @@ func TestRefusedPostFailsTheVeryNextCall(t *testing.T) {
 // TestRefusalDoesNotSwallowTheCall: a Call sent after a refused Post
 // reaches the scheduler — it must hear a procexit whatever was refused
 // before it — and returns the refusal in place of the reply.
-func TestRefusalDoesNotSwallowTheCall(t *testing.T) {
+func TestRefusalDoesNotSwallowTheCall(t *testing.T) { bothFills(t, testRefusalDoesNotSwallowTheCall) }
+
+func testRefusalDoesNotSwallowTheCall(t *testing.T) {
 	leak.Check(t)
 	h := &refuseHandler{}
 	cli, _ := oneWayRig(t, h, true)
@@ -219,7 +226,9 @@ func TestRefusalDoesNotSwallowTheCall(t *testing.T) {
 // the connection, another thread's refused Post comes back to whichever
 // call that thread makes next, a Post included — after writing its own
 // frame, which is not the refused one's business.
-func TestRefusalReachesPostToo(t *testing.T) {
+func TestRefusalReachesPostToo(t *testing.T) { bothFills(t, testRefusalReachesPostToo) }
+
+func testRefusalReachesPostToo(t *testing.T) {
 	leak.Check(t)
 	h := &refuseHandler{park: make(chan struct{})}
 	cli, _ := oneWayRig(t, h, true)
@@ -268,7 +277,9 @@ func TestRefusalReachesPostToo(t *testing.T) {
 // TestPostDegradesToCallOnJSON: on a connection that never negotiated,
 // Post is a request/response exchange whose refusal is its own error —
 // same type, same text — and nothing travels marked.
-func TestPostDegradesToCallOnJSON(t *testing.T) {
+func TestPostDegradesToCallOnJSON(t *testing.T) { bothFills(t, testPostDegradesToCallOnJSON) }
+
+func testPostDegradesToCallOnJSON(t *testing.T) {
 	leak.Check(t)
 	h := &refuseHandler{}
 	cli, stats := oneWayRig(t, h, false)
@@ -303,7 +314,9 @@ func TestPostDegradesToCallOnJSON(t *testing.T) {
 // the two-way way — an unmarked response echoing its seq — is harmless:
 // no Call waits on that seq, so the reply is dropped where unknown seqs
 // always were, and the connection keeps working.
-func TestOldStyleReplyToPostIsDropped(t *testing.T) {
+func TestOldStyleReplyToPostIsDropped(t *testing.T) { bothFills(t, testOldStyleReplyToPostIsDropped) }
+
+func testOldStyleReplyToPostIsDropped(t *testing.T) {
 	leak.Check(t)
 	// A real socket: nobody reads the client's end until its Call does, and
 	// the stray reply has to wait in a buffer meanwhile.
@@ -321,15 +334,14 @@ func TestOldStyleReplyToPostIsDropped(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvConn.Close()
-	cli := NewClient(cliConn)
+	cli := NewClient(wrapFill(cliConn))
 	defer cli.Close()
 	cli.useBinary.Store(true)
 	served := make(chan error, 1)
 	go func() {
-		r := bufio.NewReader(srvConn)
-		var scratch []byte
+		s := splitter{buf: make([]byte, readBufSize)}
 		for i := 0; i < 2; i++ {
-			f, err := readFrame(r, &scratch)
+			f, err := nextFrame(srvConn, &s)
 			if err != nil {
 				served <- err
 				return
@@ -362,6 +374,10 @@ func TestOldStyleReplyToPostIsDropped(t *testing.T) {
 // payload does not decode is not lost in silence either — the server's
 // error goes back marked, so the sender's next call fails on it.
 func TestMalformedOneWayFrameComesBackMarked(t *testing.T) {
+	bothFills(t, testMalformedOneWayFrameComesBackMarked)
+}
+
+func testMalformedOneWayFrameComesBackMarked(t *testing.T) {
 	leak.Check(t)
 	cli, stats := oneWayRig(t, &echoHandler{}, true)
 	ctx := context.Background()
@@ -385,10 +401,12 @@ func TestMalformedOneWayFrameComesBackMarked(t *testing.T) {
 // the next Post goes out on a fresh dial. A free's write failure is that
 // Post's own error; a confirm's is the error of the frame after it, and
 // the redial's replay hook repairs it (see Client.Post).
-func TestReconnectorPost(t *testing.T) {
+func TestReconnectorPost(t *testing.T) { bothFills(t, testReconnectorPost) }
+
+func testReconnectorPost(t *testing.T) {
 	leak.Check(t)
 	h := &refuseHandler{}
-	srv, err := Listen(sockPath(t), h)
+	srv, err := listenFill(sockPath(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -400,7 +418,7 @@ func TestReconnectorPost(t *testing.T) {
 	var unconfirmed []uint64 // what the wrapper's replay would restore
 	r := NewReconnector(ReconnectConfig{
 		Dial: func() (net.Conn, error) {
-			c, err := net.Dial("unix", srv.Addr())
+			c, err := dialConnFill(srv.Addr())
 			mu.Lock()
 			conns = append(conns, c)
 			mu.Unlock()

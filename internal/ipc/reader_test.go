@@ -1,7 +1,6 @@
 package ipc
 
 import (
-	"bufio"
 	"context"
 	"errors"
 	"net"
@@ -58,7 +57,9 @@ func (h *holdHandler) release(size int64) {
 // (the other has to take the role over to see its own answer) or the
 // other (the reader hands the answer to its slot and reads on) — each
 // gets its own reply, and the connection serves a third call afterwards.
-func TestReaderRoleIsHandedOn(t *testing.T) {
+func TestReaderRoleIsHandedOn(t *testing.T) { bothFills(t, testReaderRoleIsHandedOn) }
+
+func testReaderRoleIsHandedOn(t *testing.T) {
 	for _, order := range [][2]int64{{1, 2}, {2, 1}} {
 		leak.Check(t)
 		h := newHoldHandler()
@@ -104,6 +105,10 @@ func TestReaderRoleIsHandedOn(t *testing.T) {
 // connection serves the next call, and so it does when the wake-up comes
 // late and its deadline is still set when another call starts reading.
 func TestCancelledReaderLeavesConnectionUsable(t *testing.T) {
+	bothFills(t, testCancelledReaderLeavesConnectionUsable)
+}
+
+func testCancelledReaderLeavesConnectionUsable(t *testing.T) {
 	leak.Check(t)
 	h := newHoldHandler()
 	cli, _ := oneWayRig(t, h, true)
@@ -129,7 +134,9 @@ func TestCancelledReaderLeavesConnectionUsable(t *testing.T) {
 // TestReadCutInsideFrameFailsClient: a peer that stops in the middle of
 // a frame has left the stream where it cannot be picked up again. The
 // Call gives up when its context says so, and the client is failed.
-func TestReadCutInsideFrameFailsClient(t *testing.T) {
+func TestReadCutInsideFrameFailsClient(t *testing.T) { bothFills(t, testReadCutInsideFrameFailsClient) }
+
+func testReadCutInsideFrameFailsClient(t *testing.T) {
 	leak.Check(t)
 	ln, err := net.Listen("unix", sockPath(t))
 	if err != nil {
@@ -145,12 +152,12 @@ func TestReadCutInsideFrameFailsClient(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srvConn.Close()
-	cli := NewClient(cliConn)
+	cli := NewClient(wrapFill(cliConn))
 	defer cli.Close()
 	cli.useBinary.Store(true)
 	go func() {
-		var scratch []byte
-		f, err := readFrame(bufio.NewReader(srvConn), &scratch)
+		s := splitter{buf: make([]byte, readBufSize)}
+		f, err := nextFrame(srvConn, &s)
 		if err != nil {
 			return
 		}

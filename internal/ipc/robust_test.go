@@ -31,10 +31,12 @@ func waitClosed(t *testing.T, h *echoHandler) {
 // TestOversizedFrameKillsServerConn: a frame above MaxLine must end the
 // connection cleanly — Closed fires, the socket actually closes (the
 // peer sees EOF instead of hanging), and no goroutine is left behind.
-func TestOversizedFrameKillsServerConn(t *testing.T) {
+func TestOversizedFrameKillsServerConn(t *testing.T) { bothFills(t, testOversizedFrameKillsServerConn) }
+
+func testOversizedFrameKillsServerConn(t *testing.T) {
 	leak.Check(t)
 	h := &echoHandler{}
-	srv, err := Listen(sockPath(t), h)
+	srv, err := listenFill(sockPath(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -64,10 +66,12 @@ func TestOversizedFrameKillsServerConn(t *testing.T) {
 
 // TestTruncatedFrameServer: a connection dying mid-line must not wedge
 // the server — Closed fires and nothing leaks.
-func TestTruncatedFrameServer(t *testing.T) {
+func TestTruncatedFrameServer(t *testing.T) { bothFills(t, testTruncatedFrameServer) }
+
+func testTruncatedFrameServer(t *testing.T) {
 	leak.Check(t)
 	h := &echoHandler{}
-	srv, err := Listen(sockPath(t), h)
+	srv, err := listenFill(sockPath(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,7 +91,9 @@ func TestTruncatedFrameServer(t *testing.T) {
 
 // TestOversizedFrameKillsClient: the client read loop hitting an
 // oversized frame must fail in-flight Calls and release the socket.
-func TestOversizedFrameKillsClient(t *testing.T) {
+func TestOversizedFrameKillsClient(t *testing.T) { bothFills(t, testOversizedFrameKillsClient) }
+
+func testOversizedFrameKillsClient(t *testing.T) {
 	leak.Check(t)
 	ln, err := net.Listen("unix", sockPath(t))
 	if err != nil {
@@ -109,7 +115,7 @@ func TestOversizedFrameKillsClient(t *testing.T) {
 		served <- c
 	}()
 
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dialFill(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,7 +145,9 @@ func isConnDead(err error) bool {
 
 // TestTruncatedFrameClient: the server dying mid-response line must
 // fail the in-flight Call with a connection error, not a hang.
-func TestTruncatedFrameClient(t *testing.T) {
+func TestTruncatedFrameClient(t *testing.T) { bothFills(t, testTruncatedFrameClient) }
+
+func testTruncatedFrameClient(t *testing.T) {
 	leak.Check(t)
 	ln, err := net.Listen("unix", sockPath(t))
 	if err != nil {
@@ -155,7 +163,7 @@ func TestTruncatedFrameClient(t *testing.T) {
 		c.Close()
 	}()
 
-	cli, err := Dial(ln.Addr().String())
+	cli, err := dialFill(ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -218,8 +226,12 @@ func TestPeerDeathOneSentinel(t *testing.T) {
 // a peer death the write noticed like one the read loop noticed — the
 // failed Call surfaces ErrClosed and the next Call redials.
 func TestReconnectorRedialsAfterWriteDetectedDeath(t *testing.T) {
+	bothFills(t, testReconnectorRedialsAfterWriteDetectedDeath)
+}
+
+func testReconnectorRedialsAfterWriteDetectedDeath(t *testing.T) {
 	leak.Check(t)
-	srv, err := Listen(sockPath(t), &echoHandler{})
+	srv, err := listenFill(sockPath(t), &echoHandler{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +242,7 @@ func TestReconnectorRedialsAfterWriteDetectedDeath(t *testing.T) {
 			if dials++; dials == 1 {
 				return &deadPeerConn{errno: syscall.EPIPE, closed: make(chan struct{})}, nil
 			}
-			return net.Dial("unix", srv.Addr())
+			return dialConnFill(srv.Addr())
 		},
 		Backoff: Backoff{Base: time.Millisecond}, Seed: 1,
 	})
@@ -261,13 +273,15 @@ func (panicHandler) Closed(*ServerConn) {}
 
 // TestHandlerPanicIsRecovered: a panicking handler yields an error
 // response on that request and the connection keeps serving others.
-func TestHandlerPanicIsRecovered(t *testing.T) {
-	srv, err := Listen(sockPath(t), panicHandler{})
+func TestHandlerPanicIsRecovered(t *testing.T) { bothFills(t, testHandlerPanicIsRecovered) }
+
+func testHandlerPanicIsRecovered(t *testing.T) {
+	srv, err := listenFill(sockPath(t), panicHandler{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	cli, err := Dial(srv.Addr())
+	cli, err := dialFill(srv.Addr())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -291,9 +305,11 @@ func TestHandlerPanicIsRecovered(t *testing.T) {
 
 // TestReconnectorRedialsWithBackoff: dial failures are retried on the
 // backoff schedule until one succeeds, transparently to the caller.
-func TestReconnectorRedialsWithBackoff(t *testing.T) {
+func TestReconnectorRedialsWithBackoff(t *testing.T) { bothFills(t, testReconnectorRedialsWithBackoff) }
+
+func testReconnectorRedialsWithBackoff(t *testing.T) {
 	h := &echoHandler{}
-	srv, err := Listen(sockPath(t), h)
+	srv, err := listenFill(sockPath(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +321,7 @@ func TestReconnectorRedialsWithBackoff(t *testing.T) {
 			if atomic.AddInt32(&attempts, 1) <= 2 {
 				return nil, errors.New("injected dial failure")
 			}
-			return net.Dial("unix", srv.Addr())
+			return dialConnFill(srv.Addr())
 		},
 		Backoff: Backoff{Base: time.Millisecond, Max: 4 * time.Millisecond},
 		Seed:    1,
@@ -354,17 +370,20 @@ func TestReconnectorMaxAttempts(t *testing.T) {
 // not idempotent), and the next call redials the restarted server,
 // running the OnReconnect hook again.
 func TestReconnectorSurvivesServerRestart(t *testing.T) {
+	bothFills(t, testReconnectorSurvivesServerRestart)
+}
+
+func testReconnectorSurvivesServerRestart(t *testing.T) {
 	path := sockPath(t)
 	h := &echoHandler{}
-	srv, err := Listen(path, h)
+	srv, err := listenFill(path, h)
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	var hooks int32
 	r := NewReconnector(ReconnectConfig{
-		Network: "unix",
-		Addr:    path,
+		Dial:    func() (net.Conn, error) { return dialConnFill(path) },
 		Backoff: Backoff{Base: time.Millisecond, Max: 8 * time.Millisecond},
 		OnReconnect: func(c *Client) error {
 			atomic.AddInt32(&hooks, 1)
@@ -386,7 +405,7 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 		t.Fatal("call through dead connection succeeded")
 	}
 
-	srv2, err := Listen(path, h)
+	srv2, err := listenFill(path, h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -414,9 +433,11 @@ func TestReconnectorSurvivesServerRestart(t *testing.T) {
 // TestReconnectorCallTimeout: CallTimeout bounds ordinary requests, but
 // allocation requests are exempt — a suspended allocation must be able
 // to outwait any per-call deadline.
-func TestReconnectorCallTimeout(t *testing.T) {
+func TestReconnectorCallTimeout(t *testing.T) { bothFills(t, testReconnectorCallTimeout) }
+
+func testReconnectorCallTimeout(t *testing.T) {
 	h := &parkHandler{parkAll: true}
-	srv, err := Listen(sockPath(t), h)
+	srv, err := listenFill(sockPath(t), h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,8 +445,7 @@ func TestReconnectorCallTimeout(t *testing.T) {
 
 	const callTimeout = 60 * time.Millisecond
 	r := NewReconnector(ReconnectConfig{
-		Network:     "unix",
-		Addr:        srv.Addr(),
+		Dial:        func() (net.Conn, error) { return dialConnFill(srv.Addr()) },
 		Backoff:     Backoff{Base: time.Millisecond},
 		CallTimeout: callTimeout,
 		Seed:        1,
