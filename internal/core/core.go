@@ -574,15 +574,24 @@ func (s *State) confirmLocked(c *containerState, pid int, addr uint64, size byte
 	// allocation was already freed and the (fire-and-forget) free report
 	// is still in flight. Release the stale usage implicitly; the late
 	// report will fail with ErrUnknownAddr and be ignored by the wrapper.
-	for _, q := range c.procs {
-		if stale, dup := q.allocs[addr]; dup {
-			delete(q.allocs, addr)
-			c.used -= stale
+	if len(c.procs) == 1 { // only p's allocations can hold addr: no map walk
+		c.dropStale(p, addr)
+	} else {
+		for _, q := range c.procs {
+			c.dropStale(q, addr)
 		}
 	}
 	p.accepted = append(p.accepted[:i], p.accepted[i+1:]...)
 	p.allocs[addr] = size
 	return nil
+}
+
+// dropStale releases q's record of addr, if it has one.
+func (c *containerState) dropStale(q *procState, addr uint64) {
+	if stale, dup := q.allocs[addr]; dup {
+		delete(q.allocs, addr)
+		c.used -= stale
+	}
 }
 
 // Restore re-charges a live allocation a wrapper reports while

@@ -250,6 +250,7 @@ func Start(cfg Config) (*Daemon, error) {
 		return nil, err
 	}
 	ctl.SetWireStats(d.wire)
+	ctl.SetHandlerLatency(cfg.Obs.HandlerControl)
 	cfg.Obs.BindWire("daemon", d.wire, nil)
 	d.control = ctl
 	if cfg.Lease > 0 {
@@ -414,6 +415,7 @@ func (d *Daemon) serve(id core.ContainerID, dir string) error {
 		return err
 	}
 	srv.SetWireStats(d.wire)
+	srv.SetHandlerLatency(d.obs.HandlerContainer)
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -571,14 +573,9 @@ func codedError(msg *protocol.Message, err error) *protocol.Message {
 // an operator asks of the daemon goes through internal/admin instead.
 type controlHandler struct{ d *Daemon }
 
-// Handle implements ipc.Handler.
+// Handle implements ipc.Handler. The server times it into the control
+// socket's latency histogram (ipc.Server.SetHandlerLatency).
 func (h controlHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
-	start := time.Now()
-	h.handle(conn, msg, respond)
-	h.d.obs.HandlerControl.Observe(time.Since(start))
-}
-
-func (h controlHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
 	switch msg.Type {
 	case protocol.TypeRegister:
 		resp, err := h.d.register(core.ContainerID(msg.Container), msg.Limit, h.d.resolveTenant(msg))
@@ -617,17 +614,12 @@ func ok() *protocol.Message {
 	return m
 }
 
-// Handle implements ipc.Handler. The latency histogram times the
-// handler from decode to local completion; for a suspended allocation
-// that is the decision latency (the response itself is parked and its
-// wait lands in the suspend-wait histogram instead).
+// Handle implements ipc.Handler. The server times it into the container
+// sockets' latency histogram (ipc.Server.SetHandlerLatency); for a
+// suspended allocation that is the decision latency (the response itself
+// is parked and its wait lands in the suspend-wait histogram instead). A
+// successful one-way confirm or free is not answered at all.
 func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
-	start := time.Now()
-	h.handle(conn, msg, respond)
-	h.d.obs.HandlerContainer.Observe(time.Since(start))
-}
-
-func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
 	c := h.d.cfg.Core
 	h.d.touch(h.id) // any traffic renews the session lease
 	switch msg.Type {
@@ -663,7 +655,9 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			respond(codedError(msg, err))
 			return
 		}
-		respond(ok())
+		if !msg.NoReply {
+			respond(ok())
+		}
 	case protocol.TypeAbort:
 		u, err := c.AbortAlloc(h.id, msg.PID, msg.SizeBytes())
 		if err != nil {
@@ -692,9 +686,11 @@ func (h containerHandler) handle(conn *ipc.ServerConn, msg *protocol.Message, re
 			respond(codedError(msg, err))
 			return
 		}
-		m := ok()
-		m.Free = int64(size)
-		respond(m)
+		if !msg.NoReply {
+			m := ok()
+			m.Free = int64(size)
+			respond(m)
+		}
 		h.d.dispatch(u)
 	case protocol.TypeProcExit:
 		size, u, err := c.ProcessExit(h.id, msg.PID)

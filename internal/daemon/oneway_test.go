@@ -1,6 +1,8 @@
 package daemon
 
 import (
+	"bufio"
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -17,6 +19,7 @@ import (
 	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
 	"convgpu/internal/leak"
+	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
 	"convgpu/internal/wrapper"
 )
@@ -453,4 +456,138 @@ func TestTwoWayReportsStillServed(t *testing.T) {
 	if got := r.used(t); got != 1 {
 		t.Errorf("used = %d bytes, want the 1-byte context", got)
 	}
+}
+
+// TestOneWaySuccessIsNotAnswered: the container handler answers a one-way
+// confirm or free only when it refuses it — nobody waits for a success —
+// and answers the two-way forms either way.
+func TestOneWaySuccessIsNotAnswered(t *testing.T) {
+	d := startDaemon(t, mib(1000))
+	register(t, dialControl(t, d), "c", mib(900))
+	h := containerHandler{d: d, id: "c"}
+	charge := func(t *testing.T) {
+		if res, err := d.Core().RequestAlloc("c", 7, 64); err != nil || res.Decision != core.Accept {
+			t.Fatalf("alloc: %+v %v", res, err)
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		setup func(*testing.T)
+		msg   protocol.Message
+		want  int
+	}{
+		{"one-way confirm", charge, protocol.Message{Type: protocol.TypeConfirm, PID: 7, Size: 64, Addr: 0x100, NoReply: true}, 0},
+		{"refused one-way confirm", nil, protocol.Message{Type: protocol.TypeConfirm, PID: 8, Size: 64, Addr: 0x200, NoReply: true}, 1},
+		{"two-way confirm", charge, protocol.Message{Type: protocol.TypeConfirm, PID: 7, Size: 64, Addr: 0x300}, 1},
+		{"one-way free", nil, protocol.Message{Type: protocol.TypeFree, PID: 7, Addr: 0x100, NoReply: true}, 0},
+		{"refused one-way free", nil, protocol.Message{Type: protocol.TypeFree, PID: 99, Addr: 0x300, NoReply: true}, 1},
+		{"two-way free", nil, protocol.Message{Type: protocol.TypeFree, PID: 7, Addr: 0x300}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.setup != nil {
+				tc.setup(t)
+			}
+			calls := 0
+			msg := tc.msg
+			h.Handle(nil, &msg, func(m *protocol.Message) {
+				calls++
+				protocol.ReleaseMessage(m)
+			})
+			if calls != tc.want {
+				t.Errorf("respond called %d times, want %d", calls, tc.want)
+			}
+		})
+	}
+	if info, err := d.Core().Info("c"); err != nil || info.Used != 1 {
+		t.Errorf("used = %v (%v), want the 1-byte context: every success was applied", info.Used, err)
+	}
+}
+
+// TestHandlerHistogramCountsRequests: convgpu_ipc_handler_seconds takes
+// one sample per request a handler serves and no other — three a wrapped
+// cycle and one for the barrier on the container socket, one a register
+// or close on the control socket, none for a codec probe or a frame that
+// does not decode — and the samples add up to less than the loop took.
+func TestHandlerHistogramCountsRequests(t *testing.T) {
+	r := newCycleRig(t)
+	cont, ctl := r.d.obs.HandlerContainer, r.d.obs.HandlerControl
+	// settled waits for a histogram to reach want — a sample is taken
+	// after the reply is written — and checks it goes no further.
+	settled := func(h *obs.Histogram, want uint64, what string) {
+		t.Helper()
+		waitFor(t, what, func() bool { return h.Count() >= want })
+		if got := h.Count(); got != want {
+			t.Errorf("%s: %d samples, want %d", what, got, want)
+		}
+	}
+
+	const cycles = 500
+	n0, s0 := cont.Count(), cont.Sum()
+	start := time.Now()
+	for i := 0; i < cycles; i++ {
+		ptr, err := r.mod.Malloc(mib(1))
+		if err == nil {
+			err = r.mod.Free(ptr)
+		}
+		if err != nil {
+			t.Fatalf("cycle %d: %v", i, err)
+		}
+	}
+	if err := r.mod.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	settled(cont, n0+3*cycles+1, "container socket after the cycles and the barrier")
+	if sum, elapsed := cont.Sum()-s0, time.Since(start); sum <= 0 || sum >= elapsed {
+		t.Errorf("samples sum to %v over a loop of %v", sum, elapsed)
+	}
+
+	c0 := ctl.Count()
+	cc, err := ipc.DialNegotiated(context.Background(), r.d.ControlSocket())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cc.Close()
+	if !cc.BinaryNegotiated() {
+		t.Fatal("the control socket did not answer the codec probe")
+	}
+	y := register(t, cc, "y", mib(10))
+	if !y.OK {
+		t.Fatalf("register: %s", y.Error)
+	}
+
+	// By hand on y's socket: a frame that does not decode and a codec
+	// probe are answered, not sampled; the heartbeat after them is.
+	n1 := cont.Count()
+	conn, err := net.Dial("unix", filepath.Join(y.SocketDir, ContainerSocketName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	out := []byte(`{"type":"alloc","seq":1,"pid":1,"size":-1}` + "\n")
+	out = protocol.AppendEncode(out, &protocol.Message{Type: protocol.TypeCodec, Seq: 2, Data: protocol.BinaryCodecToken})
+	out = protocol.AppendEncode(out, &protocol.Message{Type: protocol.TypeHeartbeat, Seq: 3})
+	if _, err := conn.Write(out); err != nil {
+		t.Fatal(err)
+	}
+	conn.SetReadDeadline(time.Now().Add(5 * time.Second))
+	rd := bufio.NewReader(conn)
+	for seq := uint64(1); seq <= 3; seq++ {
+		line, err := rd.ReadBytes('\n')
+		if err != nil {
+			t.Fatal(err)
+		}
+		if m, err := protocol.Decode(bytes.TrimSuffix(line, []byte("\n"))); err != nil || m.Seq != seq || m.OK == (seq == 1) {
+			t.Fatalf("reply %d: %+v %v", seq, m, err)
+		}
+	}
+	settled(cont, n1+1, "container socket after a bad frame, a probe and a heartbeat")
+	if r.d.WireStats().FrameErrors() != 1 {
+		t.Errorf("frame errors = %d, want the one bad frame", r.d.WireStats().FrameErrors())
+	}
+
+	resp, err := cc.Call(context.Background(), &protocol.Message{Type: protocol.TypeClose, Container: "y"})
+	if err != nil || !resp.OK {
+		t.Fatalf("close: %+v %v", resp, err)
+	}
+	settled(ctl, c0+2, "control socket after a register and a close")
 }

@@ -27,34 +27,48 @@
 // pipeline requests without serializing on one round trip or paying a
 // channel allocation per call. The client has no read loop: the Call
 // waiting for a reply reads the connection itself, for the others too
-// while it does (see Client). Neither end reads what it knows is empty:
-// on a UNIX socket both read inside syscall.RawConn.Read and may wait
-// without the read that would only return EAGAIN (coalescer.wroteSince).
+// while it does (see Client).
+//
+// # Reading
+//
+// Neither end reads what it knows is empty: on a UNIX socket both read
+// inside syscall.RawConn.Read and wait without the read that would only
+// return EAGAIN when a write that started after their last read has
+// reached the peer (coalescer.wroteSince) — a peer that had closed would
+// have failed it. The client's Call stages its frame in the write buffer
+// and flushes it from inside RawConn.Read, after the poller was armed.
+// Another writer may carry a staged frame out first — the deferral timer,
+// another goroutine's Post or Call — and the reply can then be in the
+// socket before the poller was armed: the Call's flush writes nothing, no
+// write started after its mark has succeeded, and the Call reads first.
 //
 // # Hot-path memory discipline
 //
-// The transport threads pooled protocol.Message objects and pooled frame
-// buffers through its reads and writes, so a steady-state request
-// cycle on binary frames does near-zero heap allocation. That imposes
-// ownership windows (see Handler and DESIGN.md §"Hot path"): a request
-// message is valid only until Handle returns, and a response message
-// passed to respond or Send is consumed by the transport.
+// The transport threads pooled protocol.Message objects through its reads
+// and writes and encodes each outbound frame once, straight into its
+// connection's write buffer, so a steady-state request cycle on binary
+// frames allocates nothing and copies a frame once on its way to the
+// socket. That imposes ownership windows (see Handler and DESIGN.md §"Hot
+// path"): a request message is valid only until Handle returns, and a
+// response message passed to respond or Send is consumed by the transport.
 //
 // # Write coalescing
 //
-// Outbound writes go through a coalescing writer: the sender appends its
-// line to a shared buffer and at most one goroutine per connection (the
-// current "leader") performs the socket write. Senders arriving while
+// Outbound writes go through a coalescing writer: the sender encodes its
+// frame onto a shared buffer and at most one goroutine per connection
+// (the current "leader") performs the socket write. Senders arriving while
 // the leader is inside the syscall buffer behind it and are flushed by
 // the leader's next pass — a redistribution that admits N suspended
 // tickets on one connection costs ~1 write syscall instead of N (the
 // daemon brackets such bursts with BeginBatch/EndBatch). An uncontended
 // send flushes immediately on the caller's goroutine, adding no latency —
-// with one exception, on the client side: a posted confirm (a one-way
-// verb protocol.Type.Deferrable admits) is appended and left for the
-// next frame on the connection to carry out in its write, or for a
-// timer after deferBound (1 ms) when none comes, and a one-way frame
-// posted while it waits there (a free) waits with it. See Client.Post.
+// with two exceptions, on the client side. A Call's frame is staged and
+// flushed by the Call once it is ready to read the reply (see Reading). A
+// posted confirm (a one-way verb protocol.Type.Deferrable admits) is
+// appended and left for the next frame on the connection to carry out in
+// its write, or for a timer after deferBound (1 ms) when none comes, and
+// a one-way frame posted while it waits there (a free) waits with it. See
+// Client.Post.
 package ipc
 
 import (
@@ -116,11 +130,12 @@ func closedErr(err error) error {
 // consumed: the transport writes it and returns it to the pool, so the
 // caller must not touch it after respond returns.
 //
-// A one-way request (msg.NoReply) has nobody waiting: respond swallows a
-// success and sends a refusal back as an unsolicited error frame. For
-// such a request Handle must call respond before it returns, if at all —
-// one-way requests cannot be parked (protocol.Validate admits the marker
-// only on verbs that are answered at once).
+// A one-way request (msg.NoReply) has nobody waiting: a success needs no
+// respond at all (respond swallows one), and respond sends a refusal back
+// as an unsolicited error frame. For such a request Handle must call
+// respond before it returns, if at all — one-way requests cannot be
+// parked (protocol.Validate admits the marker only on verbs that are
+// answered at once).
 type Handler interface {
 	Handle(conn *ServerConn, msg *protocol.Message, respond func(*protocol.Message))
 	Closed(conn *ServerConn)
@@ -133,6 +148,7 @@ type Server struct {
 	handler Handler
 	wg      sync.WaitGroup
 	stats   atomic.Pointer[WireStats]
+	latency atomic.Pointer[LatencyObserver]
 
 	mu     sync.Mutex
 	conns  map[*ServerConn]struct{}
@@ -147,6 +163,12 @@ func (s *Server) SetWireStats(w *WireStats) {
 		s.stats.Store(w)
 	}
 }
+
+// SetHandlerLatency installs the sink for one sample per request handed
+// to the Handler (safe after Listen; nil disables timing): from the end
+// of the frame before it, or the read that brought it, to Handle's return.
+// Frames the transport answers itself are neither samples nor part of one.
+func (s *Server) SetHandlerLatency(o LatencyObserver) { s.latency.Store(&o) }
 
 // Listen creates a UNIX socket at path and starts accepting connections.
 func Listen(path string, h Handler) (*Server, error) {
@@ -185,7 +207,7 @@ func (s *Server) acceptLoop() {
 		if err != nil {
 			return // listener closed
 		}
-		sc := &ServerConn{conn: c, server: s, w: newCoalescer(c)}
+		sc := &ServerConn{conn: c, server: s, w: newCoalescer(c, &s.stats)}
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()
@@ -271,31 +293,7 @@ func (c *ServerConn) Tag() string {
 // The message is only read, never retained. (Responses to requests flow
 // through a responder instead, which answers in the request's codec.)
 func (c *ServerConn) Send(m *protocol.Message) error {
-	return c.send(m, false)
-}
-
-// send writes m in the requested codec, falling back to a JSON line
-// when the message has no binary form (or is too large for one) — the
-// peer dispatches per frame, so mixing framings on one connection is
-// always safe.
-func (c *ServerConn) send(m *protocol.Message, binary bool) error {
-	buf := protocol.AcquireBuffer()
-	wroteBinary := false
-	if binary {
-		if out, ok := protocol.AppendEncodeBinary((*buf)[:0], m); ok {
-			*buf = out
-			wroteBinary = true
-		}
-	}
-	if !wroteBinary {
-		*buf = protocol.AppendEncode((*buf)[:0], m)
-	}
-	// Counted before the write: a peer that reads the counters after
-	// receiving this frame must find it there.
-	c.server.stats.Load().countFrame(wroteBinary, true)
-	err := c.w.write(*buf)
-	protocol.ReleaseBuffer(buf)
-	return err
+	return c.w.write(m, false)
 }
 
 // BeginBatch suspends flushing so a burst of Sends — the responses a
@@ -312,8 +310,15 @@ func (c *ServerConn) readLoop(h Handler) {
 	defer protocol.ReleaseMessage(msg)
 	oneWay := c.respondOneWay // built once: a one-way frame costs no closure
 	rsp := newResponder(c)
-	var err error     // what ended the stream
+	var err error // what ended the stream
+	// Stamps are monotonic clock readings: time.Since reads nothing else.
+	epoch := time.Now()
 	serve := func() { // every whole frame in the buffer, in order
+		var lat LatencyObserver
+		var stamp time.Duration // where the next frame's sample starts
+		if p := c.server.latency.Load(); p != nil && *p != nil {
+			lat, stamp = *p, time.Since(epoch)
+		}
 		for {
 			f, ok, ferr := s.next()
 			if !ok { // ferr condemns the connection: the caller closes it
@@ -322,57 +327,35 @@ func (c *ServerConn) readLoop(h Handler) {
 			}
 			stats := c.server.stats.Load()
 			stats.countFrame(f.binary, false)
-			if err := f.decodeInto(msg); err != nil {
-				// A malformed message gets an error response echoing the
-				// request's sequence number when we can still extract it —
-				// from the validated binary header, or scanned out of the
-				// bad JSON line — so the caller can correlate the failure
-				// instead of timing out. A one-way frame's sender waits on no
-				// seq, so its error goes back marked, like a refusal (msg keeps
-				// what the header said even when the payload did not decode).
+			handled := false
+			if derr := f.decodeInto(msg); derr != nil {
 				stats.CountFrameError()
-				resp := protocol.AcquireMessage()
-				resp.Type = protocol.TypeResponse
-				resp.Seq = f.errorSeq()
-				resp.Error = err.Error()
-				resp.NoReply = msg.NoReply
-				c.send(resp, f.binary)
-				protocol.ReleaseMessage(resp)
-				continue
-			}
-			if msg.Type == protocol.TypeCodec {
-				// Codec negotiation is transport business: answer here so
-				// every server (control and per-container) supports it with
-				// no handler involvement, echoing the token a client must
-				// see before it starts sending binary frames.
-				resp := protocol.AcquireMessage()
-				resp.Type = protocol.TypeResponse
-				resp.Seq = msg.Seq
-				if msg.Data == protocol.BinaryCodecToken {
-					resp.OK = true
-					resp.Data = protocol.BinaryCodecToken
-					stats.countNegotiation()
-				} else {
-					resp.Error = fmt.Sprintf("ipc: unknown codec %q", msg.Data)
-				}
-				c.send(resp, f.binary)
-				protocol.ReleaseMessage(resp)
-				msg.Reset()
-				continue
-			}
-			respond := oneWay
-			if msg.NoReply {
-				c.oneWaySeq, c.oneWayType = msg.Seq, msg.Type
+				c.answerUndecodable(f, msg.NoReply, derr)
+			} else if msg.Type == protocol.TypeCodec {
+				c.answerCodec(f.binary, msg, stats)
 			} else {
-				if rsp.pending.Load() { // parked: it is its holder's now
-					rsp = newResponder(c)
+				respond := oneWay
+				if msg.NoReply {
+					c.oneWaySeq, c.oneWayType = msg.Seq, msg.Type
+				} else {
+					if rsp.pending.Load() { // parked: it is its holder's now
+						rsp = newResponder(c)
+					}
+					rsp.seq, rsp.binary = msg.Seq, f.binary
+					rsp.pending.Store(true)
+					respond = rsp.fn
 				}
-				rsp.seq, rsp.binary = msg.Seq, f.binary
-				rsp.pending.Store(true)
-				respond = rsp.fn
+				safeHandle(h, c, msg, respond)
+				handled = true
 			}
-			safeHandle(h, c, msg, respond)
 			msg.Reset()
+			if lat != nil {
+				now := time.Since(epoch)
+				if handled {
+					lat.Observe(now - stamp)
+				}
+				stamp = now
+			}
 		}
 	}
 	// readable is the RawConn.Read callback: one read and its frames; it
@@ -400,6 +383,41 @@ func (c *ServerConn) readLoop(h Handler) {
 	}
 }
 
+// answerUndecodable answers a malformed frame with an error echoing its
+// sequence number when one can still be extracted — from the validated
+// binary header, or scanned out of the bad JSON line — so the caller can
+// correlate the failure instead of timing out. A one-way frame's sender
+// waits on no seq, so its error goes back marked, like a refusal (the
+// message keeps what the header said even when the payload did not decode).
+func (c *ServerConn) answerUndecodable(f frame, noReply bool, err error) {
+	resp := protocol.AcquireMessage()
+	resp.Type = protocol.TypeResponse
+	resp.Seq = f.errorSeq()
+	resp.Error = err.Error()
+	resp.NoReply = noReply
+	c.w.write(resp, f.binary)
+	protocol.ReleaseMessage(resp)
+}
+
+// answerCodec answers a codec probe. Negotiation is transport business:
+// answered here, every server (control and per-container) supports it
+// with no handler involvement, echoing the token a client must see before
+// it starts sending binary frames.
+func (c *ServerConn) answerCodec(binary bool, msg *protocol.Message, stats *WireStats) {
+	resp := protocol.AcquireMessage()
+	resp.Type = protocol.TypeResponse
+	resp.Seq = msg.Seq
+	if msg.Data == protocol.BinaryCodecToken {
+		resp.OK = true
+		resp.Data = protocol.BinaryCodecToken
+		stats.countNegotiation()
+	} else {
+		resp.Error = fmt.Sprintf("ipc: unknown codec %q", msg.Data)
+	}
+	c.w.write(resp, binary)
+	protocol.ReleaseMessage(resp)
+}
+
 // respondOneWay is respond for a one-way request: nobody waits for the
 // answer, so a success ends here and a refusal goes back as an error
 // frame carrying the request's seq and the one-way marker, which the
@@ -411,7 +429,7 @@ func (c *ServerConn) respondOneWay(resp *protocol.Message) {
 		resp.Seq = c.oneWaySeq
 		resp.NoReply = true
 		resp.Error = protocol.NewRefusal(c.oneWayType, resp).Text
-		c.send(resp, true)
+		c.w.write(resp, true)
 	}
 	protocol.ReleaseMessage(resp)
 }
@@ -459,7 +477,7 @@ func (r *responder) respond(resp *protocol.Message) {
 	seq, binary := r.seq, r.binary
 	if r.pending.CompareAndSwap(true, false) {
 		resp.Seq, resp.Type = seq, protocol.TypeResponse
-		r.c.send(resp, binary)
+		r.c.w.write(resp, binary)
 	}
 	// The transport consumes the response whether or not it was the
 	// winning call; see Handler's ownership contract.
@@ -521,8 +539,8 @@ type Client struct {
 	rd       splitter
 	raw      syscall.RawConn    // nil: rd is filled by conn.Read
 	readable func(uintptr) bool // onReadable, bound once
-	out      []byte             // the reading Call's frame, for readable to write
-	sent     uint64             // the generation of the write that carried out
+	staged   bool               // the reading Call's frame waits in the write buffer, for readable to flush
+	sent     uint64             // the generation of the write that flushed it
 	quiet    uint64             // see onReadable
 	rerr     error              // what readable's last read or write returned
 	wake     func()             // ends a blocked read: the read deadline goes into the past
@@ -625,11 +643,11 @@ func DialNet(network, addr string) (*Client, error) {
 func NewClient(conn net.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		w:       newCoalescer(conn),
 		readTok: make(chan struct{}, 1),
 		rd:      splitter{buf: make([]byte, readBufSize)},
 		unwatch: func() bool { return false },
 	}
+	c.w = newCoalescer(conn, &c.stats)
 	c.raw = rawConn(conn)
 	c.readable = c.onReadable
 	// On a connection that takes no deadline (or is closed already) a
@@ -639,17 +657,18 @@ func NewClient(conn net.Conn) *Client {
 	return c
 }
 
-// await sends out, a Call's frame, and returns the reply to seq, which
-// arrives on ch when another Call is reading and off the connection when
-// this one is (read sends out then).
-func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Message, out []byte) (*protocol.Message, error) {
+// await sends the frame a Call staged in the write buffer and returns the
+// reply to seq, which arrives on ch when another Call is reading and off
+// the connection when this one is (read flushes the frame then).
+func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Message) (*protocol.Message, error) {
+	staged := true
 	select {
 	case <-c.readTok:
 	default:
-		if err := c.w.write(out); err != nil {
+		if err := c.w.flush(); err != nil {
 			return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 		}
-		out = nil
+		staged = false
 		select {
 		case resp, ok := <-ch:
 			if !ok {
@@ -670,18 +689,19 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 		return resp, nil
 	default:
 	}
-	return c.read(ctx, seq, out)
+	return c.read(ctx, seq, staged)
 }
 
 // read is the reading Call's: it reads frames until the reply to seq,
 // storing refusals and handing other calls' replies to their ring slots.
-// On a UNIX socket onReadable writes out, after RawConn.Read armed the poller.
-func (c *Client) read(ctx context.Context, seq uint64, out []byte) (*protocol.Message, error) {
+// On a UNIX socket onReadable flushes the staged frame, after RawConn.Read
+// armed the poller.
+func (c *Client) read(ctx context.Context, seq uint64, staged bool) (*protocol.Message, error) {
 	c.sent = 0
 	if c.raw != nil && ctx.Err() == nil {
-		c.out = out
-	} else if out != nil {
-		if err := c.w.write(out); err != nil {
+		c.staged = staged
+	} else if staged {
+		if err := c.w.flush(); err != nil {
 			return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 		}
 	}
@@ -699,8 +719,8 @@ func (c *Client) read(ctx context.Context, seq uint64, out []byte) (*protocol.Me
 	}
 	for {
 		msg, err := c.readMessage(ctx)
-		if out := c.out; out != nil { // came back before onReadable wrote it: it goes out all the same
-			c.out, _ = nil, c.w.write(out)
+		if c.staged { // came back before onReadable flushed it: it goes out all the same
+			c.staged, _ = false, c.w.flush()
 		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, os.ErrDeadlineExceeded) {
@@ -729,15 +749,17 @@ func (c *Client) read(ctx context.Context, seq uint64, out []byte) (*protocol.Me
 }
 
 // onReadable is the reading Call's RawConn.Read callback: one read, after
-// writing the Call's own frame if it has one. When that write reached the
-// peer it waits without reading (coalescer.wroteSince) if nothing came
+// flushing the Call's staged frame if it has one. When that flush reached
+// the peer it waits without reading (coalescer.wroteSince) if nothing came
 // before the poller was armed: no other Call is in flight, and quiet is its
-// mark — no write since the last reader's own, answered in short reads.
+// mark — no write since the last reader's own, answered in short reads. A
+// flush that wrote nothing — another writer carried the frame out, maybe
+// before the poller was armed — leaves it to read (package doc, Reading).
 func (c *Client) onReadable(fd uintptr) bool {
-	if out := c.out; out != nil {
-		c.out = nil
+	if c.staged {
+		c.staged = false
 		mark := c.w.mark()
-		if c.rerr = c.w.write(out); c.rerr != nil {
+		if c.rerr = c.w.flush(); c.rerr != nil {
 			return true
 		}
 		c.sent = mark + 1
@@ -954,20 +976,11 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 	c.inFlight.Add(1)
 	defer c.inFlight.Add(-1)
 
-	buf := protocol.AcquireBuffer()
-	wroteBinary := false
-	if c.useBinary.Load() {
-		if out, ok := protocol.AppendEncodeBinary((*buf)[:0], m); ok {
-			*buf = out
-			wroteBinary = true
-		}
+	if err := c.w.stage(m, c.useBinary.Load()); err != nil { // a dead writer: at once
+		c.forget(seq, ch, ringSlot)
+		return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 	}
-	if !wroteBinary {
-		*buf = protocol.AppendEncode((*buf)[:0], m)
-	}
-	c.stats.Load().countFrame(wroteBinary, true)
-	resp, err := c.await(ctx, seq, ch, *buf)
-	protocol.ReleaseBuffer(buf)
+	resp, err := c.await(ctx, seq, ch)
 	if err != nil {
 		c.forget(seq, ch, ringSlot)
 		return nil, err
@@ -1025,13 +1038,7 @@ func (c *Client) Post(ctx context.Context, m *protocol.Message) error {
 		m.Seq = c.seq
 		c.mu.Unlock()
 		m.NoReply = true
-		buf := protocol.AcquireBuffer()
-		out, ok := protocol.AppendEncodeBinary((*buf)[:0], m)
-		if ok {
-			*buf = out
-			c.stats.Load().countFrame(true, true)
-			err := c.w.post(*buf, m.Type.Deferrable())
-			protocol.ReleaseBuffer(buf)
+		if binary, err := c.w.post(m, m.Type.Deferrable()); binary {
 			if err != nil { // at once on a closed client, waiting or not
 				return fmt.Errorf("ipc: post %s: %w", m.Type, closedErr(err))
 			}
@@ -1043,7 +1050,6 @@ func (c *Client) Post(ctx context.Context, m *protocol.Message) error {
 			c.mu.Unlock()
 			return err
 		}
-		protocol.ReleaseBuffer(buf)
 		m.NoReply = false // no binary form: send it as a JSON request
 	}
 	resp, err := c.Call(ctx, m)
@@ -1119,7 +1125,8 @@ const deferBound = time.Millisecond
 // syscall. Two buffers alternate between the accumulating and the
 // in-flight role, so steady-state writing allocates nothing.
 type coalescer struct {
-	dst io.Writer
+	dst   io.Writer
+	stats *atomic.Pointer[WireStats] // the owner's: each frame is counted as it is encoded
 
 	mu       sync.Mutex
 	buf      []byte // accumulating
@@ -1138,8 +1145,8 @@ type coalescer struct {
 	started, wrote atomic.Uint64
 }
 
-func newCoalescer(dst io.Writer) *coalescer {
-	return &coalescer{dst: dst}
+func newCoalescer(dst io.Writer, stats *atomic.Pointer[WireStats]) *coalescer {
+	return &coalescer{dst: dst, stats: stats}
 }
 
 // wroteSince reports whether a socket write that started after mark
@@ -1149,25 +1156,54 @@ func newCoalescer(dst io.Writer) *coalescer {
 func (w *coalescer) mark() uint64                { return w.started.Load() }
 func (w *coalescer) wroteSince(mark uint64) bool { return w.wrote.Load() > mark }
 
-// write appends p and flushes unless another writer already took the
-// leader role (or a batch is open) — in which case the bytes ride along
-// with the leader's (or EndBatch's) flush.
-func (w *coalescer) write(p []byte) error {
-	w.mu.Lock()
-	if w.err != nil {
-		err := w.err
-		w.mu.Unlock()
-		return err
+// appendLocked encodes m onto the buffer — a binary frame when binary and
+// m has one, a JSON line otherwise (the peer dispatches per frame, so
+// mixing framings on one connection is always safe) — and counts it,
+// before its write: a peer that reads the counters after receiving the
+// frame must find it there. Caller holds mu.
+func (w *coalescer) appendLocked(m *protocol.Message, binary bool) {
+	if binary {
+		if out, ok := protocol.AppendEncodeBinary(w.buf, m); ok {
+			w.buf = out
+			w.stats.Load().countFrame(true, true)
+			return
+		}
 	}
-	w.buf = append(w.buf, p...)
-	if w.flushing || w.batch > 0 {
-		w.mu.Unlock()
-		return nil
+	w.buf = protocol.AppendEncode(w.buf, m)
+	w.stats.Load().countFrame(false, true)
+}
+
+// write encodes m and flushes unless another writer already took the
+// leader role (or a batch is open) — in which case the frame rides along
+// with the leader's (or EndBatch's) flush.
+func (w *coalescer) write(m *protocol.Message, binary bool) error {
+	w.mu.Lock()
+	if w.err == nil {
+		w.appendLocked(m, binary)
 	}
 	return w.flushLocked()
 }
 
-// post appends the one-way frame p and decides, by one rule, whether it
+// stage encodes a Call's frame without writing it: the Call flushes it
+// when it is ready to read the reply, unless another writer carries it
+// out first (package doc, Reading).
+func (w *coalescer) stage(m *protocol.Message, binary bool) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err == nil {
+		w.appendLocked(m, binary)
+	}
+	return w.err
+}
+
+// flush writes what the buffer holds, as write's flush does; with nothing
+// there it writes nothing.
+func (w *coalescer) flush() error {
+	w.mu.Lock()
+	return w.flushLocked()
+}
+
+// post encodes the one-way frame m and decides, by one rule, whether it
 // also leaves. A frame that mayWait (protocol.Type.Deferrable) stays in
 // the buffer and arms the timer unless it is running: it starts a wait.
 // Any other frame never starts one, but when deferred bytes are already
@@ -1178,6 +1214,8 @@ func (w *coalescer) write(p []byte) error {
 // One buffer, so the peer reads the frames in the order they were handed
 // in. A nil return for a frame that stayed says less than write's: the
 // bytes are queued, and a failure to send them is the next write's error.
+// One-way frames are binary only: m without a binary form is not taken
+// (binary false), and its sender falls back to a Call.
 //
 // A timer past its due time counts as fired. The runtime runs a timer
 // when a thread passes through the scheduler with that timer in reach,
@@ -1185,18 +1223,20 @@ func (w *coalescer) write(p []byte) error {
 // 12 ms measured in a two-thread Malloc+Free loop, none at one thread); a
 // frame somebody may be waiting on does not wait for it, and flushes what
 // the timer should have.
-func (w *coalescer) post(p []byte, mayWait bool) error {
+func (w *coalescer) post(m *protocol.Message, mayWait bool) (binary bool, err error) {
 	w.mu.Lock()
-	if w.err != nil {
+	out, ok := protocol.AppendEncodeBinary(w.buf, m)
+	if !ok || w.err != nil {
 		err := w.err
 		w.mu.Unlock()
-		return err
+		return ok, err
 	}
 	joins := !mayWait && w.armed && len(w.buf) > 0
 	if joins && time.Until(w.due) <= 0 {
 		w.armed, joins = false, false // the next deferral re-arms the timer
 	}
-	w.buf = append(w.buf, p...)
+	w.buf = out
+	w.stats.Load().countFrame(true, true)
 	if mayWait && !w.armed {
 		w.armed = true
 		w.due = time.Now().Add(deferBound)
@@ -1206,11 +1246,11 @@ func (w *coalescer) post(p []byte, mayWait bool) error {
 			w.timer.Reset(deferBound) // fired, or overdue and still to fire: either way one expiry from now
 		}
 	}
-	if mayWait || joins || w.flushing || w.batch > 0 {
+	if mayWait || joins {
 		w.mu.Unlock()
-		return nil
+		return true, nil
 	}
-	return w.flushLocked()
+	return true, w.flushLocked()
 }
 
 // flushDeferred is the timer's callback: it writes what is still
@@ -1218,32 +1258,31 @@ func (w *coalescer) post(p []byte, mayWait bool) error {
 func (w *coalescer) flushDeferred() {
 	w.mu.Lock()
 	w.armed = false
-	if w.flushing {
-		w.mu.Unlock()
-		return
-	}
 	_ = w.flushLocked() // kept in w.err for the next write to return
 }
 
-// flushLocked drains the buffer as the leader. Called with mu held;
-// returns with mu released.
+// flushLocked drains the buffer as the leader — unless another writer
+// leads already, whose next pass takes what is there, or a batch is open.
+// Called with mu held; returns with mu released.
 func (w *coalescer) flushLocked() error {
-	w.flushing = true
-	for w.err == nil && len(w.buf) > 0 && w.batch == 0 {
-		out := w.buf
-		w.buf = w.spare[:0]
-		gen := w.started.Add(1)
-		w.mu.Unlock()
-		_, err := w.dst.Write(out)
-		w.mu.Lock()
-		w.spare = out[:0]
-		if err == nil {
-			w.wrote.Store(gen)
-		} else if w.err == nil {
-			w.err = err
+	if !w.flushing {
+		w.flushing = true
+		for w.err == nil && len(w.buf) > 0 && w.batch == 0 {
+			out := w.buf
+			w.buf = w.spare[:0]
+			gen := w.started.Add(1)
+			w.mu.Unlock()
+			_, err := w.dst.Write(out)
+			w.mu.Lock()
+			w.spare = out[:0]
+			if err == nil {
+				w.wrote.Store(gen)
+			} else if w.err == nil {
+				w.err = err
+			}
 		}
+		w.flushing = false
 	}
-	w.flushing = false
 	err := w.err
 	w.mu.Unlock()
 	return err
@@ -1259,11 +1298,6 @@ func (w *coalescer) endBatch() error {
 	w.mu.Lock()
 	if w.batch > 0 {
 		w.batch--
-	}
-	if w.batch > 0 || w.flushing || len(w.buf) == 0 {
-		err := w.err
-		w.mu.Unlock()
-		return err
 	}
 	return w.flushLocked()
 }

@@ -425,7 +425,7 @@ func TestMalformedFrameEchoesSeq(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
-	got, err := cli.await(ctx, badSeq, ch, nil) // as the pending call would
+	got, err := cli.await(ctx, badSeq, ch) // as the pending call would
 	if err != nil {
 		t.Fatalf("no error response for malformed frame with extractable seq: %v", err)
 	}
@@ -601,7 +601,7 @@ func TestBatchedSendsCoalesce(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
 	defer cancel()
 	for seq, ch := range chans { // the first to wait reads for the rest
-		if _, err := cli.await(ctx, seq, ch, nil); err != nil {
+		if _, err := cli.await(ctx, seq, ch); err != nil {
 			t.Fatalf("batched message seq=%d never delivered: %v", seq, err)
 		}
 	}

@@ -381,9 +381,9 @@ func testMalformedOneWayFrameComesBackMarked(t *testing.T) {
 	leak.Check(t)
 	cli, stats := oneWayRig(t, &echoHandler{}, true)
 	ctx := context.Background()
-	// An alloc may not travel one-way: Validate refuses it on arrival.
-	frame, _ := protocol.AppendEncodeBinary(nil, &protocol.Message{Type: protocol.TypeAlloc, Seq: 99, PID: 1, Size: 1, NoReply: true})
-	if err := cli.w.write(frame); err != nil {
+	// An alloc may not travel one-way: Post sends it, Validate refuses it
+	// on arrival.
+	if err := cli.Post(ctx, &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: 1}); err != nil {
 		t.Fatal(err)
 	}
 	_, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat})

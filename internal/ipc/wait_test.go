@@ -342,6 +342,102 @@ func testPastDeadlineAtEntry(t *testing.T) {
 	}
 }
 
+// TestStagedFrameCarriedOut: a Call stages its frame and, before it arms
+// the poller, another goroutine's Post writes the frame out with its own.
+// The reply can then be in the socket, its readiness event taken, before
+// the Call reads: the Call's flush writes nothing, so it reads before it
+// waits and gets its reply.
+func TestStagedFrameCarriedOut(t *testing.T) { bothFills(t, testStagedFrameCarriedOut) }
+
+func testStagedFrameCarriedOut(t *testing.T) {
+	leak.Check(t)
+	h := &refuseHandler{}
+	cli, _ := oneWayRig(t, h, true)
+	ctx := context.Background()
+	if _, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat}); err != nil { // the connection is known quiet after it
+		t.Fatal(err)
+	}
+	// The Call up to its await: a seq, a slot, the frame staged.
+	cli.mu.Lock()
+	cli.seq++
+	seq, ch := cli.seq, make(chan *protocol.Message, 1)
+	cli.overflow = map[uint64]chan *protocol.Message{seq: ch}
+	cli.mu.Unlock()
+	cli.inFlight.Add(1)
+	defer cli.inFlight.Add(-1)
+	if err := cli.w.stage(&protocol.Message{Type: protocol.TypeMemInfo, Seq: seq, Size: 5}, true); err != nil {
+		t.Fatal(err)
+	}
+	posted := make(chan error, 1)
+	go func() { posted <- cli.Post(ctx, free(2)) }() // nothing waits ahead of a free: written at once, the staged frame first
+	if err := <-posted; err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(20 * time.Millisecond) // the reply has come and the runtime has taken its event
+	err := within(t, func() error {
+		resp, err := cli.await(ctx, seq, ch)
+		if err == nil && resp.Free != 5 {
+			err = fmt.Errorf("reply %+v", resp)
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatalf("the Call whose staged frame another writer carried out: %v", err)
+	}
+	if err := cli.received(seq, false); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat}); err != nil {
+		t.Fatalf("the Call after it: %v", err)
+	}
+	if got, want := fmt.Sprint(h.types()), "[heartbeat meminfo free heartbeat]"; got != want {
+		t.Errorf("handler saw %s, want %s", got, want)
+	}
+}
+
+// TestCallOnADeadWriter: a Call whose frame meets a dead writer — one a
+// failed write stopped, or one whose flush fails behind a confirm still
+// waiting in the buffer — returns ErrClosed at once, waiting for no reply.
+func TestCallOnADeadWriter(t *testing.T) { bothFills(t, testCallOnADeadWriter) }
+
+func testCallOnADeadWriter(t *testing.T) {
+	leak.Check(t)
+	for _, waiting := range []bool{false, true} {
+		ln, err := net.Listen("unix", sockPath(t))
+		if err != nil {
+			t.Fatal(err)
+		}
+		cliConn, err := net.Dial("unix", ln.Addr().String())
+		if err != nil {
+			t.Fatal(err)
+		}
+		srvConn, err := ln.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		cli := NewClient(wrapFill(cliConn))
+		cli.useBinary.Store(true)
+		srvConn.Close()
+		ctx := context.Background()
+		if waiting {
+			if err := cli.Post(ctx, confirm(2)); err != nil {
+				t.Fatal(err)
+			}
+		} else if err := cli.Post(ctx, free(2)); !errors.Is(err, ErrClosed) {
+			t.Fatalf("a free written to a closed peer = %v, want ErrClosed", err)
+		}
+		err = within(t, func() error {
+			_, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeHeartbeat})
+			return err
+		})
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("confirm waiting: %v: the Call = %v, want ErrClosed", waiting, err)
+		}
+		cli.Close()
+		ln.Close()
+	}
+}
+
 // within runs f and fails the test if it takes more than 5 s.
 func within(t *testing.T, f func() error) error {
 	t.Helper()

@@ -49,8 +49,9 @@ func (e TraceEvent) String() string {
 
 // Tracer is a fixed-capacity ring buffer of TraceEvents. Recording
 // copies a value struct under a short mutex — no allocation in steady
-// state (the per-container sequence map allocates only on a container's
-// first event). A capacity < 0 disables retention entirely while still
+// state (a container's causal counter is allocated on its first event) —
+// and looks the container up once: the map holds each counter by
+// pointer. A capacity < 0 disables retention entirely while still
 // assigning causal sequence numbers.
 type Tracer struct {
 	mu   sync.Mutex
@@ -58,7 +59,7 @@ type Tracer struct {
 	next int    // ring write cursor
 	n    int    // number of valid entries (≤ len(ring))
 	seq  uint64 // total events ever recorded
-	cseq map[string]uint64
+	cseq map[string]*uint64
 }
 
 // NewTracer returns a tracer holding the last capacity events
@@ -67,7 +68,7 @@ func NewTracer(capacity int) *Tracer {
 	if capacity == 0 {
 		capacity = DefaultTraceCapacity
 	}
-	t := &Tracer{cseq: make(map[string]uint64)}
+	t := &Tracer{cseq: make(map[string]*uint64)}
 	if capacity > 0 {
 		t.ring = make([]TraceEvent, capacity)
 	}
@@ -91,8 +92,13 @@ func (t *Tracer) Record(at time.Time, kind, container string, pid int, amount in
 		Ticket:    ticket,
 	}
 	if container != "" {
-		t.cseq[container]++
-		e.CSeq = t.cseq[container]
+		p := t.cseq[container]
+		if p == nil {
+			p = new(uint64)
+			t.cseq[container] = p
+		}
+		*p++
+		e.CSeq = *p
 	}
 	if len(t.ring) > 0 {
 		t.ring[t.next] = e

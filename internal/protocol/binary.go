@@ -158,8 +158,8 @@ func decisionByte(d Decision) (byte, bool) {
 // whether the message was representable. ok=false — an unknown type or
 // decision token, a string over 64 KiB, or a payload over
 // MaxBinaryPayload — leaves dst unchanged and means the caller must
-// send the message as a JSON line instead. With a pooled buffer the
-// encode is allocation-free.
+// send the message as a JSON line instead. Into a buffer with room for
+// the frame the encode is allocation-free.
 func AppendEncodeBinary(dst []byte, m *Message) (out []byte, ok bool) {
 	op, ok := opcodeOf(m.Type)
 	if !ok {

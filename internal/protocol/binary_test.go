@@ -238,7 +238,8 @@ func TestBinaryUnrepresentable(t *testing.T) {
 }
 
 // TestBinaryZeroAlloc proves the hot-path contract: encode into a
-// pooled buffer and decode into a pooled message allocate nothing for
+// buffer with room (a connection's write buffer) and decode into a
+// pooled message allocate nothing for
 // the verbs the wrapper sends every CUDA call.
 func TestBinaryZeroAlloc(t *testing.T) {
 	req := &Message{Type: TypeAlloc, Seq: 7, PID: 41, Size: 4 << 20, API: "cudaMalloc"}

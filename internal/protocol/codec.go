@@ -1,4 +1,6 @@
-// JSON line codec and the Message/buffer pools both codecs share.
+// JSON line codec and the Message pool both codecs share. Neither codec
+// pools buffers: the transport encodes each frame straight into its
+// connection's write buffer.
 //
 // JSON is the control and debug format: the paper's wire (§III-A), what
 // an un-negotiated peer speaks, and what CONVGPU_WIRE_JSON pins a
@@ -47,30 +49,6 @@ func (m *Message) Clone() *Message {
 	c := *m
 	return &c
 }
-
-// bufPool recycles encode line buffers. Stored as *[]byte so Put does
-// not allocate a slice header box.
-var bufPool = sync.Pool{New: func() any {
-	b := make([]byte, 0, 256)
-	return &b
-}}
-
-// AcquireBuffer returns a pooled byte buffer for AppendEncode.
-func AcquireBuffer() *[]byte { return bufPool.Get().(*[]byte) }
-
-// ReleaseBuffer returns a buffer to the pool. Oversized buffers (beyond
-// a line that could plausibly recur) are dropped to bound pool memory.
-func ReleaseBuffer(b *[]byte) {
-	if b == nil || cap(*b) > MaxEncodedLine {
-		return
-	}
-	*b = (*b)[:0]
-	bufPool.Put(b)
-}
-
-// MaxEncodedLine bounds buffers the encode pool retains. Messages are
-// small; an error text would have to be pathological to exceed this.
-const MaxEncodedLine = 4096
 
 // AppendEncode appends m's wire form — one JSON line including the
 // trailing newline — to dst and returns the extended slice. It never

@@ -97,24 +97,37 @@ func TestScanSeq(t *testing.T) {
 	}
 }
 
-func TestBufferPoolRoundTrip(t *testing.T) {
-	buf := AcquireBuffer()
-	*buf = AppendEncode(*buf, &Message{Type: TypeMemInfo, Seq: 1})
-	if len(*buf) == 0 {
-		t.Fatal("AppendEncode wrote nothing")
+// TestAppendEncodeKeepsWhatIsThere: both encoders append behind the
+// frames already in the buffer — the transport encodes each frame
+// straight into its connection's write buffer, behind frames still
+// waiting there — and leave those bytes alone, refused or not.
+func TestAppendEncodeKeepsWhatIsThere(t *testing.T) {
+	waiting := AppendEncode(nil, &Message{Type: TypeConfirm, Seq: 1, PID: 1, Size: 64, Addr: 4})
+	buf := append([]byte(nil), waiting...)
+	buf = AppendEncode(buf, &Message{Type: TypeMemInfo, Seq: 2})
+	buf, ok := AppendEncodeBinary(buf, &Message{Type: TypeAlloc, Seq: 3, PID: 1, Size: 64})
+	if !ok {
+		t.Fatal("an alloc has no binary frame")
 	}
-	ReleaseBuffer(buf)
-	// Oversized buffers must be dropped, not retained.
-	big := make([]byte, 0, MaxEncodedLine+1)
-	ReleaseBuffer(&big)
+	if !bytes.HasPrefix(buf, waiting) {
+		t.Fatalf("the waiting frame was overwritten: %q", buf)
+	}
+	line := buf[len(waiting):]
+	i := bytes.IndexByte(line, '\n')
+	if m, err := Decode(line[:i]); err != nil || m.Type != TypeMemInfo || m.Seq != 2 {
+		t.Fatalf("second frame decodes to %+v, %v", m, err)
+	}
+	if got, ok := AppendEncodeBinary(buf, &Message{Type: "bogus"}); ok || !bytes.Equal(got, buf) {
+		t.Fatalf("a message without a binary frame changed the buffer: ok=%v", ok)
+	}
 }
 
 // TestPooledCodecConcurrency is the codec's aliasing stress test: many
-// goroutines encode into pooled buffers and decode into pooled messages
-// concurrently (run under -race). Each goroutine verifies its decoded
-// message still matches its own input after a pool round trip — if a
-// released message or buffer were still aliased by another goroutine,
-// the race detector and the value checks would both trip.
+// goroutines encode and decode into pooled messages concurrently (run
+// under -race). Each goroutine verifies its decoded message still
+// matches its own input after a pool round trip — if a released message
+// were still aliased by another goroutine, the race detector and the
+// value checks would both trip.
 func TestPooledCodecConcurrency(t *testing.T) {
 	const goroutines = 16
 	const iters = 2000
@@ -124,6 +137,7 @@ func TestPooledCodecConcurrency(t *testing.T) {
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
+			var buf []byte
 			for i := 0; i < iters; i++ {
 				in := AcquireMessage()
 				in.Type = TypeAlloc
@@ -132,11 +146,10 @@ func TestPooledCodecConcurrency(t *testing.T) {
 				in.Size = int64(i + 1)
 				in.API = "cudaMalloc"
 
-				buf := AcquireBuffer()
-				*buf = AppendEncode((*buf)[:0], in)
+				buf = AppendEncode(buf[:0], in)
 
 				out := AcquireMessage()
-				if err := DecodeInto(out, bytes.TrimSuffix(*buf, []byte("\n"))); err != nil {
+				if err := DecodeInto(out, bytes.TrimSuffix(buf, []byte("\n"))); err != nil {
 					errs <- err
 					return
 				}
@@ -145,7 +158,6 @@ func TestPooledCodecConcurrency(t *testing.T) {
 					return
 				}
 				ReleaseMessage(in)
-				ReleaseBuffer(buf)
 				// Mutating out after releasing in must be safe: they are
 				// distinct objects even when both came from the pool.
 				out.Seq++
@@ -160,14 +172,13 @@ func TestPooledCodecConcurrency(t *testing.T) {
 	}
 }
 
-func BenchmarkAppendEncodePooled(b *testing.B) {
+func BenchmarkAppendEncode(b *testing.B) {
 	m := &Message{Type: TypeAlloc, Seq: 123456, PID: 41, Size: 4 << 20, API: "cudaMalloc"}
-	buf := AcquireBuffer()
-	defer ReleaseBuffer(buf)
+	var buf []byte
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		*buf = AppendEncode((*buf)[:0], m)
+		buf = AppendEncode(buf[:0], m)
 	}
 }
 
