@@ -11,6 +11,9 @@
 //	BenchmarkHotPathRouted*       the same cycle through the multi-device
 //	                              routing plane (placement lookup + member
 //	                              forward) — must stay 0 allocs/op
+//	BenchmarkHotPathSocketFloor   one frame echoed each way over a UNIX
+//	                              socketpair by the read rule, no
+//	                              middleware: the wake-up floor
 //	BenchmarkHotPathRoundTrip*    end-to-end over the daemon's real UNIX
 //	                              socket, zero device latency
 //	BenchmarkHotPathFacadeCycleWAL the loop BENCHMARK.json's cycle_wal
@@ -36,6 +39,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -139,12 +143,21 @@ func BenchmarkHotPathBinaryRoundTrip(b *testing.B) {
 // redistribution. Observability is bound, as in the real daemon: every
 // event bumps a per-kind counter and lands in the trace ring, and the
 // 0 allocs/op budget must hold with that on.
-func BenchmarkHotPathCoreAccept(b *testing.B) {
+func BenchmarkHotPathCoreAccept(b *testing.B) { benchCoreAccept(b, true) }
+
+// BenchmarkHotPathCoreAcceptBare is the same cycle with no observer
+// bound: the difference to BenchmarkHotPathCoreAccept is what
+// observability costs core admit.
+func BenchmarkHotPathCoreAcceptBare(b *testing.B) { benchCoreAccept(b, false) }
+
+func benchCoreAccept(b *testing.B, observed bool) {
 	st, err := core.New(core.Config{Capacity: 1 << 40})
 	if err != nil {
 		b.Fatal(err)
 	}
-	obs.New(obs.Config{Algorithm: "fifo"}).BindCore(st)
+	if observed {
+		obs.New(obs.Config{Algorithm: "fifo"}).BindCore(st)
+	}
 	if _, err := st.Register("c", 1<<39); err != nil {
 		b.Fatal(err)
 	}
@@ -348,6 +361,88 @@ func benchRoundTrip1RTT(b *testing.B, binary bool) {
 
 func BenchmarkHotPathRoundTrip1RTTBinary(b *testing.B) { benchRoundTrip1RTT(b, true) }
 func BenchmarkHotPathRoundTrip1RTTJSON(b *testing.B)   { benchRoundTrip1RTT(b, false) }
+
+// BenchmarkHotPathSocketFloor is what a round trip costs below the
+// middleware: two goroutines echo one binary alloc frame each way over a
+// UNIX socketpair, each end reading and writing its fd inside
+// RawConn.Read by the transport's read rule (after writing, it waits
+// without the read that would find nothing). No codec, no handler, no
+// coalescer: the difference to BenchmarkHotPathRoundTrip1RTTBinary is
+// the transport and the daemon, and a wrapped cycle, one round trip with
+// its two reports in front, costs at least this.
+func BenchmarkHotPathSocketFloor(b *testing.B) {
+	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var conns [2]net.Conn
+	var raws [2]syscall.RawConn
+	for i, fd := range fds {
+		f := os.NewFile(uintptr(fd), "socketpair")
+		conns[i], err = net.FileConn(f) // a dup, on the poller
+		f.Close()
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer conns[i].Close()
+		if raws[i], err = conns[i].(syscall.Conn).SyscallConn(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	frame, _ := protocol.AppendEncodeBinary(nil, hotPathAllocMsg())
+	echoed := make(chan struct{})
+	go func() { // the peer: each read's bytes go straight back
+		defer close(echoed)
+		buf := make([]byte, 16*1024) // room for many frames, as the transport's read buffer has
+		_ = raws[1].Read(func(fd uintptr) bool {
+			n, err := syscall.Read(int(fd), buf)
+			if err == syscall.EAGAIN {
+				return false
+			}
+			if err != nil || n == 0 { // the other end closed
+				return true
+			}
+			_, err = syscall.Write(int(fd), buf[:n])
+			return err != nil // wrote since the read: wait without reading
+		})
+	}()
+
+	buf := make([]byte, len(frame))
+	var wrote bool
+	var got int
+	var ioErr error
+	roundTrip := func(fd uintptr) bool {
+		if !wrote {
+			wrote = true
+			_, ioErr = syscall.Write(int(fd), frame)
+			return ioErr != nil // wrote since the last read: wait without reading
+		}
+		n, err := syscall.Read(int(fd), buf[got:])
+		if err == syscall.EAGAIN {
+			return false
+		}
+		if err != nil || n == 0 {
+			ioErr = fmt.Errorf("echo: read %d: %v", n, err)
+			return true
+		}
+		got += n
+		return got == len(frame) // the rest of a cut frame is on its way
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		wrote, got = false, 0
+		if err := raws[0].Read(roundTrip); err != nil || ioErr != nil {
+			b.Fatal(err, ioErr)
+		}
+	}
+	b.StopTimer()
+	conns[0].Close() // the peer reads the end of the stream
+	<-echoed
+	if string(buf) != string(frame) {
+		b.Fatal("the echo is not the frame")
+	}
+}
 
 // BenchmarkHotPathRoundTripPipelined keeps 8 calls in flight on one
 // binary connection — the shape the per-connection seq ring exists for.

@@ -2,6 +2,7 @@ package clock
 
 import (
 	"sort"
+	"strings"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -17,6 +18,53 @@ func TestRealNowMonotonicEnough(t *testing.T) {
 	}
 	if c.Since(a) < 0 {
 		t.Fatalf("Real.Since negative")
+	}
+}
+
+// TestOneReadingNow pins what Real and Coarse stamps are made of: an
+// anchor plus one monotonic reading must stay within a millisecond of
+// time.Now, never run backwards between goroutines whose readings are
+// ordered, and carry a monotonic reading of their own.
+func TestOneReadingNow(t *testing.T) {
+	for _, c := range []Clock{Real{}, Coarse{}} {
+		before := time.Now()
+		got := c.Now()
+		after := time.Now()
+		// Round(0) drops the monotonic readings: the wall times are compared.
+		if w := got.Round(0); w.Before(before.Round(0).Add(-time.Millisecond)) || w.After(after.Round(0).Add(time.Millisecond)) {
+			t.Errorf("%T.Now() = %v, not within 1ms of [%v, %v]", c, got, before, after)
+		}
+		if !strings.Contains(got.String(), " m=") {
+			t.Errorf("%T.Now() = %v carries no monotonic reading", c, got)
+		}
+		if d := c.Since(got); d < 0 {
+			t.Errorf("%T.Since(Now()) = %v", c, d)
+		}
+		if d := time.Now().Sub(got); d < 0 {
+			t.Errorf("time.Now().Sub(%T.Now()) = %v", c, d)
+		}
+
+		// Readings taken in turn under one mutex are ordered, whichever
+		// goroutine takes them: each must be at or after the last.
+		var mu sync.Mutex
+		var last time.Time
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 2000; i++ {
+					mu.Lock()
+					now := c.Now()
+					if now.Before(last) {
+						t.Errorf("%T.Now() went backwards: %v after %v", c, now, last)
+					}
+					last = now
+					mu.Unlock()
+				}
+			}()
+		}
+		wg.Wait()
 	}
 }
 

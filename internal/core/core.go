@@ -37,8 +37,7 @@
 // only one container's state and runs on a fast path under that
 // container's shard read lock plus its mutex, so independent containers
 // proceed in parallel without even sharing a reader-count cache line
-// unless they hash to the same shard (see DESIGN.md "Hot path";
-// Config.DisableFastPath forces every operation through lockAll).
+// unless they hash to the same shard (see DESIGN.md "Hot path").
 package core
 
 import (
@@ -157,12 +156,6 @@ type Config struct {
 	// benches quantify it); the default (reclaiming) semantics wedge
 	// single-allocation workloads only in the window Stalled describes.
 	PersistentGrants bool
-	// DisableFastPath forces every operation through the global write
-	// lock, turning off the read-mostly fast paths for in-grant admits,
-	// frees with nothing paused, confirms and meminfo. The fast path
-	// preserves every scheduler invariant and is on by default; this
-	// switch exists for ablation and debugging.
-	DisableFastPath bool
 	// FaultTolerant enables the rescue pass of the authors' prior study
 	// ("Fault-tolerant Scheduler for Shareable Virtualized GPU
 	// Resource", SC16 poster [10]): whenever a redistribution admits
@@ -428,10 +421,8 @@ func (s *State) admit(c *containerState, pid int, size bytesize.Size) {
 // RequestAlloc handles an allocation request of the given (already
 // pitch/managed-adjusted) size from a process inside a container.
 func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (AllocResult, error) {
-	if !s.cfg.DisableFastPath {
-		if res, done, err := s.fastRequestAlloc(id, pid, size); done {
-			return res, err
-		}
+	if res, done, err := s.fastRequestAlloc(id, pid, size); done {
+		return res, err
 	}
 	s.lockAll()
 	defer s.unlockAll()
@@ -534,24 +525,15 @@ func (s *State) fastRequestAlloc(id ContainerID, pid int, size bytesize.Size) (r
 // It touches only one container's state, so it runs entirely on the
 // fast path: its shard's read lock plus the container's mutex.
 func (s *State) ConfirmAlloc(id ContainerID, pid int, addr uint64, size bytesize.Size) error {
-	if !s.cfg.DisableFastPath {
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		c, ok := sh.containers[id]
-		if !ok {
-			return fmt.Errorf("%w: %s", ErrUnknownContainer, id)
-		}
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		return s.confirmLocked(c, pid, addr, size)
-	}
-	s.lockAll()
-	defer s.unlockAll()
-	c, ok := s.lookupLocked(id)
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	c, ok := sh.containers[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownContainer, id)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return s.confirmLocked(c, pid, addr, size)
 }
 
@@ -725,10 +707,8 @@ func (s *State) AbortAlloc(id ContainerID, pid int, size bytesize.Size) (Update,
 // Free releases the allocation at addr (the wrapper reports cudaFree).
 // It returns the released size and any requests admitted as a result.
 func (s *State) Free(id ContainerID, pid int, addr uint64) (bytesize.Size, Update, error) {
-	if !s.cfg.DisableFastPath {
-		if size, u, done, err := s.fastFree(id, pid, addr); done {
-			return size, u, err
-		}
+	if size, u, done, err := s.fastFree(id, pid, addr); done {
+		return size, u, err
 	}
 	s.lockAll()
 	defer s.unlockAll()
@@ -868,25 +848,15 @@ func (s *State) Close(id ContainerID) (bytesize.Size, Update, error) {
 // wrapper returns for cudaMemGetInfo — the container sees only its own
 // slice of the GPU.
 func (s *State) MemInfo(id ContainerID) (free, total bytesize.Size, err error) {
-	if !s.cfg.DisableFastPath {
-		sh := s.shardFor(id)
-		sh.mu.RLock()
-		defer sh.mu.RUnlock()
-		c, ok := sh.containers[id]
-		if !ok {
-			return 0, 0, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
-		}
-		c.mu.Lock()
-		free, total = c.limit-c.used, c.limit
-		c.mu.Unlock()
-		return free, total, nil
-	}
-	s.lockAll()
-	defer s.unlockAll()
-	c, ok := s.lookupLocked(id)
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	c, ok := sh.containers[id]
 	if !ok {
 		return 0, 0, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
 	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	return c.limit - c.used, c.limit, nil
 }
 

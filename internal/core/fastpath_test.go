@@ -131,103 +131,6 @@ func TestFastPathStress(t *testing.T) {
 	}
 }
 
-// TestFastPathEquivalence replays an identical randomized operation
-// sequence against a fast-path scheduler and a DisableFastPath one:
-// every decision, error, size and final snapshot must match. This pins
-// the fast path to the slow path's exact semantics, including rejects,
-// suspends (multi-container contention) and redistribution.
-func TestFastPathEquivalence(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		fast := MustNew(Config{Capacity: 2 * bytesize.GiB})
-		slow := MustNew(Config{Capacity: 2 * bytesize.GiB, DisableFastPath: true})
-		rng := rand.New(rand.NewSource(seed))
-		ids := []ContainerID{"a", "b", "c"}
-		for _, id := range ids {
-			gf, ef := fast.Register(id, bytesize.GiB)
-			gs, es := slow.Register(id, bytesize.GiB)
-			if gf != gs || (ef == nil) != (es == nil) {
-				t.Fatalf("seed %d: register diverged", seed)
-			}
-		}
-		nextAddr := uint64(1)
-		confirmed := map[ContainerID][]uint64{}
-		sizes := map[uint64]bytesize.Size{}
-		for i := 0; i < 300; i++ {
-			id := ids[rng.Intn(len(ids))]
-			pid := rng.Intn(2) + 1
-			switch rng.Intn(6) {
-			case 0, 1, 2:
-				size := bytesize.Size(rng.Intn(512)+1) * bytesize.MiB / 2
-				rf, ef := fast.RequestAlloc(id, pid, size)
-				rs, es := slow.RequestAlloc(id, pid, size)
-				if rf.Decision != rs.Decision || (ef == nil) != (es == nil) {
-					t.Fatalf("seed %d op %d: alloc diverged: fast=%v/%v slow=%v/%v",
-						seed, i, rf.Decision, ef, rs.Decision, es)
-				}
-				if rf.Decision == Accept {
-					addr := nextAddr
-					nextAddr++
-					cf := fast.ConfirmAlloc(id, pid, addr, size)
-					cs := slow.ConfirmAlloc(id, pid, addr, size)
-					if (cf == nil) != (cs == nil) {
-						t.Fatalf("seed %d op %d: confirm diverged: %v vs %v", seed, i, cf, cs)
-					}
-					if cf == nil {
-						confirmed[id] = append(confirmed[id], addr)
-						sizes[addr] = size
-					}
-				}
-			case 3:
-				if n := len(confirmed[id]); n > 0 {
-					k := rng.Intn(n)
-					addr := confirmed[id][k]
-					szf, uf, ef := fast.Free(id, pid, addr)
-					szs, us, es := slow.Free(id, pid, addr)
-					// pid may not own addr (two pids per container): errors
-					// must still agree.
-					if szf != szs || (ef == nil) != (es == nil) || len(uf.Admitted) != len(us.Admitted) {
-						t.Fatalf("seed %d op %d: free diverged", seed, i)
-					}
-					if ef == nil {
-						confirmed[id] = append(confirmed[id][:k], confirmed[id][k+1:]...)
-					}
-				}
-			case 4:
-				ff, tf, ef := fast.MemInfo(id)
-				fs, ts, es := slow.MemInfo(id)
-				if ff != fs || tf != ts || (ef == nil) != (es == nil) {
-					t.Fatalf("seed %d op %d: meminfo diverged", seed, i)
-				}
-			case 5:
-				_, uf, ef := fast.ProcessExit(id, pid)
-				_, us, es := slow.ProcessExit(id, pid)
-				if (ef == nil) != (es == nil) || len(uf.Admitted) != len(us.Admitted) ||
-					len(uf.Cancelled) != len(us.Cancelled) {
-					t.Fatalf("seed %d op %d: procexit diverged", seed, i)
-				}
-				confirmed[id] = nil
-			}
-			if err := fast.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d op %d: fast invariants: %v", seed, i, err)
-			}
-			if err := slow.CheckInvariants(); err != nil {
-				t.Fatalf("seed %d op %d: slow invariants: %v", seed, i, err)
-			}
-		}
-		sf, ss := fast.Snapshot(), slow.Snapshot()
-		if len(sf) != len(ss) {
-			t.Fatalf("seed %d: snapshot length diverged", seed)
-		}
-		for i := range sf {
-			if sf[i].ID != ss[i].ID || sf[i].Grant != ss[i].Grant ||
-				sf[i].Used != ss[i].Used || sf[i].Pending != ss[i].Pending {
-				t.Fatalf("seed %d: container %s diverged: fast=%+v slow=%+v",
-					seed, sf[i].ID, sf[i], ss[i])
-			}
-		}
-	}
-}
-
 // TestFastFreeGateOnPaused: while any container is paused, Free must
 // take the slow path so admission can run — the fast path's empty
 // Update would otherwise swallow the admitted ticket.

@@ -461,9 +461,10 @@ func (d *Daemon) closeContainerKind(id core.ContainerID, kind wal.Kind) (*protoc
 	d.mu.Unlock()
 	d.lastSeen.Delete(id)
 	if srv != nil {
-		// Shut the container socket down in the background: the close
-		// signal must not wait for in-flight handlers.
-		go srv.Close()
+		// The socket file goes now, before a register of the same ID can
+		// listen there again; the connections close in the background:
+		// the close signal must not wait for in-flight handlers.
+		srv.Retire()
 	}
 	return &protocol.Message{OK: true, Free: int64(released)}, nil
 }

@@ -163,6 +163,6 @@ func (d *Daemon) evictContainer(id core.ContainerID, node int) {
 	d.lastSeen.Delete(id)
 	d.discardWALSession(id, fmt.Errorf("node %d down, no surviving capacity: %w", node, errs.ErrNodeDown))
 	if srv != nil {
-		go srv.Close()
+		srv.Retire()
 	}
 }

@@ -3,6 +3,7 @@ package daemon
 import (
 	"bufio"
 	"bytes"
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
@@ -504,10 +505,12 @@ func TestOneWaySuccessIsNotAnswered(t *testing.T) {
 }
 
 // TestHandlerHistogramCountsRequests: convgpu_ipc_handler_seconds takes
-// one sample per request a handler serves and no other — three a wrapped
-// cycle and one for the barrier on the container socket, one a register
-// or close on the control socket, none for a codec probe or a frame that
-// does not decode — and the samples add up to less than the loop took.
+// one sample per request a handler serves that wants a reply and no
+// other — one a wrapped cycle (the alloc; its confirm and free are
+// one-way) and one for the barrier on the container socket, one a
+// register or close on the control socket, none for a codec probe, a
+// frame that does not decode or a refused one-way frame — and the samples
+// add up to less than the loop took. A cycle is two events, too.
 func TestHandlerHistogramCountsRequests(t *testing.T) {
 	r := newCycleRig(t)
 	cont, ctl := r.d.obs.HandlerContainer, r.d.obs.HandlerControl
@@ -523,6 +526,7 @@ func TestHandlerHistogramCountsRequests(t *testing.T) {
 
 	const cycles = 500
 	n0, s0 := cont.Count(), cont.Sum()
+	e0 := len(r.d.obs.Tracer().Events("c"))
 	start := time.Now()
 	for i := 0; i < cycles; i++ {
 		ptr, err := r.mod.Malloc(mib(1))
@@ -536,9 +540,15 @@ func TestHandlerHistogramCountsRequests(t *testing.T) {
 	if err := r.mod.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	settled(cont, n0+3*cycles+1, "container socket after the cycles and the barrier")
+	// One sample a cycle, the alloc's: it runs from the read, so it holds
+	// the confirm and the free that came in the same write; they are no
+	// samples of their own.
+	settled(cont, n0+cycles+1, "container socket after the cycles and the barrier")
 	if sum, elapsed := cont.Sum()-s0, time.Since(start); sum <= 0 || sum >= elapsed {
 		t.Errorf("samples sum to %v over a loop of %v", sum, elapsed)
+	}
+	if n := len(r.d.obs.Tracer().Events("c")) - e0; n != 2*cycles { // accept, free
+		t.Errorf("%d trace events over %d cycles, want two a cycle", n, cycles)
 	}
 
 	c0 := ctl.Count()
@@ -584,6 +594,16 @@ func TestHandlerHistogramCountsRequests(t *testing.T) {
 	if r.d.WireStats().FrameErrors() != 1 {
 		t.Errorf("frame errors = %d, want the one bad frame", r.d.WireStats().FrameErrors())
 	}
+
+	// A refused one-way frame is answered, and is no sample either: the
+	// barrier after it is one.
+	n2 := cont.Count()
+	perr := r.cli.Post(context.Background(), &protocol.Message{Type: protocol.TypeFree, PID: 99, Addr: 0xdead0})
+	ferr := r.mod.Flush() // returns the refusal unless the Post did
+	if !protocol.IsRefusal(cmp.Or(perr, ferr)) {
+		t.Fatalf("a free by an unknown pid: Post %v, Flush %v; want the refusal", perr, ferr)
+	}
+	settled(cont, n2+1, "container socket after a refused one-way free and a barrier")
 
 	resp, err := cc.Call(context.Background(), &protocol.Message{Type: protocol.TypeClose, Container: "y"})
 	if err != nil || !resp.OK {

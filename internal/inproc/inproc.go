@@ -25,6 +25,14 @@ import (
 type Hub struct {
 	core *core.State
 
+	// gate closes the window between a call being told Suspend and its
+	// channel being parked, as the daemon's does: calls hold it shared from
+	// the decision to the park, and dispatch passes through it exclusively
+	// before it looks a ticket's channel up.
+	gate sync.RWMutex
+	// beforePark, when a test sets it, runs in that window.
+	beforePark func()
+
 	mu     sync.Mutex
 	parked map[core.Ticket]chan *protocol.Message
 }
@@ -53,6 +61,8 @@ func (h *Hub) Close(id core.ContainerID) (bytesize.Size, error) {
 }
 
 func (h *Hub) dispatch(u core.Update) {
+	h.gate.Lock() // no call is between its Suspend and its park
+	h.gate.Unlock()
 	h.mu.Lock()
 	type rel struct {
 		ch  chan *protocol.Message
@@ -110,7 +120,19 @@ func (c *Caller) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 	st := h.core
 	switch m.Type {
 	case protocol.TypeAlloc:
+		h.gate.RLock()
 		res, err := st.RequestAlloc(c.id, m.PID, m.SizeBytes())
+		var ch chan *protocol.Message
+		if err == nil && res.Decision == core.Suspend {
+			if h.beforePark != nil {
+				h.beforePark()
+			}
+			ch = make(chan *protocol.Message, 1)
+			h.mu.Lock()
+			h.parked[res.Ticket] = ch
+			h.mu.Unlock()
+		}
+		h.gate.RUnlock()
 		if err != nil {
 			return &protocol.Message{Type: protocol.TypeResponse, OK: false, Error: err.Error()}, nil
 		}
@@ -120,10 +142,6 @@ func (c *Caller) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 		case core.Reject:
 			return &protocol.Message{Type: protocol.TypeResponse, OK: true, Decision: protocol.DecisionReject}, nil
 		}
-		ch := make(chan *protocol.Message, 1)
-		h.mu.Lock()
-		h.parked[res.Ticket] = ch
-		h.mu.Unlock()
 		select {
 		case resp := <-ch:
 			return resp, nil

@@ -126,6 +126,56 @@ func TestSuspendBlocksUntilHubClose(t *testing.T) {
 	}
 }
 
+// TestReleaseBetweenDecideAndPark: a release that admits a suspended
+// allocation after its Suspend decision but before its channel is parked
+// must still wake it. Without the hub's gate the close dispatches into
+// that gap, finds no channel, and the allocation waits for good.
+func TestReleaseBetweenDecideAndPark(t *testing.T) {
+	h := newHub(t, 1000)
+	if _, err := h.Register("big", mib(700)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Register("small", mib(600)); err != nil {
+		t.Fatal(err)
+	}
+	if resp := call(t, h.Caller("big"), &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: int64(mib(600))}); resp.Decision != protocol.DecisionAccept {
+		t.Fatalf("big alloc: %+v", resp)
+	}
+	inGap, leaveGap := make(chan struct{}), make(chan struct{})
+	h.beforePark = func() {
+		close(inGap)
+		<-leaveGap
+	}
+	got := make(chan *protocol.Message, 1)
+	go func() {
+		resp, _ := h.Caller("small").Call(context.Background(), &protocol.Message{Type: protocol.TypeAlloc, PID: 2, Size: int64(mib(500))})
+		got <- resp
+	}()
+	select {
+	case <-inGap:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the allocation was never suspended")
+	}
+	closed := make(chan error, 1)
+	go func() {
+		_, err := h.Close("big")
+		closed <- err
+	}()
+	select {
+	case <-closed: // it did not wait for the gap: the admission went nowhere
+	case <-time.After(50 * time.Millisecond): // waiting on the gate
+	}
+	close(leaveGap)
+	select {
+	case resp := <-got:
+		if resp == nil || resp.Decision != protocol.DecisionAccept {
+			t.Fatalf("resumed resp = %+v", resp)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("the allocation admitted between its decision and its park never returned")
+	}
+}
+
 func TestSuspendContextCancellation(t *testing.T) {
 	h := newHub(t, 1000)
 	if _, err := h.Register("big", mib(700)); err != nil {

@@ -3,6 +3,7 @@ package ipc
 import (
 	"context"
 	"fmt"
+	"os"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -272,6 +273,49 @@ func TestServerCloseNotifiesHandler(t *testing.T) {
 	cli.Close()
 }
 
+// TestRetireFreesThePath: a retired server's socket file is gone when
+// Retire returns, and its connections, closing afterwards, leave alone
+// the file of a server that listened on the path since — a container
+// closed and registered again under the same ID.
+func TestRetireFreesThePath(t *testing.T) {
+	path := sockPath(t)
+	h := &echoHandler{}
+	old, err := Listen(path, h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := Dial(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	if _, err := cli.Call(context.Background(), &protocol.Message{Type: protocol.TypeMemInfo}); err != nil {
+		t.Fatal(err)
+	}
+	old.Retire()
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("socket file after Retire: %v, want it gone", err)
+	}
+	next, err := Listen(path, &echoHandler{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer next.Close()
+	for deadline := time.Now().Add(5 * time.Second); atomic.LoadInt32(&h.closed) == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the retired server never closed its connection")
+		}
+	}
+	cli2, err := Dial(path)
+	if err != nil {
+		t.Fatalf("dial the new server after the old one closed: %v", err)
+	}
+	defer cli2.Close()
+	if _, err := cli2.Call(context.Background(), &protocol.Message{Type: protocol.TypeMemInfo}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServerConnTag(t *testing.T) {
 	type tagCheck struct {
 		mu  sync.Mutex
@@ -415,7 +459,7 @@ func TestMalformedFrameEchoesSeq(t *testing.T) {
 		cli.overflow = make(map[uint64]chan *protocol.Message)
 	}
 	cli.overflow[badSeq] = ch
-	cli.seq = badSeq
+	cli.seq.Store(badSeq)
 	cli.mu.Unlock()
 	// An alloc with a negative size decodes structurally but fails
 	// Validate — exactly the "malformed but seq still extractable" case.
