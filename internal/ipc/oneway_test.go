@@ -244,9 +244,7 @@ func testRefusalReachesPostToo(t *testing.T) {
 	if err == nil { // the usual case: not back before the Post returned
 		deadline := time.Now().Add(5 * time.Second)
 		for stored := false; !stored; time.Sleep(time.Millisecond) {
-			cli.mu.Lock()
-			stored = cli.refused != nil
-			cli.mu.Unlock()
+			stored = cli.refused.Any()
 			if time.Now().After(deadline) {
 				t.Fatal("the suspended Call never read the refusal")
 			}

@@ -14,6 +14,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/errs"
@@ -319,6 +320,53 @@ func (r *Refusal) Unwrap() error { return ErrFromCode(r.Code) }
 func IsRefusal(err error) bool {
 	var r *Refusal
 	return errors.As(err, &r)
+}
+
+// Held keeps one-way requests' refusals until the next call returns them,
+// once: the client keeps those it reads off the wire, the wrapper those
+// its heartbeat loop gets. The zero value holds none. Add and Take take
+// no lock, and Take on an empty Held writes nothing, so a call that finds
+// nothing held pays one atomic load.
+type Held struct{ p atomic.Pointer[error] }
+
+// Add joins err to the refusals held.
+func (h *Held) Add(err error) {
+	for {
+		old := h.p.Load()
+		all := err
+		if old != nil {
+			all = errors.Join(*old, err)
+		}
+		if h.p.CompareAndSwap(old, &all) {
+			return
+		}
+	}
+}
+
+// Any reports whether a refusal is held.
+func (h *Held) Any() bool { return h.p.Load() != nil }
+
+// Take returns the refusals held, nil when there are none, and clears them.
+func (h *Held) Take() error {
+	if !h.Any() {
+		return nil
+	}
+	if p := h.p.Swap(nil); p != nil {
+		return *p
+	}
+	return nil
+}
+
+// Ended reports whether done, a context's Done channel, is closed: the
+// context's Err without the lock a cancellable context's Err takes. Both
+// the wrapper and the client check their context on every call.
+func Ended(done <-chan struct{}) bool {
+	select {
+	case <-done:
+		return true
+	default:
+		return false
+	}
 }
 
 // Response constructs a success response to req, carrying no payload.

@@ -2,7 +2,9 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -96,6 +98,35 @@ func TestResponseHelpers(t *testing.T) {
 	e := ErrorResponse(req, "bad %s %d", "thing", 7)
 	if e.Type != TypeResponse || e.Seq != 99 || e.OK || e.Error != "bad thing 7" {
 		t.Fatalf("ErrorResponse(req) = %+v", e)
+	}
+}
+
+// TestHeldReturnsEachRefusalOnce: refusals added from many goroutines are
+// all returned, joined, by one Take, and none by the next.
+func TestHeldReturnsEachRefusalOnce(t *testing.T) {
+	var h Held
+	if h.Any() || h.Take() != nil {
+		t.Fatal("the zero Held holds a refusal")
+	}
+	rs := make([]*Refusal, 8)
+	var wg sync.WaitGroup
+	for i := range rs {
+		rs[i] = &Refusal{Text: "confirm refused"}
+		wg.Add(1)
+		go func() { defer wg.Done(); h.Add(rs[i]) }()
+	}
+	wg.Wait()
+	if !h.Any() {
+		t.Fatal("Any after Add = false")
+	}
+	err := h.Take()
+	for i, r := range rs {
+		if !errors.Is(err, r) {
+			t.Errorf("refusal %d missing from %v", i, err)
+		}
+	}
+	if h.Any() || h.Take() != nil {
+		t.Fatal("a second Take returned the refusals again")
 	}
 }
 
