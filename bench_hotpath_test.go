@@ -35,6 +35,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime/debug"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -619,6 +620,100 @@ func BenchmarkHotPathFacadeCycleWAL(b *testing.B) {
 	if err := c.Wait(); err != nil {
 		b.Fatal(err)
 	}
+}
+
+// BenchmarkHotPathContainers is the wrapped cycle with N containers on one
+// daemon, the paper's setting: N facade containers each loop Malloc+Free,
+// b.N cycles in all. Beside ns/op (wall time over all of them) it reports
+// ops/s, the process's CPU per cycle (getrusage, user + sys: the daemon
+// runs in it too) and the p50/p99 of one cycle as its container saw it.
+// It allocates nothing per cycle at any N.
+func BenchmarkHotPathContainers(b *testing.B) {
+	for _, n := range []int{1, 4, 16} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) { benchContainers(b, n) })
+	}
+}
+
+func benchContainers(b *testing.B, n int) {
+	st, err := convgpu.New(convgpu.WithBaseDir(b.TempDir()))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := st.Start(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+	defer st.Close()
+	var ready, done sync.WaitGroup
+	start := make(chan struct{})
+	samples := make([][]time.Duration, n) // each container's cycle times, b.N in all
+	cs := make([]*convgpu.Container, n)
+	for i := range cs {
+		share := b.N / n
+		if i < b.N%n {
+			share++
+		}
+		samples[i] = make([]time.Duration, share)
+		ready.Add(1)
+		done.Add(1)
+		mine := samples[i]
+		cs[i], err = st.Run(context.Background(), convgpu.RunOptions{
+			Name: fmt.Sprintf("bench%d", i), Image: convgpu.CUDAImage("bench", ""), NvidiaMemory: 128 * convgpu.MiB,
+			Program: func(p *convgpu.Proc) error {
+				defer done.Done()
+				cycle := func() error {
+					ptr, err := p.CUDA.Malloc(4096)
+					if err != nil {
+						return err
+					}
+					return p.CUDA.Free(ptr)
+				}
+				var err error
+				for j := 0; j < 1000 && err == nil; j++ { // pools, ring slots and maps reach their steady size
+					err = cycle()
+				}
+				ready.Done()
+				<-start
+				for j := range mine {
+					if err != nil {
+						break
+					}
+					t0 := time.Now()
+					err = cycle()
+					mine[j] = time.Since(t0)
+				}
+				return err
+			},
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+	}
+	ready.Wait()
+	var ru0, ru1 syscall.Rusage
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	t0 := time.Now()
+	close(start)
+	done.Wait()
+	b.StopTimer()
+	elapsed := time.Since(t0)
+	_ = syscall.Getrusage(syscall.RUSAGE_SELF, &ru1)
+	for _, c := range cs {
+		if err := c.Wait(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	all := make([]time.Duration, 0, b.N)
+	for _, s := range samples {
+		all = append(all, s...)
+	}
+	sort.Slice(all, func(i, j int) bool { return all[i] < all[j] })
+	cpu := time.Duration(ru1.Utime.Nano() - ru0.Utime.Nano() + ru1.Stime.Nano() - ru0.Stime.Nano())
+	b.ReportMetric(float64(b.N)/elapsed.Seconds(), "ops/s")
+	b.ReportMetric(float64(cpu.Microseconds())/float64(b.N), "cpu-us/op")
+	b.ReportMetric(float64(all[len(all)/2].Nanoseconds())/1e3, "p50-us")
+	b.ReportMetric(float64(all[len(all)*99/100].Nanoseconds())/1e3, "p99-us")
 }
 
 // TestWrappedCycleAllocatesNothing is the tier-1 gate on what an

@@ -125,6 +125,10 @@ type Daemon struct {
 	mu      sync.Mutex
 	parked  map[parkedKey]parkedResponder
 	servers map[core.ContainerID]*ipc.Server
+	// dirMu orders the container directories' lives: a close holds it
+	// from before the core lets the ID go until its directory is removed,
+	// a register from creating the directory until its socket listens.
+	dirMu sync.Mutex
 	// gate closes the window between a handler being told Suspend and its
 	// responder being parked: handlers hold it shared from the decision to
 	// the park, and dispatch passes through it exclusively before it looks
@@ -340,18 +344,26 @@ func (d *Daemon) closeOwnLog() error {
 	return d.wal.Close()
 }
 
-// containerDir builds the per-container directory path. Container IDs
-// are sanitized defensively: they become directory names.
+// containerDir is the container's directory, inside containers/ and one
+// per ID: an ID made only of [A-Za-z0-9_.-] is its directory's name; any
+// other byte is written %XX, and so is each byte of "." and "..", which
+// name no directory of their own. '%' is never a name byte, so no two IDs
+// share a name ("" is "%").
 func (d *Daemon) containerDir(id core.ContainerID) string {
-	safe := strings.Map(func(r rune) rune {
-		switch {
-		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9', r == '-', r == '_', r == '.':
-			return r
-		default:
-			return '_'
+	special := id == "." || id == ".."
+	var b strings.Builder
+	for i := 0; i < len(id); i++ {
+		c := id[i]
+		if !special && (c >= 'a' && c <= 'z' || c >= 'A' && c <= 'Z' || c >= '0' && c <= '9' || c == '-' || c == '_' || c == '.') {
+			b.WriteByte(c)
+		} else {
+			fmt.Fprintf(&b, "%%%02X", c)
 		}
-	}, string(id))
-	return filepath.Join(d.cfg.BaseDir, "containers", safe)
+	}
+	if id == "" {
+		b.WriteByte('%')
+	}
+	return filepath.Join(d.cfg.BaseDir, "containers", b.String())
 }
 
 // register implements the Register control message: it admits the
@@ -368,6 +380,8 @@ func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*pro
 		d.cfg.Core.Close(id)
 		return nil, err
 	}
+	d.dirMu.Lock()
+	defer d.dirMu.Unlock()
 	dir := d.containerDir(id)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		d.cfg.Core.Close(id)
@@ -443,6 +457,8 @@ func (d *Daemon) closeContainer(id core.ContainerID) (*protocol.Message, error) 
 // close that loses the race to another leaves a second record, which
 // folds to nothing.
 func (d *Daemon) closeContainerKind(id core.ContainerID, kind wal.Kind) (*protocol.Message, error) {
+	d.dirMu.Lock()
+	defer d.dirMu.Unlock()
 	if _, err := d.cfg.Core.Info(id); err != nil {
 		return nil, err
 	}
@@ -466,7 +482,16 @@ func (d *Daemon) closeContainerKind(id core.ContainerID, kind wal.Kind) (*protoc
 		// the close signal must not wait for in-flight handlers.
 		srv.Retire()
 	}
+	d.removeDir(id)
 	return &protocol.Message{OK: true, Free: int64(released)}, nil
+}
+
+// removeDir removes a closed container's directory, its socket already
+// unlinked. Caller holds dirMu.
+func (d *Daemon) removeDir(id core.ContainerID) {
+	if err := os.RemoveAll(d.containerDir(id)); err != nil {
+		d.cfg.Logf("daemon: remove %q's directory: %v", id, err)
+	}
 }
 
 // park stores a suspended request's responder under its container+ticket.

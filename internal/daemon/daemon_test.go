@@ -2,6 +2,7 @@ package daemon
 
 import (
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -332,6 +333,72 @@ func TestDaemonCloseReleasesParked(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("parked request survived daemon shutdown")
+	}
+}
+
+// TestContainerDirsAreDistinct: two IDs that differ only in a byte a
+// directory name cannot hold get two directories, and each wrapper
+// reaches its own session; ".." gets one inside containers/, not the
+// base directory.
+func TestContainerDirsAreDistinct(t *testing.T) {
+	d := startDaemon(t, mib(1000))
+	ctl := dialControl(t, d)
+	limits := map[string]bytesize.Size{"a/b": mib(10), "a_b": mib(20), "..": mib(30), ".": mib(40)}
+	dirs := map[string]string{}
+	for _, id := range []string{"a/b", "a_b", "..", "."} {
+		resp := register(t, ctl, id, limits[id])
+		if !resp.OK {
+			t.Fatalf("register %q: %s", id, resp.Error)
+		}
+		if filepath.Base(filepath.Dir(resp.SocketDir)) != "containers" {
+			t.Fatalf("%q's directory %s is not inside containers/", id, resp.SocketDir)
+		}
+		for other, dir := range dirs {
+			if dir == resp.SocketDir {
+				t.Fatalf("%q and %q share %s", id, other, dir)
+			}
+		}
+		dirs[id] = resp.SocketDir
+	}
+	if got := dirs["a_b"]; filepath.Base(got) != "a_b" {
+		t.Fatalf("a plain ID's directory is %s, want its own name", got)
+	}
+	for id, dir := range dirs {
+		resp, err := dialContainer(t, &protocol.Message{SocketDir: dir}).Call(context.Background(), &protocol.Message{Type: protocol.TypeMemInfo})
+		if err != nil || !resp.OK || resp.Total != int64(limits[id]) {
+			t.Fatalf("%q's socket answers %+v %v, want its limit %d", id, resp, err, limits[id])
+		}
+	}
+}
+
+// TestClosedContainersLeaveNothing: every close removes the container's
+// directory, and a re-register of the same ID gets a fresh one.
+func TestClosedContainersLeaveNothing(t *testing.T) {
+	d := startDaemon(t, mib(1000))
+	ctl := dialControl(t, d)
+	ctx := context.Background()
+	for i := 0; i < 50; i++ {
+		id := fmt.Sprintf("c%02d", i)
+		if resp := register(t, ctl, id, mib(10)); !resp.OK {
+			t.Fatalf("register %s: %s", id, resp.Error)
+		}
+		if resp, err := ctl.Call(ctx, &protocol.Message{Type: protocol.TypeClose, Container: id}); err != nil || !resp.OK {
+			t.Fatalf("close %s: %+v %v", id, resp, err)
+		}
+	}
+	left, err := os.ReadDir(filepath.Join(d.cfg.BaseDir, "containers"))
+	if err != nil || len(left) != 0 {
+		t.Fatalf("containers/ holds %d entries after every close (%v)", len(left), err)
+	}
+	resp := register(t, ctl, "c00", mib(10))
+	if !resp.OK {
+		t.Fatalf("re-register: %s", resp.Error)
+	}
+	if _, err := os.Stat(filepath.Join(resp.SocketDir, WrapperModuleName)); err != nil {
+		t.Fatalf("re-registered container has no module: %v", err)
+	}
+	if r, err := dialContainer(t, resp).Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo}); err != nil || !r.OK {
+		t.Fatalf("re-registered container's socket: %+v %v", r, err)
 	}
 }
 

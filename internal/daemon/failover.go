@@ -156,6 +156,8 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 func (d *Daemon) evictContainer(id core.ContainerID, node int) {
 	d.obs.Tracer().Record(d.clk.Now(), "evict", string(id), 0, 0, 0, 0)
 	d.obs.Tracer().EndContainer(string(id))
+	d.dirMu.Lock()
+	defer d.dirMu.Unlock()
 	d.mu.Lock()
 	srv := d.servers[id]
 	delete(d.servers, id)
@@ -165,4 +167,5 @@ func (d *Daemon) evictContainer(id core.ContainerID, node int) {
 	if srv != nil {
 		srv.Retire()
 	}
+	d.removeDir(id)
 }

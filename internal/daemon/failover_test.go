@@ -3,6 +3,7 @@ package daemon
 import (
 	"context"
 	"errors"
+	"os"
 	"path/filepath"
 	"testing"
 	"time"
@@ -225,6 +226,9 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 		d.mu.Unlock()
 		if served {
 			t.Fatalf("evicted container %s is still served", id)
+		}
+		if _, err := os.Stat(d.containerDir(id)); !os.IsNotExist(err) {
+			t.Fatalf("evicted container %s's directory is still there (%v)", id, err)
 		}
 		events := d.Obs().Tracer().Events(string(id))
 		if last := events[len(events)-1]; last.Kind != "evict" {

@@ -263,6 +263,10 @@ func TestLeaseReapsDeadContainer(t *testing.T) {
 		_, err := st.Info("dead")
 		return err != nil
 	})
+	waitFor(t, "reaped container's directory removed", func() bool {
+		_, err := os.Stat(respDead.SocketDir)
+		return os.IsNotExist(err)
+	})
 	if _, err := st.Info("live"); err != nil {
 		t.Fatalf("heartbeating container was reaped: %v", err)
 	}

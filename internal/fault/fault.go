@@ -1,5 +1,5 @@
 // Package fault is a deterministic fault-injection layer for the IPC
-// transport: it wraps net.Conn / net.Listener and, driven by a seeded
+// transport: it wraps a net.Conn and, driven by a seeded
 // RNG, drops, delays, corrupts, truncates, or hard-closes frames on
 // their way through. The chaos suite replays seeded schedules against
 // the full daemon↔wrapper stack and asserts the scheduler's core
@@ -77,9 +77,6 @@ func NewPlan(seed int64, cfg Config) *Plan {
 // Heal disables all fault injection — the chaos driver calls it before
 // the cleanup phase so teardown runs over a reliable transport.
 func (p *Plan) Heal() { p.healed.Store(true) }
-
-// Healed reports whether Heal was called.
-func (p *Plan) Healed() bool { return p.healed.Load() }
 
 // decide draws the next action; reads cannot be dropped or truncated
 // (there is no "pretend we read" that preserves stream framing), so
@@ -182,22 +179,4 @@ func corruptIndex(b []byte) int {
 		}
 	}
 	return -1
-}
-
-// WrapListener puts every accepted connection under the plan.
-func (p *Plan) WrapListener(ln net.Listener) net.Listener {
-	return &listener{Listener: ln, plan: p}
-}
-
-type listener struct {
-	net.Listener
-	plan *Plan
-}
-
-func (l *listener) Accept() (net.Conn, error) {
-	c, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.plan.Wrap(c), nil
 }

@@ -47,6 +47,7 @@ func free(addr uint64) *protocol.Message {
 // ahead of it, in the order they were posted.
 func TestDeferredPostRidesTheNextFrame(t *testing.T) {
 	cli, conn, h := deferRig(t)
+	cli.w.bound = time.Hour // a deschedule between the posts is no timer expiry: only the Call writes
 	ctx := context.Background()
 	w0 := conn.Writes()
 	if err := cli.Post(ctx, confirm(2)); err != nil {

@@ -36,8 +36,9 @@
 // return EAGAIN when a write that started after their last read has
 // reached the peer (coalescer.wroteSince) — a peer that had closed would
 // have failed it. The client's Call stages its frame in the write buffer
-// and flushes it from inside RawConn.Read, after the poller was armed.
-// Another writer may carry a staged frame out first — the deferral timer,
+// and flushes it from inside RawConn.Read, after the poller was armed, on
+// the fd the callback holds; the server's callback writes the replies to
+// a read's frames there too (coalescer.send). Another writer may carry a staged frame out first — the deferral timer,
 // another goroutine's Post or Call — and the reply can then be in the
 // socket before the poller was armed: the Call's flush writes nothing, no
 // write started after its mark has succeeded, and the Call reads first.
@@ -58,9 +59,8 @@
 // frame onto a shared buffer and at most one goroutine per connection
 // (the current "leader") performs the socket write. Senders arriving while
 // the leader is inside the syscall buffer behind it and are flushed by
-// the leader's next pass — a redistribution that admits N suspended
-// tickets on one connection costs ~1 write syscall instead of N (the
-// daemon brackets such bursts with BeginBatch/EndBatch). An uncontended
+// the leader's next pass; BeginBatch/EndBatch hold a burst (N suspended
+// tickets one redistribution admits) for one write. An uncontended
 // send flushes immediately on the caller's goroutine, adding no latency —
 // with two exceptions, on the client side. A Call's frame is staged and
 // flushed by the Call once it is ready to read the reply (see Reading). A
@@ -259,16 +259,14 @@ func (s *Server) Close() error {
 	return err
 }
 
-// Retire stops accepting at once — a UNIX socket's file is unlinked
-// before it returns, so a new listener may take the path — and closes the
-// live connections in the background, without waiting for their handlers.
+// Retire stops accepting at once (a UNIX socket's file is unlinked before
+// it returns) and closes the live connections in the background.
 func (s *Server) Retire() {
 	s.ln.Close()
 	go s.Close()
 }
 
-// ServerConn is one accepted connection. The scheduler attaches the
-// owning container's identity to it via SetTag.
+// ServerConn is one accepted connection.
 type ServerConn struct {
 	conn   net.Conn
 	server *Server
@@ -280,41 +278,21 @@ type ServerConn struct {
 	// Handle.
 	oneWaySeq  uint64
 	oneWayType protocol.Type
-
-	tagMu sync.Mutex
-	tag   string
 }
 
-// SetTag associates an identity (the container ID) with the connection.
-func (c *ServerConn) SetTag(tag string) {
-	c.tagMu.Lock()
-	defer c.tagMu.Unlock()
-	c.tag = tag
-}
-
-// Tag returns the identity set by SetTag, or "".
-func (c *ServerConn) Tag() string {
-	c.tagMu.Lock()
-	defer c.tagMu.Unlock()
-	return c.tag
-}
-
-// Send writes a message on the connection as a JSON line. Sends are
-// serialized by the coalescing writer, so delayed responses from parked
-// allocation requests never interleave bytes with concurrent replies.
-// The message is only read, never retained. (Responses to requests flow
-// through a responder instead, which answers in the request's codec.)
+// Send writes m, only read, as a JSON line, serialized with the
+// connection's other writes by the coalescer. (Responses to requests
+// flow through a responder, which answers in the request's codec.)
 func (c *ServerConn) Send(m *protocol.Message) error {
 	return c.w.write(m, false)
 }
 
-// BeginBatch suspends flushing so a burst of Sends — the responses a
-// single scheduler Update releases — leaves in one socket write. Every
-// BeginBatch must be paired with EndBatch.
+// BeginBatch suspends flushing until its EndBatch, so a burst of Sends
+// (the responses one scheduler Update releases) leaves in one write.
 func (c *ServerConn) BeginBatch() { c.w.beginBatch() }
 
 // EndBatch re-enables flushing and flushes what the batch buffered.
-func (c *ServerConn) EndBatch() error { return c.w.endBatch() }
+func (c *ServerConn) EndBatch() error { return c.w.endBatch(noFD) }
 
 func (c *ServerConn) readLoop(h Handler) {
 	s := splitter{buf: make([]byte, readBufSize)}
@@ -368,8 +346,8 @@ func (c *ServerConn) readLoop(h Handler) {
 			}
 		}
 	}
-	// readable is the RawConn.Read callback: one read and its frames; it
-	// waits without reading again once a reply to them reached the peer.
+	// readable is the RawConn.Read callback: one read, its frames' replies
+	// batched onto fd; it waits without reading again once one reached the peer.
 	readable := func(fd uintptr) bool {
 		mark := c.w.mark()
 		short, rerr := s.readFD(fd)
@@ -377,7 +355,9 @@ func (c *ServerConn) readLoop(h Handler) {
 			return false
 		}
 		if err = rerr; err == nil {
+			c.w.beginBatch()
 			serve()
+			_ = c.w.endBatch(int(fd)) // kept in w.err: the next write fails, the next read ends the loop
 		}
 		return err != nil || !short || !c.w.wroteSince(mark)
 	}
@@ -675,7 +655,7 @@ func (c *Client) await(ctx context.Context, seq uint64, ch chan *protocol.Messag
 	select {
 	case <-c.readTok:
 	default:
-		if err := c.w.flush(); err != nil {
+		if err := c.w.flush(noFD); err != nil {
 			return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 		}
 		staged = false
@@ -712,7 +692,7 @@ func (c *Client) read(ctx context.Context, seq uint64, staged bool) (*protocol.M
 	if c.raw != nil && !protocol.Ended(done) {
 		c.staged = staged
 	} else if staged {
-		if err := c.w.flush(); err != nil {
+		if err := c.w.flush(noFD); err != nil {
 			return nil, fmt.Errorf("ipc: write: %w", closedErr(err))
 		}
 	}
@@ -731,7 +711,7 @@ func (c *Client) read(ctx context.Context, seq uint64, staged bool) (*protocol.M
 	for {
 		msg, err := c.readMessage(ctx)
 		if c.staged { // came back before onReadable flushed it: it goes out all the same
-			c.staged, _ = false, c.w.flush()
+			c.staged, _ = false, c.w.flush(noFD)
 		}
 		if err != nil {
 			if cerr := ctx.Err(); cerr != nil && errors.Is(err, os.ErrDeadlineExceeded) {
@@ -770,7 +750,7 @@ func (c *Client) onReadable(fd uintptr) bool {
 	if c.staged {
 		c.staged = false
 		mark := c.w.mark()
-		if c.rerr = c.w.flush(); c.rerr != nil {
+		if c.rerr = c.w.flush(int(fd)); c.rerr != nil {
 			return true
 		}
 		c.sent = mark + 1
@@ -1122,7 +1102,7 @@ type coalescer struct {
 	buf      []byte // accumulating
 	spare    []byte // last flushed, reused for the next swap
 	flushing bool
-	batch    int // nested BeginBatch depth: defer flushing while > 0
+	batch    atomic.Int32 // nested BeginBatch depth: defer flushing while > 0; opened without mu
 	err      error
 	// timer flushes what post left in buf and nothing carried away
 	// since; armed from the post that started the wait until it fires or
@@ -1130,13 +1110,14 @@ type coalescer struct {
 	timer *time.Timer
 	armed bool
 	due   time.Time
+	bound time.Duration // deferBound; a test holds the timer off by raising it
 	// started numbers the socket writes (under mu, before each); wrote is
 	// the last that succeeded: writes run one at a time.
 	started, wrote atomic.Uint64
 }
 
 func newCoalescer(dst io.Writer, stats *atomic.Pointer[WireStats]) *coalescer {
-	return &coalescer{dst: dst, stats: stats}
+	return &coalescer{dst: dst, stats: stats, bound: deferBound}
 }
 
 // wroteSince reports whether a socket write that started after mark
@@ -1171,7 +1152,7 @@ func (w *coalescer) write(m *protocol.Message, binary bool) error {
 	if w.err == nil {
 		w.appendLocked(m, binary)
 	}
-	return w.flushLocked()
+	return w.flushLocked(noFD)
 }
 
 // stage encodes a Call's frame without writing it: the Call flushes it
@@ -1186,11 +1167,11 @@ func (w *coalescer) stage(m *protocol.Message, binary bool) error {
 	return w.err
 }
 
-// flush writes what the buffer holds, as write's flush does; with nothing
-// there it writes nothing.
-func (w *coalescer) flush() error {
+// flush writes what the buffer holds, as write's flush does, on fd unless
+// noFD (see send); with nothing there it writes nothing.
+func (w *coalescer) flush(fd int) error {
 	w.mu.Lock()
-	return w.flushLocked()
+	return w.flushLocked(fd)
 }
 
 // post encodes the one-way frame m and decides, by one rule, whether it
@@ -1229,18 +1210,18 @@ func (w *coalescer) post(m *protocol.Message, mayWait bool) (binary bool, err er
 	w.stats.Load().countFrame(true, true)
 	if mayWait && !w.armed {
 		w.armed = true
-		w.due = time.Now().Add(deferBound)
+		w.due = time.Now().Add(w.bound)
 		if w.timer == nil {
-			w.timer = time.AfterFunc(deferBound, w.flushDeferred)
+			w.timer = time.AfterFunc(w.bound, w.flushDeferred)
 		} else {
-			w.timer.Reset(deferBound) // fired, or overdue and still to fire: either way one expiry from now
+			w.timer.Reset(w.bound) // fired, or overdue and still to fire: either way one expiry from now
 		}
 	}
 	if mayWait || joins {
 		w.mu.Unlock()
 		return true, nil
 	}
-	return true, w.flushLocked()
+	return true, w.flushLocked(noFD)
 }
 
 // flushDeferred is the timer's callback: it writes what is still
@@ -1248,21 +1229,21 @@ func (w *coalescer) post(m *protocol.Message, mayWait bool) (binary bool, err er
 func (w *coalescer) flushDeferred() {
 	w.mu.Lock()
 	w.armed = false
-	_ = w.flushLocked() // kept in w.err for the next write to return
+	_ = w.flushLocked(noFD) // kept in w.err for the next write to return
 }
 
 // flushLocked drains the buffer as the leader — unless another writer
 // leads already, whose next pass takes what is there, or a batch is open.
 // Called with mu held; returns with mu released.
-func (w *coalescer) flushLocked() error {
+func (w *coalescer) flushLocked(fd int) error {
 	if !w.flushing {
 		w.flushing = true
-		for w.err == nil && len(w.buf) > 0 && w.batch == 0 {
+		for w.err == nil && len(w.buf) > 0 && w.batch.Load() == 0 {
 			out := w.buf
 			w.buf = w.spare[:0]
 			gen := w.started.Add(1)
 			w.mu.Unlock()
-			_, err := w.dst.Write(out)
+			err := w.send(fd, out)
 			w.mu.Lock()
 			w.spare = out[:0]
 			if err == nil {
@@ -1278,18 +1259,37 @@ func (w *coalescer) flushLocked() error {
 	return err
 }
 
-func (w *coalescer) beginBatch() {
+func (w *coalescer) beginBatch() { w.batch.Add(1) }
+
+func (w *coalescer) endBatch(fd int) error {
 	w.mu.Lock()
-	w.batch++
-	w.mu.Unlock()
+	if w.batch.Load() > 0 {
+		w.batch.Add(-1)
+	}
+	return w.flushLocked(fd)
 }
 
-func (w *coalescer) endBatch() error {
-	w.mu.Lock()
-	if w.batch > 0 {
-		w.batch--
+// noFD is the fd of a flush outside a RawConn.Read callback.
+const noFD = -1
+
+// send writes p: on fd, pinned by the RawConn.Read callback flushing, with
+// no write lock or poller preparation, and what the socket does not take
+// at once (EAGAIN, a short write) through dst, which waits for room.
+func (w *coalescer) send(fd int, p []byte) error {
+	if fd != noFD {
+		n, err := syscall.Write(fd, p)
+		for err == syscall.EINTR {
+			n, err = syscall.Write(fd, p)
+		}
+		if err == nil && n == len(p) {
+			return nil
+		} else if err != nil && err != syscall.EAGAIN {
+			return os.NewSyscallError("write", err)
+		}
+		p = p[max(n, 0):]
 	}
-	return w.flushLocked()
+	_, err := w.dst.Write(p)
+	return err
 }
 
 // stop marks the writer closed so late writes fail fast instead of

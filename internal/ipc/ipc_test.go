@@ -316,43 +316,6 @@ func TestRetireFreesThePath(t *testing.T) {
 	}
 }
 
-func TestServerConnTag(t *testing.T) {
-	type tagCheck struct {
-		mu  sync.Mutex
-		got string
-	}
-	tc := &tagCheck{}
-	h := handlerFunc{
-		handle: func(conn *ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
-			if msg.Type == protocol.TypeRegister {
-				conn.SetTag(msg.Container)
-			}
-			tc.mu.Lock()
-			tc.got = conn.Tag()
-			tc.mu.Unlock()
-			respond(&protocol.Message{OK: true})
-		},
-	}
-	srv, err := Listen(sockPath(t), h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	cli, err := Dial(srv.Addr())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cli.Close()
-	if _, err := cli.Call(context.Background(), &protocol.Message{Type: protocol.TypeRegister, Container: "cont-7", Limit: 1}); err != nil {
-		t.Fatal(err)
-	}
-	tc.mu.Lock()
-	defer tc.mu.Unlock()
-	if tc.got != "cont-7" {
-		t.Fatalf("connection tag = %q, want cont-7", tc.got)
-	}
-}
-
 type handlerFunc struct {
 	handle func(*ServerConn, *protocol.Message, func(*protocol.Message))
 }

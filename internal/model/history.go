@@ -12,16 +12,10 @@ import (
 // Unlike the exact-conformance harness it makes no predictions, so it
 // stays sound when the stack is driven concurrently or through a faulty
 // transport: it only demands that whatever happened was safe. Install
-// Observer() via SetObserver, call Cut() at every daemon restart (a new
-// State is a fresh ticket/usage epoch), then Check the capture.
+// Observer() via SetObserver, then Check the capture.
 type History struct {
 	mu      sync.Mutex
-	entries []histEntry
-}
-
-type histEntry struct {
-	cut bool
-	ev  core.EventRecord
+	entries []core.EventRecord
 }
 
 // Observer returns the capture hook for core's SetObserver. Safe for
@@ -29,39 +23,25 @@ type histEntry struct {
 func (h *History) Observer() func(core.EventRecord) {
 	return func(e core.EventRecord) {
 		h.mu.Lock()
-		h.entries = append(h.entries, histEntry{ev: e})
+		h.entries = append(h.entries, e)
 		h.mu.Unlock()
 	}
 }
 
-// Cut marks a restart boundary: usage, parked tickets and ticket
-// counters all reset with the replacement State.
-func (h *History) Cut() {
-	h.mu.Lock()
-	h.entries = append(h.entries, histEntry{cut: true})
-	h.mu.Unlock()
-}
-
-// Len reports the number of captured events (cuts excluded).
+// Len reports the number of captured events.
 func (h *History) Len() int {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	n := 0
-	for _, e := range h.entries {
-		if !e.cut {
-			n++
-		}
-	}
-	return n
+	return len(h.entries)
 }
 
-// Check validates every epoch of the capture against capacity (a func
+// Check validates the capture against capacity (a func
 // so multi-device topologies can vary per device index).
 func (h *History) Check(capacity func(device int) bytesize.Size) error {
 	return h.check(capacity, false)
 }
 
-// CheckDrained is Check plus quiescence on the final epoch: the capture
+// CheckDrained is Check plus quiescence: the capture
 // must end with no request still parked. For tests that close every
 // session before stopping.
 func (h *History) CheckDrained(capacity func(device int) bytesize.Size) error {
@@ -70,32 +50,15 @@ func (h *History) CheckDrained(capacity func(device int) bytesize.Size) error {
 
 func (h *History) check(capacity func(device int) bytesize.Size, drained bool) error {
 	h.mu.Lock()
-	entries := append([]histEntry(nil), h.entries...)
+	events := append([]core.EventRecord(nil), h.entries...)
 	h.mu.Unlock()
-
-	start := 0
-	epoch := 0
-	for i := 0; i <= len(entries); i++ {
-		if i == len(entries) || entries[i].cut {
-			evs := make([]core.EventRecord, 0, i-start)
-			for _, e := range entries[start:i] {
-				evs = append(evs, e.ev)
-			}
-			check := CheckHistory
-			if drained && i == len(entries) {
-				check = CheckHistoryDrained
-			}
-			if err := check(evs, capacity); err != nil {
-				return fmt.Errorf("epoch %d: %w", epoch, err)
-			}
-			start = i + 1
-			epoch++
-		}
+	if drained {
+		return CheckHistoryDrained(events, capacity)
 	}
-	return nil
+	return CheckHistory(events, capacity)
 }
 
-// CheckHistory validates one epoch (no restarts) of a scheduler event
+// CheckHistory validates one scheduler's (no restarts) event
 // stream against the structural safety invariants that hold regardless
 // of algorithm, topology or fault schedule:
 //

@@ -803,19 +803,6 @@ func (m *Model) Device(id core.ContainerID) (int, bool) {
 	return dev, ok
 }
 
-// PendingTickets lists a container's parked tickets in queue order.
-func (m *Model) PendingTickets(id core.ContainerID) []core.Ticket {
-	_, c, err := m.find(id)
-	if err != nil {
-		return nil
-	}
-	out := make([]core.Ticket, len(c.pending))
-	for i, r := range c.pending {
-		out[i] = r.ticket
-	}
-	return out
-}
-
 func indexOfSize(sizes []bytesize.Size, size bytesize.Size) int {
 	for i, s := range sizes {
 		if s == size {

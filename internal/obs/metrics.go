@@ -47,20 +47,17 @@ const HistBuckets = 25
 // bounds, atomic counters, no locks, no allocation per observation.
 // The zero Histogram is ready to use.
 type Histogram struct {
-	counts [HistBuckets + 1]atomic.Uint64 // +1: overflow bucket
-	count  atomic.Uint64
-	sum    atomic.Int64 // nanoseconds
+	counts [HistBuckets + 1]atomic.Uint64 // +1: overflow bucket; their sum is the count
+	sum    atomic.Int64                   // nanoseconds
 }
 
-// Observe records one duration.
+// Observe records one duration: one atomic add, two when it is not zero.
 func (h *Histogram) Observe(d time.Duration) {
-	ns := d.Nanoseconds()
-	if ns < 0 {
-		ns = 0
-	}
+	ns := max(d.Nanoseconds(), 0)
 	h.counts[bucketOf(ns)].Add(1)
-	h.count.Add(1)
-	h.sum.Add(ns)
+	if ns > 0 {
+		h.sum.Add(ns)
+	}
 }
 
 // bucketOf maps nanoseconds to a bucket index: the smallest i with
@@ -84,7 +81,13 @@ func BucketBound(i int) time.Duration {
 }
 
 // Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
+func (h *Histogram) Count() uint64 {
+	var n uint64
+	for i := range h.counts {
+		n += h.counts[i].Load()
+	}
+	return n
+}
 
 // Sum returns the total observed time.
 func (h *Histogram) Sum() time.Duration { return time.Duration(h.sum.Load()) }
@@ -100,13 +103,10 @@ type HistogramSnapshot struct {
 // atomic — a scrape racing observations may be off by in-flight ops —
 // which is the standard contract for lock-free metric export.
 func (h *Histogram) Snapshot() HistogramSnapshot {
-	s := HistogramSnapshot{
-		Count:   h.count.Load(),
-		SumNs:   h.sum.Load(),
-		Buckets: make([]uint64, len(h.counts)),
-	}
+	s := HistogramSnapshot{SumNs: h.sum.Load(), Buckets: make([]uint64, len(h.counts))}
 	for i := range h.counts {
 		s.Buckets[i] = h.counts[i].Load()
+		s.Count += s.Buckets[i]
 	}
 	return s
 }
