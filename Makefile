@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
 	bench bench-recovery bench-policy bench-load benchdiff \
 	benchdiff-policy bench-module clean model model-long policy fuzz-smoke cover \
-	recovery-smoke load-smoke load-repro loc one-store
+	recovery-smoke load-smoke load-repro loc one-store one-handler
 
 all: build test
 
@@ -28,7 +28,7 @@ lint: vet
 		echo "lint: files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
-check: lint one-store apicheck test policy fuzz-smoke cover recovery-smoke load-smoke
+check: lint one-store one-handler apicheck test policy fuzz-smoke cover recovery-smoke load-smoke
 
 # one-store keeps the second durable store from coming back unnoticed:
 # the write-ahead log is the daemon's only one (DESIGN §13), and no
@@ -37,6 +37,16 @@ one-store:
 	@! git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | \
 		xargs grep -nE 'session\.json|sessionFileName|sessionRecord|writeSessionFile|recoverSessions|importLegacySessions' \
 		|| { echo "one-store: a session.json store is back (see DESIGN §13)"; exit 1; }
+
+# one-handler keeps a second implementation of the container socket's
+# verbs from coming back unnoticed: the daemon's handler is the only one
+# (DESIGN §6), served over a socket or called in process through
+# daemon.Caller, and no non-test Go outside internal/daemon/ and bench/
+# may switch on an allocation request again.
+one-handler:
+	@! git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | grep -v '^internal/daemon/' | \
+		xargs grep -nF 'case protocol.TypeAlloc' \
+		|| { echo "one-handler: a second container-verb handler is back (see DESIGN §6)"; exit 1; }
 
 # apicheck guards the public facade: the exported API of package
 # convgpu is dumped in normalized form (tools/apidump) and diffed

@@ -316,7 +316,7 @@ func newHotPathRig(b testing.TB, log *wal.Log, opts ...wrapper.Option) *benchRig
 		b.Fatalf("register: %v %v", resp, err)
 	}
 	r := &benchRig{daemon: d, sockDir: resp.SocketDir}
-	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(r.sockDir, wrapper.SocketFileName))
+	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(r.sockDir, protocol.SocketFileName))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -343,7 +343,7 @@ func benchRoundTrip1RTT(b *testing.B, binary bool) {
 	cli := r.wrapCli
 	if !binary {
 		var err error
-		if cli, err = ipc.Dial(filepath.Join(r.sockDir, wrapper.SocketFileName)); err != nil {
+		if cli, err = ipc.Dial(filepath.Join(r.sockDir, protocol.SocketFileName)); err != nil {
 			b.Fatal(err)
 		}
 		defer cli.Close()
@@ -772,7 +772,7 @@ func TestWrappedCycleAllocatesNothing(t *testing.T) {
 func TestWrappedCycleIsOneWrite(t *testing.T) {
 	const cycles = 10000
 	r := newHotPathRig(t, nil)
-	raw, err := net.Dial("unix", filepath.Join(r.sockDir, wrapper.SocketFileName))
+	raw, err := net.Dial("unix", filepath.Join(r.sockDir, protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -78,12 +78,10 @@ const (
 	Random    = core.AlgRandom
 )
 
-// Tenant-aware policy names: the three wake-order policies for
-// WithAlgorithm and the fragmentation-aware placement policy for
-// WithPlacementPolicy.
+// Tenant-aware policy names: wake-order policies for WithAlgorithm and
+// the fragmentation-aware placement policy for WithPlacementPolicy.
 const (
 	FairShare = policy.WakeFairShare
-	QuotaFair = policy.WakeQuota
 	Priority  = policy.WakePriority
 	FragAware = policy.PlaceFragAware
 )
@@ -126,11 +124,6 @@ type CUDA = cuda.API
 // ConVGPU — execution passes through — and is reached by type-asserting
 // a Proc's CUDA: p.CUDA.(convgpu.CUDAStreams).
 type CUDAStreams = cuda.StreamAPI
-
-// CUDADriver is the Driver-API surface (cuInit, cuCtxCreate,
-// cuMemAlloc, ...). The wrapper module covers it exactly like the
-// Runtime API (paper §III-C).
-type CUDADriver = cuda.DriverAPI
 
 // Kernel describes a simulated kernel launch.
 type Kernel = cuda.Kernel

@@ -344,7 +344,7 @@ func driveOneContainer(t *testing.T, h *Handler) {
 	if err != nil || !resp.OK {
 		t.Fatalf("register c1: %v %+v", err, resp)
 	}
-	wcli, err := ipc.Dial(filepath.Join(resp.SocketDir, daemon.ContainerSocketName))
+	wcli, err := ipc.Dial(filepath.Join(resp.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -34,6 +34,7 @@ import (
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
+	"convgpu/internal/protocol"
 	"convgpu/internal/wrapper"
 )
 
@@ -276,25 +277,25 @@ func (c *Container) OnExit(h ExitHook) {
 // wrapper module, or "" when the container runs without ConVGPU.
 func (c *Container) resolveWrapperSocket() (string, error) {
 	preload := c.spec.Env["LD_PRELOAD"]
-	if preload == "" || !strings.Contains(preload, wrapper.ModuleFileName) {
+	if preload == "" || !strings.Contains(preload, protocol.ModuleFileName) {
 		return "", nil
 	}
 	// Find the volume whose mount point prefixes the preload path.
 	for mount, hostDir := range c.spec.Volumes {
-		if !strings.HasPrefix(preload, mount+"/") && preload != filepath.Join(mount, wrapper.ModuleFileName) {
+		if !strings.HasPrefix(preload, mount+"/") && preload != filepath.Join(mount, protocol.ModuleFileName) {
 			continue
 		}
-		modPath := filepath.Join(hostDir, wrapper.ModuleFileName)
+		modPath := filepath.Join(hostDir, protocol.ModuleFileName)
 		if _, err := os.Stat(modPath); err != nil {
-			return "", fmt.Errorf("container: LD_PRELOAD names %s but the volume lacks it: %v", wrapper.ModuleFileName, err)
+			return "", fmt.Errorf("container: LD_PRELOAD names %s but the volume lacks it: %v", protocol.ModuleFileName, err)
 		}
-		sock := filepath.Join(hostDir, wrapper.SocketFileName)
+		sock := filepath.Join(hostDir, protocol.SocketFileName)
 		if _, err := os.Stat(sock); err != nil {
 			return "", fmt.Errorf("container: wrapper volume lacks the scheduler socket: %v", err)
 		}
 		return sock, nil
 	}
-	return "", fmt.Errorf("container: LD_PRELOAD set but no volume provides %s", wrapper.ModuleFileName)
+	return "", fmt.Errorf("container: LD_PRELOAD set but no volume provides %s", protocol.ModuleFileName)
 }
 
 // newProc builds the process view, interposing the wrapper module when

@@ -33,20 +33,10 @@ import (
 	"convgpu/internal/obs"
 	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
-	"convgpu/internal/wrapper"
 )
 
 // ControlSocketName is the control socket file inside the base directory.
 const ControlSocketName = "scheduler.sock"
-
-// ContainerSocketName is the per-container socket file name.
-const ContainerSocketName = wrapper.SocketFileName
-
-// WrapperModuleName is the file name of the wrapper module the scheduler
-// copies into each container directory (libgpushare.so in the paper; here
-// a Go marker whose presence the container runtime checks when "loading"
-// the wrapper).
-const WrapperModuleName = wrapper.ModuleFileName
 
 // Config configures the daemon.
 type Config struct {
@@ -389,9 +379,9 @@ func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*pro
 	}
 	// "copies the wrapper module to the directory" — the module carries
 	// the socket path it must talk to.
-	sockPath := filepath.Join(dir, ContainerSocketName)
+	sockPath := filepath.Join(dir, protocol.SocketFileName)
 	module := fmt.Sprintf("convgpu wrapper module for container %s\nsocket=%s\n", id, sockPath)
-	if err := os.WriteFile(filepath.Join(dir, WrapperModuleName), []byte(module), 0o644); err != nil {
+	if err := os.WriteFile(filepath.Join(dir, protocol.ModuleFileName), []byte(module), 0o644); err != nil {
 		d.cfg.Core.Close(id)
 		return nil, fmt.Errorf("daemon: write wrapper module: %w", err)
 	}
@@ -422,7 +412,7 @@ func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*pro
 // serve opens a container's socket in dir and enters the container in
 // the daemon's tables.
 func (d *Daemon) serve(id core.ContainerID, dir string) error {
-	sockPath := filepath.Join(dir, ContainerSocketName)
+	sockPath := filepath.Join(dir, protocol.SocketFileName)
 	os.Remove(sockPath) // a previous run's listener
 	srv, err := ipc.Listen(sockPath, containerHandler{d: d, id: id})
 	if err != nil {
@@ -499,7 +489,7 @@ func (d *Daemon) park(k parkedKey, conn *ipc.ServerConn, respond func(*protocol.
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		respond(&protocol.Message{OK: false, Error: "scheduler shutting down"})
+		respond(&protocol.Message{OK: false, Error: "scheduler shutting down", Code: protocol.CodeUnavailable})
 		return
 	}
 	device, _ := d.cfg.Core.Placement(k.id)

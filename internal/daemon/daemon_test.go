@@ -55,7 +55,7 @@ func register(t *testing.T, ctl *ipc.Client, id string, limit bytesize.Size) *pr
 
 func dialContainer(t *testing.T, resp *protocol.Message) *ipc.Client {
 	t.Helper()
-	cli, err := ipc.Dial(filepath.Join(resp.SocketDir, ContainerSocketName))
+	cli, err := ipc.Dial(filepath.Join(resp.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestRegisterPreparesContainerDir(t *testing.T) {
 		t.Fatal("no socket dir returned")
 	}
 	// The directory must contain the wrapper module copy and the socket.
-	mod, err := os.ReadFile(filepath.Join(resp.SocketDir, WrapperModuleName))
+	mod, err := os.ReadFile(filepath.Join(resp.SocketDir, protocol.ModuleFileName))
 	if err != nil {
 		t.Fatalf("wrapper module missing: %v", err)
 	}
 	if !strings.Contains(string(mod), "c1") {
 		t.Fatalf("wrapper module content = %q", mod)
 	}
-	if _, err := os.Stat(filepath.Join(resp.SocketDir, ContainerSocketName)); err != nil {
+	if _, err := os.Stat(filepath.Join(resp.SocketDir, protocol.SocketFileName)); err != nil {
 		t.Fatalf("container socket missing: %v", err)
 	}
 }
@@ -269,6 +269,11 @@ func TestProcExitReleasesMemory(t *testing.T) {
 	if info.Used != 0 {
 		t.Fatalf("used after procexit = %v", info.Used)
 	}
+	// The close signal hands the container's whole grant back.
+	resp, err = ctl.Call(ctx, &protocol.Message{Type: protocol.TypeClose, Container: "c"})
+	if err != nil || !resp.OK || bytesize.Size(resp.Free) != mib(400) {
+		t.Fatalf("close: %+v %v, want the 400MiB grant released", resp, err)
+	}
 }
 
 func TestAbortReturnsCharge(t *testing.T) {
@@ -298,6 +303,15 @@ func TestUnknownContainerErrors(t *testing.T) {
 	}
 	if resp.OK {
 		t.Fatal("close of unknown container succeeded")
+	}
+	// A container socket's verb for an unknown container is refused with
+	// the code a wrapper maps back to its sentinel.
+	resp, err = d.Caller("ghost").Call(context.Background(), &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != protocol.CodeUnknownContainer {
+		t.Fatalf("alloc for an unknown container = %+v, want refused with %q", resp, protocol.CodeUnknownContainer)
 	}
 }
 
@@ -333,6 +347,28 @@ func TestDaemonCloseReleasesParked(t *testing.T) {
 	case <-done:
 	case <-time.After(2 * time.Second):
 		t.Fatal("parked request survived daemon shutdown")
+	}
+}
+
+// TestParkAfterCloseIsCoded: an allocation suspended while the daemon
+// shuts down, parking only after Close took the parked table, is refused
+// with the code Close gives the ones it found parked.
+func TestParkAfterCloseIsCoded(t *testing.T) {
+	d := startDaemon(t, mib(1000))
+	ctl := dialControl(t, d)
+	register(t, ctl, "big", mib(700))
+	register(t, ctl, "small", mib(600))
+	ctx := context.Background()
+	if resp, err := d.Caller("big").Call(ctx, &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: int64(mib(600))}); err != nil || resp.Decision != protocol.DecisionAccept {
+		t.Fatalf("big's alloc: %+v %v", resp, err)
+	}
+	d.beforePark = func() { d.Close() }
+	resp, err := d.Caller("small").Call(ctx, &protocol.Message{Type: protocol.TypeAlloc, PID: 2, Size: int64(mib(500))})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.OK || resp.Code != protocol.CodeUnavailable {
+		t.Fatalf("alloc parked after Close = %+v, want refused with %q", resp, protocol.CodeUnavailable)
 	}
 }
 
@@ -394,7 +430,7 @@ func TestClosedContainersLeaveNothing(t *testing.T) {
 	if !resp.OK {
 		t.Fatalf("re-register: %s", resp.Error)
 	}
-	if _, err := os.Stat(filepath.Join(resp.SocketDir, WrapperModuleName)); err != nil {
+	if _, err := os.Stat(filepath.Join(resp.SocketDir, protocol.ModuleFileName)); err != nil {
 		t.Fatalf("re-registered container has no module: %v", err)
 	}
 	if r, err := dialContainer(t, resp).Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo}); err != nil || !r.OK {

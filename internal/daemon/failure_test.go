@@ -49,7 +49,7 @@ func TestSuspendDisconnectRedistributes(t *testing.T) {
 	}
 
 	// b's allocation cannot fit and suspends; then b's wrapper dies.
-	cliB, err := ipc.Dial(filepath.Join(respB.SocketDir, ContainerSocketName))
+	cliB, err := ipc.Dial(filepath.Join(respB.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -294,7 +294,7 @@ func TestDaemonKillRestartWrapperReconnects(t *testing.T) {
 	}
 	ctl := dialControl(t, d1)
 	resp := register(t, ctl, "c1", mib(500))
-	sock := filepath.Join(resp.SocketDir, ContainerSocketName)
+	sock := filepath.Join(resp.SocketDir, protocol.SocketFileName)
 
 	dev := gpu.New(gpu.K20m())
 	rt := cuda.NewRuntime(dev, 7)

@@ -41,7 +41,7 @@ func tappedWrapperOn(t *testing.T, resp *protocol.Message, dev *gpu.Device, pid 
 	if !resp.OK {
 		t.Fatalf("register refused: %s", resp.Error)
 	}
-	conn, err := net.Dial("unix", filepath.Join(resp.SocketDir, ContainerSocketName))
+	conn, err := net.Dial("unix", filepath.Join(resp.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +61,13 @@ func tappedWrapperOn(t *testing.T, resp *protocol.Message, dev *gpu.Device, pid 
 // that: a free on the container's other connection (its usage drops
 // under its grant — the one a one-way free makes more likely, arriving
 // sooner than a reply-awaiting one did), and the close of the container
-// that held the memory.
+// that held the memory. The caller- cases run the suspended container's
+// two wrappers through the socketless Caller, whose responders park with
+// no connection.
 func TestReleaseBetweenDecideAndPark(t *testing.T) {
-	for _, release := range []string{"free", "close"} { // short names: they end up in socket paths
-		t.Run(release, func(t *testing.T) {
+	for _, name := range []string{"free", "close", "caller-free", "caller-close"} { // short names: they end up in socket paths
+		t.Run(name, func(t *testing.T) {
+			release, socketless := strings.CutPrefix(name, "caller-")
 			d := startDaemon(t, mib(1000))
 			inGap, leaveGap := make(chan struct{}), make(chan struct{})
 			defer close(leaveGap)
@@ -79,8 +82,14 @@ func TestReleaseBetweenDecideAndPark(t *testing.T) {
 				t.Fatal(err)
 			}
 			late := register(t, ctl, "late", mib(600)) // granted the 100 MiB left over
-			first, _ := wrapperOn(t, late, dev, 2)
-			second, _ := wrapperOn(t, late, dev, 3)
+			var first, second *wrapper.Module
+			if socketless {
+				first = wrapper.New(cuda.NewRuntime(dev, 2), d.Caller("late"), 2)
+				second = wrapper.New(cuda.NewRuntime(dev, 3), d.Caller("late"), 3)
+			} else {
+				first, _ = wrapperOn(t, late, dev, 2)
+				second, _ = wrapperOn(t, late, dev, 3)
+			}
 			held, err := first.Malloc(mib(80))
 			if err != nil {
 				t.Fatal(err)
@@ -568,7 +577,7 @@ func TestHandlerHistogramCountsRequests(t *testing.T) {
 	// By hand on y's socket: a frame that does not decode and a codec
 	// probe are answered, not sampled; the heartbeat after them is.
 	n1 := cont.Count()
-	conn, err := net.Dial("unix", filepath.Join(y.SocketDir, ContainerSocketName))
+	conn, err := net.Dial("unix", filepath.Join(y.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}

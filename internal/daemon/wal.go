@@ -23,6 +23,7 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/errs"
+	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
 )
 
@@ -103,12 +104,12 @@ func (d *Daemon) recoverFromWAL() error {
 			d.closeRecovered()
 			return fmt.Errorf("daemon: recover %s: %w", id, err)
 		}
-		sockPath := filepath.Join(dir, ContainerSocketName)
-		if _, err := os.Stat(filepath.Join(dir, WrapperModuleName)); err != nil {
+		sockPath := filepath.Join(dir, protocol.SocketFileName)
+		if _, err := os.Stat(filepath.Join(dir, protocol.ModuleFileName)); err != nil {
 			// First adoption on this host (log shipped in, or base dir
 			// moved): materialize the wrapper module the runtime mounts.
 			module := fmt.Sprintf("convgpu wrapper module for container %s\nsocket=%s\n", id, sockPath)
-			if err := os.WriteFile(filepath.Join(dir, WrapperModuleName), []byte(module), 0o644); err != nil {
+			if err := os.WriteFile(filepath.Join(dir, protocol.ModuleFileName), []byte(module), 0o644); err != nil {
 				d.closeRecovered()
 				return fmt.Errorf("daemon: recover %s: %w", id, err)
 			}

@@ -11,7 +11,6 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
-	"convgpu/internal/inproc"
 	"convgpu/internal/ipc"
 	"convgpu/internal/metrics"
 	"convgpu/internal/protocol"
@@ -24,9 +23,9 @@ func init() {
 	register("ablation-grants", "grant semantics: reclaiming vs persistent assignments under load", AblationGrants)
 }
 
-// forwardHandler bridges an ipc server onto an in-process caller: the
-// daemon's message semantics without the daemon, isolating transport
-// cost.
+// forwardHandler bridges an ipc server onto the daemon's socketless
+// caller: the daemon's handler behind a transport of the experiment's
+// choosing, isolating transport cost.
 type forwardHandler struct {
 	caller wrapper.Caller
 }
@@ -53,8 +52,9 @@ func (h forwardHandler) Closed(conn *ipc.ServerConn) {}
 // report is a request/response exchange: alloc, confirm and free are
 // three round trips. The paper chose UNIX sockets over TCP for
 // "complexity and low performance" reasons and could not use plain
-// shared memory for safety (§III-A); the in-process row shows how much
-// of ConVGPU's overhead is transport versus scheduler logic.
+// shared memory for safety (§III-A); the in-process row, the daemon's
+// own handler called with no socket, shows how much of ConVGPU's
+// overhead is transport versus scheduler logic.
 //
 // The transports take turns, a round of cycles each, and a row is its
 // transport's median round: measured one after the other, a burst from
@@ -68,19 +68,25 @@ func AblationTransport(opt Options) (*Report, error) {
 	}
 	// Zero-latency device: only middleware cost remains. setup returns
 	// one transport, warmed, as the function that times a round on it.
-	setup := func(mkCaller func(hub *inproc.Hub) (wrapper.Caller, func(), error)) (round func() (time.Duration, error), cleanup func(), err error) {
+	setup := func(mkCaller func(direct wrapper.Caller) (wrapper.Caller, func(), error)) (round func() (time.Duration, error), cleanup func(), err error) {
 		st, err := core.New(core.Config{Capacity: 5 * bytesize.GiB})
 		if err != nil {
 			return nil, nil, err
 		}
-		hub := inproc.NewHub(st)
-		if _, err := hub.Register("t", bytesize.GiB); err != nil {
-			return nil, nil, err
-		}
-		caller, cleanup, err := mkCaller(hub)
+		l, err := startLocal(st)
 		if err != nil {
 			return nil, nil, err
 		}
+		if _, err := l.control(protocol.TypeRegister, "t", bytesize.GiB); err != nil {
+			l.Close()
+			return nil, nil, err
+		}
+		caller, closeCaller, err := mkCaller(l.daemon.Caller("t"))
+		if err != nil {
+			l.Close()
+			return nil, nil, err
+		}
+		cleanup = func() { closeCaller(); l.Close() }
 		dev := gpu.New(gpu.K20m())
 		mod := wrapper.New(cuda.NewRuntime(dev, 7), caller, 7)
 		cycles := func(n int) error {
@@ -109,17 +115,17 @@ func AblationTransport(opt Options) (*Report, error) {
 
 	transports := []struct {
 		name string
-		mk   func(hub *inproc.Hub) (wrapper.Caller, func(), error)
+		mk   func(direct wrapper.Caller) (wrapper.Caller, func(), error)
 	}{
-		{"direct", func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
-			return hub.Caller("t"), func() {}, nil
+		{"direct", func(direct wrapper.Caller) (wrapper.Caller, func(), error) {
+			return direct, func() {}, nil
 		}},
-		{"unix", func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
+		{"unix", func(direct wrapper.Caller) (wrapper.Caller, func(), error) {
 			dir, err := os.MkdirTemp("", "convgpu-abl")
 			if err != nil {
 				return nil, nil, err
 			}
-			srv, err := ipc.Listen(filepath.Join(dir, "s.sock"), forwardHandler{hub.Caller("t")})
+			srv, err := ipc.Listen(filepath.Join(dir, "s.sock"), forwardHandler{direct})
 			if err != nil {
 				os.RemoveAll(dir)
 				return nil, nil, err
@@ -135,8 +141,8 @@ func AblationTransport(opt Options) (*Report, error) {
 			}
 			return cli, func() { cli.Close(); srv.Close(); os.RemoveAll(dir) }, nil
 		}},
-		{"tcp", func(hub *inproc.Hub) (wrapper.Caller, func(), error) {
-			srv, err := ipc.ListenNet("tcp", "127.0.0.1:0", forwardHandler{hub.Caller("t")})
+		{"tcp", func(direct wrapper.Caller) (wrapper.Caller, func(), error) {
+			srv, err := ipc.ListenNet("tcp", "127.0.0.1:0", forwardHandler{direct})
 			if err != nil {
 				return nil, nil, err
 			}

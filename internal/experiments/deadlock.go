@@ -8,8 +8,8 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
-	"convgpu/internal/inproc"
 	"convgpu/internal/metrics"
+	"convgpu/internal/protocol"
 	"convgpu/internal/wrapper"
 )
 
@@ -58,18 +58,22 @@ func Deadlock(opt Options) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	hub := inproc.NewHub(st)
+	l, err := startLocal(st)
+	if err != nil {
+		return nil, err
+	}
+	defer l.Close()
 	dev := gpu.New(gpu.K20m())
 	limit := want + core.DefaultContextOverhead
 	managed := make([]error, 2)
 	done := make(chan int, 2)
 	for i := 0; i < 2; i++ {
 		id := core.ContainerID(fmt.Sprintf("job-%d", i))
-		if _, err := hub.Register(id, limit); err != nil {
+		if _, err := l.control(protocol.TypeRegister, id, limit); err != nil {
 			return nil, err
 		}
 		go func(i int, id core.ContainerID) {
-			mod := wrapper.New(cuda.NewRuntime(dev, 200+i), hub.Caller(id), 200+i)
+			mod := wrapper.New(cuda.NewRuntime(dev, 200+i), l.daemon.Caller(id), 200+i)
 			ptr, err := mod.Malloc(want)
 			if err == nil {
 				err = mod.Free(ptr)
@@ -78,7 +82,7 @@ func Deadlock(opt Options) (*Report, error) {
 				err = uerr
 			}
 			managed[i] = err
-			if _, cerr := hub.Close(id); err == nil && cerr != nil {
+			if _, cerr := l.control(protocol.TypeClose, id, 0); err == nil && cerr != nil {
 				managed[i] = cerr
 			}
 			done <- i

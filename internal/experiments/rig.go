@@ -16,17 +16,64 @@ import (
 	"convgpu/internal/wrapper"
 )
 
+// local is a scheduler daemon serving a core from a temporary
+// directory, with a client on its control socket.
+type local struct {
+	daemon  *daemon.Daemon
+	ctl     *ipc.Client
+	baseDir string
+}
+
+func startLocal(st *core.State) (*local, error) {
+	dir, err := os.MkdirTemp("", "convgpu-exp")
+	if err != nil {
+		return nil, err
+	}
+	l := &local{baseDir: dir}
+	if l.daemon, err = daemon.Start(daemon.Config{BaseDir: dir, Core: st}); err != nil {
+		l.Close()
+		return nil, err
+	}
+	if l.ctl, err = ipc.DialNegotiated(context.Background(), l.daemon.ControlSocket()); err != nil {
+		l.Close()
+		return nil, err
+	}
+	return l, nil
+}
+
+// control sends a register or a close of id on the control socket (limit
+// is a register's) and returns the answer; a refusal is an error.
+func (l *local) control(typ protocol.Type, id core.ContainerID, limit bytesize.Size) (*protocol.Message, error) {
+	resp, err := l.ctl.Call(context.Background(), &protocol.Message{Type: typ, Container: string(id), Limit: int64(limit)})
+	if err != nil {
+		return nil, err
+	}
+	if !resp.OK {
+		return nil, fmt.Errorf("experiments: %s %s: %s", typ, id, resp.Error)
+	}
+	return resp, nil
+}
+
+// Close stops the daemon and removes its directory.
+func (l *local) Close() {
+	if l.ctl != nil {
+		l.ctl.Close()
+	}
+	if l.daemon != nil {
+		l.daemon.Close()
+	}
+	os.RemoveAll(l.baseDir)
+}
+
 // rig is the measured path of the single-container experiments: a
 // latency-calibrated device, the scheduler daemon over a real UNIX
 // socket, and a wrapper module for one registered container — plus the
 // matching un-wrapped runtime for the "without ConVGPU" baseline.
 type rig struct {
+	*local
 	dev     *gpu.Device
 	state   *core.State
-	daemon  *daemon.Daemon
-	ctl     *ipc.Client
 	wrapCli *ipc.Client
-	baseDir string
 
 	// Raw is the un-intercepted runtime (the "without" baseline).
 	Raw *cuda.Runtime
@@ -53,32 +100,15 @@ func newRig(withLatency bool, limit bytesize.Size) (*rig, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.baseDir, err = os.MkdirTemp("", "convgpu-exp")
-	if err != nil {
+	if r.local, err = startLocal(r.state); err != nil {
 		return nil, err
 	}
-	r.daemon, err = daemon.Start(daemon.Config{BaseDir: r.baseDir, Core: r.state})
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	r.ctl, err = ipc.DialNegotiated(context.Background(), r.daemon.ControlSocket())
+	resp, err := r.control(protocol.TypeRegister, r.ContainerID, limit)
 	if err != nil {
 		r.Close()
 		return nil, err
 	}
-	resp, err := r.ctl.Call(context.Background(), &protocol.Message{
-		Type: protocol.TypeRegister, Container: string(r.ContainerID), Limit: int64(limit),
-	})
-	if err != nil {
-		r.Close()
-		return nil, err
-	}
-	if !resp.OK {
-		r.Close()
-		return nil, fmt.Errorf("experiments: register: %s", resp.Error)
-	}
-	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(resp.SocketDir, wrapper.SocketFileName))
+	r.wrapCli, err = ipc.DialNegotiated(context.Background(), filepath.Join(resp.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		r.Close()
 		return nil, err
@@ -100,13 +130,5 @@ func (r *rig) Close() {
 	if r.wrapCli != nil {
 		r.wrapCli.Close()
 	}
-	if r.ctl != nil {
-		r.ctl.Close()
-	}
-	if r.daemon != nil {
-		r.daemon.Close()
-	}
-	if r.baseDir != "" {
-		os.RemoveAll(r.baseDir)
-	}
+	r.local.Close()
 }

@@ -216,7 +216,7 @@ func chaosRegister(t *testing.T, ctl *ipc.Client, id string, limit bytesize.Size
 	if !resp.OK {
 		t.Fatalf("register %s refused: %s", id, resp.Error)
 	}
-	sock := filepath.Join(resp.SocketDir, daemon.ContainerSocketName)
+	sock := filepath.Join(resp.SocketDir, protocol.SocketFileName)
 	protocol.ReleaseMessage(resp)
 	return sock
 }

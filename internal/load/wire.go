@@ -13,7 +13,6 @@ import (
 	"convgpu/internal/ipc"
 	"convgpu/internal/protocol"
 	"convgpu/internal/sim"
-	"convgpu/internal/wrapper"
 )
 
 // WireConfig extends Config for the wire path: the full daemon served
@@ -154,7 +153,7 @@ func runWireContainer(ctx context.Context, ctl *ipc.Client, r Request, idx int, 
 	if !resp.OK {
 		return fmt.Errorf("load: register %s: %s", id, resp.Error)
 	}
-	cli, err := ipc.DialNegotiated(ctx, filepath.Join(resp.SocketDir, wrapper.SocketFileName))
+	cli, err := ipc.DialNegotiated(ctx, filepath.Join(resp.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		return fmt.Errorf("load: dial %s: %w", id, err)
 	}

@@ -179,7 +179,7 @@ func (w *wireSched) Register(id core.ContainerID, limit bytesize.Size) (bytesize
 	if werr := wireErr(resp); werr != nil {
 		return 0, werr
 	}
-	cli, err := ipc.Dial(filepath.Join(resp.SocketDir, daemon.ContainerSocketName))
+	cli, err := ipc.Dial(filepath.Join(resp.SocketDir, protocol.SocketFileName))
 	if err != nil {
 		return 0, fmt.Errorf("dial container socket: %w", err)
 	}
@@ -199,7 +199,7 @@ func (w *wireSched) RequestAlloc(id core.ContainerID, pid int, size bytesize.Siz
 		return w.Scheduler.RequestAlloc(id, pid, size)
 	}
 	cursor := w.cap.len()
-	cli, err := ipc.Dial(filepath.Join(w.dirs[id], daemon.ContainerSocketName))
+	cli, err := ipc.Dial(filepath.Join(w.dirs[id], protocol.SocketFileName))
 	if err != nil {
 		return core.AllocResult{}, fmt.Errorf("dial for alloc: %w", err)
 	}
@@ -675,7 +675,7 @@ func TestFullStackRestartRecovery(t *testing.T) {
 	// its live allocations.
 	replay := func(id core.ContainerID, pid int, restore func(cli *ipc.Client)) {
 		t.Helper()
-		cli, err := ipc.Dial(filepath.Join(base, "containers", string(id), daemon.ContainerSocketName))
+		cli, err := ipc.Dial(filepath.Join(base, "containers", string(id), protocol.SocketFileName))
 		if err != nil {
 			t.Fatalf("dial recovered %s: %v", id, err)
 		}
@@ -777,7 +777,7 @@ func TestFullStackLeaseExpiryConformance(t *testing.T) {
 	reg := func(id string, limit bytesize.Size) *ipc.Client {
 		t.Helper()
 		resp := mustOK(t, ctl, &protocol.Message{Type: protocol.TypeRegister, Container: id, Limit: int64(limit)})
-		cli, err := ipc.Dial(filepath.Join(resp.SocketDir, daemon.ContainerSocketName))
+		cli, err := ipc.Dial(filepath.Join(resp.SocketDir, protocol.SocketFileName))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -803,7 +803,7 @@ func TestFullStackLeaseExpiryConformance(t *testing.T) {
 
 	// Advance virtual time; live heartbeats every check interval, dead
 	// stays silent and is reaped.
-	hb, err := ipc.Dial(filepath.Join(filepath.Dir(d.ControlSocket()), "containers", "live", daemon.ContainerSocketName))
+	hb, err := ipc.Dial(filepath.Join(filepath.Dir(d.ControlSocket()), "containers", "live", protocol.SocketFileName))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -933,7 +933,7 @@ func TestFullStackBinaryRestartRecovery(t *testing.T) {
 				limC2  = 500 * bytesize.MiB
 			)
 			reg1 := mustOK(t, ctl, &protocol.Message{Type: protocol.TypeRegister, Container: "c1", Limit: int64(limC1)})
-			sock := filepath.Join(reg1.SocketDir, daemon.ContainerSocketName)
+			sock := filepath.Join(reg1.SocketDir, protocol.SocketFileName)
 			mustOK(t, ctl, &protocol.Message{Type: protocol.TypeRegister, Container: "c2", Limit: int64(limC2)})
 			ctl.Close()
 

@@ -32,7 +32,6 @@ import (
 	"convgpu/internal/errs"
 	"convgpu/internal/plugin"
 	"convgpu/internal/protocol"
-	"convgpu/internal/wrapper"
 )
 
 // Image labels nvidia-docker consults (paper §II-D).
@@ -188,7 +187,7 @@ func (n *NVDocker) Create(ctx context.Context, opts Options) (*container.Contain
 	}
 	// Wire the wrapper volume and LD_PRELOAD.
 	spec.Volumes[WrapperMountPoint] = resp.SocketDir
-	preload := path.Join(WrapperMountPoint, wrapper.ModuleFileName)
+	preload := path.Join(WrapperMountPoint, protocol.ModuleFileName)
 	if existing := spec.Env["LD_PRELOAD"]; existing != "" {
 		preload = preload + ":" + existing
 	}

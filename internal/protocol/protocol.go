@@ -80,6 +80,16 @@ const (
 	TypeResponse Type = "response"
 )
 
+// ModuleFileName is the wrapper module's file name — libgpushare.so in
+// the paper. The scheduler daemon copies a module file under this name
+// into every per-container directory, and the container runtime treats
+// an LD_PRELOAD entry naming it as the injection signal.
+const ModuleFileName = "libgpushare.so"
+
+// SocketFileName is the per-container scheduler socket's file name,
+// created by the daemon next to the module copy.
+const SocketFileName = "gpushare.sock"
+
 // Decision is the scheduler's verdict on an allocation request.
 type Decision string
 

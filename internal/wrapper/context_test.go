@@ -10,7 +10,6 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
-	"convgpu/internal/inproc"
 )
 
 // TestWithContextUnblocksSuspendedMalloc: cancelling the process context
@@ -18,20 +17,16 @@ import (
 func TestWithContextUnblocksSuspendedMalloc(t *testing.T) {
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-	hub := inproc.NewHub(st)
-	if _, err := hub.Register("big", mib(700)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.Register("small", mib(600)); err != nil {
-		t.Fatal(err)
-	}
-	modBig := New(cuda.NewRuntime(dev, 1), hub.Caller("big"), 1)
+	s := startSched(t, st)
+	s.register("big", mib(700))
+	s.register("small", mib(600))
+	modBig := New(cuda.NewRuntime(dev, 1), s.Caller("big"), 1)
 	if _, err := modBig.Malloc(mib(600)); err != nil {
 		t.Fatal(err)
 	}
 
 	ctx, cancel := context.WithCancel(context.Background())
-	modSmall := New(cuda.NewRuntime(dev, 2), hub.Caller("small"), 2, WithContext(ctx))
+	modSmall := New(cuda.NewRuntime(dev, 2), s.Caller("small"), 2, WithContext(ctx))
 	got := make(chan error, 1)
 	go func() {
 		_, err := modSmall.Malloc(mib(500))
@@ -80,13 +75,11 @@ func TestWithContextUnblocksSuspendedMalloc(t *testing.T) {
 func TestWithContextPreCancelled(t *testing.T) {
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-	hub := inproc.NewHub(st)
-	if _, err := hub.Register("c", mib(500)); err != nil {
-		t.Fatal(err)
-	}
+	s := startSched(t, st)
+	s.register("c", mib(500))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	mod := New(cuda.NewRuntime(dev, 3), hub.Caller("c"), 3, WithContext(ctx))
+	mod := New(cuda.NewRuntime(dev, 3), s.Caller("c"), 3, WithContext(ctx))
 	if _, err := mod.Malloc(mib(100)); err == nil {
 		t.Fatal("Malloc with dead context succeeded")
 	}

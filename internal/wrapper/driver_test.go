@@ -8,15 +8,13 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
-	"convgpu/internal/inproc"
 )
 
-// driverRig wires a DriverModule to a real core via the in-process
-// transport, one container with one process.
+// driverRig wires a DriverModule to a scheduler daemon, one container
+// with one process.
 type driverRig struct {
 	dev *gpu.Device
 	st  *core.State
-	hub *inproc.Hub
 	mod *DriverModule
 	id  core.ContainerID
 }
@@ -25,19 +23,17 @@ func newDriverRig(t *testing.T, limit bytesize.Size) *driverRig {
 	t.Helper()
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: 5 * bytesize.GiB})
-	hub := inproc.NewHub(st)
+	s := startSched(t, st)
 	id := core.ContainerID("drv")
-	if _, err := hub.Register(id, limit); err != nil {
-		t.Fatal(err)
-	}
-	mod := NewDriver(cuda.NewDriver(dev, 55), hub.Caller(id), 55)
+	s.register(id, limit)
+	mod := NewDriver(cuda.NewDriver(dev, 55), s.Caller(id), 55)
 	if err := mod.Init(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := mod.CtxCreate(0); err != nil {
 		t.Fatal(err)
 	}
-	return &driverRig{dev: dev, st: st, hub: hub, mod: mod, id: id}
+	return &driverRig{dev: dev, st: st, mod: mod, id: id}
 }
 
 func TestDriverMemAllocTracked(t *testing.T) {
@@ -149,15 +145,11 @@ func TestDriverSuspensionAcrossAPIs(t *testing.T) {
 	// the same management.
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-	hub := inproc.NewHub(st)
-	if _, err := hub.Register("rt", mib(700)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.Register("drv", mib(600)); err != nil {
-		t.Fatal(err)
-	}
-	rtMod := New(cuda.NewRuntime(dev, 1), hub.Caller("rt"), 1)
-	drvMod := NewDriver(cuda.NewDriver(dev, 2), hub.Caller("drv"), 2)
+	s := startSched(t, st)
+	s.register("rt", mib(700))
+	s.register("drv", mib(600))
+	rtMod := New(cuda.NewRuntime(dev, 1), s.Caller("rt"), 1)
+	drvMod := NewDriver(cuda.NewDriver(dev, 2), s.Caller("drv"), 2)
 	drvMod.Init(0)
 	drvMod.CtxCreate(0)
 
@@ -174,9 +166,7 @@ func TestDriverSuspensionAcrossAPIs(t *testing.T) {
 		t.Fatalf("driver alloc returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if _, err := hub.Close("rt"); err != nil {
-		t.Fatal(err)
-	}
+	s.closeContainer("rt")
 	select {
 	case err := <-got:
 		if err != nil {

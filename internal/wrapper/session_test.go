@@ -9,7 +9,6 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
-	"convgpu/internal/inproc"
 	"convgpu/internal/protocol"
 )
 
@@ -69,14 +68,13 @@ func TestReplayStateRestoresUsage(t *testing.T) {
 		t.Fatalf("used changed across idempotent replay: %v -> %v", usedBefore, got)
 	}
 
-	// A fresh core standing in for a restarted scheduler: the replay
-	// rebuilds the usage from the wrapper's tracked allocations.
+	// A second daemon on a fresh core stands in for a restarted
+	// scheduler: the replay rebuilds the usage from the wrapper's tracked
+	// allocations.
 	st2 := core.MustNew(core.Config{Capacity: 5 * mib(1024)})
-	hub2 := inproc.NewHub(st2)
-	if _, err := hub2.Register(r.id, mib(512)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.mod.ReplayState(context.Background(), hub2.Caller(r.id)); err != nil {
+	s2 := startSched(t, st2)
+	s2.register(r.id, mib(512))
+	if err := r.mod.ReplayState(context.Background(), s2.Caller(r.id)); err != nil {
 		t.Fatal(err)
 	}
 	if got := infoUsed(t, st2, r.id); got != usedBefore {
@@ -103,11 +101,9 @@ func TestReplayStateForgetsFreedAllocs(t *testing.T) {
 	r.mod.Flush()
 
 	st2 := core.MustNew(core.Config{Capacity: 5 * mib(1024)})
-	hub2 := inproc.NewHub(st2)
-	if _, err := hub2.Register(r.id, mib(512)); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.mod.ReplayState(context.Background(), hub2.Caller(r.id)); err != nil {
+	s2 := startSched(t, st2)
+	s2.register(r.id, mib(512))
+	if err := r.mod.ReplayState(context.Background(), s2.Caller(r.id)); err != nil {
 		t.Fatal(err)
 	}
 	want := mib(30) + core.DefaultContextOverhead
@@ -125,11 +121,9 @@ func TestReplayStateFailsClosedOverLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 	st2 := core.MustNew(core.Config{Capacity: 5 * mib(1024)})
-	hub2 := inproc.NewHub(st2)
-	if _, err := hub2.Register(r.id, mib(100)); err != nil { // shrunken limit
-		t.Fatal(err)
-	}
-	if err := r.mod.ReplayState(context.Background(), hub2.Caller(r.id)); err == nil {
+	s2 := startSched(t, st2)
+	s2.register(r.id, mib(100)) // shrunken limit
+	if err := r.mod.ReplayState(context.Background(), s2.Caller(r.id)); err == nil {
 		t.Fatal("replay over limit succeeded")
 	}
 }

@@ -7,7 +7,6 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/gpu"
-	"convgpu/internal/inproc"
 )
 
 func TestStreamPassThrough(t *testing.T) {
@@ -65,11 +64,9 @@ type nonStreamAPI struct{ cuda.API }
 func TestStreamsOnNonStreamInner(t *testing.T) {
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: 5 * bytesize.GiB})
-	hub := inproc.NewHub(st)
-	if _, err := hub.Register("x", bytesize.GiB); err != nil {
-		t.Fatal(err)
-	}
-	mod := New(nonStreamAPI{cuda.NewRuntime(dev, 1)}, hub.Caller("x"), 1)
+	s := startSched(t, st)
+	s.register("x", bytesize.GiB)
+	mod := New(nonStreamAPI{cuda.NewRuntime(dev, 1)}, s.Caller("x"), 1)
 	if _, err := mod.StreamCreate(); err != cuda.ErrorInvalidValue {
 		t.Fatalf("StreamCreate on non-stream inner: %v", err)
 	}

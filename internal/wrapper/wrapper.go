@@ -42,19 +42,18 @@ import (
 	"convgpu/internal/protocol"
 )
 
-// ModuleFileName is the wrapper module's file name — libgpushare.so in
-// the paper. The scheduler daemon copies a module file under this name
-// into every per-container directory, and the container runtime treats
-// an LD_PRELOAD entry naming it as the injection signal.
-const ModuleFileName = "libgpushare.so"
-
-// SocketFileName is the per-container scheduler socket's file name,
-// created by the daemon next to the module copy.
-const SocketFileName = "gpushare.sock"
+// ModuleFileName and SocketFileName are protocol.ModuleFileName and
+// protocol.SocketFileName under the names the repository benchmark
+// (bench/, a module of its own that this one does not build) still uses.
+const (
+	ModuleFileName = protocol.ModuleFileName
+	SocketFileName = protocol.SocketFileName
+)
 
 // Caller is the wrapper's channel to the GPU memory scheduler:
-// *ipc.Client over a UNIX socket, or the benchmark harness's in-process
-// implementation that isolates transport cost. Call's response belongs
+// *ipc.Client over a UNIX socket, or daemon.Caller, which runs the
+// daemon's handler with no socket (tests, and the transport ablation
+// that isolates transport cost). Call's response belongs
 // to the caller, which may hand it back to the message pool
 // (protocol.ReleaseMessage); implementations must not retain it, nor m
 // once Call or Post has returned: the module's alloc, confirm and free

@@ -15,21 +15,67 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
+	"convgpu/internal/daemon"
 	"convgpu/internal/errs"
 	"convgpu/internal/gpu"
-	"convgpu/internal/inproc"
 	"convgpu/internal/ipc"
 	"convgpu/internal/protocol"
 )
 
 func mib(n int) bytesize.Size { return bytesize.Size(n) * bytesize.MiB }
 
-// rig wires a wrapper to a real core via the in-process transport and a
-// real simulated device, standing in for one container with one process.
+// sched is a scheduler daemon serving a core from a temporary
+// directory. Its containers register and close through the control
+// socket, and their wrappers call through the daemon's socketless Caller.
+type sched struct {
+	*daemon.Daemon
+	ctl *ipc.Client
+	t   *testing.T
+}
+
+func startSched(t *testing.T, st *core.State) *sched {
+	t.Helper()
+	d, err := daemon.Start(daemon.Config{BaseDir: filepath.Join(t.TempDir(), "cv"), Core: st})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { d.Close() })
+	ctl, err := ipc.Dial(d.ControlSocket())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ctl.Close() })
+	return &sched{Daemon: d, ctl: ctl, t: t}
+}
+
+// control sends a register or a close of id on the control socket (limit
+// is a register's); a refusal fails the test.
+func (s *sched) control(typ protocol.Type, id core.ContainerID, limit bytesize.Size) {
+	s.t.Helper()
+	resp, err := s.ctl.Call(context.Background(), &protocol.Message{Type: typ, Container: string(id), Limit: int64(limit)})
+	if err == nil && !resp.OK {
+		err = errors.New(resp.Error)
+	}
+	if err != nil {
+		s.t.Fatalf("%s %s: %v", typ, id, err)
+	}
+}
+
+func (s *sched) register(id core.ContainerID, limit bytesize.Size) {
+	s.t.Helper()
+	s.control(protocol.TypeRegister, id, limit)
+}
+
+func (s *sched) closeContainer(id core.ContainerID) {
+	s.t.Helper()
+	s.control(protocol.TypeClose, id, 0)
+}
+
+// rig wires a wrapper to a scheduler daemon and a simulated device,
+// standing in for one container with one process.
 type rig struct {
 	dev  *gpu.Device
 	st   *core.State
-	hub  *inproc.Hub
 	mod  *Module
 	rt   *cuda.Runtime
 	spy  *spyCaller
@@ -74,15 +120,13 @@ func newRig(t *testing.T, limit bytesize.Size) *rig {
 	t.Helper()
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: 5 * bytesize.GiB})
-	hub := inproc.NewHub(st)
+	s := startSched(t, st)
 	id := core.ContainerID("c1")
-	if _, err := hub.Register(id, limit); err != nil {
-		t.Fatal(err)
-	}
-	spy := &spyCaller{inner: hub.Caller(id)}
+	s.register(id, limit)
+	spy := &spyCaller{inner: s.Caller(id)}
 	rt := cuda.NewRuntime(dev, 100)
 	mod := New(rt, spy, 100)
-	return &rig{dev: dev, st: st, hub: hub, mod: mod, rt: rt, spy: spy, id: id, tHan: t}
+	return &rig{dev: dev, st: st, mod: mod, rt: rt, spy: spy, id: id, tHan: t}
 }
 
 func TestInterceptedAPIsMatchTableII(t *testing.T) {
@@ -439,11 +483,9 @@ func TestAbortOnDeviceFailure(t *testing.T) {
 		ConcurrentKernels: 32, ContextOverhead: mib(1),
 	})
 	st := core.MustNew(core.Config{Capacity: 5 * bytesize.GiB, ContextOverhead: 1})
-	hub := inproc.NewHub(st)
-	if _, err := hub.Register("c1", bytesize.GiB); err != nil {
-		t.Fatal(err)
-	}
-	mod := New(cuda.NewRuntime(dev, 7), hub.Caller("c1"), 7)
+	s := startSched(t, st)
+	s.register("c1", bytesize.GiB)
+	mod := New(cuda.NewRuntime(dev, 7), s.Caller("c1"), 7)
 	if _, err := mod.Malloc(mib(500)); err != cuda.ErrorMemoryAllocation {
 		t.Fatalf("err = %v, want cudaErrorMemoryAllocation from the device", err)
 	}
@@ -456,15 +498,11 @@ func TestAbortOnDeviceFailure(t *testing.T) {
 func TestSuspensionBlocksMallocUntilResume(t *testing.T) {
 	dev := gpu.New(gpu.K20m())
 	st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
-	hub := inproc.NewHub(st)
-	if _, err := hub.Register("big", mib(700)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := hub.Register("small", mib(600)); err != nil {
-		t.Fatal(err)
-	}
-	modBig := New(cuda.NewRuntime(dev, 1), hub.Caller("big"), 1)
-	modSmall := New(cuda.NewRuntime(dev, 2), hub.Caller("small"), 2)
+	s := startSched(t, st)
+	s.register("big", mib(700))
+	s.register("small", mib(600))
+	modBig := New(cuda.NewRuntime(dev, 1), s.Caller("big"), 1)
+	modSmall := New(cuda.NewRuntime(dev, 2), s.Caller("small"), 2)
 	if _, err := modBig.Malloc(mib(600)); err != nil {
 		t.Fatal(err)
 	}
@@ -478,9 +516,7 @@ func TestSuspensionBlocksMallocUntilResume(t *testing.T) {
 		t.Fatalf("suspended Malloc returned early: %v", err)
 	case <-time.After(50 * time.Millisecond):
 	}
-	if _, err := hub.Close("big"); err != nil {
-		t.Fatal(err)
-	}
+	s.closeContainer("big")
 	select {
 	case err := <-got:
 		if err != nil {
@@ -495,6 +531,43 @@ func TestSuspensionBlocksMallocUntilResume(t *testing.T) {
 	}
 	if err := st.CheckInvariants(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSuspendedMallocRefusedWhenDaemonCloses: a daemon that shuts down
+// refuses the allocation it was holding with a wire code, and the
+// program gets a defined error: the out-of-memory error a CUDA program
+// handles, carrying the sentinel that says the scheduler went away.
+func TestSuspendedMallocRefusedWhenDaemonCloses(t *testing.T) {
+	dev := gpu.New(gpu.K20m())
+	st := core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})
+	s := startSched(t, st)
+	s.register("big", mib(700))
+	s.register("small", mib(600))
+	if _, err := New(cuda.NewRuntime(dev, 1), s.Caller("big"), 1).Malloc(mib(600)); err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	go func() {
+		_, err := New(cuda.NewRuntime(dev, 2), s.Caller("small"), 2).Malloc(mib(500)) // grant 300: suspends
+		got <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if info, err := st.Info("small"); err == nil && info.Pending > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Malloc never suspended")
+		}
+	}
+	s.Daemon.Close()
+	select {
+	case err := <-got:
+		if !errors.Is(err, errs.ErrDaemonUnavailable) || !errors.Is(err, cuda.ErrorMemoryAllocation) {
+			t.Fatalf("err = %v, want ErrDaemonUnavailable and cudaErrorMemoryAllocation", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("suspended Malloc outlived the daemon")
 	}
 }
 

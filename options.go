@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"convgpu/internal/core"
-	"convgpu/internal/gpu"
 	"convgpu/internal/obs"
 	"convgpu/internal/policy"
 )
@@ -19,24 +18,20 @@ type Option func(*stackConfig) error
 
 // stackConfig collects the options before assembly.
 type stackConfig struct {
-	baseDir       string
-	capacity      Size
-	devices       int
-	placement     string
-	nodes         int
-	nodeStrategy  string
-	nodeHealth    time.Duration
-	algorithm     string
-	algorithmSeed int64
-	gpuProps      *gpu.Properties
-	latency       bool
-	createLatency time.Duration
+	baseDir      string
+	capacity     Size
+	devices      int
+	placement    string
+	nodes        int
+	nodeStrategy string
+	nodeHealth   time.Duration
+	algorithm    string
+	latency      bool
 
 	lease       time.Duration
 	callTimeout time.Duration
 
-	obs           *obs.Observability
-	traceCapacity int
+	obs *obs.Observability
 
 	faultTolerant    bool
 	persistentGrants bool
@@ -153,7 +148,7 @@ func WithNodeHealth(interval time.Duration) Option {
 
 // WithAlgorithm selects the wake-order policy by name or alias: the
 // paper's four algorithms (FIFO, BestFit, RecentUse, Random; default
-// FIFO) or a tenant-aware policy (FairShare, QuotaFair, Priority). The
+// FIFO) or a tenant-aware policy (FairShare, Priority, "quota"). The
 // stack, its telemetry and its admin API carry the canonical name; an
 // unknown name fails at option time with the Policies list.
 func WithAlgorithm(name string) Option {
@@ -191,41 +186,11 @@ func WithTenant(t Tenant) Option {
 	}
 }
 
-// WithAlgorithmSeed seeds the Random algorithm deterministically.
-func WithAlgorithmSeed(seed int64) Option {
-	return func(c *stackConfig) error {
-		c.algorithmSeed = seed
-		return nil
-	}
-}
-
-// WithGPU overrides the simulated device properties (default K20m).
-// The device's total memory is set to the stack's capacity.
-func WithGPU(props gpu.Properties) Option {
-	return func(c *stackConfig) error {
-		p := props
-		c.gpuProps = &p
-		return nil
-	}
-}
-
 // WithLatency enables the Figure 4 latency calibration on the device,
 // making CUDA calls consume realistic time.
 func WithLatency() Option {
 	return func(c *stackConfig) error {
 		c.latency = true
-		return nil
-	}
-}
-
-// WithCreateLatency models the container runtime's creation cost
-// (Fig. 5 uses ~0.4 s).
-func WithCreateLatency(d time.Duration) Option {
-	return func(c *stackConfig) error {
-		if d < 0 {
-			return fmt.Errorf("convgpu: WithCreateLatency: negative duration %v", d)
-		}
-		c.createLatency = d
 		return nil
 	}
 }
@@ -268,17 +233,6 @@ func WithObservability(o *Observability) Option {
 			return fmt.Errorf("convgpu: WithObservability: nil bundle")
 		}
 		c.obs = o
-		return nil
-	}
-}
-
-// WithTraceCapacity sizes the event-trace ring of the stack's default
-// observability bundle (obs.DefaultTraceCapacity when unset; negative
-// disables trace retention). Ignored when WithObservability supplies a
-// bundle, which carries its own ring.
-func WithTraceCapacity(n int) Option {
-	return func(c *stackConfig) error {
-		c.traceCapacity = n
 		return nil
 	}
 }

@@ -92,9 +92,6 @@ func New(options ...Option) (*Stack, error) {
 	}
 
 	props := gpu.K20m()
-	if cfg.gpuProps != nil {
-		props = *cfg.gpuProps
-	}
 	props.TotalGlobalMem = cfg.capacity
 
 	var gpuOpts []gpu.Option
@@ -112,7 +109,6 @@ func New(options ...Option) (*Stack, error) {
 		Wake:     cfg.algorithm,
 		Place:    cfg.placement,
 		Strategy: cfg.nodeStrategy,
-		Seed:     cfg.algorithmSeed,
 		Device: core.Config{
 			FaultTolerant:    cfg.faultTolerant,
 			PersistentGrants: cfg.persistentGrants,
@@ -125,7 +121,7 @@ func New(options ...Option) (*Stack, error) {
 
 	o := cfg.obs
 	if o == nil {
-		o = obs.New(obs.Config{Algorithm: cfg.algorithm, TraceCapacity: cfg.traceCapacity})
+		o = obs.New(obs.Config{Algorithm: cfg.algorithm})
 	}
 
 	return &Stack{
@@ -197,10 +193,7 @@ func (s *Stack) Start(ctx context.Context) error {
 			return fail(err)
 		}
 	}
-	s.engine, err = container.NewEngine(container.Config{
-		Device:        s.device,
-		CreateLatency: s.cfg.createLatency,
-	})
+	s.engine, err = container.NewEngine(container.Config{Device: s.device})
 	if err != nil {
 		return fail(err)
 	}
