@@ -269,11 +269,6 @@ func TestProcExitReleasesMemory(t *testing.T) {
 	if info.Used != 0 {
 		t.Fatalf("used after procexit = %v", info.Used)
 	}
-	// The close signal hands the container's whole grant back.
-	resp, err = ctl.Call(ctx, &protocol.Message{Type: protocol.TypeClose, Container: "c"})
-	if err != nil || !resp.OK || bytesize.Size(resp.Free) != mib(400) {
-		t.Fatalf("close: %+v %v, want the 400MiB grant released", resp, err)
-	}
 }
 
 func TestAbortReturnsCharge(t *testing.T) {
@@ -304,14 +299,54 @@ func TestUnknownContainerErrors(t *testing.T) {
 	if resp.OK {
 		t.Fatal("close of unknown container succeeded")
 	}
-	// A container socket's verb for an unknown container is refused with
-	// the code a wrapper maps back to its sentinel.
-	resp, err = d.Caller("ghost").Call(context.Background(), &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: 1})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// TestCallerRejectAndErrorResponses: through the socketless Caller, an
+// over-limit allocation is a reject decision, and a bad free, a verb for
+// an unknown container and an unknown verb are refused responses, not
+// transport errors; the unknown container's carries the code a wrapper
+// maps back to its sentinel.
+func TestCallerRejectAndErrorResponses(t *testing.T) {
+	d := startDaemon(t, mib(1000))
+	register(t, dialControl(t, d), "a", mib(100))
+	ctx := context.Background()
+	call := func(id core.ContainerID, m *protocol.Message) *protocol.Message {
+		t.Helper()
+		resp, err := d.Caller(id).Call(ctx, m)
+		if err != nil {
+			t.Fatalf("%s: transport error %v", m.Type, err)
+		}
+		return resp
 	}
-	if resp.OK || resp.Code != protocol.CodeUnknownContainer {
+	if resp := call("a", &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: int64(mib(200))}); resp.Decision != protocol.DecisionReject {
+		t.Fatalf("over-limit alloc = %+v, want reject", resp)
+	}
+	if resp := call("a", &protocol.Message{Type: protocol.TypeFree, PID: 1, Addr: 0xDEAD}); resp.OK {
+		t.Fatalf("free of unknown addr succeeded: %+v", resp)
+	}
+	if resp := call("ghost", &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: 1}); resp.OK || resp.Code != protocol.CodeUnknownContainer {
 		t.Fatalf("alloc for an unknown container = %+v, want refused with %q", resp, protocol.CodeUnknownContainer)
+	}
+	if resp := call("a", &protocol.Message{Type: "bogus"}); resp.OK {
+		t.Fatalf("bogus type accepted: %+v", resp)
+	}
+}
+
+// TestCloseReturnsReleased: the close signal hands the container's whole
+// grant back and says how much; a close of a container never registered
+// is refused.
+func TestCloseReturnsReleased(t *testing.T) {
+	d := startDaemon(t, mib(1000))
+	ctl := dialControl(t, d)
+	register(t, ctl, "a", mib(400))
+	ctx := context.Background()
+	resp, err := ctl.Call(ctx, &protocol.Message{Type: protocol.TypeClose, Container: "a"})
+	if err != nil || !resp.OK || bytesize.Size(resp.Free) != mib(400) {
+		t.Fatalf("close: %+v %v, want the 400MiB grant released", resp, err)
+	}
+	resp, err = ctl.Call(ctx, &protocol.Message{Type: protocol.TypeClose, Container: "zzz"})
+	if err != nil || resp.OK {
+		t.Fatalf("close of unknown container: %+v %v, want refused", resp, err)
 	}
 }
 
