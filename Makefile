@@ -77,10 +77,12 @@ race:
 # tests race a 1 ms timer against the next frame (and a free against the
 # confirm it may join), and the wait-rule tests race a peer's close, a
 # stray frame or another writer carrying a staged frame out against an
-# end that waits without reading, so they get ten times the runs.
+# end that waits without reading, and the raw-syscall tests check the
+# held fd is non-blocking and that -race still orders what crosses the
+# socket, so they get ten times the runs.
 flake:
 	$(GO) test -race -shuffle=on -count=20 -short ./internal/ipc/... ./internal/protocol/... ./internal/wrapper/...
-	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame|TestReusedResponder|TestOneReplyFrame|TestSpentContext|TestCloseEndsContext|TestDeferredPost|TestCloseDropsADeferredFrame|TestFreeJoinsOnlyAWaitingFrame|TestOneWayFrameThenClose|TestFramesAndCloseInOneWake|TestStaleRefusalAndReplyInOneRead|TestFrameAheadOfTheWriteIsRead|TestEndedContextStillSendsItsFrame|TestPastDeadlineAtEntry|TestStagedFrameCarriedOut|TestCallOnADeadWriter' ./internal/ipc
+	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame|TestReusedResponder|TestOneReplyFrame|TestSpentContext|TestCloseEndsContext|TestDeferredPost|TestCloseDropsADeferredFrame|TestFreeJoinsOnlyAWaitingFrame|TestOneWayFrameThenClose|TestFramesAndCloseInOneWake|TestStaleRefusalAndReplyInOneRead|TestFrameAheadOfTheWriteIsRead|TestEndedContextStillSendsItsFrame|TestPastDeadlineAtEntry|TestStagedFrameCarriedOut|TestCallOnADeadWriter|TestHeldFDIsNonBlocking|TestRaceEdgesThroughTheSocket' ./internal/ipc
 	$(GO) test -race -count=200 -run 'TestRefusedConfirmFailsNextCall|TestHeartbeatKeepsRefusal' ./internal/wrapper
 	$(GO) test -race -count=200 -run 'TestReleaseBetweenDecideAndPark|TestRefusedOneWayFree|TestTwoWayReportsStillServed|TestLoneMallocIsConfirmedWithinTheBound|TestJoinedFreeResumesWithinTheBound' ./internal/daemon
 	$(GO) test -race -count=200 -run 'TestChaosOneWayFrameLost' ./internal/fault

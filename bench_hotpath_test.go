@@ -43,6 +43,7 @@ import (
 	"syscall"
 	"testing"
 	"time"
+	"unsafe"
 
 	"convgpu"
 	"convgpu/internal/bytesize"
@@ -370,7 +371,8 @@ func BenchmarkHotPathRoundTrip1RTTJSON(b *testing.B)   { benchRoundTrip1RTT(b, f
 // without the read that would find nothing). No codec, no handler, no
 // coalescer: the difference to BenchmarkHotPathRoundTrip1RTTBinary is
 // the transport and the daemon, and a wrapped cycle, one round trip with
-// its two reports in front, costs at least this.
+// its two reports in front, costs at least this. Its reads and writes are
+// raw, as the transport's on a held fd are (rawRW).
 func BenchmarkHotPathSocketFloor(b *testing.B) {
 	fds, err := syscall.Socketpair(syscall.AF_UNIX, syscall.SOCK_STREAM|syscall.SOCK_CLOEXEC, 0)
 	if err != nil {
@@ -396,14 +398,14 @@ func BenchmarkHotPathSocketFloor(b *testing.B) {
 		defer close(echoed)
 		buf := make([]byte, 16*1024) // room for many frames, as the transport's read buffer has
 		_ = raws[1].Read(func(fd uintptr) bool {
-			n, err := syscall.Read(int(fd), buf)
+			n, err := rawRW(syscall.SYS_READ, fd, buf)
 			if err == syscall.EAGAIN {
 				return false
 			}
 			if err != nil || n == 0 { // the other end closed
 				return true
 			}
-			_, err = syscall.Write(int(fd), buf[:n])
+			_, err = rawRW(syscall.SYS_WRITE, fd, buf[:n])
 			return err != nil // wrote since the read: wait without reading
 		})
 	}()
@@ -415,10 +417,10 @@ func BenchmarkHotPathSocketFloor(b *testing.B) {
 	roundTrip := func(fd uintptr) bool {
 		if !wrote {
 			wrote = true
-			_, ioErr = syscall.Write(int(fd), frame)
+			_, ioErr = rawRW(syscall.SYS_WRITE, fd, frame)
 			return ioErr != nil // wrote since the last read: wait without reading
 		}
-		n, err := syscall.Read(int(fd), buf[got:])
+		n, err := rawRW(syscall.SYS_READ, fd, buf[got:])
 		if err == syscall.EAGAIN {
 			return false
 		}
@@ -443,6 +445,17 @@ func BenchmarkHotPathSocketFloor(b *testing.B) {
 	if string(buf) != string(frame) {
 		b.Fatal("the echo is not the frame")
 	}
+}
+
+// rawRW is one read(2) or write(2) (trap) of p on fd the way ipc issues
+// them on a held, non-blocking fd: without the runtime's syscall
+// bookkeeping, which a fd that never blocks does not need.
+func rawRW(trap, fd uintptr, p []byte) (int, error) {
+	n, _, e := syscall.RawSyscall(trap, fd, uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p)))
+	if e != 0 {
+		return 0, e
+	}
+	return int(n), nil
 }
 
 // BenchmarkHotPathRoundTripPipelined keeps 8 calls in flight on one

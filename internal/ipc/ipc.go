@@ -21,11 +21,7 @@
 // A connection multiplexes concurrent requests: responses are matched
 // to requests by sequence number, so the scheduler can withhold the
 // response to a suspended allocation while continuing to serve the
-// container's other processes. The client side keeps its in-flight
-// sequence numbers in a fixed ring (spilling to a map only while more
-// than callRingSize calls are parked), so concurrent wrapper threads
-// pipeline requests without serializing on one round trip or paying a
-// channel allocation per call. The client has no read loop: the Call
+// container's other processes. The client has no read loop: the Call
 // waiting for a reply reads the connection itself, for the others too
 // while it does (see Client).
 //
@@ -45,30 +41,18 @@
 //
 // # Hot-path memory discipline
 //
-// The transport threads pooled protocol.Message objects through its reads
-// and writes and encodes each outbound frame once, straight into its
-// connection's write buffer, so a steady-state request cycle on binary
-// frames allocates nothing and copies a frame once on its way to the
-// socket. That imposes ownership windows (see Handler and DESIGN.md §"Hot
-// path"): a request message is valid only until Handle returns, and a
-// response message passed to respond or Send is consumed by the transport.
+// Messages are pooled and each frame is encoded once, into its connection's
+// write buffer, so a binary request cycle allocates nothing; Handler says
+// what that asks of a handler (DESIGN.md §7).
 //
 // # Write coalescing
 //
-// Outbound writes go through a coalescing writer: the sender encodes its
-// frame onto a shared buffer and at most one goroutine per connection
-// (the current "leader") performs the socket write. Senders arriving while
-// the leader is inside the syscall buffer behind it and are flushed by
-// the leader's next pass; BeginBatch/EndBatch hold a burst (N suspended
-// tickets one redistribution admits) for one write. An uncontended
-// send flushes immediately on the caller's goroutine, adding no latency —
-// with two exceptions, on the client side. A Call's frame is staged and
-// flushed by the Call once it is ready to read the reply (see Reading). A
-// posted confirm (a one-way verb protocol.Type.Deferrable admits) is
-// appended and left for the next frame on the connection to carry out in
-// its write, or for a timer after deferBound (1 ms) when none comes, and
-// a one-way frame posted while it waits there (a free) waits with it. See
-// Client.Post.
+// Each connection's writes go through one coalescer: at most one goroutine
+// writes at a time, and frames handed in meanwhile leave in its next write
+// (BeginBatch/EndBatch hold a burst for one). An uncontended send is
+// written at once, except on the client: a Call's frame waits for the Call
+// to read (see Reading), a posted confirm for the next frame or deferBound
+// (see Client.Post).
 package ipc
 
 import (
@@ -224,10 +208,8 @@ func (s *Server) acceptLoop() {
 		go func() {
 			defer s.wg.Done()
 			sc.readLoop(s.handler)
-			// A poisoned frame (oversized, unreadable) exits the loop with
-			// the socket still open; close it so the peer sees a dead
-			// connection instead of hanging on a response that will never
-			// come.
+			// A poisoned frame (oversized, unreadable) leaves the socket
+			// open: close it, or the peer waits for a reply that never comes.
 			sc.conn.Close()
 			s.mu.Lock()
 			delete(s.conns, sc)
@@ -280,15 +262,8 @@ type ServerConn struct {
 	oneWayType protocol.Type
 }
 
-// Send writes m, only read, as a JSON line, serialized with the
-// connection's other writes by the coalescer. (Responses to requests
-// flow through a responder, which answers in the request's codec.)
-func (c *ServerConn) Send(m *protocol.Message) error {
-	return c.w.write(m, false)
-}
-
-// BeginBatch suspends flushing until its EndBatch, so a burst of Sends
-// (the responses one scheduler Update releases) leaves in one write.
+// BeginBatch suspends flushing until its EndBatch, so a burst of responses
+// (the ones one scheduler Update releases) leaves in one write.
 func (c *ServerConn) BeginBatch() { c.w.beginBatch() }
 
 // EndBatch re-enables flushing and flushes what the batch buffered.
@@ -424,11 +399,9 @@ func (c *ServerConn) respondOneWay(resp *protocol.Message) {
 	protocol.ReleaseMessage(resp)
 }
 
-// safeHandle runs Handle with panic recovery: one request tripping a bug
-// must not take the whole daemon down (and every other container's
-// connection with it). The panicked request gets an error response
-// through its responder — a no-op if the handler responded before
-// panicking — and the connection keeps serving.
+// safeHandle runs Handle with panic recovery, so one request tripping a bug
+// does not take the daemon down: it gets an error response (a no-op if the
+// handler had responded) and the connection keeps serving.
 func safeHandle(h Handler, c *ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -474,12 +447,9 @@ func (r *responder) respond(resp *protocol.Message) {
 	protocol.ReleaseMessage(resp)
 }
 
-// callRingSize is the number of in-flight calls the client tracks in
-// its fixed ring (a power of two; sequence numbers index it by mask).
-// The ring's channels are allocated once and reused, so a steady-state
-// Call costs no channel allocation; calls beyond callRingSize in
-// flight at once — e.g. a 65th suspended allocation parked on one
-// connection — spill to a map and merely pay the old per-call cost.
+// callRingSize is how many in-flight calls the client's ring tracks (a
+// power of two: seqs index it by mask). Its channels are reused; calls
+// beyond it (a 65th parked allocation) spill to a map, a channel each.
 const callRingSize = 64
 
 // callSlot is one ring entry: the seq currently owning the slot (0 =
@@ -551,14 +521,10 @@ func (c *Client) InFlight() int64 { return c.inFlight.Load() }
 // BinaryNegotiated reports whether this connection sends binary frames.
 func (c *Client) BinaryNegotiated() bool { return c.useBinary.Load() }
 
-// NegotiateBinary offers the binary fast-path codec to the server with
-// a JSON-encoded TypeCodec probe. Only an affirmative echo of the token
-// switches this client's sends to binary frames; any other outcome — an
-// error response from an older server, a transport failure, a timeout
-// from the caller's ctx — leaves the connection on JSON, so the
-// handshake can only ever downgrade to the codec both sides speak.
-// (Even a probe response lost in flight is safe: the server holds no
-// per-connection codec state to get out of step with.)
+// NegotiateBinary offers the binary codec with a JSON TypeCodec probe.
+// Only an echo of the token switches this client's sends to binary; any
+// other outcome (an older server's error, a transport failure, ctx) leaves
+// it on JSON. The server keeps no codec state, so a lost probe is safe.
 func (c *Client) NegotiateBinary(ctx context.Context) (bool, error) {
 	m := protocol.AcquireMessage()
 	defer protocol.ReleaseMessage(m)
@@ -601,11 +567,9 @@ func DialNegotiated(ctx context.Context, path string) (*Client, error) {
 const defaultNegotiateTimeout = 2 * time.Second
 
 // offerBinary runs NegotiateBinary bounded by timeout (non-positive: the
-// default), so a lost or mangled handshake costs one timeout and a JSON
-// connection, never a hang. Errors are deliberately ignored: a
-// connection the handshake killed fails its first Call like any dead
-// connection. Setting the CONVGPU_WIRE_JSON environment variable skips
-// the offer — the debug pin for reading the wire with standard tools.
+// default), so a lost handshake costs a timeout and a JSON connection. Its
+// errors are dropped: a connection it killed fails its first Call. Setting
+// CONVGPU_WIRE_JSON skips the offer, to read the wire with standard tools.
 func (c *Client) offerBinary(ctx context.Context, timeout time.Duration) {
 	if os.Getenv("CONVGPU_WIRE_JSON") != "" {
 		return
@@ -844,11 +808,9 @@ func (c *Client) fail(err error) error {
 }
 
 // refuse records the scheduler's unsolicited error frame for a one-way
-// request (Post) it refused. No Call waits on that seq; the refusal is
-// kept for the next Call or Post on this connection to return. Frames on
-// a connection are read in order, so it is stored before the reply to
-// any Call sent after the refused Post is seen: the very next Call
-// returns it.
+// request (Post) it refused, for the next Call or Post to return. Frames
+// are read in order, so it is stored before the reply to any Call sent
+// after the refused Post: the very next Call returns it.
 func (c *Client) refuse(msg *protocol.Message) {
 	if msg.Type == protocol.TypeResponse && !msg.OK {
 		c.refused.Add(&protocol.Refusal{Text: msg.Error, Code: msg.Code})
@@ -859,14 +821,10 @@ func (c *Client) refuse(msg *protocol.Message) {
 }
 
 // deliver hands a response the reading Call found not to be its own to
-// the Call waiting on its seq. Delivery happens while holding mu: the
-// slot lookup and the channel send are atomic with respect to forget, so
-// a response racing a Call's context cancellation is either handed to
-// the (buffered) channel — where the cancelled Call drains it — or
-// dropped here. Either way the reader never blocks on a forgotten
-// sequence. The ring slot stays owned (seq set) until the receiving Call
-// clears it, so no new claimant can touch the channel while a response
-// is in transit through it.
+// the Call waiting on its seq. Under mu, atomic with forget: a response
+// racing a cancellation lands in the buffered channel, where forget drains
+// it, or is dropped here; the reader never blocks. The slot stays owned
+// until its Call clears it, so no new claimant sees the response.
 func (c *Client) deliver(msg *protocol.Message) {
 	c.mu.Lock()
 	var ch chan *protocol.Message
@@ -898,9 +856,7 @@ func (c *Client) deliver(msg *protocol.Message) {
 // to the overflow map), so issuing a request never waits on another
 // call's round trip.
 //
-// The returned response is owned by the caller; callers on an
-// allocation hot path may hand it back via protocol.ReleaseMessage once
-// they are done reading it.
+// The caller owns the response; protocol.ReleaseMessage hands it back.
 //
 // A refusal of an earlier Post is returned in place of this call's
 // reply, which is dropped. The request is sent and applied all the same
@@ -926,10 +882,7 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 	if slot := &c.ring[seq&(callRingSize-1)]; slot.seq == 0 {
 		if slot.ch == nil {
 			slot.ch = make(chan *protocol.Message, 1)
-		} else {
-			// A duplicate response delivered between a previous owner's
-			// receive and its slot release can leave a stale message in
-			// the reused channel; drain it so this call cannot read it.
+		} else { // a duplicate reply to the slot's last owner may wait there
 			select {
 			case stale := <-slot.ch:
 				protocol.ReleaseMessage(stale)
@@ -939,9 +892,7 @@ func (c *Client) Call(ctx context.Context, m *protocol.Message) (*protocol.Messa
 		slot.seq = seq
 		ch = slot.ch
 		ringSlot = true
-	} else {
-		// The slot is held by an older in-flight call (a suspended
-		// allocation can park a seq indefinitely): spill to the map.
+	} else { // held by an older call (a parked allocation): spill
 		ch = make(chan *protocol.Message, 1)
 		if c.overflow == nil {
 			c.overflow = make(map[uint64]chan *protocol.Message)
@@ -1033,11 +984,8 @@ func (c *Client) Post(ctx context.Context, m *protocol.Message) error {
 	return nil
 }
 
-// received closes a Call whose response arrived: it frees the ring slot
-// (owned from claim to here, so the in-transit response can never be
-// raced by a new claimant of the same slot) or the overflow entry (still
-// there when the Call read its reply itself) and returns the refusals
-// that arrived ahead of the response.
+// received closes a Call whose response arrived: it frees the ring slot or
+// the overflow entry and returns the refusals that arrived ahead of it.
 func (c *Client) received(seq uint64, ringSlot bool) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1049,11 +997,9 @@ func (c *Client) received(seq uint64, ringSlot bool) error {
 	return c.refused.Take()
 }
 
-// forget abandons a sequence number after a failed or cancelled Call.
-// If the response already won the race into the channel, it is drained
-// and returned to the pool — under mu, in the same critical section
-// that frees the ring slot — so a late response never strands a pooled
-// message or reaches the slot's next occupant.
+// forget abandons a failed or cancelled Call's seq. A response already in
+// its channel is drained under mu, with the slot freed, so it never
+// reaches the slot's next occupant.
 func (c *Client) forget(seq uint64, ch chan *protocol.Message, ringSlot bool) {
 	c.mu.Lock()
 	if ringSlot {
@@ -1273,20 +1219,18 @@ func (w *coalescer) endBatch(fd int) error {
 const noFD = -1
 
 // send writes p: on fd, pinned by the RawConn.Read callback flushing, with
-// no write lock or poller preparation, and what the socket does not take
-// at once (EAGAIN, a short write) through dst, which waits for room.
+// no write lock or poller preparation (rawIO), and what the socket does not
+// take at once (EAGAIN, a short write) through dst, which waits for room.
 func (w *coalescer) send(fd int, p []byte) error {
+	raceWriting(p)
 	if fd != noFD {
-		n, err := syscall.Write(fd, p)
-		for err == syscall.EINTR {
-			n, err = syscall.Write(fd, p)
-		}
+		n, err := rawIO(syscall.SYS_WRITE, fd, p)
 		if err == nil && n == len(p) {
 			return nil
 		} else if err != nil && err != syscall.EAGAIN {
 			return os.NewSyscallError("write", err)
 		}
-		p = p[max(n, 0):]
+		p = p[n:]
 	}
 	_, err := w.dst.Write(p)
 	return err

@@ -598,7 +598,7 @@ func TestBatchedSendsCoalesce(t *testing.T) {
 
 	sc.BeginBatch()
 	for i := uint64(1000); i < 1000+n; i++ {
-		if err := sc.Send(&protocol.Message{Type: protocol.TypeResponse, Seq: i, OK: true}); err != nil {
+		if err := sc.w.write(&protocol.Message{Type: protocol.TypeResponse, Seq: i, OK: true}, false); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -7,6 +7,7 @@ import (
 	"net"
 	"os"
 	"syscall"
+	"unsafe"
 
 	"convgpu/internal/protocol"
 )
@@ -93,8 +94,10 @@ func (s *splitter) space() []byte {
 // fill is one conn.Read into the buffer. Data comes first: an error that
 // came with it is the next fill's.
 func (s *splitter) fill(conn io.Reader) error {
-	n, err := conn.Read(s.space())
+	p := s.space()
+	n, err := conn.Read(p)
 	if s.w += n; n > 0 {
+		raceRead(p[:n]) // the peer may have written with rawIO
 		return nil
 	}
 	return err
@@ -105,17 +108,32 @@ func (s *splitter) fill(conn io.Reader) error {
 // less than it asked for: on a UNIX stream socket, one that emptied the queue.
 func (s *splitter) readFD(fd uintptr) (short bool, err error) {
 	p := s.space()
-	n, err := syscall.Read(int(fd), p)
-	for err == syscall.EINTR {
-		n, err = syscall.Read(int(fd), p)
-	}
-	if err == nil && n == 0 {
-		err = io.EOF
-	} else if err != nil && err != syscall.EAGAIN {
+	n, err := rawIO(syscall.SYS_READ, int(fd), p)
+	if err == nil {
+		raceRead(p[:n])
+		if n == 0 {
+			err = io.EOF
+		}
+	} else if err != syscall.EAGAIN {
 		err = os.NewSyscallError("read", err)
 	}
-	s.w += max(n, 0)
+	s.w += n
 	return err == nil && n < len(p), err
+}
+
+// rawIO is one read(2) or write(2) (trap) of p on fd, retried on EINTR,
+// without the runtime's syscall bookkeeping. Only a RawConn.Read callback
+// passes an fd: a poller's, opened O_NONBLOCK, so the call returns at once,
+// and held open until the callback returns (DESIGN §7). An error reads 0.
+func rawIO(trap uintptr, fd int, p []byte) (int, error) {
+	for {
+		n, _, e := syscall.RawSyscall(trap, uintptr(fd), uintptr(unsafe.Pointer(unsafe.SliceData(p))), uintptr(len(p)))
+		if e == 0 {
+			return int(n), nil
+		} else if e != syscall.EINTR {
+			return 0, e
+		}
+	}
 }
 
 // rawConn is conn's RawConn when conn is a UNIX stream socket, the one

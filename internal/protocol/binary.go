@@ -260,13 +260,13 @@ func appendBinaryString(dst []byte, tag byte, s string) ([]byte, bool) {
 	return append(dst, s...), true
 }
 
-// xor12 folds the first 12 header bytes into the checksum byte.
+// xor12 folds the first 12 header bytes into the checksum byte, a word at
+// a time: bytes 8–11 onto 0–3, then each half onto the other.
 func xor12(hdr []byte) byte {
-	var x byte
-	for _, b := range hdr[:12] {
-		x ^= b
-	}
-	return x
+	x := binary.LittleEndian.Uint64(hdr) ^ uint64(binary.LittleEndian.Uint32(hdr[8:12]))
+	x ^= x >> 32
+	x ^= x >> 16
+	return byte(x ^ x>>8)
 }
 
 // ParseBinaryHeader validates a frame header and returns its opcode

@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"math/rand"
 	"reflect"
 	"testing"
 )
@@ -168,6 +169,23 @@ func TestBinaryHeaderCorruptionDetected(t *testing.T) {
 		bad[i] ^= 0x20
 		if _, _, _, err := ParseBinaryHeader(bad); err == nil {
 			t.Fatalf("single-byte corruption at header offset %d went undetected", i)
+		}
+	}
+}
+
+// TestHeaderChecksumFold: xor12's word-at-a-time fold is the XOR of the
+// twelve header bytes, byte by byte, on random headers.
+func TestHeaderChecksumFold(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	hdr := make([]byte, BinaryHeaderSize)
+	for i := 0; i < 100000; i++ {
+		rng.Read(hdr)
+		var want byte
+		for _, b := range hdr[:12] {
+			want ^= b
+		}
+		if got := xor12(hdr); got != want {
+			t.Fatalf("header % x: xor12 %#02x, byte loop %#02x", hdr, got, want)
 		}
 	}
 }
