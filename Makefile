@@ -79,10 +79,12 @@ race:
 # stray frame or another writer carrying a staged frame out against an
 # end that waits without reading, and the raw-syscall tests check the
 # held fd is non-blocking and that -race still orders what crosses the
-# socket, so they get ten times the runs.
+# socket, and the fd-exhaustion test races a server's accept back-off
+# against the dials that fill the descriptor table, so they get ten times
+# the runs.
 flake:
 	$(GO) test -race -shuffle=on -count=20 -short ./internal/ipc/... ./internal/protocol/... ./internal/wrapper/...
-	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame|TestReusedResponder|TestOneReplyFrame|TestSpentContext|TestCloseEndsContext|TestDeferredPost|TestCloseDropsADeferredFrame|TestFreeJoinsOnlyAWaitingFrame|TestOneWayFrameThenClose|TestFramesAndCloseInOneWake|TestStaleRefusalAndReplyInOneRead|TestFrameAheadOfTheWriteIsRead|TestEndedContextStillSendsItsFrame|TestPastDeadlineAtEntry|TestStagedFrameCarriedOut|TestCallOnADeadWriter|TestHeldFDIsNonBlocking|TestRaceEdgesThroughTheSocket' ./internal/ipc
+	$(GO) test -race -count=200 -run 'TestPostIsOneFrame|TestRefus|TestPostDegrades|TestOldStyleReply|TestMalformedOneWay|TestReconnectorPost|TestReaderRole|TestCancelledReader|TestReadCutInsideFrame|TestReusedResponder|TestOneReplyFrame|TestSpentContext|TestCloseEndsContext|TestDeferredPost|TestCloseDropsADeferredFrame|TestFreeJoinsOnlyAWaitingFrame|TestOneWayFrameThenClose|TestFramesAndCloseInOneWake|TestStaleRefusalAndReplyInOneRead|TestFrameAheadOfTheWriteIsRead|TestEndedContextStillSendsItsFrame|TestPastDeadlineAtEntry|TestStagedFrameCarriedOut|TestCallOnADeadWriter|TestHeldFDIsNonBlocking|TestRaceEdgesThroughTheSocket|TestAcceptSurvivesFDExhaustion' ./internal/ipc
 	$(GO) test -race -count=200 -run 'TestRefusedConfirmFailsNextCall|TestHeartbeatKeepsRefusal' ./internal/wrapper
 	$(GO) test -race -count=200 -run 'TestReleaseBetweenDecideAndPark|TestRefusedOneWayFree|TestTwoWayReportsStillServed|TestLoneMallocIsConfirmedWithinTheBound|TestJoinedFreeResumesWithinTheBound' ./internal/daemon
 	$(GO) test -race -count=200 -run 'TestChaosOneWayFrameLost' ./internal/fault
@@ -241,8 +243,12 @@ load-repro:
 # itself is an external module this repo does not vendor) and fails on
 # any allocs/op increase at all — allocation counts are deterministic,
 # so the 0-alloc budgets get no slack. The ns/op columns are printed for
-# reading and gate nothing: timing is judged by the repository benchmark
-# (bench/), not by one sample on a shared runner.
+# reading; timing is judged by the repository benchmark (bench/), not by
+# one sample on a shared runner. The one timing gated is a ratio of two
+# rows of one run, which moves with the machine far less than either
+# row: observed against bare core admit (CoreAccept ÷ CoreAcceptBare),
+# which fails when it exceeds the committed ratio by more than the
+# constant in tools/benchdiff (three times its ten-run spread).
 benchdiff:
 	@tmp=$$(mktemp); \
 	$(GO) test -run '^$$' -bench 'BenchmarkHotPath' -benchmem -count=1 . > $$tmp || { cat $$tmp; rm -f $$tmp; exit 1; }; \

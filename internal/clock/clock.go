@@ -46,7 +46,14 @@ type Clock interface {
 var anchor = time.Now()
 
 // now is time.Now from one monotonic reading.
-func now() time.Time { return anchor.Add(time.Since(anchor)) }
+func now() time.Time { return At(Elapsed()) }
+
+// Elapsed is one monotonic reading, as the time since the anchor: what
+// Real.Now stamps, kept as a duration (the ipc read loop's samples).
+func Elapsed() time.Duration { return time.Since(anchor) }
+
+// At is the stamp Real.Now returns when Elapsed returns d.
+func At(d time.Duration) time.Time { return anchor.Add(d) }
 
 // Real is the wall clock. The zero value is ready to use.
 type Real struct{}

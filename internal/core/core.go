@@ -204,6 +204,8 @@ type containerState struct {
 	suspendedSince time.Time
 	suspendedTotal time.Duration
 	everSuspended  bool
+
+	obsSlot any // the observer's (EventRecord.Slot), under the same locks
 }
 
 // numShards is the number of container-table shards.
@@ -233,6 +235,9 @@ type State struct {
 	// only under lockAll; read by fast paths under a shard read lock,
 	// which lockAll excludes.
 	observer func(EventRecord)
+	// realClock: Config.Clock stamps in clock.Real's timebase (Real,
+	// Coarse), so a caller's stamp (RequestAllocAt) may stand in for it.
+	realClock bool
 
 	// The fields below are global scheduler state touched only by slow
 	// paths, which hold every shard's write lock — lockAll is their
@@ -314,6 +319,7 @@ func New(cfg Config) (*State, error) {
 		cfg:       cfg,
 		pool:      cfg.Capacity,
 		closedIDs: make(map[ContainerID]bool),
+		realClock: cfg.Clock == clock.Clock(clock.Real{}) || cfg.Clock == clock.Clock(clock.Coarse{}),
 	}
 	for i := range s.shards {
 		s.shards[i].containers = make(map[ContainerID]*containerState)
@@ -386,7 +392,7 @@ func (s *State) registerLocked(id ContainerID, limit bytesize.Size, t Tenant) (b
 		s.namedTenants++
 	}
 	delete(s.closedIDs, id)
-	s.logEvent(EvRegister, id, 0, c.grant)
+	s.logEvent(EvRegister, c, 0, c.grant)
 	return c.grant, nil
 }
 
@@ -421,7 +427,15 @@ func (s *State) admit(c *containerState, pid int, size bytesize.Size) {
 // RequestAlloc handles an allocation request of the given (already
 // pitch/managed-adjusted) size from a process inside a container.
 func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (AllocResult, error) {
-	if res, done, err := s.fastRequestAlloc(id, pid, size); done {
+	return s.RequestAllocAt(id, pid, size, time.Time{})
+}
+
+// RequestAllocAt is RequestAlloc whose accept, reject or suspend event is
+// stamped at, a clock.Real reading the caller took (the daemon's: when the
+// request was read). A zero at, or a Config.Clock in another timebase (a
+// manual one), reads Config.Clock instead.
+func (s *State) RequestAllocAt(id ContainerID, pid int, size bytesize.Size, at time.Time) (AllocResult, error) {
+	if res, done, err := s.fastRequestAlloc(id, pid, size, at); done {
 		return res, err
 	}
 	s.lockAll()
@@ -437,7 +451,7 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 	if c.used+charge > c.limit {
 		// Exceeds the container's own creation-time request: deny the
 		// call (the paper's "rejects if the memory is already exceeded").
-		s.logEvent(EvReject, id, pid, size)
+		s.logEventT(at, EvReject, c, pid, size, 0, 0)
 		return AllocResult{Decision: Reject}, nil
 	}
 	if c.used+charge > c.grant {
@@ -456,14 +470,14 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 	}
 	if c.used+charge <= c.grant {
 		s.admit(c, pid, size)
-		s.logEvent(EvAccept, id, pid, charge)
+		s.logEventT(at, EvAccept, c, pid, charge, 0, 0)
 		return AllocResult{Decision: Accept}, nil
 	}
 	if s.namedTenants > 0 && s.tryPreemptLocked(c, charge) {
 		// A preempting algorithm reclaimed enough unused grant from
 		// lower-ranked holders to admit the request in place.
 		s.admit(c, pid, size)
-		s.logEvent(EvAccept, id, pid, charge)
+		s.logEventT(at, EvAccept, c, pid, charge, 0, 0)
 		return AllocResult{Decision: Accept}, nil
 	}
 	// Suspend: park the request until redistribution grants enough.
@@ -477,7 +491,7 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 		c.everSuspended = true
 		s.pausedCount.Add(1)
 	}
-	s.logEventT(EvSuspend, id, pid, size, t, 0)
+	s.logEventT(at, EvSuspend, c, pid, size, t, 0)
 	return AllocResult{Decision: Suspend, Ticket: t}, nil
 }
 
@@ -490,7 +504,7 @@ func (s *State) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (Alloc
 // The pending-queue-empty guard preserves ticket FIFO order: while
 // requests are queued, new ones must go behind them through the slow
 // path.
-func (s *State) fastRequestAlloc(id ContainerID, pid int, size bytesize.Size) (res AllocResult, done bool, err error) {
+func (s *State) fastRequestAlloc(id ContainerID, pid int, size bytesize.Size, at time.Time) (res AllocResult, done bool, err error) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -508,14 +522,14 @@ func (s *State) fastRequestAlloc(id ContainerID, pid int, size bytesize.Size) (r
 	}
 	charge := s.chargeFor(c, pid, size)
 	if c.used+charge > c.limit {
-		s.logEvent(EvReject, id, pid, size)
+		s.logEventT(at, EvReject, c, pid, size, 0, 0)
 		return AllocResult{Decision: Reject}, true, nil
 	}
 	if c.used+charge > c.grant {
 		return AllocResult{}, false, nil
 	}
 	s.admit(c, pid, size)
-	s.logEvent(EvAccept, id, pid, charge)
+	s.logEventT(at, EvAccept, c, pid, charge, 0, 0)
 	return AllocResult{Decision: Accept}, true, nil
 }
 
@@ -639,7 +653,7 @@ func (s *State) Restore(id ContainerID, pid int, addr uint64, size bytesize.Size
 	p.charged = true
 	p.allocs[addr] = size
 	c.used += charge
-	s.logEvent(EvRestore, id, pid, charge)
+	s.logEvent(EvRestore, c, pid, charge)
 	return nil
 }
 
@@ -675,7 +689,7 @@ func (s *State) DropPending(id ContainerID, tickets []Ticket) (Update, error) {
 	c.pending = kept
 	s.noteSuspensionEnd(c)
 	for _, r := range removed {
-		s.logEventT(EvDrop, id, r.pid, 0, r.ticket, 0)
+		s.logEventT(time.Time{}, EvDrop, c, r.pid, 0, r.ticket, 0)
 	}
 	return s.afterRelease(), nil
 }
@@ -700,14 +714,20 @@ func (s *State) AbortAlloc(id ContainerID, pid int, size bytesize.Size) (Update,
 	}
 	p.accepted = append(p.accepted[:i], p.accepted[i+1:]...)
 	c.used -= size // overhead stays charged: the context was created
-	s.logEvent(EvAbort, id, pid, size)
+	s.logEvent(EvAbort, c, pid, size)
 	return s.afterRelease(), nil
 }
 
 // Free releases the allocation at addr (the wrapper reports cudaFree).
 // It returns the released size and any requests admitted as a result.
 func (s *State) Free(id ContainerID, pid int, addr uint64) (bytesize.Size, Update, error) {
-	if size, u, done, err := s.fastFree(id, pid, addr); done {
+	return s.FreeAt(id, pid, addr, time.Time{})
+}
+
+// FreeAt is Free whose free event is stamped at, as RequestAllocAt's.
+// What the release admits is stamped when it is admitted.
+func (s *State) FreeAt(id ContainerID, pid int, addr uint64, at time.Time) (bytesize.Size, Update, error) {
+	if size, u, done, err := s.fastFree(id, pid, addr, at); done {
 		return size, u, err
 	}
 	s.lockAll()
@@ -726,7 +746,7 @@ func (s *State) Free(id ContainerID, pid int, addr uint64) (bytesize.Size, Updat
 	}
 	delete(p.allocs, addr)
 	c.used -= size
-	s.logEvent(EvFree, id, pid, size)
+	s.logEventT(at, EvFree, c, pid, size, 0, 0)
 	return size, s.afterRelease(), nil
 }
 
@@ -739,7 +759,7 @@ func (s *State) Free(id ContainerID, pid int, addr uint64) (bytesize.Size, Updat
 // true for the duration of the read lock. With paused containers the
 // free falls through to the slow path, whose redistribution may admit
 // them.
-func (s *State) fastFree(id ContainerID, pid int, addr uint64) (sz bytesize.Size, u Update, done bool, err error) {
+func (s *State) fastFree(id ContainerID, pid int, addr uint64, at time.Time) (sz bytesize.Size, u Update, done bool, err error) {
 	sh := s.shardFor(id)
 	sh.mu.RLock()
 	defer sh.mu.RUnlock()
@@ -762,7 +782,7 @@ func (s *State) fastFree(id ContainerID, pid int, addr uint64) (sz bytesize.Size
 	}
 	delete(p.allocs, addr)
 	c.used -= size
-	s.logEvent(EvFree, id, pid, size)
+	s.logEventT(at, EvFree, c, pid, size, 0, 0)
 	return size, Update{}, true, nil
 }
 
@@ -801,7 +821,7 @@ func (s *State) ProcessExit(id ContainerID, pid int) (bytesize.Size, Update, err
 	c.pending = filterPending(c.pending, pid)
 	s.noteSuspensionEnd(c)
 	delete(c.procs, pid)
-	s.logEvent(EvProcExit, id, pid, released)
+	s.logEvent(EvProcExit, c, pid, released)
 	more := s.afterRelease()
 	u.Admitted = more.Admitted
 	u.Cancelled = append(u.Cancelled, more.Cancelled...)
@@ -836,7 +856,7 @@ func (s *State) Close(id ContainerID) (bytesize.Size, Update, error) {
 		s.namedTenants--
 	}
 	s.closedIDs[id] = true
-	s.logEvent(EvClose, id, 0, released)
+	s.logEvent(EvClose, c, 0, released)
 	more := s.afterRelease()
 	u.Admitted = append(u.Admitted, more.Admitted...)
 	u.Cancelled = append(u.Cancelled, more.Cancelled...)
@@ -929,7 +949,7 @@ func (s *State) rescueLocked() []Admitted {
 		}
 		pick.grant += pickNeed
 		s.pool -= pickNeed
-		s.logEvent(EvRescue, pick.id, 0, pickNeed)
+		s.logEvent(EvRescue, pick, 0, pickNeed)
 		admitted = append(admitted, s.admitFittingLocked(pick)...)
 	}
 }
@@ -945,7 +965,8 @@ func (s *State) admitFittingLocked(c *containerState) []Admitted {
 			break
 		}
 		s.admit(c, req.pid, req.size)
-		s.logEventT(EvResume, c.id, req.pid, charge, req.ticket, s.cfg.Clock.Now().Sub(req.at))
+		now := s.cfg.Clock.Now()
+		s.logEventT(now, EvResume, c, req.pid, charge, req.ticket, now.Sub(req.at))
 		admitted = append(admitted, Admitted{Container: c.id, Ticket: req.ticket})
 		c.pending = c.pending[1:]
 	}
@@ -997,7 +1018,7 @@ func (s *State) redistributeLocked() []Admitted {
 		}
 		c.grant += give
 		s.pool -= give
-		s.logEvent(EvGrant, c.id, 0, give)
+		s.logEvent(EvGrant, c, 0, give)
 		admitted = append(admitted, s.admitFittingLocked(c)...)
 		if len(c.pending) > 0 {
 			// Partial grant: pool is exhausted (give < deficit implies

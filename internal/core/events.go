@@ -91,6 +91,11 @@ type EventRecord struct {
 	// park-to-admit time on EvResume, zero on EvAccept and on every
 	// other kind.
 	Waited time.Duration
+	// Slot is the observer's own slot for Container, kept beside its state
+	// and never read by the core (obs.Tracer caches its causal counter
+	// there): used only inside the observer call, under the lock that
+	// orders the container's events; empty for a new container or observer.
+	Slot *any
 }
 
 // String renders the record for logs.
@@ -101,30 +106,34 @@ func (e EventRecord) String() string {
 	return fmt.Sprintf("%s %s %v", e.Kind, e.Container, e.Amount)
 }
 
-// logEvent hands one event to the observer. Callers hold the shard lock
-// of the container the event concerns in either mode — with that
-// container's mutex on the fast paths, or every shard lock on the slow
-// paths — which is what SetObserver's ordering contract rests on.
-func (s *State) logEvent(kind EventKind, id ContainerID, pid int, amount bytesize.Size) {
-	s.logEventT(kind, id, pid, amount, 0, 0)
+// logEvent hands one event to the observer, stamped now. Callers hold
+// the shard lock of the container the event concerns in either mode —
+// with that container's mutex on the fast paths, or every shard lock on
+// the slow paths — which is what SetObserver's ordering contract rests on.
+func (s *State) logEvent(kind EventKind, c *containerState, pid int, amount bytesize.Size) {
+	s.logEventT(time.Time{}, kind, c, pid, amount, 0, 0)
 }
 
-// logEventT is logEvent carrying the ticket of the parked request the
-// event concerns (suspend, resume, drop) and, for a resume, how long it
-// waited. With no observer nothing is built and the clock is not read.
-func (s *State) logEventT(kind EventKind, id ContainerID, pid int, amount bytesize.Size, ticket Ticket, waited time.Duration) {
+// logEventT is logEvent stamped at (see RequestAllocAt), with the ticket
+// of the parked request a suspend, resume or drop concerns and how long a
+// resume waited. With no observer nothing is built and no clock is read.
+func (s *State) logEventT(at time.Time, kind EventKind, c *containerState, pid int, amount bytesize.Size, ticket Ticket, waited time.Duration) {
 	if s.observer == nil {
 		return
 	}
+	if at.IsZero() || !s.realClock {
+		at = s.cfg.Clock.Now()
+	}
 	s.observer(EventRecord{
-		At:        s.cfg.Clock.Now(),
+		At:        at,
 		Kind:      kind,
-		Container: id,
+		Container: c.id,
 		PID:       pid,
 		Amount:    amount,
 		Device:    s.cfg.DeviceIndex,
 		Ticket:    ticket,
 		Waited:    waited,
+		Slot:      &c.obsSlot,
 	})
 }
 
@@ -137,10 +146,14 @@ func (s *State) logEventT(kind EventKind, id ContainerID, pid int, amount bytesi
 // therefore must be safe for concurrent invocation. It runs with the
 // scheduler's locks held on the request paths, so it must be cheap
 // (atomic counter bumps, ring appends) and must never call back into
-// the State. A nil fn removes the observer.
+// the State. A nil fn removes the observer. Every container's observer
+// slot is emptied: what it held was the previous observer's.
 func (s *State) SetObserver(fn func(EventRecord)) {
 	s.lockAll()
 	s.observer = fn
+	for _, c := range s.allContainersLocked() {
+		c.obsSlot = nil
+	}
 	s.unlockAll()
 }
 

@@ -183,3 +183,102 @@ func stalledSetupFT(t *testing.T) (*State, Ticket, Ticket) {
 	}
 	return s, resB.Ticket, resC.Ticket
 }
+
+// TestHandedStampRule pins how RequestAllocAt and FreeAt stamp: on the
+// real clock the caller's reading becomes the request's own event's At
+// (accept, reject, suspend, free), a zero one reads the clock, and what a
+// release admits reads it too; on a manual clock a handed stamp is
+// ignored, so simulated traces stamp as the plain calls do.
+func TestHandedStampRule(t *testing.T) {
+	s := MustNew(Config{Capacity: mib(100), ContextOverhead: 1})
+	seen := observe(s)
+	mustRegister(t, s, "a", mib(60))
+	mustRegister(t, s, "b", mib(60))            // grant 40
+	stamp := clock.Real{}.Now().Add(-time.Hour) // no fresh reading is this old
+	if res, err := s.RequestAllocAt("a", 1, mib(10), stamp); err != nil || res.Decision != Accept {
+		t.Fatalf("accept: %v %v", res, err)
+	}
+	if res, _ := s.RequestAllocAt("a", 1, mib(90), stamp.Add(1)); res.Decision != Reject {
+		t.Fatalf("reject: %v", res.Decision)
+	}
+	if res, _ := s.RequestAllocAt("b", 2, mib(50), stamp.Add(2)); res.Decision != Suspend {
+		t.Fatalf("suspend: %v", res.Decision)
+	}
+	if err := s.ConfirmAlloc("a", 1, 0x1, mib(10)); err != nil {
+		t.Fatal(err)
+	}
+	before := clock.Real{}.Now()
+	if _, _, err := s.FreeAt("a", 1, 0x1, stamp.Add(3)); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.RequestAllocAt("a", 1, mib(1), time.Time{}); err != nil {
+		t.Fatal(err)
+	}
+	// What follows the four stamped events (the free's redistribution, the
+	// unstamped accept) reads the clock.
+	handed := []time.Time{stamp, stamp.Add(1), stamp.Add(2), stamp.Add(3)}
+	var kinds []string
+	for i, e := range (*seen)[2:] {
+		kinds = append(kinds, e.Kind.String())
+		if i < len(handed) && !e.At.Equal(handed[i]) {
+			t.Errorf("%s stamped %v, want the handed %v", e.Kind, e.At, handed[i])
+		} else if i >= len(handed) && e.At.Before(before) {
+			t.Errorf("%s stamped %v, before the free it followed (%v)", e.Kind, e.At, before)
+		}
+	}
+	if got := strings.Join(kinds, " "); !strings.HasPrefix(got, "accept reject suspend free ") || !strings.HasSuffix(got, " accept") {
+		t.Errorf("events %s", got)
+	}
+
+	clk := clock.NewManual()
+	m := MustNew(Config{Capacity: mib(100), ContextOverhead: 1, Clock: clk})
+	mseen := observe(m)
+	mustRegister(t, m, "a", mib(60))
+	clk.Advance(time.Second)
+	if _, err := m.RequestAllocAt("a", 1, mib(10), stamp); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.ConfirmAlloc("a", 1, 0x1, mib(10)); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := m.FreeAt("a", 1, 0x1, stamp); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range (*mseen)[1:] {
+		if !e.At.Equal(clk.Now()) {
+			t.Errorf("manual clock: %s stamped %v, want the clock's %v", e.Kind, e.At, clk.Now())
+		}
+	}
+}
+
+// TestObserverSlot: each container's events carry one slot of its own,
+// which survives between events, starts empty for a new container and
+// is emptied when the observer changes.
+func TestObserverSlot(t *testing.T) {
+	s := MustNew(Config{Capacity: mib(100), ContextOverhead: 1})
+	slots := map[ContainerID]*any{}
+	s.SetObserver(func(e EventRecord) {
+		if prev, ok := slots[e.Container]; ok && prev != e.Slot {
+			t.Errorf("%s: event %s carries another slot", e.Container, e.Kind)
+		}
+		slots[e.Container] = e.Slot
+		if *e.Slot == nil {
+			*e.Slot = string(e.Container)
+		} else if *e.Slot != string(e.Container) {
+			t.Errorf("%s: slot holds %v", e.Container, *e.Slot)
+		}
+	})
+	mustRegister(t, s, "a", mib(10))
+	mustRegister(t, s, "b", mib(10))
+	mustAlloc(t, s, "a", 1, mib(1))
+	mustAlloc(t, s, "b", 1, mib(1))
+	if slots["a"] == slots["b"] {
+		t.Fatal("two containers share a slot")
+	}
+	var after []any
+	s.SetObserver(func(e EventRecord) { after = append(after, *e.Slot) })
+	mustAlloc(t, s, "a", 1, mib(1))
+	if len(after) != 1 || after[0] != nil {
+		t.Errorf("a new observer found %v in the slot", after)
+	}
+}

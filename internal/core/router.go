@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"time"
 
 	"convgpu/internal/bytesize"
 )
@@ -136,11 +137,16 @@ func (r *Router) memberFor(id ContainerID) (Scheduler, error) {
 
 // RequestAlloc routes to the container's member.
 func (r *Router) RequestAlloc(id ContainerID, pid int, size bytesize.Size) (AllocResult, error) {
+	return r.RequestAllocAt(id, pid, size, time.Time{})
+}
+
+// RequestAllocAt routes to the container's member.
+func (r *Router) RequestAllocAt(id ContainerID, pid int, size bytesize.Size, at time.Time) (AllocResult, error) {
 	m, err := r.memberFor(id)
 	if err != nil {
 		return AllocResult{}, err
 	}
-	return m.RequestAlloc(id, pid, size)
+	return m.RequestAllocAt(id, pid, size, at)
 }
 
 // ConfirmAlloc routes to the container's member.
@@ -163,11 +169,16 @@ func (r *Router) AbortAlloc(id ContainerID, pid int, size bytesize.Size) (Update
 
 // Free routes to the container's member.
 func (r *Router) Free(id ContainerID, pid int, addr uint64) (bytesize.Size, Update, error) {
+	return r.FreeAt(id, pid, addr, time.Time{})
+}
+
+// FreeAt routes to the container's member.
+func (r *Router) FreeAt(id ContainerID, pid int, addr uint64, at time.Time) (bytesize.Size, Update, error) {
 	m, err := r.memberFor(id)
 	if err != nil {
 		return 0, Update{}, err
 	}
-	return m.Free(id, pid, addr)
+	return m.FreeAt(id, pid, addr, at)
 }
 
 // ProcessExit routes to the container's member.

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"time"
 
 	"convgpu/internal/bytesize"
 )
@@ -29,6 +30,10 @@ type Scheduler interface {
 	ConfirmAlloc(id ContainerID, pid int, addr uint64, size bytesize.Size) error
 	AbortAlloc(id ContainerID, pid int, size bytesize.Size) (Update, error)
 	Free(id ContainerID, pid int, addr uint64) (bytesize.Size, Update, error)
+	// RequestAllocAt and FreeAt stamp the request's own event at, a
+	// clock.Real reading the caller took (State.RequestAllocAt).
+	RequestAllocAt(id ContainerID, pid int, size bytesize.Size, at time.Time) (AllocResult, error)
+	FreeAt(id ContainerID, pid int, addr uint64, at time.Time) (bytesize.Size, Update, error)
 	ProcessExit(id ContainerID, pid int) (bytesize.Size, Update, error)
 	Close(id ContainerID) (bytesize.Size, Update, error)
 	MemInfo(id ContainerID) (free, total bytesize.Size, err error)

@@ -272,7 +272,7 @@ func (s *State) tryPreemptLocked(c *containerState, charge bytesize.Size) bool {
 		v.grant -= take
 		s.pool += take
 		reclaimed += take
-		s.logEvent(EvPreempt, vid, 0, take)
+		s.logEvent(EvPreempt, v, 0, take)
 	}
 	if reclaimed == 0 {
 		return false

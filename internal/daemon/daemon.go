@@ -634,14 +634,16 @@ func ok() *protocol.Message {
 // sockets' latency histogram (ipc.Server.SetHandlerLatency); for a
 // suspended allocation that is the decision latency (the response itself
 // is parked and its wait lands in the suspend-wait histogram instead). A
-// successful one-way confirm or free is not answered at all.
+// successful one-way confirm or free is not answered at all. An alloc's
+// and a free's scheduler event is stamped with conn.ReadTime, the reading
+// the server took for that sample, so it reads no clock of its own.
 func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
 	c := h.d.cfg.Core
 	h.d.touch(h.id) // any traffic renews the session lease
 	switch msg.Type {
 	case protocol.TypeAlloc:
 		h.d.gate.RLock()
-		res, err := c.RequestAlloc(h.id, msg.PID, msg.SizeBytes())
+		res, err := c.RequestAllocAt(h.id, msg.PID, msg.SizeBytes(), conn.ReadTime())
 		if err == nil && res.Decision == core.Suspend {
 			// The paper's pause: withhold the response until granted. The
 			// gate is held from the decision to the park, so a release
@@ -683,7 +685,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		respond(ok())
 		h.d.dispatch(u)
 	case protocol.TypeFree:
-		size, u, err := c.Free(h.id, msg.PID, msg.Addr)
+		size, u, err := c.FreeAt(h.id, msg.PID, msg.Addr, conn.ReadTime())
 		if err != nil {
 			if msg.NoReply {
 				// Nobody waits on a one-way free, so a refusal is counted

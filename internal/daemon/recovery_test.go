@@ -1,15 +1,19 @@
 package daemon
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"convgpu/internal/core"
+	"convgpu/internal/ipc"
 	"convgpu/internal/obs"
+	"convgpu/internal/protocol"
 )
 
 // logCapture collects Config.Logf output for assertions.
@@ -134,5 +138,73 @@ func TestRecoveryDiscardsRefusedRegistration(t *testing.T) {
 	defer d3.Close()
 	if _, err := d3.Core().Info("big"); err == nil {
 		t.Error("evicted session resurrected after capacity restored")
+	}
+}
+
+// TestRecoverySweepsOrphanDirs: entries under containers/ that no
+// recovered session owns — a closed container's directory a crash left
+// between the close's log append and its removal, a stray directory, a
+// stray file — are gone after a restart, and the recovered sessions keep
+// their directory, their live socket and their module.
+func TestRecoverySweepsOrphanDirs(t *testing.T) {
+	base := filepath.Join(t.TempDir(), "cv")
+	d1, err := Start(Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := dialControl(t, d1)
+	for _, id := range []string{"keep", "a/b", "closed"} {
+		register(t, ctl, id, mib(200))
+	}
+	closedDir := d1.containerDir("closed")
+	if resp, err := ctl.Call(context.Background(), &protocol.Message{Type: protocol.TypeClose, Container: "closed"}); err != nil || !resp.OK {
+		t.Fatalf("close: %+v %v", resp, err)
+	}
+	ctl.Close()
+	d1.Close()
+
+	root := filepath.Join(base, "containers")
+	strays := []string{closedDir, filepath.Join(root, "stray"), filepath.Join(root, "stray.txt")}
+	for _, dir := range strays[:2] {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, protocol.ModuleFileName), []byte("left over"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(strays[2], []byte("left over"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Start(Config{BaseDir: base, Core: core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1})})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d2.Close()
+	for _, p := range strays {
+		if _, err := os.Lstat(p); !os.IsNotExist(err) {
+			t.Errorf("%s survived recovery (%v)", p, err)
+		}
+	}
+	for _, id := range []core.ContainerID{"keep", "a/b"} {
+		dir := d2.containerDir(id)
+		if _, err := os.Stat(filepath.Join(dir, protocol.ModuleFileName)); err != nil {
+			t.Errorf("%s lost its module: %v", id, err)
+		}
+		cli, err := ipc.Dial(filepath.Join(dir, protocol.SocketFileName))
+		if err != nil {
+			t.Fatalf("%s: %v", id, err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		resp, err := cli.Call(ctx, &protocol.Message{Type: protocol.TypeMemInfo, PID: 1})
+		cancel()
+		cli.Close()
+		if err != nil || !resp.OK || resp.Total != int64(mib(200)) {
+			t.Errorf("%s's recovered socket: %+v %v", id, resp, err)
+		}
+	}
+	if entries, _ := os.ReadDir(root); len(entries) != 2 {
+		t.Errorf("containers/ holds %d entries, want the 2 recovered sessions'", len(entries))
 	}
 }

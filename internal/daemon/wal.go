@@ -66,7 +66,7 @@ func (d *Daemon) compactIfGrown() {
 // reconnect finds a live endpoint. A session the core refuses is evicted
 // *into the log*, so the refusal is durable and the next recovery does
 // not re-offer it — one unservable session must not keep the scheduler
-// down.
+// down. Whatever else is under containers/ goes.
 func (d *Daemon) recoverFromWAL() error {
 	// Adopt the log's folded tenant definitions. The configured table
 	// still wins for names it defines; for those, the durable copy is
@@ -88,6 +88,7 @@ func (d *Daemon) recoverFromWAL() error {
 		d.tenantLogged[def.Name] = true
 	}
 	d.mu.Unlock()
+	served := make(map[string]bool)
 	for _, s := range d.wal.Sessions() {
 		id := core.ContainerID(s.Container)
 		if err := d.cfg.Core.RestorePlacement(id, s.Device); err != nil {
@@ -117,6 +118,19 @@ func (d *Daemon) recoverFromWAL() error {
 		if err := d.serve(id, dir); err != nil {
 			d.closeRecovered()
 			return fmt.Errorf("daemon: recover %s: %w", id, err)
+		}
+		served[dir] = true
+	}
+	// Remove every entry under containers/ that no recovered session owns:
+	// a crash between a close's log append and its directory removal, or a
+	// discarded session, leaves one.
+	root := filepath.Join(d.cfg.BaseDir, "containers")
+	entries, _ := os.ReadDir(root) // none yet on a fresh base directory
+	for _, e := range entries {
+		if p := filepath.Join(root, e.Name()); !served[p] {
+			if err := os.RemoveAll(p); err != nil {
+				d.cfg.Logf("daemon: recovery could not remove %s: %v", p, err)
+			}
 		}
 	}
 	return nil

@@ -4,19 +4,16 @@
 // host<->container IPC and TCP costs more; the scheduler creates one
 // socket per container inside a shared volume directory.
 //
-// Two framings share a connection (package protocol). Newline-delimited
-// JSON is the control and debug format, what a bare Dial speaks. The
-// binary codec carries the data path: a client that negotiates it
-// (DialNegotiated and the Reconnector do, with a TypeCodec probe
-// answered at this layer) sends each message as a length-prefixed binary
-// frame, and the server answers each request in the codec it arrived
-// in. The two framings are distinguished per message by the first byte
-// — a binary frame starts with 0xBF (any byte >= 0x80 is treated as an
-// attempted binary frame and validated by the header checksum), a JSON
-// line with '{' — so the connection never holds codec state that could
-// desync: negotiation can only enable the client to send binary, never
-// change how either side reads. Responses too large for a binary frame
-// fall back to a JSON line per message.
+// Two framings share a connection (package protocol): newline-delimited
+// JSON, the control and debug format a bare Dial speaks, and the
+// length-prefixed binary frames of the data path, which a client
+// negotiates (DialNegotiated and the Reconnector do, with a TypeCodec
+// probe answered at this layer). The server answers each request in the
+// codec it arrived in. The first byte tells them apart — 0xBF starts a
+// binary frame (any byte >= 0x80 is an attempted one, checked by the
+// header checksum), '{' a JSON line — so no codec state can desync:
+// negotiation only lets the client send binary. A response too large for
+// a binary frame goes as a JSON line.
 //
 // A connection multiplexes concurrent requests: responses are matched
 // to requests by sequence number, so the scheduler can withhold the
@@ -39,12 +36,6 @@
 // socket before the poller was armed: the Call's flush writes nothing, no
 // write started after its mark has succeeded, and the Call reads first.
 //
-// # Hot-path memory discipline
-//
-// Messages are pooled and each frame is encoded once, into its connection's
-// write buffer, so a binary request cycle allocates nothing; Handler says
-// what that asks of a handler (DESIGN.md §7).
-//
 // # Write coalescing
 //
 // Each connection's writes go through one coalescer: at most one goroutine
@@ -52,7 +43,9 @@
 // (BeginBatch/EndBatch hold a burst for one). An uncontended send is
 // written at once, except on the client: a Call's frame waits for the Call
 // to read (see Reading), a posted confirm for the next frame or deferBound
-// (see Client.Post).
+// (see Client.Post). Messages are pooled and each frame is encoded once,
+// into that buffer, so a binary request cycle allocates nothing; Handler
+// says what that asks of a handler (DESIGN.md §7).
 package ipc
 
 import (
@@ -68,6 +61,7 @@ import (
 	"syscall"
 	"time"
 
+	"convgpu/internal/clock"
 	"convgpu/internal/protocol"
 )
 
@@ -137,6 +131,7 @@ type Server struct {
 	mu     sync.Mutex
 	conns  map[*ServerConn]struct{}
 	closed bool
+	done   chan struct{} // closed by Close: ends an accept back-off
 }
 
 // SetWireStats installs a per-frame counter sink (shared across the
@@ -151,7 +146,7 @@ func (s *Server) SetWireStats(w *WireStats) {
 // SetHandlerLatency installs the sink for one sample per request handed
 // to the Handler that wants a reply (safe after Listen; nil disables
 // timing): from the previous such request's Handle return, or the read
-// that brought it, to its own Handle's return. A one-way frame is no
+// that brought it (ServerConn.ReadTime), to its own Handle's return. A one-way frame is no
 // sample and reads no clock; it is part of the sample of the request
 // after it in the same read, as it is part of the round trip the sender
 // waits on. A frame the transport answers itself (a codec probe, one that
@@ -179,7 +174,7 @@ func ListenNet(network, addr string, h Handler) (*Server, error) {
 // the seam through which tests and the fault-injection harness
 // substitute a wrapped net.Listener.
 func NewServer(ln net.Listener, h Handler) *Server {
-	s := &Server{ln: ln, handler: h, conns: make(map[*ServerConn]struct{})}
+	s := &Server{ln: ln, handler: h, conns: make(map[*ServerConn]struct{}), done: make(chan struct{})}
 	s.wg.Add(1)
 	go s.acceptLoop()
 	return s
@@ -188,13 +183,29 @@ func NewServer(ln net.Listener, h Handler) *Server {
 // Addr returns the socket path the server listens on.
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
+// acceptLoop ends only when the listener is closed. Any other failure
+// (EMFILE, ENFILE, ENOBUFS, ENOMEM) waits 5 ms, doubling to 1 s, and tries
+// again, as net/http.Server.Serve does; WireStats counts each wait.
 func (s *Server) acceptLoop() {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		c, err := s.ln.Accept()
-		if err != nil {
-			return // listener closed
+		if errors.Is(err, net.ErrClosed) {
+			return
+		} else if err != nil {
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			if w := s.stats.Load(); w != nil {
+				w.backoffs.Add(1)
+			}
+			select {
+			case <-time.After(backoff):
+			case <-s.done:
+				return
+			}
+			continue
 		}
+		backoff = 0
 		sc := &ServerConn{conn: c, server: s, w: newCoalescer(c, &s.stats)}
 		s.mu.Lock()
 		if s.closed {
@@ -228,6 +239,7 @@ func (s *Server) Close() error {
 		return nil
 	}
 	s.closed = true
+	close(s.done)
 	conns := make([]*ServerConn, 0, len(s.conns))
 	for c := range s.conns {
 		conns = append(conns, c)
@@ -260,6 +272,17 @@ type ServerConn struct {
 	// Handle.
 	oneWaySeq  uint64
 	oneWayType protocol.Type
+	readAt     time.Duration // clock.Elapsed at the current read; 0 without a latency sink
+}
+
+// ReadTime is the clock.Real stamp of the read that brought the request
+// being handled, the same for each of its frames (Handle's to call). It is
+// zero on a nil conn and when the server keeps no handler-latency sink.
+func (c *ServerConn) ReadTime() time.Time {
+	if c == nil || c.readAt == 0 {
+		return time.Time{}
+	}
+	return clock.At(c.readAt)
 }
 
 // BeginBatch suspends flushing until its EndBatch, so a burst of responses
@@ -275,23 +298,25 @@ func (c *ServerConn) readLoop(h Handler) {
 	defer protocol.ReleaseMessage(msg)
 	oneWay := c.respondOneWay // built once: a one-way frame costs no closure
 	rsp := newResponder(c)
-	var err error // what ended the stream
-	// Stamps are monotonic clock readings: time.Since reads nothing else.
-	epoch := time.Now()
+	var err error     // what ended the stream
 	serve := func() { // every whole frame in the buffer, in order
 		var lat LatencyObserver
-		var stamp time.Duration // where the next request's sample starts
+		c.readAt = 0 // the read's one reading (ReadTime), taken only for a sample
 		if p := c.server.latency.Load(); p != nil && *p != nil {
-			lat, stamp = *p, time.Since(epoch)
+			lat, c.readAt = *p, clock.Elapsed()
 		}
+		stamp := c.readAt // where the next request's sample starts
+		stats := c.server.stats.Load()
+		var frames [2]uint64 // [binary]: counted once per read
 		for {
 			f, ok, ferr := s.next()
 			if !ok { // ferr condemns the connection: the caller closes it
+				stats.countFrames(false, false, frames[0])
+				stats.countFrames(true, false, frames[1])
 				err = ferr
 				return
 			}
-			stats := c.server.stats.Load()
-			stats.countFrame(f.binary, false)
+			frames[b2i(f.binary)]++
 			sampled := false
 			if derr := f.decodeInto(msg); derr != nil {
 				stats.CountFrameError()
@@ -315,7 +340,7 @@ func (c *ServerConn) readLoop(h Handler) {
 			}
 			msg.Reset()
 			if sampled {
-				now := time.Since(epoch)
+				now := clock.Elapsed()
 				lat.Observe(now - stamp)
 				stamp = now
 			}
@@ -767,7 +792,7 @@ func (c *Client) readMessage(ctx context.Context) (*protocol.Message, error) {
 			return nil, err
 		}
 		stats := c.stats.Load()
-		stats.countFrame(f.binary, false)
+		stats.countFrames(f.binary, false, 1)
 		msg := protocol.AcquireMessage()
 		if derr := f.decodeInto(msg); derr != nil {
 			protocol.ReleaseMessage(msg)
@@ -1082,12 +1107,12 @@ func (w *coalescer) appendLocked(m *protocol.Message, binary bool) {
 	if binary {
 		if out, ok := protocol.AppendEncodeBinary(w.buf, m); ok {
 			w.buf = out
-			w.stats.Load().countFrame(true, true)
+			w.stats.Load().countFrames(true, true, 1)
 			return
 		}
 	}
 	w.buf = protocol.AppendEncode(w.buf, m)
-	w.stats.Load().countFrame(false, true)
+	w.stats.Load().countFrames(false, true, 1)
 }
 
 // write encodes m and flushes unless another writer already took the
@@ -1120,26 +1145,15 @@ func (w *coalescer) flush(fd int) error {
 	return w.flushLocked(fd)
 }
 
-// post encodes the one-way frame m and decides, by one rule, whether it
-// also leaves. A frame that mayWait (protocol.Type.Deferrable) stays in
-// the buffer and arms the timer unless it is running: it starts a wait.
-// Any other frame never starts one, but when deferred bytes are already
-// waiting — timer armed, buffer not empty, no leader writing — it is left
-// behind them and leaves with them, in the next write or when that timer
-// fires, so it waits no longer than the frame it joined had left to wait.
-// With nothing waiting it is written before post returns, like write's.
-// One buffer, so the peer reads the frames in the order they were handed
-// in. A nil return for a frame that stayed says less than write's: the
-// bytes are queued, and a failure to send them is the next write's error.
-// One-way frames are binary only: m without a binary form is not taken
-// (binary false), and its sender falls back to a Call.
-//
-// A timer past its due time counts as fired. The runtime runs a timer
-// when a thread passes through the scheduler with that timer in reach,
-// and in a process whose threads are busy that is milliseconds late (6 to
-// 12 ms measured in a two-thread Malloc+Free loop, none at one thread); a
-// frame somebody may be waiting on does not wait for it, and flushes what
-// the timer should have.
+// post encodes the one-way frame m and decides, by the one rule Client.Post
+// spells out, whether it also leaves: a frame that mayWait
+// (protocol.Type.Deferrable) stays in the buffer and arms the timer unless
+// it is running; any other is left behind deferred bytes already waiting
+// (timer armed, buffer not empty) and otherwise written before post
+// returns. m without a binary form is not taken (binary false). A timer
+// past its due time counts as fired: the runtime runs timers late in a
+// process whose threads are busy (6 to 12 ms measured in a two-thread
+// Malloc+Free loop), and a frame somebody may be waiting on does not wait.
 func (w *coalescer) post(m *protocol.Message, mayWait bool) (binary bool, err error) {
 	w.mu.Lock()
 	out, ok := protocol.AppendEncodeBinary(w.buf, m)
@@ -1153,7 +1167,7 @@ func (w *coalescer) post(m *protocol.Message, mayWait bool) (binary bool, err er
 		w.armed, joins = false, false // the next deferral re-arms the timer
 	}
 	w.buf = out
-	w.stats.Load().countFrame(true, true)
+	w.stats.Load().countFrames(true, true, 1)
 	if mayWait && !w.armed {
 		w.armed = true
 		w.due = time.Now().Add(w.bound)

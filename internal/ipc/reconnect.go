@@ -208,10 +208,7 @@ func (r *Reconnector) Connect(ctx context.Context) (*Client, error) {
 		case <-r.done:
 			return nil, ErrClosed
 		}
-		delay = time.Duration(float64(delay) * r.cfg.Backoff.Factor)
-		if delay > r.cfg.Backoff.Max {
-			delay = r.cfg.Backoff.Max
-		}
+		delay = min(time.Duration(float64(delay)*r.cfg.Backoff.Factor), r.cfg.Backoff.Max)
 	}
 }
 
@@ -246,16 +243,11 @@ func (r *Reconnector) Call(ctx context.Context, m *protocol.Message) (*protocol.
 
 // Post is Client.Post over the self-healing connection — see there for
 // what a nil return means — under Call's rules: an error that is the
-// transport's drops the connection and nothing is resent. A confirm lost
-// with a connection is repaired by the OnReconnect replay (the wrapper
-// restores every live allocation, and the scheduler moves the charge
-// the alloc made to the restored address); a lost free leaves the
-// scheduler over-counting until the process exits. A lost free now
-// usually takes its confirm with it — in a Malloc+Free loop both wait
-// for the next alloc's write — and then what stays behind is the
-// accepted, never-confirmed charge of an allocation the process no
-// longer holds: the replay has nothing to restore it to, and it too
-// stays until procexit, close or the lease.
+// transport's drops the connection and nothing is resent. The OnReconnect
+// replay repairs a lost confirm (the wrapper restores every live
+// allocation); a lost free, which usually takes its confirm with it,
+// leaves a charge the process no longer holds until procexit, close or
+// the lease.
 func (r *Reconnector) Post(ctx context.Context, m *protocol.Message) error {
 	c, err := r.Connect(ctx)
 	if err != nil {

@@ -2,35 +2,22 @@ package ipc
 
 import "sync/atomic"
 
-// WireStats counts transport frames by codec and direction, plus codec
-// negotiations and frames that failed to decode. It is a plain bundle
-// of atomics so the hot path pays one predicated add per frame; the
-// observability layer renders it through gauges without this package
-// importing it (see obs.BindWire). One WireStats may be shared across
-// servers, clients and redials — the counters are totals for whatever
-// it is attached to.
+// WireStats counts transport frames by codec and direction, codec
+// negotiations, frames that failed to decode and accept back-offs: plain
+// atomics, one add per frame written and per read, rendered by obs.BindWire.
+// One WireStats may be shared across servers, clients and redials — the
+// counters are totals for whatever it is attached to.
 type WireStats struct {
-	binaryIn     atomic.Uint64
-	binaryOut    atomic.Uint64
-	jsonIn       atomic.Uint64
-	jsonOut      atomic.Uint64
+	frames       [2][2]atomic.Uint64 // [binary][out]
 	negotiations atomic.Uint64
 	frameErrors  atomic.Uint64
+	backoffs     atomic.Uint64
 }
 
-// Frames reports the number of frames seen for one codec/direction.
-func (w *WireStats) Frames(binary, out bool) uint64 {
-	switch {
-	case binary && out:
-		return w.binaryOut.Load()
-	case binary:
-		return w.binaryIn.Load()
-	case out:
-		return w.jsonOut.Load()
-	default:
-		return w.jsonIn.Load()
-	}
-}
+// Frames reports the number of frames seen for one codec/direction. A
+// server counts a read's frames when it has handled them, before their
+// replies leave on a UNIX socket.
+func (w *WireStats) Frames(binary, out bool) uint64 { return w.frames[b2i(binary)][b2i(out)].Load() }
 
 // Negotiations reports completed binary-codec handshakes (counted on
 // the side that answered or initiated them).
@@ -41,21 +28,15 @@ func (w *WireStats) Negotiations() uint64 { return w.negotiations.Load() }
 // to tell (see CountFrameError).
 func (w *WireStats) FrameErrors() uint64 { return w.frameErrors.Load() }
 
-// countFrame bumps one codec/direction counter; nil-safe so call sites
-// can use the loaded pointer unconditionally.
-func (w *WireStats) countFrame(binary, out bool) {
-	if w == nil {
-		return
-	}
-	switch {
-	case binary && out:
-		w.binaryOut.Add(1)
-	case binary:
-		w.binaryIn.Add(1)
-	case out:
-		w.jsonOut.Add(1)
-	default:
-		w.jsonIn.Add(1)
+// AcceptBackoffs reports how often a server's accept failed (EMFILE and
+// the like) and waited before trying again.
+func (w *WireStats) AcceptBackoffs() uint64 { return w.backoffs.Load() }
+
+// countFrames adds n frames of one codec/direction; nil-safe so call
+// sites can use the loaded pointer unconditionally.
+func (w *WireStats) countFrames(binary, out bool, n uint64) {
+	if w != nil && n != 0 {
+		w.frames[b2i(binary)][b2i(out)].Add(n)
 	}
 }
 
@@ -72,4 +53,11 @@ func (w *WireStats) CountFrameError() {
 	if w != nil {
 		w.frameErrors.Add(1)
 	}
+}
+
+func b2i(b bool) int {
+	if b {
+		return 1
+	}
+	return 0
 }

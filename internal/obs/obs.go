@@ -231,7 +231,7 @@ func (o *Observability) observeEvent(e core.EventRecord) {
 	if k >= 0 && k < len(o.byKind) {
 		o.byKind[k].Inc()
 	}
-	o.tracer.Record(e.At, e.Kind.String(), string(e.Container), e.PID, int64(e.Amount), e.Device, uint64(e.Ticket))
+	o.tracer.record(e.At, e.Kind.String(), string(e.Container), e.Slot, e.PID, int64(e.Amount), e.Device, uint64(e.Ticket))
 	switch e.Kind {
 	case core.EvAccept, core.EvResume:
 		o.AdmitLatency.Observe(e.Waited)

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -318,5 +319,35 @@ func TestStatsJSON(t *testing.T) {
 	}
 	if p.Algorithm != "bestfit" || len(p.Metrics) == 0 {
 		t.Fatalf("stats payload: %+v", p)
+	}
+}
+
+// TestTracerSlotSharesTheNamedCounter: a scheduler event caches its
+// container's causal counter in the core's slot, and an event recorded by
+// name (the daemon's attach) counts on in the same sequence, either way
+// round; a slot that comes empty (a new container, a new observer) finds
+// the counter by name, and a closed container's next life starts at 1.
+func TestTracerSlotSharesTheNamedCounter(t *testing.T) {
+	tr := NewTracer(64)
+	at := time.Unix(0, 5)
+	var slot, fresh any
+	tr.record(at, "register", "a", &slot, 0, 0, 0, 0)
+	tr.Record(at, "attach", "a", 1, 0, 0, 0)
+	tr.record(at, "accept", "a", &slot, 1, 10, 0, 0)
+	tr.record(at, "free", "a", &fresh, 1, 10, 0, 0)
+	tr.Record(at, "attach", "a", 2, 0, 0, 0)
+	tr.record(at, "accept", "a", &slot, 1, 10, 0, 0)
+	if slot == nil || slot != fresh {
+		t.Errorf("slots hold %v and %v, want the one counter", slot, fresh)
+	}
+	tr.EndContainer("a")
+	var next any
+	tr.record(at, "register", "a", &next, 0, 0, 0, 0)
+	var got []uint64
+	for _, e := range tr.Events("a") {
+		got = append(got, e.CSeq)
+	}
+	if want := "[1 2 3 4 5 6 1]"; fmt.Sprint(got) != want {
+		t.Errorf("cseq %v, want %s", got, want)
 	}
 }

@@ -50,9 +50,11 @@ func (e TraceEvent) String() string {
 // Tracer is a fixed-capacity ring buffer of TraceEvents. Recording
 // writes the event's ring slot in place under a short mutex — no
 // allocation in steady state (a container's causal counter is allocated
-// on its first event) — and looks the container up once: the map holds
-// each counter by pointer. A capacity < 0 disables retention entirely
-// while still assigning causal sequence numbers.
+// on its first event). The map holds each counter by pointer, and a
+// scheduler event caches it in the core's slot for its container, so
+// the data path finds it without hashing the name. A capacity < 0
+// disables retention entirely while still assigning causal sequence
+// numbers.
 type Tracer struct {
 	mu   sync.Mutex
 	ring []TraceEvent
@@ -79,14 +81,26 @@ func NewTracer(capacity int) *Tracer {
 // tracer's own ordering, from the fields the caller provides. ticket is
 // the parked-request ticket for suspend/resume/drop kinds (0 otherwise).
 func (t *Tracer) Record(at time.Time, kind, container string, pid int, amount int64, device int, ticket uint64) {
+	var slot any // empty: the counter is found by name
+	t.record(at, kind, container, &slot, pid, amount, device, ticket)
+}
+
+// record is Record with the container's counter cached in *slot (a
+// core.EventRecord's Slot). The counter is the name map's, so an event
+// recorded by name (the daemon's attach and evict) counts on in the same
+// sequence.
+func (t *Tracer) record(at time.Time, kind, container string, slot *any, pid int, amount int64, device int, ticket uint64) {
 	t.mu.Lock()
 	t.seq++
 	var cseq uint64
 	if container != "" {
-		p := t.cseq[container]
+		p, _ := (*slot).(*uint64)
 		if p == nil {
-			p = new(uint64)
-			t.cseq[container] = p
+			if p = t.cseq[container]; p == nil {
+				p = new(uint64)
+				t.cseq[container] = p
+			}
+			*slot = p
 		}
 		*p++
 		cseq = *p
@@ -154,20 +168,10 @@ func (t *Tracer) Len() int {
 // Events returns the retained events, oldest first. An empty container
 // filter returns everything; otherwise only that container's events.
 func (t *Tracer) Events(container string) []TraceEvent {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make([]TraceEvent, 0, t.n)
-	start := t.next - t.n
-	if start < 0 {
-		start += len(t.ring)
+	if out, _ := t.Page(container, 0, 0); out != nil {
+		return out
 	}
-	for i := 0; i < t.n; i++ {
-		e := t.ring[(start+i)%len(t.ring)]
-		if container == "" || e.Container == container {
-			out = append(out, e)
-		}
-	}
-	return out
+	return []TraceEvent{}
 }
 
 // Page returns up to limit retained events with Seq > after, oldest
@@ -223,13 +227,18 @@ func (t *Tracer) DumpLimit(container string, limit int) ([]byte, error) {
 	if limit > 0 && len(events) > limit {
 		events = events[len(events)-limit:]
 	}
+	return json.Marshal(t.dump(events))
+}
+
+// dump wraps events with the ring's capacity and drop accounting.
+func (t *Tracer) dump(events []TraceEvent) TraceDump {
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	d := TraceDump{Capacity: len(t.ring), Total: t.seq, Events: events}
 	if t.seq > uint64(t.n) {
 		d.Dropped = t.seq - uint64(t.n)
 	}
-	t.mu.Unlock()
-	return json.Marshal(d)
+	return d
 }
 
 // DumpPage renders one page of the trace (events with Seq > after,
@@ -238,12 +247,8 @@ func (t *Tracer) DumpLimit(container string, limit int) ([]byte, error) {
 // instead of silently truncated to the newest window.
 func (t *Tracer) DumpPage(container string, after uint64, limit int) ([]byte, error) {
 	events, more := t.Page(container, after, limit)
-	t.mu.Lock()
-	d := TraceDump{Capacity: len(t.ring), Total: t.seq, Events: events, More: more}
-	if t.seq > uint64(t.n) {
-		d.Dropped = t.seq - uint64(t.n)
-	}
-	t.mu.Unlock()
+	d := t.dump(events)
+	d.More = more
 	if more && len(events) > 0 {
 		d.NextAfter = events[len(events)-1].Seq
 	}
