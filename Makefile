@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
 	bench bench-recovery bench-policy bench-load benchdiff \
 	benchdiff-policy bench-module clean model model-long policy fuzz-smoke cover \
-	recovery-smoke load-smoke load-repro loc one-store one-handler
+	recovery-smoke load-smoke load-repro loc one-store one-handler one-taxonomy
 
 all: build test
 
@@ -28,7 +28,7 @@ lint: vet
 		echo "lint: files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
-check: lint one-store one-handler apicheck test policy fuzz-smoke cover recovery-smoke load-smoke
+check: lint one-store one-handler one-taxonomy apicheck test policy fuzz-smoke cover recovery-smoke load-smoke
 
 # one-store keeps the second durable store from coming back unnoticed:
 # the write-ahead log is the daemon's only one (DESIGN §13), and no
@@ -47,6 +47,16 @@ one-handler:
 	@! git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | grep -v '^internal/daemon/' | \
 		xargs grep -nF 'case protocol.TypeAlloc' \
 		|| { echo "one-handler: a second container-verb handler is back (see DESIGN §6)"; exit 1; }
+
+# one-taxonomy keeps a second error-to-code mapping from coming back
+# unnoticed: internal/errs's table is the only place a sentinel is paired
+# with its wire code (DESIGN §8, "Error classes"), so no non-test Go
+# outside internal/errs/ and bench/ may switch on an errs sentinel or
+# spell a wire code.
+one-taxonomy:
+	@! git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | grep -v '^internal/errs/' | \
+		xargs grep -nE 'case errors\.Is\(err, errs\.|"(over_capacity|unknown_container|rejected|unavailable|node_down)"' \
+		|| { echo "one-taxonomy: an error is mapped to its code outside internal/errs (see DESIGN §8)"; exit 1; }
 
 # apicheck guards the public facade: the exported API of package
 # convgpu is dumped in normalized form (tools/apidump) and diffed

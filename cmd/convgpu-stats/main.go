@@ -197,12 +197,18 @@ func (c *client) do(method, path string) ([]byte, error) {
 		if json.Unmarshal(body, &e) != nil || e.Error == "" {
 			return nil, fmt.Errorf("%s: %s", resp.Status, bytes.TrimSpace(body))
 		}
-		if e.Code != "" {
-			e.Error = e.Code + ": " + e.Error
-		}
-		return nil, fmt.Errorf("%s (%s)", e.Error, e.RequestID)
+		return nil, failure(e.Code, e.Error, e.RequestID)
 	}
 	return body, nil
+}
+
+// failure is the error an error envelope or a failed operation prints
+// as: "code: error (request id)", without the code when there is none.
+func failure(code, text, requestID string) error {
+	if code != "" {
+		text = code + ": " + text
+	}
+	return fmt.Errorf("%s (%s)", text, requestID)
 }
 
 // get fetches one document into v.
@@ -255,7 +261,7 @@ func (c *client) nodeVerb(node int, verb string) error {
 		}
 	}
 	if op.Status == asyncop.StatusFailed {
-		return fmt.Errorf("%s (%s)", op.Error, op.RequestID)
+		return failure(op.Code, op.Error, op.RequestID)
 	}
 	return nil
 }

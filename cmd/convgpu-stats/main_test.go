@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net"
 	"net/http"
+	"net/http/httptest"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -222,6 +223,23 @@ func TestSubcommands(t *testing.T) {
 	}
 	if _, _, status := stats("", "stats"); status != 2 {
 		t.Errorf("stats without -socket: exit %d, want 2", status)
+	}
+
+	// A failed operation prints its class before its error, as an error
+	// envelope does: drain a node a failover took down.
+	h, err := st.AdminHandler()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.ServeHTTP(httptest.NewRecorder(), httptest.NewRequest(http.MethodPost, "/v1/nodes/1/failover", nil))
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		_, errb, status := stats(sock, "drain", "1")
+		if status == 1 && strings.Contains(errb, "convgpu-stats: drain: node_down: ") {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("drain of a down node: exit %d, stderr %q, want the node_down class", status, errb)
+		}
 	}
 }
 

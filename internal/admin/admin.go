@@ -39,7 +39,7 @@ import (
 	"convgpu/internal/clock"
 	"convgpu/internal/core"
 	"convgpu/internal/daemon"
-	"convgpu/internal/protocol"
+	"convgpu/internal/errs"
 )
 
 // RequestIDHeader carries the request correlation ID both ways.
@@ -320,8 +320,8 @@ func (h *Handler) submit(w http.ResponseWriter, r *http.Request, kind, detail st
 }
 
 // ErrorBody is the error envelope every failing endpoint answers with.
-// Code reuses the wire protocol's machine codes (protocol.ErrFromCode
-// reverses it client-side); RequestID lets an operator grep the trace
+// Code is the error's class in errs's table (errs.FromCode reverses it
+// client-side); RequestID lets an operator grep the trace
 // and logs for the failing call.
 type ErrorBody struct {
 	Code      string `json:"code,omitempty"`
@@ -331,7 +331,7 @@ type ErrorBody struct {
 
 func (h *Handler) writeError(w http.ResponseWriter, r *http.Request, status int, err error) {
 	body := ErrorBody{
-		Code:      protocol.CodeFor(err),
+		Code:      errs.Code(err),
 		Error:     err.Error(),
 		RequestID: r.Header.Get(RequestIDHeader),
 	}

@@ -3,6 +3,7 @@ package admin
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -16,6 +17,7 @@ import (
 	"convgpu/internal/cluster"
 	"convgpu/internal/core"
 	"convgpu/internal/daemon"
+	"convgpu/internal/errs"
 	"convgpu/internal/ipc"
 	"convgpu/internal/leak"
 	"convgpu/internal/obs"
@@ -580,5 +582,44 @@ func TestNodeRoutes(t *testing.T) {
 	// Unknown node indexes are refused, not panicked on.
 	if op := nodeVerb("/v1/nodes/9/drain"); op.Status != asyncop.StatusFailed || op.Error == "" {
 		t.Fatalf("drain of unknown node = %+v, want failed", op)
+	}
+}
+
+// TestDrainOfDownNodeCarriesItsCode: a failed operation's document
+// carries its error's class, not only its text. A drain of a node that
+// failover took down ends failed with node_down, which errs.FromCode
+// turns back into ErrNodeDown; a failure with no class has no code.
+func TestDrainOfDownNodeCarriesItsCode(t *testing.T) {
+	leak.Check(t)
+	clus, err := cluster.New(cluster.Config{
+		Nodes: 2, GPUsPerNode: 1, CapacityPerGPU: 500 * bytesize.MiB, Device: core.Config{ContextOverhead: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := planeFor(t, daemon.Config{Core: clus}, 0, 0)
+	submit := func(target string) asyncop.Operation {
+		t.Helper()
+		rec := do(h, "POST", target, nil)
+		var op asyncop.Operation
+		if err := json.Unmarshal(rec.Body.Bytes(), &op); rec.Code != http.StatusAccepted || err != nil {
+			t.Fatalf("POST %s = %d: %s", target, rec.Code, rec.Body)
+		}
+		return pollOperation(t, h, op.ID)
+	}
+	if op := submit("/v1/nodes/1/failover"); op.Status != asyncop.StatusCompleted {
+		t.Fatalf("failover = %+v", op)
+	}
+	op := submit("/v1/nodes/1/drain")
+	if op.Status != asyncop.StatusFailed || op.Code != errs.CodeNodeDown || !errors.Is(errs.FromCode(op.Code), errs.ErrNodeDown) {
+		t.Fatalf("drain of a down node = %+v, want failed with %q", op, errs.CodeNodeDown)
+	}
+	var raw map[string]any
+	getJSON(t, h, "/v1/operations/"+op.ID, &raw)
+	if raw["code"] != errs.CodeNodeDown {
+		t.Errorf("operation document = %v, want code %q", raw, errs.CodeNodeDown)
+	}
+	if op := submit("/v1/nodes/9/drain"); op.Status != asyncop.StatusFailed || op.Code != "" {
+		t.Errorf("drain of an unknown node = %+v, want failed with no code", op)
 	}
 }

@@ -15,6 +15,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"convgpu/internal/errs"
 )
 
 // Status is an operation's lifecycle stage.
@@ -28,7 +30,8 @@ const (
 )
 
 // Operation is the pollable view of one submitted verb. Result is only
-// set once Status is StatusCompleted; Error only for StatusFailed.
+// set once Status is StatusCompleted; Error only for StatusFailed, with
+// Code when the error has a class in errs's table.
 type Operation struct {
 	ID        string `json:"id"`
 	Kind      string `json:"kind"`
@@ -41,6 +44,7 @@ type Operation struct {
 	DoneTime   int64  `json:"done_unix_nano,omitempty"`
 	Result     any    `json:"result,omitempty"`
 	Error      string `json:"error,omitempty"`
+	Code       string `json:"code,omitempty"`
 }
 
 // defaultRetain bounds how many finished operations stay pollable; the
@@ -101,7 +105,7 @@ func (m *Manager) worker() {
 		op.DoneTime = m.now().UnixNano()
 		if err != nil {
 			op.Status = StatusFailed
-			op.Error = err.Error()
+			op.Error, op.Code = err.Error(), errs.Code(err)
 		} else {
 			op.Status = StatusCompleted
 			op.Result = res

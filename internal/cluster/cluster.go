@@ -29,10 +29,6 @@ import (
 	"convgpu/internal/multigpu"
 )
 
-// ErrUnknownContainer is core.ErrUnknownContainer: an operation for a
-// container no node serves.
-var ErrUnknownContainer = core.ErrUnknownContainer
-
 // NodeInfo summarizes one node for strategy decisions.
 type NodeInfo struct {
 	// Index is the node ordinal.
@@ -304,7 +300,7 @@ func (c *Cluster) RegisterTenant(id core.ContainerID, limit bytesize.Size, t cor
 	}
 	node := c.strategy.Place(limit, nodes)
 	if node < 0 || node >= c.NumMembers() || !c.eligible(node) {
-		return 0, fmt.Errorf("%w: no node can hold a %v container", core.ErrLimitExceedsCapacity, limit)
+		return 0, fmt.Errorf("%w: no node can hold a %v container", errs.ErrOverCapacity, limit)
 	}
 	granted, err := c.Member(node).RegisterTenant(id, limit, t)
 	if err != nil {

@@ -50,6 +50,7 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/clock"
+	"convgpu/internal/errs"
 )
 
 // ContainerID identifies a container (Docker container ID in the real
@@ -58,16 +59,14 @@ type ContainerID string
 
 // Errors reported by the scheduler.
 var (
-	ErrUnknownContainer     = errors.New("core: unknown container")
-	ErrDuplicateContainer   = errors.New("core: container already registered")
-	ErrLimitExceedsCapacity = errors.New("core: memory limit exceeds GPU capacity")
-	ErrInvalidLimit         = errors.New("core: memory limit must be positive")
-	ErrInvalidSize          = errors.New("core: allocation size must be positive")
-	ErrUnknownAddr          = errors.New("core: unknown allocation address")
-	ErrUnknownPID           = errors.New("core: unknown pid")
-	ErrNotCharged           = errors.New("core: confirm/abort without an accepted request")
-	ErrLimitMismatch        = errors.New("core: re-registration limit differs from the original")
-	ErrRestoreInfeasible    = errors.New("core: cannot restore allocation within limit and capacity")
+	ErrDuplicateContainer = errors.New("core: container already registered")
+	ErrInvalidLimit       = errors.New("core: memory limit must be positive")
+	ErrInvalidSize        = errors.New("core: allocation size must be positive")
+	ErrUnknownAddr        = errors.New("core: unknown allocation address")
+	ErrUnknownPID         = errors.New("core: unknown pid")
+	ErrNotCharged         = errors.New("core: confirm/abort without an accepted request")
+	ErrLimitMismatch      = errors.New("core: re-registration limit differs from the original")
+	ErrRestoreInfeasible  = errors.New("core: cannot restore allocation within limit and capacity")
 )
 
 // DefaultContextOverhead is the GPU memory CUDA consumes when a process
@@ -368,7 +367,7 @@ func (s *State) registerLocked(id ContainerID, limit bytesize.Size, t Tenant) (b
 		return 0, ErrInvalidLimit
 	}
 	if limit > s.cfg.Capacity {
-		return 0, fmt.Errorf("%w: %v > %v", ErrLimitExceedsCapacity, limit, s.cfg.Capacity)
+		return 0, fmt.Errorf("%w: %v > %v", errs.ErrOverCapacity, limit, s.cfg.Capacity)
 	}
 	s.nextSeq++
 	c := &containerState{
@@ -442,7 +441,7 @@ func (s *State) RequestAllocAt(id ContainerID, pid int, size bytesize.Size, at t
 	defer s.unlockAll()
 	c, ok := s.lookupLocked(id)
 	if !ok {
-		return AllocResult{}, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return AllocResult{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	if size <= 0 {
 		return AllocResult{}, ErrInvalidSize
@@ -510,7 +509,7 @@ func (s *State) fastRequestAlloc(id ContainerID, pid int, size bytesize.Size, at
 	defer sh.mu.RUnlock()
 	c, ok := sh.containers[id]
 	if !ok {
-		return AllocResult{}, true, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return AllocResult{}, true, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	if size <= 0 {
 		return AllocResult{}, true, ErrInvalidSize
@@ -544,7 +543,7 @@ func (s *State) ConfirmAlloc(id ContainerID, pid int, addr uint64, size bytesize
 	defer sh.mu.RUnlock()
 	c, ok := sh.containers[id]
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -612,7 +611,7 @@ func (s *State) Restore(id ContainerID, pid int, addr uint64, size bytesize.Size
 	defer s.unlockAll()
 	c, ok := s.lookupLocked(id)
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	if size <= 0 {
 		return ErrInvalidSize
@@ -702,7 +701,7 @@ func (s *State) AbortAlloc(id ContainerID, pid int, size bytesize.Size) (Update,
 	defer s.unlockAll()
 	c, ok := s.lookupLocked(id)
 	if !ok {
-		return Update{}, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return Update{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	p, ok := c.procs[pid]
 	if !ok || len(p.accepted) == 0 {
@@ -734,7 +733,7 @@ func (s *State) FreeAt(id ContainerID, pid int, addr uint64, at time.Time) (byte
 	defer s.unlockAll()
 	c, ok := s.lookupLocked(id)
 	if !ok {
-		return 0, Update{}, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, Update{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	p, ok := c.procs[pid]
 	if !ok {
@@ -768,7 +767,7 @@ func (s *State) fastFree(id ContainerID, pid int, addr uint64, at time.Time) (sz
 	}
 	c, ok := sh.containers[id]
 	if !ok {
-		return 0, Update{}, true, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, Update{}, true, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -795,7 +794,7 @@ func (s *State) ProcessExit(id ContainerID, pid int) (bytesize.Size, Update, err
 	defer s.unlockAll()
 	c, ok := s.lookupLocked(id)
 	if !ok {
-		return 0, Update{}, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, Update{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	var released bytesize.Size
 	if p, ok := c.procs[pid]; ok {
@@ -841,7 +840,7 @@ func (s *State) Close(id ContainerID) (bytesize.Size, Update, error) {
 			// Idempotent: the plugin may deliver close more than once.
 			return 0, Update{}, nil
 		}
-		return 0, Update{}, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, Update{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	var u Update
 	for _, req := range c.pending {
@@ -873,7 +872,7 @@ func (s *State) MemInfo(id ContainerID) (free, total bytesize.Size, err error) {
 	defer sh.mu.RUnlock()
 	c, ok := sh.containers[id]
 	if !ok {
-		return 0, 0, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, 0, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -1165,7 +1164,7 @@ func (s *State) Info(id ContainerID) (ContainerInfo, error) {
 			return info, nil
 		}
 	}
-	return ContainerInfo{}, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+	return ContainerInfo{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 }
 
 // PoolFree returns the memory not granted to any container.

@@ -8,6 +8,7 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/clock"
+	"convgpu/internal/errs"
 )
 
 // newState builds a scheduler with a 5 GiB GPU (the paper's K20m) and no
@@ -124,7 +125,7 @@ func TestRegisterErrors(t *testing.T) {
 	if _, err := s.Register("a", -5); !errors.Is(err, ErrInvalidLimit) {
 		t.Errorf("negative limit err = %v", err)
 	}
-	if _, err := s.Register("a", mib(2000)); !errors.Is(err, ErrLimitExceedsCapacity) {
+	if _, err := s.Register("a", mib(2000)); !errors.Is(err, errs.ErrOverCapacity) {
 		t.Errorf("oversized limit err = %v", err)
 	}
 	mustRegister(t, s, "a", mib(100))
@@ -315,7 +316,7 @@ func TestConfirmAndFreeTracking(t *testing.T) {
 	if _, _, err := s.Free("a", 99, 0xA0); !errors.Is(err, ErrUnknownPID) {
 		t.Fatalf("free unknown pid err = %v", err)
 	}
-	if _, _, err := s.Free("zzz", 1, 0xA0); !errors.Is(err, ErrUnknownContainer) {
+	if _, _, err := s.Free("zzz", 1, 0xA0); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("free unknown container err = %v", err)
 	}
 	freed, _, err := s.Free("a", 1, 0xC0)
@@ -428,7 +429,7 @@ func TestCloseCancelsPendingAndIsIdempotent(t *testing.T) {
 		t.Fatalf("second close = (%v,%v)", released, err)
 	}
 	// Close of a never-registered container errors.
-	if _, _, err := s.Close("ghost"); !errors.Is(err, ErrUnknownContainer) {
+	if _, _, err := s.Close("ghost"); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("close ghost err = %v", err)
 	}
 	if _, _, err := s.Close("holder"); err != nil {
@@ -455,7 +456,7 @@ func TestMemInfoVirtualizedView(t *testing.T) {
 	if total != mib(1024) || free != mib(924)-1 {
 		t.Fatalf("MemInfo after alloc = (%v,%v)", free, total)
 	}
-	if _, _, err := s.MemInfo("ghost"); !errors.Is(err, ErrUnknownContainer) {
+	if _, _, err := s.MemInfo("ghost"); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("MemInfo ghost err = %v", err)
 	}
 }
@@ -705,7 +706,7 @@ func TestSnapshotOrdering(t *testing.T) {
 	if len(snap) != 3 || snap[0].ID != "z" || snap[1].ID != "m" || snap[2].ID != "a" {
 		t.Fatalf("snapshot order = %+v, want creation order z,m,a", snap)
 	}
-	if _, err := s.Info("nope"); !errors.Is(err, ErrUnknownContainer) {
+	if _, err := s.Info("nope"); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("Info(nope) err = %v", err)
 	}
 }

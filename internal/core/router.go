@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"convgpu/internal/bytesize"
+	"convgpu/internal/errs"
 )
 
 // Router fans a Scheduler's per-container operations out to the member
@@ -111,7 +112,7 @@ func (r *Router) PlacementIndex(id ContainerID) (int, error) {
 	m, ok := r.placement[id]
 	r.mu.RUnlock()
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	return m, nil
 }
@@ -128,7 +129,7 @@ func (r *Router) memberFor(id ContainerID) (Scheduler, error) {
 	}
 	r.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return nil, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	return sched, nil
 }

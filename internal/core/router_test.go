@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"convgpu/internal/bytesize"
+	"convgpu/internal/errs"
 )
 
 // newTestRouter builds a 2-member router over small single-device
@@ -57,7 +58,7 @@ func TestRouterRoutesAndAggregates(t *testing.T) {
 	if m, err := r.PlacementIndex("b"); err != nil || m != 1 {
 		t.Fatalf("PlacementIndex(b) = %d, %v", m, err)
 	}
-	if _, err := r.PlacementIndex("ghost"); !errors.Is(err, ErrUnknownContainer) {
+	if _, err := r.PlacementIndex("ghost"); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("PlacementIndex(ghost) = %v", err)
 	}
 
@@ -72,7 +73,7 @@ func TestRouterRoutesAndAggregates(t *testing.T) {
 	if free, total, err := r.MemInfo("a"); err != nil || total != mib(400) || free >= total {
 		t.Fatalf("MemInfo(a) = %v/%v, %v", free, total, err)
 	}
-	if _, err := r.RequestAlloc("ghost", 1, mib(1)); !errors.Is(err, ErrUnknownContainer) {
+	if _, err := r.RequestAlloc("ghost", 1, mib(1)); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("alloc ghost: %v", err)
 	}
 
@@ -173,7 +174,7 @@ func TestRouterReplaceMember(t *testing.T) {
 	if r.Member(0) != fresh {
 		t.Fatal("slot 0 still holds the dead member")
 	}
-	if _, err := r.PlacementIndex("a"); !errors.Is(err, ErrUnknownContainer) {
+	if _, err := r.PlacementIndex("a"); !errors.Is(err, errs.ErrUnknownContainer) {
 		t.Fatalf("dropped placement survived: %v", err)
 	}
 	if got := r.PlacementsOn(0); len(got) != 0 {

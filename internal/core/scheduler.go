@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"convgpu/internal/bytesize"
+	"convgpu/internal/errs"
 )
 
 // ErrUnknownDevice reports a device index the scheduler does not serve —
@@ -123,7 +124,7 @@ func (s *State) Placement(id ContainerID) (int, error) {
 	_, ok := sh.containers[id]
 	sh.mu.RUnlock()
 	if !ok {
-		return 0, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return 0, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	return s.cfg.DeviceIndex, nil
 }
@@ -137,7 +138,7 @@ func (s *State) PendingRequests(id ContainerID) ([]PendingRequest, error) {
 	defer sh.mu.RUnlock()
 	c, ok := sh.containers[id]
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownContainer, id)
+		return nil, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
 	out := make([]PendingRequest, len(c.pending))
 	for i, p := range c.pending {

@@ -315,7 +315,7 @@ func (d *Daemon) Close() error {
 	now := d.clk.Now()
 	for _, p := range parked {
 		d.obs.ObserveSuspendWait(p.device, now.Sub(p.at))
-		p.respond(&protocol.Message{OK: false, Error: "scheduler shutting down", Code: protocol.CodeUnavailable})
+		p.respond(&protocol.Message{OK: false, Error: "scheduler shutting down", Code: errs.Code(errs.ErrDaemonUnavailable)})
 	}
 	err := d.control.Close()
 	for _, s := range servers {
@@ -489,7 +489,7 @@ func (d *Daemon) park(k parkedKey, conn *ipc.ServerConn, respond func(*protocol.
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
-		respond(&protocol.Message{OK: false, Error: "scheduler shutting down", Code: protocol.CodeUnavailable})
+		respond(&protocol.Message{OK: false, Error: "scheduler shutting down", Code: errs.Code(errs.ErrDaemonUnavailable)})
 		return
 	}
 	device, _ := d.cfg.Core.Placement(k.id)
@@ -561,29 +561,6 @@ func (d *Daemon) dispatch(u core.Update) {
 	}
 }
 
-// codeFor maps a scheduler error onto its wire error code (empty when
-// the failure has no machine-readable class). Clients reverse the
-// mapping with protocol.ErrFromCode to get errors.Is-able sentinels.
-func codeFor(err error) string {
-	switch {
-	case errors.Is(err, core.ErrLimitExceedsCapacity):
-		return protocol.CodeOverCapacity
-	case errors.Is(err, core.ErrUnknownContainer):
-		return protocol.CodeUnknownContainer
-	case errors.Is(err, errs.ErrNodeDown):
-		return protocol.CodeNodeDown
-	case errors.Is(err, errs.ErrDaemonUnavailable):
-		return protocol.CodeUnavailable
-	default:
-		return ""
-	}
-}
-
-// codedError builds an error response carrying the machine code for err.
-func codedError(msg *protocol.Message, err error) *protocol.Message {
-	return protocol.CodedErrorResponse(msg, codeFor(err), "%v", err)
-}
-
 // controlHandler serves the control socket's two peers (paper §III-D):
 // nvidia-docker's registration and the plugin's close signal. Everything
 // an operator asks of the daemon goes through internal/admin instead.
@@ -596,14 +573,14 @@ func (h controlHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, resp
 	case protocol.TypeRegister:
 		resp, err := h.d.register(core.ContainerID(msg.Container), msg.Limit, h.d.resolveTenant(msg))
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		respond(resp)
 	case protocol.TypeClose:
 		resp, err := h.d.closeContainer(core.ContainerID(msg.Container))
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		respond(resp)
@@ -655,7 +632,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		}
 		h.d.gate.RUnlock()
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		switch res.Decision {
@@ -670,7 +647,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		}
 	case protocol.TypeConfirm:
 		if err := c.ConfirmAlloc(h.id, msg.PID, msg.Addr, msg.SizeBytes()); err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		if !msg.NoReply {
@@ -679,7 +656,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 	case protocol.TypeAbort:
 		u, err := c.AbortAlloc(h.id, msg.PID, msg.SizeBytes())
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		respond(ok())
@@ -701,7 +678,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 					return
 				}
 			}
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		if !msg.NoReply {
@@ -713,7 +690,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 	case protocol.TypeProcExit:
 		size, u, err := c.ProcessExit(h.id, msg.PID)
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		m := ok()
@@ -723,7 +700,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 	case protocol.TypeMemInfo:
 		free, total, err := c.MemInfo(h.id)
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		m := ok()
@@ -738,7 +715,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		// wrapper does not run against a scheduler with no account of it.
 		info, err := c.Info(h.id)
 		if err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		if msg.Tenant != "" && info.Tenant != msg.Tenant {
@@ -769,7 +746,7 @@ func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, re
 		respond(m)
 	case protocol.TypeRestore:
 		if err := c.Restore(h.id, msg.PID, msg.Addr, msg.SizeBytes()); err != nil {
-			respond(codedError(msg, err))
+			respond(protocol.CodedErrorResponse(msg, err))
 			return
 		}
 		respond(ok())

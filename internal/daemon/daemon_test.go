@@ -11,6 +11,7 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
+	"convgpu/internal/errs"
 	"convgpu/internal/ipc"
 	"convgpu/internal/leak"
 	"convgpu/internal/protocol"
@@ -324,8 +325,8 @@ func TestCallerRejectAndErrorResponses(t *testing.T) {
 	if resp := call("a", &protocol.Message{Type: protocol.TypeFree, PID: 1, Addr: 0xDEAD}); resp.OK {
 		t.Fatalf("free of unknown addr succeeded: %+v", resp)
 	}
-	if resp := call("ghost", &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: 1}); resp.OK || resp.Code != protocol.CodeUnknownContainer {
-		t.Fatalf("alloc for an unknown container = %+v, want refused with %q", resp, protocol.CodeUnknownContainer)
+	if resp := call("ghost", &protocol.Message{Type: protocol.TypeAlloc, PID: 1, Size: 1}); resp.OK || resp.Code != errs.CodeUnknownContainer {
+		t.Fatalf("alloc for an unknown container = %+v, want refused with %q", resp, errs.CodeUnknownContainer)
 	}
 	if resp := call("a", &protocol.Message{Type: "bogus"}); resp.OK {
 		t.Fatalf("bogus type accepted: %+v", resp)
@@ -402,8 +403,8 @@ func TestParkAfterCloseIsCoded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp.OK || resp.Code != protocol.CodeUnavailable {
-		t.Fatalf("alloc parked after Close = %+v, want refused with %q", resp, protocol.CodeUnavailable)
+	if resp.OK || resp.Code != errs.CodeUnavailable {
+		t.Fatalf("alloc parked after Close = %+v, want refused with %q", resp, errs.CodeUnavailable)
 	}
 }
 

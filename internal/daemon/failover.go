@@ -91,7 +91,7 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 				d.obs.ObserveSuspendWait(p.device, now.Sub(p.at))
 				m := protocol.AcquireMessage()
 				m.Error = fmt.Sprintf("node %d down and no surviving capacity", rep.Node)
-				m.Code = protocol.CodeNodeDown
+				m.Code = errs.Code(errs.ErrNodeDown)
 				rels = append(rels, rel{p.respond, m})
 			}
 		}
@@ -111,7 +111,7 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 		d.obs.ObserveSuspendWait(p.device, now.Sub(p.at))
 		m := protocol.AcquireMessage()
 		m.Error = fmt.Sprintf("node %d down; request lost in failover", rep.Node)
-		m.Code = protocol.CodeNodeDown
+		m.Code = errs.Code(errs.ErrNodeDown)
 		rels = append(rels, rel{p.respond, m})
 	}
 	d.mu.Unlock()

@@ -208,10 +208,10 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 		if resp == nil {
 			t.Fatal("evicted alloc failed at transport level, want a coded response")
 		}
-		if resp.OK || resp.Code != protocol.CodeNodeDown {
+		if resp.OK || resp.Code != errs.CodeNodeDown {
 			t.Fatalf("evicted alloc = %+v, want node_down error", resp)
 		}
-		if !errors.Is(protocol.ErrFromCode(resp.Code), errs.ErrNodeDown) {
+		if !errors.Is(errs.FromCode(resp.Code), errs.ErrNodeDown) {
 			t.Fatalf("code %q does not map to ErrNodeDown", resp.Code)
 		}
 	case <-time.After(2 * time.Second):
@@ -242,7 +242,7 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 	if resp.OK {
 		t.Fatal("register with no eligible node succeeded")
 	}
-	if !errors.Is(protocol.ErrFromCode(resp.Code), errs.ErrDaemonUnavailable) {
+	if !errors.Is(errs.FromCode(resp.Code), errs.ErrDaemonUnavailable) {
 		t.Fatalf("fail-closed register code %q does not map to ErrDaemonUnavailable", resp.Code)
 	}
 

@@ -32,7 +32,7 @@ var errNoMembership = errors.New("daemon: backend has no node membership (single
 
 // walAppend appends one session-changing record, stamping the event
 // time. A daemon that cannot log an admission event must not acknowledge
-// it, so a refused append maps onto CodeUnavailable for the caller.
+// it, so a refused append is unavailable to the caller (see errs.Classes).
 func (d *Daemon) walAppend(rec wal.Record) error {
 	rec.At = d.clk.Now().UnixNano()
 	if _, err := d.wal.Append(rec); err != nil {

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"convgpu/internal/core"
+	"convgpu/internal/errs"
 	"convgpu/internal/leak"
 	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
@@ -62,8 +63,8 @@ func TestWALFailStopRefusesRegister(t *testing.T) {
 
 	for _, id := range []string{"torn", "after"} { // the write that fails, then the stopped log
 		resp := register(t, ctl, id, mib(100))
-		if resp.OK || resp.Code != protocol.CodeUnavailable {
-			t.Fatalf("register %s on a full disk: ok=%v code=%q, want refused as %q", id, resp.OK, resp.Code, protocol.CodeUnavailable)
+		if resp.OK || resp.Code != errs.CodeUnavailable {
+			t.Fatalf("register %s on a full disk: ok=%v code=%q, want refused as %q", id, resp.OK, resp.Code, errs.CodeUnavailable)
 		}
 		if !strings.Contains(resp.Error, wal.ErrFailed.Error()) {
 			t.Errorf("register %s refused with %q, want it to name %q", id, resp.Error, wal.ErrFailed)
@@ -96,9 +97,9 @@ func TestWALFailStopRefusesClose(t *testing.T) {
 	fillDisk(t, walDir)
 
 	resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeClose, Container: "held"})
-	if resp.OK || resp.Code != protocol.CodeUnavailable || !strings.Contains(resp.Error, wal.ErrFailed.Error()) {
+	if resp.OK || resp.Code != errs.CodeUnavailable || !strings.Contains(resp.Error, wal.ErrFailed.Error()) {
 		t.Fatalf("close on a full disk: ok=%v code=%q error=%q, want refused as %q naming %q",
-			resp.OK, resp.Code, resp.Error, protocol.CodeUnavailable, wal.ErrFailed)
+			resp.OK, resp.Code, resp.Error, errs.CodeUnavailable, wal.ErrFailed)
 	}
 	if _, err := d.closeContainerKind("held", wal.KindLeaseExpire); err == nil {
 		t.Error("the lease reaper's close went through on a stopped log")
@@ -106,8 +107,8 @@ func TestWALFailStopRefusesClose(t *testing.T) {
 	if info, err := d.Core().Info("held"); err != nil || info.Grant != mib(400) {
 		t.Fatalf("after the refused closes the core has %+v (%v), want held with its 400 MiB grant", info, err)
 	}
-	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeClose, Container: "nobody"}); resp.Code != protocol.CodeUnknownContainer {
-		t.Errorf("close of an unknown container on a stopped log = %+v, want %q before any append", resp, protocol.CodeUnknownContainer)
+	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeClose, Container: "nobody"}); resp.Code != errs.CodeUnknownContainer {
+		t.Errorf("close of an unknown container on a stopped log = %+v, want %q before any append", resp, errs.CodeUnknownContainer)
 	}
 	ctl.Close()
 	d.Close()

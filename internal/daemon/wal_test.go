@@ -495,8 +495,8 @@ func TestWALAppendFailureRefusesRegister(t *testing.T) {
 	if resp.OK {
 		t.Fatal("register acknowledged with a dead WAL")
 	}
-	if resp.Code != protocol.CodeUnavailable {
-		t.Errorf("refusal code = %q, want %q", resp.Code, protocol.CodeUnavailable)
+	if resp.Code != errs.CodeUnavailable {
+		t.Errorf("refusal code = %q, want %q", resp.Code, errs.CodeUnavailable)
 	}
 	if _, err := d.Core().Info("lost"); err == nil {
 		t.Error("core kept the admission after the append failed")

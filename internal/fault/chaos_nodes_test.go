@@ -17,6 +17,7 @@ import (
 	"convgpu/internal/core"
 	"convgpu/internal/cuda"
 	"convgpu/internal/daemon"
+	"convgpu/internal/errs"
 	"convgpu/internal/fault"
 	"convgpu/internal/gpu"
 	"convgpu/internal/ipc"
@@ -118,13 +119,13 @@ func runNodeKillSchedule(t *testing.T, seed int64) {
 		nodeFaultDriver(ctx, clus, d, nf, seed, &killed)
 	}()
 
-	errs := make(chan error, nodeContainers)
+	results := make(chan error, nodeContainers)
 	var wg sync.WaitGroup
 	for i, mod := range mods {
 		wg.Add(1)
 		go func(mod *wrapper.Module, opSeed int64) {
 			defer wg.Done()
-			errs <- chaosOpsLoop(ctx, clus, mod, opSeed)
+			results <- chaosOpsLoop(ctx, clus, mod, opSeed)
 		}(mod, seed*100+int64(i))
 	}
 
@@ -145,8 +146,8 @@ func runNodeKillSchedule(t *testing.T, seed int64) {
 			t.Fatalf("ops wedged past context cancel\n%s", buf[:runtime.Stack(buf, true)])
 		}
 	}
-	close(errs)
-	for err := range errs {
+	close(results)
+	for err := range results {
 		if err != nil {
 			t.Fatalf("invariant violated mid-schedule: %v", err)
 		}
@@ -190,7 +191,7 @@ func runNodeKillSchedule(t *testing.T, seed int64) {
 		if err != nil {
 			t.Fatalf("close c%d: %v", i, err)
 		}
-		if !resp.OK && resp.Code != protocol.CodeUnknownContainer {
+		if !resp.OK && resp.Code != errs.CodeUnknownContainer {
 			t.Fatalf("close c%d failed with unexpected code %q: %s", i, resp.Code, resp.Error)
 		}
 		protocol.ReleaseMessage(resp)

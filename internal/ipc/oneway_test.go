@@ -31,7 +31,7 @@ func (h *refuseHandler) Handle(conn *ServerConn, msg *protocol.Message, respond 
 	h.seen = append(h.seen, *msg)
 	h.mu.Unlock()
 	if (msg.Type == protocol.TypeConfirm || msg.Type == protocol.TypeFree) && msg.Addr%2 == 1 {
-		respond(&protocol.Message{Error: fmt.Sprintf("address %#x not charged", msg.Addr), Code: protocol.CodeUnavailable})
+		respond(&protocol.Message{Error: fmt.Sprintf("address %#x not charged", msg.Addr), Code: errs.CodeUnavailable})
 		return
 	}
 	if size := msg.Size; h.park != nil && msg.Type == protocol.TypeAlloc {

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"convgpu/internal/errs"
 	"convgpu/internal/leak"
 	"convgpu/internal/protocol"
 )
@@ -142,7 +143,7 @@ func testStaleRefusalAndReplyInOneRead(t *testing.T) {
 			}
 			resp := &protocol.Message{Type: protocol.TypeResponse, Seq: m.Seq, OK: !m.NoReply, NoReply: m.NoReply}
 			if m.NoReply {
-				resp.Error, resp.Code = "address 0x1 not charged", protocol.CodeUnavailable
+				resp.Error, resp.Code = "address 0x1 not charged", errs.CodeUnavailable
 			}
 			if out, _ = protocol.AppendEncodeBinary(out, resp); m.NoReply {
 				continue

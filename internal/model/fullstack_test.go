@@ -14,6 +14,7 @@ import (
 	"convgpu/internal/clock"
 	"convgpu/internal/core"
 	"convgpu/internal/daemon"
+	"convgpu/internal/errs"
 	"convgpu/internal/ipc"
 	"convgpu/internal/model"
 	"convgpu/internal/policy"
@@ -130,20 +131,23 @@ func (w *wireSched) shutdown() {
 	w.d.Close()
 }
 
-// wireErr reconstructs the core sentinel from a failure response so the
-// harness's error classes line up across the socket.
+// wireErr reconstructs the sentinel of a failure response so the
+// harness's error classes line up across the socket: a coded failure's
+// from its wire code, a core-internal one (which has no code) from its
+// text.
 func wireErr(resp *protocol.Message) error {
 	if resp.OK {
 		return nil
 	}
 	s := resp.Error
+	if sentinel := errs.FromCode(resp.Code); sentinel != nil {
+		return fmt.Errorf("%w: over the wire: %s", sentinel, s)
+	}
 	for _, m := range []struct {
 		substr string
 		err    error
 	}{
-		{"unknown container", core.ErrUnknownContainer},
 		{"already registered", core.ErrDuplicateContainer},
-		{"exceeds GPU capacity", core.ErrLimitExceedsCapacity},
 		{"limit must be positive", core.ErrInvalidLimit},
 		{"non-positive limit", core.ErrInvalidLimit}, // protocol-level validation fires first
 		{"size must be positive", core.ErrInvalidSize},

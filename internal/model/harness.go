@@ -6,6 +6,7 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
+	"convgpu/internal/errs"
 )
 
 // Backend binds the harness to one real scheduler topology. New must
@@ -695,19 +696,19 @@ func (r *runner) crossCheck(i int, op Op) *Divergence {
 
 // --- comparison helpers ---
 
-// errClass buckets an error for comparison: the scheduler's sentinel
-// errors compare by identity, anything else as a generic "error", so
-// wrapped messages with differing text still match.
+// errClass buckets an error for comparison: a failure with a class in
+// errs's table compares by its wire code, the core's other sentinels by
+// identity, anything else as a generic "error", so wrapped messages with
+// differing text still match.
 func errClass(err error) string {
+	if code := errs.Code(err); code != "" {
+		return code
+	}
 	switch {
 	case err == nil:
 		return ""
-	case errors.Is(err, core.ErrUnknownContainer):
-		return "unknown-container"
 	case errors.Is(err, core.ErrDuplicateContainer):
 		return "duplicate-container"
-	case errors.Is(err, core.ErrLimitExceedsCapacity):
-		return "limit-exceeds-capacity"
 	case errors.Is(err, core.ErrInvalidLimit):
 		return "invalid-limit"
 	case errors.Is(err, core.ErrInvalidSize):

@@ -7,6 +7,7 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
+	"convgpu/internal/errs"
 )
 
 // Config parameterizes a reference model. Devices are homogeneous, as
@@ -120,7 +121,7 @@ func (m *Model) find(id core.ContainerID) (*mdevice, *mcontainer, error) {
 			return d, c, nil
 		}
 	}
-	return nil, nil, core.ErrUnknownContainer
+	return nil, nil, errs.ErrUnknownContainer
 }
 
 func (m *Model) chargeFor(c *mcontainer, pid int, size bytesize.Size) bytesize.Size {
@@ -181,7 +182,7 @@ func (m *Model) RegisterTenant(id core.ContainerID, limit bytesize.Size, device 
 		return 0, core.ErrInvalidLimit
 	}
 	if limit > m.cfg.Capacity {
-		return 0, core.ErrLimitExceedsCapacity
+		return 0, errs.ErrOverCapacity
 	}
 	if device < 0 || device >= len(m.devs) {
 		return 0, fmt.Errorf("model: real backend placed %s on device %d of %d — illegal placement", id, device, len(m.devs))
@@ -440,7 +441,7 @@ func (m *Model) Close(id core.ContainerID) (bytesize.Size, core.Update, error) {
 		if !m.cfg.Routed && m.closed[id] {
 			return 0, core.Update{}, nil // idempotent re-close on a single State
 		}
-		return 0, core.Update{}, core.ErrUnknownContainer
+		return 0, core.Update{}, errs.ErrUnknownContainer
 	}
 	var u core.Update
 	for _, r := range c.pending {
@@ -525,7 +526,7 @@ func (m *Model) DropPending(id core.ContainerID, tickets []core.Ticket) (core.Up
 	d, c, err := m.find(id)
 	if err != nil {
 		if m.cfg.Routed {
-			return core.Update{}, core.ErrUnknownContainer
+			return core.Update{}, errs.ErrUnknownContainer
 		}
 		return core.Update{}, nil
 	}

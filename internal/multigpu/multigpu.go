@@ -24,11 +24,8 @@ import (
 
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
+	"convgpu/internal/errs"
 )
-
-// ErrUnknownContainer is core.ErrUnknownContainer: an operation for a
-// container no device serves.
-var ErrUnknownContainer = core.ErrUnknownContainer
 
 // DeviceInfo summarizes one device for placement decisions.
 type DeviceInfo = core.DeviceInfo
@@ -240,7 +237,7 @@ func (s *State) RegisterTenant(id core.ContainerID, limit bytesize.Size, t core.
 	}
 	device := s.policy.Place(limit, s.Devices())
 	if device < 0 || device >= s.NumMembers() {
-		return 0, fmt.Errorf("%w: no device can hold a %v container", core.ErrLimitExceedsCapacity, limit)
+		return 0, fmt.Errorf("%w: no device can hold a %v container", errs.ErrOverCapacity, limit)
 	}
 	granted, err := s.Member(device).RegisterTenant(id, limit, t)
 	if err != nil {

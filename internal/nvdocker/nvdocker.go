@@ -180,7 +180,7 @@ func (n *NVDocker) Create(ctx context.Context, opts Options) (*container.Contain
 		return nil, fmt.Errorf("nvdocker: scheduler unreachable: %w (%v)", errs.ErrDaemonUnavailable, err)
 	}
 	if !resp.OK {
-		if sentinel := protocol.ErrFromCode(resp.Code); sentinel != nil {
+		if sentinel := errs.FromCode(resp.Code); sentinel != nil {
 			return nil, fmt.Errorf("nvdocker: scheduler refused container: %w: %s", sentinel, resp.Error)
 		}
 		return nil, fmt.Errorf("nvdocker: scheduler refused container: %s", resp.Error)

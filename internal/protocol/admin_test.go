@@ -1,11 +1,17 @@
 package protocol
 
 import (
-	"errors"
 	"fmt"
 	"testing"
 
 	"convgpu/internal/errs"
+)
+
+// Short names for the wire codes the codec's message tables use.
+const (
+	CodeRejected         = errs.CodeRejected
+	CodeUnavailable      = errs.CodeUnavailable
+	CodeUnknownContainer = errs.CodeUnknownContainer
 )
 
 // TestRetiredVerbsRefused pins the retirement of the control socket's
@@ -48,33 +54,5 @@ func TestRetiredVerbsRefused(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("payload tag %d = %v, want %s", tag, err, want)
 		}
-	}
-}
-
-// TestCodeForInvertsErrFromCode pins the error-code mapping both ways:
-// every sentinel the HTTP envelope can carry must survive the trip.
-func TestCodeForInvertsErrFromCode(t *testing.T) {
-	for _, err := range []error{
-		errs.ErrOverCapacity,
-		errs.ErrRejected,
-		errs.ErrDaemonUnavailable,
-		errs.ErrNodeDown,
-	} {
-		code := CodeFor(err)
-		if code == "" {
-			t.Errorf("CodeFor(%v) = empty", err)
-			continue
-		}
-		back := ErrFromCode(code)
-		if !errors.Is(back, err) {
-			t.Errorf("ErrFromCode(CodeFor(%v)) = %v", err, back)
-		}
-		// Wrapped errors map identically.
-		if CodeFor(errors.Join(errors.New("ctx"), err)) != code {
-			t.Errorf("CodeFor(wrapped %v) != %s", err, code)
-		}
-	}
-	if CodeFor(nil) != "" || CodeFor(errors.New("misc")) != "" {
-		t.Error("CodeFor must return empty for nil/unknown errors")
 	}
 }

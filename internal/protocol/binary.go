@@ -33,6 +33,8 @@ package protocol
 import (
 	"encoding/binary"
 	"fmt"
+
+	"convgpu/internal/errs"
 )
 
 const (
@@ -383,7 +385,7 @@ func DecodeBinaryInto(m *Message, op byte, seq uint64, payload []byte) error {
 			case tagError:
 				m.Error = string(s)
 			case tagCode:
-				m.Code = codeToken(s)
+				m.Code = errs.Intern(s) // known codes decode allocation-free
 			case tagSocketDir:
 				m.SocketDir = string(s)
 			case tagData:
@@ -426,24 +428,5 @@ func apiToken(s []byte) string {
 		return "__cudaUnregisterFatBinary"
 	default:
 		return string(s) // unknown API: allocates, off every hot path
-	}
-}
-
-// codeToken interns the machine-readable error codes so a binary error
-// response decodes allocation-free.
-func codeToken(s []byte) string {
-	switch string(s) {
-	case CodeOverCapacity:
-		return CodeOverCapacity
-	case CodeUnknownContainer:
-		return CodeUnknownContainer
-	case CodeRejected:
-		return CodeRejected
-	case CodeUnavailable:
-		return CodeUnavailable
-	case CodeNodeDown:
-		return CodeNodeDown
-	default:
-		return string(s)
 	}
 }

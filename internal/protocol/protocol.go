@@ -243,67 +243,6 @@ func (m *Message) Validate() error {
 // frame, inside the bound that frame was given (ipc.Client.Post).
 func (t Type) Deferrable() bool { return t == TypeConfirm }
 
-// Machine-readable error codes carried in a failure response's Code
-// field. The human-readable Error string stays free-form; the code is
-// what clients match on to reconstruct an errors.Is-able sentinel on
-// their side of the socket (ErrFromCode).
-const (
-	// CodeOverCapacity: the requested memory limit exceeds the GPU's
-	// schedulable capacity (registration can never succeed).
-	CodeOverCapacity = "over_capacity"
-	// CodeUnknownContainer: the container is not (or no longer)
-	// registered with the scheduler.
-	CodeUnknownContainer = "unknown_container"
-	// CodeRejected: the scheduler denied the allocation (over limit).
-	CodeRejected = "rejected"
-	// CodeUnavailable: the daemon is shutting down or cannot serve.
-	CodeUnavailable = "unavailable"
-	// CodeNodeDown: the node serving the container died and the request
-	// could not be migrated; the daemon is alive, so the caller may
-	// retry with a fresh registration (which can land elsewhere).
-	CodeNodeDown = "node_down"
-)
-
-// CodeFor maps a shared sentinel to its wire code — the inverse of
-// ErrFromCode, used by the daemon and the HTTP admin plane to stamp
-// machine-readable codes onto failure envelopes. Unknown errors map to
-// the empty string (callers pick their own fallback).
-func CodeFor(err error) string {
-	switch {
-	case err == nil:
-		return ""
-	case errors.Is(err, errs.ErrOverCapacity):
-		return CodeOverCapacity
-	case errors.Is(err, errs.ErrRejected):
-		return CodeRejected
-	case errors.Is(err, errs.ErrDaemonUnavailable):
-		return CodeUnavailable
-	case errors.Is(err, errs.ErrNodeDown):
-		return CodeNodeDown
-	default:
-		return ""
-	}
-}
-
-// ErrFromCode maps a response's error code to the shared sentinel it
-// stands for, so client-side wrappers can offer errors.Is matching for
-// failures that crossed the socket. Unknown or empty codes map to nil
-// (callers fall back to the free-form Error string).
-func ErrFromCode(code string) error {
-	switch code {
-	case CodeOverCapacity:
-		return errs.ErrOverCapacity
-	case CodeRejected:
-		return errs.ErrRejected
-	case CodeUnavailable:
-		return errs.ErrDaemonUnavailable
-	case CodeNodeDown:
-		return errs.ErrNodeDown
-	default:
-		return nil
-	}
-}
-
 // Refusal is the error a refused one-way request surfaces as. Nobody
 // waited for that request's reply, so the refusal comes back out of a
 // later call on the same connection; callers tell it from a transport
@@ -323,7 +262,7 @@ func NewRefusal(verb Type, resp *Message) *Refusal {
 func (r *Refusal) Error() string { return r.Text }
 
 // Unwrap exposes the sentinel for the refusal's code, if it has one.
-func (r *Refusal) Unwrap() error { return ErrFromCode(r.Code) }
+func (r *Refusal) Unwrap() error { return errs.FromCode(r.Code) }
 
 // IsRefusal reports whether err is, or wraps, a one-way request's
 // refusal — the scheduler answered — rather than a transport failure.
@@ -390,10 +329,11 @@ func ErrorResponse(req *Message, format string, args ...interface{}) *Message {
 	return &Message{Type: TypeResponse, Seq: req.Seq, OK: false, Error: fmt.Sprintf(format, args...)}
 }
 
-// CodedErrorResponse is ErrorResponse with a machine-readable code.
-func CodedErrorResponse(req *Message, code string, format string, args ...interface{}) *Message {
-	m := ErrorResponse(req, format, args...)
-	m.Code = code
+// CodedErrorResponse is the failure response to req for err: its text,
+// and the code of its class in errs's table (none when it has no class).
+func CodedErrorResponse(req *Message, err error) *Message {
+	m := ErrorResponse(req, "%v", err)
+	m.Code = errs.Code(err)
 	return m
 }
 

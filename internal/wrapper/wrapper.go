@@ -195,7 +195,10 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 	}
 	rejected := resp.OK && resp.Decision == protocol.DecisionReject
 	failed := !resp.OK
-	sentinel := protocol.ErrFromCode(resp.Code)
+	var sentinel error // the class of a refusal's wire code, if it has one
+	if failed {
+		sentinel = errs.FromCode(resp.Code)
+	}
 	protocol.ReleaseMessage(resp) // response fields fully consumed above
 	if rejected {
 		// The scheduler denied the allocation: the user program sees the

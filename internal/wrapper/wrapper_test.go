@@ -585,7 +585,7 @@ func (h *divergedScheduler) Handle(_ *ipc.ServerConn, msg *protocol.Message, res
 	m := protocol.AcquireMessage()
 	switch {
 	case msg.Type == protocol.TypeConfirm && msg.Size == h.badSize:
-		m.Error, m.Code = "core: allocation was never charged", protocol.CodeUnavailable
+		m.Error, m.Code = "core: allocation was never charged", errs.CodeUnavailable
 	case msg.Type == protocol.TypeAlloc:
 		m.OK, m.Decision = true, protocol.DecisionAccept
 	case msg.Type == protocol.TypeProcExit:
