@@ -6,7 +6,7 @@ GO ?= go
 .PHONY: all build test vet lint check apicheck apigen race flake chaos chaos-nodes \
 	bench bench-recovery bench-policy bench-load benchdiff \
 	benchdiff-policy bench-module clean model model-long policy fuzz-smoke cover \
-	recovery-smoke load-smoke load-repro loc one-store one-handler one-taxonomy
+	recovery-smoke load-smoke load-repro loc one-store one-handler one-taxonomy one-life
 
 all: build test
 
@@ -28,7 +28,7 @@ lint: vet
 		echo "lint: files need gofmt:"; echo "$$out"; exit 1; \
 	fi
 
-check: lint one-store one-handler one-taxonomy apicheck test policy fuzz-smoke cover recovery-smoke load-smoke
+check: lint one-store one-handler one-taxonomy one-life apicheck test policy fuzz-smoke cover recovery-smoke load-smoke
 
 # one-store keeps the second durable store from coming back unnoticed:
 # the write-ahead log is the daemon's only one (DESIGN §13), and no
@@ -57,6 +57,17 @@ one-taxonomy:
 	@! git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^bench/' | grep -v '^internal/errs/' | \
 		xargs grep -nE 'case errors\.Is\(err, errs\.|"(over_capacity|unknown_container|rejected|unavailable|node_down)"' \
 		|| { echo "one-taxonomy: an error is mapped to its code outside internal/errs (see DESIGN §8)"; exit 1; }
+
+# one-life keeps one table of container lives in the daemon (DESIGN §8,
+# "Daemon side"): no non-test Go in internal/daemon/ may name the
+# per-container tables or the daemon-wide lock it replaced, and a
+# container's socket is retired by one teardown, called in one place.
+one-life:
+	@files=$$(git ls-files 'internal/daemon/*.go' | grep -v '_test\.go$$'); \
+	! grep -nwE 'dirMu|lastSeen|leaseEntry' $$files \
+		|| { echo "one-life: a second table of container lives is back (see DESIGN §8)"; exit 1; }; \
+	n=$$(cat $$files | grep -c '\.Retire()'); [ "$$n" -le 1 ] \
+		|| { echo "one-life: .Retire() is called in $$n places, want one teardown (see DESIGN §8)"; exit 1; }
 
 # apicheck guards the public facade: the exported API of package
 # convgpu is dumped in normalized form (tools/apidump) and diffed

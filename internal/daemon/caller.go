@@ -15,9 +15,17 @@ import (
 type Caller struct{ h containerHandler }
 
 // Caller returns the socketless caller of container id. The container
-// registers and closes through the control socket as any other.
+// registers and closes through the control socket as any other; like a
+// connection to its socket, the caller serves the life id has when it is
+// made (and renews that life's lease), so make it after the registration.
 func (d *Daemon) Caller(id core.ContainerID) Caller {
-	return Caller{containerHandler{d: d, id: id}}
+	d.mu.Lock()
+	s := d.live[id]
+	d.mu.Unlock()
+	if s == nil {
+		s = &session{} // no life: the core refuses every verb, and no lease is read
+	}
+	return Caller{containerHandler{d: d, s: s, id: id}}
 }
 
 // Call hands m to the container's handler and waits for its response,

@@ -96,12 +96,6 @@ type Daemon struct {
 	// and every container socket; obs renders it at scrape time.
 	wire *ipc.WireStats
 
-	// lastSeen tracks per-container lease renewal times
-	// (core.ContainerID → *leaseEntry). A sync.Map keeps the hot-path
-	// touch — one Load plus one atomic store per request — off the
-	// daemon mutex. Only populated when Config.Lease > 0.
-	lastSeen sync.Map
-
 	reapStop chan struct{}
 	reapDone chan struct{}
 
@@ -112,13 +106,12 @@ type Daemon struct {
 	// (compactIfGrown) is queued or running.
 	compacting atomic.Bool
 
-	mu      sync.Mutex
-	parked  map[parkedKey]parkedResponder
-	servers map[core.ContainerID]*ipc.Server
-	// dirMu orders the container directories' lives: a close holds it
-	// from before the core lets the ID go until its directory is removed,
-	// a register from creating the directory until its socket listens.
-	dirMu sync.Mutex
+	mu     sync.Mutex
+	parked map[parkedKey]parkedResponder
+	// live holds the current life of every container ID the daemon
+	// serves, registers or is tearing down; an ID's register, close,
+	// lease expiry and eviction order themselves through its entry alone.
+	live map[core.ContainerID]*session
 	// gate closes the window between a handler being told Suspend and its
 	// responder being parked: handlers hold it shared from the decision to
 	// the park, and dispatch passes through it exclusively before it looks
@@ -194,7 +187,7 @@ func Start(cfg Config) (*Daemon, error) {
 		obs:          cfg.Obs,
 		wire:         &ipc.WireStats{},
 		parked:       make(map[parkedKey]parkedResponder),
-		servers:      make(map[core.ContainerID]*ipc.Server),
+		live:         make(map[core.ContainerID]*session),
 		tenantDefs:   make(map[string]core.Tenant),
 		tenantLogged: make(map[string]bool),
 		reapStop:     make(chan struct{}),
@@ -238,7 +231,7 @@ func Start(cfg Config) (*Daemon, error) {
 	d.ops = asyncop.New(2, cfg.Clock.Now)
 	ctl, err := ipc.Listen(ctlPath, controlHandler{d})
 	if err != nil {
-		d.closeRecovered()
+		d.closeServers()
 		d.ops.Close()
 		d.closeOwnLog()
 		return nil, err
@@ -298,17 +291,11 @@ func (d *Daemon) Close() error {
 		return nil
 	}
 	d.closed = true
-	servers := make([]*ipc.Server, 0, len(d.servers))
-	for _, s := range d.servers {
-		servers = append(servers, s)
-	}
 	parked := d.parked
 	d.parked = make(map[parkedKey]parkedResponder)
 	d.mu.Unlock()
 
-	if d.cfg.Lease > 0 {
-		close(d.reapStop)
-	}
+	close(d.reapStop)
 	<-d.reapDone
 	d.ops.Close()
 
@@ -318,11 +305,25 @@ func (d *Daemon) Close() error {
 		p.respond(&protocol.Message{OK: false, Error: "scheduler shutting down", Code: errs.Code(errs.ErrDaemonUnavailable)})
 	}
 	err := d.control.Close()
-	for _, s := range servers {
-		s.Close()
-	}
+	d.closeServers()
 	// Last: a handler still draining may append.
 	return errors.Join(err, d.closeOwnLog())
+}
+
+// closeServers closes every container socket in the table: Close's, and
+// a failed start's unwinding of recoverFromWAL.
+func (d *Daemon) closeServers() {
+	d.mu.Lock()
+	var servers []*ipc.Server
+	for _, s := range d.live {
+		if s.srv != nil {
+			servers = append(servers, s.srv)
+		}
+	}
+	d.mu.Unlock()
+	for _, srv := range servers {
+		srv.Close()
+	}
 }
 
 // closeOwnLog closes the log Start opened because Config.WAL was nil; a
@@ -356,132 +357,213 @@ func (d *Daemon) containerDir(id core.ContainerID) string {
 	return filepath.Join(d.cfg.BaseDir, "containers", b.String())
 }
 
-// register implements the Register control message: it admits the
-// container with the core under its resolved tenant, prepares its
-// directory, socket and wrapper module copy, and reports the directory
-// back to nvidia-docker.
+// session is one life of a container ID, from the registration that
+// enters it in Daemon.live to the teardown that takes it out.
+type session struct {
+	srv  *ipc.Server  // the container's socket, once prepare has it listening (d.mu)
+	seen atomic.Int64 // lease stamp: UnixNano of the last message
+	// turn is non-nil while a register or close of this life is in flight
+	// and closes when that one lets go (d.mu). A teardown lets go only
+	// after the entry has left Daemon.live, so then it means gone.
+	turn chan struct{}
+}
+
+// take waits out any register or close of id in flight and takes the
+// turn of id's life. A fresh take (a register) enters a new life, or
+// returns nil if id is live; any other take returns nil if id has none.
+func (d *Daemon) take(id core.ContainerID, fresh bool) *session {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s := d.live[id]
+	for ; s != nil && s.turn != nil; s = d.live[id] {
+		turn := s.turn
+		d.mu.Unlock()
+		<-turn
+		d.mu.Lock()
+	}
+	if fresh == (s != nil) {
+		return nil
+	}
+	if s == nil {
+		s = &session{}
+		d.live[id] = s
+	}
+	s.turn = make(chan struct{})
+	return s
+}
+
+// pass lets go of s's turn; a teardown (end) takes the life out of the
+// table first.
+func (d *Daemon) pass(id core.ContainerID, s *session, end bool) {
+	d.mu.Lock()
+	if end {
+		delete(d.live, id)
+	}
+	close(s.turn)
+	s.turn = nil
+	d.mu.Unlock()
+}
+
+// retire ends a life however it ended (close, lease expiry, eviction, a
+// failed registration), for the holder of its turn: the socket stops
+// accepting (its file unlinked at once, its connections closing in the
+// background), the directory goes, and only then the entry, so a
+// register that waited on it finds the path free.
+func (d *Daemon) retire(id core.ContainerID, s *session) {
+	if s.srv != nil {
+		s.srv.Retire()
+	}
+	if err := os.RemoveAll(d.containerDir(id)); err != nil {
+		d.cfg.Logf("daemon: remove %q's directory: %v", id, err)
+	}
+	d.pass(id, s, true)
+}
+
+// touch renews a life's lease: one atomic store into the session the
+// handler holds. No-op unless leasing is on.
+func (d *Daemon) touch(s *session) {
+	if d.cfg.Lease > 0 {
+		s.seen.Store(d.clk.Now().UnixNano())
+	}
+}
+
+// reapLoop runs when Config.Lease is set: a container that died without
+// a close signal sends nothing, and after a lease of silence it is closed
+// as the plugin's close would, through the log (wal.KindLeaseExpire).
+// Checked every Lease/4, so a dead container is reaped within 1.25
+// leases. A life in some register's or close's turn is left to it, and
+// an expiry counts only when its close went through.
+func (d *Daemon) reapLoop() {
+	defer close(d.reapDone)
+	interval := max(d.cfg.Lease/4, 1)
+	for {
+		select {
+		case <-d.reapStop:
+			return
+		case <-d.clk.After(interval):
+		}
+		now := d.clk.Now()
+		var expired []core.ContainerID
+		d.mu.Lock()
+		for id, s := range d.live {
+			if s.turn == nil && now.Sub(time.Unix(0, s.seen.Load())) > d.cfg.Lease {
+				expired = append(expired, id)
+			}
+		}
+		d.mu.Unlock()
+		for _, id := range expired {
+			if _, err := d.closeContainerKind(id, wal.KindLeaseExpire); err == nil {
+				d.obs.LeaseExpiries.Inc()
+			}
+		}
+	}
+}
+
+// prepare makes id's directory serve s, for registration and recovery
+// alike: the directory, the wrapper module ("copies the wrapper module to
+// the directory"; it names its socket) and the socket, listening.
+func (d *Daemon) prepare(id core.ContainerID, s *session) (string, error) {
+	dir := d.containerDir(id)
+	sockPath := filepath.Join(dir, protocol.SocketFileName)
+	if err := os.MkdirAll(dir, 0o755); err != nil {
+		return "", fmt.Errorf("daemon: container dir: %w", err)
+	}
+	module := fmt.Sprintf("convgpu wrapper module for container %s\nsocket=%s\n", id, sockPath)
+	if err := os.WriteFile(filepath.Join(dir, protocol.ModuleFileName), []byte(module), 0o644); err != nil {
+		return "", fmt.Errorf("daemon: write wrapper module: %w", err)
+	}
+	os.Remove(sockPath) // a previous run's listener
+	srv, err := ipc.Listen(sockPath, containerHandler{d: d, s: s, id: id})
+	if err != nil {
+		return "", err
+	}
+	srv.SetWireStats(d.wire)
+	srv.SetHandlerLatency(d.obs.HandlerContainer)
+	d.touch(s)
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	s.srv = srv // Close has walked the table if closed: the caller retires it
+	if d.closed {
+		return "", fmt.Errorf("daemon: shutting down")
+	}
+	return dir, nil
+}
+
+// register implements the Register control message: it enters a new
+// life of the ID (after any earlier one has gone), admits the container
+// with the core under its resolved tenant, prepares its directory, logs
+// the admission and reports the directory back to nvidia-docker. A
+// registration that fails on the way is unwound and retired.
 func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*protocol.Message, error) {
+	s := d.take(id, true)
+	if s == nil {
+		return nil, fmt.Errorf("%w: %s", core.ErrDuplicateContainer, id)
+	}
 	granted, err := d.cfg.Core.RegisterTenant(id, bytesize.Size(limit), t)
 	if err != nil {
+		d.retire(id, s)
+		return nil, err
+	}
+	unwind := func(err error) (*protocol.Message, error) {
+		_, u, _ := d.cfg.Core.Close(id)
+		d.dispatch(u)
+		d.retire(id, s)
 		return nil, err
 	}
 	device, err := d.cfg.Core.Placement(id)
 	if err != nil {
-		d.cfg.Core.Close(id)
-		return nil, err
+		return unwind(err)
 	}
-	d.dirMu.Lock()
-	defer d.dirMu.Unlock()
-	dir := d.containerDir(id)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		d.cfg.Core.Close(id)
-		return nil, fmt.Errorf("daemon: container dir: %w", err)
-	}
-	// "copies the wrapper module to the directory" — the module carries
-	// the socket path it must talk to.
-	sockPath := filepath.Join(dir, protocol.SocketFileName)
-	module := fmt.Sprintf("convgpu wrapper module for container %s\nsocket=%s\n", id, sockPath)
-	if err := os.WriteFile(filepath.Join(dir, protocol.ModuleFileName), []byte(module), 0o644); err != nil {
-		d.cfg.Core.Close(id)
-		return nil, fmt.Errorf("daemon: write wrapper module: %w", err)
+	dir, err := d.prepare(id, s)
+	if err != nil {
+		return unwind(err)
 	}
 	// Log the admission before acknowledging it: a registration the
 	// daemon cannot log is unwound, not acked. The tenant's definition
 	// lands first so replay folds it before the session that references
 	// it.
 	if err := d.persistTenant(t); err != nil {
-		d.cfg.Core.Close(id)
-		return nil, err
+		return unwind(err)
 	}
 	if err := d.walAppend(wal.Record{
 		Kind: wal.KindRegister, Container: string(id), Amount: limit, Device: int32(device), Tenant: t.Name,
 	}); err != nil {
-		d.cfg.Core.Close(id)
-		return nil, err
+		return unwind(err)
 	}
 	d.compactIfGrown()
-	if err := d.serve(id, dir); err != nil {
-		d.cfg.Core.Close(id)
-		return nil, err
-	}
-
-	resp := &protocol.Message{OK: true, Granted: int64(granted), SocketDir: dir, Device: device}
-	return resp, nil
+	d.pass(id, s, false)
+	return &protocol.Message{OK: true, Granted: int64(granted), SocketDir: dir, Device: device}, nil
 }
 
-// serve opens a container's socket in dir and enters the container in
-// the daemon's tables.
-func (d *Daemon) serve(id core.ContainerID, dir string) error {
-	sockPath := filepath.Join(dir, protocol.SocketFileName)
-	os.Remove(sockPath) // a previous run's listener
-	srv, err := ipc.Listen(sockPath, containerHandler{d: d, id: id})
-	if err != nil {
-		return err
-	}
-	srv.SetWireStats(d.wire)
-	srv.SetHandlerLatency(d.obs.HandlerContainer)
-	d.mu.Lock()
-	if d.closed {
-		d.mu.Unlock()
-		srv.Close()
-		return fmt.Errorf("daemon: shutting down")
-	}
-	d.servers[id] = srv
-	d.mu.Unlock()
-	d.touch(id)
-	return nil
-}
-
-// closeContainer implements the plugin's close signal.
-func (d *Daemon) closeContainer(id core.ContainerID) (*protocol.Message, error) {
-	return d.closeContainerKind(id, wal.KindClose)
-}
-
-// closeContainerKind is closeContainer with the record kind chosen by
-// the caller — the lease reaper records KindLeaseExpire so a replayed
-// log distinguishes operator closes from reaped sessions. The record is
-// the acknowledgement's precondition, as register's is: appended while
-// the core still holds the session, so a refused append leaves core and
-// log agreeing on an open session (closing the core first let a restart
-// re-offer a session, grant included, that nobody was left to close). A
-// close that loses the race to another leaves a second record, which
-// folds to nothing.
+// closeContainerKind implements the plugin's close signal (wal.KindClose)
+// and the lease reaper's (wal.KindLeaseExpire). It takes the ID's turn,
+// so a registration in flight finishes first. The record is appended
+// while the core still holds the session, so a refused append leaves
+// core and log agreeing on an open session (closing the core first let a
+// restart re-offer a session, grant included, that nobody could close).
 func (d *Daemon) closeContainerKind(id core.ContainerID, kind wal.Kind) (*protocol.Message, error) {
-	d.dirMu.Lock()
-	defer d.dirMu.Unlock()
 	if _, err := d.cfg.Core.Info(id); err != nil {
 		return nil, err
 	}
-	if err := d.walAppend(wal.Record{Kind: kind, Container: string(id)}); err != nil {
+	s := d.take(id, false)
+	if s == nil {
+		return nil, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
+	}
+	refuse := func(err error) (*protocol.Message, error) {
+		d.pass(id, s, false)
 		return nil, err
+	}
+	if err := d.walAppend(wal.Record{Kind: kind, Container: string(id)}); err != nil {
+		return refuse(err)
 	}
 	d.compactIfGrown()
 	released, update, err := d.cfg.Core.Close(id)
 	if err != nil {
-		return nil, err
+		return refuse(err)
 	}
 	d.dispatch(update)
-	d.mu.Lock()
-	srv := d.servers[id]
-	delete(d.servers, id)
-	d.mu.Unlock()
-	d.lastSeen.Delete(id)
-	if srv != nil {
-		// The socket file goes now, before a register of the same ID can
-		// listen there again; the connections close in the background:
-		// the close signal must not wait for in-flight handlers.
-		srv.Retire()
-	}
-	d.removeDir(id)
+	d.retire(id, s)
 	return &protocol.Message{OK: true, Free: int64(released)}, nil
-}
-
-// removeDir removes a closed container's directory, its socket already
-// unlinked. Caller holds dirMu.
-func (d *Daemon) removeDir(id core.ContainerID) {
-	if err := os.RemoveAll(d.containerDir(id)); err != nil {
-		d.cfg.Logf("daemon: remove %q's directory: %v", id, err)
-	}
 }
 
 // park stores a suspended request's responder under its container+ticket.
@@ -569,24 +651,20 @@ type controlHandler struct{ d *Daemon }
 // Handle implements ipc.Handler. The server times it into the control
 // socket's latency histogram (ipc.Server.SetHandlerLatency).
 func (h controlHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
+	var resp *protocol.Message
+	var err error
 	switch msg.Type {
 	case protocol.TypeRegister:
-		resp, err := h.d.register(core.ContainerID(msg.Container), msg.Limit, h.d.resolveTenant(msg))
-		if err != nil {
-			respond(protocol.CodedErrorResponse(msg, err))
-			return
-		}
-		respond(resp)
+		resp, err = h.d.register(core.ContainerID(msg.Container), msg.Limit, h.d.resolveTenant(msg))
 	case protocol.TypeClose:
-		resp, err := h.d.closeContainer(core.ContainerID(msg.Container))
-		if err != nil {
-			respond(protocol.CodedErrorResponse(msg, err))
-			return
-		}
-		respond(resp)
+		resp, err = h.d.closeContainerKind(core.ContainerID(msg.Container), wal.KindClose)
 	default:
-		respond(protocol.ErrorResponse(msg, "daemon: unexpected %s on control socket", msg.Type))
+		err = fmt.Errorf("daemon: unexpected %s on control socket", msg.Type)
 	}
+	if err != nil {
+		resp = protocol.CodedErrorResponse(msg, err)
+	}
+	respond(resp)
 }
 
 // Closed implements ipc.Handler.
@@ -596,6 +674,7 @@ func (h controlHandler) Closed(conn *ipc.ServerConn) {}
 // allocation traffic.
 type containerHandler struct {
 	d  *Daemon
+	s  *session // the life the socket serves; its lease stamp
 	id core.ContainerID
 }
 
@@ -616,7 +695,7 @@ func ok() *protocol.Message {
 // the server took for that sample, so it reads no clock of its own.
 func (h containerHandler) Handle(conn *ipc.ServerConn, msg *protocol.Message, respond func(*protocol.Message)) {
 	c := h.d.cfg.Core
-	h.d.touch(h.id) // any traffic renews the session lease
+	h.d.touch(h.s) // any traffic renews the session lease
 	switch msg.Type {
 	case protocol.TypeAlloc:
 		h.d.gate.RLock()

@@ -147,25 +147,18 @@ func (d *Daemon) handleFailover(rep core.FailoverReport) {
 	}
 }
 
-// evictContainer tears one evicted container's serving state down: its
-// socket stops listening and its session record is discarded through
-// the same path restart recovery uses for unservable sessions. The dead
-// node's scheduler went without a Close, so no core event ends the
-// container's trace: the evict record here is its last, and its causal
-// counter ends with it.
+// evictContainer ends one evicted container's life: its session record
+// is discarded through the same path restart recovery uses for
+// unservable sessions, and the life is retired as a close retires it.
+// The dead node's scheduler went without a Close, so no core event ends
+// the container's trace: the evict record here is its last, and its
+// causal counter ends with it.
 func (d *Daemon) evictContainer(id core.ContainerID, node int) {
 	d.obs.Tracer().Record(d.clk.Now(), "evict", string(id), 0, 0, 0, 0)
 	d.obs.Tracer().EndContainer(string(id))
-	d.dirMu.Lock()
-	defer d.dirMu.Unlock()
-	d.mu.Lock()
-	srv := d.servers[id]
-	delete(d.servers, id)
-	d.mu.Unlock()
-	d.lastSeen.Delete(id)
+	s := d.take(id, false)
 	d.discardWALSession(id, fmt.Errorf("node %d down, no surviving capacity: %w", node, errs.ErrNodeDown))
-	if srv != nil {
-		srv.Retire()
+	if s != nil {
+		d.retire(id, s)
 	}
-	d.removeDir(id)
 }

@@ -222,7 +222,7 @@ func TestFailoverEvictsWithNodeDownCode(t *testing.T) {
 	}
 	for _, id := range []core.ContainerID{"c0", "c2"} {
 		d.mu.Lock()
-		_, served := d.servers[id]
+		_, served := d.live[id]
 		d.mu.Unlock()
 		if served {
 			t.Fatalf("evicted container %s is still served", id)

@@ -474,7 +474,7 @@ func TestTwoWayReportsStillServed(t *testing.T) {
 func TestOneWaySuccessIsNotAnswered(t *testing.T) {
 	d := startDaemon(t, mib(1000))
 	register(t, dialControl(t, d), "c", mib(900))
-	h := containerHandler{d: d, id: "c"}
+	h := d.Caller("c").h
 	charge := func(t *testing.T) {
 		if res, err := d.Core().RequestAlloc("c", 7, 64); err != nil || res.Decision != core.Accept {
 			t.Fatalf("alloc: %+v %v", res, err)

@@ -23,7 +23,6 @@ import (
 	"convgpu/internal/bytesize"
 	"convgpu/internal/core"
 	"convgpu/internal/errs"
-	"convgpu/internal/protocol"
 	"convgpu/internal/wal"
 )
 
@@ -100,25 +99,13 @@ func (d *Daemon) recoverFromWAL() error {
 			d.discardWALSession(id, fmt.Errorf("registration refused: %w", err))
 			continue
 		}
-		dir := d.containerDir(id)
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			d.closeRecovered()
+		life := &session{}
+		dir, err := d.prepare(id, life)
+		if err != nil {
+			d.closeServers()
 			return fmt.Errorf("daemon: recover %s: %w", id, err)
 		}
-		sockPath := filepath.Join(dir, protocol.SocketFileName)
-		if _, err := os.Stat(filepath.Join(dir, protocol.ModuleFileName)); err != nil {
-			// First adoption on this host (log shipped in, or base dir
-			// moved): materialize the wrapper module the runtime mounts.
-			module := fmt.Sprintf("convgpu wrapper module for container %s\nsocket=%s\n", id, sockPath)
-			if err := os.WriteFile(filepath.Join(dir, protocol.ModuleFileName), []byte(module), 0o644); err != nil {
-				d.closeRecovered()
-				return fmt.Errorf("daemon: recover %s: %w", id, err)
-			}
-		}
-		if err := d.serve(id, dir); err != nil {
-			d.closeRecovered()
-			return fmt.Errorf("daemon: recover %s: %w", id, err)
-		}
+		d.live[id] = life
 		served[dir] = true
 	}
 	// Remove every entry under containers/ that no recovered session owns:
@@ -147,14 +134,6 @@ func (d *Daemon) discardWALSession(id core.ContainerID, reason error) {
 	}
 	d.obs.SessionsDiscarded.Inc()
 	d.cfg.Logf("daemon: recovery discarded session %q: %v", id, reason)
-}
-
-// closeRecovered unwinds recoverFromWAL when startup fails later on.
-func (d *Daemon) closeRecovered() {
-	for id, srv := range d.servers {
-		srv.Close()
-		delete(d.servers, id)
-	}
 }
 
 // Ops exposes the daemon's async operation manager — the admin plane's

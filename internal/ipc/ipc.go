@@ -368,7 +368,9 @@ func (c *ServerConn) readLoop(h Handler) {
 				err = rerr
 			}
 		} else if err = s.fill(c.conn); err == nil {
+			c.w.beginBatch() // as on fd: the read's frames are counted before its replies leave
 			serve()
+			_ = c.w.endBatch(noFD)
 		}
 	}
 }

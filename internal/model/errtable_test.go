@@ -8,6 +8,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -38,7 +39,7 @@ import (
 // Refusal, nvidia-docker's create, and a failed /v1 operation's code.
 // Every error it collects must match its row's sentinel, the facade's
 // sentinel of that name, and the row's code as the model harness's
-// errClass.
+// errClass, and its message must name the sentinel once.
 func TestErrorTable(t *testing.T) {
 	facade := map[error]error{
 		errs.ErrOverCapacity:      convgpu.ErrOverCapacity,
@@ -85,6 +86,9 @@ func TestErrorTable(t *testing.T) {
 			}
 			if class := errClass(err); class != c.Code {
 				t.Errorf("%s: errClass(%v) = %q", c.Code, err, class)
+			}
+			if n := strings.Count(err.Error(), c.Err.Error()); n != 1 {
+				t.Errorf("%s: %q names %q %d times, want once", c.Code, err, c.Err, n)
 			}
 		}
 	}
@@ -164,7 +168,7 @@ func surfaces(t *testing.T) map[error][]error {
 		}
 		for deadline := time.Now().Add(5 * time.Second); op.Status != asyncop.StatusCompleted; time.Sleep(time.Millisecond) {
 			if op, _ = d.Ops().Get(op.ID); op.Status == asyncop.StatusFailed {
-				return fmt.Errorf("%w: %s", errs.FromCode(op.Code), op.Error)
+				return &protocol.Refusal{Text: op.Error, Code: op.Code}
 			}
 			if time.Now().After(deadline) {
 				t.Fatalf("operation %s never finished", op.ID)

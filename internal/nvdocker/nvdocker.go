@@ -180,10 +180,7 @@ func (n *NVDocker) Create(ctx context.Context, opts Options) (*container.Contain
 		return nil, fmt.Errorf("nvdocker: scheduler unreachable: %w (%v)", errs.ErrDaemonUnavailable, err)
 	}
 	if !resp.OK {
-		if sentinel := errs.FromCode(resp.Code); sentinel != nil {
-			return nil, fmt.Errorf("nvdocker: scheduler refused container: %w: %s", sentinel, resp.Error)
-		}
-		return nil, fmt.Errorf("nvdocker: scheduler refused container: %s", resp.Error)
+		return nil, fmt.Errorf("nvdocker: scheduler refused container: %w", &protocol.Refusal{Text: resp.Error, Code: resp.Code})
 	}
 	// Wire the wrapper volume and LD_PRELOAD.
 	spec.Volumes[WrapperMountPoint] = resp.SocketDir

@@ -14,6 +14,7 @@ package protocol
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"sync/atomic"
 
 	"convgpu/internal/bytesize"
@@ -243,13 +244,13 @@ func (m *Message) Validate() error {
 // frame, inside the bound that frame was given (ipc.Client.Post).
 func (t Type) Deferrable() bool { return t == TypeConfirm }
 
-// Refusal is the error a refused one-way request surfaces as. Nobody
-// waited for that request's reply, so the refusal comes back out of a
-// later call on the same connection; callers tell it from a transport
+// Refusal is a scheduler's error response as an error. A refused one-way
+// request surfaces as one out of a later call on the same connection,
+// since nobody waited for its reply. Callers tell it from a transport
 // failure with errors.As, and from other refusals with errors.Is on the
-// sentinel its wire code stands for.
+// sentinel its wire code stands for, which its message names once.
 type Refusal struct {
-	Text string // "<verb> refused: <the scheduler's error>"
+	Text string // the scheduler's error; "<verb> refused: <it>" for a one-way request
 	Code string // machine-readable code, may be empty
 }
 
@@ -259,7 +260,12 @@ func NewRefusal(verb Type, resp *Message) *Refusal {
 	return &Refusal{Text: string(verb) + " refused: " + resp.Error, Code: resp.Code}
 }
 
-func (r *Refusal) Error() string { return r.Text }
+func (r *Refusal) Error() string {
+	if class := errs.FromCode(r.Code); class != nil && !strings.Contains(r.Text, class.Error()) {
+		return class.Error() + ": " + r.Text
+	}
+	return r.Text
+}
 
 // Unwrap exposes the sentinel for the refusal's code, if it has one.
 func (r *Refusal) Unwrap() error { return errs.FromCode(r.Code) }

@@ -194,10 +194,9 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 		return 0, fmt.Errorf("wrapper: scheduler unreachable (%v): %w: %w", err, errs.ErrDaemonUnavailable, cuda.ErrorMemoryAllocation)
 	}
 	rejected := resp.OK && resp.Decision == protocol.DecisionReject
-	failed := !resp.OK
-	var sentinel error // the class of a refusal's wire code, if it has one
-	if failed {
-		sentinel = errs.FromCode(resp.Code)
+	var refusal error // an error response, in the scheduler's words
+	if !resp.OK {
+		refusal = &protocol.Refusal{Text: resp.Error, Code: resp.Code}
 	}
 	protocol.ReleaseMessage(resp) // response fields fully consumed above
 	if rejected {
@@ -206,14 +205,11 @@ func (m *Module) requestAlloc(api string, adjusted bytesize.Size, doAlloc func()
 		// still distinguish the scheduler's verdict from a device OOM.
 		return 0, fmt.Errorf("wrapper: %w: %w", errs.ErrRejected, cuda.ErrorMemoryAllocation)
 	}
-	if failed {
+	if refusal != nil {
 		// An error response (unknown container, daemon shutting down, ...)
-		// also fails closed; the wire code, when present, is surfaced as
-		// its sentinel.
-		if sentinel != nil {
-			return 0, fmt.Errorf("wrapper: allocation refused: %w: %w", sentinel, cuda.ErrorMemoryAllocation)
-		}
-		return 0, fmt.Errorf("wrapper: allocation refused: %w", cuda.ErrorMemoryAllocation)
+		// also fails closed, saying why; the wire code, when present, is
+		// surfaced as its sentinel.
+		return 0, fmt.Errorf("wrapper: allocation refused: %w: %w", refusal, cuda.ErrorMemoryAllocation)
 	}
 	ptr, err := doAlloc()
 	if err != nil {
