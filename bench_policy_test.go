@@ -14,6 +14,9 @@
 //	                               priority policy: a high-priority
 //	                               tenant's request reclaims an idle
 //	                               low-priority grant and is admitted
+//	BenchmarkPolicyCloseAdmit/<n>  a close that admits one suspended
+//	                               ticket among n idle residents — the
+//	                               slow path must not grow with them
 //	BenchmarkPolicyHeteroPlace/<name>  the pure placement decision over a
 //	                               fixed 16-device MIG-style
 //	                               mixed-capacity summary, per placement
@@ -214,5 +217,53 @@ func BenchmarkPolicyPreemption(b *testing.B) {
 		if _, _, err := s.Close("victim"); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkPolicyCloseAdmit measures a close that admits one suspended
+// ticket, among 32 and among 3,200 idle residents: a holder and a
+// newcomer register, the holder's request is accepted, the newcomer's
+// suspends on its partial grant, and the holder's close redistributes
+// to it. Like BenchmarkPolicyPreemption the cycle includes the
+// registrations and closes that reset the device. The residents are
+// never paused: allocs/op must not grow with them, while ns/op grows by
+// the slow path's walks over the creation-ordered container list.
+func BenchmarkPolicyCloseAdmit(b *testing.B) {
+	for _, residents := range []int{32, 3200} {
+		b.Run(fmt.Sprint(residents), func(b *testing.B) {
+			s, err := core.New(core.Config{
+				Capacity: bytesize.Size(residents+200) * bytesize.MiB, ContextOverhead: 1,
+			})
+			if err != nil {
+				b.Fatal(err)
+			}
+			for i := 0; i < residents; i++ {
+				if _, err := s.Register(core.ContainerID(fmt.Sprintf("resident-%d", i)), bytesize.MiB); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := s.Register("holder", 100*bytesize.MiB); err != nil {
+					b.Fatal(err)
+				}
+				if _, err := s.Register("newcomer", 150*bytesize.MiB); err != nil {
+					b.Fatal(err)
+				}
+				if res, err := s.RequestAlloc("holder", 1, 50*bytesize.MiB); err != nil || res.Decision != core.Accept {
+					b.Fatalf("holder: %v %v", res.Decision, err)
+				}
+				if res, err := s.RequestAlloc("newcomer", 1, 120*bytesize.MiB); err != nil || res.Decision != core.Suspend {
+					b.Fatalf("newcomer: %v %v", res.Decision, err)
+				}
+				if _, u, err := s.Close("holder"); err != nil || len(u.Admitted) != 1 {
+					b.Fatalf("close admitted %d tickets: %v", len(u.Admitted), err)
+				}
+				if _, _, err := s.Close("newcomer"); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -37,13 +37,17 @@
 // only one container's state and runs on a fast path under that
 // container's shard read lock plus its mutex, so independent containers
 // proceed in parallel without even sharing a reader-count cache line
-// unless they hash to the same shard (see DESIGN.md "Hot path").
+// unless they hash to the same shard (see DESIGN.md "Hot path"). The
+// shards serve lookup by ID; the slow paths walk State.order, every
+// container in creation order — the order the paper's redistribution
+// visits paused containers in — which register appends to and close
+// removes from under lockAll.
 package core
 
 import (
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -245,6 +249,9 @@ type State struct {
 	nextSeq    uint64
 	nextTicket Ticket
 	closedIDs  map[ContainerID]bool
+	// order holds every registered container in creation order:
+	// createdSeq only grows, so appending at register keeps it sorted.
+	order []*containerState
 
 	// namedTenants counts registered containers bound to a named (non
 	// default) tenant. Zero means every tenant-aware clamp and the
@@ -387,6 +394,7 @@ func (s *State) registerLocked(id ContainerID, limit bytesize.Size, t Tenant) (b
 	}
 	s.pool -= c.grant
 	s.shardFor(id).containers[id] = c
+	s.order = append(s.order, c)
 	if t.Name != "" {
 		s.namedTenants++
 	}
@@ -812,18 +820,19 @@ func (s *State) ProcessExit(id ContainerID, pid int) (bytesize.Size, Update, err
 	// Drop and cancel the pid's pending requests: the process is gone, so
 	// any responder parked on them must be released.
 	var u Update
+	kept := c.pending[:0]
 	for _, r := range c.pending {
 		if r.pid == pid {
 			u.Cancelled = append(u.Cancelled, Admitted{Container: id, Ticket: r.ticket})
+		} else {
+			kept = append(kept, r)
 		}
 	}
-	c.pending = filterPending(c.pending, pid)
+	c.pending = kept
 	s.noteSuspensionEnd(c)
 	delete(c.procs, pid)
 	s.logEvent(EvProcExit, c, pid, released)
-	more := s.afterRelease()
-	u.Admitted = more.Admitted
-	u.Cancelled = append(u.Cancelled, more.Cancelled...)
+	u.Admitted = s.afterRelease().Admitted
 	return released, u, nil
 }
 
@@ -851,14 +860,13 @@ func (s *State) Close(id ContainerID) (bytesize.Size, Update, error) {
 	released := c.grant
 	s.pool += c.grant
 	delete(s.shardFor(id).containers, id)
+	s.order = slices.DeleteFunc(s.order, func(e *containerState) bool { return e == c })
 	if c.tenant.Name != "" {
 		s.namedTenants--
 	}
 	s.closedIDs[id] = true
 	s.logEvent(EvClose, c, 0, released)
-	more := s.afterRelease()
-	u.Admitted = append(u.Admitted, more.Admitted...)
-	u.Cancelled = append(u.Cancelled, more.Cancelled...)
+	u.Admitted = s.afterRelease().Admitted
 	return released, u, nil
 }
 
@@ -880,12 +888,13 @@ func (s *State) MemInfo(id ContainerID) (free, total bytesize.Size, err error) {
 }
 
 // afterRelease runs redistribution and per-container admission after any
-// memory release. Callers hold lockAll.
+// memory release. It only admits: its Cancelled is always empty.
+// Callers hold lockAll.
 func (s *State) afterRelease() Update {
 	var u Update
 	// First, requests that now fit within their container's own grant
 	// (its usage dropped).
-	for _, c := range s.sortedContainersLocked() {
+	for _, c := range s.order {
 		u.Admitted = append(u.Admitted, s.admitFittingLocked(c)...)
 	}
 	// Then distribute the pool among paused containers.
@@ -904,26 +913,17 @@ func (s *State) afterRelease() Update {
 // configured algorithm by design — it only runs when that algorithm
 // has wedged.
 func (s *State) rescueLocked() []Admitted {
-	anyPaused := false
-	for _, c := range s.allContainersLocked() {
-		if len(c.pending) > 0 {
-			anyPaused = true
-			if c.grant > c.used {
-				s.pool += c.grant - c.used
-				c.grant = c.used
-			}
-		}
-	}
-	if !anyPaused {
+	if s.pausedCount.Load() == 0 {
 		return nil
 	}
+	s.reclaimPausedLocked()
 	var admitted []Admitted
 	for {
 		// Pick the paused container whose head request is cheapest to
 		// satisfy and feasible within the pool.
 		var pick *containerState
 		var pickNeed bytesize.Size
-		for _, c := range s.sortedContainersLocked() {
+		for _, c := range s.order {
 			if len(c.pending) == 0 {
 				continue
 			}
@@ -989,12 +989,7 @@ func (s *State) admitFittingLocked(c *containerState) []Admitted {
 // untouched.
 func (s *State) redistributeLocked() []Admitted {
 	if !s.cfg.PersistentGrants {
-		for _, c := range s.allContainersLocked() {
-			if len(c.pending) > 0 && c.grant > c.used {
-				s.pool += c.grant - c.used
-				c.grant = c.used
-			}
-		}
+		s.reclaimPausedLocked()
 	}
 	var admitted []Admitted
 	for s.pool > 0 {
@@ -1018,14 +1013,22 @@ func (s *State) redistributeLocked() []Admitted {
 		c.grant += give
 		s.pool -= give
 		s.logEvent(EvGrant, c, 0, give)
+		// A partial grant (give < deficit) left the pool empty, and so
+		// ends the loop.
 		admitted = append(admitted, s.admitFittingLocked(c)...)
-		if len(c.pending) > 0 {
-			// Partial grant: pool is exhausted (give < deficit implies
-			// pool hit zero), so the loop ends naturally.
-			continue
-		}
 	}
 	return admitted
+}
+
+// reclaimPausedLocked returns every paused container's unused
+// assignment to the pool. Callers hold lockAll.
+func (s *State) reclaimPausedLocked() {
+	for _, c := range s.order {
+		if len(c.pending) > 0 && c.grant > c.used {
+			s.pool += c.grant - c.used
+			c.grant = c.used
+		}
+	}
 }
 
 // candidatesLocked assembles the paused containers (those with pending
@@ -1042,7 +1045,7 @@ func (s *State) candidatesLocked() ([]Candidate, []*containerState) {
 	if s.namedTenants > 0 {
 		grantSums = s.tenantGrantSumsLocked()
 	}
-	for _, c := range s.sortedContainersLocked() {
+	for _, c := range s.order {
 		if len(c.pending) == 0 || c.grant >= c.limit {
 			// Not paused, or already holds its full creation-time request
 			// (its head request only fits after the container's own
@@ -1075,24 +1078,6 @@ func (s *State) candidatesLocked() ([]Candidate, []*containerState) {
 		byIdx = append(byIdx, c)
 	}
 	return cands, byIdx
-}
-
-// allContainersLocked collects every container across the shards, in no
-// particular order. Callers hold lockAll.
-func (s *State) allContainersLocked() []*containerState {
-	var out []*containerState
-	for i := range s.shards {
-		for _, c := range s.shards[i].containers {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-func (s *State) sortedContainersLocked() []*containerState {
-	out := s.allContainersLocked()
-	sort.Slice(out, func(i, j int) bool { return out[i].createdSeq < out[j].createdSeq })
-	return out
 }
 
 // noteSuspensionEnd closes the current suspension interval if the
@@ -1135,36 +1120,46 @@ func (s *State) Snapshot() []ContainerInfo {
 	defer s.unlockAll()
 	now := s.cfg.Clock.Now()
 	var out []ContainerInfo
-	for _, c := range s.sortedContainersLocked() {
-		info := ContainerInfo{
-			ID:             c.id,
-			Tenant:         c.tenant.Name,
-			TenantDef:      c.tenant,
-			Limit:          c.limit,
-			Grant:          c.grant,
-			Used:           c.used,
-			Pending:        len(c.pending),
-			CreatedAt:      c.createdAt,
-			Suspended:      len(c.pending) > 0,
-			SuspendedTotal: c.suspendedTotal,
-			EverSuspended:  c.everSuspended,
-		}
-		if !c.suspendedSince.IsZero() {
-			info.SuspendedTotal += now.Sub(c.suspendedSince)
-		}
-		out = append(out, info)
+	for _, c := range s.order {
+		out = append(out, c.info(now))
 	}
 	return out
 }
 
-// Info returns the snapshot for one container.
+// Info returns the snapshot for one container, read under its shard's
+// read lock and its mutex like a fast path.
 func (s *State) Info(id ContainerID) (ContainerInfo, error) {
-	for _, info := range s.Snapshot() {
-		if info.ID == id {
-			return info, nil
-		}
+	sh := s.shardFor(id)
+	sh.mu.RLock()
+	defer sh.mu.RUnlock()
+	c, ok := sh.containers[id]
+	if !ok {
+		return ContainerInfo{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
 	}
-	return ContainerInfo{}, fmt.Errorf("%w: %s", errs.ErrUnknownContainer, id)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.info(s.cfg.Clock.Now()), nil
+}
+
+// info is c's snapshot at now, its open suspension interval included.
+func (c *containerState) info(now time.Time) ContainerInfo {
+	info := ContainerInfo{
+		ID:             c.id,
+		Tenant:         c.tenant.Name,
+		TenantDef:      c.tenant,
+		Limit:          c.limit,
+		Grant:          c.grant,
+		Used:           c.used,
+		Pending:        len(c.pending),
+		CreatedAt:      c.createdAt,
+		Suspended:      len(c.pending) > 0,
+		SuspendedTotal: c.suspendedTotal,
+		EverSuspended:  c.everSuspended,
+	}
+	if !c.suspendedSince.IsZero() {
+		info.SuspendedTotal += now.Sub(c.suspendedSince)
+	}
+	return info
 }
 
 // PoolFree returns the memory not granted to any container.
@@ -1181,7 +1176,7 @@ func (s *State) TotalUsed() bytesize.Size {
 	s.lockAll()
 	defer s.unlockAll()
 	var total bytesize.Size
-	for _, c := range s.allContainersLocked() {
+	for _, c := range s.order {
 		total += c.used
 	}
 	return total
@@ -1201,19 +1196,11 @@ func (s *State) TotalUsed() bytesize.Size {
 // while nobody is pending, the grants sum to the device, both suspend on
 // their first request, and no release — so no reclaim and no rescue pass
 // either — can follow. TESTING.md ("The partial-grant wedge") has the
-// three-container trace; closing it is ROADMAP item 1(b).
+// three-container trace; closing it is ROADMAP item 2(a–b).
 func (s *State) Stalled() bool {
 	s.lockAll()
 	defer s.unlockAll()
-	anyPaused := false
-	for _, c := range s.allContainersLocked() {
-		if len(c.pending) > 0 {
-			anyPaused = true
-		} else {
-			return false // an unblocked container may still release memory
-		}
-	}
-	return anyPaused
+	return len(s.order) > 0 && int(s.pausedCount.Load()) == len(s.order)
 }
 
 func indexOfSize(sizes []bytesize.Size, size bytesize.Size) int {
@@ -1225,25 +1212,25 @@ func indexOfSize(sizes []bytesize.Size, size bytesize.Size) int {
 	return -1
 }
 
-func filterPending(reqs []pendingReq, pid int) []pendingReq {
-	out := reqs[:0]
-	for _, r := range reqs {
-		if r.pid != pid {
-			out = append(out, r)
-		}
-	}
-	return out
-}
-
 // CheckInvariants verifies the scheduler's core invariants and returns a
 // descriptive error if any is violated. Tests and the simulator call it
 // after every step.
 func (s *State) CheckInvariants() error {
 	s.lockAll()
 	defer s.unlockAll()
+	n := 0
+	for i := range s.shards {
+		n += len(s.shards[i].containers)
+	}
+	if n != len(s.order) {
+		return fmt.Errorf("core: order holds %d containers, the table %d", len(s.order), n)
+	}
 	var grantSum bytesize.Size
-	for _, c := range s.allContainersLocked() {
+	for i, c := range s.order {
 		id := c.id
+		if s.shardFor(id).containers[id] != c || i > 0 && c.createdSeq <= s.order[i-1].createdSeq {
+			return fmt.Errorf("core: order holds %s (seq %d) out of the table or out of creation order", id, c.createdSeq)
+		}
 		if c.used < 0 {
 			return fmt.Errorf("core: container %s used %v < 0", id, c.used)
 		}
@@ -1278,14 +1265,10 @@ func (s *State) CheckInvariants() error {
 		// Per-tenant quota invariant: a tenant's summed grants never
 		// exceed its quota. Containers of one tenant should agree on the
 		// quota; if they do not, the loosest (largest) binding is checked.
-		sums := make(map[string]bytesize.Size)
+		sums := s.tenantGrantSumsLocked()
 		quotas := make(map[string]bytesize.Size)
-		for _, c := range s.allContainersLocked() {
-			if c.tenant.Name == "" {
-				continue
-			}
-			sums[c.tenant.Name] += c.grant
-			if c.tenant.Quota > quotas[c.tenant.Name] {
+		for _, c := range s.order {
+			if c.tenant.Name != "" && c.tenant.Quota > quotas[c.tenant.Name] {
 				quotas[c.tenant.Name] = c.tenant.Quota
 			}
 		}

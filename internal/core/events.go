@@ -151,7 +151,7 @@ func (s *State) logEventT(at time.Time, kind EventKind, c *containerState, pid i
 func (s *State) SetObserver(fn func(EventRecord)) {
 	s.lockAll()
 	s.observer = fn
-	for _, c := range s.allContainersLocked() {
+	for _, c := range s.order {
 		c.obsSlot = nil
 	}
 	s.unlockAll()

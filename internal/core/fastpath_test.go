@@ -12,7 +12,7 @@ import (
 
 // TestFastPathStress hammers the scheduler from many goroutines with
 // the full operation mix — register, alloc, confirm, free, abort,
-// process exit, close, meminfo, snapshots — while the fast paths are
+// process exit, close, meminfo, snapshots, Info — while the fast paths are
 // on (the default). Run under -race this is the fast path's aliasing
 // and locking stress test; CheckInvariants is asserted throughout and
 // at the end.
@@ -107,6 +107,7 @@ func TestFastPathStress(t *testing.T) {
 				return
 			}
 			s.Snapshot()
+			s.Info("c0") // against c0's fast paths; unknown once c0 closed
 			s.TotalUsed()
 		}
 	}()

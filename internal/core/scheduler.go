@@ -102,15 +102,11 @@ var _ Scheduler = (*State)(nil)
 // capacity, and every registered container.
 func (s *State) Devices() []DeviceInfo {
 	s.lockAll()
-	n := 0
-	for i := range s.shards {
-		n += len(s.shards[i].containers)
-	}
 	d := DeviceInfo{
 		Index:      s.cfg.DeviceIndex,
 		Capacity:   s.cfg.Capacity,
 		PoolFree:   s.pool,
-		Containers: n,
+		Containers: len(s.order),
 	}
 	s.unlockAll()
 	return []DeviceInfo{d}

@@ -74,7 +74,7 @@ const unboundedQuota = bytesize.Size(1) << 62
 // tenant's containers aggregate under ""). Callers hold lockAll.
 func (s *State) tenantGrantSumsLocked() map[string]bytesize.Size {
 	sums := make(map[string]bytesize.Size)
-	for _, c := range s.allContainersLocked() {
+	for _, c := range s.order {
 		sums[c.tenant.Name] += c.grant
 	}
 	return sums
@@ -89,7 +89,7 @@ func (s *State) quotaHeadroomLocked(t Tenant) bytesize.Size {
 		return unboundedQuota
 	}
 	var sum bytesize.Size
-	for _, c := range s.allContainersLocked() {
+	for _, c := range s.order {
 		if c.tenant.Name == t.Name {
 			sum += c.grant
 		}
@@ -106,19 +106,14 @@ func (s *State) quotaHeadroomLocked(t Tenant) bytesize.Size {
 // floored at zero. Callers hold lockAll.
 func (s *State) availableForLocked(t Tenant) bytesize.Size {
 	reserved := bytesize.Size(0)
-	seen := make(map[string]bool)
-	for _, c := range s.allContainersLocked() {
+	sums := s.tenantGrantSumsLocked()
+	for _, c := range s.order {
 		name := c.tenant.Name
-		if name == "" || name == t.Name || seen[name] || c.tenant.Guarantee <= 0 {
+		sum, unseen := sums[name]
+		if name == "" || name == t.Name || !unseen || c.tenant.Guarantee <= 0 {
 			continue
 		}
-		seen[name] = true
-		var sum bytesize.Size
-		for _, d := range s.allContainersLocked() {
-			if d.tenant.Name == name {
-				sum += d.grant
-			}
-		}
+		delete(sums, name) // the first guarantee of a name counts
 		if sum < c.tenant.Guarantee {
 			reserved += c.tenant.Guarantee - sum
 		}
@@ -193,7 +188,7 @@ func (s *State) Tenants() []TenantUsage {
 	s.lockAll()
 	defer s.unlockAll()
 	byName := make(map[string]*TenantUsage)
-	for _, c := range s.allContainersLocked() {
+	for _, c := range s.order {
 		if c.tenant.Name == "" {
 			continue
 		}
@@ -247,7 +242,7 @@ func (s *State) tryPreemptLocked(c *containerState, charge bytesize.Size) bool {
 	}
 	req := holderOf(c)
 	var holders []Holder
-	for _, h := range s.sortedContainersLocked() {
+	for _, h := range s.order {
 		if h == c || h.grant <= h.used {
 			continue
 		}

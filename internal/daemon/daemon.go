@@ -446,7 +446,7 @@ func (d *Daemon) reapLoop() {
 		var expired []core.ContainerID
 		d.mu.Lock()
 		for id, s := range d.live {
-			if s.turn == nil && now.Sub(time.Unix(0, s.seen.Load())) > d.cfg.Lease {
+			if s.turn == nil && d.expired(s, now) {
 				expired = append(expired, id)
 			}
 		}
@@ -457,6 +457,11 @@ func (d *Daemon) reapLoop() {
 			}
 		}
 	}
+}
+
+// expired reports whether s's lease has run out by now.
+func (d *Daemon) expired(s *session, now time.Time) bool {
+	return now.Sub(time.Unix(0, s.seen.Load())) > d.cfg.Lease
 }
 
 // prepare makes id's directory serve s, for registration and recovery
@@ -537,7 +542,9 @@ func (d *Daemon) register(id core.ContainerID, limit int64, t core.Tenant) (*pro
 
 // closeContainerKind implements the plugin's close signal (wal.KindClose)
 // and the lease reaper's (wal.KindLeaseExpire). It takes the ID's turn,
-// so a registration in flight finishes first. The record is appended
+// so a registration in flight finishes first; the reaper's close then
+// ends the life only if its lease is still out, not a later life of the
+// ID that a close and a register put in its place. The record is appended
 // while the core still holds the session, so a refused append leaves
 // core and log agreeing on an open session (closing the core first let a
 // restart re-offer a session, grant included, that nobody could close).
@@ -552,6 +559,9 @@ func (d *Daemon) closeContainerKind(id core.ContainerID, kind wal.Kind) (*protoc
 	refuse := func(err error) (*protocol.Message, error) {
 		d.pass(id, s, false)
 		return nil, err
+	}
+	if kind == wal.KindLeaseExpire && !d.expired(s, d.clk.Now()) {
+		return refuse(fmt.Errorf("daemon: %s's lease is not out", id))
 	}
 	if err := d.walAppend(wal.Record{Kind: kind, Container: string(id)}); err != nil {
 		return refuse(err)

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -210,5 +211,85 @@ func TestStragglerRenewsNoClosedLease(t *testing.T) {
 	d.mu.Unlock()
 	if left != 0 {
 		t.Errorf("lease table holds %d entries after the only container closed, want 0", left)
+	}
+}
+
+// infoGate is a core.Scheduler that, once armed, holds the first Info
+// call, its answer already read, until the test lets it go: for the lease
+// reaper, that is after it found a life expired and before its close has
+// taken the ID's turn. Later calls pass.
+type infoGate struct {
+	*core.State
+	armed   atomic.Bool
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (g *infoGate) Info(id core.ContainerID) (core.ContainerInfo, error) {
+	info, err := g.State.Info(id)
+	if g.armed.CompareAndSwap(true, false) {
+		close(g.entered)
+		<-g.release
+	}
+	return info, err
+}
+
+// TestReaperSparesAFreshLife: the reaper closes the life whose lease it
+// found out, not a later life of the same ID that a plugin close and a
+// re-registration put in its place while the reaper was on its way.
+func TestReaperSparesAFreshLife(t *testing.T) {
+	leak.Check(t)
+	clk := clock.NewManual()
+	const lease = time.Minute
+	gate := &infoGate{
+		State:   core.MustNew(core.Config{Capacity: mib(1000), ContextOverhead: 1, Clock: clk}),
+		entered: make(chan struct{}),
+		release: make(chan struct{}),
+	}
+	d, err := Start(Config{BaseDir: filepath.Join(t.TempDir(), "cv"), Core: gate, Lease: lease, Clock: clk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	release := sync.OnceFunc(func() { close(gate.release) })
+	defer release() // before Close, which waits for the reaper
+	ctl := dialControl(t, d)
+	if resp := register(t, ctl, "A", mib(100)); !resp.OK {
+		t.Fatalf("register A: %s", resp.Error)
+	}
+	gate.armed.Store(true)
+	// Four quarter-leases leave A's lease exactly out; the fifth tick's
+	// pass finds it expired and stops in the Info its close begins with.
+	for i := 0; i < 5; i++ {
+		waitFor(t, "reap loop armed", func() bool { return clk.Pending() > 0 })
+		clk.Advance(lease / 4)
+	}
+	select {
+	case <-gate.entered:
+	case <-time.After(5 * time.Second):
+		t.Fatal("the reaper never began closing A")
+	}
+	if resp := callControl(t, ctl, &protocol.Message{Type: protocol.TypeClose, Container: "A"}); !resp.OK {
+		t.Fatalf("close A while the reaper is held: %s", resp.Error)
+	}
+	if resp := register(t, ctl, "A", mib(100)); !resp.OK {
+		t.Fatalf("register A again: %s", resp.Error)
+	}
+	release()
+	waitFor(t, "the reaper's pass done", func() bool { return clk.Pending() > 0 })
+
+	_, err = d.Core().Info("A")
+	inCore := err == nil
+	inLog := false
+	for _, s := range d.wal.Sessions() {
+		inLog = inLog || s.Container == "A"
+	}
+	_, err = os.Stat(d.containerDir("A"))
+	onDisk := err == nil
+	if !inCore || !inLog || !onDisk {
+		t.Errorf("fresh A open in core %v, in the log %v, on disk %v; want open in all three", inCore, inLog, onDisk)
+	}
+	if got := d.Obs().LeaseExpiries.Value(); got != 0 {
+		t.Errorf("lease expiries = %d, want 0: the expired life was closed by the plugin", got)
 	}
 }

@@ -241,7 +241,7 @@ func wedgeTrace(t *testing.T) []workload.TraceEntry {
 // leaves exactly the two xlarge containers incomplete and keeps every
 // scheduler invariant — under all four paper algorithms, with and
 // without the rescue pass (which only runs on a release, and none comes).
-// It is a scheduler hole (ROADMAP item 1(b)), pinned here so the replay
+// It is a scheduler hole (ROADMAP item 2(a–b)), pinned here so the replay
 // keeps reproducing it until core closes it.
 func TestPartialGrantWedgeIsReported(t *testing.T) {
 	trace := wedgeTrace(t)
